@@ -147,11 +147,12 @@ def cmd_decompose(args) -> int:
 
     leaves = []
 
-    def descend(g: Gqi, weight: float, depth: int) -> None:
+    def descend(g: Gqi, weight: float, depth: int, c: gqi_mod.ExtremalityCertificate | None = None) -> None:
         if depth >= args.steps:
             leaves.append((g, weight, depth, None))
             return
-        c = gqi_mod.is_extremal(g, pol=pol)
+        if c is None:
+            c = gqi_mod.is_extremal(g, pol=pol)
         if c.extremal:
             leaves.append((g, weight, depth, "extremal"))
             return
@@ -159,7 +160,7 @@ def cmd_decompose(args) -> int:
         descend(plus, weight / 2.0, depth + 1)
         descend(minus, weight / 2.0, depth + 1)
 
-    descend(root, 1.0, 0)
+    descend(root, 1.0, 0, cert)
 
     recon = [np.zeros_like(t) for t in root.outcomes]
     for g, w, _, _ in leaves:

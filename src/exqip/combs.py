@@ -184,19 +184,72 @@ def comb_variable_count(sig: CombSignature) -> int:
     return total
 
 
-def comb_forbidden_directions(sig: CombSignature) -> list:
-    """Directions excluded by the cascade: identity on an odd space times a
-    traceless operator on the even space directly below it."""
-    out = []
+def _forbidden_levels(sig: CombSignature):
+    """Per-level (top, even, low) of the forbidden directions: the identity
+    dimension on spaces >= 2n-1, the even space 2n-2 and everything below it."""
     dims = sig.dims
     for n in range(sig.n, 0, -1):
-        even = dims[2 * n - 2]
-        top = math.prod(dims[2 * n - 1 :])
-        low = math.prod(dims[: 2 * n - 2])
+        yield math.prod(dims[2 * n - 1 :]), dims[2 * n - 2], math.prod(dims[: 2 * n - 2])
+
+
+def comb_forbidden_directions(sig: CombSignature) -> list:
+    """Directions excluded by the cascade: identity on an odd space times a
+    traceless operator on the even space directly below it.
+
+    Together with the identity they span the orthogonal complement of
+    :func:`comb_variable_basis`.
+    """
+    out = []
+    for top, even, low in _forbidden_levels(sig):
         eye_top = np.eye(top, dtype=complex) / math.sqrt(top)
         for e in linalg.traceless_hermitian_basis(even):
             for f in linalg.hermitian_basis(low):
                 out.append(linalg.kron(eye_top, linalg.kron(e, f)))
+    return out
+
+
+def _traceless_part(y: np.ndarray, even: int, low: int) -> np.ndarray:
+    """y - I/even (x) Tr_even y for a stack (k, even*low, even*low): the part
+    of each operator that is traceless on its leading factor."""
+    t = np.trace(y.reshape(-1, even, low, even, low), axis1=1, axis2=3)
+    eye = np.eye(even) / even
+    return y - np.einsum("ef,kij->keifj", eye, t).reshape(y.shape)
+
+
+def complement_coordinates(u: np.ndarray, sig: CombSignature) -> np.ndarray:
+    """Support basis of span(u) projected off the comb variable directions.
+
+    ``u`` (D x r) has orthonormal columns.  Row j is an isometric image of
+    (1 - P_V) q_j, where q_j is the j-th element of the support basis
+    (:func:`linalg.support_basis` order) and P_V projects onto the span of
+    :func:`comb_variable_basis`.  The complement of V is spanned by the
+    identity and :func:`comb_forbidden_directions`, so the coordinates are
+    Tr q / sqrt(D) and then, per level n with Y_n = Tr_{spaces >= 2n-1} q /
+    sqrt(top_n), the vectorized part of Y_n traceless on space 2n-2.  They
+    come from partial traces of ``u`` alone: no D^2-long operator is built.
+    Levels with a trivial even space contribute nothing and are skipped.
+    """
+    r = u.shape[1]
+    trace = np.zeros((r * r, 1))
+    trace[:r] = 1.0 / math.sqrt(sig.total_dim)
+    cols = [trace]
+    for top, even, low in _forbidden_levels(sig):
+        if even == 1:
+            continue
+        y = linalg.support_operators(u, top) / math.sqrt(top)
+        cols.append(linalg.vectorize_hermitian(_traceless_part(y, even, low)))
+    return np.hstack(cols)
+
+
+def forbidden_part(op: np.ndarray, sig: CombSignature) -> np.ndarray:
+    """(1 - P_V) op: the component of ``op`` along the identity and the
+    forbidden directions, by trace-and-replace on each level."""
+    dim = sig.total_dim
+    out = np.trace(op) / dim * np.eye(dim, dtype=complex)
+    for top, even, low in _forbidden_levels(sig):
+        y = linalg.partial_trace(op, (top, even * low), {0})
+        y = _traceless_part(y[None], even, low)[0]
+        out = out + linalg.kron(np.eye(top, dtype=complex) / top, y)
     return out
 
 
@@ -208,20 +261,21 @@ def random_deterministic_comb(
 ) -> DeterministicComb:
     """Random comb from the cascade-preserving parametrization.
 
-    Draws random coefficients on the variable basis and rescales the variable
-    part so that the smallest eigenvalue stays at ``(1 - spread)`` times the
-    central comb's.  ``spread = 0`` returns the central comb; ``spread = 1``
-    touches the boundary of positivity.
+    Draws the variable part P_V X of an HS-isotropic Gaussian Hermitian X
+    (the law of standard normal coefficients on the variable basis) and
+    rescales it so that the smallest eigenvalue stays at ``(1 - spread)``
+    times the central comb's.  ``spread = 0`` returns the central comb;
+    ``spread = 1`` touches the boundary of positivity.
     """
     if not 0.0 <= spread <= 1.0:
         raise ValidationError(f"spread must lie in [0, 1], got {spread}")
     rng = np.random.default_rng(seed)
     base = central_comb(sig)
-    basis = comb_variable_basis(sig)
-    if not basis or spread == 0.0:
+    if comb_variable_count(sig) == 0 or spread == 0.0:
         return base
-    coeff = rng.standard_normal(len(basis))
-    var = sum(c * g for c, g in zip(coeff, basis))
+    dim = sig.total_dim
+    x = linalg.unvectorize_hermitian(rng.standard_normal(dim * dim), dim)
+    var = x - forbidden_part(x, sig)
     lam_min = float(np.linalg.eigvalsh(var)[0])
     lam0 = 1.0 / sig.odd_product
     if lam_min >= -1e-15:

@@ -2,10 +2,12 @@
 
 A GQI is a collection of positive operators T_1..T_M on the comb space whose
 sum is a deterministic comb.  Extremality is decided by a single rank test:
-pool a Hermitian basis of each outcome's support with the comb
-variable-direction basis, vectorize, and check linear independence.  A rank
-deficiency yields a constructive perturbation {D_i}, Delta and the maximal
-step size epsilon_star, from which a one-step convex decomposition follows.
+a Hermitian basis of each outcome's support, pooled with the comb
+variable-direction basis V, must be linearly independent.  The test runs on
+the support bases projected off V, in coordinates taken from partial traces.
+A rank deficiency yields a constructive perturbation {D_i}, Delta and the
+maximal step size epsilon_star, from which a one-step convex decomposition
+follows.
 """
 
 from __future__ import annotations
@@ -108,25 +110,17 @@ def _require_valid(g: Gqi, pol: TolerancePolicy):
         )
 
 
-def _support_blocks(g: Gqi, pol: TolerancePolicy):
-    blocks = []
-    for t in g.outcomes:
-        blocks.append(linalg.support_basis(t, pol))
-    return blocks
-
-
 def perturbation_feasible(outcomes, directions, eps: float, pol: TolerancePolicy = DEFAULT_TOL) -> bool:
     """True when every T_i +/- eps D_i stays PSD within the working margin.
 
     The margin is half the support tolerance, so feasible perturbations keep a
     positivity cushion and re-validate cleanly after file round trips.
     """
-    for t, d in zip(outcomes, directions):
-        for sign in (1.0, -1.0):
-            w = np.linalg.eigvalsh(t + sign * eps * d)
-            if w[0] < -0.5 * pol.supp_tol(t.shape[0], float(w[-1])):
-                return False
-    return True
+    t = np.asarray(outcomes)
+    d = np.asarray(directions)
+    w = np.linalg.eigvalsh(np.concatenate([t + eps * d, t - eps * d]))
+    dim = t.shape[-1]
+    return all(row[0] >= -0.5 * pol.supp_tol(dim, float(row[-1])) for row in w)
 
 
 def max_perturbation_step(outcomes, directions, pol: TolerancePolicy = DEFAULT_TOL) -> float:
@@ -167,60 +161,79 @@ def max_perturbation_step(outcomes, directions, pol: TolerancePolicy = DEFAULT_T
     return lo
 
 
+def _rank_test(g: Gqi, pol: TolerancePolicy, normalization_basis=None):
+    """Support vectors of each outcome, |V| and the pooled rank decision.
+
+    The rows decided are the support basis elements projected off V, so the
+    decision carries the pooled family's rank and cutoff (see
+    :func:`linalg.rank_decision`).
+    """
+    _require_valid(g, pol)
+    supports = [linalg.support_vectors(t, pol) for t in g.outcomes]
+    dim = g.signature.total_dim
+    if normalization_basis is None:
+        n_known = combs.comb_variable_count(g.signature)
+        rows = [combs.complement_coordinates(u, g.signature) for u in supports]
+    else:
+        n_known = len(normalization_basis)
+        known = np.array([linalg.vectorize_hermitian(b) for b in normalization_basis])
+        q = np.linalg.qr(known.reshape(n_known, dim * dim).T)[0]
+        rows = []
+        for u in supports:
+            x = linalg.vectorize_hermitian(linalg.support_operators(u))
+            rows.append(x - (x @ q) @ q.T)
+    decision = linalg.rank_decision(np.vstack(rows), pol, known=n_known, ambient=dim * dim)
+    return supports, n_known, decision
+
+
 def is_extremal(
     g: Gqi,
     pol: TolerancePolicy = DEFAULT_TOL,
     normalization_basis=None,
 ) -> ExtremalityCertificate:
     """Master extremality criterion: support bases of all outcomes pooled with
-    the normalization variable basis must be linearly independent.
+    the normalization variable basis V must be linearly independent.
 
-    ``normalization_basis`` defaults to the comb variable basis of the
-    signature; callers with tighter structural knowledge (1-testers) may pass
-    the traceless basis supported under the normalization instead.
+    Equivalently, the support bases projected off V must be independent; the
+    pooled rank is their rank plus |V|.  By default V is the comb variable
+    basis of the signature, which is never built: the projected members come
+    from partial traces (:func:`combs.complement_coordinates`).  Callers with
+    tighter structural knowledge (1-testers) may pass the traceless basis
+    supported under the normalization as ``normalization_basis``; it is
+    orthonormalized and projected out explicitly.
+
+    The cutoff is the pooled family's: with r_i the support ranks,
+
+        tau = max(sum r_i^2 + |V|, D^2) * max(1, sigma_max) * eps_rel,
+
+    sigma_max being the largest singular value of the projected family.  A
+    null vector c yields D_i = sum_{j in i} c_j q_j and Delta = sum_i D_i.
+    When sum r_i^2 > D^2 - |V| the counting rule already rules out
+    extremality, and c comes from the first D^2 - |V| + 1 projected members.
     """
-    _require_valid(g, pol)
-    blocks = _support_blocks(g, pol)
-    if normalization_basis is None:
-        normalization_basis = combs.comb_variable_basis(g.signature)
-    family = [q for block in blocks for q in block] + list(normalization_basis)
-    vectors = [linalg.vectorize_hermitian(q) for q in family]
-    rank, nullvec = linalg.numerical_rank(vectors, pol)
-    support_ranks = tuple(
-        int(round(np.sqrt(len(block)))) if block else 0 for block in blocks
-    )
-    if nullvec is None:
-        return ExtremalityCertificate(
-            extremal=True,
-            family_size=len(family),
-            rank=rank,
-            support_ranks=support_ranks,
-            normalization_basis_size=len(normalization_basis),
-            perturbation=None,
+    supports, n_known, decision = _rank_test(g, pol, normalization_basis)
+    support_ranks = tuple(u.shape[1] for u in supports)
+    family_size = sum(r * r for r in support_ranks) + n_known
+    perturbation = None
+    if decision.nullvector is not None:
+        directions = []
+        pos = 0
+        for u, r in zip(supports, support_ranks):
+            h = linalg.unvectorize_hermitian(decision.nullvector[pos : pos + r * r], r)
+            directions.append(u @ h @ u.conj().T)
+            pos += r * r
+        perturbation = Perturbation(
+            directions=tuple(directions),
+            delta=sum(directions),
+            epsilon_star=max_perturbation_step(g.outcomes, directions, pol),
         )
-    dim = g.signature.total_dim
-    directions = []
-    pos = 0
-    for block in blocks:
-        d_i = np.zeros((dim, dim), dtype=complex)
-        for q in block:
-            d_i = d_i + nullvec[pos] * q
-            pos += 1
-        directions.append(d_i)
-    delta = np.zeros((dim, dim), dtype=complex)
-    for gk in normalization_basis:
-        delta = delta - nullvec[pos] * gk
-        pos += 1
-    eps_star = max_perturbation_step(g.outcomes, directions, pol)
     return ExtremalityCertificate(
-        extremal=False,
-        family_size=len(family),
-        rank=rank,
+        extremal=perturbation is None,
+        family_size=family_size,
+        rank=decision.rank,
         support_ranks=support_ranks,
-        normalization_basis_size=len(normalization_basis),
-        perturbation=Perturbation(
-            directions=tuple(directions), delta=delta, epsilon_star=eps_star
-        ),
+        normalization_basis_size=n_known,
+        perturbation=perturbation,
     )
 
 
@@ -259,26 +272,19 @@ class ExtremalityProfile:
 
 
 def extremality_profile(g: Gqi, pol: TolerancePolicy = DEFAULT_TOL) -> ExtremalityProfile:
-    """Aggregate counts, rank, and (when extremal) the singular-value margin."""
-    _require_valid(g, pol)
-    blocks = _support_blocks(g, pol)
-    norm_basis = combs.comb_variable_basis(g.signature)
-    family = [q for block in blocks for q in block] + norm_basis
-    vectors = [linalg.vectorize_hermitian(q) for q in family]
-    rank, nullvec = linalg.numerical_rank(vectors, pol)
-    margin = None
-    if nullvec is None and vectors:
-        margin = float(linalg.family_singular_values(vectors)[-1])
+    """Aggregate counts, rank and, when extremal, the margin: the smallest
+    singular value of the support family projected off V."""
+    supports, n_known, decision = _rank_test(g, pol)
+    support_ranks = tuple(u.shape[1] for u in supports)
+    extremal = decision.nullvector is None
     return ExtremalityProfile(
-        extremal=nullvec is None,
-        support_ranks=tuple(
-            int(round(np.sqrt(len(block)))) if block else 0 for block in blocks
-        ),
-        support_family_size=sum(len(b) for b in blocks),
-        normalization_basis_size=len(norm_basis),
+        extremal=extremal,
+        support_ranks=support_ranks,
+        support_family_size=sum(r * r for r in support_ranks),
+        normalization_basis_size=n_known,
         ambient_dimension=g.signature.total_dim ** 2,
-        rank=rank,
-        margin=margin,
+        rank=decision.rank,
+        margin=float(decision.singular_values[-1]) if extremal else None,
     )
 
 

@@ -143,6 +143,55 @@ def _fix_sign(vec: np.ndarray) -> np.ndarray:
     return vec
 
 
+@dataclass(frozen=True)
+class RankDecision:
+    """A rank decided from ``singular_values`` at a cutoff.
+
+    ``nullvector`` is a unit coefficient vector over the decided rows, present
+    exactly when they are dependent.
+    """
+
+    rank: int
+    singular_values: np.ndarray
+    nullvector: np.ndarray | None
+
+
+def rank_decision(
+    x: np.ndarray, pol: TolerancePolicy = DEFAULT_TOL, known: int = 0, ambient: int | None = None
+) -> RankDecision:
+    """Rank of the rows of ``x`` pooled with ``known`` orthonormal vectors.
+
+    The rows of ``x`` (m x n) are coordinates of family members in the
+    orthogonal complement of ``known`` orthonormal vectors of an
+    ``ambient``-dimensional space (by default n, with nothing known).  The
+    pooled family has rank ``rank(x) + known`` and the pooled cutoff
+
+        tau = max(m + known, ambient) * sigma * eps_rel,
+
+    with sigma = sigma_max(x), floored at 1 when ``known > 0`` because the
+    orthonormal members alone have unit singular values.  A dependent family
+    gets a null vector c with ``|c^T x| <= tau``.  The rows span at most
+    ``ambient - known`` dimensions, so beyond that c is taken from the first
+    ``ambient - known + 1`` rows.
+    """
+    x = np.asarray(x, dtype=float)
+    m, n = x.shape
+    ambient = n if ambient is None else ambient
+    s = np.linalg.svd(x, compute_uv=False)
+    sigma = float(s[0]) if s.size else 0.0
+    if known:
+        sigma = max(1.0, sigma)
+    tau = pol.rank_tol(m + known, ambient, sigma)
+    rank = int(np.count_nonzero(s > tau))
+    if rank == m:
+        return RankDecision(rank + known, s, None)
+    head = x[: min(ambient - known, n) + 1]
+    u = np.linalg.svd(head, full_matrices=head.shape[0] > n)[0]
+    c = np.zeros(m)
+    c[: head.shape[0]] = u[:, -1]
+    return RankDecision(rank + known, s, _fix_sign(c))
+
+
 def numerical_rank(vectors, pol: TolerancePolicy = DEFAULT_TOL):
     """Rank of a family of real vectors, with a nullvector when deficient.
 
@@ -155,21 +204,8 @@ def numerical_rank(vectors, pol: TolerancePolicy = DEFAULT_TOL):
     lengths = {r.size for r in rows}
     if len(lengths) != 1:
         raise DimensionMismatchError(f"vectors of mixed lengths {sorted(lengths)}")
-    x = np.vstack(rows)
-    u, s, _ = np.linalg.svd(x, full_matrices=True)
-    sigma_max = float(s[0]) if s.size else 0.0
-    tau = pol.rank_tol(*x.shape, sigma_max)
-    rank = int(np.count_nonzero(s > tau))
-    if rank == len(rows):
-        return rank, None
-    return rank, _fix_sign(u[:, -1].copy())
-
-
-def family_singular_values(vectors) -> np.ndarray:
-    rows = [np.asarray(v, dtype=float).ravel() for v in vectors]
-    if not rows:
-        return np.zeros(0)
-    return np.linalg.svd(np.vstack(rows), compute_uv=False)
+    decision = rank_decision(np.vstack(rows), pol)
+    return decision.rank, decision.nullvector
 
 
 def complex_family_rank(mats, pol: TolerancePolicy = DEFAULT_TOL) -> int:
@@ -187,14 +223,20 @@ def vectorize_hermitian(a: np.ndarray) -> np.ndarray:
     """Real vector of length d^2, isometric for the HS inner product.
 
     Layout: diagonal (real), then sqrt(2)*Re(upper triangle) row-major, then
-    sqrt(2)*Im(upper triangle) row-major.
+    sqrt(2)*Im(upper triangle) row-major.  A stack (..., d, d) maps to
+    (..., d^2).
     """
     a = np.asarray(a, dtype=complex)
-    d = a.shape[0]
+    d = a.shape[-1]
     iu = np.triu_indices(d, k=1)
-    upper = a[iu]
+    upper = a[..., iu[0], iu[1]]
     return np.concatenate(
-        [np.real(np.diagonal(a)), math.sqrt(2.0) * upper.real, math.sqrt(2.0) * upper.imag]
+        [
+            np.real(np.diagonal(a, axis1=-2, axis2=-1)),
+            math.sqrt(2.0) * upper.real,
+            math.sqrt(2.0) * upper.imag,
+        ],
+        axis=-1,
     )
 
 
@@ -232,34 +274,52 @@ def support_projector(t: np.ndarray, pol: TolerancePolicy = DEFAULT_TOL) -> np.n
     return cols @ cols.conj().T
 
 
+def support_vectors(t: np.ndarray, pol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
+    """Orthonormal eigenvectors (columns, eigenvalues descending) spanning Supp(t).
+
+    ``t`` must be positive semidefinite within tolerance.
+    """
+    eig = hermitian_eig(t, pol)
+    lam_max = float(eig.values[0]) if eig.values.size else 0.0
+    tau = pol.supp_tol(t.shape[0], lam_max)
+    if eig.values.size and float(eig.values[-1]) < -tau:
+        raise NotPositiveError(f"negative eigenvalue {eig.values[-1]:.3e}")
+    return eig.vectors[:, eig.values > tau]
+
+
+def support_operators(u: np.ndarray, traced: int = 1) -> np.ndarray:
+    """Support basis of the column span of ``u``, leading factor traced out.
+
+    ``u`` (D x r) has orthonormal columns.  Returns the stack (r^2, m, m),
+    m = D / traced, of Tr_0 q_j, where q_j runs over the HS-orthonormal
+    Hermitian basis of :func:`support_basis` and factor 0, the leading
+    Kronecker factor of dimension ``traced``, is traced out.  ``traced = 1``
+    gives the basis itself.  The projected support coordinates of the comb
+    rank test are built from these partial traces without forming any q_j.
+    """
+    d, r = u.shape
+    m = d // traced
+    w = u.reshape(traced, m * r)
+    # g[a, b] = Tr_0 |u_a><u_b|
+    g = (w.T @ w.conj()).reshape(m, r, m, r).transpose(1, 3, 0, 2)
+    diag = np.arange(r)
+    n, k = np.triu_indices(r, k=1)
+    s = 1.0 / math.sqrt(2.0)
+    return np.concatenate(
+        [g[diag, diag], s * (g[n, k] + g[k, n]), 1j * s * (g[n, k] - g[k, n])]
+    )
+
+
 def support_basis(t: np.ndarray, pol: TolerancePolicy = DEFAULT_TOL) -> list:
     """HS-orthonormal basis of Hermitian operators supported on Supp(t).
 
     ``t`` must be positive semidefinite within tolerance; returns r^2 elements
     for eigen-rank r: the projectors ``v_n v_n^dagger``, then the symmetric
-    pairs, then the antisymmetric pairs (n < m, lexicographic).
+    pairs, then the antisymmetric pairs (n < m, lexicographic).  In these
+    coordinates, sum_j c_j q_j = V H V^dagger with
+    H = unvectorize_hermitian(c, r).
     """
-    eig = hermitian_eig(t, pol)
-    d = t.shape[0]
-    lam_max = float(eig.values[0]) if eig.values.size else 0.0
-    tau = pol.supp_tol(d, lam_max)
-    if eig.values.size and float(eig.values[-1]) < -tau:
-        raise NotPositiveError(f"negative eigenvalue {eig.values[-1]:.3e}")
-    vecs = [eig.vectors[:, k] for k in range(d) if eig.values[k] > tau]
-    r = len(vecs)
-    out = []
-    for n in range(r):
-        out.append(np.outer(vecs[n], vecs[n].conj()))
-    s = 1.0 / math.sqrt(2.0)
-    for n in range(r):
-        for m in range(n + 1, r):
-            cross = np.outer(vecs[n], vecs[m].conj())
-            out.append(s * (cross + cross.conj().T))
-    for n in range(r):
-        for m in range(n + 1, r):
-            cross = np.outer(vecs[n], vecs[m].conj())
-            out.append(1j * s * (cross - cross.conj().T))
-    return out
+    return list(support_operators(support_vectors(t, pol)))
 
 
 def traceless_hermitian_basis(d: int) -> list:

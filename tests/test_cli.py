@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from exqip import cli, fileio, linalg, testers
+from exqip import cli, fileio, gqi, linalg, testers
 from exqip.channels import Channel, Instrument
 from exqip.combs import CombSignature, DeterministicComb, central_comb
 from exqip.errors import FileFormatError
@@ -145,6 +145,20 @@ class TestCli:
         for leaf in summary["leaves"]:
             obj = fileio.load_object(os.path.join(out_dir, leaf["file"]))
             assert testers.is_valid_tester(obj)
+
+    def test_decompose_decides_root_once(self, tmp_path, monkeypatch):
+        decided = []
+        real = gqi.is_extremal
+
+        def counting(g, *args, **kwargs):
+            decided.append(g)
+            return real(g, *args, **kwargs)
+
+        monkeypatch.setattr(gqi, "is_extremal", counting)
+        src = tmp_path / "depolarizing.json"
+        fileio.save_object(src, Channel(d1=2, d0=2, choi=np.eye(4, dtype=complex) / 2.0))
+        assert self.run("decompose", str(src), "--steps", "1", "--out", str(tmp_path / "t")) == 0
+        assert len(decided) == 1  # the root; its two children are depth-limit leaves
 
     def test_decompose_extremal_exits_1(self, tmp_path):
         src = tmp_path / "bell.json"
