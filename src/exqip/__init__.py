@@ -67,6 +67,7 @@ from .gqi import (
     is_valid_gqi,
     mix,
     perturbation_feasible,
+    perturbation_slack,
 )
 from .linalg import DEFAULT_TOL, TolerancePolicy
 from .testers import (

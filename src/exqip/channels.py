@@ -14,6 +14,7 @@ Lueders constructions.  The appendix fixtures exercise all seven attainable
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -157,12 +158,22 @@ def channel_extremal_theorem1(c: Channel, pol: TolerancePolicy = DEFAULT_TOL) ->
     ks = channel_kraus(c, pol)
     vs = [vec_op(k) for k in ks]
     family = [np.outer(vm, vn.conj()) for vm in vs for vn in vs]
-    eye0 = np.eye(c.d0, dtype=complex)
-    for sa in linalg.traceless_hermitian_basis(c.d1):
-        family.append(linalg.kron(sa, eye0))
-        for sb in linalg.traceless_hermitian_basis(c.d0):
-            family.append(linalg.kron(sa, sb))
+    family.extend(_theorem1_normalization_family(c.d1, c.d0))
     return linalg.complex_family_rank(family, pol) == len(family)
+
+
+@functools.lru_cache(maxsize=None)
+def _theorem1_normalization_family(d1: int, d0: int) -> tuple:
+    """{sigma_a (x) I, sigma_a (x) sigma_b}, built once per (d1, d0) and read-only."""
+    eye0 = np.eye(d0, dtype=complex)
+    family = []
+    for sa in linalg.traceless_hermitian_basis(d1):
+        family.append(linalg.kron(sa, eye0))
+        for sb in linalg.traceless_hermitian_basis(d0):
+            family.append(linalg.kron(sa, sb))
+    for m in family:
+        m.flags.writeable = False
+    return tuple(family)
 
 
 def instrument_extremal(ins: Instrument, pol: TolerancePolicy = DEFAULT_TOL) -> bool:

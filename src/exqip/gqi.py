@@ -7,7 +7,9 @@ variable-direction basis V, must be linearly independent.  The test runs on
 the support bases projected off V, in coordinates taken from partial traces.
 A rank deficiency yields a constructive perturbation {D_i}, Delta and the
 maximal step size epsilon_star, from which a one-step convex decomposition
-follows.
+follows.  epsilon_star starts from a closed-form estimate (the
+generalized-eigenvalue form of Choi's positivity argument) and is refined in
+a tight bracket on the positivity slack of T_i +/- epsilon D_i.
 """
 
 from __future__ import annotations
@@ -110,54 +112,134 @@ def _require_valid(g: Gqi, pol: TolerancePolicy):
         )
 
 
+def perturbation_slack(outcomes, directions, eps: float, pol: TolerancePolicy = DEFAULT_TOL) -> float:
+    """Smallest lambda_min + supp_tol/2 over the 2M matrices T_i +/- eps D_i.
+
+    Non-negative exactly when :func:`perturbation_feasible` holds; its sign
+    change in eps is the root that :func:`max_perturbation_step` refines.
+    """
+    t = np.asarray(outcomes)
+    d = np.asarray(directions)
+    w = np.linalg.eigvalsh(np.concatenate([t + eps * d, t - eps * d]))
+    return float(np.min(w[:, 0] + 0.5 * pol.supp_tols(t.shape[-1], w[:, -1])))
+
+
 def perturbation_feasible(outcomes, directions, eps: float, pol: TolerancePolicy = DEFAULT_TOL) -> bool:
     """True when every T_i +/- eps D_i stays PSD within the working margin.
 
     The margin is half the support tolerance, so feasible perturbations keep a
     positivity cushion and re-validate cleanly after file round trips.
     """
-    t = np.asarray(outcomes)
-    d = np.asarray(directions)
-    w = np.linalg.eigvalsh(np.concatenate([t + eps * d, t - eps * d]))
-    dim = t.shape[-1]
-    return all(row[0] >= -0.5 * pol.supp_tol(dim, float(row[-1])) for row in w)
+    return perturbation_slack(outcomes, directions, eps, pol) >= 0.0
+
+
+# Half-width of the first bracket around the closed-form estimate, relative,
+# and the factor it grows by until the bracket holds the root.
+_BRACKET = 1e-10
+_WIDEN = 16.0
+# Relative bracket width at which the refinement stops.
+_STOP = 1e-14
 
 
 def max_perturbation_step(outcomes, directions, pol: TolerancePolicy = DEFAULT_TOL) -> float:
     """Largest epsilon with every T_i +/- epsilon D_i PSD (within tolerance).
 
-    Bisection on :func:`perturbation_feasible`; the bracket upper bound comes
-    from the spectral-norm estimate epsilon <= lambda_max(T_i) / |D_i|_2.
+    Three steps (README, "The epsilon* step"):
+
+    1. Closed form.  With the working margin frozen at epsilon = 0,
+       m_i = supp_tol(dim, lambda_max(T_i)) / 2, and T_i + m_i = V_i (W_i + m_i) V_i^dagger,
+       T_i +/- epsilon D_i + m_i is PSD exactly while
+       epsilon * |S_i^dagger D_i S_i|_2 <= 1, with S_i = V_i (W_i + m_i)^{-1/2}.
+       So est = 1 / max_i |S_i^dagger D_i S_i|_2, also for directions with
+       components outside Supp(T_i).  It differs from the root only through
+       the margin's dependence on lambda_max(T_i +/- epsilon D_i).
+    2. Bracket.  [est (1 - 1e-10), est (1 + 1e-10)], widened 16-fold until
+       the lower end is feasible and the upper end is not.
+    3. Refine.  Secant and Illinois regula falsi on :func:`perturbation_slack`,
+       safeguarded by bisection, until hi - lo <= 1e-14 hi or the slack at
+       both ends is at rounding level.
+
+    The lower end is returned, so the result passes
+    :func:`perturbation_feasible`.  When some T_i + m_i is not positive
+    definite no epsilon is feasible, and the result is 0.
     """
-
-    def psd_at(eps: float) -> bool:
-        return perturbation_feasible(outcomes, directions, eps, pol)
-
-    hi = None
-    for t, d in zip(outcomes, directions):
-        dnorm = float(np.linalg.norm(d, 2))
-        if dnorm < 1e-300:
-            continue
-        lam_max = float(np.linalg.eigvalsh(t)[-1])
-        bound = lam_max / dnorm
-        hi = bound if hi is None else min(hi, bound)
-    if hi is None:
+    t = np.asarray(outcomes, dtype=complex)
+    d = np.asarray(directions, dtype=complex)
+    if not np.abs(d).max(initial=0.0) >= 1e-300:
         raise ValidationError("all perturbation directions vanish")
-    hi = max(hi, 1e-300)
-    # Tolerance slack can push the failure point slightly past the estimate.
-    attempts = 0
-    while psd_at(hi) and attempts < 64:
-        hi *= 2.0
-        attempts += 1
-    if psd_at(hi):
-        raise ValidationError("perturbation never violates positivity")
-    lo = 0.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if psd_at(mid):
-            lo = mid
+    w, v = np.linalg.eigh(t)
+    shifted = w + 0.5 * pol.supp_tols(t.shape[-1], w[:, -1])[:, None]
+    if shifted.min() <= 0.0:
+        return 0.0
+    # Rounding level of the eigenvalues, hence of the slack.  Shifted
+    # eigenvalues below it (an outcome left on the margin by an earlier split)
+    # are raised to it, so that rounding-level components of D_i there do not
+    # dominate the estimate.
+    noise = np.finfo(float).eps * max(1.0, float(np.abs(w).max()))
+    s = v / np.sqrt(np.maximum(shifted, noise))[:, None, :]
+    norm = float(np.abs(np.linalg.eigvalsh(s.conj().transpose(0, 2, 1) @ d @ s)).max())
+    if not 0.0 < norm < np.inf:
+        raise ValidationError(f"perturbation directions out of floating-point range (norm {norm})")
+    est = 1.0 / norm
+
+    def slack(eps: float) -> float:
+        return perturbation_slack(t, d, eps, pol)
+
+    # Bracket: f_lo >= 0 > f_hi.  At epsilon = 0 the slack is min(shifted) > 0.
+    # prev is the infeasible point last replaced by hi.
+    width = _BRACKET
+    lo, hi = est * (1.0 - width), est * (1.0 + width)
+    f_lo, f_hi = slack(lo), slack(hi)
+    prev = None
+    while f_lo < 0.0:
+        prev = (hi, f_hi)
+        hi, f_hi = lo, f_lo
+        width *= _WIDEN
+        lo = est * (1.0 - width) if width < 1.0 else 0.0
+        f_lo = slack(lo) if lo > 0.0 else float(shifted.min())
+    while f_hi >= 0.0:
+        if width > 1e12:
+            raise ValidationError("perturbation never violates positivity")
+        lo, f_lo = hi, f_hi
+        width *= _WIDEN
+        hi = est * (1.0 + width)
+        f_hi = slack(hi)
+
+    # Refine.  Past the root the slack follows the one eigenvalue that
+    # crossed the margin, while below it the minimum may sit on another, flat
+    # branch (an eigenvalue outside the support of D_i).  So the secant
+    # through the last two infeasible points comes first, then Illinois
+    # regula falsi on the weighted end values g.  Each point is pulled at
+    # least half the stopping width inside the bracket, so that a point
+    # landing on the root lets the next probe close the bracket from the
+    # other side; a bracket that two probes failed to halve is bisected.
+    # Once the slack at both ends is at rounding level, further probes carry
+    # no information.
+    g_lo, g_hi = f_lo, f_hi
+    side = 0
+    older = old = np.inf
+    while hi - lo > _STOP * hi and not (f_lo <= noise and f_hi >= -noise):
+        step = 0.5 * _STOP * hi
+        x = np.nan
+        if prev is not None and prev[1] != f_hi:
+            x = hi - f_hi * (hi - prev[0]) / (f_hi - prev[1])
+        if not lo < x < hi + step:
+            x = hi - g_hi * (hi - lo) / (g_hi - g_lo)
+        if hi - lo > 0.5 * older or not np.isfinite(x):
+            x = 0.5 * (lo + hi)
         else:
-            hi = mid
+            x = min(max(x, lo + step), hi - step)
+        older, old = old, hi - lo
+        fx = slack(x)
+        if fx >= 0.0:
+            if side < 0:
+                g_hi *= 0.5
+            lo, f_lo, g_lo, side = x, fx, fx, -1
+        else:
+            if side > 0:
+                g_lo *= 0.5
+            prev = (hi, f_hi)
+            hi, f_hi, g_hi, side = x, fx, fx, 1
     return lo
 
 

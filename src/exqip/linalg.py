@@ -51,6 +51,10 @@ class TolerancePolicy:
         # case) from tripping the negativity check on float dust.
         return dim * max(lambda_max, 1.0) * self.eps_rel
 
+    def supp_tols(self, dim: int, lambda_max: np.ndarray) -> np.ndarray:
+        """:meth:`supp_tol` for an array of largest eigenvalues."""
+        return dim * np.maximum(lambda_max, 1.0) * self.eps_rel
+
     def scaled(self, eps_rel: float) -> "TolerancePolicy":
         return TolerancePolicy(eps_rel=eps_rel, comb_factor=self.comb_factor)
 

@@ -37,6 +37,11 @@ class TestTolerancePolicy:
         # near-zero operators still get a usable threshold
         assert DEFAULT_TOL.supp_tol(4, 1e-30) == DEFAULT_TOL.supp_tol(4, 1.0)
 
+    def test_supp_tols_elementwise(self):
+        lam = np.array([-1.0, 1e-30, 0.5, 1.0, 3.0, 1e6])
+        expected = [DEFAULT_TOL.supp_tol(5, float(x)) for x in lam]
+        assert DEFAULT_TOL.supp_tols(5, lam).tolist() == expected
+
 
 class TestCheckHermitian:
     def test_accepts_and_symmetrizes(self):
