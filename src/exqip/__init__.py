@@ -6,6 +6,8 @@ structure; decide extremality by linear-independence rank tests; and
 constructively decompose non-extremal objects into convex combinations.
 """
 
+__version__ = "0.1.0"
+
 from .channels import (
     APPENDIX_TABLE,
     Channel,
@@ -87,5 +89,3 @@ from .testers import (
     xi_inverse,
     xi_transform,
 )
-
-__version__ = "0.1.0"

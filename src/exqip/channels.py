@@ -84,18 +84,21 @@ def kraus_to_choi(kraus) -> np.ndarray:
     return out
 
 
+def _kraus_from_eig(eig: linalg.EigenDecomposition, d1: int, d0: int, pol: TolerancePolicy) -> list:
+    """sqrt(lambda_m) unvec(v_m) over the eigenpairs above the support cutoff."""
+    return [
+        math.sqrt(eig.values[m]) * unvec_op(eig.vectors[:, m], d1, d0)
+        for m in range(eig.support_ranks(pol))
+    ]
+
+
 def choi_to_kraus(choi: np.ndarray, d1: int, d0: int, pol: TolerancePolicy = DEFAULT_TOL) -> list:
     """Minimal Kraus list from the Choi spectral form; count = eigen-rank."""
     eig = linalg.hermitian_eig(choi, pol)
     lam_max = float(eig.values[0]) if eig.values.size else 0.0
-    tau = pol.supp_tol(choi.shape[0], lam_max)
-    if eig.values.size and float(eig.values[-1]) < -tau:
+    if eig.values.size and float(eig.values[-1]) < -pol.supp_tol(choi.shape[0], lam_max):
         raise NotPositiveError(f"Choi operator has negative eigenvalue {eig.values[-1]:.3e}")
-    return [
-        math.sqrt(eig.values[m]) * unvec_op(eig.vectors[:, m], d1, d0)
-        for m in range(choi.shape[0])
-        if eig.values[m] > tau
-    ]
+    return _kraus_from_eig(eig, d1, d0, pol)
 
 
 def channel_kraus(c: Channel, pol: TolerancePolicy = DEFAULT_TOL) -> list:
@@ -140,12 +143,22 @@ def is_valid_instrument(ins: Instrument, tol: float | None = None, pol: Toleranc
     return gqi_mod.is_valid_gqi(as_gqi(ins), tol=tol, pol=pol).ok
 
 
+def _validated_kraus(obj, pol: TolerancePolicy) -> list:
+    """Per-outcome minimal Kraus lists of a channel or an instrument, from the
+    eigenpairs of its validation."""
+    verdict = gqi_mod.is_valid_gqi(as_gqi(obj), pol=pol)
+    if not verdict.ok:
+        raise ValidationError(f"not a valid {type(obj).__name__.lower()}")
+    return [
+        _kraus_from_eig(verdict.spectra[i], obj.d1, obj.d0, pol)
+        for i in range(len(verdict.spectra.values))
+    ]
+
+
 def choi_condition(c: Channel, pol: TolerancePolicy = DEFAULT_TOL) -> bool:
     """Choi's criterion: {K_m^dagger K_n} over the minimal Kraus family must be
     linearly independent."""
-    if not is_valid_channel(c, pol=pol):
-        raise ValidationError("not a valid channel")
-    ks = channel_kraus(c, pol)
+    (ks,) = _validated_kraus(c, pol)
     products = [km.conj().T @ kn for km in ks for kn in ks]
     return linalg.complex_family_rank(products, pol) == len(products)
 
@@ -153,9 +166,7 @@ def choi_condition(c: Channel, pol: TolerancePolicy = DEFAULT_TOL) -> bool:
 def channel_extremal_theorem1(c: Channel, pol: TolerancePolicy = DEFAULT_TOL) -> bool:
     """Master-criterion form: {|K_m>><<K_n|} pooled with {sigma_a (x) I} and
     {sigma_a (x) sigma_b} must be linearly independent."""
-    if not is_valid_channel(c, pol=pol):
-        raise ValidationError("not a valid channel")
-    ks = channel_kraus(c, pol)
+    (ks,) = _validated_kraus(c, pol)
     vs = [vec_op(k) for k in ks]
     family = [np.outer(vm, vn.conj()) for vm in vs for vn in vs]
     family.extend(_theorem1_normalization_family(c.d1, c.d0))
@@ -179,10 +190,8 @@ def _theorem1_normalization_family(d1: int, d0: int) -> tuple:
 def instrument_extremal(ins: Instrument, pol: TolerancePolicy = DEFAULT_TOL) -> bool:
     """Kraus-product criterion: the pooled per-outcome families
     {K_m^(i)dagger K_n^(i)} must be linearly independent."""
-    if not is_valid_instrument(ins, pol=pol):
-        raise ValidationError("not a valid instrument")
     products = []
-    for ks in instrument_kraus(ins, pol):
+    for ks in _validated_kraus(ins, pol):
         products.extend(km.conj().T @ kn for km in ks for kn in ks)
     return linalg.complex_family_rank(products, pol) == len(products)
 
@@ -208,15 +217,10 @@ def instrument_rank_bound(ins: Instrument, pol: TolerancePolicy = DEFAULT_TOL) -
     return InstrumentRankBound(outcome_ranks=tuple(ranks), lhs=lhs, rhs=rhs, ok=lhs <= rhs)
 
 
-def _sqrt_psd(a: np.ndarray, pol: TolerancePolicy) -> np.ndarray:
-    eig = linalg.hermitian_eig(a, pol)
-    return (eig.vectors * np.sqrt(np.clip(eig.values, 0.0, None))) @ eig.vectors.conj().T
-
-
 def sqrt_instrument(p: Povm, pol: TolerancePolicy = DEFAULT_TOL) -> Instrument:
     """The instrument rho -> sqrt(P_i) rho sqrt(P_i); extremal exactly when the
     effects are linearly independent."""
-    kraus = [[_sqrt_psd(e, pol)] for e in p.effects]
+    kraus = [[linalg.sqrt_psd(e, pol)] for e in p.effects]
     return instrument_from_kraus(kraus, d1=p.d, d0=p.d)
 
 
@@ -294,8 +298,8 @@ def combination_fixture(k: int) -> Instrument:
         return instrument_from_kraus([[np.eye(2, dtype=complex)]], d1=2, d0=2)
     if k == 2:
         povm = _commuting_independent_povm()
-        sp0 = _sqrt_psd(povm.effects[0], DEFAULT_TOL)
-        sp1 = _sqrt_psd(povm.effects[1], DEFAULT_TOL)
+        sp0 = linalg.sqrt_psd(povm.effects[0], DEFAULT_TOL)
+        sp1 = linalg.sqrt_psd(povm.effects[1], DEFAULT_TOL)
         w = np.outer(_KET0, _KET1.conj()) - np.outer(_KET1, _KET0.conj())
         plus = (_KET0 + _KET1) / math.sqrt(2.0)
         m0 = linalg.kron(sp0, plus[:, None])

@@ -103,9 +103,9 @@ def is_deterministic_comb(
         )
     if tol is None:
         tol = pol.eps_comb
-    eig = linalg.hermitian_eig(r, pol)
-    lam_min = float(eig.values[-1])
-    psd_ok = lam_min >= -pol.supp_tol(r.shape[0], float(eig.values[0]))
+    w = np.linalg.eigvalsh(r)
+    lam_min = float(w[0])
+    psd_ok = lam_min >= -pol.supp_tol(r.shape[0], float(w[-1]))
 
     residuals = []
     current = r

@@ -19,6 +19,7 @@ import json
 
 import numpy as np
 
+from . import __version__
 from .channels import Channel, Instrument
 from .combs import CombSignature, DeterministicComb
 from .errors import FileFormatError
@@ -29,7 +30,6 @@ from .testers import Povm, Tester
 FORMAT_NAME = "exqip-operator-file"
 CERTIFICATE_FORMAT_NAME = "exqip-certificate"
 FORMAT_VERSION = 1
-TOOL_VERSION = "0.1.0"
 
 KINDS = ("comb", "gqi", "tester", "channel", "instrument", "povm")
 
@@ -192,7 +192,7 @@ def certificate_to_payload(
         "normalization_basis_size": cert.normalization_basis_size,
         "residuals": dict(residuals or {}),
         "tolerance": {"eps_rel": pol.eps_rel, "comb_factor": pol.comb_factor},
-        "tool_version": TOOL_VERSION,
+        "tool_version": __version__,
         "perturbation": None,
     }
     if cert.perturbation is not None:

@@ -14,7 +14,7 @@ a tight bracket on the positivity slack of T_i +/- epsilon D_i.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,9 +45,14 @@ class Gqi:
 
 @dataclass(frozen=True)
 class GqiVerdict:
+    """Validity of a GQI.  ``spectra`` holds the eigenpairs of the symmetrized
+    outcomes (a stack, eigenvalues descending), which the rank test and the
+    epsilon* step reuse; they take no part in equality or repr."""
+
     ok: bool
     outcome_min_eigenvalues: tuple
     comb_verdict: combs.CombVerdict
+    spectra: linalg.EigenDecomposition = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -78,38 +83,45 @@ def is_valid_gqi(
     tol: float | None = None,
     pol: TolerancePolicy = DEFAULT_TOL,
 ) -> GqiVerdict:
-    """Accept iff every outcome is PSD and the sum is a deterministic comb."""
+    """Accept iff every outcome is PSD and the sum is a deterministic comb.
+
+    The outcomes are checked and decomposed as one stack: one batched
+    Hermiticity check, one batched ``eigh``.  An outcome of the wrong shape
+    raises after the Hermiticity check of the outcomes before it.
+    """
     if g.n_outcomes < 1:
         raise ValidationError("a GQI needs at least one outcome")
     total = g.signature.total_dim
-    mins = []
-    psd_ok = True
-    for t in g.outcomes:
-        if t.shape != (total, total):
-            raise DimensionMismatchError(
-                f"outcome shape {t.shape} does not match signature dimension {total}"
-            )
-        h = linalg.check_hermitian(t, pol)
-        w = np.linalg.eigvalsh(h)
-        mins.append(float(w[0]))
-        if w[0] < -pol.supp_tol(total, float(w[-1])):
-            psd_ok = False
+    shaped = next(
+        (i for i, t in enumerate(g.outcomes) if t.shape != (total, total)), g.n_outcomes
+    )
+    h = linalg.check_hermitian_stack(np.reshape(g.outcomes[:shaped], (shaped, total, total)), pol)
+    if shaped < g.n_outcomes:
+        raise DimensionMismatchError(
+            f"outcome shape {g.outcomes[shaped].shape} does not match signature dimension {total}"
+        )
+    spectra = linalg.hermitian_eigs(h)
+    w = spectra.values
+    psd_ok = bool(np.all(w[:, -1] >= -pol.supp_tols(total, w[:, 0])))
     comb_verdict = combs.is_deterministic_comb(g.normalization, g.signature, tol=tol, pol=pol)
     return GqiVerdict(
         ok=psd_ok and comb_verdict.ok,
-        outcome_min_eigenvalues=tuple(mins),
+        outcome_min_eigenvalues=tuple(w[:, -1].tolist()),
         comb_verdict=comb_verdict,
+        spectra=spectra,
     )
 
 
-def _require_valid(g: Gqi, pol: TolerancePolicy):
-    verdict = is_valid_gqi(g, pol=pol)
+def _require_valid(g: Gqi, pol: TolerancePolicy, verdict: GqiVerdict | None = None) -> GqiVerdict:
+    if verdict is None:
+        verdict = is_valid_gqi(g, pol=pol)
     if not verdict.ok:
         raise ValidationError(
             "invalid GQI: outcome min eigenvalues "
             f"{verdict.outcome_min_eigenvalues}, cascade residuals "
             f"{verdict.comb_verdict.level_residuals}"
         )
+    return verdict
 
 
 def perturbation_slack(outcomes, directions, eps: float, pol: TolerancePolicy = DEFAULT_TOL) -> float:
@@ -141,8 +153,17 @@ _WIDEN = 16.0
 _STOP = 1e-14
 
 
-def max_perturbation_step(outcomes, directions, pol: TolerancePolicy = DEFAULT_TOL) -> float:
+def max_perturbation_step(
+    outcomes,
+    directions,
+    pol: TolerancePolicy = DEFAULT_TOL,
+    spectra: linalg.EigenDecomposition | None = None,
+) -> float:
     """Largest epsilon with every T_i +/- epsilon D_i PSD (within tolerance).
+
+    ``spectra`` are eigenpairs of the outcomes (a stack, in any eigenvalue
+    order), such as :attr:`GqiVerdict.spectra`; without them the outcomes are
+    decomposed here.
 
     Three steps (README, "The epsilon* step"):
 
@@ -167,8 +188,11 @@ def max_perturbation_step(outcomes, directions, pol: TolerancePolicy = DEFAULT_T
     d = np.asarray(directions, dtype=complex)
     if not np.abs(d).max(initial=0.0) >= 1e-300:
         raise ValidationError("all perturbation directions vanish")
-    w, v = np.linalg.eigh(t)
-    shifted = w + 0.5 * pol.supp_tols(t.shape[-1], w[:, -1])[:, None]
+    if spectra is None:
+        w, v = np.linalg.eigh(t)
+    else:
+        w, v = spectra.values, spectra.vectors
+    shifted = w + 0.5 * pol.supp_tols(t.shape[-1], w.max(axis=1))[:, None]
     if shifted.min() <= 0.0:
         return 0.0
     # Rounding level of the eigenvalues, hence of the slack.  Shifted
@@ -243,15 +267,18 @@ def max_perturbation_step(outcomes, directions, pol: TolerancePolicy = DEFAULT_T
     return lo
 
 
-def _rank_test(g: Gqi, pol: TolerancePolicy, normalization_basis=None):
-    """Support vectors of each outcome, |V| and the pooled rank decision.
+def _rank_test(g: Gqi, pol: TolerancePolicy, normalization_basis=None, validation=None):
+    """Validation verdict, support vectors of each outcome, |V| and the pooled
+    rank decision.
 
-    The rows decided are the support basis elements projected off V, so the
-    decision carries the pooled family's rank and cutoff (see
-    :func:`linalg.rank_decision`).
+    The supports are the leading eigenvectors of the validation spectra, the
+    columns of :func:`linalg.support_vectors`.  The rows decided are the
+    support basis elements projected off V, so the decision carries the
+    pooled family's rank and cutoff (see :func:`linalg.rank_decision`).
     """
-    _require_valid(g, pol)
-    supports = [linalg.support_vectors(t, pol) for t in g.outcomes]
+    validation = _require_valid(g, pol, validation)
+    spectra = validation.spectra
+    supports = [v[:, :r] for v, r in zip(spectra.vectors, spectra.support_ranks(pol))]
     dim = g.signature.total_dim
     if normalization_basis is None:
         n_known = combs.comb_variable_count(g.signature)
@@ -265,13 +292,14 @@ def _rank_test(g: Gqi, pol: TolerancePolicy, normalization_basis=None):
             x = linalg.vectorize_hermitian(linalg.support_operators(u))
             rows.append(x - (x @ q) @ q.T)
     decision = linalg.rank_decision(np.vstack(rows), pol, known=n_known, ambient=dim * dim)
-    return supports, n_known, decision
+    return validation, supports, n_known, decision
 
 
 def is_extremal(
     g: Gqi,
     pol: TolerancePolicy = DEFAULT_TOL,
     normalization_basis=None,
+    validation: GqiVerdict | None = None,
 ) -> ExtremalityCertificate:
     """Master extremality criterion: support bases of all outcomes pooled with
     the normalization variable basis V must be linearly independent.
@@ -292,8 +320,13 @@ def is_extremal(
     null vector c yields D_i = sum_{j in i} c_j q_j and Delta = sum_i D_i.
     When sum r_i^2 > D^2 - |V| the counting rule already rules out
     extremality, and c comes from the first D^2 - |V| + 1 projected members.
+
+    ``validation`` is the caller's :func:`is_valid_gqi` verdict on ``g`` at
+    ``pol``, when it has one; otherwise ``g`` is validated here.  Each outcome
+    is decomposed once, in validation, and the rank test and epsilon* reuse
+    the eigenpairs.
     """
-    supports, n_known, decision = _rank_test(g, pol, normalization_basis)
+    validation, supports, n_known, decision = _rank_test(g, pol, normalization_basis, validation)
     support_ranks = tuple(u.shape[1] for u in supports)
     family_size = sum(r * r for r in support_ranks) + n_known
     perturbation = None
@@ -307,7 +340,7 @@ def is_extremal(
         perturbation = Perturbation(
             directions=tuple(directions),
             delta=sum(directions),
-            epsilon_star=max_perturbation_step(g.outcomes, directions, pol),
+            epsilon_star=max_perturbation_step(g.outcomes, directions, pol, validation.spectra),
         )
     return ExtremalityCertificate(
         extremal=perturbation is None,
@@ -356,7 +389,7 @@ class ExtremalityProfile:
 def extremality_profile(g: Gqi, pol: TolerancePolicy = DEFAULT_TOL) -> ExtremalityProfile:
     """Aggregate counts, rank and, when extremal, the margin: the smallest
     singular value of the support family projected off V."""
-    supports, n_known, decision = _rank_test(g, pol)
+    _, supports, n_known, decision = _rank_test(g, pol)
     support_ranks = tuple(u.shape[1] for u in supports)
     extremal = decision.nullvector is None
     return ExtremalityProfile(

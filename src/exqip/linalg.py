@@ -11,6 +11,7 @@ Operators are plain complex ``numpy`` arrays.  All functions are pure.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -39,9 +40,9 @@ class TolerancePolicy:
     def eps_comb(self) -> float:
         return self.comb_factor * self.eps_rel
 
-    def herm_tol(self, a: np.ndarray) -> float:
-        scale = float(np.abs(a).max()) if a.size else 0.0
-        return self.eps_rel * max(1.0, scale)
+    def herm_tols(self, scale: np.ndarray) -> np.ndarray:
+        """Hermiticity tolerance for an array of largest magnitudes |A|_max."""
+        return self.eps_rel * np.maximum(1.0, scale)
 
     def rank_tol(self, n_rows: int, n_cols: int, sigma_max: float) -> float:
         return max(n_rows, n_cols) * sigma_max * self.eps_rel
@@ -64,13 +65,26 @@ DEFAULT_TOL = TolerancePolicy()
 
 @dataclass(frozen=True)
 class EigenDecomposition:
-    """Eigenvalues sorted descending; eigenvectors as matching columns."""
+    """Eigenvalues sorted descending; eigenvectors as matching columns.
+
+    A stack of k operators carries values (k, d) and vectors (k, d, d).
+    """
 
     values: np.ndarray
     vectors: np.ndarray
 
     def reconstruct(self) -> np.ndarray:
-        return (self.vectors * self.values) @ self.vectors.conj().T
+        return (self.vectors * self.values[..., None, :]) @ np.swapaxes(self.vectors.conj(), -2, -1)
+
+    def __getitem__(self, k) -> "EigenDecomposition":
+        """The decomposition of operator ``k`` of a stack."""
+        return EigenDecomposition(self.values[k], self.vectors[k])
+
+    def support_ranks(self, pol: "TolerancePolicy") -> np.ndarray:
+        """Eigenvalues above the support cutoff supp_tol(d, lambda_max), per
+        operator: the leading columns of ``vectors`` that span its support."""
+        tau = pol.supp_tols(self.values.shape[-1], self.values[..., :1])
+        return np.count_nonzero(self.values > tau, axis=-1)
 
 
 def max_abs(a: np.ndarray) -> float:
@@ -87,12 +101,28 @@ def check_hermitian(a: np.ndarray, pol: TolerancePolicy = DEFAULT_TOL) -> np.nda
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    return check_hermitian_stack(a[None], pol)[0]
+
+
+def check_hermitian_stack(a: np.ndarray, pol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
+    """:func:`check_hermitian` on each matrix of a stack (k, d, d) at once.
+
+    The first failing matrix raises the error :func:`check_hermitian` raises
+    for it; the symmetrized stack is returned.
+    """
+    a = np.asarray(a, dtype=complex)
+    # |A|_max is finite exactly when every entry is.
+    scale = np.abs(a).max(axis=(-2, -1), initial=0.0)
+    finite = np.isfinite(scale)
+    k = len(a) if finite.all() else int(np.argmin(finite))
+    adjoint = np.swapaxes(a.conj(), -2, -1)
+    dev = np.abs(a[:k] - adjoint[:k]).max(axis=(-2, -1), initial=0.0)
+    bad = np.flatnonzero(dev > pol.herm_tols(scale[:k]))
+    if bad.size:
+        raise NotHermitianError(f"not Hermitian: |A - A^dagger|_max = {dev[bad[0]]:.3e}")
+    if k < len(a):
         raise NotHermitianError("matrix contains non-finite entries")
-    dev = max_abs(a - a.conj().T)
-    if dev > pol.herm_tol(a):
-        raise NotHermitianError(f"not Hermitian: |A - A^dagger|_max = {dev:.3e}")
-    return (a + a.conj().T) / 2
+    return (a + adjoint) / 2
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -131,12 +161,23 @@ def partial_trace(a: np.ndarray, dims, traced) -> np.ndarray:
     return np.asarray(t).reshape(keep, keep)
 
 
+def hermitian_eigs(h: np.ndarray) -> EigenDecomposition:
+    """Eigendecomposition of a Hermitian operator or a stack of them, from one
+    (batched) ``eigh``; eigenvalues descending.  ``h`` is not checked."""
+    w, v = np.linalg.eigh(h)
+    # eigh returns the eigenvalues ascending.
+    return EigenDecomposition(values=w[..., ::-1], vectors=v[..., ::-1])
+
+
 def hermitian_eig(a: np.ndarray, pol: TolerancePolicy = DEFAULT_TOL) -> EigenDecomposition:
     """Eigendecomposition of a Hermitian operator, eigenvalues descending."""
-    h = check_hermitian(a, pol)
-    w, v = np.linalg.eigh(h)
-    order = np.argsort(w)[::-1]
-    return EigenDecomposition(values=w[order].copy(), vectors=v[:, order].copy())
+    return hermitian_eigs(check_hermitian(a, pol))
+
+
+def sqrt_psd(a: np.ndarray, pol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
+    """Square root of a Hermitian operator with negative eigenvalues clipped to 0."""
+    eig = hermitian_eig(a, pol)
+    return (eig.vectors * np.sqrt(np.clip(eig.values, 0.0, None))) @ eig.vectors.conj().T
 
 
 def _fix_sign(vec: np.ndarray) -> np.ndarray:
@@ -223,6 +264,15 @@ def complex_family_rank(mats, pol: TolerancePolicy = DEFAULT_TOL) -> int:
     return int(np.count_nonzero(s > tau))
 
 
+@functools.lru_cache(maxsize=None)
+def _upper_indices(d: int) -> tuple:
+    """``np.triu_indices(d, k=1)``, built once per dimension and read-only."""
+    iu = np.triu_indices(d, k=1)
+    for idx in iu:
+        idx.flags.writeable = False
+    return iu
+
+
 def vectorize_hermitian(a: np.ndarray) -> np.ndarray:
     """Real vector of length d^2, isometric for the HS inner product.
 
@@ -231,8 +281,7 @@ def vectorize_hermitian(a: np.ndarray) -> np.ndarray:
     (..., d^2).
     """
     a = np.asarray(a, dtype=complex)
-    d = a.shape[-1]
-    iu = np.triu_indices(d, k=1)
+    iu = _upper_indices(a.shape[-1])
     upper = a[..., iu[0], iu[1]]
     return np.concatenate(
         [
@@ -254,7 +303,7 @@ def unvectorize_hermitian(v: np.ndarray, d: int) -> np.ndarray:
     re = v[d : d + n_off] / math.sqrt(2.0)
     im = v[d + n_off :] / math.sqrt(2.0)
     out = np.diag(diag).astype(complex)
-    iu = np.triu_indices(d, k=1)
+    iu = _upper_indices(d)
     out[iu] = re + 1j * im
     out[(iu[1], iu[0])] = re - 1j * im
     return out
@@ -285,10 +334,9 @@ def support_vectors(t: np.ndarray, pol: TolerancePolicy = DEFAULT_TOL) -> np.nda
     """
     eig = hermitian_eig(t, pol)
     lam_max = float(eig.values[0]) if eig.values.size else 0.0
-    tau = pol.supp_tol(t.shape[0], lam_max)
-    if eig.values.size and float(eig.values[-1]) < -tau:
+    if eig.values.size and float(eig.values[-1]) < -pol.supp_tol(t.shape[0], lam_max):
         raise NotPositiveError(f"negative eigenvalue {eig.values[-1]:.3e}")
-    return eig.vectors[:, eig.values > tau]
+    return eig.vectors[:, : eig.support_ranks(pol)]
 
 
 def support_operators(u: np.ndarray, traced: int = 1) -> np.ndarray:
@@ -307,7 +355,7 @@ def support_operators(u: np.ndarray, traced: int = 1) -> np.ndarray:
     # g[a, b] = Tr_0 |u_a><u_b|
     g = (w.T @ w.conj()).reshape(m, r, m, r).transpose(1, 3, 0, 2)
     diag = np.arange(r)
-    n, k = np.triu_indices(r, k=1)
+    n, k = _upper_indices(r)
     s = 1.0 / math.sqrt(2.0)
     return np.concatenate(
         [g[diag, diag], s * (g[n, k] + g[k, n]), 1j * s * (g[n, k] - g[k, n])]

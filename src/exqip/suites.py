@@ -248,8 +248,9 @@ def run_bounds(seeds: int = 200, pol: TolerancePolicy = DEFAULT_TOL, jobs: int =
     return _run_seeds("bounds", seeds, worker, jobs)
 
 
-def run_appendix_c(pol: TolerancePolicy = DEFAULT_TOL, jobs: int = 1) -> SuiteResult:
-    """Each fixture must reproduce its row of the extremality table."""
+def run_appendix_c(seeds: int = 0, pol: TolerancePolicy = DEFAULT_TOL, jobs: int = 1) -> SuiteResult:
+    """Each fixture must reproduce its row of the extremality table.  The
+    population is fixed: ``seeds`` and ``jobs`` are ignored."""
     result = SuiteResult(name="appendix-c")
     for k, expected in sorted(APPENDIX_TABLE.items()):
         triple = channels.classify_combination(channels.combination_fixture(k), pol)
@@ -269,6 +270,4 @@ SUITES = {
 def run_suite(name: str, seeds: int = 200, pol: TolerancePolicy = DEFAULT_TOL, jobs: int = 1) -> SuiteResult:
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    if name == "appendix-c":
-        return run_appendix_c(pol=pol, jobs=jobs)
     return SUITES[name](seeds=seeds, pol=pol, jobs=jobs)

@@ -84,16 +84,20 @@ def tester_normalization(t: Tester, pol: TolerancePolicy = DEFAULT_TOL):
     return rho, residual
 
 
+def _normalization_ok(rho: np.ndarray, residual: float, tol: float, pol: TolerancePolicy) -> bool:
+    """Product form within ``tol`` and rho a PSD unit-trace state."""
+    if residual > tol:
+        return False
+    w = np.linalg.eigvalsh(rho)
+    return not (w[0] < -pol.supp_tol(rho.shape[0], float(w[-1])) or abs(np.trace(rho).real - 1.0) > tol)
+
+
 def is_valid_tester(
     t: Tester, tol: float | None = None, pol: TolerancePolicy = DEFAULT_TOL
 ) -> bool:
     if tol is None:
         tol = pol.eps_comb
-    rho, residual = tester_normalization(t, pol)
-    if residual > tol:
-        return False
-    w = np.linalg.eigvalsh(rho)
-    if w[0] < -pol.supp_tol(t.d1, float(w[-1])) or abs(np.trace(rho).real - 1.0) > tol:
+    if not _normalization_ok(*tester_normalization(t, pol), tol, pol):
         return False
     for op in t.outcomes:
         w = np.linalg.eigvalsh(linalg.check_hermitian(op, pol))
@@ -108,22 +112,38 @@ def _rho_support_vectors(rho: np.ndarray, pol: TolerancePolicy):
     return eig.vectors[:, eig.values > tau]
 
 
+def _normalization_basis(d2: int, rho: np.ndarray, pol: TolerancePolicy) -> list:
+    u = _rho_support_vectors(rho, pol)
+    eye2 = np.eye(d2, dtype=complex)
+    return [
+        linalg.kron(eye2, u @ b @ u.conj().T)
+        for b in linalg.traceless_hermitian_basis(u.shape[1])
+    ]
+
+
 def tester_normalization_basis(t: Tester, pol: TolerancePolicy = DEFAULT_TOL) -> list:
     """The r^2 - 1 operators I_2 (x) sigma_l, sigma_l traceless Hermitian with
     support in Supp(rho)."""
     rho, _ = tester_normalization(t, pol)
-    u = _rho_support_vectors(rho, pol)
-    r = u.shape[1]
-    eye2 = np.eye(t.d2, dtype=complex)
-    return [linalg.kron(eye2, u @ b @ u.conj().T) for b in linalg.traceless_hermitian_basis(r)]
+    return _normalization_basis(t.d2, rho, pol)
 
 
 def is_extremal_tester(t: Tester, pol: TolerancePolicy = DEFAULT_TOL) -> ExtremalityCertificate:
-    """Rank criterion with the normalization basis specialized to 1-testers."""
-    if not is_valid_tester(t, pol=pol):
+    """Rank criterion with the normalization basis specialized to 1-testers.
+
+    Validated once: the normalization checks of :func:`is_valid_tester`, then
+    the GQI verdict (positivity of each outcome and of the sum, the cascade),
+    whose eigenpairs the rank test reuses.
+    """
+    rho, residual = tester_normalization(t, pol)
+    if not _normalization_ok(rho, residual, pol.eps_comb, pol):
+        raise ValidationError("not a valid 1-tester")
+    g = as_gqi(t)
+    validation = gqi_mod.is_valid_gqi(g, pol=pol)
+    if not validation.ok:
         raise ValidationError("not a valid 1-tester")
     return gqi_mod.is_extremal(
-        as_gqi(t), pol=pol, normalization_basis=tester_normalization_basis(t, pol)
+        g, pol=pol, normalization_basis=_normalization_basis(t.d2, rho, pol), validation=validation
     )
 
 
@@ -172,12 +192,6 @@ def check_bounds(t: Tester, pol: TolerancePolicy = DEFAULT_TOL) -> TesterBounds:
     )
 
 
-def _sqrt_psd(a: np.ndarray, pol: TolerancePolicy) -> np.ndarray:
-    eig = linalg.hermitian_eig(a, pol)
-    w = np.clip(eig.values, 0.0, None)
-    return (eig.vectors * np.sqrt(w)) @ eig.vectors.conj().T
-
-
 def xi_transform(
     t: Tester, rho: np.ndarray, u: np.ndarray, pol: TolerancePolicy = DEFAULT_TOL
 ) -> Tester:
@@ -190,7 +204,7 @@ def xi_transform(
     w = np.linalg.eigvalsh(rho)
     if w[0] <= pol.supp_tol(t.d1, float(w[-1])):
         raise ValidationError("xi transform requires a full-rank state")
-    a = linalg.kron(np.eye(t.d2, dtype=complex), _sqrt_psd(rho, pol) @ u)
+    a = linalg.kron(np.eye(t.d2, dtype=complex), linalg.sqrt_psd(rho, pol) @ u)
     return Tester(
         d2=t.d2,
         d1=t.d1,
@@ -290,7 +304,7 @@ def split_outcome(
             raise ValidationError("sub-POVM effect not positive semidefinite")
         if linalg.max_abs(h - proj @ h @ proj) > pol.eps_comb:
             raise ValidationError("sub-POVM effect not supported on Supp(T_i)")
-    root = _sqrt_psd(target, pol)
+    root = linalg.sqrt_psd(target, pol)
     pieces = tuple(root @ e @ root for e in sub_effects)
     outcomes = t.outcomes[:index] + pieces + t.outcomes[index + 1 :]
     return Tester(d2=t.d2, d1=t.d1, outcomes=outcomes)

@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+import exqip
 from exqip import cli, fileio, gqi, linalg, testers
 from exqip.channels import Channel, Instrument
 from exqip.combs import CombSignature, DeterministicComb, central_comb
@@ -91,6 +92,7 @@ class TestFileio:
         cert = testers.is_extremal_tester(testers.schmidt_tester(0.0))
         path = tmp_path / "cert.json"
         fileio.save_certificate(path, "tester", cert, linalg.DEFAULT_TOL)
+        assert json.loads(path.read_text())["tool_version"] == exqip.__version__ == "0.1.0"
         loaded = fileio.load_certificate(path)
         assert loaded.extremal == cert.extremal
         assert loaded.rank == cert.rank
@@ -196,6 +198,8 @@ class TestCli:
         assert self.run("suite", "appendix-c") == 0
         out = json.loads(capsys.readouterr().out)
         assert out["ok"] and out["total"] == 7
+        assert self.run("suite", "appendix-c", "--seeds", "0", "--jobs", "2") == 0
+        assert json.loads(capsys.readouterr().out)["total"] == 7
         assert self.run("suite", "equivalence", "--seeds", "3", "--jobs", "2") == 0
 
     def test_tol_flag(self, tmp_path):

@@ -118,6 +118,47 @@ class TestHermitianEig:
         gram = eig.vectors.conj().T @ eig.vectors
         assert linalg.max_abs(gram - np.eye(6)) < 1e-12
 
+    def test_stack_matches_single(self):
+        """The stacked decomposition against a plain ``eigh`` of each
+        symmetrized matrix, sorted by ``argsort`` and cut at supp_tol."""
+        rng = np.random.default_rng(10)
+        stack = np.array(
+            [random_psd(rng, 5, rank=r) for r in (1, 3, 5)] + [np.diag([1.0, 1.0, 0.5, 0.0, 0.0])]
+        )
+        eigs = linalg.hermitian_eigs(linalg.check_hermitian_stack(stack))
+        for k, a in enumerate(stack):
+            w, v = np.linalg.eigh((a + a.conj().T) / 2)
+            order = np.argsort(w)[::-1]
+            w, v = w[order], v[:, order]
+            assert np.array_equal(eigs[k].values, w)
+            # Columns of tied eigenvalues may come in either order: compare spans.
+            for value in np.unique(w):
+                cols = w == value
+                got, want = eigs[k].vectors[:, cols], v[:, cols]
+                if cols.sum() == 1:
+                    assert np.array_equal(got, want)
+                else:
+                    assert linalg.max_abs(got @ got.conj().T - want @ want.conj().T) < 1e-12
+            assert eigs[k].support_ranks(DEFAULT_TOL) == np.count_nonzero(w > DEFAULT_TOL.supp_tol(5, w[0]))
+        assert eigs.support_ranks(DEFAULT_TOL).tolist() == [1, 3, 5, 3]
+        assert linalg.max_abs(eigs.reconstruct() - stack) < 1e-10
+
+    def test_stack_check_raises_for_first_failing_matrix(self):
+        skew = np.eye(3, dtype=complex)
+        skew[0, 2] = 0.5
+        nan = np.full((3, 3), np.nan)
+        with pytest.raises(NotHermitianError, match="5.000e-01"):
+            linalg.check_hermitian_stack(np.array([np.eye(3), skew, nan]))
+        with pytest.raises(NotHermitianError, match="non-finite"):
+            linalg.check_hermitian_stack(np.array([nan, skew]))
+
+    def test_sqrt_psd(self):
+        rng = np.random.default_rng(12)
+        a = random_psd(rng, 4, rank=2)
+        root = linalg.sqrt_psd(a)
+        assert linalg.max_abs(root @ root - a) < 1e-10
+        assert linalg.max_abs(root - root.conj().T) < 1e-12
+
 
 class TestNumericalRank:
     def test_full_rank(self):
@@ -191,6 +232,14 @@ class TestVectorization:
     def test_bad_length(self):
         with pytest.raises(DimensionMismatchError):
             linalg.unvectorize_hermitian(np.zeros(5), 2)
+
+    def test_upper_indices_cached_and_read_only(self):
+        iu = linalg._upper_indices(5)
+        assert linalg._upper_indices(5) is iu
+        for got, want in zip(iu, np.triu_indices(5, k=1)):
+            assert np.array_equal(got, want)
+            with pytest.raises(ValueError):
+                got[0] = 1
 
 
 class TestSupport:

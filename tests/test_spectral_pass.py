@@ -1,0 +1,268 @@
+"""One spectral pass per verdict, against the pipeline it replaces.
+
+``gqi.is_valid_gqi`` checks and decomposes a GQI's outcomes as one stack, and
+``gqi.is_extremal`` reuses those eigenpairs for the support bases and for the
+epsilon* step.  The oracle below is the former pipeline: a plain ``eigh``
+of each symmetrized outcome, sorted by ``argsort`` and cut at supp_tol, for
+the supports, and the public ``gqi.max_perturbation_step`` without
+eigenpairs, which decomposes the outcomes itself.
+"""
+
+import numpy as np
+import pytest
+
+from exqip import channels, combs, gqi, linalg, testers
+from exqip.combs import CombSignature
+from exqip.errors import DimensionMismatchError, NotHermitianError, ValidationError
+from exqip.gqi import Gqi
+from exqip.linalg import DEFAULT_TOL
+
+from test_epsilon_star import acceptance_07_population, ladder_population
+from test_reduced_rank import ladder_inputs
+
+
+def former_support_vectors(t, pol=DEFAULT_TOL):
+    """Support basis of one outcome as the per-outcome pipeline computed it."""
+    t = np.asarray(t, dtype=complex)
+    w, v = np.linalg.eigh((t + t.conj().T) / 2)
+    order = np.argsort(w)[::-1]
+    w, v = w[order], v[:, order]
+    return v[:, w > pol.supp_tol(t.shape[0], float(w[0]))]
+
+
+def oracle(g, normalization_basis=None, pol=DEFAULT_TOL):
+    """(extremal, rank, support_ranks, family_size, epsilon*) of the former pipeline."""
+    assert gqi.is_valid_gqi(g, pol=pol).ok
+    supports = [former_support_vectors(t, pol) for t in g.outcomes]
+    dim = g.signature.total_dim
+    if normalization_basis is None:
+        n_known = combs.comb_variable_count(g.signature)
+        rows = [combs.complement_coordinates(u, g.signature) for u in supports]
+    else:
+        n_known = len(normalization_basis)
+        known = np.array([linalg.vectorize_hermitian(b) for b in normalization_basis])
+        q = np.linalg.qr(known.reshape(n_known, dim * dim).T)[0]
+        rows = []
+        for u in supports:
+            x = linalg.vectorize_hermitian(linalg.support_operators(u))
+            rows.append(x - (x @ q) @ q.T)
+    decision = linalg.rank_decision(np.vstack(rows), pol, known=n_known, ambient=dim * dim)
+    ranks = tuple(u.shape[1] for u in supports)
+    eps = None
+    if decision.nullvector is not None:
+        directions = []
+        pos = 0
+        for u, r in zip(supports, ranks):
+            h = linalg.unvectorize_hermitian(decision.nullvector[pos : pos + r * r], r)
+            directions.append(u @ h @ u.conj().T)
+            pos += r * r
+        eps = gqi.max_perturbation_step(g.outcomes, directions, pol)
+    return decision.nullvector is None, decision.rank, ranks, sum(r * r for r in ranks) + n_known, eps
+
+
+def summary(cert):
+    eps = None if cert.perturbation is None else cert.perturbation.epsilon_star
+    return cert.extremal, cert.rank, cert.support_ranks, cert.family_size, eps
+
+
+def assert_matches_oracle(got, want):
+    assert got[:4] == want[:4]
+    if want[4] is None:
+        assert got[4] is None
+    else:
+        assert abs(got[4] - want[4]) <= 1e-12 * max(abs(want[4]), abs(got[4]))
+
+
+def appendix_gqis():
+    """The appendix fixtures, their induced channels and POVMs, as GQIs."""
+    out = []
+    for k in sorted(channels.APPENDIX_TABLE):
+        ins = channels.combination_fixture(k)
+        out.append(channels.as_gqi(ins))
+        out.append(channels.as_gqi(channels.induced_channel(ins)))
+        out.append(testers.povm_as_gqi(channels.induced_povm(ins)))
+    return out
+
+
+class TestOracle:
+    @pytest.mark.parametrize(
+        "population",
+        [acceptance_07_population, appendix_gqis, ladder_population],
+        ids=["acceptance-07", "appendix", "ladder"],
+    )
+    def test_certificates_match(self, population):
+        for g in population():
+            assert_matches_oracle(summary(gqi.is_extremal(g)), oracle(g))
+
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 3), (2, 2, 2, 2)])
+    def test_ladder_inputs(self, dims):
+        rng = np.random.default_rng(sum(dims))
+        verdicts = set()
+        for g in ladder_inputs(dims, rng):
+            got = summary(gqi.is_extremal(g))
+            assert_matches_oracle(got, oracle(g))
+            verdicts.add(got[0])
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("angle", [0.0, 0.3, np.pi / 4])
+    def test_testers(self, angle):
+        t = testers.schmidt_tester(angle)
+        split = testers.split_outcome(t, 1, testers.projective_split_effects(t.outcomes[1]))
+        for x in (t, split):
+            want = oracle(testers.as_gqi(x), testers.tester_normalization_basis(x))
+            assert_matches_oracle(summary(testers.is_extremal_tester(x)), want)
+
+    def test_kraus_criteria(self):
+        """Kraus operators from the validation eigenpairs against
+        ``choi_to_kraus`` on each operator."""
+
+        def independent(kraus_lists):
+            products = [km.conj().T @ kn for ks in kraus_lists for km in ks for kn in ks]
+            return linalg.complex_family_rank(products) == len(products)
+
+        rng = np.random.default_rng(11)
+        verdicts = set()
+        for counts in [(1,), (2,), (4,), (1, 1), (1, 2), (2, 2), (1, 1, 1)]:
+            ins = channels.random_instrument(2, 2, counts, rng)
+            want = independent(channels.instrument_kraus(ins))
+            assert channels.instrument_extremal(ins) == want
+            c = channels.induced_channel(ins)
+            want = independent([channels.channel_kraus(c)])
+            assert channels.choi_condition(c) == channels.channel_extremal_theorem1(c) == want
+            verdicts.add(want)
+        assert verdicts == {True, False}
+
+
+def three_outcome_gqi():
+    """A non-extremal three-outcome GQI at (2, 2): a random comb split by a
+    three-effect POVM."""
+    sig = CombSignature((2, 2))
+    comb = combs.random_deterministic_comb(sig, seed=3, spread=0.5).operator
+    root = linalg.sqrt_psd(comb)
+    u = channels.random_unitary(4, np.random.default_rng(3))
+    effects = [u[:, [0]] @ u[:, [0]].conj().T, u[:, [1]] @ u[:, [1]].conj().T]
+    effects.append(np.eye(4) - effects[0] - effects[1])
+    return Gqi(signature=sig, outcomes=tuple(root @ e @ root for e in effects))
+
+
+def test_verdicts_of_one_gqi_compare_equal():
+    g = three_outcome_gqi()
+    first, second = gqi.is_valid_gqi(g), gqi.is_valid_gqi(g)
+    assert first == second and hash(first) == hash(second)
+    assert "spectra" not in repr(first)
+
+
+class TestCount:
+    def test_one_batched_outcome_decomposition(self, monkeypatch):
+        g = three_outcome_gqi()
+        calls = {"eigh": [], "eigvalsh": []}
+        for name in calls:
+            fn = getattr(np.linalg, name)
+
+            def counted(a, *args, _fn=fn, _name=name, **kwargs):
+                calls[_name].append(np.shape(a))
+                return _fn(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        cert = gqi.is_extremal(g)
+        assert not cert.extremal and cert.perturbation.epsilon_star > 0.0
+        assert calls["eigh"] == [(3, 4, 4)]
+        # The comb check reads only the extreme eigenvalues of the sum; every
+        # other eigvalsh call is a stack of the epsilon* step.
+        assert calls["eigvalsh"].count((4, 4)) == 1
+        assert all(len(shape) == 3 for shape in calls["eigvalsh"] if shape != (4, 4))
+
+    def test_no_per_outcome_eig(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("per-operator eigendecomposition in a verdict")
+
+        population = [three_outcome_gqi(), *ladder_inputs((2, 2), np.random.default_rng(4))]
+        tester = testers.schmidt_tester(0.3)
+        monkeypatch.setattr(linalg, "support_vectors", refuse)
+        # The tester's normalization basis decomposes rho, not an outcome.
+        testers.is_extremal_tester(tester)
+        monkeypatch.setattr(linalg, "hermitian_eig", refuse)
+        for g in population:
+            gqi.is_extremal(g)
+
+
+class TestErrorPaths:
+    """Messages as the per-outcome validation raised them."""
+
+    def gqi_with(self, *outcomes):
+        return Gqi(signature=CombSignature((2, 2)), outcomes=outcomes)
+
+    def test_non_hermitian_outcome(self):
+        bad = np.eye(4, dtype=complex) / 4
+        bad[0, 1] = 1e-3
+        g = self.gqi_with(np.eye(4) / 4, bad)
+        with pytest.raises(NotHermitianError, match=r"^not Hermitian: \|A - A\^dagger\|_max = 1\.000e-03$"):
+            gqi.is_extremal(g)
+
+    def test_nan_outcome(self):
+        bad = np.eye(4) / 2
+        bad[2, 2] = np.nan
+        with pytest.raises(NotHermitianError, match="^matrix contains non-finite entries$"):
+            gqi.is_valid_gqi(self.gqi_with(np.eye(4) / 2, bad))
+
+    def test_wrong_shape(self):
+        with pytest.raises(
+            DimensionMismatchError, match=r"^outcome shape \(3, 3\) does not match signature dimension 4$"
+        ):
+            gqi.is_extremal(self.gqi_with(np.eye(4) / 2, np.eye(3) / 2))
+
+    def test_first_failing_outcome_raises(self):
+        skew = np.eye(4, dtype=complex) / 4
+        skew[0, 1] = 2e-3
+        nan = np.full((4, 4), np.nan)
+        with pytest.raises(NotHermitianError, match="2.000e-03"):
+            gqi.is_valid_gqi(self.gqi_with(skew, nan))
+        with pytest.raises(NotHermitianError, match="non-finite"):
+            gqi.is_valid_gqi(self.gqi_with(nan, skew))
+        with pytest.raises(NotHermitianError, match="2.000e-03"):
+            gqi.is_valid_gqi(self.gqi_with(skew, np.eye(3)))
+        with pytest.raises(DimensionMismatchError):
+            gqi.is_valid_gqi(self.gqi_with(np.eye(3), skew))
+
+    @pytest.mark.parametrize("case", ["not-product", "negative-outcome"])
+    def test_invalid_tester(self, case):
+        t = testers.schmidt_tester(0.3)
+        if case == "not-product":
+            t = testers.Tester(d2=2, d1=2, outcomes=(t.outcomes[0], t.outcomes[1] + np.diag([0.1, 0, 0, 0])))
+        else:
+            dent = np.diag([0.01, -0.01, 0.0, 0.0])
+            t = testers.Tester(d2=2, d1=2, outcomes=(t.outcomes[0] - dent, t.outcomes[1] + dent))
+        assert not testers.is_valid_tester(t)
+        with pytest.raises(ValidationError, match="^not a valid 1-tester$"):
+            testers.is_extremal_tester(t)
+
+
+class TestTracerGuard:
+    """The verdict reaches validation and epsilon* through the module
+    attributes, where a wrapper installed on the module sees them."""
+
+    def counting(self, monkeypatch, name):
+        fn = getattr(gqi, name)
+        count = [0]
+
+        def counted(*args, **kwargs):
+            count[0] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(gqi, name, counted)
+        return count
+
+    def test_is_extremal(self, monkeypatch):
+        valid = self.counting(monkeypatch, "is_valid_gqi")
+        step = self.counting(monkeypatch, "max_perturbation_step")
+        extremal, midpoint, _ = ladder_inputs((2, 2), np.random.default_rng(2))
+        assert gqi.is_extremal(extremal).extremal
+        assert (valid[0], step[0]) == (1, 0)
+        assert not gqi.is_extremal(midpoint).extremal
+        assert (valid[0], step[0]) == (2, 1)
+
+    def test_tester_validates_once(self, monkeypatch):
+        valid = self.counting(monkeypatch, "is_valid_gqi")
+        step = self.counting(monkeypatch, "max_perturbation_step")
+        assert not testers.is_extremal_tester(testers.schmidt_tester(0.0)).extremal
+        assert (valid[0], step[0]) == (1, 1)
