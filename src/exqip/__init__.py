@@ -42,7 +42,6 @@ from .combs import (
     CombVerdict,
     DeterministicComb,
     central_comb,
-    comb_variable_basis,
     comb_variable_count,
     is_deterministic_comb,
     random_deterministic_comb,

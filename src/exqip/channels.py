@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import combs, gqi as gqi_mod, linalg, testers
+from . import gqi as gqi_mod, linalg, testers
 from .combs import CombSignature
 from .errors import DimensionMismatchError, NotPositiveError, ValidationError
 from .gqi import Gqi
@@ -42,6 +42,14 @@ class Channel:
                 f"Choi shape {self.choi.shape} does not match d1*d0 = {total}"
             )
 
+    @property
+    def signature(self) -> CombSignature:
+        return CombSignature((self.d0, self.d1))
+
+    @property
+    def outcomes(self) -> tuple:
+        return (self.choi,)
+
 
 @dataclass(frozen=True)
 class Instrument:
@@ -59,6 +67,14 @@ class Instrument:
                 raise DimensionMismatchError(
                     f"operator shape {n.shape} does not match d1*d0 = {total}"
                 )
+
+    @property
+    def signature(self) -> CombSignature:
+        return CombSignature((self.d0, self.d1))
+
+    @property
+    def outcomes(self) -> tuple:
+        return self.operators
 
     @property
     def n_outcomes(self) -> int:
@@ -128,25 +144,18 @@ def instrument_from_kraus(outcome_kraus, d1: int | None = None, d0: int | None =
     return Instrument(d1=d1, d0=d0, operators=tuple(ops))
 
 
-def as_gqi(obj) -> Gqi:
-    """Channel or instrument as a GQI on the signature (d_0, d_1)."""
-    if isinstance(obj, Channel):
-        return Gqi(signature=CombSignature((obj.d0, obj.d1)), outcomes=(obj.choi,))
-    return Gqi(signature=CombSignature((obj.d0, obj.d1)), outcomes=obj.operators)
-
-
 def is_valid_channel(c: Channel, tol: float | None = None, pol: TolerancePolicy = DEFAULT_TOL) -> bool:
-    return gqi_mod.is_valid_gqi(as_gqi(c), tol=tol, pol=pol).ok
+    return gqi_mod.is_valid_gqi(Gqi(c.signature, c.outcomes), tol=tol, pol=pol).ok
 
 
 def is_valid_instrument(ins: Instrument, tol: float | None = None, pol: TolerancePolicy = DEFAULT_TOL) -> bool:
-    return gqi_mod.is_valid_gqi(as_gqi(ins), tol=tol, pol=pol).ok
+    return gqi_mod.is_valid_gqi(Gqi(ins.signature, ins.outcomes), tol=tol, pol=pol).ok
 
 
 def _validated_kraus(obj, pol: TolerancePolicy) -> list:
     """Per-outcome minimal Kraus lists of a channel or an instrument, from the
     eigenpairs of its validation."""
-    verdict = gqi_mod.is_valid_gqi(as_gqi(obj), pol=pol)
+    verdict = gqi_mod.is_valid_gqi(Gqi(obj.signature, obj.outcomes), pol=pol)
     if not verdict.ok:
         raise ValidationError(f"not a valid {type(obj).__name__.lower()}")
     return [
@@ -198,7 +207,7 @@ def instrument_extremal(ins: Instrument, pol: TolerancePolicy = DEFAULT_TOL) -> 
 
 def instrument_extremal_rank_test(ins: Instrument, pol: TolerancePolicy = DEFAULT_TOL) -> bool:
     """Direct master-criterion rank test on the GQI view (cross-check oracle)."""
-    return gqi_mod.is_extremal(as_gqi(ins), pol=pol).extremal
+    return gqi_mod.is_extremal(Gqi(ins.signature, ins.outcomes), pol=pol).extremal
 
 
 @dataclass(frozen=True)

@@ -24,8 +24,7 @@ import sys
 import numpy as np
 
 from . import channels, combs, fileio, gqi as gqi_mod, linalg, suites, testers
-from .channels import Channel, Instrument
-from .combs import CombSignature, DeterministicComb
+from .combs import CombSignature
 from .errors import ExqipError, FileFormatError, ValidationError
 from .gqi import Gqi
 from .linalg import TolerancePolicy
@@ -44,61 +43,27 @@ def _policy(args) -> TolerancePolicy:
     return TolerancePolicy(eps_rel=eps)
 
 
-def _to_gqi(obj) -> Gqi:
-    """Uniform GQI view of any supported object kind."""
-    if isinstance(obj, DeterministicComb):
-        return Gqi(signature=obj.signature, outcomes=(obj.operator,))
-    if isinstance(obj, Gqi):
-        return obj
-    if isinstance(obj, Tester):
-        return testers.as_gqi(obj)
-    if isinstance(obj, (Channel, Instrument)):
-        return channels.as_gqi(obj)
-    if isinstance(obj, Povm):
-        return testers.povm_as_gqi(obj)
-    raise FileFormatError(f"unsupported object type {type(obj).__name__}")
-
-
-def _from_gqi(g: Gqi, template):
-    """Rewrap a GQI as the same kind as ``template`` (shapes unchanged)."""
-    if isinstance(template, DeterministicComb):
-        return DeterministicComb(signature=template.signature, operator=g.outcomes[0])
-    if isinstance(template, Gqi):
-        return g
-    if isinstance(template, Tester):
-        return Tester(d2=template.d2, d1=template.d1, outcomes=g.outcomes)
-    if isinstance(template, Channel):
-        return Channel(d1=template.d1, d0=template.d0, choi=g.outcomes[0])
-    if isinstance(template, Instrument):
-        return Instrument(d1=template.d1, d0=template.d0, operators=g.outcomes)
-    return Povm(d=template.d, effects=g.outcomes)
-
-
 def _validate_report(obj, pol: TolerancePolicy) -> dict:
-    kind = fileio.object_kind(obj)
-    g = _to_gqi(obj)
-    verdict = gqi_mod.is_valid_gqi(g, pol=pol)
-    report = {
-        "kind": kind,
-        "valid": bool(verdict.ok),
-        "outcomes": g.n_outcomes,
-        "signature": list(g.signature.dims),
+    kind = fileio.kind_of(obj)
+    ok, verdict = kind.verdict(obj, pol)
+    residuals = [float(r) for r in verdict.comb_verdict.level_residuals]
+    return {
+        "kind": kind.name,
+        "valid": bool(ok),
+        "outcomes": len(obj.outcomes),
+        "signature": list(obj.signature.dims),
         "min_eigenvalues": [float(x) for x in verdict.outcome_min_eigenvalues],
-        "cascade_residuals": [float(r) for r in verdict.comb_verdict.level_residuals],
+        "cascade_residuals": residuals,
+        **dict(zip(kind.residual_names, residuals)),
     }
-    if kind == "tester":
-        _, residual = testers.tester_normalization(obj, pol)
-        report["product_form_residual"] = float(residual)
-        report["valid"] = bool(report["valid"] and testers.is_valid_tester(obj, pol=pol))
-    if kind == "povm":
-        report["valid"] = bool(testers.povm_is_valid(obj, pol=pol))
-    return report
 
 
-def _certificate(obj, pol: TolerancePolicy) -> gqi_mod.ExtremalityCertificate:
-    if isinstance(obj, Tester):
-        return testers.is_extremal_tester(obj, pol=pol)
-    return gqi_mod.is_extremal(_to_gqi(obj), pol=pol)
+def _certificate(obj, kind: fileio.Kind, pol: TolerancePolicy) -> gqi_mod.ExtremalityCertificate:
+    """Validate through the kind table, then decide on the GQI view."""
+    ok, verdict = kind.verdict(obj, pol)
+    if not ok:
+        raise ValidationError(f"not a valid {kind.name}; `exqip validate` reports why")
+    return gqi_mod.is_extremal(Gqi(obj.signature, obj.outcomes), pol=pol, validation=verdict)
 
 
 def cmd_validate(args) -> int:
@@ -111,12 +76,12 @@ def cmd_validate(args) -> int:
 def cmd_extremal(args) -> int:
     pol = _policy(args)
     obj = fileio.load_object(args.file)
-    kind = fileio.object_kind(obj)
-    cert = _certificate(obj, pol)
+    kind = fileio.kind_of(obj)
+    cert = _certificate(obj, kind, pol)
     print(
         json.dumps(
             {
-                "kind": kind,
+                "kind": kind.name,
                 "verdict": cert.verdict,
                 "family_size": cert.family_size,
                 "rank": cert.rank,
@@ -130,16 +95,16 @@ def cmd_extremal(args) -> int:
         )
     )
     if args.certificate:
-        fileio.save_certificate(args.certificate, kind, cert, pol)
+        fileio.save_certificate(args.certificate, kind.name, cert, pol)
     return 0
 
 
 def cmd_decompose(args) -> int:
     pol = _policy(args)
     obj = fileio.load_object(args.file)
-    kind = fileio.object_kind(obj)
-    root = _to_gqi(obj)
-    cert = _certificate(obj, pol)
+    kind = fileio.kind_of(obj)
+    root = Gqi(obj.signature, obj.outcomes)
+    cert = _certificate(obj, kind, pol)
     if cert.extremal:
         print("input is extremal; nothing to decompose", file=sys.stderr)
         return 1
@@ -173,13 +138,13 @@ def cmd_decompose(args) -> int:
         name = f"leaf_{idx:03d}.json"
         fileio.save_object(
             os.path.join(args.out, name),
-            _from_gqi(g, obj),
+            kind.build(g.signature, g.outcomes),
             metadata={"weight": w, "depth": depth},
         )
         entries.append({"file": name, "weight": w, "depth": depth, "status": status})
 
     summary = {
-        "kind": kind,
+        "kind": kind.name,
         "steps": args.steps,
         "leaves": entries,
         "total_weight": sum(e["weight"] for e in entries),
@@ -228,13 +193,13 @@ def cmd_generate(args) -> int:
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(f"unknown kind {args.kind}")
     fileio.save_object(args.out, obj, metadata=meta)
-    print(f"wrote {fileio.object_kind(obj)} to {args.out}")
+    print(f"wrote {fileio.kind_of(obj).name} to {args.out}")
     return 0
 
 
 def cmd_suite(args) -> int:
     pol = _policy(args)
-    result = suites.run_suite(args.name, seeds=args.seeds, pol=pol, jobs=args.jobs)
+    result = suites.run_suite(args.name, seeds=args.seeds, pol=pol)
     print(json.dumps(result.summary(), indent=2, sort_keys=True))
     return 0 if result.ok else 1
 
@@ -286,7 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("suite", help="run a randomized property suite")
     p.add_argument("name", choices=sorted(suites.SUITES))
     p.add_argument("--seeds", type=int, default=200)
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_suite)
 
     return parser
@@ -300,13 +264,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except FileFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (FileFormatError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ExqipError as exc:

@@ -64,6 +64,10 @@ class DeterministicComb:
     signature: CombSignature
     operator: np.ndarray
 
+    @property
+    def outcomes(self) -> tuple:
+        return (self.operator,)
+
 
 @dataclass(frozen=True)
 class CombVerdict:
@@ -221,7 +225,7 @@ def complement_coordinates(u: np.ndarray, sig: CombSignature) -> np.ndarray:
 
     ``u`` (D x r) has orthonormal columns.  Row j is an isometric image of
     (1 - P_V) q_j, where q_j is the j-th element of the support basis
-    (:func:`linalg.support_basis` order) and P_V projects onto the span of
+    (:func:`linalg.support_operators` order) and P_V projects onto the span of
     :func:`comb_variable_basis`.  The complement of V is spanned by the
     identity and :func:`comb_forbidden_directions`, so the coordinates are
     Tr q / sqrt(D) and then, per level n with Y_n = Tr_{spaces >= 2n-1} q /

@@ -5,24 +5,31 @@ pairs, row-major, with explicit dimensions.  Canonical formatting (sorted
 keys, two-space indent, trailing newline) makes write -> read -> write
 byte-identical and the fixtures diff-able.
 
-Signature semantics by kind:
+Every object kind is a GQI: it exposes ``signature``, the comb signature of
+its GQI view ``Gqi(x.signature, x.outcomes)``, and ``outcomes``.  The file
+signature by kind, and the comb signature it stands for:
 
-* ``comb`` / ``gqi``:   ``[d_0, ..., d_{2N-1}]`` (label order)
-* ``channel`` / ``instrument``: ``[d_0, d_1]`` (input, output)
-* ``tester``: ``[d_1, d_2]`` (state space, measured output space)
-* ``povm``:   ``[d]``
+* ``comb`` / ``gqi``:   ``[d_0, ..., d_{2N-1}]`` (label order), itself
+* ``channel`` / ``instrument``: ``[d_0, d_1]`` (input, output), itself
+* ``tester``: ``[d_1, d_2]`` (state space, measured output space), on
+  ``(1, d_1, d_2, 1)``
+* ``povm``:   ``[d]``, on ``(d, 1)``
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from . import __version__
+from . import gqi as gqi_mod
+from . import testers
 from .channels import Channel, Instrument
 from .combs import CombSignature, DeterministicComb
-from .errors import FileFormatError
+from .errors import DimensionMismatchError, FileFormatError
 from .gqi import ExtremalityCertificate, Gqi, Perturbation
 from .linalg import TolerancePolicy
 from .testers import Povm, Tester
@@ -31,7 +38,69 @@ FORMAT_NAME = "exqip-operator-file"
 CERTIFICATE_FORMAT_NAME = "exqip-certificate"
 FORMAT_VERSION = 1
 
-KINDS = ("comb", "gqi", "tester", "channel", "instrument", "povm")
+
+def _gqi_verdict(obj, pol: TolerancePolicy):
+    verdict = gqi_mod.is_valid_gqi(Gqi(obj.signature, obj.outcomes), pol=pol)
+    return verdict.ok, verdict
+
+
+def _tester_verdict(t: Tester, pol: TolerancePolicy):
+    return testers.tester_verdict(t, pol=pol)[:2]
+
+
+@dataclass(frozen=True)
+class Kind:
+    """One object kind: its name in files, its class and its file signature.
+
+    ``layout`` is the comb signature of the kind's GQI view with the names of
+    the file's dimensions in their places, or ``None`` when the file holds
+    the comb signature itself.  ``build`` makes an object from a comb
+    signature and outcomes; ``single`` names the one operator a file of the
+    kind must hold, if it holds one.  ``verdict`` returns ``(ok, GqiVerdict)``
+    for an object, and ``residual_names`` are the kind's own names for the
+    leading cascade residuals.
+    """
+
+    name: str
+    cls: type
+    layout: tuple | None
+    build: Callable
+    single: str | None = None
+    verdict: Callable = _gqi_verdict
+    residual_names: tuple = ()
+
+    def file_signature(self, sig: CombSignature) -> list:
+        if self.layout is None:
+            return list(sig.dims)
+        return [d for d, slot in zip(sig.dims, self.layout) if isinstance(slot, str)]
+
+    def comb_signature(self, dims: list) -> CombSignature:
+        if self.layout is not None:
+            names = [slot for slot in self.layout if isinstance(slot, str)]
+            if len(dims) != len(names):
+                raise FileFormatError(f"{self.name} signature must be [{', '.join(names)}]")
+            given = iter(dims)
+            dims = [next(given) if isinstance(slot, str) else slot for slot in self.layout]
+        try:
+            return CombSignature(tuple(dims))
+        except DimensionMismatchError as exc:
+            raise FileFormatError(f"malformed {self.name} signature: {exc}") from exc
+
+
+KINDS = {
+    k.name: k
+    for k in (
+        Kind("comb", DeterministicComb, None, lambda s, o: DeterministicComb(s, o[0]), "operator"),
+        Kind("gqi", Gqi, None, Gqi),
+        Kind("tester", Tester, (1, "d1", "d2", 1), lambda s, o: Tester(d2=s.dims[2], d1=s.dims[1], outcomes=o),
+             verdict=_tester_verdict, residual_names=("product_form_residual",)),
+        Kind("channel", Channel, ("d0", "d1"), lambda s, o: Channel(d1=s.dims[1], d0=s.dims[0], choi=o[0]),
+             "Choi operator"),
+        Kind("instrument", Instrument, ("d0", "d1"),
+             lambda s, o: Instrument(d1=s.dims[1], d0=s.dims[0], operators=o)),
+        Kind("povm", Povm, ("d", 1), lambda s, o: Povm(d=s.dims[0], effects=o)),
+    )
+}
 
 
 def matrix_to_json(m: np.ndarray) -> list:
@@ -54,48 +123,21 @@ def json_to_matrix(rows) -> np.ndarray:
     return out
 
 
-def object_kind(obj) -> str:
-    if isinstance(obj, DeterministicComb):
-        return "comb"
-    if isinstance(obj, Gqi):
-        return "gqi"
-    if isinstance(obj, Tester):
-        return "tester"
-    if isinstance(obj, Channel):
-        return "channel"
-    if isinstance(obj, Instrument):
-        return "instrument"
-    if isinstance(obj, Povm):
-        return "povm"
+def kind_of(obj) -> Kind:
+    for kind in KINDS.values():
+        if isinstance(obj, kind.cls):
+            return kind
     raise FileFormatError(f"unsupported object type {type(obj).__name__}")
 
 
 def object_to_payload(obj, metadata: dict | None = None) -> dict:
-    kind = object_kind(obj)
-    if kind == "comb":
-        signature = list(obj.signature.dims)
-        outcomes = [obj.operator]
-    elif kind == "gqi":
-        signature = list(obj.signature.dims)
-        outcomes = list(obj.outcomes)
-    elif kind == "tester":
-        signature = [obj.d1, obj.d2]
-        outcomes = list(obj.outcomes)
-    elif kind == "channel":
-        signature = [obj.d0, obj.d1]
-        outcomes = [obj.choi]
-    elif kind == "instrument":
-        signature = [obj.d0, obj.d1]
-        outcomes = list(obj.operators)
-    else:
-        signature = [obj.d]
-        outcomes = list(obj.effects)
+    kind = kind_of(obj)
     return {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
-        "kind": kind,
-        "signature": signature,
-        "outcomes": [matrix_to_json(m) for m in outcomes],
+        "kind": kind.name,
+        "signature": kind.file_signature(obj.signature),
+        "outcomes": [matrix_to_json(m) for m in obj.outcomes],
         "metadata": dict(metadata or {}),
     }
 
@@ -105,9 +147,10 @@ def payload_to_object(payload: dict):
         raise FileFormatError("top-level JSON value must be an object")
     if payload.get("format") != FORMAT_NAME:
         raise FileFormatError(f"not an operator file (format={payload.get('format')!r})")
-    kind = payload.get("kind")
-    if kind not in KINDS:
-        raise FileFormatError(f"unknown kind {kind!r}; expected one of {KINDS}")
+    name = payload.get("kind")
+    if not isinstance(name, str) or name not in KINDS:
+        raise FileFormatError(f"unknown kind {name!r}; expected one of {tuple(KINDS)}")
+    kind = KINDS[name]
     try:
         signature = [int(d) for d in payload["signature"]]
         matrices = [json_to_matrix(m) for m in payload["outcomes"]]
@@ -115,46 +158,15 @@ def payload_to_object(payload: dict):
         raise FileFormatError(f"malformed operator file: {exc}") from exc
     if not matrices:
         raise FileFormatError("operator file lists no outcomes")
-
-    def expect(total: int):
-        for m in matrices:
-            if m.shape != (total, total):
-                raise FileFormatError(
-                    f"matrix shape {m.shape} inconsistent with signature {signature}"
-                )
-
-    if kind in ("comb", "gqi"):
-        sig = CombSignature(tuple(signature))
-        expect(sig.total_dim)
-        if kind == "comb":
-            if len(matrices) != 1:
-                raise FileFormatError("a comb file must contain exactly one operator")
-            return DeterministicComb(signature=sig, operator=matrices[0])
-        return Gqi(signature=sig, outcomes=tuple(matrices))
-    if kind == "tester":
-        if len(signature) != 2:
-            raise FileFormatError("tester signature must be [d1, d2]")
-        d1, d2 = signature
-        expect(d1 * d2)
-        return Tester(d2=d2, d1=d1, outcomes=tuple(matrices))
-    if kind == "channel":
-        if len(signature) != 2:
-            raise FileFormatError("channel signature must be [d0, d1]")
-        d0, d1 = signature
-        expect(d0 * d1)
-        if len(matrices) != 1:
-            raise FileFormatError("a channel file must contain exactly one Choi operator")
-        return Channel(d1=d1, d0=d0, choi=matrices[0])
-    if kind == "instrument":
-        if len(signature) != 2:
-            raise FileFormatError("instrument signature must be [d0, d1]")
-        d0, d1 = signature
-        expect(d0 * d1)
-        return Instrument(d1=d1, d0=d0, operators=tuple(matrices))
-    if len(signature) != 1:
-        raise FileFormatError("povm signature must be [d]")
-    expect(signature[0])
-    return Povm(d=signature[0], effects=tuple(matrices))
+    sig = kind.comb_signature(signature)
+    for m in matrices:
+        if m.shape != (sig.total_dim, sig.total_dim):
+            raise FileFormatError(
+                f"matrix shape {m.shape} inconsistent with signature {signature}"
+            )
+    if kind.single is not None and len(matrices) != 1:
+        raise FileFormatError(f"a {kind.name} file must contain exactly one {kind.single}")
+    return kind.build(sig, tuple(matrices))
 
 
 def dumps_canonical(payload: dict) -> str:

@@ -267,7 +267,7 @@ def max_perturbation_step(
     return lo
 
 
-def _rank_test(g: Gqi, pol: TolerancePolicy, normalization_basis=None, validation=None):
+def _rank_test(g: Gqi, pol: TolerancePolicy, validation=None):
     """Validation verdict, support vectors of each outcome, |V| and the pooled
     rank decision.
 
@@ -279,38 +279,27 @@ def _rank_test(g: Gqi, pol: TolerancePolicy, normalization_basis=None, validatio
     validation = _require_valid(g, pol, validation)
     spectra = validation.spectra
     supports = [v[:, :r] for v, r in zip(spectra.vectors, spectra.support_ranks(pol))]
-    dim = g.signature.total_dim
-    if normalization_basis is None:
-        n_known = combs.comb_variable_count(g.signature)
-        rows = [combs.complement_coordinates(u, g.signature) for u in supports]
-    else:
-        n_known = len(normalization_basis)
-        known = np.array([linalg.vectorize_hermitian(b) for b in normalization_basis])
-        q = np.linalg.qr(known.reshape(n_known, dim * dim).T)[0]
-        rows = []
-        for u in supports:
-            x = linalg.vectorize_hermitian(linalg.support_operators(u))
-            rows.append(x - (x @ q) @ q.T)
-    decision = linalg.rank_decision(np.vstack(rows), pol, known=n_known, ambient=dim * dim)
+    n_known = combs.comb_variable_count(g.signature)
+    rows = [combs.complement_coordinates(u, g.signature) for u in supports]
+    decision = linalg.rank_decision(
+        np.vstack(rows), pol, known=n_known, ambient=g.signature.total_dim ** 2
+    )
     return validation, supports, n_known, decision
 
 
 def is_extremal(
     g: Gqi,
     pol: TolerancePolicy = DEFAULT_TOL,
-    normalization_basis=None,
     validation: GqiVerdict | None = None,
 ) -> ExtremalityCertificate:
     """Master extremality criterion: support bases of all outcomes pooled with
     the normalization variable basis V must be linearly independent.
 
     Equivalently, the support bases projected off V must be independent; the
-    pooled rank is their rank plus |V|.  By default V is the comb variable
-    basis of the signature, which is never built: the projected members come
-    from partial traces (:func:`combs.complement_coordinates`).  Callers with
-    tighter structural knowledge (1-testers) may pass the traceless basis
-    supported under the normalization as ``normalization_basis``; it is
-    orthonormalized and projected out explicitly.
+    pooled rank is their rank plus |V|.  V is the comb variable basis of the
+    signature, which is never built: the projected members come from partial
+    traces (:func:`combs.complement_coordinates`).  Every object kind is
+    decided here, on its GQI view ``Gqi(x.signature, x.outcomes)``.
 
     The cutoff is the pooled family's: with r_i the support ranks,
 
@@ -326,7 +315,7 @@ def is_extremal(
     is decomposed once, in validation, and the rank test and epsilon* reuse
     the eigenpairs.
     """
-    validation, supports, n_known, decision = _rank_test(g, pol, normalization_basis, validation)
+    validation, supports, n_known, decision = _rank_test(g, pol, validation)
     support_ranks = tuple(u.shape[1] for u in supports)
     family_size = sum(r * r for r in support_ranks) + n_known
     perturbation = None

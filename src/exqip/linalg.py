@@ -129,13 +129,6 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(a, b)
 
 
-def kron_all(factors) -> np.ndarray:
-    out = np.eye(1, dtype=complex)
-    for f in factors:
-        out = np.kron(out, f)
-    return out
-
-
 def partial_trace(a: np.ndarray, dims, traced) -> np.ndarray:
     """Trace out the tensor factors listed in ``traced``.
 
@@ -237,22 +230,6 @@ def rank_decision(
     return RankDecision(rank + known, s, _fix_sign(c))
 
 
-def numerical_rank(vectors, pol: TolerancePolicy = DEFAULT_TOL):
-    """Rank of a family of real vectors, with a nullvector when deficient.
-
-    Returns ``(rank, nullvector)``.  The nullvector ``c`` (unit norm) satisfies
-    ``|sum_j c_j x_j| <= tau`` with ``tau = max(m, n) * sigma_max * eps_rel``.
-    """
-    rows = [np.asarray(v, dtype=float).ravel() for v in vectors]
-    if not rows:
-        return 0, None
-    lengths = {r.size for r in rows}
-    if len(lengths) != 1:
-        raise DimensionMismatchError(f"vectors of mixed lengths {sorted(lengths)}")
-    decision = rank_decision(np.vstack(rows), pol)
-    return decision.rank, decision.nullvector
-
-
 def complex_family_rank(mats, pol: TolerancePolicy = DEFAULT_TOL) -> int:
     """Rank over the complex field of a family of matrices of equal shape."""
     rows = [np.asarray(m, dtype=complex).ravel() for m in mats]
@@ -309,24 +286,6 @@ def unvectorize_hermitian(v: np.ndarray, d: int) -> np.ndarray:
     return out
 
 
-def psd_check(a: np.ndarray, pol: TolerancePolicy = DEFAULT_TOL) -> float:
-    """Smallest eigenvalue; raises if below the (negative) support cutoff."""
-    eig = hermitian_eig(a, pol)
-    lam_max = float(eig.values[0]) if eig.values.size else 0.0
-    lam_min = float(eig.values[-1]) if eig.values.size else 0.0
-    if lam_min < -pol.supp_tol(a.shape[0], lam_max):
-        raise NotPositiveError(f"negative eigenvalue {lam_min:.3e}")
-    return lam_min
-
-
-def support_projector(t: np.ndarray, pol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
-    eig = hermitian_eig(t, pol)
-    lam_max = float(eig.values[0]) if eig.values.size else 0.0
-    tau = pol.supp_tol(t.shape[0], lam_max)
-    cols = eig.vectors[:, eig.values > tau]
-    return cols @ cols.conj().T
-
-
 def support_vectors(t: np.ndarray, pol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal eigenvectors (columns, eigenvalues descending) spanning Supp(t).
 
@@ -343,11 +302,14 @@ def support_operators(u: np.ndarray, traced: int = 1) -> np.ndarray:
     """Support basis of the column span of ``u``, leading factor traced out.
 
     ``u`` (D x r) has orthonormal columns.  Returns the stack (r^2, m, m),
-    m = D / traced, of Tr_0 q_j, where q_j runs over the HS-orthonormal
-    Hermitian basis of :func:`support_basis` and factor 0, the leading
-    Kronecker factor of dimension ``traced``, is traced out.  ``traced = 1``
-    gives the basis itself.  The projected support coordinates of the comb
-    rank test are built from these partial traces without forming any q_j.
+    m = D / traced, of Tr_0 q_j, where factor 0, the leading Kronecker factor
+    of dimension ``traced``, is traced out and q_j runs over the HS-orthonormal
+    basis of Hermitian operators supported on span(u): the projectors
+    u_n u_n^dagger, then the symmetric pairs, then the antisymmetric pairs
+    (n < k, lexicographic).  In these coordinates sum_j c_j q_j = u H u^dagger
+    with H = unvectorize_hermitian(c, r).  ``traced = 1`` gives the basis
+    itself.  The projected support coordinates of the comb rank test are built
+    from these partial traces without forming any q_j.
     """
     d, r = u.shape
     m = d // traced
@@ -360,18 +322,6 @@ def support_operators(u: np.ndarray, traced: int = 1) -> np.ndarray:
     return np.concatenate(
         [g[diag, diag], s * (g[n, k] + g[k, n]), 1j * s * (g[n, k] - g[k, n])]
     )
-
-
-def support_basis(t: np.ndarray, pol: TolerancePolicy = DEFAULT_TOL) -> list:
-    """HS-orthonormal basis of Hermitian operators supported on Supp(t).
-
-    ``t`` must be positive semidefinite within tolerance; returns r^2 elements
-    for eigen-rank r: the projectors ``v_n v_n^dagger``, then the symmetric
-    pairs, then the antisymmetric pairs (n < m, lexicographic).  In these
-    coordinates, sum_j c_j q_j = V H V^dagger with
-    H = unvectorize_hermitian(c, r).
-    """
-    return list(support_operators(support_vectors(t, pol)))
 
 
 def traceless_hermitian_basis(d: int) -> list:

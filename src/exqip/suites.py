@@ -9,7 +9,6 @@ conditions, and the appendix fixture table regression.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,11 +35,6 @@ class SuiteResult:
             self.failures += 1
             if detail:
                 self.details.append(detail)
-
-    def merge(self, other: "SuiteResult") -> None:
-        self.total += other.total
-        self.failures += other.failures
-        self.details.extend(other.details)
 
     def summary(self) -> dict:
         return {
@@ -151,7 +145,7 @@ def random_nonextremal_gqi(rng) -> gqi_mod.Gqi:
     counts = [(1, 1), (1, 2), (2, 1), (1, 1, 1)][rng.integers(0, 4)]
     a = channels.random_instrument(2, 2, counts, rng)
     b = channels.random_instrument(2, 2, counts, rng)
-    return gqi_mod.mix(channels.as_gqi(a), channels.as_gqi(b), 0.5)
+    return gqi_mod.mix(gqi_mod.Gqi(a.signature, a.outcomes), gqi_mod.Gqi(b.signature, b.outcomes), 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -161,45 +155,29 @@ def random_nonextremal_gqi(rng) -> gqi_mod.Gqi:
 EQUIVALENCE_DIMS = ((2, 2), (2, 3), (3, 2), (3, 3))
 
 
-def _run_seeds(name: str, seeds: int, worker, jobs: int = 1) -> SuiteResult:
-    result = SuiteResult(name=name)
-    if jobs <= 1:
-        for seed in range(seeds):
-            result.merge(worker(seed))
-        return result
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        for part in pool.map(worker, range(seeds)):
-            result.merge(part)
-    return result
-
-
-def run_equivalence(seeds: int = 200, pol: TolerancePolicy = DEFAULT_TOL, jobs: int = 1) -> SuiteResult:
+def run_equivalence(seeds: int = 200, pol: TolerancePolicy = DEFAULT_TOL) -> SuiteResult:
     """Choi's criterion and the master-criterion form must agree on random
     channels across small dimension pairs."""
-
-    def worker(seed: int) -> SuiteResult:
-        part = SuiteResult(name="equivalence")
+    result = SuiteResult(name="equivalence")
+    for seed in range(seeds):
         rng = np.random.default_rng(1000 + seed)
         for d0, d1 in EQUIVALENCE_DIMS:
             count = int(rng.integers(-(-d0 // d1), d0 * d1 + 1))
             chan = channels.random_channel(d0, d1, count, rng)
             a = channels.choi_condition(chan, pol)
             b = channels.channel_extremal_theorem1(chan, pol)
-            part.record(
+            result.record(
                 a == b,
                 f"seed {seed} dims ({d0},{d1}) kraus {count}: choi={a} rank-form={b}",
             )
-        return part
-
-    return _run_seeds("equivalence", seeds, worker, jobs)
+    return result
 
 
-def run_xi_invariance(seeds: int = 200, pol: TolerancePolicy = DEFAULT_TOL, jobs: int = 1) -> SuiteResult:
+def run_xi_invariance(seeds: int = 200, pol: TolerancePolicy = DEFAULT_TOL) -> SuiteResult:
     """Extremality verdicts are invariant under xi_{rho,U}; the transform
     round-trips to 1e-10."""
-
-    def worker(seed: int) -> SuiteResult:
-        part = SuiteResult(name="xi-invariance")
+    result = SuiteResult(name="xi-invariance")
+    for seed in range(seeds):
         rng = np.random.default_rng(2000 + seed)
         if seed % 2 == 0:
             t = random_extremal_qubit_tester(rng)
@@ -214,20 +192,17 @@ def run_xi_invariance(seeds: int = 200, pol: TolerancePolicy = DEFAULT_TOL, jobs
         residual = max(
             linalg.max_abs(x - y) for x, y in zip(back.outcomes, t.outcomes)
         )
-        part.record(
+        result.record(
             before == after and residual <= 1e-10,
             f"seed {seed}: before={before} after={after} roundtrip={residual:.2e}",
         )
-        return part
-
-    return _run_seeds("xi-invariance", seeds, worker, jobs)
+    return result
 
 
-def run_bounds(seeds: int = 200, pol: TolerancePolicy = DEFAULT_TOL, jobs: int = 1) -> SuiteResult:
+def run_bounds(seeds: int = 200, pol: TolerancePolicy = DEFAULT_TOL) -> SuiteResult:
     """Counting bounds hold for every object the criteria report extremal."""
-
-    def worker(seed: int) -> SuiteResult:
-        part = SuiteResult(name="bounds")
+    result = SuiteResult(name="bounds")
+    for seed in range(seeds):
         rng = np.random.default_rng(3000 + seed)
         pool = [
             random_extremal_qubit_tester(rng),
@@ -237,20 +212,18 @@ def run_bounds(seeds: int = 200, pol: TolerancePolicy = DEFAULT_TOL, jobs: int =
         for t in pool:
             if testers.is_extremal_tester(t, pol).extremal:
                 bounds = testers.check_bounds(t, pol)
-                part.record(bounds.ok, f"seed {seed}: tester bound violated {bounds}")
+                result.record(bounds.ok, f"seed {seed}: tester bound violated {bounds}")
         counts = [(1,), (1, 1), (1, 2), (1, 1, 1), (2, 2)][int(rng.integers(0, 5))]
         ins = channels.random_instrument(2, 2, counts, rng)
         if channels.instrument_extremal(ins, pol):
             bound = channels.instrument_rank_bound(ins, pol)
-            part.record(bound.ok, f"seed {seed}: instrument bound violated {bound}")
-        return part
-
-    return _run_seeds("bounds", seeds, worker, jobs)
+            result.record(bound.ok, f"seed {seed}: instrument bound violated {bound}")
+    return result
 
 
-def run_appendix_c(seeds: int = 0, pol: TolerancePolicy = DEFAULT_TOL, jobs: int = 1) -> SuiteResult:
+def run_appendix_c(seeds: int = 0, pol: TolerancePolicy = DEFAULT_TOL) -> SuiteResult:
     """Each fixture must reproduce its row of the extremality table.  The
-    population is fixed: ``seeds`` and ``jobs`` are ignored."""
+    population is fixed: ``seeds`` is ignored."""
     result = SuiteResult(name="appendix-c")
     for k, expected in sorted(APPENDIX_TABLE.items()):
         triple = channels.classify_combination(channels.combination_fixture(k), pol)
@@ -267,7 +240,7 @@ SUITES = {
 }
 
 
-def run_suite(name: str, seeds: int = 200, pol: TolerancePolicy = DEFAULT_TOL, jobs: int = 1) -> SuiteResult:
+def run_suite(name: str, seeds: int = 200, pol: TolerancePolicy = DEFAULT_TOL) -> SuiteResult:
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    return SUITES[name](seeds=seeds, pol=pol, jobs=jobs)
+    return SUITES[name](seeds=seeds, pol=pol)

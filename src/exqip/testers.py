@@ -1,9 +1,10 @@
 """Quantum 1-testers and POVMs.
 
 A 1-tester is a collection of PSD operators T_1..T_M on H_2 (x) H_1 (output
-factor first) summing to I_2 (x) rho for a state rho on H_1.  Extremality is
-decided by pooling Hermitian support bases of the outcomes with the traceless
-operators supported under rho, tensored with identity on H_2.
+factor first) summing to I_2 (x) rho for a state rho on H_1: a GQI on the
+signature (1, d_1, d_2, 1), and a POVM one on (d, 1).  Both are decided by the
+GQI rank test; for a tester the variable directions are I_2 (x) sigma, sigma
+traceless on H_1.
 
 Also here: the rank/outcome-count bounds, the normalization-changing
 xi transform, POVM extremality, pure-normalization testers, the closed-form
@@ -45,6 +46,11 @@ class Tester:
                 )
 
     @property
+    def signature(self) -> CombSignature:
+        """A GQI with trivial end spaces (d_0 = d_3 = 1)."""
+        return CombSignature((1, self.d1, self.d2, 1))
+
+    @property
     def n_outcomes(self) -> int:
         return len(self.outcomes)
 
@@ -64,15 +70,14 @@ class Povm:
                     f"effect shape {e.shape} does not match dimension {self.d}"
                 )
 
+    @property
+    def signature(self) -> CombSignature:
+        """A GQI with a trivial output space (d_1 = 1)."""
+        return CombSignature((self.d, 1))
 
-def as_gqi(t: Tester) -> Gqi:
-    """View a 1-tester as a GQI with trivial end spaces (d_0 = d_3 = 1)."""
-    return Gqi(signature=CombSignature((1, t.d1, t.d2, 1)), outcomes=t.outcomes)
-
-
-def povm_as_gqi(p: Povm) -> Gqi:
-    """View a POVM as a GQI with a trivial output space (d_1 = 1)."""
-    return Gqi(signature=CombSignature((p.d, 1)), outcomes=p.effects)
+    @property
+    def outcomes(self) -> tuple:
+        return self.effects
 
 
 def tester_normalization(t: Tester, pol: TolerancePolicy = DEFAULT_TOL):
@@ -84,67 +89,39 @@ def tester_normalization(t: Tester, pol: TolerancePolicy = DEFAULT_TOL):
     return rho, residual
 
 
-def _normalization_ok(rho: np.ndarray, residual: float, tol: float, pol: TolerancePolicy) -> bool:
-    """Product form within ``tol`` and rho a PSD unit-trace state."""
-    if residual > tol:
-        return False
+def tester_verdict(t: Tester, tol: float | None = None, pol: TolerancePolicy = DEFAULT_TOL):
+    """``(ok, verdict, rho)``: whether ``t`` is a valid 1-tester, the
+    :func:`gqi.is_valid_gqi` verdict of its GQI view, and rho.
+
+    On the signature (1, d_1, d_2, 1) the cascade residuals are the
+    product-form residual |sum T_i - I (x) rho|_max and |Tr rho - 1|, so the
+    verdict covers all of a tester's conditions but one: rho must also be PSD
+    within supp_tol(d_1, .), tighter than the comb check's supp_tol(d_1 d_2, .).
+    """
+    verdict = gqi_mod.is_valid_gqi(Gqi(t.signature, t.outcomes), tol=tol, pol=pol)
+    rho, _ = tester_normalization(t, pol)
     w = np.linalg.eigvalsh(rho)
-    return not (w[0] < -pol.supp_tol(rho.shape[0], float(w[-1])) or abs(np.trace(rho).real - 1.0) > tol)
+    return verdict.ok and bool(w[0] >= -pol.supp_tol(t.d1, float(w[-1]))), verdict, rho
 
 
 def is_valid_tester(
     t: Tester, tol: float | None = None, pol: TolerancePolicy = DEFAULT_TOL
 ) -> bool:
-    if tol is None:
-        tol = pol.eps_comb
-    if not _normalization_ok(*tester_normalization(t, pol), tol, pol):
-        return False
-    for op in t.outcomes:
-        w = np.linalg.eigvalsh(linalg.check_hermitian(op, pol))
-        if w[0] < -pol.supp_tol(op.shape[0], float(w[-1])):
-            return False
-    return True
+    return tester_verdict(t, tol, pol)[0]
 
 
-def _rho_support_vectors(rho: np.ndarray, pol: TolerancePolicy):
-    eig = linalg.hermitian_eig(rho, pol)
-    tau = pol.supp_tol(rho.shape[0], float(eig.values[0]))
-    return eig.vectors[:, eig.values > tau]
-
-
-def _normalization_basis(d2: int, rho: np.ndarray, pol: TolerancePolicy) -> list:
-    u = _rho_support_vectors(rho, pol)
-    eye2 = np.eye(d2, dtype=complex)
-    return [
-        linalg.kron(eye2, u @ b @ u.conj().T)
-        for b in linalg.traceless_hermitian_basis(u.shape[1])
-    ]
-
-
-def tester_normalization_basis(t: Tester, pol: TolerancePolicy = DEFAULT_TOL) -> list:
-    """The r^2 - 1 operators I_2 (x) sigma_l, sigma_l traceless Hermitian with
-    support in Supp(rho)."""
-    rho, _ = tester_normalization(t, pol)
-    return _normalization_basis(t.d2, rho, pol)
+def _valid_tester(t: Tester, pol: TolerancePolicy):
+    ok, verdict, rho = tester_verdict(t, pol=pol)
+    if not ok:
+        raise ValidationError("not a valid 1-tester")
+    return verdict, rho
 
 
 def is_extremal_tester(t: Tester, pol: TolerancePolicy = DEFAULT_TOL) -> ExtremalityCertificate:
-    """Rank criterion with the normalization basis specialized to 1-testers.
-
-    Validated once: the normalization checks of :func:`is_valid_tester`, then
-    the GQI verdict (positivity of each outcome and of the sum, the cascade),
-    whose eigenpairs the rank test reuses.
-    """
-    rho, residual = tester_normalization(t, pol)
-    if not _normalization_ok(rho, residual, pol.eps_comb, pol):
-        raise ValidationError("not a valid 1-tester")
-    g = as_gqi(t)
-    validation = gqi_mod.is_valid_gqi(g, pol=pol)
-    if not validation.ok:
-        raise ValidationError("not a valid 1-tester")
-    return gqi_mod.is_extremal(
-        g, pol=pol, normalization_basis=_normalization_basis(t.d2, rho, pol), validation=validation
-    )
+    """The GQI rank test on the tester's view, validated once: the tester
+    checks of :func:`tester_verdict`, whose eigenpairs the rank test reuses."""
+    verdict, _ = _valid_tester(t, pol)
+    return gqi_mod.is_extremal(Gqi(t.signature, t.outcomes), pol=pol, validation=verdict)
 
 
 @dataclass(frozen=True)
@@ -169,12 +146,8 @@ class TesterBounds:
 def check_bounds(t: Tester, pol: TolerancePolicy = DEFAULT_TOL) -> TesterBounds:
     """Necessary counting bounds for extremality (never sufficient)."""
     rho, _ = tester_normalization(t, pol)
-    r = _rho_support_vectors(rho, pol).shape[1]
-    ranks = []
-    for op in t.outcomes:
-        eig = linalg.hermitian_eig(op, pol)
-        tau = pol.supp_tol(op.shape[0], float(eig.values[0]))
-        ranks.append(int(np.count_nonzero(eig.values > tau)))
+    r = int(linalg.hermitian_eig(rho, pol).support_ranks(pol))
+    ranks = [int(linalg.hermitian_eig(op, pol).support_ranks(pol)) for op in t.outcomes]
     lhs = sum(x * x for x in ranks) + r * r - 1
     rhs = (r * t.d2) ** 2
     applicable = all(x == 1 for x in ranks) and r == t.d1
@@ -232,27 +205,12 @@ def xi_inverse(
 def povm_is_valid(
     p: Povm, tol: float | None = None, pol: TolerancePolicy = DEFAULT_TOL
 ) -> bool:
-    if tol is None:
-        tol = pol.eps_comb
-    total = sum(p.effects)
-    if linalg.max_abs(total - np.eye(p.d)) > tol:
-        return False
-    for e in p.effects:
-        w = np.linalg.eigvalsh(linalg.check_hermitian(e, pol))
-        if w[0] < -pol.supp_tol(p.d, float(w[-1])):
-            return False
-    return True
+    return gqi_mod.is_valid_gqi(Gqi(p.signature, p.outcomes), tol=tol, pol=pol).ok
 
 
 def povm_is_extremal(p: Povm, pol: TolerancePolicy = DEFAULT_TOL) -> bool:
-    """Extremal iff the pooled support bases of the effects are independent."""
-    if not povm_is_valid(p, pol=pol):
-        raise ValidationError("not a valid POVM")
-    family = [q for e in p.effects for q in linalg.support_basis(e, pol)]
-    rank, nullvec = linalg.numerical_rank(
-        [linalg.vectorize_hermitian(q) for q in family], pol
-    )
-    return nullvec is None
+    """The GQI rank test on the POVM's view; its variable basis is empty."""
+    return gqi_mod.is_extremal(Gqi(p.signature, p.outcomes), pol=pol).extremal
 
 
 def tester_from_pure_normalization(phi: np.ndarray, p: Povm) -> Tester:
@@ -292,8 +250,9 @@ def split_outcome(
     if isinstance(sub_effects, Povm):
         sub_effects = sub_effects.effects
     sub_effects = [np.asarray(e, dtype=complex) for e in sub_effects]
-    target = t.outcomes[index]
-    proj = linalg.support_projector(target, pol)
+    eig = linalg.hermitian_eig(t.outcomes[index], pol)
+    cols = eig.vectors[:, : eig.support_ranks(pol)]
+    proj = cols @ cols.conj().T
     total = sum(sub_effects)
     if linalg.max_abs(total - proj) > pol.eps_comb:
         raise ValidationError("sub-POVM effects must sum to the support projector")
@@ -304,7 +263,7 @@ def split_outcome(
             raise ValidationError("sub-POVM effect not positive semidefinite")
         if linalg.max_abs(h - proj @ h @ proj) > pol.eps_comb:
             raise ValidationError("sub-POVM effect not supported on Supp(T_i)")
-    root = linalg.sqrt_psd(target, pol)
+    root = linalg.sqrt_psd(t.outcomes[index], pol)
     pieces = tuple(root @ e @ root for e in sub_effects)
     outcomes = t.outcomes[:index] + pieces + t.outcomes[index + 1 :]
     return Tester(d2=t.d2, d1=t.d1, outcomes=outcomes)
@@ -313,12 +272,7 @@ def split_outcome(
 def projective_split_effects(target: np.ndarray, pol: TolerancePolicy = DEFAULT_TOL) -> list:
     """Rank-one projective sub-POVM on the support of ``target``."""
     eig = linalg.hermitian_eig(target, pol)
-    tau = pol.supp_tol(target.shape[0], float(eig.values[0]))
-    return [
-        np.outer(eig.vectors[:, k], eig.vectors[:, k].conj())
-        for k in range(target.shape[0])
-        if eig.values[k] > tau
-    ]
+    return [np.outer(v, v.conj()) for v in eig.vectors[:, : eig.support_ranks(pol)].T]
 
 
 @dataclass(frozen=True)
@@ -326,12 +280,6 @@ class TwoOutcomeQubitVerdict:
     case: str
     extremal: bool
     witness: np.ndarray | None
-
-
-def _eigen_rank(op: np.ndarray, pol: TolerancePolicy) -> int:
-    eig = linalg.hermitian_eig(op, pol)
-    tau = pol.supp_tol(op.shape[0], float(eig.values[0]))
-    return int(np.count_nonzero(eig.values > tau))
 
 
 def _product_candidates(m1: np.ndarray, m2: np.ndarray):
@@ -362,39 +310,31 @@ def classify_two_outcome_qubit(
     """
     if t.d1 != 2 or t.d2 != 2 or t.n_outcomes != 2:
         raise DimensionMismatchError("closed form requires a two-outcome qubit tester")
-    if not is_valid_tester(t, pol=pol):
-        raise ValidationError("not a valid 1-tester")
-    rho, _ = tester_normalization(t, pol)
+    verdict, rho = _valid_tester(t, pol)
     if linalg.max_abs(rho - np.eye(2) / 2.0) > pol.eps_comb:
-        r_rho = _eigen_rank(rho, pol)
-        if r_rho == 2:
+        eig = linalg.hermitian_eig(rho, pol)
+        if eig.support_ranks(pol) == 2:
             t = xi_inverse(t, rho, np.eye(2, dtype=complex), pol)
+            verdict = gqi_mod.is_valid_gqi(Gqi(t.signature, t.outcomes), pol=pol)
         else:
-            # Pure normalization: T_i = E_i (x) |phi><phi|; POVM criterion.
-            eig = linalg.hermitian_eig(rho, pol)
-            phi = eig.vectors[:, 0]
-            effects = []
-            for op in t.outcomes:
-                e = np.empty((2, 2), dtype=complex)
-                for i in range(2):
-                    for j in range(2):
-                        vi = linalg.kron(np.eye(2)[:, [i]], phi[:, None]).ravel()
-                        vj = linalg.kron(np.eye(2)[:, [j]], phi[:, None]).ravel()
-                        e[i, j] = vi.conj() @ op @ vj
-                effects.append(e)
+            # Pure normalization: T_i = E_i (x) |phi><phi|; POVM criterion,
+            # with E_i = (I (x) <phi|) T_i (I (x) |phi>).
+            b = linalg.kron(np.eye(2), eig.vectors[:, [0]])
+            effects = tuple(b.conj().T @ op @ b for op in t.outcomes)
             return TwoOutcomeQubitVerdict(
-                case="other",
-                extremal=povm_is_extremal(Povm(d=2, effects=tuple(effects)), pol),
-                witness=None,
+                case="other", extremal=povm_is_extremal(Povm(d=2, effects=effects), pol), witness=None
             )
 
-    ranks = sorted((_eigen_rank(op, pol) for op in t.outcomes))
-    order = sorted(range(2), key=lambda i: _eigen_rank(t.outcomes[i], pol))
-    small, large = t.outcomes[order[0]], t.outcomes[order[1]]
+    # The outcomes' ranks and eigenvectors, from the one decomposition of
+    # their validation; the lower-rank outcome first.
+    outcome_ranks = verdict.spectra.support_ranks(pol)
+    order = sorted(range(2), key=lambda i: outcome_ranks[i])
+    ranks = [int(outcome_ranks[i]) for i in order]
+    small = t.outcomes[order[0]]
+    vectors = verdict.spectra.vectors[order[0]]
 
     if ranks == [1, 3]:
-        eig = linalg.hermitian_eig(small, pol)
-        phi = eig.vectors[:, 0]
+        phi = vectors[:, 0]
         m = phi.reshape(t.d2, t.d1)
         s = np.linalg.svd(m, compute_uv=False)
         if s[1] > 2.0 * s[0] * pol.eps_rel:
@@ -415,8 +355,7 @@ def classify_two_outcome_qubit(
                 case="(2,2)", extremal=False, witness=linalg.kron(np.eye(2)[:, [0]], v[:, None]).ravel()
             )
         # Product vector f (x) e in Supp(P_1) with f_perp (x) e in Supp(P_2)?
-        eig = linalg.hermitian_eig(small, pol)
-        psi1, psi2 = eig.vectors[:, 0], eig.vectors[:, 1]
+        psi1, psi2 = vectors[:, 0], vectors[:, 1]
         m1, m2 = psi1.reshape(2, 2), psi2.reshape(2, 2)
         for alpha, beta in _product_candidates(m1, m2):
             m = alpha * m1 + beta * m2

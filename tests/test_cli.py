@@ -38,17 +38,17 @@ SAMPLE_OBJECTS = [
 
 
 class TestFileio:
-    @pytest.mark.parametrize("obj", SAMPLE_OBJECTS, ids=lambda o: fileio.object_kind(o))
+    @pytest.mark.parametrize("obj", SAMPLE_OBJECTS, ids=lambda o: fileio.kind_of(o).name)
     def test_round_trip_byte_identical(self, obj, tmp_path):
         path = tmp_path / "obj.json"
         fileio.save_object(path, obj, metadata={"note": "sample"})
         first = path.read_bytes()
         loaded = fileio.load_object(path)
-        assert fileio.object_kind(loaded) == fileio.object_kind(obj)
+        assert fileio.kind_of(loaded) is fileio.kind_of(obj)
         fileio.save_object(path, loaded, metadata={"note": "sample"})
         assert path.read_bytes() == first
 
-    @pytest.mark.parametrize("obj", SAMPLE_OBJECTS, ids=lambda o: fileio.object_kind(o))
+    @pytest.mark.parametrize("obj", SAMPLE_OBJECTS, ids=lambda o: fileio.kind_of(o).name)
     def test_round_trip_exact_values(self, obj, tmp_path):
         path = tmp_path / "obj.json"
         fileio.save_object(path, obj)
@@ -116,6 +116,22 @@ class TestCli:
         out = capsys.readouterr().out
         assert '"verdict": "extremal"' in out
         assert fileio.load_certificate(cert_path).extremal
+
+    def test_validate_decides_once(self, tmp_path, monkeypatch, capsys):
+        """One GQI verdict per report: the outcomes decomposed once as a
+        stack, rho extracted once; the product-form residual is the
+        cascade's first residual."""
+        from test_testers import count_calls
+
+        path = tmp_path / "tester.json"
+        fileio.save_object(path, testers.schmidt_tester(0.3))
+        calls = count_calls(monkeypatch)
+        assert self.run("validate", str(path)) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert calls["tester_normalization"] == 1
+        assert calls["eigh"] == [(2, 4, 4)]
+        assert sorted(calls["eigvalsh"]) == [(2, 2), (4, 4)]
+        assert report["product_form_residual"] == report["cascade_residuals"][0]
 
     def test_validate_invalid_exits_1(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -198,9 +214,9 @@ class TestCli:
         assert self.run("suite", "appendix-c") == 0
         out = json.loads(capsys.readouterr().out)
         assert out["ok"] and out["total"] == 7
-        assert self.run("suite", "appendix-c", "--seeds", "0", "--jobs", "2") == 0
+        assert self.run("suite", "appendix-c", "--seeds", "0") == 0
         assert json.loads(capsys.readouterr().out)["total"] == 7
-        assert self.run("suite", "equivalence", "--seeds", "3", "--jobs", "2") == 0
+        assert self.run("suite", "equivalence", "--seeds", "3") == 0
 
     def test_tol_flag(self, tmp_path):
         path = str(tmp_path / "bell.json")

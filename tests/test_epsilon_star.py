@@ -212,9 +212,11 @@ def random_hermitian_in_support(t, rng):
 )
 def test_property_step_is_maximal_and_matches_oracle(seed, d, counts, mixed):
     rng = np.random.default_rng(seed)
-    g = channels.as_gqi(channels.random_instrument(d, d, counts, rng))
+    ins = channels.random_instrument(d, d, counts, rng)
+    g = Gqi(ins.signature, ins.outcomes)
     if mixed:
-        g = gqi.mix(g, channels.as_gqi(channels.random_instrument(d, d, counts, rng)), rng.uniform(0.2, 0.8))
+        other = channels.random_instrument(d, d, counts, rng)
+        g = gqi.mix(g, Gqi(other.signature, other.outcomes), rng.uniform(0.2, 0.8))
     assert gqi.is_valid_gqi(g).ok
     directions = tuple(random_hermitian_in_support(t, rng) for t in g.outcomes)
     eps = gqi.max_perturbation_step(g.outcomes, directions)

@@ -81,7 +81,8 @@ class TestExtremality:
         assert linalg.max_abs(total - pert.delta) < 1e-12
         # each direction is supported inside its outcome's support
         for t, d in zip(g.outcomes, pert.directions):
-            p = linalg.support_projector(t)
+            u = linalg.support_vectors(t)
+            p = u @ u.conj().T
             assert linalg.max_abs(d - p @ d @ p) < 1e-10
         # Delta lies in the span of the variable basis: projections onto the
         # forbidden directions vanish, and reconstruction from the basis works

@@ -11,6 +11,8 @@ from exqip import linalg
 from exqip.errors import DimensionMismatchError, NotHermitianError, NotPositiveError
 from exqip.linalg import DEFAULT_TOL, TolerancePolicy
 
+from test_reduced_rank import support_basis
+
 
 def random_hermitian(rng, d, scale=1.0):
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
@@ -161,37 +163,41 @@ class TestHermitianEig:
 
 
 class TestNumericalRank:
+    """:func:`linalg.rank_decision` on families of real vectors (the rows)."""
+
     def test_full_rank(self):
-        rank, nullvec = linalg.numerical_rank([np.eye(3)[i] for i in range(3)])
-        assert rank == 3 and nullvec is None
+        decision = linalg.rank_decision(np.eye(3))
+        assert decision.rank == 3 and decision.nullvector is None
 
     def test_deficient_gives_nullvector(self):
         vecs = [np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.array([1.0, 1.0])]
-        rank, nullvec = linalg.numerical_rank(vecs)
-        assert rank == 2
+        decision = linalg.rank_decision(np.array(vecs))
+        assert decision.rank == 2
+        nullvec = decision.nullvector
         combo = sum(c * v for c, v in zip(nullvec, vecs))
         assert np.linalg.norm(combo) < 1e-12
         assert abs(np.linalg.norm(nullvec) - 1.0) < 1e-12
 
     def test_nullvector_sign_deterministic(self):
-        vecs = [np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.array([1.0, 1.0])]
-        _, a = linalg.numerical_rank(vecs)
-        _, b = linalg.numerical_rank(vecs)
+        vecs = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        a = linalg.rank_decision(vecs).nullvector
+        b = linalg.rank_decision(vecs).nullvector
         assert np.array_equal(a, b)
         assert a[int(np.argmax(np.abs(a)))] > 0
 
     def test_empty(self):
-        assert linalg.numerical_rank([]) == (0, None)
+        decision = linalg.rank_decision(np.zeros((0, 3)))
+        assert decision.rank == 0 and decision.nullvector is None
 
     def test_mixed_lengths(self):
-        with pytest.raises(DimensionMismatchError):
-            linalg.numerical_rank([np.zeros(2), np.zeros(3)])
+        with pytest.raises(ValueError):
+            linalg.rank_decision([np.zeros(2), np.zeros(3)])
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(5)
-        vecs = [rng.standard_normal(6) for _ in range(4)]
-        r1, _ = linalg.numerical_rank(vecs)
-        r2, _ = linalg.numerical_rank([1e8 * v for v in vecs])
+        vecs = rng.standard_normal((4, 6))
+        r1 = linalg.rank_decision(vecs).rank
+        r2 = linalg.rank_decision(1e8 * vecs).rank
         assert r1 == r2 == 4
 
 
@@ -246,7 +252,8 @@ class TestSupport:
     def test_projector_idempotent(self):
         rng = np.random.default_rng(6)
         t = random_psd(rng, 5, rank=2)
-        p = linalg.support_projector(t)
+        u = linalg.support_vectors(t)
+        p = u @ u.conj().T
         assert linalg.max_abs(p @ p - p) < 1e-10
         assert abs(np.trace(p).real - 2.0) < 1e-10
         assert linalg.max_abs(p @ t - t) < 1e-8
@@ -255,7 +262,7 @@ class TestSupport:
     def test_basis_count_and_orthonormality(self, rank):
         rng = np.random.default_rng(rank)
         t = random_psd(rng, 4, rank=rank)
-        basis = linalg.support_basis(t)
+        basis = support_basis(t)
         assert len(basis) == rank * rank
         for i, a in enumerate(basis):
             assert linalg.max_abs(a - a.conj().T) < 1e-12
@@ -265,12 +272,7 @@ class TestSupport:
 
     def test_basis_rejects_negative(self):
         with pytest.raises(NotPositiveError):
-            linalg.support_basis(np.diag([1.0, -1.0]))
-
-    def test_psd_check(self):
-        assert linalg.psd_check(np.diag([2.0, 0.0])) == pytest.approx(0.0, abs=1e-15)
-        with pytest.raises(NotPositiveError):
-            linalg.psd_check(np.diag([1.0, -0.5]))
+            support_basis(np.diag([1.0, -1.0]))
 
 
 class TestOperatorBases:
@@ -299,6 +301,4 @@ class TestOperatorBases:
     def test_full_basis_spans(self, d):
         basis = linalg.hermitian_basis(d)
         assert len(basis) == d * d
-        vecs = [linalg.vectorize_hermitian(b) for b in basis]
-        rank, _ = linalg.numerical_rank(vecs)
-        assert rank == d * d
+        assert linalg.rank_decision(linalg.vectorize_hermitian(np.array(basis))).rank == d * d

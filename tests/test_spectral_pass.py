@@ -18,7 +18,7 @@ from exqip.gqi import Gqi
 from exqip.linalg import DEFAULT_TOL
 
 from test_epsilon_star import acceptance_07_population, ladder_population
-from test_reduced_rank import ladder_inputs
+from test_reduced_rank import ladder_inputs, former_tester_basis
 
 
 def former_support_vectors(t, pol=DEFAULT_TOL):
@@ -78,9 +78,8 @@ def appendix_gqis():
     out = []
     for k in sorted(channels.APPENDIX_TABLE):
         ins = channels.combination_fixture(k)
-        out.append(channels.as_gqi(ins))
-        out.append(channels.as_gqi(channels.induced_channel(ins)))
-        out.append(testers.povm_as_gqi(channels.induced_povm(ins)))
+        for x in (ins, channels.induced_channel(ins), channels.induced_povm(ins)):
+            out.append(Gqi(x.signature, x.outcomes))
     return out
 
 
@@ -109,7 +108,7 @@ class TestOracle:
         t = testers.schmidt_tester(angle)
         split = testers.split_outcome(t, 1, testers.projective_split_effects(t.outcomes[1]))
         for x in (t, split):
-            want = oracle(testers.as_gqi(x), testers.tester_normalization_basis(x))
+            want = oracle(Gqi(x.signature, x.outcomes), former_tester_basis(x))
             assert_matches_oracle(summary(testers.is_extremal_tester(x)), want)
 
     def test_kraus_criteria(self):
@@ -177,13 +176,11 @@ class TestCount:
             raise AssertionError("per-operator eigendecomposition in a verdict")
 
         population = [three_outcome_gqi(), *ladder_inputs((2, 2), np.random.default_rng(4))]
-        tester = testers.schmidt_tester(0.3)
         monkeypatch.setattr(linalg, "support_vectors", refuse)
-        # The tester's normalization basis decomposes rho, not an outcome.
-        testers.is_extremal_tester(tester)
         monkeypatch.setattr(linalg, "hermitian_eig", refuse)
         for g in population:
             gqi.is_extremal(g)
+        testers.is_extremal_tester(testers.schmidt_tester(0.3))
 
 
 class TestErrorPaths:

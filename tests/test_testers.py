@@ -306,3 +306,49 @@ class TestSchmidtTester:
         )
         assert testers.is_valid_tester(t)
         assert testers.is_extremal_tester(t).extremal
+
+
+def count_calls(monkeypatch):
+    """Record ``tester_normalization`` calls and the shapes handed to
+    ``np.linalg.eigh`` and ``np.linalg.eigvalsh``."""
+    calls = {"tester_normalization": 0, "eigh": [], "eigvalsh": []}
+    real = testers.tester_normalization
+
+    def counted_normalization(*args, **kwargs):
+        calls["tester_normalization"] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(testers, "tester_normalization", counted_normalization)
+    for name in ("eigh", "eigvalsh"):
+        fn = getattr(np.linalg, name)
+
+        def counted(a, *args, _fn=fn, _name=name, **kwargs):
+            calls[_name].append(np.shape(a))
+            return _fn(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+class TestClassifyValidatesOnce:
+    """One tester validation per classification: the outcomes are decomposed
+    once, as one stack, and rho is extracted once."""
+
+    def test_uniform_normalization(self, monkeypatch):
+        t = testers.schmidt_tester(0.3)
+        calls = count_calls(monkeypatch)
+        assert testers.classify_two_outcome_qubit(t).extremal
+        assert calls["tester_normalization"] == 1
+        assert calls["eigh"] == [(2, 4, 4)]
+        # The comb check of the sum and rho's check.
+        assert sorted(calls["eigvalsh"]) == [(2, 2), (4, 4)]
+
+    def test_xi_branch_redoes_the_verdict(self, monkeypatch):
+        t = testers.xi_transform(bell_tester(), np.diag([0.7, 0.3]).astype(complex), np.eye(2))
+        calls = count_calls(monkeypatch)
+        assert testers.classify_two_outcome_qubit(t).extremal
+        assert calls["tester_normalization"] == 1
+        # The given outcomes, rho (twice: its rank, and xi_inverse) and the
+        # outcomes xi_inverse returns.
+        assert calls["eigh"] == [(2, 4, 4), (2, 2), (2, 2), (2, 4, 4)]
+        assert sorted(calls["eigvalsh"]) == [(2, 2), (4, 4), (4, 4)]
