@@ -54,6 +54,7 @@ from .errors import (
     FileFormatError,
     NotHermitianError,
     NotPositiveError,
+    SizeLimitError,
     ValidationError,
 )
 from .gqi import (

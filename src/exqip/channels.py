@@ -152,12 +152,21 @@ def is_valid_instrument(ins: Instrument, tol: float | None = None, pol: Toleranc
     return gqi_mod.is_valid_gqi(Gqi(ins.signature, ins.outcomes), tol=tol, pol=pol).ok
 
 
-def _validated_kraus(obj, pol: TolerancePolicy) -> list:
-    """Per-outcome minimal Kraus lists of a channel or an instrument, from the
-    eigenpairs of its validation."""
-    verdict = gqi_mod.is_valid_gqi(Gqi(obj.signature, obj.outcomes), pol=pol)
+def _validated(obj, pol: TolerancePolicy, validation: gqi_mod.GqiVerdict | None = None):
+    """The :func:`gqi.is_valid_gqi` verdict of a channel or an instrument,
+    ``validation`` when the caller has one; an invalid object raises."""
+    verdict = validation
+    if verdict is None:
+        verdict = gqi_mod.is_valid_gqi(Gqi(obj.signature, obj.outcomes), pol=pol)
     if not verdict.ok:
         raise ValidationError(f"not a valid {type(obj).__name__.lower()}")
+    return verdict
+
+
+def _validated_kraus(obj, pol: TolerancePolicy, validation: gqi_mod.GqiVerdict | None = None) -> list:
+    """Per-outcome minimal Kraus lists of a channel or an instrument, from the
+    eigenpairs of its validation."""
+    verdict = _validated(obj, pol, validation)
     return [
         _kraus_from_eig(verdict.spectra[i], obj.d1, obj.d0, pol)
         for i in range(len(verdict.spectra.values))
@@ -196,11 +205,15 @@ def _theorem1_normalization_family(d1: int, d0: int) -> tuple:
     return tuple(family)
 
 
-def instrument_extremal(ins: Instrument, pol: TolerancePolicy = DEFAULT_TOL) -> bool:
+def instrument_extremal(
+    ins: Instrument, pol: TolerancePolicy = DEFAULT_TOL, validation: gqi_mod.GqiVerdict | None = None
+) -> bool:
     """Kraus-product criterion: the pooled per-outcome families
-    {K_m^(i)dagger K_n^(i)} must be linearly independent."""
+    {K_m^(i)dagger K_n^(i)} must be linearly independent.  ``validation`` is
+    the caller's :func:`gqi.is_valid_gqi` verdict on the instrument at
+    ``pol``, when it has one."""
     products = []
-    for ks in _validated_kraus(ins, pol):
+    for ks in _validated_kraus(ins, pol, validation):
         products.extend(km.conj().T @ kn for km in ks for kn in ks)
     return linalg.complex_family_rank(products, pol) == len(products)
 
@@ -218,9 +231,14 @@ class InstrumentRankBound:
     ok: bool
 
 
-def instrument_rank_bound(ins: Instrument, pol: TolerancePolicy = DEFAULT_TOL) -> InstrumentRankBound:
-    """Necessary condition for extremality: sum of squared ranks <= d_0^2."""
-    ranks = [len(ks) for ks in instrument_kraus(ins, pol)]
+def instrument_rank_bound(
+    ins: Instrument, pol: TolerancePolicy = DEFAULT_TOL, validation: gqi_mod.GqiVerdict | None = None
+) -> InstrumentRankBound:
+    """Necessary condition for extremality: sum of squared ranks <= d_0^2.
+
+    The ranks are the Kraus counts, read from the validation eigenpairs:
+    ``validation`` as in :func:`instrument_extremal`."""
+    ranks = [int(r) for r in _validated(ins, pol, validation).spectra.support_ranks(pol)]
     lhs = sum(r * r for r in ranks)
     rhs = ins.d0 ** 2
     return InstrumentRankBound(outcome_ranks=tuple(ranks), lhs=lhs, rhs=rhs, ok=lhs <= rhs)

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import channels, combs, fileio, gqi as gqi_mod, linalg, suites, testers
 from .combs import CombSignature
-from .errors import ExqipError, FileFormatError, ValidationError
+from .errors import ExqipError, FileFormatError, SizeLimitError, ValidationError
 from .gqi import Gqi
 from .linalg import TolerancePolicy
 from .testers import Povm, Tester
@@ -264,7 +264,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (FileFormatError, FileNotFoundError, ValueError) as exc:
+    except (FileFormatError, FileNotFoundError, SizeLimitError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ExqipError as exc:

@@ -220,7 +220,9 @@ def _traceless_part(y: np.ndarray, even: int, low: int) -> np.ndarray:
     return y - np.einsum("ef,kij->keifj", eye, t).reshape(y.shape)
 
 
-def complement_coordinates(u: np.ndarray, sig: CombSignature) -> np.ndarray:
+def complement_coordinates(
+    u: np.ndarray, sig: CombSignature, start: int = 0, stop: int | None = None
+) -> np.ndarray:
     """Support basis of span(u) projected off the comb variable directions.
 
     ``u`` (D x r) has orthonormal columns.  Row j is an isometric image of
@@ -232,15 +234,16 @@ def complement_coordinates(u: np.ndarray, sig: CombSignature) -> np.ndarray:
     sqrt(top_n), the vectorized part of Y_n traceless on space 2n-2.  They
     come from partial traces of ``u`` alone: no D^2-long operator is built.
     Levels with a trivial even space contribute nothing and are skipped.
+    Only the rows ``start`` to ``stop`` (by default all r^2) are built.
     """
     r = u.shape[1]
     trace = np.zeros((r * r, 1))
     trace[:r] = 1.0 / math.sqrt(sig.total_dim)
-    cols = [trace]
+    cols = [trace[start:stop]]
     for top, even, low in _forbidden_levels(sig):
         if even == 1:
             continue
-        y = linalg.support_operators(u, top) / math.sqrt(top)
+        y = linalg.support_operators(u, top, start, stop) / math.sqrt(top)
         cols.append(linalg.vectorize_hermitian(_traceless_part(y, even, low)))
     return np.hstack(cols)
 

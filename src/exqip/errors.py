@@ -27,3 +27,7 @@ class ExtremalInputError(ExqipError):
 
 class FileFormatError(ExqipError):
     """Operator or certificate file is malformed."""
+
+
+class SizeLimitError(ExqipError):
+    """The estimated memory of a computation exceeds its budget."""

@@ -14,13 +14,14 @@ a tight bracket on the positivity slack of T_i +/- epsilon D_i.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import combs, linalg
 from .combs import CombSignature
-from .errors import DimensionMismatchError, ExtremalInputError, ValidationError
+from .errors import DimensionMismatchError, ExtremalInputError, SizeLimitError, ValidationError
 from .linalg import DEFAULT_TOL, TolerancePolicy
 
 
@@ -267,6 +268,37 @@ def max_perturbation_step(
     return lo
 
 
+# Largest estimated peak of the rank stage, in bytes, that is attempted
+# (see rank_stage_bytes); larger inputs raise SizeLimitError.
+RANK_STAGE_BUDGET = 2 << 30
+
+
+def rank_stage_bytes(sig: CombSignature, support_ranks) -> int:
+    """Estimated peak bytes of the rank stage, sized for its worst case: the
+    fallback that builds every projected row.  The m = sum r_i^2 rows have
+    n = 1 + sum c_l^2 columns, c_l the reduced dimension of each level with a
+    nontrivial even space (see :func:`combs.complement_coordinates`), and
+    the head has h = min(m, D^2 - |V| + 1) rows.  With c the largest c_l and
+    r the largest support rank, the estimate sums
+
+    * 64 r^2 c^2: the coordinates of the largest support, four complex
+      (r^2, c, c) tensors of :func:`linalg.support_operators` and the
+      traceless parts built from it;
+    * 24 m n: the row blocks, their stack and the SVD's copy of it;
+    * 8 (h n + h^2 + k n + 4 k^2), k = min(h, n): the head, U, V^T and the
+      SVD workspace.
+    """
+    d = sig.total_dim
+    reduced = [math.prod(sig.dims[: 2 * k + 1]) for k in range(sig.n) if sig.dims[2 * k] > 1]
+    n = 1 + sum(c * c for c in reduced)
+    m = sum(r * r for r in support_ranks)
+    h = min(m, d * d - combs.comb_variable_count(sig) + 1)
+    c = max(reduced, default=0)
+    r = max(support_ranks, default=0)
+    k = min(h, n)
+    return 64 * r * r * c * c + 24 * m * n + 8 * (h * n + h * h + k * n + 4 * k * k)
+
+
 def _rank_test(g: Gqi, pol: TolerancePolicy, validation=None):
     """Validation verdict, support vectors of each outcome, |V| and the pooled
     rank decision.
@@ -275,16 +307,50 @@ def _rank_test(g: Gqi, pol: TolerancePolicy, validation=None):
     columns of :func:`linalg.support_vectors`.  The rows decided are the
     support basis elements projected off V, so the decision carries the
     pooled family's rank and cutoff (see :func:`linalg.rank_decision`).
+
+    The rows are built outcome by outcome and decided head first
+    (:func:`linalg.block_rank_decision`).  Each outcome's rows are a projected
+    orthonormal family, of spectral norm at most 1, so sqrt(M) bounds
+    sigma_max of the stack of M outcomes.  An input whose estimated peak
+    (:func:`rank_stage_bytes`) exceeds ``RANK_STAGE_BUDGET`` raises
+    :class:`SizeLimitError` before any row is built.
     """
     validation = _require_valid(g, pol, validation)
     spectra = validation.spectra
     supports = [v[:, :r] for v, r in zip(spectra.vectors, spectra.support_ranks(pol))]
+    ranks = [u.shape[1] for u in supports]
+    need = rank_stage_bytes(g.signature, ranks)
+    if need > RANK_STAGE_BUDGET:
+        raise SizeLimitError(
+            f"the rank test at signature {g.signature.dims} with support ranks {tuple(ranks)} "
+            f"needs about {need:,} bytes, above the budget of {RANK_STAGE_BUDGET:,} bytes"
+        )
     n_known = combs.comb_variable_count(g.signature)
-    rows = [combs.complement_coordinates(u, g.signature) for u in supports]
-    decision = linalg.rank_decision(
-        np.vstack(rows), pol, known=n_known, ambient=g.signature.total_dim ** 2
+    ambient = g.signature.total_dim ** 2
+    decision = linalg.block_rank_decision(
+        _coordinate_blocks(supports, g.signature, ambient - n_known + 1),
+        sum(r * r for r in ranks),
+        pol,
+        known=n_known,
+        ambient=ambient,
+        sigma_bound=math.sqrt(len(supports)),
     )
     return validation, supports, n_known, decision
+
+
+def _coordinate_blocks(supports, sig: CombSignature, head: int):
+    """The projected coordinates of each support in turn, lazily; the rows of
+    the support that completes the first ``head`` rows come in two blocks,
+    split there, so that the head is built without the rest."""
+    start = 0
+    for u in supports:
+        rows = u.shape[1] ** 2
+        if start < head < start + rows:
+            yield combs.complement_coordinates(u, sig, 0, head - start)
+            yield combs.complement_coordinates(u, sig, head - start)
+        else:
+            yield combs.complement_coordinates(u, sig)
+        start += rows
 
 
 def is_extremal(
@@ -308,7 +374,9 @@ def is_extremal(
     sigma_max being the largest singular value of the projected family.  A
     null vector c yields D_i = sum_{j in i} c_j q_j and Delta = sum_i D_i.
     When sum r_i^2 > D^2 - |V| the counting rule already rules out
-    extremality, and c comes from the first D^2 - |V| + 1 projected members.
+    extremality, and c comes from the first D^2 - |V| + 1 projected members,
+    the head.  The rank is then decided on the head alone when it can be
+    (README, "Head-first rank"), and the remaining members are not built.
 
     ``validation`` is the caller's :func:`is_valid_gqi` verdict on ``g`` at
     ``pol``, when it has one; otherwise ``g`` is validated here.  Each outcome
@@ -377,7 +445,11 @@ class ExtremalityProfile:
 
 def extremality_profile(g: Gqi, pol: TolerancePolicy = DEFAULT_TOL) -> ExtremalityProfile:
     """Aggregate counts, rank and, when extremal, the margin: the smallest
-    singular value of the support family projected off V."""
+    singular value of the support family projected off V.
+
+    The margin is read from the whole family's singular values: an extremal
+    family never has more members than its span, so its rank is never
+    decided on the head alone."""
     _, supports, n_known, decision = _rank_test(g, pol)
     support_ranks = tuple(u.shape[1] for u in supports)
     extremal = decision.nullvector is None

@@ -186,7 +186,9 @@ class RankDecision:
     """A rank decided from ``singular_values`` at a cutoff.
 
     ``nullvector`` is a unit coefficient vector over the decided rows, present
-    exactly when they are dependent.
+    exactly when they are dependent.  ``singular_values`` are those of all
+    the rows, or of the head alone when the rank was decided there (see
+    :func:`block_rank_decision`).
     """
 
     rank: int
@@ -207,27 +209,82 @@ def rank_decision(
         tau = max(m + known, ambient) * sigma * eps_rel,
 
     with sigma = sigma_max(x), floored at 1 when ``known > 0`` because the
-    orthonormal members alone have unit singular values.  A dependent family
-    gets a null vector c with ``|c^T x| <= tau``.  The rows span at most
-    ``ambient - known`` dimensions, so beyond that c is taken from the first
-    ``ambient - known + 1`` rows.
+    orthonormal members alone have unit singular values.  The rank comes from
+    a values-only SVD of ``x``.  A dependent family gets a null vector c with
+    ``|c^T x| <= tau``.  The rows span at most span = min(ambient - known, n)
+    dimensions, so beyond that c is taken from the first span + 1 rows.
     """
     x = np.asarray(x, dtype=float)
-    m, n = x.shape
+    return block_rank_decision([x], x.shape[0], pol, known, ambient)
+
+
+def block_rank_decision(
+    blocks,
+    rows: int,
+    pol: TolerancePolicy = DEFAULT_TOL,
+    known: int = 0,
+    ambient: int | None = None,
+    sigma_bound: float | None = None,
+) -> RankDecision:
+    """:func:`rank_decision` on the stack of ``blocks``, an iterable of
+    (k_i, n) arrays with ``rows`` = sum k_i rows in all, built in order and
+    only as far as the decision needs.
+
+    Head first: with more rows than their span and an upper bound
+    ``sigma_bound`` >= sigma_max of the stack, the first span + 1 rows (the
+    head) are decomposed first, with U.  If the head alone has span singular
+    values above the cutoff taken at ``sigma_bound``, the pooled rank is
+    span + known: sigma_k(stack) >= sigma_k(head), the cutoff grows with
+    sigma, and the rows span no more than span dimensions.  The remaining
+    blocks are then never built, and ``singular_values`` holds the head's
+    values.  Otherwise the rank comes from the values-only SVD of the whole
+    stack, as without a bound.  The null vector is the last left singular
+    vector of the head either way, from the same SVD call.
+    """
+    blocks = iter(blocks)
+    built = [np.asarray(next(blocks), dtype=float)]
+    _, n = built[0].shape
     ambient = n if ambient is None else ambient
+    span = min(ambient - known, n)
+    floor = 1.0 if known else 0.0
+    u = None
+    if sigma_bound is not None and rows > span:
+        have = built[0].shape[0]
+        while have <= span:
+            built.append(np.asarray(next(blocks), dtype=float))
+            have += built[-1].shape[0]
+        u, s = _head_svd(np.vstack(built), span)
+        tau = pol.rank_tol(rows + known, ambient, max(floor, sigma_bound))
+        if np.count_nonzero(s > tau) >= span:
+            return RankDecision(span + known, s, _head_nullvector(u, rows))
+    built.extend(np.asarray(b, dtype=float) for b in blocks)
+    x = built[0] if len(built) == 1 else np.vstack(built)
+    del built
+    m = x.shape[0]
     s = np.linalg.svd(x, compute_uv=False)
-    sigma = float(s[0]) if s.size else 0.0
-    if known:
-        sigma = max(1.0, sigma)
+    sigma = max(floor, float(s[0]) if s.size else 0.0)
     tau = pol.rank_tol(m + known, ambient, sigma)
     rank = int(np.count_nonzero(s > tau))
     if rank == m:
         return RankDecision(rank + known, s, None)
-    head = x[: min(ambient - known, n) + 1]
-    u = np.linalg.svd(head, full_matrices=head.shape[0] > n)[0]
-    c = np.zeros(m)
-    c[: head.shape[0]] = u[:, -1]
-    return RankDecision(rank + known, s, _fix_sign(c))
+    if u is None:
+        u, _ = _head_svd(x, span)
+    return RankDecision(rank + known, s, _head_nullvector(u, m))
+
+
+def _head_svd(x: np.ndarray, span: int):
+    """U and the singular values of the head, the first span + 1 rows of ``x``."""
+    head = x[: span + 1]
+    u, s, _ = np.linalg.svd(head, full_matrices=head.shape[0] > head.shape[1])
+    return u, s
+
+
+def _head_nullvector(u: np.ndarray, rows: int) -> np.ndarray:
+    """The last left singular vector of the head, padded with zeros to
+    ``rows`` coefficients."""
+    c = np.zeros(rows)
+    c[: u.shape[0]] = u[:, -1]
+    return _fix_sign(c)
 
 
 def complex_family_rank(mats, pol: TolerancePolicy = DEFAULT_TOL) -> int:
@@ -298,7 +355,7 @@ def support_vectors(t: np.ndarray, pol: TolerancePolicy = DEFAULT_TOL) -> np.nda
     return eig.vectors[:, : eig.support_ranks(pol)]
 
 
-def support_operators(u: np.ndarray, traced: int = 1) -> np.ndarray:
+def support_operators(u: np.ndarray, traced: int = 1, start: int = 0, stop: int | None = None) -> np.ndarray:
     """Support basis of the column span of ``u``, leading factor traced out.
 
     ``u`` (D x r) has orthonormal columns.  Returns the stack (r^2, m, m),
@@ -309,19 +366,39 @@ def support_operators(u: np.ndarray, traced: int = 1) -> np.ndarray:
     (n < k, lexicographic).  In these coordinates sum_j c_j q_j = u H u^dagger
     with H = unvectorize_hermitian(c, r).  ``traced = 1`` gives the basis
     itself.  The projected support coordinates of the comb rank test are built
-    from these partial traces without forming any q_j.
+    from these partial traces without forming any q_j.  Only the operators
+    ``start`` to ``stop`` (by default all r^2) are formed; each is the same to
+    the bit as in the whole stack.
     """
     d, r = u.shape
     m = d // traced
     w = u.reshape(traced, m * r)
     # g[a, b] = Tr_0 |u_a><u_b|
     g = (w.T @ w.conj()).reshape(m, r, m, r).transpose(1, 3, 0, 2)
-    diag = np.arange(r)
-    n, k = _upper_indices(r)
+    diag, n, k, n_anti, k_anti = _support_rows(r, start, r * r if stop is None else stop)
     s = 1.0 / math.sqrt(2.0)
     return np.concatenate(
-        [g[diag, diag], s * (g[n, k] + g[k, n]), 1j * s * (g[n, k] - g[k, n])]
+        [
+            g[diag, diag],
+            s * (g[n, k] + g[k, n]),
+            1j * s * (g[n_anti, k_anti] - g[k_anti, n_anti]),
+        ]
     )
+
+
+@functools.lru_cache(maxsize=64)
+def _support_rows(r: int, start: int, stop: int) -> tuple:
+    """Indices of the support basis elements ``start`` to ``stop`` of rank
+    ``r`` (:func:`support_operators` order), read-only: the projectors, then
+    (n, k) of the symmetric pairs, then (n, k) of the antisymmetric pairs."""
+    n, k = _upper_indices(r)
+    j = np.arange(start, stop)
+    sym = j[(j >= r) & (j < r + n.size)] - r
+    anti = j[j >= r + n.size] - r - n.size
+    out = (j[j < r], n[sym], k[sym], n[anti], k[anti])
+    for idx in out:
+        idx.flags.writeable = False
+    return out
 
 
 def traceless_hermitian_basis(d: int) -> list:

@@ -210,13 +210,15 @@ def run_bounds(seeds: int = 200, pol: TolerancePolicy = DEFAULT_TOL) -> SuiteRes
             random_rank22_qubit_tester(rng, nonextremal=bool(rng.integers(0, 2))),
         ]
         for t in pool:
-            if testers.is_extremal_tester(t, pol).extremal:
-                bounds = testers.check_bounds(t, pol)
+            checks = testers.tester_verdict(t, pol=pol)
+            if testers.is_extremal_tester(t, pol, checks).extremal:
+                bounds = testers.check_bounds(t, pol, checks)
                 result.record(bounds.ok, f"seed {seed}: tester bound violated {bounds}")
         counts = [(1,), (1, 1), (1, 2), (1, 1, 1), (2, 2)][int(rng.integers(0, 5))]
         ins = channels.random_instrument(2, 2, counts, rng)
-        if channels.instrument_extremal(ins, pol):
-            bound = channels.instrument_rank_bound(ins, pol)
+        verdict = gqi_mod.is_valid_gqi(gqi_mod.Gqi(ins.signature, ins.outcomes), pol=pol)
+        if channels.instrument_extremal(ins, pol, verdict):
+            bound = channels.instrument_rank_bound(ins, pol, verdict)
             result.record(bound.ok, f"seed {seed}: instrument bound violated {bound}")
     return result
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from . import gqi as gqi_mod
 from . import linalg
 from .combs import CombSignature
 from .errors import DimensionMismatchError, ValidationError
-from .gqi import ExtremalityCertificate, Gqi
+from .gqi import ExtremalityCertificate, Gqi, GqiVerdict
 from .linalg import DEFAULT_TOL, TolerancePolicy
 
 
@@ -89,38 +90,55 @@ def tester_normalization(t: Tester, pol: TolerancePolicy = DEFAULT_TOL):
     return rho, residual
 
 
-def tester_verdict(t: Tester, tol: float | None = None, pol: TolerancePolicy = DEFAULT_TOL):
-    """``(ok, verdict, rho)``: whether ``t`` is a valid 1-tester, the
-    :func:`gqi.is_valid_gqi` verdict of its GQI view, and rho.
+class TesterVerdict(NamedTuple):
+    """A tester's checks: validity, the :func:`gqi.is_valid_gqi` verdict of
+    its GQI view, rho and the support rank of rho."""
+
+    ok: bool
+    verdict: GqiVerdict
+    rho: np.ndarray
+    rho_rank: int
+
+
+def tester_verdict(t: Tester, tol: float | None = None, pol: TolerancePolicy = DEFAULT_TOL) -> TesterVerdict:
+    """Whether ``t`` is a valid 1-tester, with the GQI verdict and rho.
 
     On the signature (1, d_1, d_2, 1) the cascade residuals are the
     product-form residual |sum T_i - I (x) rho|_max and |Tr rho - 1|, so the
     verdict covers all of a tester's conditions but one: rho must also be PSD
     within supp_tol(d_1, .), tighter than the comb check's supp_tol(d_1 d_2, .).
+    Its rank counts the eigenvalues above supp_tol(d_1, lambda_max).
     """
     verdict = gqi_mod.is_valid_gqi(Gqi(t.signature, t.outcomes), tol=tol, pol=pol)
     rho, _ = tester_normalization(t, pol)
     w = np.linalg.eigvalsh(rho)
-    return verdict.ok and bool(w[0] >= -pol.supp_tol(t.d1, float(w[-1]))), verdict, rho
+    cutoff = pol.supp_tol(t.d1, float(w[-1]))
+    ok = verdict.ok and bool(w[0] >= -cutoff)
+    return TesterVerdict(ok, verdict, rho, int(np.count_nonzero(w > cutoff)))
 
 
 def is_valid_tester(
     t: Tester, tol: float | None = None, pol: TolerancePolicy = DEFAULT_TOL
 ) -> bool:
-    return tester_verdict(t, tol, pol)[0]
+    return tester_verdict(t, tol, pol).ok
 
 
-def _valid_tester(t: Tester, pol: TolerancePolicy):
-    ok, verdict, rho = tester_verdict(t, pol=pol)
-    if not ok:
+def _valid_tester(t: Tester, pol: TolerancePolicy, validation: TesterVerdict | None = None):
+    if validation is None:
+        validation = tester_verdict(t, pol=pol)
+    if not validation.ok:
         raise ValidationError("not a valid 1-tester")
-    return verdict, rho
+    return validation
 
 
-def is_extremal_tester(t: Tester, pol: TolerancePolicy = DEFAULT_TOL) -> ExtremalityCertificate:
+def is_extremal_tester(
+    t: Tester, pol: TolerancePolicy = DEFAULT_TOL, validation: TesterVerdict | None = None
+) -> ExtremalityCertificate:
     """The GQI rank test on the tester's view, validated once: the tester
-    checks of :func:`tester_verdict`, whose eigenpairs the rank test reuses."""
-    verdict, _ = _valid_tester(t, pol)
+    checks of :func:`tester_verdict`, whose eigenpairs the rank test reuses.
+    ``validation`` is the caller's :func:`tester_verdict` on ``t`` at ``pol``,
+    when it has one."""
+    verdict = _valid_tester(t, pol, validation).verdict
     return gqi_mod.is_extremal(Gqi(t.signature, t.outcomes), pol=pol, validation=verdict)
 
 
@@ -143,11 +161,18 @@ class TesterBounds:
         )
 
 
-def check_bounds(t: Tester, pol: TolerancePolicy = DEFAULT_TOL) -> TesterBounds:
-    """Necessary counting bounds for extremality (never sufficient)."""
-    rho, _ = tester_normalization(t, pol)
-    r = int(linalg.hermitian_eig(rho, pol).support_ranks(pol))
-    ranks = [int(linalg.hermitian_eig(op, pol).support_ranks(pol)) for op in t.outcomes]
+def check_bounds(
+    t: Tester, pol: TolerancePolicy = DEFAULT_TOL, validation: TesterVerdict | None = None
+) -> TesterBounds:
+    """Necessary counting bounds for extremality (never sufficient).
+
+    The ranks of rho and of the outcomes come from :func:`tester_verdict`:
+    the caller's ``validation`` on ``t`` at ``pol`` when it has one, so that
+    nothing is decomposed again."""
+    if validation is None:
+        validation = tester_verdict(t, pol=pol)
+    r = validation.rho_rank
+    ranks = [int(x) for x in validation.verdict.spectra.support_ranks(pol)]
     lhs = sum(x * x for x in ranks) + r * r - 1
     rhs = (r * t.d2) ** 2
     applicable = all(x == 1 for x in ranks) and r == t.d1
@@ -310,7 +335,7 @@ def classify_two_outcome_qubit(
     """
     if t.d1 != 2 or t.d2 != 2 or t.n_outcomes != 2:
         raise DimensionMismatchError("closed form requires a two-outcome qubit tester")
-    verdict, rho = _valid_tester(t, pol)
+    _, verdict, rho, _ = _valid_tester(t, pol)
     if linalg.max_abs(rho - np.eye(2) / 2.0) > pol.eps_comb:
         eig = linalg.hermitian_eig(rho, pol)
         if eig.support_ranks(pol) == 2:

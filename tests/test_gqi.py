@@ -3,11 +3,14 @@ constructive decomposition."""
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from exqip import combs, gqi, linalg
+from exqip import channels, combs, gqi, linalg
 from exqip.combs import CombSignature
 from exqip.errors import DimensionMismatchError, ExtremalInputError, ValidationError
 from exqip.gqi import Gqi
+
+from test_head_rank import measure_and_prepare
 
 CHANNEL_SIG = CombSignature((2, 2))
 
@@ -180,3 +183,87 @@ class TestPerturbationStep:
     def test_zero_directions_rejected(self):
         with pytest.raises(ValidationError):
             gqi.max_perturbation_step([np.eye(2)], [np.zeros((2, 2))])
+
+
+# (d0, d1) and Kraus counts per outcome of the random instruments below.
+INSTRUMENT_SHAPES = [
+    ((2, 2), (1, 1)),
+    ((2, 2), (1, 2)),
+    ((2, 2), (2, 2)),
+    ((2, 2), (1, 1, 1)),
+    ((2, 3), (1, 3)),
+    ((3, 2), (2, 2, 1)),
+]
+GQI_KINDS = ["instrument", "full-rank", "measure-and-prepare"]
+
+
+def random_instrument_gqi(shape, seed):
+    (d0, d1), counts = INSTRUMENT_SHAPES[shape]
+    ins = channels.random_instrument(d0, d1, counts, np.random.default_rng(seed))
+    return Gqi(ins.signature, ins.outcomes)
+
+
+def draw_gqi(kind, seed):
+    """A random GQI of one of three kinds:
+
+    * a random instrument (INSTRUMENT_SHAPES);
+    * full rank: two or three random full-rank combs at (2,2) or (2,2,2,2)
+      with random weights, whose rows outnumber their span, so that the rank
+      is decided on the head;
+    * measure and prepare: rho_i (x) |u_i><u_i|^T, each outcome's projected
+      rows of rank 1, so that the head is deficient and the rank comes from
+      the full stack.
+    """
+    rng = np.random.default_rng(seed)
+    if kind == "instrument":
+        return random_instrument_gqi(int(rng.integers(len(INSTRUMENT_SHAPES))), seed)
+    if kind == "full-rank":
+        sig = CombSignature([(2, 2), (2, 2, 2, 2)][rng.integers(2)])
+        weights = rng.dirichlet(np.ones(int(rng.integers(2, 4))))
+        return Gqi(
+            sig,
+            tuple(
+                w * combs.random_deterministic_comb(sig, seed=rng, spread=0.5).operator
+                for w in weights
+            ),
+        )
+    return measure_and_prepare(rng, *[(2, 2), (2, 3), (3, 2)][rng.integers(3)])
+
+
+class TestProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(GQI_KINDS), st.integers(0, 2**31 - 1))
+    def test_outcome_permutation(self, kind, seed):
+        """Permuting the outcomes leaves verdict, rank and family size alone
+        and permutes the support ranks."""
+        g = draw_gqi(kind, seed)
+        order = np.random.default_rng(seed + 1).permutation(g.n_outcomes)
+        a = gqi.is_extremal(g)
+        b = gqi.is_extremal(Gqi(g.signature, tuple(g.outcomes[i] for i in order)))
+        assert (b.extremal, b.rank, b.family_size) == (a.extremal, a.rank, a.family_size)
+        assert b.support_ranks == tuple(a.support_ranks[i] for i in order)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, len(INSTRUMENT_SHAPES) - 1), st.integers(0, 2**31 - 1), st.integers(0, 2**31 - 1))
+    def test_midpoint_of_distinct_instruments(self, shape, seed_a, seed_b):
+        a = random_instrument_gqi(shape, seed_a)
+        b = random_instrument_gqi(shape, seed_b)
+        assume(max(linalg.max_abs(x - y) for x, y in zip(a.outcomes, b.outcomes)) > 1e-6)
+        assert not gqi.is_extremal(gqi.mix(a, b)).extremal
+
+    def test_kinds_run_both_rank_paths(self, monkeypatch):
+        """Full-rank draws are decided on the head alone (one SVD); measure
+        and prepare draws fall back to the values-only SVD of the full stack."""
+        calls = []
+        svd = np.linalg.svd
+
+        def counted(a, *args, compute_uv=True, **kwargs):
+            calls.append(compute_uv)
+            return svd(a, *args, compute_uv=compute_uv, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        for kind, want in (("full-rank", [True]), ("measure-and-prepare", [True, False])):
+            for seed in range(5):
+                calls.clear()
+                gqi.is_extremal(draw_gqi(kind, seed))
+                assert sorted(calls, reverse=True) == want
