@@ -59,12 +59,10 @@ from .errors import (
 )
 from .gqi import (
     ExtremalityCertificate,
-    ExtremalityProfile,
     Gqi,
     GqiVerdict,
     Perturbation,
     decompose_step,
-    extremality_profile,
     is_extremal,
     is_valid_gqi,
     mix,

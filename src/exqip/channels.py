@@ -144,12 +144,12 @@ def instrument_from_kraus(outcome_kraus, d1: int | None = None, d0: int | None =
     return Instrument(d1=d1, d0=d0, operators=tuple(ops))
 
 
-def is_valid_channel(c: Channel, tol: float | None = None, pol: TolerancePolicy = DEFAULT_TOL) -> bool:
-    return gqi_mod.is_valid_gqi(Gqi(c.signature, c.outcomes), tol=tol, pol=pol).ok
+def is_valid_channel(c: Channel, pol: TolerancePolicy = DEFAULT_TOL) -> bool:
+    return gqi_mod.is_valid_gqi(Gqi(c.signature, c.outcomes), pol=pol).ok
 
 
-def is_valid_instrument(ins: Instrument, tol: float | None = None, pol: TolerancePolicy = DEFAULT_TOL) -> bool:
-    return gqi_mod.is_valid_gqi(Gqi(ins.signature, ins.outcomes), tol=tol, pol=pol).ok
+def is_valid_instrument(ins: Instrument, pol: TolerancePolicy = DEFAULT_TOL) -> bool:
+    return gqi_mod.is_valid_gqi(Gqi(ins.signature, ins.outcomes), pol=pol).ok
 
 
 def _validated(obj, pol: TolerancePolicy, validation: gqi_mod.GqiVerdict | None = None):

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import channels, combs, fileio, gqi as gqi_mod, linalg, suites, testers
 from .combs import CombSignature
-from .errors import ExqipError, FileFormatError, SizeLimitError, ValidationError
+from .errors import DimensionMismatchError, ExqipError, FileFormatError, SizeLimitError, ValidationError
 from .gqi import Gqi
 from .linalg import TolerancePolicy
 from .testers import Povm, Tester
@@ -158,10 +158,9 @@ def cmd_decompose(args) -> int:
 
 def _parse_signature(text: str) -> CombSignature:
     try:
-        dims = tuple(int(part) for part in text.split(",") if part.strip())
-    except ValueError as exc:
+        return CombSignature(tuple(int(part) for part in text.split(",") if part.strip()))
+    except (ValueError, DimensionMismatchError) as exc:
         raise ValueError(f"bad signature {text!r}: {exc}") from exc
-    return CombSignature(dims)
 
 
 def cmd_generate(args) -> int:
@@ -170,9 +169,13 @@ def cmd_generate(args) -> int:
         obj = testers.schmidt_tester(args.schmidt_angle)
         meta = {"schmidt_angle": args.schmidt_angle}
     elif args.kind == "split-tester":
+        if args.base is None:
+            raise ValueError("split-tester needs --base")
         base = fileio.load_object(args.base)
         if not isinstance(base, Tester):
             raise FileFormatError("--base must point to a tester file")
+        if not 0 <= args.outcome < base.n_outcomes:
+            raise ValueError(f"--outcome {args.outcome} out of range for {base.n_outcomes} outcomes")
         if args.sub_povm:
             sub = fileio.load_object(args.sub_povm)
             if not isinstance(sub, Povm):

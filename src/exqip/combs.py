@@ -109,7 +109,7 @@ def is_deterministic_comb(
         tol = pol.eps_comb
     w = np.linalg.eigvalsh(r)
     lam_min = float(w[0])
-    psd_ok = lam_min >= -pol.supp_tol(r.shape[0], float(w[-1]))
+    psd_ok = bool(lam_min >= -pol.supp_tol(r.shape[0], float(w[-1])))
 
     residuals = []
     current = r
@@ -149,14 +149,13 @@ def reduced_comb(
     return DeterministicComb(signature=sig.truncated(level), operator=op)
 
 
-def _level_blocks(sig: CombSignature):
-    """Per-level (top identity dim, odd dim, lower dim) for the variable basis."""
+def _levels(sig: CombSignature):
+    """Per level n, from the last tooth down: (top, odd, even, low), the
+    dimensions of the spaces above 2n-1, of the odd space 2n-1, of the even
+    space 2n-2 and of the spaces below it."""
     dims = sig.dims
     for n in range(sig.n, 0, -1):
-        odd = dims[2 * n - 1]
-        top = math.prod(dims[2 * n :]) if 2 * n < len(dims) else 1
-        low = math.prod(dims[: 2 * n - 1])
-        yield top, odd, low
+        yield math.prod(dims[2 * n :]), dims[2 * n - 1], dims[2 * n - 2], math.prod(dims[: 2 * n - 2])
 
 
 def comb_variable_basis(sig: CombSignature) -> list:
@@ -169,31 +168,17 @@ def comb_variable_basis(sig: CombSignature) -> list:
     can fail.
     """
     out = []
-    for top, odd, low in _level_blocks(sig):
+    for top, odd, even, low in _levels(sig):
         eye_top = np.eye(top, dtype=complex) / math.sqrt(top)
         for e in linalg.traceless_hermitian_basis(odd):
-            for f in linalg.hermitian_basis(low):
+            for f in linalg.hermitian_basis(even * low):
                 out.append(linalg.kron(eye_top, linalg.kron(e, f)))
     return out
 
 
 def comb_variable_count(sig: CombSignature) -> int:
     """Closed-form size of the variable basis (independent of enumeration)."""
-    total = 0
-    dims = sig.dims
-    for n in range(1, sig.n + 1):
-        odd = dims[2 * n - 1]
-        low = math.prod(dims[: 2 * n - 1])
-        total += (odd * odd - 1) * low * low
-    return total
-
-
-def _forbidden_levels(sig: CombSignature):
-    """Per-level (top, even, low) of the forbidden directions: the identity
-    dimension on spaces >= 2n-1, the even space 2n-2 and everything below it."""
-    dims = sig.dims
-    for n in range(sig.n, 0, -1):
-        yield math.prod(dims[2 * n - 1 :]), dims[2 * n - 2], math.prod(dims[: 2 * n - 2])
+    return sum((odd * odd - 1) * (even * low) ** 2 for _, odd, even, low in _levels(sig))
 
 
 def comb_forbidden_directions(sig: CombSignature) -> list:
@@ -204,8 +189,8 @@ def comb_forbidden_directions(sig: CombSignature) -> list:
     :func:`comb_variable_basis`.
     """
     out = []
-    for top, even, low in _forbidden_levels(sig):
-        eye_top = np.eye(top, dtype=complex) / math.sqrt(top)
+    for top, odd, even, low in _levels(sig):
+        eye_top = np.eye(top * odd, dtype=complex) / math.sqrt(top * odd)
         for e in linalg.traceless_hermitian_basis(even):
             for f in linalg.hermitian_basis(low):
                 out.append(linalg.kron(eye_top, linalg.kron(e, f)))
@@ -240,10 +225,10 @@ def complement_coordinates(
     trace = np.zeros((r * r, 1))
     trace[:r] = 1.0 / math.sqrt(sig.total_dim)
     cols = [trace[start:stop]]
-    for top, even, low in _forbidden_levels(sig):
+    for top, odd, even, low in _levels(sig):
         if even == 1:
             continue
-        y = linalg.support_operators(u, top, start, stop) / math.sqrt(top)
+        y = linalg.support_operators(u, top * odd, start, stop) / math.sqrt(top * odd)
         cols.append(linalg.vectorize_hermitian(_traceless_part(y, even, low)))
     return np.hstack(cols)
 
@@ -253,10 +238,10 @@ def forbidden_part(op: np.ndarray, sig: CombSignature) -> np.ndarray:
     forbidden directions, by trace-and-replace on each level."""
     dim = sig.total_dim
     out = np.trace(op) / dim * np.eye(dim, dtype=complex)
-    for top, even, low in _forbidden_levels(sig):
-        y = linalg.partial_trace(op, (top, even * low), {0})
+    for top, odd, even, low in _levels(sig):
+        y = linalg.partial_trace(op, (top * odd, even * low), {0})
         y = _traceless_part(y[None], even, low)[0]
-        out = out + linalg.kron(np.eye(top, dtype=complex) / top, y)
+        out = out + linalg.kron(np.eye(top * odd, dtype=complex) / (top * odd), y)
     return out
 
 

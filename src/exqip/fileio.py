@@ -152,10 +152,13 @@ def payload_to_object(payload: dict):
         raise FileFormatError(f"unknown kind {name!r}; expected one of {tuple(KINDS)}")
     kind = KINDS[name]
     try:
-        signature = [int(d) for d in payload["signature"]]
+        signature = payload["signature"]
         matrices = [json_to_matrix(m) for m in payload["outcomes"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise FileFormatError(f"malformed operator file: {exc}") from exc
+    # bool is a subclass of int, and JSON true is not a dimension.
+    if not isinstance(signature, list) or any(type(d) is not int for d in signature):
+        raise FileFormatError(f"signature must be a list of integers, got {signature!r}")
     if not matrices:
         raise FileFormatError("operator file lists no outcomes")
     sig = kind.comb_signature(signature)
@@ -187,12 +190,7 @@ def load_object(path):
     return payload_to_object(payload)
 
 
-def certificate_to_payload(
-    kind: str,
-    cert: ExtremalityCertificate,
-    pol: TolerancePolicy,
-    residuals: dict | None = None,
-) -> dict:
+def certificate_to_payload(kind: str, cert: ExtremalityCertificate, pol: TolerancePolicy) -> dict:
     payload = {
         "format": CERTIFICATE_FORMAT_NAME,
         "version": FORMAT_VERSION,
@@ -202,7 +200,7 @@ def certificate_to_payload(
         "rank": cert.rank,
         "support_ranks": list(cert.support_ranks),
         "normalization_basis_size": cert.normalization_basis_size,
-        "residuals": dict(residuals or {}),
+        "residuals": {},
         "tolerance": {"eps_rel": pol.eps_rel, "comb_factor": pol.comb_factor},
         "tool_version": __version__,
         "perturbation": None,
@@ -216,9 +214,9 @@ def certificate_to_payload(
     return payload
 
 
-def save_certificate(path, kind, cert, pol, residuals=None) -> None:
+def save_certificate(path, kind, cert, pol) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_canonical(certificate_to_payload(kind, cert, pol, residuals)))
+        fh.write(dumps_canonical(certificate_to_payload(kind, cert, pol)))
 
 
 def load_certificate(path) -> ExtremalityCertificate:

@@ -67,23 +67,24 @@ class Perturbation:
 
 @dataclass(frozen=True)
 class ExtremalityCertificate:
+    """The outcome of :func:`is_extremal`.  ``margin`` is, when extremal, the
+    smallest singular value of the support family projected off V: how far
+    the family is from dependence.  It is ``None`` when the family is empty."""
+
     extremal: bool
     family_size: int
     rank: int
     support_ranks: tuple
     normalization_basis_size: int
     perturbation: Perturbation | None
+    margin: float | None = None
 
     @property
     def verdict(self) -> str:
         return "extremal" if self.extremal else "not_extremal"
 
 
-def is_valid_gqi(
-    g: Gqi,
-    tol: float | None = None,
-    pol: TolerancePolicy = DEFAULT_TOL,
-) -> GqiVerdict:
+def is_valid_gqi(g: Gqi, pol: TolerancePolicy = DEFAULT_TOL) -> GqiVerdict:
     """Accept iff every outcome is PSD and the sum is a deterministic comb.
 
     The outcomes are checked and decomposed as one stack: one batched
@@ -103,8 +104,8 @@ def is_valid_gqi(
         )
     spectra = linalg.hermitian_eigs(h)
     w = spectra.values
-    psd_ok = bool(np.all(w[:, -1] >= -pol.supp_tols(total, w[:, 0])))
-    comb_verdict = combs.is_deterministic_comb(g.normalization, g.signature, tol=tol, pol=pol)
+    psd_ok = bool(np.all(w[:, -1] >= -pol.supp_tol(total, w[:, 0])))
+    comb_verdict = combs.is_deterministic_comb(g.normalization, g.signature, pol=pol)
     return GqiVerdict(
         ok=psd_ok and comb_verdict.ok,
         outcome_min_eigenvalues=tuple(w[:, -1].tolist()),
@@ -134,7 +135,7 @@ def perturbation_slack(outcomes, directions, eps: float, pol: TolerancePolicy = 
     t = np.asarray(outcomes)
     d = np.asarray(directions)
     w = np.linalg.eigvalsh(np.concatenate([t + eps * d, t - eps * d]))
-    return float(np.min(w[:, 0] + 0.5 * pol.supp_tols(t.shape[-1], w[:, -1])))
+    return float(np.min(w[:, 0] + 0.5 * pol.supp_tol(t.shape[-1], w[:, -1])))
 
 
 def perturbation_feasible(outcomes, directions, eps: float, pol: TolerancePolicy = DEFAULT_TOL) -> bool:
@@ -193,7 +194,7 @@ def max_perturbation_step(
         w, v = np.linalg.eigh(t)
     else:
         w, v = spectra.values, spectra.vectors
-    shifted = w + 0.5 * pol.supp_tols(t.shape[-1], w.max(axis=1))[:, None]
+    shifted = w + 0.5 * pol.supp_tol(t.shape[-1], w.max(axis=1))[:, None]
     if shifted.min() <= 0.0:
         return 0.0
     # Rounding level of the eigenvalues, hence of the slack.  Shifted
@@ -289,7 +290,7 @@ def rank_stage_bytes(sig: CombSignature, support_ranks) -> int:
       SVD workspace.
     """
     d = sig.total_dim
-    reduced = [math.prod(sig.dims[: 2 * k + 1]) for k in range(sig.n) if sig.dims[2 * k] > 1]
+    reduced = [even * low for _, _, even, low in combs._levels(sig) if even > 1]
     n = 1 + sum(c * c for c in reduced)
     m = sum(r * r for r in support_ranks)
     h = min(m, d * d - combs.comb_variable_count(sig) + 1)
@@ -399,6 +400,10 @@ def is_extremal(
             delta=sum(directions),
             epsilon_star=max_perturbation_step(g.outcomes, directions, pol, validation.spectra),
         )
+    # An extremal family never has more members than its span, so its rank
+    # is never decided on the head alone: the values are the whole family's.
+    # A tolerance above every eigenvalue leaves the family empty.
+    s = decision.singular_values
     return ExtremalityCertificate(
         extremal=perturbation is None,
         family_size=family_size,
@@ -406,6 +411,7 @@ def is_extremal(
         support_ranks=support_ranks,
         normalization_basis_size=n_known,
         perturbation=perturbation,
+        margin=float(s[-1]) if perturbation is None and s.size else None,
     )
 
 
@@ -430,38 +436,6 @@ def decompose_step(
         outcomes=tuple(t - eps * d for t, d in zip(g.outcomes, pert.directions)),
     )
     return plus, minus
-
-
-@dataclass(frozen=True)
-class ExtremalityProfile:
-    extremal: bool
-    support_ranks: tuple
-    support_family_size: int
-    normalization_basis_size: int
-    ambient_dimension: int
-    rank: int
-    margin: float | None
-
-
-def extremality_profile(g: Gqi, pol: TolerancePolicy = DEFAULT_TOL) -> ExtremalityProfile:
-    """Aggregate counts, rank and, when extremal, the margin: the smallest
-    singular value of the support family projected off V.
-
-    The margin is read from the whole family's singular values: an extremal
-    family never has more members than its span, so its rank is never
-    decided on the head alone."""
-    _, supports, n_known, decision = _rank_test(g, pol)
-    support_ranks = tuple(u.shape[1] for u in supports)
-    extremal = decision.nullvector is None
-    return ExtremalityProfile(
-        extremal=extremal,
-        support_ranks=support_ranks,
-        support_family_size=sum(r * r for r in support_ranks),
-        normalization_basis_size=n_known,
-        ambient_dimension=g.signature.total_dim ** 2,
-        rank=decision.rank,
-        margin=float(decision.singular_values[-1]) if extremal else None,
-    )
 
 
 def mix(a: Gqi, b: Gqi, weight: float = 0.5) -> Gqi:

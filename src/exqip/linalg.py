@@ -47,13 +47,10 @@ class TolerancePolicy:
     def rank_tol(self, n_rows: int, n_cols: int, sigma_max: float) -> float:
         return max(n_rows, n_cols) * sigma_max * self.eps_rel
 
-    def supp_tol(self, dim: int, lambda_max: float) -> float:
+    def supp_tol(self, dim: int, lambda_max: float | np.ndarray) -> float | np.ndarray:
+        """Support cutoff for a largest eigenvalue, or elementwise for an array of them."""
         # The max(., 1) floor keeps near-zero outcomes (a legal degenerate
         # case) from tripping the negativity check on float dust.
-        return dim * max(lambda_max, 1.0) * self.eps_rel
-
-    def supp_tols(self, dim: int, lambda_max: np.ndarray) -> np.ndarray:
-        """:meth:`supp_tol` for an array of largest eigenvalues."""
         return dim * np.maximum(lambda_max, 1.0) * self.eps_rel
 
     def scaled(self, eps_rel: float) -> "TolerancePolicy":
@@ -83,7 +80,7 @@ class EigenDecomposition:
     def support_ranks(self, pol: "TolerancePolicy") -> np.ndarray:
         """Eigenvalues above the support cutoff supp_tol(d, lambda_max), per
         operator: the leading columns of ``vectors`` that span its support."""
-        tau = pol.supp_tols(self.values.shape[-1], self.values[..., :1])
+        tau = pol.supp_tol(self.values.shape[-1], self.values[..., :1])
         return np.count_nonzero(self.values > tau, axis=-1)
 
 
@@ -169,7 +166,11 @@ def hermitian_eig(a: np.ndarray, pol: TolerancePolicy = DEFAULT_TOL) -> EigenDec
 
 def sqrt_psd(a: np.ndarray, pol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
     """Square root of a Hermitian operator with negative eigenvalues clipped to 0."""
-    eig = hermitian_eig(a, pol)
+    return eig_sqrt(hermitian_eig(a, pol))
+
+
+def eig_sqrt(eig: EigenDecomposition) -> np.ndarray:
+    """:func:`sqrt_psd` of the operator that ``eig`` decomposes."""
     return (eig.vectors * np.sqrt(np.clip(eig.values, 0.0, None))) @ eig.vectors.conj().T
 
 

@@ -100,7 +100,7 @@ class TesterVerdict(NamedTuple):
     rho_rank: int
 
 
-def tester_verdict(t: Tester, tol: float | None = None, pol: TolerancePolicy = DEFAULT_TOL) -> TesterVerdict:
+def tester_verdict(t: Tester, pol: TolerancePolicy = DEFAULT_TOL) -> TesterVerdict:
     """Whether ``t`` is a valid 1-tester, with the GQI verdict and rho.
 
     On the signature (1, d_1, d_2, 1) the cascade residuals are the
@@ -109,7 +109,7 @@ def tester_verdict(t: Tester, tol: float | None = None, pol: TolerancePolicy = D
     within supp_tol(d_1, .), tighter than the comb check's supp_tol(d_1 d_2, .).
     Its rank counts the eigenvalues above supp_tol(d_1, lambda_max).
     """
-    verdict = gqi_mod.is_valid_gqi(Gqi(t.signature, t.outcomes), tol=tol, pol=pol)
+    verdict = gqi_mod.is_valid_gqi(Gqi(t.signature, t.outcomes), pol=pol)
     rho, _ = tester_normalization(t, pol)
     w = np.linalg.eigvalsh(rho)
     cutoff = pol.supp_tol(t.d1, float(w[-1]))
@@ -117,10 +117,8 @@ def tester_verdict(t: Tester, tol: float | None = None, pol: TolerancePolicy = D
     return TesterVerdict(ok, verdict, rho, int(np.count_nonzero(w > cutoff)))
 
 
-def is_valid_tester(
-    t: Tester, tol: float | None = None, pol: TolerancePolicy = DEFAULT_TOL
-) -> bool:
-    return tester_verdict(t, tol, pol).ok
+def is_valid_tester(t: Tester, pol: TolerancePolicy = DEFAULT_TOL) -> bool:
+    return tester_verdict(t, pol).ok
 
 
 def _valid_tester(t: Tester, pol: TolerancePolicy, validation: TesterVerdict | None = None):
@@ -198,11 +196,10 @@ def xi_transform(
     Maps uniform-normalization testers to normalization I (x) rho; invertible
     for full-rank rho and preserves the extremality verdict.
     """
-    rho = linalg.check_hermitian(rho, pol)
-    w = np.linalg.eigvalsh(rho)
-    if w[0] <= pol.supp_tol(t.d1, float(w[-1])):
+    eig = linalg.hermitian_eig(rho, pol)
+    if eig.values[-1] <= pol.supp_tol(t.d1, float(eig.values[0])):
         raise ValidationError("xi transform requires a full-rank state")
-    a = linalg.kron(np.eye(t.d2, dtype=complex), linalg.sqrt_psd(rho, pol) @ u)
+    a = linalg.kron(np.eye(t.d2, dtype=complex), linalg.eig_sqrt(eig) @ u)
     return Tester(
         d2=t.d2,
         d1=t.d1,
@@ -214,7 +211,6 @@ def xi_inverse(
     t: Tester, rho: np.ndarray, u: np.ndarray, pol: TolerancePolicy = DEFAULT_TOL
 ) -> Tester:
     """Inverse of :func:`xi_transform` for the same (rho, U)."""
-    rho = linalg.check_hermitian(rho, pol)
     eig = linalg.hermitian_eig(rho, pol)
     if eig.values[-1] <= pol.supp_tol(t.d1, float(eig.values[0])):
         raise ValidationError("xi transform requires a full-rank state")
@@ -227,10 +223,8 @@ def xi_inverse(
     )
 
 
-def povm_is_valid(
-    p: Povm, tol: float | None = None, pol: TolerancePolicy = DEFAULT_TOL
-) -> bool:
-    return gqi_mod.is_valid_gqi(Gqi(p.signature, p.outcomes), tol=tol, pol=pol).ok
+def povm_is_valid(p: Povm, pol: TolerancePolicy = DEFAULT_TOL) -> bool:
+    return gqi_mod.is_valid_gqi(Gqi(p.signature, p.outcomes), pol=pol).ok
 
 
 def povm_is_extremal(p: Povm, pol: TolerancePolicy = DEFAULT_TOL) -> bool:
@@ -288,7 +282,7 @@ def split_outcome(
             raise ValidationError("sub-POVM effect not positive semidefinite")
         if linalg.max_abs(h - proj @ h @ proj) > pol.eps_comb:
             raise ValidationError("sub-POVM effect not supported on Supp(T_i)")
-    root = linalg.sqrt_psd(t.outcomes[index], pol)
+    root = linalg.eig_sqrt(eig)
     pieces = tuple(root @ e @ root for e in sub_effects)
     outcomes = t.outcomes[:index] + pieces + t.outcomes[index + 1 :]
     return Tester(d2=t.d2, d1=t.d1, outcomes=outcomes)

@@ -151,6 +151,24 @@ class TestCli:
         assert self.run("no-such-command") == 2
         assert self.run("generate", "no-such-kind", "--out", "x.json") == 2
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["split-tester"],
+            ["split-tester", "--base", "{base}", "--outcome", "5"],
+            ["split-tester", "--base", "{base}", "--outcome", "-1"],
+            ["random-comb", "--signature", "2,2,2"],
+        ],
+    )
+    def test_bad_generate_options_exit_2(self, args, tmp_path, capsys):
+        base = tmp_path / "base.json"
+        fileio.save_object(base, bell_tester())
+        args = [a.format(base=base) for a in args]
+        assert self.run("generate", *args, "--out", str(tmp_path / "out.json")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not (tmp_path / "out.json").exists()
+
     def test_decompose_tree(self, tmp_path, capsys):
         src = str(tmp_path / "prod.json")
         out_dir = str(tmp_path / "tree")

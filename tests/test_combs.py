@@ -109,6 +109,18 @@ class TestVariableBasis:
     def test_povm_signature_empty(self):
         assert combs.comb_variable_basis(CombSignature((3, 1))) == []
 
+    @pytest.mark.parametrize(
+        "dims, count",
+        [((2, 2), 12), ((2, 3), 32), ((3, 1), 0), ((1, 2, 2, 1), 3), ((2, 3, 3, 2), 1004),
+         ((2,) * 6, 3276), ((4,) * 4, 61680)],
+    )
+    def test_count_matches_basis(self, dims, count):
+        sig = CombSignature(dims)
+        assert combs.comb_variable_count(sig) == count
+        # The two largest bases would take about 0.2 GB and 68 GB.
+        if sig.total_dim <= 36:
+            assert len(combs.comb_variable_basis(sig)) == count
+
     @pytest.mark.parametrize("sig", [QUBIT_CHANNEL, TESTER_SIG, TWO_COMB])
     def test_orthonormal(self, sig):
         basis = combs.comb_variable_basis(sig)

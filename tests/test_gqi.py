@@ -9,6 +9,7 @@ from exqip import channels, combs, gqi, linalg
 from exqip.combs import CombSignature
 from exqip.errors import DimensionMismatchError, ExtremalInputError, ValidationError
 from exqip.gqi import Gqi
+from exqip.linalg import TolerancePolicy
 
 from test_head_rank import measure_and_prepare
 
@@ -59,20 +60,27 @@ class TestExtremality:
         assert cert.verdict == "extremal"
 
     def test_profile_counts_unitary(self):
-        profile = gqi.extremality_profile(unitary_channel_gqi())
-        assert profile.extremal
-        assert profile.support_ranks == (1,)
-        assert profile.support_family_size == 1
-        assert profile.normalization_basis_size == 12
-        assert profile.rank == 13
-        assert profile.ambient_dimension == 16
-        assert profile.margin is not None and profile.margin > 1e-3
+        g = unitary_channel_gqi()
+        cert = gqi.is_extremal(g)
+        assert cert.extremal
+        assert cert.support_ranks == (1,)
+        assert cert.family_size - cert.normalization_basis_size == 1
+        assert cert.normalization_basis_size == 12
+        assert cert.rank == 13
+        assert g.signature.total_dim ** 2 == 16
+        assert cert.margin is not None and cert.margin > 1e-3
+
+    def test_tolerance_above_every_eigenvalue(self):
+        """No support is left: V alone is independent, and there is no margin."""
+        cert = gqi.is_extremal(unitary_channel_gqi(), pol=TolerancePolicy(eps_rel=0.5))
+        assert cert.extremal and cert.support_ranks == (0,) and cert.margin is None
 
     def test_depolarizing_not_extremal(self):
         cert = gqi.is_extremal(depolarizing_gqi())
         assert not cert.extremal
         assert cert.rank < cert.family_size
         assert cert.perturbation is not None
+        assert cert.margin is None
 
     def test_certificate_soundness(self):
         """The perturbation must satisfy all structural side conditions."""

@@ -197,6 +197,24 @@ class TestSizeGuard:
         with pytest.raises(SizeLimitError):
             gqi.is_extremal(ladder_inputs((2, 2), np.random.default_rng(1))[2])
 
+    @pytest.mark.parametrize(
+        "dims, full, mixed",
+        [
+            ((2, 2), 9336, 5384),
+            ((2, 3), 19256, 5384),
+            ((3, 1), 15104, 14144),
+            ((1, 2, 2, 1), 41088, 26576),
+            ((2, 3, 3, 2), 52316600, 378704),
+            ((2,) * 6, 524647288, 1209744),
+            ((4,) * 4, 30967127864, 4670416),
+        ],
+    )
+    def test_estimate_values(self, dims, full, mixed):
+        """The estimate for two full-rank outcomes and for support ranks (1, 2, 3)."""
+        sig = CombSignature(dims)
+        assert gqi.rank_stage_bytes(sig, (sig.total_dim,) * 2) == full
+        assert gqi.rank_stage_bytes(sig, (1, 2, 3)) == mixed
+
     def test_default_budget_admits_the_ladder_and_fixtures(self):
         """The full-rank two-outcome GQI at (2,2,2,2,2,2) fits (not run here),
         (4,4,4,4) does not, and every CLI fixture runs."""

@@ -69,7 +69,10 @@ MALFORMED = {
 def test_malformed_signature_exits_2(name, tmp_path, capsys):
     with open(fixture_path(name), encoding="utf-8") as fh:
         payload = json.load(fh)
-    for signature in MALFORMED[name]:
+    first, *rest = payload["signature"]
+    # Entries that are not JSON integers, though int() would take them.
+    not_integers = [[float(first), *rest], [first + 0.5, *rest], [str(first), *rest], [True, *rest]]
+    for signature in MALFORMED[name] + not_integers:
         payload["signature"] = signature
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(payload))

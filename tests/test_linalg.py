@@ -39,10 +39,11 @@ class TestTolerancePolicy:
         # near-zero operators still get a usable threshold
         assert DEFAULT_TOL.supp_tol(4, 1e-30) == DEFAULT_TOL.supp_tol(4, 1.0)
 
-    def test_supp_tols_elementwise(self):
+    def test_supp_tol_elementwise(self):
         lam = np.array([-1.0, 1e-30, 0.5, 1.0, 3.0, 1e6])
-        expected = [DEFAULT_TOL.supp_tol(5, float(x)) for x in lam]
-        assert DEFAULT_TOL.supp_tols(5, lam).tolist() == expected
+        expected = [5 * max(float(x), 1.0) * DEFAULT_TOL.eps_rel for x in lam]
+        assert DEFAULT_TOL.supp_tol(5, lam).tolist() == expected
+        assert [DEFAULT_TOL.supp_tol(5, float(x)) for x in lam] == expected
 
 
 class TestCheckHermitian:

@@ -246,14 +246,14 @@ class TestRankBookkeeping:
 
     def test_profile_margin_is_smallest_projected_singular_value(self):
         g = ladder_inputs((2, 2, 2, 2), np.random.default_rng(8))[0]
-        profile = gqi.extremality_profile(g)
+        cert = gqi.is_extremal(g)
         x = combs.complement_coordinates(linalg.support_vectors(g.outcomes[0]), g.signature)
-        assert profile.extremal
-        assert profile.margin == pytest.approx(np.linalg.svd(x, compute_uv=False)[-1], rel=1e-12)
+        assert cert.extremal
+        assert cert.margin == pytest.approx(np.linalg.svd(x, compute_uv=False)[-1], rel=1e-12)
 
 
 def test_no_variable_basis_is_built(monkeypatch):
-    """Deciding, profiling and sampling never enumerate the D^2-long V basis."""
+    """Deciding and sampling never enumerate the D^2-long V basis."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("explicit normalization basis built")
@@ -265,5 +265,4 @@ def test_no_variable_basis_is_built(monkeypatch):
     sig = CombSignature((2, 2, 2, 2))
     for g in ladder_inputs(sig.dims, np.random.default_rng(1)):
         gqi.is_extremal(g)
-        gqi.extremality_profile(g)
     combs.random_deterministic_comb(sig, seed=1)

@@ -151,25 +151,45 @@ def test_verdicts_of_one_gqi_compare_equal():
     assert "spectra" not in repr(first)
 
 
+def eig_calls(monkeypatch) -> dict:
+    """The arguments of every later ``np.linalg.eigh`` and ``eigvalsh`` call."""
+    calls = {"eigh": [], "eigvalsh": []}
+    for name in calls:
+        fn = getattr(np.linalg, name)
+
+        def counted(a, *args, _fn=fn, _name=name, **kwargs):
+            calls[_name].append(np.array(a))
+            return _fn(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
 class TestCount:
     def test_one_batched_outcome_decomposition(self, monkeypatch):
         g = three_outcome_gqi()
-        calls = {"eigh": [], "eigvalsh": []}
-        for name in calls:
-            fn = getattr(np.linalg, name)
-
-            def counted(a, *args, _fn=fn, _name=name, **kwargs):
-                calls[_name].append(np.shape(a))
-                return _fn(a, *args, **kwargs)
-
-            monkeypatch.setattr(np.linalg, name, counted)
+        calls = eig_calls(monkeypatch)
         cert = gqi.is_extremal(g)
         assert not cert.extremal and cert.perturbation.epsilon_star > 0.0
-        assert calls["eigh"] == [(3, 4, 4)]
+        assert [a.shape for a in calls["eigh"]] == [(3, 4, 4)]
         # The comb check reads only the extreme eigenvalues of the sum; every
         # other eigvalsh call is a stack of the epsilon* step.
-        assert calls["eigvalsh"].count((4, 4)) == 1
-        assert all(len(shape) == 3 for shape in calls["eigvalsh"] if shape != (4, 4))
+        shapes = [a.shape for a in calls["eigvalsh"]]
+        assert shapes.count((4, 4)) == 1
+        assert all(len(shape) == 3 for shape in shapes if shape != (4, 4))
+
+    def test_xi_and_split_decompose_once(self, monkeypatch):
+        """sqrt(rho) and sqrt(T_i) come from the eigh that checks them."""
+        t = testers.schmidt_tester(0.3)
+        rho = np.diag([0.3, 0.7]).astype(complex)
+        effects = testers.projective_split_effects(t.outcomes[1])
+        calls = eig_calls(monkeypatch)
+        testers.xi_transform(t, rho, channels.random_unitary(2, np.random.default_rng(0)))
+        assert len(calls["eigh"]) == 1 and np.array_equal(calls["eigh"][0], rho)
+        assert calls["eigvalsh"] == []
+        calls["eigh"].clear()
+        testers.split_outcome(t, 1, effects)
+        assert len(calls["eigh"]) == 1 and np.array_equal(calls["eigh"][0], t.outcomes[1])
 
     def test_no_per_outcome_eig(self, monkeypatch):
         def refuse(*args, **kwargs):
