@@ -173,18 +173,23 @@ def _validated_kraus(obj, pol: TolerancePolicy, validation: gqi_mod.GqiVerdict |
     ]
 
 
-def choi_condition(c: Channel, pol: TolerancePolicy = DEFAULT_TOL) -> bool:
+def choi_condition(
+    c: Channel, pol: TolerancePolicy = DEFAULT_TOL, validation: gqi_mod.GqiVerdict | None = None
+) -> bool:
     """Choi's criterion: {K_m^dagger K_n} over the minimal Kraus family must be
-    linearly independent."""
-    (ks,) = _validated_kraus(c, pol)
+    linearly independent.  ``validation`` as in :func:`instrument_extremal`."""
+    (ks,) = _validated_kraus(c, pol, validation)
     products = [km.conj().T @ kn for km in ks for kn in ks]
     return linalg.complex_family_rank(products, pol) == len(products)
 
 
-def channel_extremal_theorem1(c: Channel, pol: TolerancePolicy = DEFAULT_TOL) -> bool:
+def channel_extremal_theorem1(
+    c: Channel, pol: TolerancePolicy = DEFAULT_TOL, validation: gqi_mod.GqiVerdict | None = None
+) -> bool:
     """Master-criterion form: {|K_m>><<K_n|} pooled with {sigma_a (x) I} and
-    {sigma_a (x) sigma_b} must be linearly independent."""
-    (ks,) = _validated_kraus(c, pol)
+    {sigma_a (x) sigma_b} must be linearly independent.  ``validation`` as in
+    :func:`instrument_extremal`."""
+    (ks,) = _validated_kraus(c, pol, validation)
     vs = [vec_op(k) for k in ks]
     family = [np.outer(vm, vn.conj()) for vm in vs for vn in vs]
     family.extend(_theorem1_normalization_family(c.d1, c.d0))

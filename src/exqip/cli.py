@@ -150,9 +150,10 @@ def cmd_decompose(args) -> int:
         "total_weight": sum(e["weight"] for e in entries),
         "reconstruction_residual": float(residual),
     }
+    text = fileio.dumps_canonical(summary)
     with open(os.path.join(args.out, "summary.json"), "w", encoding="utf-8") as fh:
-        fh.write(fileio.dumps_canonical(summary))
-    print(json.dumps(summary, indent=2, sort_keys=True))
+        fh.write(text)
+    sys.stdout.write(text)
     return 0 if residual <= 1e-8 else 1
 
 
@@ -186,9 +187,13 @@ def cmd_generate(args) -> int:
         obj = testers.split_outcome(base, args.outcome, effects, pol)
         meta = {"base": os.path.basename(args.base), "outcome": args.outcome}
     elif args.kind == "combination":
+        if args.k != 5 and args.k not in channels.APPENDIX_TABLE:
+            raise ValueError(f"unknown combination {args.k}; valid rows are 1,2,3,4,6,7,8")
         obj = channels.combination_fixture(args.k)
         meta = {"combination": args.k}
     elif args.kind == "random-comb":
+        if not 0.0 <= args.spread <= 1.0:
+            raise ValueError(f"--spread must lie in [0, 1], got {args.spread}")
         sig = _parse_signature(args.signature)
         comb = combs.random_deterministic_comb(sig, seed=args.seed, spread=args.spread)
         obj = comb

@@ -133,9 +133,24 @@ def perturbation_slack(outcomes, directions, eps: float, pol: TolerancePolicy = 
     change in eps is the root that :func:`max_perturbation_step` refines.
     """
     t = np.asarray(outcomes)
-    d = np.asarray(directions)
-    w = np.linalg.eigvalsh(np.concatenate([t + eps * d, t - eps * d]))
-    return float(np.min(w[:, 0] + 0.5 * pol.supp_tol(t.shape[-1], w[:, -1])))
+    return block_slack(t, np.asarray(directions), eps, t.shape[-1], pol)
+
+
+def block_slack(base, blocks, eps: float, dim: int, pol: TolerancePolicy = DEFAULT_TOL, outside=None) -> float:
+    """:func:`perturbation_slack` of matrices given as blocks.
+
+    Matrix j of the 2M is base_i + eps blocks_i (j = i) or base_i - eps
+    blocks_i (j = M + i), joined by eigenvalues outside the block:
+    ``outside`` is the pair of (2M,) arrays of their smallest and largest
+    per matrix, or None when the blocks are whole.  The slack is the smallest
+    min(lambda_min, lo_j) + supp_tol(dim, max(lambda_max, hi_j)) / 2, with
+    the margin of the full dimension ``dim``.
+    """
+    w = np.linalg.eigvalsh(np.concatenate([base + eps * blocks, base - eps * blocks]))
+    low, high = w[:, 0], w[:, -1]
+    if outside is not None:
+        low, high = np.minimum(low, outside[0]), np.maximum(high, outside[1])
+    return float(np.min(low + 0.5 * pol.supp_tol(dim, high)))
 
 
 def perturbation_feasible(outcomes, directions, eps: float, pol: TolerancePolicy = DEFAULT_TOL) -> bool:
@@ -165,7 +180,10 @@ def max_perturbation_step(
 
     ``spectra`` are eigenpairs of the outcomes (a stack, in any eigenvalue
     order), such as :attr:`GqiVerdict.spectra`; without them the outcomes are
-    decomposed here.
+    decomposed here.  Their vectors may be cut to the first k < dim columns
+    when every D_i lies in the span of those columns, as the directions of
+    :func:`is_extremal` lie in the supports: then the search runs on k x k
+    blocks (below), with the same result up to rounding.
 
     Three steps (README, "The epsilon* step"):
 
@@ -178,13 +196,20 @@ def max_perturbation_step(
        the margin's dependence on lambda_max(T_i +/- epsilon D_i).
     2. Bracket.  [est (1 - 1e-10), est (1 + 1e-10)], widened 16-fold until
        the lower end is feasible and the upper end is not.
-    3. Refine.  Secant and Illinois regula falsi on :func:`perturbation_slack`,
-       safeguarded by bisection, until hi - lo <= 1e-14 hi or the slack at
-       both ends is at rounding level.
+    3. Refine.  Secant and Illinois regula falsi on the slack, safeguarded by
+       bisection, until hi - lo <= 1e-14 hi or the slack at both ends is at
+       rounding level.
+
+    The slack is :func:`perturbation_slack`, probed through
+    :func:`block_slack`.  With k columns, V_i^dagger (T_i +/- epsilon D_i) V_i
+    is diag(W_i[:k]) +/- epsilon V_ik^dagger D_i V_ik beside diag(W_i[k:]), so
+    each probe decomposes the k x k blocks and takes the eigenvalues outside
+    them as constants; the margin keeps the dimension of T_i.
 
     The lower end is returned, so the result passes
-    :func:`perturbation_feasible`.  When some T_i + m_i is not positive
-    definite no epsilon is feasible, and the result is 0.
+    :func:`perturbation_feasible`; on blocks, up to the rounding of the
+    probed matrices.  When some T_i + m_i is not positive definite no
+    epsilon is feasible, and the result is 0.
     """
     t = np.asarray(outcomes, dtype=complex)
     d = np.asarray(directions, dtype=complex)
@@ -194,7 +219,8 @@ def max_perturbation_step(
         w, v = np.linalg.eigh(t)
     else:
         w, v = spectra.values, spectra.vectors
-    shifted = w + 0.5 * pol.supp_tol(t.shape[-1], w.max(axis=1))[:, None]
+    dim, k = w.shape[-1], v.shape[-1]
+    shifted = w + 0.5 * pol.supp_tol(dim, w.max(axis=1))[:, None]
     if shifted.min() <= 0.0:
         return 0.0
     # Rounding level of the eigenvalues, hence of the slack.  Shifted
@@ -202,14 +228,21 @@ def max_perturbation_step(
     # are raised to it, so that rounding-level components of D_i there do not
     # dominate the estimate.
     noise = np.finfo(float).eps * max(1.0, float(np.abs(w).max()))
-    s = v / np.sqrt(np.maximum(shifted, noise))[:, None, :]
+    s = v / np.sqrt(np.maximum(shifted[:, :k], noise))[:, None, :]
     norm = float(np.abs(np.linalg.eigvalsh(s.conj().transpose(0, 2, 1) @ d @ s)).max())
     if not 0.0 < norm < np.inf:
         raise ValidationError(f"perturbation directions out of floating-point range (norm {norm})")
     est = 1.0 / norm
 
+    base, blocks, outside = t, d, None
+    if k < dim:
+        base = w[:, :k, None] * np.eye(k)
+        blocks = v.conj().transpose(0, 2, 1) @ d @ v
+        rest = w[:, k:]
+        outside = (np.tile(rest.min(axis=1), 2), np.tile(rest.max(axis=1), 2))
+
     def slack(eps: float) -> float:
-        return perturbation_slack(t, d, eps, pol)
+        return block_slack(base, blocks, eps, dim, pol, outside)
 
     # Bracket: f_lo >= 0 > f_hi.  At epsilon = 0 the slack is min(shifted) > 0.
     # prev is the infeasible point last replaced by hi.
@@ -395,10 +428,13 @@ def is_extremal(
             h = linalg.unvectorize_hermitian(decision.nullvector[pos : pos + r * r], r)
             directions.append(u @ h @ u.conj().T)
             pos += r * r
+        # The directions lie in the leading max r_i eigenvectors.
+        spectra = validation.spectra
+        in_supports = linalg.EigenDecomposition(spectra.values, spectra.vectors[..., : max(support_ranks)])
         perturbation = Perturbation(
             directions=tuple(directions),
             delta=sum(directions),
-            epsilon_star=max_perturbation_step(g.outcomes, directions, pol, validation.spectra),
+            epsilon_star=max_perturbation_step(g.outcomes, directions, pol, in_supports),
         )
     # An extremal family never has more members than its span, so its rank
     # is never decided on the head alone: the values are the whole family's.

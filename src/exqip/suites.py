@@ -164,8 +164,9 @@ def run_equivalence(seeds: int = 200, pol: TolerancePolicy = DEFAULT_TOL) -> Sui
         for d0, d1 in EQUIVALENCE_DIMS:
             count = int(rng.integers(-(-d0 // d1), d0 * d1 + 1))
             chan = channels.random_channel(d0, d1, count, rng)
-            a = channels.choi_condition(chan, pol)
-            b = channels.channel_extremal_theorem1(chan, pol)
+            verdict = gqi_mod.is_valid_gqi(gqi_mod.Gqi(chan.signature, chan.outcomes), pol=pol)
+            a = channels.choi_condition(chan, pol, verdict)
+            b = channels.channel_extremal_theorem1(chan, pol, verdict)
             result.record(
                 a == b,
                 f"seed {seed} dims ({d0},{d1}) kraus {count}: choi={a} rank-form={b}",

@@ -158,6 +158,8 @@ class TestCli:
             ["split-tester", "--base", "{base}", "--outcome", "5"],
             ["split-tester", "--base", "{base}", "--outcome", "-1"],
             ["random-comb", "--signature", "2,2,2"],
+            ["combination", "--k", "9"],
+            ["random-comb", "--spread", "2"],
         ],
     )
     def test_bad_generate_options_exit_2(self, args, tmp_path, capsys):
@@ -174,8 +176,11 @@ class TestCli:
         out_dir = str(tmp_path / "tree")
         assert self.run("generate", "two-outcome-qubit-tester", "--out", src,
                         "--schmidt-angle", "0") == 0
+        capsys.readouterr()
         assert self.run("decompose", src, "--steps", "2", "--out", out_dir) == 0
-        summary = json.loads((tmp_path / "tree" / "summary.json").read_text())
+        text = (tmp_path / "tree" / "summary.json").read_text()
+        assert capsys.readouterr().out == text
+        summary = json.loads(text)
         assert summary["total_weight"] == pytest.approx(1.0, abs=1e-12)
         assert summary["reconstruction_residual"] <= 1e-8
         for leaf in summary["leaves"]:

@@ -1,18 +1,31 @@
-"""The epsilon* step against the doubling/bisection search it replaces.
+"""The epsilon* step against the searches it replaces.
 
 ``gqi.max_perturbation_step`` starts from a closed-form estimate (the
 generalized-eigenvalue form of Choi's positivity argument, with the working
-margin frozen at epsilon = 0), brackets it and refines the bracket on
-``gqi.perturbation_slack``.  The oracle below is the former search: an upper
-bound from lambda_max(T_i) / |D_i|_2, up to 64 doublings until positivity
-fails, then 60 bisection steps on ``gqi.perturbation_feasible``.
+margin frozen at epsilon = 0), brackets it and refines the bracket on the
+positivity slack, probed by ``gqi.block_slack``: on the D x D matrices
+T_i +/- eps D_i, or, when the directions lie in the leading k eigenvectors of
+the outcomes, on k x k blocks in their eigenbasis.  There are two oracles:
+
+* the former search, an upper bound from lambda_max(T_i) / |D_i|_2, up to 64
+  doublings until positivity fails, then 60 bisection steps on
+  ``gqi.perturbation_feasible``;
+* the same closed form, bracket and refinement probing
+  ``gqi.perturbation_slack`` on the D x D matrices, as the step ran before
+  it moved to support blocks.
+
+The block search is compared with the second oracle on the benchmark's own
+inputs (``perfbench/inputs.py``, which builds them with numpy alone).
 """
+
+import importlib.util
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from exqip import channels, combs, gqi, linalg, suites
+from exqip import channels, combs, fileio, gqi, linalg, suites
 from exqip.combs import CombSignature
 from exqip.errors import ValidationError
 from exqip.gqi import Gqi
@@ -46,6 +59,65 @@ def bisection_oracle(outcomes, directions, pol=DEFAULT_TOL):
             lo = mid
         else:
             hi = mid
+    return lo
+
+
+def full_matrix_search(outcomes, directions, spectra, pol=DEFAULT_TOL):
+    """The step as it ran on D x D matrices: closed form, bracket, then secant
+    and Illinois refinement, every probe a ``gqi.perturbation_slack``."""
+    t = np.asarray(outcomes, dtype=complex)
+    d = np.asarray(directions, dtype=complex)
+    w, v = spectra.values, spectra.vectors
+    shifted = w + 0.5 * pol.supp_tol(t.shape[-1], w.max(axis=1))[:, None]
+    if shifted.min() <= 0.0:
+        return 0.0
+    noise = np.finfo(float).eps * max(1.0, float(np.abs(w).max()))
+    s = v / np.sqrt(np.maximum(shifted, noise))[:, None, :]
+    est = 1.0 / float(np.abs(np.linalg.eigvalsh(s.conj().transpose(0, 2, 1) @ d @ s)).max())
+
+    def slack(eps):
+        return gqi.perturbation_slack(t, d, eps, pol)
+
+    width = 1e-10
+    lo, hi = est * (1.0 - width), est * (1.0 + width)
+    f_lo, f_hi = slack(lo), slack(hi)
+    prev = None
+    while f_lo < 0.0:
+        prev = (hi, f_hi)
+        hi, f_hi = lo, f_lo
+        width *= 16.0
+        lo = est * (1.0 - width) if width < 1.0 else 0.0
+        f_lo = slack(lo) if lo > 0.0 else float(shifted.min())
+    while f_hi >= 0.0:
+        lo, f_lo = hi, f_hi
+        width *= 16.0
+        hi = est * (1.0 + width)
+        f_hi = slack(hi)
+    g_lo, g_hi = f_lo, f_hi
+    side = 0
+    older = old = np.inf
+    while hi - lo > 1e-14 * hi and not (f_lo <= noise and f_hi >= -noise):
+        step = 0.5e-14 * hi
+        x = np.nan
+        if prev is not None and prev[1] != f_hi:
+            x = hi - f_hi * (hi - prev[0]) / (f_hi - prev[1])
+        if not lo < x < hi + step:
+            x = hi - g_hi * (hi - lo) / (g_hi - g_lo)
+        if hi - lo > 0.5 * older or not np.isfinite(x):
+            x = 0.5 * (lo + hi)
+        else:
+            x = min(max(x, lo + step), hi - step)
+        older, old = old, hi - lo
+        fx = slack(x)
+        if fx >= 0.0:
+            if side < 0:
+                g_hi *= 0.5
+            lo, f_lo, g_lo, side = x, fx, fx, -1
+        else:
+            if side > 0:
+                g_lo *= 0.5
+            prev = (hi, f_hi)
+            hi, f_hi, g_hi, side = x, fx, fx, 1
     return lo
 
 
@@ -129,19 +201,33 @@ def test_feasible_at_step_and_infeasible_beyond(steps):
         assert not gqi.perturbation_feasible(t, d, eps * (1.0 + 1e-6))
 
 
-def test_probes_per_step(steps, monkeypatch):
+def counted_probes(monkeypatch) -> list:
+    """Record every probe of the step's search."""
     probes = []
-    slack = gqi.perturbation_slack
+    slack = gqi.block_slack
 
     def counted(*args, **kwargs):
         probes.append(1)
         return slack(*args, **kwargs)
 
-    monkeypatch.setattr(gqi, "perturbation_slack", counted)
+    monkeypatch.setattr(gqi, "block_slack", counted)
+    return probes
+
+
+def test_probes_per_step(steps, monkeypatch):
+    probes = counted_probes(monkeypatch)
     for t, d, _ in steps:
         gqi.max_perturbation_step(t, d)
     # The former search made 62 or more probes per step.
     assert len(probes) / len(steps) <= 16
+
+
+def test_probes_per_certificate_step(monkeypatch):
+    population = acceptance_07_population() + ladder_population()
+    probes = counted_probes(monkeypatch)
+    for g in population:
+        assert gqi.is_extremal(g).perturbation is not None
+    assert 2 * len(population) <= len(probes) <= 16 * len(population)
 
 
 def test_feasibility_matches_per_matrix_test(steps):
@@ -149,6 +235,131 @@ def test_feasibility_matches_per_matrix_test(steps):
         for eps in (0.0, 0.5 * ref, ref, ref * (1.0 + 1e-9), 2.0 * ref):
             assert gqi.perturbation_feasible(t, d, eps) == feasibility_oracle(t, d, eps)
             assert (gqi.perturbation_slack(t, d, eps) >= 0.0) == gqi.perturbation_feasible(t, d, eps)
+
+
+def bench_inputs():
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "inputs.py")
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+BENCH = bench_inputs()
+
+
+def bench_ladder(seed):
+    """Every object of every rung of the benchmark's ladder at ``seed``."""
+    return [
+        Gqi(CombSignature(dims), ops)
+        for dims in BENCH.LADDER.values()
+        for _, ops, _, _ in BENCH.ladder_objects(dims, seed)
+    ]
+
+
+def bench_tree_roots(seed):
+    """The roots of the benchmark's ``trees`` workload, read as the CLI reads them."""
+    out = []
+    for _, kind, signature, ops, _ in BENCH.tree_inputs(seed):
+        obj = fileio.payload_to_object(
+            {
+                "format": "exqip-operator-file",
+                "version": 1,
+                "kind": kind,
+                "signature": signature,
+                "outcomes": [BENCH.matrix_to_json(t) for t in ops],
+            }
+        )
+        out.append(Gqi(obj.signature, obj.outcomes))
+    return out
+
+
+def summary(cert):
+    return cert.verdict, cert.rank, cert.support_ranks
+
+
+def certified_step(g):
+    """The certificate of ``g`` and the full-matrix step on its witness."""
+    verdict = gqi.is_valid_gqi(g)
+    cert = gqi.is_extremal(g, validation=verdict)
+    if cert.extremal:
+        return cert, None
+    return cert, full_matrix_search(g.outcomes, cert.perturbation.directions, verdict.spectra)
+
+
+def assert_same_step(g, cert, ref):
+    """epsilon* within 1e-12 relative of the full-matrix step, or both inside
+    the rounding band of the slack: a step decided on an eigenvalue that sits
+    on the margin moves with the rounding of the probed matrices, which is up
+    to D eps_machine max(1, |lambda|_max) for a D x D ``eigvalsh``."""
+    eps = cert.perturbation.epsilon_star
+    if abs(eps - ref) <= 1e-12 * ref:
+        return
+    dim = g.signature.total_dim
+    band = dim * np.finfo(float).eps * max(1.0, max(float(np.abs(np.linalg.eigvalsh(t)).max()) for t in g.outcomes))
+    for x in (eps, ref):
+        assert abs(gqi.perturbation_slack(g.outcomes, cert.perturbation.directions, x)) <= band
+
+
+class TestSupportBlocks:
+    """The certificate's step, searched on support blocks, against the
+    full-matrix search."""
+
+    def test_acceptance_07(self):
+        for g in acceptance_07_population():
+            cert, ref = certified_step(g)
+            assert_same_step(g, cert, ref)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_ladder(self, seed):
+        population = bench_ladder(seed)
+        assert max(g.signature.total_dim for g in population) == 64
+        for g in population:
+            cert, ref = certified_step(g)
+            if ref is not None:
+                assert_same_step(g, cert, ref)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_tree_roots_and_children(self, seed):
+        # The children split along the full-matrix step are the twins: their
+        # verdicts, ranks and support ranks must not move.
+        for root in bench_tree_roots(seed):
+            cert, ref = certified_step(root)
+            if cert.extremal:
+                continue
+            assert_same_step(root, cert, ref)
+            directions = cert.perturbation.directions
+            for sign, child in zip((1.0, -1.0), gqi.decompose_step(root, certificate=cert)):
+                twin = Gqi(root.signature, tuple(t + sign * ref * d for t, d in zip(root.outcomes, directions)))
+                child_cert, child_ref = certified_step(child)
+                assert summary(child_cert) == summary(gqi.is_extremal(twin))
+                if child_ref is not None:
+                    assert_same_step(child, child_cert, child_ref)
+
+    def test_d64_midpoint_probes_2x2_blocks(self, monkeypatch):
+        # The midpoint of two rank-one combs at (2,2,2,2,2,2) has support
+        # rank 2 of D = 64: the closed form sees one 2 x 2 block, every probe
+        # the two blocks T +/- eps D.
+        dims = BENCH.LADDER["ladder-d64"]
+        ((_, ops, _, _),) = BENCH.ladder_objects(dims, 1)
+        shapes = []
+        eigvalsh = np.linalg.eigvalsh
+        step = gqi.max_perturbation_step
+
+        def recorded_step(*args, **kwargs):
+            def recording(a, *rest, **kw):
+                shapes.append(np.shape(a))
+                return eigvalsh(a, *rest, **kw)
+
+            with monkeypatch.context() as m:
+                m.setattr(np.linalg, "eigvalsh", recording)
+                return step(*args, **kwargs)
+
+        monkeypatch.setattr(gqi, "max_perturbation_step", recorded_step)
+        cert = gqi.is_extremal(Gqi(CombSignature(dims), ops))
+        assert cert.support_ranks == (2,) and not cert.extremal
+        assert shapes[0] == (1, 2, 2)
+        assert len(shapes) >= 3 and set(shapes[1:]) == {(2, 2, 2)}
 
 
 class TestEdgeCases:
@@ -170,9 +381,7 @@ class TestEdgeCases:
         # The closed form covers this case, so the first bracket holds.
         t = (np.diag([1.0, 0.0]).astype(complex),)
         d = (np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),)
-        probes = []
-        slack = gqi.perturbation_slack
-        monkeypatch.setattr(gqi, "perturbation_slack", lambda *a: probes.append(1) or slack(*a))
+        probes = counted_probes(monkeypatch)
         eps = gqi.max_perturbation_step(t, d)
         assert len(probes) <= 4
         monkeypatch.undo()

@@ -11,7 +11,7 @@ eigenpairs, which decomposes the outcomes itself.
 import numpy as np
 import pytest
 
-from exqip import channels, combs, gqi, linalg, testers
+from exqip import channels, combs, gqi, linalg, suites, testers
 from exqip.combs import CombSignature
 from exqip.errors import DimensionMismatchError, NotHermitianError, ValidationError
 from exqip.gqi import Gqi
@@ -283,3 +283,10 @@ class TestTracerGuard:
         step = self.counting(monkeypatch, "max_perturbation_step")
         assert not testers.is_extremal_tester(testers.schmidt_tester(0.0)).extremal
         assert (valid[0], step[0]) == (1, 1)
+
+    def test_equivalence_suite_validates_each_channel_once(self, monkeypatch):
+        # Both criteria read the Kraus operators from one verdict per channel.
+        valid = self.counting(monkeypatch, "is_valid_gqi")
+        result = suites.run_equivalence(seeds=5)
+        assert result.total == 20 and result.ok
+        assert valid[0] == 20
