@@ -111,8 +111,7 @@ def _kraus_from_eig(eig: linalg.EigenDecomposition, d1: int, d0: int, pol: Toler
 def choi_to_kraus(choi: np.ndarray, d1: int, d0: int, pol: TolerancePolicy = DEFAULT_TOL) -> list:
     """Minimal Kraus list from the Choi spectral form; count = eigen-rank."""
     eig = linalg.hermitian_eig(choi, pol)
-    lam_max = float(eig.values[0]) if eig.values.size else 0.0
-    if eig.values.size and float(eig.values[-1]) < -pol.supp_tol(choi.shape[0], lam_max):
+    if not pol.psd(eig.values):
         raise NotPositiveError(f"Choi operator has negative eigenvalue {eig.values[-1]:.3e}")
     return _kraus_from_eig(eig, d1, d0, pol)
 

@@ -32,9 +32,7 @@ from .testers import Povm, Tester
 
 
 def _policy(args) -> TolerancePolicy:
-    eps = args.tol
-    if eps is None:
-        eps = os.environ.get("EXQIP_TOL")
+    eps = os.environ.get("EXQIP_TOL") if args.tol is None else args.tol
     if eps is None:
         return linalg.DEFAULT_TOL
     eps = float(eps)
@@ -43,8 +41,18 @@ def _policy(args) -> TolerancePolicy:
     return TolerancePolicy(eps_rel=eps)
 
 
-def _validate_report(obj, pol: TolerancePolicy) -> dict:
-    kind = fileio.kind_of(obj)
+def _load(args):
+    """The working policy, the object of ``args.file`` and its kind.  A
+    tolerance with D * eps_rel >= 1 is refused: there the support cutoff lies
+    at or above every eigenvalue, so every support would be empty."""
+    pol, obj = _policy(args), fileio.load_object(args.file)
+    dim = obj.signature.total_dim
+    if dim * pol.eps_rel >= 1.0:
+        raise ValueError(f"tolerance {pol.eps_rel:g} leaves every support empty at dimension {dim}")
+    return pol, obj, fileio.kind_of(obj)
+
+
+def _validate_report(obj, kind: fileio.Kind, pol: TolerancePolicy) -> dict:
     ok, verdict = kind.verdict(obj, pol)
     residuals = [float(r) for r in verdict.comb_verdict.level_residuals]
     return {
@@ -67,16 +75,14 @@ def _certificate(obj, kind: fileio.Kind, pol: TolerancePolicy) -> gqi_mod.Extrem
 
 
 def cmd_validate(args) -> int:
-    obj = fileio.load_object(args.file)
-    report = _validate_report(obj, _policy(args))
+    pol, obj, kind = _load(args)
+    report = _validate_report(obj, kind, pol)
     print(json.dumps(report, indent=2, sort_keys=True))
     return 0 if report["valid"] else 1
 
 
 def cmd_extremal(args) -> int:
-    pol = _policy(args)
-    obj = fileio.load_object(args.file)
-    kind = fileio.kind_of(obj)
+    pol, obj, kind = _load(args)
     cert = _certificate(obj, kind, pol)
     print(
         json.dumps(
@@ -100,9 +106,7 @@ def cmd_extremal(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    pol = _policy(args)
-    obj = fileio.load_object(args.file)
-    kind = fileio.kind_of(obj)
+    pol, obj, kind = _load(args)
     root = Gqi(obj.signature, obj.outcomes)
     cert = _certificate(obj, kind, pol)
     if cert.extremal:

@@ -14,7 +14,7 @@ is the LAST Kronecker factor.  A signature lists dimensions in label order
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -71,9 +71,13 @@ class DeterministicComb:
 
 @dataclass(frozen=True)
 class CombVerdict:
+    """A comb check: one cascade residual per level and the reduced combs
+    R^(N-1), ..., R^(0), which take no part in equality or repr."""
+
     ok: bool
     level_residuals: tuple
     min_eigenvalue: float
+    reduced: tuple = field(default=(), compare=False, repr=False)
 
     @property
     def max_residual(self) -> float:
@@ -86,11 +90,23 @@ def central_comb(sig: CombSignature) -> DeterministicComb:
     return DeterministicComb(signature=sig, operator=op)
 
 
-def _reduce_once(op: np.ndarray, sig: CombSignature, level: int) -> np.ndarray:
-    """Extract R^(level-1) as Tr_{2n-1,2n-2} R^(level) / d_{2n-2}."""
-    sub = sig.truncated(level)
-    reduced = linalg.partial_trace(op, sub.kron_dims, {0, 1})
-    return reduced / sub.dims[-2]
+def _cascade(r: np.ndarray, sig: CombSignature):
+    """The residuals and reduced combs R^(N-1), ..., R^(0) of ``r`` = R^(N).
+
+    Per level n, R^(n) is a tensor on (odd, even, low) x (odd, even, low), the
+    spaces 2n-1, 2n-2 and those below; R^(n-1) = Tr_odd Tr_even R^(n) / d_even,
+    the even space traced first, and the residual is
+    |Tr_odd R^(n) - I_even (x) R^(n-1)|_max, with R^(0) = 1 in the last one,
+    all on the tensor axes."""
+    residuals, reduced, current = [], [], r
+    for n, (_, odd, even, low) in zip(range(sig.n, 0, -1), _levels(sig)):
+        t = current.reshape(odd, even, low, odd, even, low)
+        lhs = t.trace(axis1=0, axis2=3)
+        current = t.trace(axis1=1, axis2=4).trace(axis1=0, axis2=2) / even
+        below = current if n > 1 else np.ones((1, 1))
+        residuals.append(linalg.max_abs(lhs - np.eye(even)[:, None, :, None] * below[:, None]))
+        reduced.append(current)
+    return tuple(residuals), tuple(reduced)
 
 
 def is_deterministic_comb(
@@ -105,27 +121,11 @@ def is_deterministic_comb(
         raise DimensionMismatchError(
             f"operator dimension {r.shape[0]} != signature total {sig.total_dim}"
         )
-    if tol is None:
-        tol = pol.eps_comb
+    tol = pol.eps_comb if tol is None else tol
     w = np.linalg.eigvalsh(r)
-    lam_min = float(w[0])
-    psd_ok = bool(lam_min >= -pol.supp_tol(r.shape[0], float(w[-1])))
-
-    residuals = []
-    current = r
-    for level in range(sig.n, 0, -1):
-        sub = sig.truncated(level)
-        lhs = linalg.partial_trace(current, sub.kron_dims, {0})
-        if level == 1:
-            rhs = np.eye(sub.dims[0], dtype=complex)
-            current = np.array([[np.trace(current).real / sub.dims[0]]], dtype=complex)
-        else:
-            nxt = _reduce_once(current, sig, level)
-            rhs = linalg.kron(np.eye(sub.dims[-2], dtype=complex), nxt)
-            current = nxt
-        residuals.append(linalg.max_abs(lhs - rhs))
-    ok = psd_ok and all(res <= tol for res in residuals)
-    return CombVerdict(ok=ok, level_residuals=tuple(residuals), min_eigenvalue=lam_min)
+    residuals, reduced = _cascade(r, sig)
+    ok = bool(pol.psd(w)) and all(res <= tol for res in residuals)
+    return CombVerdict(ok, residuals, float(w[0]), reduced)
 
 
 def reduced_comb(
@@ -143,9 +143,7 @@ def reduced_comb(
             f"not a deterministic comb: residuals {verdict.level_residuals}, "
             f"min eigenvalue {verdict.min_eigenvalue:.3e}"
         )
-    op = comb.operator
-    for lev in range(sig.n, level, -1):
-        op = _reduce_once(op, sig, lev)
+    op = comb.operator if level == sig.n else verdict.reduced[sig.n - 1 - level]
     return DeterministicComb(signature=sig.truncated(level), operator=op)
 
 

@@ -104,10 +104,9 @@ def is_valid_gqi(g: Gqi, pol: TolerancePolicy = DEFAULT_TOL) -> GqiVerdict:
         )
     spectra = linalg.hermitian_eigs(h)
     w = spectra.values
-    psd_ok = bool(np.all(w[:, -1] >= -pol.supp_tol(total, w[:, 0])))
     comb_verdict = combs.is_deterministic_comb(g.normalization, g.signature, pol=pol)
     return GqiVerdict(
-        ok=psd_ok and comb_verdict.ok,
+        ok=bool(np.all(pol.psd(w))) and comb_verdict.ok,
         outcome_min_eigenvalues=tuple(w[:, -1].tolist()),
         comb_verdict=comb_verdict,
         spectra=spectra,

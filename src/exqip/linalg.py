@@ -53,6 +53,18 @@ class TolerancePolicy:
         # case) from tripping the negativity check on float dust.
         return dim * np.maximum(lambda_max, 1.0) * self.eps_rel
 
+    def psd(self, w: np.ndarray) -> bool | np.ndarray:
+        """The support rule for positivity, lambda_min >= -supp_tol(d, lambda_max), on
+        the d eigenvalues along the last axis of ``w`` (any order; one per stacked operator)."""
+        low = w.min(axis=-1, initial=np.inf)
+        return low >= -self.supp_tol(w.shape[-1], w.max(axis=-1, initial=-np.inf))
+
+    def support_rank(self, w: np.ndarray) -> int | np.ndarray:
+        """The support rule for rank: the eigenvalues above supp_tol(d,
+        lambda_max), counted along the last axis of ``w`` as in :meth:`psd`."""
+        tau = self.supp_tol(w.shape[-1], w.max(axis=-1, keepdims=True, initial=-np.inf))
+        return np.count_nonzero(w > tau, axis=-1)
+
     def scaled(self, eps_rel: float) -> "TolerancePolicy":
         return TolerancePolicy(eps_rel=eps_rel, comb_factor=self.comb_factor)
 
@@ -78,10 +90,8 @@ class EigenDecomposition:
         return EigenDecomposition(self.values[k], self.vectors[k])
 
     def support_ranks(self, pol: "TolerancePolicy") -> np.ndarray:
-        """Eigenvalues above the support cutoff supp_tol(d, lambda_max), per
-        operator: the leading columns of ``vectors`` that span its support."""
-        tau = pol.supp_tol(self.values.shape[-1], self.values[..., :1])
-        return np.count_nonzero(self.values > tau, axis=-1)
+        """The leading columns of ``vectors`` that span each support."""
+        return pol.support_rank(self.values)
 
 
 def max_abs(a: np.ndarray) -> float:
@@ -350,8 +360,7 @@ def support_vectors(t: np.ndarray, pol: TolerancePolicy = DEFAULT_TOL) -> np.nda
     ``t`` must be positive semidefinite within tolerance.
     """
     eig = hermitian_eig(t, pol)
-    lam_max = float(eig.values[0]) if eig.values.size else 0.0
-    if eig.values.size and float(eig.values[-1]) < -pol.supp_tol(t.shape[0], lam_max):
+    if not pol.psd(eig.values):
         raise NotPositiveError(f"negative eigenvalue {eig.values[-1]:.3e}")
     return eig.vectors[:, : eig.support_ranks(pol)]
 

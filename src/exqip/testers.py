@@ -19,8 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import gqi as gqi_mod
-from . import linalg
+from . import combs, gqi as gqi_mod, linalg
 from .combs import CombSignature
 from .errors import DimensionMismatchError, ValidationError
 from .gqi import ExtremalityCertificate, Gqi, GqiVerdict
@@ -82,12 +81,9 @@ class Povm:
 
 
 def tester_normalization(t: Tester, pol: TolerancePolicy = DEFAULT_TOL):
-    """Extract rho = Tr_2(sum T_i) / d_2 and the product-form residual."""
-    total = sum(t.outcomes)
-    total = linalg.check_hermitian(total, pol)
-    rho = linalg.partial_trace(total, (t.d2, t.d1), {0}) / t.d2
-    residual = linalg.max_abs(total - linalg.kron(np.eye(t.d2, dtype=complex), rho))
-    return rho, residual
+    """rho = Tr_2(sum T_i) / d_2 and the product-form residual, from the comb cascade."""
+    comb = combs.is_deterministic_comb(sum(t.outcomes), t.signature, pol=pol)
+    return comb.reduced[0], comb.level_residuals[0]
 
 
 class TesterVerdict(NamedTuple):
@@ -103,18 +99,14 @@ class TesterVerdict(NamedTuple):
 def tester_verdict(t: Tester, pol: TolerancePolicy = DEFAULT_TOL) -> TesterVerdict:
     """Whether ``t`` is a valid 1-tester, with the GQI verdict and rho.
 
-    On the signature (1, d_1, d_2, 1) the cascade residuals are the
-    product-form residual |sum T_i - I (x) rho|_max and |Tr rho - 1|, so the
-    verdict covers all of a tester's conditions but one: rho must also be PSD
-    within supp_tol(d_1, .), tighter than the comb check's supp_tol(d_1 d_2, .).
-    Its rank counts the eigenvalues above supp_tol(d_1, lambda_max).
+    On the signature (1, d_1, d_2, 1) the cascade reduces the sum to rho =
+    R^(1), with residuals |sum T_i - I (x) rho|_max and |Tr rho - 1|.  The one
+    further check, and rho's rank, is the support rule on rho's eigenvalues.
     """
     verdict = gqi_mod.is_valid_gqi(Gqi(t.signature, t.outcomes), pol=pol)
-    rho, _ = tester_normalization(t, pol)
+    rho = verdict.comb_verdict.reduced[0]
     w = np.linalg.eigvalsh(rho)
-    cutoff = pol.supp_tol(t.d1, float(w[-1]))
-    ok = verdict.ok and bool(w[0] >= -cutoff)
-    return TesterVerdict(ok, verdict, rho, int(np.count_nonzero(w > cutoff)))
+    return TesterVerdict(verdict.ok and bool(pol.psd(w)), verdict, rho, int(pol.support_rank(w)))
 
 
 def is_valid_tester(t: Tester, pol: TolerancePolicy = DEFAULT_TOL) -> bool:
@@ -197,7 +189,7 @@ def xi_transform(
     for full-rank rho and preserves the extremality verdict.
     """
     eig = linalg.hermitian_eig(rho, pol)
-    if eig.values[-1] <= pol.supp_tol(t.d1, float(eig.values[0])):
+    if pol.support_rank(eig.values) < eig.values.size:
         raise ValidationError("xi transform requires a full-rank state")
     a = linalg.kron(np.eye(t.d2, dtype=complex), linalg.eig_sqrt(eig) @ u)
     return Tester(
@@ -212,7 +204,7 @@ def xi_inverse(
 ) -> Tester:
     """Inverse of :func:`xi_transform` for the same (rho, U)."""
     eig = linalg.hermitian_eig(rho, pol)
-    if eig.values[-1] <= pol.supp_tol(t.d1, float(eig.values[0])):
+    if pol.support_rank(eig.values) < eig.values.size:
         raise ValidationError("xi transform requires a full-rank state")
     inv_sqrt = (eig.vectors / np.sqrt(eig.values)) @ eig.vectors.conj().T
     b = linalg.kron(np.eye(t.d2, dtype=complex), u.conj().T @ inv_sqrt)
@@ -277,8 +269,7 @@ def split_outcome(
         raise ValidationError("sub-POVM effects must sum to the support projector")
     for e in sub_effects:
         h = linalg.check_hermitian(e, pol)
-        w = np.linalg.eigvalsh(h)
-        if w[0] < -pol.supp_tol(h.shape[0], float(w[-1])):
+        if not pol.psd(np.linalg.eigvalsh(h)):
             raise ValidationError("sub-POVM effect not positive semidefinite")
         if linalg.max_abs(h - proj @ h @ proj) > pol.eps_comb:
             raise ValidationError("sub-POVM effect not supported on Supp(T_i)")

@@ -3,6 +3,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -14,6 +16,9 @@ from exqip.combs import CombSignature, DeterministicComb, central_comb
 from exqip.errors import FileFormatError
 from exqip.gqi import Gqi
 from exqip.testers import Povm, Tester
+
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_cli")
 
 
 def bell_tester():
@@ -119,8 +124,8 @@ class TestCli:
 
     def test_validate_decides_once(self, tmp_path, monkeypatch, capsys):
         """One GQI verdict per report: the outcomes decomposed once as a
-        stack, rho extracted once; the product-form residual is the
-        cascade's first residual."""
+        stack, rho extracted once, by the one cascade pass of the comb
+        check; the product-form residual is the cascade's first residual."""
         from test_testers import count_calls
 
         path = tmp_path / "tester.json"
@@ -128,7 +133,9 @@ class TestCli:
         calls = count_calls(monkeypatch)
         assert self.run("validate", str(path)) == 0
         report = json.loads(capsys.readouterr().out)
-        assert calls["tester_normalization"] == 1
+        assert calls["cascade"] == 1
+        assert calls["tester_normalization"] == 0
+        assert calls["partial_trace"] == 0
         assert calls["eigh"] == [(2, 4, 4)]
         assert sorted(calls["eigvalsh"]) == [(2, 2), (4, 4)]
         assert report["product_form_residual"] == report["cascade_residuals"][0]
@@ -247,8 +254,41 @@ class TestCli:
         assert self.run("--tol", "1e-8", "validate", path) == 0
         assert self.run("--tol", "2", "validate", path) == 2
 
+    @pytest.mark.parametrize("command", ["validate", "extremal", "decompose"])
+    def test_tol_that_empties_every_support_exits_2(self, command, tmp_path, capsys):
+        """At total_dim * eps_rel >= 1 the support cutoff supp_tol(D, lambda)
+        lies above every eigenvalue, so every support would be empty and
+        the channel would read extremal with support rank 0."""
+        path = os.path.join(GOLDEN, "channel.json")
+        extra = ["--out", str(tmp_path / "tree")] if command == "decompose" else []
+        assert self.run("--tol", "0.5", command, path, *extra) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: tolerance 0.5 leaves every support empty at dimension 4")
+        # D * eps_rel = 1 is refused too; just below it the command runs.
+        assert self.run("--tol", "0.25", command, path, *extra) == 2
+        assert self.run("--tol", "0.2", "validate", path) == 0
+
     def test_tol_env(self, tmp_path, monkeypatch):
         path = str(tmp_path / "bell.json")
         fileio.save_object(path, bell_tester())
         monkeypatch.setenv("EXQIP_TOL", "1e-9")
         assert self.run("validate", path) == 0
+
+
+def test_runtime_imports_no_scipy():
+    """The runtime dependency is numpy alone: a fresh `exqip extremal` on a
+    tester imports no scipy module."""
+    src = os.path.join(os.path.dirname(GOLDEN), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import sys\n"
+        "import exqip.cli\n"
+        "assert exqip.cli.main(['extremal', sys.argv[1]]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", code, os.path.join(GOLDEN, "tester.json")],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert run.stdout.splitlines()[-1] == "[]"

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from exqip import channels, linalg, testers
+from exqip import channels, combs, linalg, testers
 from exqip.errors import DimensionMismatchError, ValidationError
 from exqip.testers import Povm, Tester
 
@@ -309,16 +309,18 @@ class TestSchmidtTester:
 
 
 def count_calls(monkeypatch):
-    """Record ``tester_normalization`` calls and the shapes handed to
-    ``np.linalg.eigh`` and ``np.linalg.eigvalsh``."""
-    calls = {"tester_normalization": 0, "eigh": [], "eigvalsh": []}
-    real = testers.tester_normalization
+    """Record ``tester_normalization``, comb cascade and ``partial_trace``
+    calls and the shapes handed to ``np.linalg.eigh`` and
+    ``np.linalg.eigvalsh``."""
+    calls = {"tester_normalization": 0, "cascade": 0, "partial_trace": 0, "eigh": [], "eigvalsh": []}
+    for module, name in ((testers, "tester_normalization"), (combs, "_cascade"), (linalg, "partial_trace")):
+        key = name.lstrip("_")
 
-    def counted_normalization(*args, **kwargs):
-        calls["tester_normalization"] += 1
-        return real(*args, **kwargs)
+        def counted_call(*args, _fn=getattr(module, name), _key=key, **kwargs):
+            calls[_key] += 1
+            return _fn(*args, **kwargs)
 
-    monkeypatch.setattr(testers, "tester_normalization", counted_normalization)
+        monkeypatch.setattr(module, name, counted_call)
     for name in ("eigh", "eigvalsh"):
         fn = getattr(np.linalg, name)
 
@@ -332,13 +334,16 @@ def count_calls(monkeypatch):
 
 class TestClassifyValidatesOnce:
     """One tester validation per classification: the outcomes are decomposed
-    once, as one stack, and rho is extracted once."""
+    once, as one stack, and rho is extracted once, by the comb cascade of
+    the GQI verdict."""
 
     def test_uniform_normalization(self, monkeypatch):
         t = testers.schmidt_tester(0.3)
         calls = count_calls(monkeypatch)
         assert testers.classify_two_outcome_qubit(t).extremal
-        assert calls["tester_normalization"] == 1
+        assert calls["cascade"] == 1
+        assert calls["tester_normalization"] == 0
+        assert calls["partial_trace"] == 0
         assert calls["eigh"] == [(2, 4, 4)]
         # The comb check of the sum and rho's check.
         assert sorted(calls["eigvalsh"]) == [(2, 2), (4, 4)]
@@ -347,7 +352,10 @@ class TestClassifyValidatesOnce:
         t = testers.xi_transform(bell_tester(), np.diag([0.7, 0.3]).astype(complex), np.eye(2))
         calls = count_calls(monkeypatch)
         assert testers.classify_two_outcome_qubit(t).extremal
-        assert calls["tester_normalization"] == 1
+        # One cascade per GQI verdict: the tester's, and the one of the
+        # outcomes xi_inverse returns.
+        assert calls["cascade"] == 2
+        assert calls["tester_normalization"] == 0
         # The given outcomes, rho (twice: its rank, and xi_inverse) and the
         # outcomes xi_inverse returns.
         assert calls["eigh"] == [(2, 4, 4), (2, 2), (2, 2), (2, 4, 4)]
