@@ -31,25 +31,23 @@ from .linalg import TolerancePolicy
 from .testers import Povm, Tester
 
 
-def _policy(args) -> TolerancePolicy:
+def _policy(args, dim: int = 1) -> TolerancePolicy:
+    """The working policy for objects of total dimension up to ``dim``.  A
+    tolerance with dim * eps_rel >= 1 is refused: there the support cutoff
+    lies at or above every eigenvalue, so every support would be empty."""
     eps = os.environ.get("EXQIP_TOL") if args.tol is None else args.tol
-    if eps is None:
-        return linalg.DEFAULT_TOL
-    eps = float(eps)
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"tolerance must lie in (0, 1), got {eps}")
-    return TolerancePolicy(eps_rel=eps)
+    pol = linalg.DEFAULT_TOL if eps is None else TolerancePolicy(eps_rel=float(eps))
+    if not 0.0 < pol.eps_rel < 1.0:
+        raise ValueError(f"tolerance must lie in (0, 1), got {pol.eps_rel}")
+    if dim * pol.eps_rel >= 1.0:
+        raise ValueError(f"tolerance {pol.eps_rel:g} leaves every support empty at dimension {dim}")
+    return pol
 
 
 def _load(args):
-    """The working policy, the object of ``args.file`` and its kind.  A
-    tolerance with D * eps_rel >= 1 is refused: there the support cutoff lies
-    at or above every eigenvalue, so every support would be empty."""
-    pol, obj = _policy(args), fileio.load_object(args.file)
-    dim = obj.signature.total_dim
-    if dim * pol.eps_rel >= 1.0:
-        raise ValueError(f"tolerance {pol.eps_rel:g} leaves every support empty at dimension {dim}")
-    return pol, obj, fileio.kind_of(obj)
+    """The working policy, the object of ``args.file`` and its kind."""
+    obj = fileio.load_object(args.file)
+    return _policy(args, obj.signature.total_dim), obj, fileio.kind_of(obj)
 
 
 def _validate_report(obj, kind: fileio.Kind, pol: TolerancePolicy) -> dict:
@@ -210,7 +208,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_suite(args) -> int:
-    pol = _policy(args)
+    pol = _policy(args, suites.LARGEST_DIM[args.name])
     result = suites.run_suite(args.name, seeds=args.seeds, pol=pol)
     print(json.dumps(result.summary(), indent=2, sort_keys=True))
     return 0 if result.ok else 1

@@ -71,12 +71,12 @@ class DeterministicComb:
 
 @dataclass(frozen=True)
 class CombVerdict:
-    """A comb check: one cascade residual per level and the reduced combs
-    R^(N-1), ..., R^(0), which take no part in equality or repr."""
+    """A comb check: ``ok`` when positive with every cascade residual within
+    the bound; one residual per level and the reduced combs R^(N-1), ...,
+    R^(0), which take no part in equality or repr."""
 
     ok: bool
     level_residuals: tuple
-    min_eigenvalue: float
     reduced: tuple = field(default=(), compare=False, repr=False)
 
     @property
@@ -90,8 +90,9 @@ def central_comb(sig: CombSignature) -> DeterministicComb:
     return DeterministicComb(signature=sig, operator=op)
 
 
-def _cascade(r: np.ndarray, sig: CombSignature):
-    """The residuals and reduced combs R^(N-1), ..., R^(0) of ``r`` = R^(N).
+def _cascade(r: np.ndarray, sig: CombSignature, tol: float, positive: bool) -> CombVerdict:
+    """The comb verdict on the Hermitian ``r`` = R^(N): ``positive``, as the
+    caller decided it, and every cascade residual at most ``tol``.
 
     Per level n, R^(n) is a tensor on (odd, even, low) x (odd, even, low), the
     spaces 2n-1, 2n-2 and those below; R^(n-1) = Tr_odd Tr_even R^(n) / d_even,
@@ -106,7 +107,7 @@ def _cascade(r: np.ndarray, sig: CombSignature):
         below = current if n > 1 else np.ones((1, 1))
         residuals.append(linalg.max_abs(lhs - np.eye(even)[:, None, :, None] * below[:, None]))
         reduced.append(current)
-    return tuple(residuals), tuple(reduced)
+    return CombVerdict(positive and all(res <= tol for res in residuals), tuple(residuals), tuple(reduced))
 
 
 def is_deterministic_comb(
@@ -115,17 +116,14 @@ def is_deterministic_comb(
     tol: float | None = None,
     pol: TolerancePolicy = DEFAULT_TOL,
 ) -> CombVerdict:
-    """Validate the normalization cascade, reporting one residual per level."""
+    """Validate positivity and the normalization cascade, reporting one
+    residual per level."""
     r = linalg.check_hermitian(r, pol)
     if r.shape[0] != sig.total_dim:
         raise DimensionMismatchError(
             f"operator dimension {r.shape[0]} != signature total {sig.total_dim}"
         )
-    tol = pol.eps_comb if tol is None else tol
-    w = np.linalg.eigvalsh(r)
-    residuals, reduced = _cascade(r, sig)
-    ok = bool(pol.psd(w)) and all(res <= tol for res in residuals)
-    return CombVerdict(ok, residuals, float(w[0]), reduced)
+    return _cascade(r, sig, pol.eps_comb if tol is None else tol, bool(pol.psd(np.linalg.eigvalsh(r))))
 
 
 def reduced_comb(
@@ -139,10 +137,8 @@ def reduced_comb(
         raise DimensionMismatchError(f"level {level} out of range 0..{sig.n}")
     verdict = is_deterministic_comb(comb.operator, sig, pol=pol)
     if not verdict.ok:
-        raise ValidationError(
-            f"not a deterministic comb: residuals {verdict.level_residuals}, "
-            f"min eigenvalue {verdict.min_eigenvalue:.3e}"
-        )
+        raise ValidationError(f"not a deterministic comb: not positive, or residuals "
+                              f"{verdict.level_residuals} above {pol.eps_comb:g}")
     op = comb.operator if level == sig.n else verdict.reduced[sig.n - 1 - level]
     return DeterministicComb(signature=sig.truncated(level), operator=op)
 

@@ -46,7 +46,8 @@ class Gqi:
 
 @dataclass(frozen=True)
 class GqiVerdict:
-    """Validity of a GQI.  ``spectra`` holds the eigenpairs of the symmetrized
+    """Validity of a GQI.  ``comb_verdict`` is the cascade of the sum, positive
+    when every outcome is.  ``spectra`` holds the eigenpairs of the symmetrized
     outcomes (a stack, eigenvalues descending), which the rank test and the
     epsilon* step reuse; they take no part in equality or repr."""
 
@@ -89,7 +90,9 @@ def is_valid_gqi(g: Gqi, pol: TolerancePolicy = DEFAULT_TOL) -> GqiVerdict:
 
     The outcomes are checked and decomposed as one stack: one batched
     Hermiticity check, one batched ``eigh``.  An outcome of the wrong shape
-    raises after the Hermiticity check of the outcomes before it.
+    raises after the Hermiticity check of the outcomes before it.  The sum,
+    positive because the outcomes are, is symmetrized and goes through the
+    cascade alone (README, "Conventions").
     """
     if g.n_outcomes < 1:
         raise ValidationError("a GQI needs at least one outcome")
@@ -104,13 +107,9 @@ def is_valid_gqi(g: Gqi, pol: TolerancePolicy = DEFAULT_TOL) -> GqiVerdict:
         )
     spectra = linalg.hermitian_eigs(h)
     w = spectra.values
-    comb_verdict = combs.is_deterministic_comb(g.normalization, g.signature, pol=pol)
-    return GqiVerdict(
-        ok=bool(np.all(pol.psd(w))) and comb_verdict.ok,
-        outcome_min_eigenvalues=tuple(w[:, -1].tolist()),
-        comb_verdict=comb_verdict,
-        spectra=spectra,
-    )
+    s = g.normalization
+    comb_verdict = combs._cascade((s + s.conj().T) / 2, g.signature, pol.eps_comb, bool(np.all(pol.psd(w))))
+    return GqiVerdict(comb_verdict.ok, tuple(w[:, -1].tolist()), comb_verdict, spectra)
 
 
 def _require_valid(g: Gqi, pol: TolerancePolicy, verdict: GqiVerdict | None = None) -> GqiVerdict:

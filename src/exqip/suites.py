@@ -235,6 +235,11 @@ def run_appendix_c(seeds: int = 0, pol: TolerancePolicy = DEFAULT_TOL) -> SuiteR
     return result
 
 
+# The largest total dimension of the objects each suite draws: qubit testers
+# and instruments are on 2 x 2, and appendix row 2 maps a qubit to 4 dimensions.
+LARGEST_DIM = {"equivalence": max(a * b for a, b in EQUIVALENCE_DIMS), "xi-invariance": 4, "bounds": 4,
+               "appendix-c": 8}
+
 SUITES = {
     "equivalence": run_equivalence,
     "xi-invariance": run_xi_invariance,

@@ -180,6 +180,14 @@ def check_bounds(
     )
 
 
+def _full_rank_eig(rho: np.ndarray, pol: TolerancePolicy) -> linalg.EigenDecomposition:
+    """The eigendecomposition of ``rho``, which the xi transform needs full rank."""
+    eig = linalg.hermitian_eig(rho, pol)
+    if pol.support_rank(eig.values) < eig.values.size:
+        raise ValidationError("xi transform requires a full-rank state")
+    return eig
+
+
 def xi_transform(
     t: Tester, rho: np.ndarray, u: np.ndarray, pol: TolerancePolicy = DEFAULT_TOL
 ) -> Tester:
@@ -188,10 +196,7 @@ def xi_transform(
     Maps uniform-normalization testers to normalization I (x) rho; invertible
     for full-rank rho and preserves the extremality verdict.
     """
-    eig = linalg.hermitian_eig(rho, pol)
-    if pol.support_rank(eig.values) < eig.values.size:
-        raise ValidationError("xi transform requires a full-rank state")
-    a = linalg.kron(np.eye(t.d2, dtype=complex), linalg.eig_sqrt(eig) @ u)
+    a = linalg.kron(np.eye(t.d2, dtype=complex), linalg.eig_sqrt(_full_rank_eig(rho, pol)) @ u)
     return Tester(
         d2=t.d2,
         d1=t.d1,
@@ -203,9 +208,7 @@ def xi_inverse(
     t: Tester, rho: np.ndarray, u: np.ndarray, pol: TolerancePolicy = DEFAULT_TOL
 ) -> Tester:
     """Inverse of :func:`xi_transform` for the same (rho, U)."""
-    eig = linalg.hermitian_eig(rho, pol)
-    if pol.support_rank(eig.values) < eig.values.size:
-        raise ValidationError("xi transform requires a full-rank state")
+    eig = _full_rank_eig(rho, pol)
     inv_sqrt = (eig.vectors / np.sqrt(eig.values)) @ eig.vectors.conj().T
     b = linalg.kron(np.eye(t.d2, dtype=complex), u.conj().T @ inv_sqrt)
     return Tester(
@@ -320,16 +323,15 @@ def classify_two_outcome_qubit(
     """
     if t.d1 != 2 or t.d2 != 2 or t.n_outcomes != 2:
         raise DimensionMismatchError("closed form requires a two-outcome qubit tester")
-    _, verdict, rho, _ = _valid_tester(t, pol)
+    _, verdict, rho, rho_rank = _valid_tester(t, pol)
     if linalg.max_abs(rho - np.eye(2) / 2.0) > pol.eps_comb:
-        eig = linalg.hermitian_eig(rho, pol)
-        if eig.support_ranks(pol) == 2:
+        if rho_rank == 2:
             t = xi_inverse(t, rho, np.eye(2, dtype=complex), pol)
             verdict = gqi_mod.is_valid_gqi(Gqi(t.signature, t.outcomes), pol=pol)
         else:
             # Pure normalization: T_i = E_i (x) |phi><phi|; POVM criterion,
             # with E_i = (I (x) <phi|) T_i (I (x) |phi>).
-            b = linalg.kron(np.eye(2), eig.vectors[:, [0]])
+            b = linalg.kron(np.eye(2), linalg.hermitian_eig(rho, pol).vectors[:, [0]])
             effects = tuple(b.conj().T @ op @ b for op in t.outcomes)
             return TwoOutcomeQubitVerdict(
                 case="other", extremal=povm_is_extremal(Povm(d=2, effects=effects), pol), witness=None
@@ -358,8 +360,7 @@ def classify_two_outcome_qubit(
         tol = pol.eps_comb
         # P_1 = I (x) |v><v| ?
         sigma = linalg.partial_trace(p1, (t.d2, t.d1), {0})
-        seig = linalg.hermitian_eig(sigma, pol)
-        v = seig.vectors[:, 0]
+        v = linalg.hermitian_eig(sigma, pol).vectors[:, 0]
         if linalg.max_abs(p1 - linalg.kron(np.eye(2), np.outer(v, v.conj()))) <= tol:
             return TwoOutcomeQubitVerdict(
                 case="(2,2)", extremal=False, witness=linalg.kron(np.eye(2)[:, [0]], v[:, None]).ravel()

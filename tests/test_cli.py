@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import exqip
-from exqip import cli, fileio, gqi, linalg, testers
+from exqip import channels, cli, fileio, gqi, linalg, suites, testers
 from exqip.channels import Channel, Instrument
 from exqip.combs import CombSignature, DeterministicComb, central_comb
 from exqip.errors import FileFormatError
@@ -136,8 +136,9 @@ class TestCli:
         assert calls["cascade"] == 1
         assert calls["tester_normalization"] == 0
         assert calls["partial_trace"] == 0
+        assert calls["check_hermitian_stack"] == 1
         assert calls["eigh"] == [(2, 4, 4)]
-        assert sorted(calls["eigvalsh"]) == [(2, 2), (4, 4)]
+        assert calls["eigvalsh"] == [(2, 2)]
         assert report["product_form_residual"] == report["cascade_residuals"][0]
 
     def test_validate_invalid_exits_1(self, tmp_path):
@@ -269,11 +270,42 @@ class TestCli:
         assert self.run("--tol", "0.25", command, path, *extra) == 2
         assert self.run("--tol", "0.2", "validate", path) == 0
 
+    @pytest.mark.parametrize(
+        "name,dim", [("equivalence", 9), ("xi-invariance", 4), ("bounds", 4), ("appendix-c", 8)]
+    )
+    def test_suite_tol_that_empties_every_support_exits_2(self, name, dim, capsys):
+        """A suite is guarded at the largest dimension D it draws."""
+        assert suites.LARGEST_DIM[name] == dim
+        assert self.run("--tol", "0.5", "suite", name, "--seeds", "1") == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error: tolerance 0.5 leaves every support empty at dimension {dim}\n"
+        assert self.run("--tol", repr(1.0 / dim), "suite", name, "--seeds", "1") == 2
+        assert self.run("--tol", repr(0.9 / dim), "suite", name, "--seeds", "1") != 2
+
     def test_tol_env(self, tmp_path, monkeypatch):
         path = str(tmp_path / "bell.json")
         fileio.save_object(path, bell_tester())
         monkeypatch.setenv("EXQIP_TOL", "1e-9")
         assert self.run("validate", path) == 0
+
+
+def test_suite_dimensions_are_the_largest_drawn():
+    """``suites.LARGEST_DIM`` against the objects the suites draw: every
+    appendix fixture, and the first seeds of the tester and instrument
+    populations."""
+    fixtures = [channels.combination_fixture(k) for k in channels.APPENDIX_TABLE]
+    assert suites.LARGEST_DIM["appendix-c"] == max(f.signature.total_dim for f in fixtures)
+    assert suites.LARGEST_DIM["equivalence"] == max(d0 * d1 for d0, d1 in suites.EQUIVALENCE_DIMS)
+    rng = np.random.default_rng(0)
+    drawn = [
+        suites.random_extremal_qubit_tester(rng),
+        suites.random_nonextremal_qubit_tester(rng),
+        suites.random_rank22_qubit_tester(rng),
+        channels.random_instrument(2, 2, (2, 2), rng),
+    ]
+    assert {x.signature.total_dim for x in drawn} == {suites.LARGEST_DIM["xi-invariance"]}
+    assert suites.LARGEST_DIM["bounds"] == suites.LARGEST_DIM["xi-invariance"]
 
 
 def test_runtime_imports_no_scipy():

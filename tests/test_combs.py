@@ -60,11 +60,11 @@ class TestCascadeValidation:
         assert verdict.max_residual > 0.1
 
     def test_negative_rejected(self):
-        r = np.diag([1.5, 1.5, 0.5, -0.5]).astype(complex)
+        r = np.diag([1.5, 1.5, -0.5, -0.5]).astype(complex)
         # partial trace over the first factor gives I, but the operator is not PSD
         verdict = combs.is_deterministic_comb(r, QUBIT_CHANNEL)
         assert not verdict.ok
-        assert verdict.min_eigenvalue < -0.1
+        assert verdict.max_residual < 1e-14
 
     def test_residual_per_level(self):
         comb = combs.random_deterministic_comb(TWO_COMB, seed=0, spread=0.5)

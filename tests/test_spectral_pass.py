@@ -169,14 +169,20 @@ class TestCount:
     def test_one_batched_outcome_decomposition(self, monkeypatch):
         g = three_outcome_gqi()
         calls = eig_calls(monkeypatch)
+        checked = []
+
+        def check(a, *rest, _fn=linalg.check_hermitian_stack):
+            checked.append(a.shape)
+            return _fn(a, *rest)
+
+        monkeypatch.setattr(linalg, "check_hermitian_stack", check)
         cert = gqi.is_extremal(g)
         assert not cert.extremal and cert.perturbation.epsilon_star > 0.0
+        assert checked == [(3, 4, 4)]
         assert [a.shape for a in calls["eigh"]] == [(3, 4, 4)]
-        # The comb check reads only the extreme eigenvalues of the sum; every
-        # other eigvalsh call is a stack of the epsilon* step.
-        shapes = [a.shape for a in calls["eigvalsh"]]
-        assert shapes.count((4, 4)) == 1
-        assert all(len(shape) == 3 for shape in shapes if shape != (4, 4))
+        # The sum is neither checked nor decomposed: every eigvalsh call is a
+        # stack of the epsilon* step.
+        assert calls["eigvalsh"] and all(a.ndim == 3 for a in calls["eigvalsh"])
 
     def test_xi_and_split_decompose_once(self, monkeypatch):
         """sqrt(rho) and sqrt(T_i) come from the eigh that checks them."""

@@ -309,11 +309,17 @@ class TestSchmidtTester:
 
 
 def count_calls(monkeypatch):
-    """Record ``tester_normalization``, comb cascade and ``partial_trace``
-    calls and the shapes handed to ``np.linalg.eigh`` and
-    ``np.linalg.eigvalsh``."""
-    calls = {"tester_normalization": 0, "cascade": 0, "partial_trace": 0, "eigh": [], "eigvalsh": []}
-    for module, name in ((testers, "tester_normalization"), (combs, "_cascade"), (linalg, "partial_trace")):
+    """Record ``tester_normalization``, comb cascade, ``partial_trace`` and
+    ``check_hermitian_stack`` calls and the shapes handed to
+    ``np.linalg.eigh`` and ``np.linalg.eigvalsh``."""
+    calls = {
+        "tester_normalization": 0, "cascade": 0, "partial_trace": 0, "check_hermitian_stack": 0,
+        "eigh": [], "eigvalsh": [],
+    }
+    for module, name in (
+        (testers, "tester_normalization"), (combs, "_cascade"), (linalg, "partial_trace"),
+        (linalg, "check_hermitian_stack"),
+    ):
         key = name.lstrip("_")
 
         def counted_call(*args, _fn=getattr(module, name), _key=key, **kwargs):
@@ -344,9 +350,10 @@ class TestClassifyValidatesOnce:
         assert calls["cascade"] == 1
         assert calls["tester_normalization"] == 0
         assert calls["partial_trace"] == 0
+        assert calls["check_hermitian_stack"] == 1
         assert calls["eigh"] == [(2, 4, 4)]
-        # The comb check of the sum and rho's check.
-        assert sorted(calls["eigvalsh"]) == [(2, 2), (4, 4)]
+        # rho's check; the sum is not decomposed.
+        assert calls["eigvalsh"] == [(2, 2)]
 
     def test_xi_branch_redoes_the_verdict(self, monkeypatch):
         t = testers.xi_transform(bell_tester(), np.diag([0.7, 0.3]).astype(complex), np.eye(2))
@@ -356,7 +363,7 @@ class TestClassifyValidatesOnce:
         # outcomes xi_inverse returns.
         assert calls["cascade"] == 2
         assert calls["tester_normalization"] == 0
-        # The given outcomes, rho (twice: its rank, and xi_inverse) and the
-        # outcomes xi_inverse returns.
-        assert calls["eigh"] == [(2, 4, 4), (2, 2), (2, 2), (2, 4, 4)]
-        assert sorted(calls["eigvalsh"]) == [(2, 2), (4, 4), (4, 4)]
+        # The given outcomes, rho (once, in xi_inverse: its rank is the
+        # tester verdict's) and the outcomes xi_inverse returns.
+        assert calls["eigh"] == [(2, 4, 4), (2, 2), (2, 4, 4)]
+        assert calls["eigvalsh"] == [(2, 2)]

@@ -6,18 +6,25 @@ normalization by one cascade pass (``combs._cascade``), which also yields the
 reduced combs: rho of a 1-tester is R^(1) of that pass.  The oracles below
 are the former implementations: the per-level ``partial_trace`` /
 ``_reduce_once`` / ``kron`` loop of ``is_deterministic_comb``, the separate
-``tester_normalization`` and the cutoff expressions that each module wrote
-out by hand.
+``tester_normalization``, the cutoff expressions that each module wrote
+out by hand, and the GQI verdict that checked the sum of the outcomes as a
+comb of its own.
 """
 
+import glob
 import math
+import os
 
 import numpy as np
 import pytest
 
-from exqip import channels, combs, linalg, suites, testers
+from exqip import channels, combs, fileio, gqi, linalg, suites, testers
 from exqip.combs import CombSignature
+from exqip.gqi import Gqi
 from exqip.linalg import DEFAULT_TOL, TolerancePolicy
+
+from test_epsilon_star import acceptance_07_population, ladder_population
+from test_reduced_rank import ladder_inputs
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +142,7 @@ def test_reduced_comb_reads_the_cascade(dims):
 def test_reduced_combs_take_no_part_in_equality():
     sig = CombSignature((2, 2, 2, 2))
     a = combs.is_deterministic_comb(combs.central_comb(sig).operator, sig)
-    b = combs.CombVerdict(a.ok, a.level_residuals, a.min_eigenvalue)
+    b = combs.CombVerdict(a.ok, a.level_residuals)
     assert a == b
     assert "reduced" not in repr(a)
 
@@ -257,3 +264,99 @@ def test_support_rule_on_no_eigenvalues():
     w = np.zeros(0)
     assert DEFAULT_TOL.psd(w)
     assert DEFAULT_TOL.support_rank(w) == 0
+
+
+# ---------------------------------------------------------------------------
+# GQI verdicts without a check of the sum of their own
+
+
+def oracle_gqi_ok(g, pol=DEFAULT_TOL):
+    """The former ``is_valid_gqi``: every outcome PSD, and the sum checked as
+    a comb of its own, by ``check_hermitian``, ``eigvalsh``, ``psd`` and the
+    cascade."""
+    h = linalg.check_hermitian_stack(np.array(g.outcomes), pol)
+    outcomes_psd = bool(np.all(pol.psd(np.linalg.eigh(h)[0])))
+    total = linalg.check_hermitian(g.normalization, pol)
+    residuals, _ = oracle_cascade(total, g.signature)
+    comb_ok = bool(pol.psd(np.linalg.eigvalsh(total))) and all(r <= pol.eps_comb for r in residuals)
+    return outcomes_psd and comb_ok
+
+
+def golden_gqis():
+    paths = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "golden_cli", "*.json")))
+    for path in paths:
+        if not path.endswith("expected.json"):
+            obj = fileio.load_object(path)
+            yield Gqi(obj.signature, obj.outcomes)
+
+
+def suite_tester_gqis():
+    for t in suite_testers():
+        yield Gqi(t.signature, t.outcomes)
+
+
+def suite_channels_and_instruments(seeds=200):
+    """The channels of the equivalence suite and the instruments of the
+    bounds suite, drawn as the suites draw them at their default seeds."""
+    for seed in range(seeds):
+        rng = np.random.default_rng(1000 + seed)
+        for d0, d1 in suites.EQUIVALENCE_DIMS:
+            chan = channels.random_channel(d0, d1, int(rng.integers(-(-d0 // d1), d0 * d1 + 1)), rng)
+            yield Gqi(chan.signature, chan.outcomes)
+    for seed in range(seeds):
+        rng = np.random.default_rng(3000 + seed)
+        suites.random_extremal_qubit_tester(rng)
+        suites.random_nonextremal_qubit_tester(rng)
+        suites.random_rank22_qubit_tester(rng, nonextremal=bool(rng.integers(0, 2)))
+        counts = [(1,), (1, 1), (1, 2), (1, 1, 1), (2, 2)][int(rng.integers(0, 5))]
+        ins = channels.random_instrument(2, 2, counts, rng)
+        yield Gqi(ins.signature, ins.outcomes)
+
+
+def with_children(population):
+    """Each GQI and both children of its decomposition step, which sit on
+    the positivity margin."""
+    for g in population:
+        yield g
+        yield from gqi.decompose_step(g)
+
+
+def ladder_gqis(seeds=10):
+    for dims in ((2, 2), (2, 2, 2, 2)):
+        for seed in range(seeds):
+            yield from ladder_inputs(dims, np.random.default_rng([seed, *dims]))
+
+
+POPULATIONS = {
+    "golden": (golden_gqis, 8),
+    "suite-testers": (suite_tester_gqis, 1000),
+    "suite-channels-and-instruments": (suite_channels_and_instruments, 1000),
+    "acceptance-07": (lambda: with_children(acceptance_07_population()), 150),
+    "ladder-splits": (lambda: with_children(ladder_population()), 96),
+    "ladder-inputs": (ladder_gqis, 60),
+}
+
+
+@pytest.mark.parametrize("name", sorted(POPULATIONS))
+def test_gqi_verdicts_do_not_flip(name):
+    make, size = POPULATIONS[name]
+    count = 0
+    for g in make():
+        assert gqi.is_valid_gqi(g).ok == oracle_gqi_ok(g)
+        count += 1
+    assert count == size
+
+
+def test_band_case_changes_as_documented():
+    """A sum S on the cascade with lambda_min(S) = -1.5 supp_tol(4, 1): its
+    halves pass as outcomes, so (S/2, S/2) is now valid, while the former
+    check of S itself refused it.  S alone fails as the one outcome."""
+    sig = CombSignature((2, 2))
+    low = -1.5 * DEFAULT_TOL.supp_tol(4, 1.0)
+    s = np.diag([1.0 - low, low, low, 1.0 - low]).astype(complex)
+    assert combs._cascade(s, sig, DEFAULT_TOL.eps_comb, True).ok
+    halves, whole = Gqi(sig, (s / 2, s / 2)), Gqi(sig, (s,))
+    assert not oracle_gqi_ok(halves) and gqi.is_valid_gqi(halves).ok
+    assert not oracle_gqi_ok(whole) and not gqi.is_valid_gqi(whole).ok
+    # Within the stated band: lambda_min(S) >= -sum_i supp_tol(D, lambda_max,i).
+    assert low >= -2 * DEFAULT_TOL.supp_tol(4, np.linalg.eigvalsh(s / 2)[-1])
