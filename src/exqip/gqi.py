@@ -5,6 +5,9 @@ sum is a deterministic comb.  Extremality is decided by a single rank test:
 a Hermitian basis of each outcome's support, pooled with the comb
 variable-direction basis V, must be linearly independent.  The test runs on
 the support bases projected off V, in coordinates taken from partial traces.
+An outcome of full support settles the rank without that test whenever
+another outcome is nonzero: its support basis already spans every Hermitian
+operator, and exchanging weight between the two is the witness.
 A rank deficiency yields a constructive perturbation {D_i}, Delta and the
 maximal step size epsilon_star, from which a one-step convex decomposition
 follows.  epsilon_star starts from a closed-form estimate (the
@@ -331,14 +334,10 @@ def rank_stage_bytes(sig: CombSignature, support_ranks) -> int:
     return 64 * r * r * c * c + 24 * m * n + 8 * (h * n + h * h + k * n + 4 * k * k)
 
 
-def _rank_test(g: Gqi, pol: TolerancePolicy, validation=None):
-    """Validation verdict, support vectors of each outcome, |V| and the pooled
-    rank decision.
-
-    The supports are the leading eigenvectors of the validation spectra, the
-    columns of :func:`linalg.support_vectors`.  The rows decided are the
-    support basis elements projected off V, so the decision carries the
-    pooled family's rank and cutoff (see :func:`linalg.rank_decision`).
+def _rank_test(sig: CombSignature, supports, n_known: int, pol: TolerancePolicy) -> linalg.RankDecision:
+    """The pooled rank decision on the support bases projected off V, given
+    the support vectors of each outcome and |V| (see
+    :func:`linalg.rank_decision` for the rank and cutoff).
 
     The rows are built outcome by outcome and decided head first
     (:func:`linalg.block_rank_decision`).  Each outcome's rows are a projected
@@ -347,27 +346,22 @@ def _rank_test(g: Gqi, pol: TolerancePolicy, validation=None):
     (:func:`rank_stage_bytes`) exceeds ``RANK_STAGE_BUDGET`` raises
     :class:`SizeLimitError` before any row is built.
     """
-    validation = _require_valid(g, pol, validation)
-    spectra = validation.spectra
-    supports = [v[:, :r] for v, r in zip(spectra.vectors, spectra.support_ranks(pol))]
     ranks = [u.shape[1] for u in supports]
-    need = rank_stage_bytes(g.signature, ranks)
+    need = rank_stage_bytes(sig, ranks)
     if need > RANK_STAGE_BUDGET:
         raise SizeLimitError(
-            f"the rank test at signature {g.signature.dims} with support ranks {tuple(ranks)} "
+            f"the rank test at signature {sig.dims} with support ranks {tuple(ranks)} "
             f"needs about {need:,} bytes, above the budget of {RANK_STAGE_BUDGET:,} bytes"
         )
-    n_known = combs.comb_variable_count(g.signature)
-    ambient = g.signature.total_dim ** 2
-    decision = linalg.block_rank_decision(
-        _coordinate_blocks(supports, g.signature, ambient - n_known + 1),
+    ambient = sig.total_dim ** 2
+    return linalg.block_rank_decision(
+        _coordinate_blocks(supports, sig, ambient - n_known + 1),
         sum(r * r for r in ranks),
         pol,
         known=n_known,
         ambient=ambient,
         sigma_bound=math.sqrt(len(supports)),
     )
-    return validation, supports, n_known, decision
 
 
 def _coordinate_blocks(supports, sig: CombSignature, head: int):
@@ -383,6 +377,27 @@ def _coordinate_blocks(supports, sig: CombSignature, head: int):
         else:
             yield combs.complement_coordinates(u, sig)
         start += rows
+
+
+def _full_support_pair(support_ranks, dim: int, n_known: int, pol: TolerancePolicy):
+    """(a, b) for the full-support exit of :func:`is_extremal`, or None.
+
+    a is the first outcome of full support, b the first other outcome with a
+    nonzero support.  The projected rows of a alone have span = D^2 - |V|
+    singular values equal to 1, so the pooled rank is span + |V| = D^2
+    whenever the cutoff taken at sigma_max <= sqrt(M) lies below 1 (README,
+    "Full-support exit").
+    """
+    a = next((i for i, r in enumerate(support_ranks) if r == dim), None)
+    if a is None:
+        return None
+    b = next((i for i, r in enumerate(support_ranks) if i != a and r > 0), None)
+    if b is None:
+        return None
+    rows = sum(r * r for r in support_ranks) + n_known
+    if pol.rank_tol(rows, dim * dim, max(1.0, math.sqrt(len(support_ranks)))) >= 1.0:
+        return None
+    return a, b
 
 
 def is_extremal(
@@ -410,42 +425,65 @@ def is_extremal(
     the head.  The rank is then decided on the head alone when it can be
     (README, "Head-first rank"), and the remaining members are not built.
 
+    Full-support exit: when an outcome a has full support and another
+    outcome b a nonzero one, and tau taken at sigma_max = sqrt(M) is below 1,
+    the rank is D^2 with no row built (README, "Full-support exit").  The
+    witness exchanges weight between the two: D_b = P_b, D_a = -P_b, with
+    P_b the projector onto Supp(T_b), every other D_i = 0 and Delta = 0.
+
     ``validation`` is the caller's :func:`is_valid_gqi` verdict on ``g`` at
     ``pol``, when it has one; otherwise ``g`` is validated here.  Each outcome
     is decomposed once, in validation, and the rank test and epsilon* reuse
     the eigenpairs.
     """
-    validation, supports, n_known, decision = _rank_test(g, pol, validation)
+    spectra = _require_valid(g, pol, validation).spectra
+    supports = [v[:, :r] for v, r in zip(spectra.vectors, spectra.support_ranks(pol))]
     support_ranks = tuple(u.shape[1] for u in supports)
+    n_known = combs.comb_variable_count(g.signature)
+    dim = g.signature.total_dim
     family_size = sum(r * r for r in support_ranks) + n_known
+    directions = None
+    margin = None
+    pair = _full_support_pair(support_ranks, dim, n_known, pol)
+    if pair is not None:
+        a, b = pair
+        rank = dim * dim
+        p = supports[b] @ supports[b].conj().T
+        directions = [np.zeros((dim, dim), dtype=complex) for _ in g.outcomes]
+        directions[a], directions[b] = -p, p
+    else:
+        decision = _rank_test(g.signature, supports, n_known, pol)
+        rank = decision.rank
+        if decision.nullvector is not None:
+            directions = []
+            pos = 0
+            for u, r in zip(supports, support_ranks):
+                h = linalg.unvectorize_hermitian(decision.nullvector[pos : pos + r * r], r)
+                directions.append(u @ h @ u.conj().T)
+                pos += r * r
+        elif decision.singular_values.size:
+            # An extremal family never has more members than its span, so its
+            # rank is never decided on the head alone: the values are the
+            # whole family's.  A tolerance above every eigenvalue leaves the
+            # family empty.
+            margin = float(decision.singular_values[-1])
     perturbation = None
-    if decision.nullvector is not None:
-        directions = []
-        pos = 0
-        for u, r in zip(supports, support_ranks):
-            h = linalg.unvectorize_hermitian(decision.nullvector[pos : pos + r * r], r)
-            directions.append(u @ h @ u.conj().T)
-            pos += r * r
+    if directions is not None:
         # The directions lie in the leading max r_i eigenvectors.
-        spectra = validation.spectra
         in_supports = linalg.EigenDecomposition(spectra.values, spectra.vectors[..., : max(support_ranks)])
         perturbation = Perturbation(
             directions=tuple(directions),
             delta=sum(directions),
             epsilon_star=max_perturbation_step(g.outcomes, directions, pol, in_supports),
         )
-    # An extremal family never has more members than its span, so its rank
-    # is never decided on the head alone: the values are the whole family's.
-    # A tolerance above every eigenvalue leaves the family empty.
-    s = decision.singular_values
     return ExtremalityCertificate(
         extremal=perturbation is None,
         family_size=family_size,
-        rank=decision.rank,
+        rank=rank,
         support_ranks=support_ranks,
         normalization_basis_size=n_known,
         perturbation=perturbation,
-        margin=float(s[-1]) if perturbation is None and s.size else None,
+        margin=margin,
     )
 
 

@@ -11,7 +11,7 @@ from exqip.errors import DimensionMismatchError, ExtremalInputError, ValidationE
 from exqip.gqi import Gqi
 from exqip.linalg import TolerancePolicy
 
-from test_head_rank import measure_and_prepare
+from test_head_rank import measure_and_prepare, split_comb
 
 CHANNEL_SIG = CombSignature((2, 2))
 
@@ -202,7 +202,7 @@ INSTRUMENT_SHAPES = [
     ((2, 3), (1, 3)),
     ((3, 2), (2, 2, 1)),
 ]
-GQI_KINDS = ["instrument", "full-rank", "measure-and-prepare"]
+GQI_KINDS = ["instrument", "full-rank", "split-comb", "measure-and-prepare"]
 
 
 def random_instrument_gqi(shape, seed):
@@ -212,12 +212,15 @@ def random_instrument_gqi(shape, seed):
 
 
 def draw_gqi(kind, seed):
-    """A random GQI of one of three kinds:
+    """A random GQI of one of four kinds:
 
     * a random instrument (INSTRUMENT_SHAPES);
     * full rank: two or three random full-rank combs at (2,2) or (2,2,2,2)
-      with random weights, whose rows outnumber their span, so that the rank
-      is decided on the head;
+      with random weights, so that the full-support exit decides the rank
+      before any row is built;
+    * split comb: a full-rank comb split into two outcomes that each miss
+      one of its eigenvectors, whose rows outnumber their span, so that the
+      rank is decided on the head;
     * measure and prepare: rho_i (x) |u_i><u_i|^T, each outcome's projected
       rows of rank 1, so that the head is deficient and the rank comes from
       the full stack.
@@ -225,6 +228,8 @@ def draw_gqi(kind, seed):
     rng = np.random.default_rng(seed)
     if kind == "instrument":
         return random_instrument_gqi(int(rng.integers(len(INSTRUMENT_SHAPES))), seed)
+    if kind == "split-comb":
+        return split_comb(CombSignature([(2, 2), (2, 2, 2, 2)][rng.integers(2)]), rng)
     if kind == "full-rank":
         sig = CombSignature([(2, 2), (2, 2, 2, 2)][rng.integers(2)])
         weights = rng.dirichlet(np.ones(int(rng.integers(2, 4))))
@@ -260,8 +265,9 @@ class TestProperties:
         assert not gqi.is_extremal(gqi.mix(a, b)).extremal
 
     def test_kinds_run_both_rank_paths(self, monkeypatch):
-        """Full-rank draws are decided on the head alone (one SVD); measure
-        and prepare draws fall back to the values-only SVD of the full stack."""
+        """Split combs are decided on the head alone (one SVD); measure and
+        prepare draws fall back to the values-only SVD of the full stack;
+        full-rank draws run no SVD."""
         calls = []
         svd = np.linalg.svd
 
@@ -270,7 +276,7 @@ class TestProperties:
             return svd(a, *args, compute_uv=compute_uv, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", counted)
-        for kind, want in (("full-rank", [True]), ("measure-and-prepare", [True, False])):
+        for kind, want in (("split-comb", [True]), ("measure-and-prepare", [True, False]), ("full-rank", [])):
             for seed in range(5):
                 calls.clear()
                 gqi.is_extremal(draw_gqi(kind, seed))

@@ -8,23 +8,31 @@ the cutoff taken at sigma_max <= sqrt(M).  The oracle is
 values-only SVD of every row.  Verdict, rank, family size, support ranks and
 the null vector must agree, the null vector to the bit.
 
+An outcome of full support beside a nonzero one settles the rank at D^2
+before any row is built (the full-support exit); its verdict, rank, support
+ranks and family size must agree with the same oracle.  The head-first and
+fallback paths are reached by counting-rule inputs with no full-support
+outcome (``split_comb``, ``measure_and_prepare``).
+
 Also here: the size guard of the rank stage.
 """
 
+import collections
 import contextlib
 import io
+import json
 import os
 
 import numpy as np
 import pytest
 
-from exqip import channels, cli, combs, gqi, linalg, suites, testers
+from exqip import channels, cli, combs, fileio, gqi, linalg, suites, testers
 from exqip.combs import CombSignature
 from exqip.errors import SizeLimitError
 from exqip.gqi import Gqi
 from exqip.linalg import DEFAULT_TOL
 
-from test_epsilon_star import acceptance_07_population, ladder_population
+from test_epsilon_star import acceptance_07_population, bench_ladder, ladder_population
 from test_reduced_rank import ladder_inputs
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden_cli")
@@ -56,11 +64,33 @@ def measure_and_prepare(rng, d0, d1):
     )
 
 
+def split_comb(sig, rng):
+    """Two outcomes sum_k a_k P_k and sum_k (lambda_k - a_k) P_k of a full-rank
+    comb C = sum_k lambda_k P_k, with a_0 = 0 and a_1 = lambda_1.
+
+    Each outcome misses one eigenvector of C, so neither has full support,
+    while their 2 (D - 1)^2 rows outnumber the span D^2 - |V|: the rank is
+    decided on the head."""
+    w, v = np.linalg.eigh(combs.random_deterministic_comb(sig, seed=rng, spread=0.5).operator)
+    a = w * rng.uniform(0.2, 0.8, w.size)
+    a[0], a[1] = 0.0, w[1]
+    return Gqi(sig, tuple((v * x) @ v.conj().T for x in (a, w - a)))
+
+
+def has_full_support(ranks, dim):
+    """Whether the full-support exit applies at the default tolerance: one
+    outcome of full support and another nonzero one."""
+    return dim in ranks and sum(r > 0 for r in ranks) > 1
+
+
 def ladder():
-    """d4, d16 and d36 midpoints and two-outcome GQIs, and rank-one combs."""
+    """d4, d16 and d36 midpoints and two-outcome GQIs, rank-one combs, and
+    split combs at d4 and d16."""
     out = list(ladder_population())
     for dims in ((2, 2), (2, 2, 2, 2)):
-        out += ladder_inputs(dims, np.random.default_rng(sum(dims)))
+        rng = np.random.default_rng(sum(dims))
+        out += ladder_inputs(dims, rng)
+        out += [split_comb(CombSignature(dims), rng) for _ in range(3)]
     return out
 
 
@@ -77,6 +107,11 @@ def tree_roots():
     return out
 
 
+def uniform_tester():
+    """The qubit tester with two outcomes I/4, both of full support."""
+    return testers.Tester(2, 2, (np.eye(4) / 4, np.eye(4) / 4))
+
+
 def qubit_testers():
     out = []
     for seed in range(20):
@@ -85,7 +120,7 @@ def qubit_testers():
             suites.random_extremal_qubit_tester(rng),
             suites.random_nonextremal_qubit_tester(rng),
             suites.random_rank22_qubit_tester(rng, nonextremal=bool(rng.integers(0, 2))),
-            testers.Tester(2, 2, (np.eye(4) / 4, np.eye(4) / 4)),
+            uniform_tester(),
         ):
             out.append(Gqi(t.signature, t.outcomes))
     return out
@@ -130,35 +165,46 @@ POPULATIONS = {
 
 @pytest.mark.parametrize("name", POPULATIONS)
 def test_matches_full_stack(name, recorded):
+    """Verdict, rank, support ranks and family size on every input; the
+    decision and its null vector wherever ``block_rank_decision`` ran."""
     population = POPULATIONS[name]()
     oracles = [full_stack_decision(g) for g in population]
     recorded.clear()
-    exits = fallbacks = 0
+    paths = collections.Counter()
     for g, (want, ranks, n_known) in zip(population, oracles):
+        before = len(recorded)
         cert = gqi.is_extremal(g)
-        got, stopped = recorded[-1]
         assert cert.extremal == (want.nullvector is None)
-        assert cert.rank == got.rank == want.rank
+        assert cert.rank == want.rank
         assert cert.support_ranks == ranks
         assert cert.family_size == sum(r * r for r in ranks) + n_known
+        dim = g.signature.total_dim
+        counting = sum(r * r for r in ranks) > dim * dim - n_known
+        if len(recorded) == before:
+            assert has_full_support(ranks, dim) and counting
+            paths["full-support"] += 1
+            continue
+        assert len(recorded) == before + 1 and not has_full_support(ranks, dim)
+        got, stopped = recorded[-1]
+        assert got.rank == want.rank
         if want.nullvector is None:
             assert got.nullvector is None
         else:
             assert np.array_equal(got.nullvector, want.nullvector)
-        counting = sum(r * r for r in ranks) > g.signature.total_dim ** 2 - n_known
         assert not (stopped and not counting)
-        exits += stopped
-        fallbacks += counting and not stopped
+        paths["head" if stopped else "fallback" if counting else "full"] += 1
     if name in ("ladder", "acceptance-07", "tree-roots"):
-        assert exits > 0
+        assert paths["head"] > 0
+    if name in ("ladder", "acceptance-07", "testers"):
+        assert paths["full-support"] > 0
     if name == "fallback":
-        assert fallbacks == len(population)
+        assert paths["fallback"] == len(population)
 
 
 def test_exit_skips_the_rest_of_the_rows(monkeypatch):
-    """A full-rank two-outcome GQI: one SVD per verdict, and only the head of
-    the first outcome's rows is built."""
-    g = ladder_inputs((2, 2, 2, 2), np.random.default_rng(3))[2]
+    """A split comb at (2,2,2,2): one SVD per verdict, and only the head of
+    the rows is built."""
+    g = split_comb(CombSignature((2, 2, 2, 2)), np.random.default_rng(3))
     svds, rows = [], []
     svd, coordinates = np.linalg.svd, combs.complement_coordinates
 
@@ -175,17 +221,148 @@ def test_exit_skips_the_rest_of_the_rows(monkeypatch):
     monkeypatch.setattr(combs, "complement_coordinates", counted_coordinates)
     cert = gqi.is_extremal(g)
     span = 256 - combs.comb_variable_count(g.signature)
-    assert cert.support_ranks == (16, 16) and not cert.extremal
+    assert cert.support_ranks == (15, 15) and not cert.extremal
     assert [shape[0] for shape in svds] == [span + 1]
     assert rows == [span + 1]
 
 
+def refuse(*args, **kwargs):
+    raise AssertionError("rank stage entered")
+
+
+class TestFullSupportExit:
+    @pytest.mark.parametrize("seed", range(1, 11))
+    def test_bench_ladder_matches_full_stack(self, seed, recorded):
+        """Every object of the benchmark's ladder at seeds 1-10: verdict,
+        rank, support ranks and family size as on the full stack, and the
+        exit taken exactly where it applies."""
+        exits = 0
+        for g in bench_ladder(seed):
+            want, ranks, n_known = full_stack_decision(g)
+            recorded.clear()
+            cert = gqi.is_extremal(g)
+            assert (cert.extremal, cert.rank, cert.support_ranks) == (want.nullvector is None, want.rank, ranks)
+            assert cert.family_size == sum(r * r for r in ranks) + n_known
+            exit = has_full_support(ranks, g.signature.total_dim)
+            assert len(recorded) == (not exit)
+            exits += exit
+        assert exits > 0
+
+    def full_support_inputs(self):
+        out = [ladder_inputs(dims, np.random.default_rng(5))[2] for dims in ((2, 2), (2, 2, 2, 2), (2, 3, 3, 2))]
+        for name in ("gqi", "povm"):
+            obj = fileio.load_object(os.path.join(GOLDEN, f"{name}.json"))
+            out.append(Gqi(obj.signature, obj.outcomes))
+        t = uniform_tester()
+        out.append(Gqi(t.signature, t.outcomes))
+        return out
+
+    def test_builds_no_row_and_runs_no_svd(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        monkeypatch.setattr(combs, "complement_coordinates", refuse)
+        monkeypatch.setattr(gqi, "rank_stage_bytes", refuse)
+        monkeypatch.setattr(linalg, "block_rank_decision", refuse)
+        for g in self.full_support_inputs():
+            cert = gqi.is_extremal(g)
+            assert not cert.extremal and cert.rank == g.signature.total_dim ** 2
+            assert cert.margin is None
+
+    def test_witness_exchanges_weight(self):
+        """D_b = P_b and D_a = -P_b for the first full-support outcome a and
+        the first other nonzero outcome b, Delta = 0, and a positive, feasible
+        step."""
+        for g in self.full_support_inputs():
+            cert = gqi.is_extremal(g)
+            pert = cert.perturbation
+            dim = g.signature.total_dim
+            a = cert.support_ranks.index(dim)
+            b = next(i for i, r in enumerate(cert.support_ranks) if i != a and r > 0)
+            u = gqi.is_valid_gqi(g).spectra.vectors[b][:, : cert.support_ranks[b]]
+            assert np.array_equal(pert.directions[b], u @ u.conj().T)
+            assert np.array_equal(pert.directions[a], -pert.directions[b])
+            assert all(not d.any() for i, d in enumerate(pert.directions) if i not in (a, b))
+            assert not pert.delta.any()
+            assert pert.epsilon_star > 0.0
+            assert gqi.perturbation_feasible(g.outcomes, pert.directions, pert.epsilon_star)
+
+    def test_children_valid_as_their_kind_after_json(self, tmp_path):
+        """Both children of a full-support step are valid objects of the
+        root's kind after a JSON round trip; a tester's rho moves only by
+        the rounding of the sum, since Delta = 0."""
+        rng = np.random.default_rng(17)
+        roots = [fileio.load_object(os.path.join(GOLDEN, f"{name}.json")) for name in ("gqi", "povm")]
+        choi = channels.random_channel(2, 3, 6, rng).choi
+        roots.append(channels.Instrument(d1=3, d0=2, operators=(0.3 * choi, 0.7 * choi)))
+        roots.append(uniform_tester())
+        for seed in range(20):
+            t = suites.random_nonextremal_qubit_tester(np.random.default_rng(3000 + seed))
+            if 4 in gqi.is_extremal(Gqi(t.signature, t.outcomes)).support_ranks:
+                roots.append(t)
+        assert sum(isinstance(x, testers.Tester) for x in roots) > 1
+        for obj in roots:
+            kind = fileio.kind_of(obj)
+            root = Gqi(obj.signature, obj.outcomes)
+            cert = gqi.is_extremal(root)
+            assert has_full_support(cert.support_ranks, root.signature.total_dim)
+            for child in gqi.decompose_step(root, certificate=cert):
+                path = tmp_path / "child.json"
+                fileio.save_object(path, kind.build(child.signature, child.outcomes))
+                back = fileio.load_object(path)
+                assert kind.verdict(back, DEFAULT_TOL)[0], kind.name
+                if kind.name == "tester":
+                    got, want = testers.tester_verdict(back).rho, testers.tester_verdict(obj).rho
+                    assert np.abs(got - want).max() <= 4 * np.finfo(float).eps
+
+    def test_exit_needs_two_nonzero_outcomes_and_a_small_cutoff(self, recorded):
+        """One outcome, a zero second outcome, and a tolerance whose cutoff
+        at sqrt(M) reaches 1 (while D eps < 1) all go to the rank stage."""
+        comb = ladder_inputs((2, 2), np.random.default_rng(9))[2].normalization
+        sig = CombSignature((2, 2))
+        n_known = combs.comb_variable_count(sig)
+        loose = DEFAULT_TOL.scaled(0.02)
+        assert 4 * loose.eps_rel < 1.0 <= loose.rank_tol(32 + n_known, 16, np.sqrt(2))
+        cases = [
+            (Gqi(sig, (comb,)), DEFAULT_TOL),
+            (Gqi(sig, (comb, np.zeros((4, 4)))), DEFAULT_TOL),
+            (Gqi(sig, (comb / 2, comb / 2)), loose),
+        ]
+        for g, pol in cases:
+            recorded.clear()
+            cert = gqi.is_extremal(g, pol=pol)
+            assert len(recorded) == 1
+            want, ranks, n_known = full_stack_decision(g, pol)
+            assert (cert.extremal, cert.rank, cert.support_ranks) == (want.nullvector is None, want.rank, ranks)
+            assert max(ranks) == 4
+        recorded.clear()
+        assert not gqi.is_extremal(Gqi(sig, (comb / 2, comb / 2))).extremal
+        assert recorded == []
+
+    def test_cli_decides_full_rank_4444(self, tmp_path):
+        """A full-rank two-outcome GQI at (4,4,4,4), whose rank stage would
+        need about 29 GiB, is decided: exit 0, not 2."""
+        sig = CombSignature((4, 4, 4, 4))
+        assert gqi.rank_stage_bytes(sig, (256, 256)) > gqi.RANK_STAGE_BUDGET
+        rng = np.random.default_rng(4)
+        ops = tuple(0.5 * combs.random_deterministic_comb(sig, seed=rng, spread=0.5).operator for _ in range(2))
+        path = tmp_path / "full.json"
+        fileio.save_object(path, Gqi(sig, ops))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["extremal", str(path)]) == 0
+        got = json.loads(out.getvalue())
+        assert (got["verdict"], got["rank"], got["support_ranks"]) == ("not_extremal", 65536, [256, 256])
+        assert got["epsilon_star"] > 0.0
+
+
 class TestSizeGuard:
-    def test_cli_refuses_above_budget(self, monkeypatch, capsys):
+    def test_cli_refuses_above_budget(self, monkeypatch, capsys, tmp_path):
+        sig = CombSignature((2, 2))
+        path = tmp_path / "split.json"
+        fileio.save_object(path, split_comb(sig, np.random.default_rng(1)))
         monkeypatch.setattr(gqi, "RANK_STAGE_BUDGET", 1000)
-        assert cli.main(["extremal", os.path.join(GOLDEN, "gqi.json")]) == 2
+        assert cli.main(["extremal", str(path)]) == 2
         err = capsys.readouterr().err
-        need = gqi.rank_stage_bytes(CombSignature((2, 2)), (4, 4))
+        need = gqi.rank_stage_bytes(sig, (3, 3))
         assert f"needs about {need:,} bytes, above the budget of 1,000 bytes" in err
 
     def test_raises_before_any_row_is_built(self, monkeypatch):
@@ -195,7 +372,7 @@ class TestSizeGuard:
         monkeypatch.setattr(gqi, "RANK_STAGE_BUDGET", 1000)
         monkeypatch.setattr(combs, "complement_coordinates", refuse)
         with pytest.raises(SizeLimitError):
-            gqi.is_extremal(ladder_inputs((2, 2), np.random.default_rng(1))[2])
+            gqi.is_extremal(split_comb(CombSignature((2, 2)), np.random.default_rng(1)))
 
     @pytest.mark.parametrize(
         "dims, full, mixed",
@@ -216,8 +393,9 @@ class TestSizeGuard:
         assert gqi.rank_stage_bytes(sig, (1, 2, 3)) == mixed
 
     def test_default_budget_admits_the_ladder_and_fixtures(self):
-        """The full-rank two-outcome GQI at (2,2,2,2,2,2) fits (not run here),
-        (4,4,4,4) does not, and every CLI fixture runs."""
+        """The estimate for a full-rank two-outcome GQI fits at (2,2,2,2,2,2)
+        and not at (4,4,4,4), though both are decided by the full-support exit
+        without it, and every CLI fixture runs."""
         budget = gqi.RANK_STAGE_BUDGET
         assert gqi.rank_stage_bytes(CombSignature((2,) * 6), (64, 64)) < budget
         assert gqi.rank_stage_bytes(CombSignature((4,) * 4), (256, 256)) > budget

@@ -3,7 +3,10 @@
 ``tests/golden_cli/`` holds one operator file per object kind, plus two
 testers whose rho is rank-deficient, with the ``exqip validate`` and
 ``exqip extremal`` JSON that the program printed for them before the tester
-and POVM routes were folded into the GQI rank test (``expected.json``).
+and POVM routes were folded into the GQI rank test (``expected.json``).  The
+gqi and povm fixtures have an outcome of full support, so their epsilon*
+belongs to the exchange witness of the full-support exit and was recorded
+when that exit was added.
 """
 
 import contextlib

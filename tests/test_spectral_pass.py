@@ -5,7 +5,9 @@
 epsilon* step.  The oracle below is the former pipeline: a plain ``eigh``
 of each symmetrized outcome, sorted by ``argsort`` and cut at supp_tol, for
 the supports, and the public ``gqi.max_perturbation_step`` without
-eigenpairs, which decomposes the outcomes itself.
+eigenpairs, which decomposes the outcomes itself.  Where one outcome has full
+support beside another nonzero one, the oracle builds the exchange witness
+of the full-support exit from its own supports.
 """
 
 import numpy as np
@@ -49,7 +51,17 @@ def oracle(g, normalization_basis=None, pol=DEFAULT_TOL):
     decision = linalg.rank_decision(np.vstack(rows), pol, known=n_known, ambient=dim * dim)
     ranks = tuple(u.shape[1] for u in supports)
     eps = None
-    if decision.nullvector is not None:
+    full = [i for i, r in enumerate(ranks) if r == dim]
+    others = [i for i, r in enumerate(ranks) if r > 0 and i not in full[:1]]
+    tau = pol.rank_tol(sum(r * r for r in ranks) + n_known, dim * dim, max(1.0, np.sqrt(len(ranks))))
+    if full and others and tau < 1.0:
+        # Exchange weight between the first full-support outcome and the
+        # first other nonzero one, along the projector onto the latter's support.
+        p = supports[others[0]] @ supports[others[0]].conj().T
+        directions = [np.zeros((dim, dim), dtype=complex) for _ in ranks]
+        directions[full[0]], directions[others[0]] = -p, p
+        eps = gqi.max_perturbation_step(g.outcomes, directions, pol)
+    elif decision.nullvector is not None:
         directions = []
         pos = 0
         for u, r in zip(supports, ranks):
