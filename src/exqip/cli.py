@@ -209,6 +209,15 @@ def cmd_generate(args) -> int:
 
 def cmd_suite(args) -> int:
     pol = _policy(args, suites.LARGEST_DIM[args.name])
+    if args.name == "xi-invariance":
+        # xi_transform needs a full-rank state: its eigenvalues must lie
+        # above the support cutoff supp_tol(2, 1).
+        floor = suites.smallest_state_eigenvalue(2)
+        if pol.supp_tol(2, 1.0) >= floor:
+            raise ValueError(
+                f"tolerance {pol.eps_rel:g} puts the support cutoff at or above {floor:.4g}, "
+                "the smallest eigenvalue of the states xi-invariance draws"
+            )
     result = suites.run_suite(args.name, seeds=args.seeds, pol=pol)
     print(json.dumps(result.summary(), indent=2, sort_keys=True))
     return 0 if result.ok else 1

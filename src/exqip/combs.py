@@ -152,26 +152,13 @@ def _levels(sig: CombSignature):
         yield math.prod(dims[2 * n :]), dims[2 * n - 1], dims[2 * n - 2], math.prod(dims[: 2 * n - 2])
 
 
-def comb_variable_basis(sig: CombSignature) -> list:
-    """The HS-orthonormal variable-direction basis of the deterministic-comb family.
-
-    Listed level by level from the last tooth down: traceless operators on each
-    odd (output) space tensored with a full Hermitian basis of everything
-    below, padded with identity above.  Adding any combination of these to the
-    central comb preserves the normalization cascade exactly; only positivity
-    can fail.
-    """
-    out = []
-    for top, odd, even, low in _levels(sig):
-        eye_top = np.eye(top, dtype=complex) / math.sqrt(top)
-        for e in linalg.traceless_hermitian_basis(odd):
-            for f in linalg.hermitian_basis(even * low):
-                out.append(linalg.kron(eye_top, linalg.kron(e, f)))
-    return out
-
-
 def comb_variable_count(sig: CombSignature) -> int:
-    """Closed-form size of the variable basis (independent of enumeration)."""
+    """|V|, the number of variable directions of the deterministic-comb
+    family: per level, the traceless operators on the odd (output) space
+    tensored with a Hermitian basis of everything below, padded with the
+    identity above.  Adding any combination of them to a comb preserves the
+    normalization cascade exactly; only positivity can fail.  V is never
+    built."""
     return sum((odd * odd - 1) * (even * low) ** 2 for _, odd, even, low in _levels(sig))
 
 
@@ -179,8 +166,8 @@ def comb_forbidden_directions(sig: CombSignature) -> list:
     """Directions excluded by the cascade: identity on an odd space times a
     traceless operator on the even space directly below it.
 
-    Together with the identity they span the orthogonal complement of
-    :func:`comb_variable_basis`.
+    Together with the identity they span the orthogonal complement of the
+    variable directions V (see :func:`comb_variable_count`).
     """
     out = []
     for top, odd, even, low in _levels(sig):
@@ -207,11 +194,12 @@ def complement_coordinates(
     ``u`` (D x r) has orthonormal columns.  Row j is an isometric image of
     (1 - P_V) q_j, where q_j is the j-th element of the support basis
     (:func:`linalg.support_operators` order) and P_V projects onto the span of
-    :func:`comb_variable_basis`.  The complement of V is spanned by the
-    identity and :func:`comb_forbidden_directions`, so the coordinates are
-    Tr q / sqrt(D) and then, per level n with Y_n = Tr_{spaces >= 2n-1} q /
-    sqrt(top_n), the vectorized part of Y_n traceless on space 2n-2.  They
-    come from partial traces of ``u`` alone: no D^2-long operator is built.
+    the variable directions V (:func:`comb_variable_count`).  The complement
+    of V is spanned by the identity and :func:`comb_forbidden_directions`, so
+    the coordinates are Tr q / sqrt(D) and then, per level n with
+    Y_n = Tr_{spaces >= 2n-1} q / sqrt(top_n), the vectorized part of Y_n
+    traceless on space 2n-2.  They come from partial traces of ``u`` alone:
+    no D^2-long operator is built.
     Levels with a trivial even space contribute nothing and are skipped.
     Only the rows ``start`` to ``stop`` (by default all r^2) are built.
     """

@@ -7,7 +7,9 @@ variable-direction basis V, must be linearly independent.  The test runs on
 the support bases projected off V, in coordinates taken from partial traces.
 An outcome of full support settles the rank without that test whenever
 another outcome is nonzero: its support basis already spans every Hermitian
-operator, and exchanging weight between the two is the witness.
+operator, and exchanging weight between the two is the witness.  When both
+have full support the exchange is +/- the identity, and its epsilon_star is
+a formula in the eigenvalues of validation.
 A rank deficiency yields a constructive perturbation {D_i}, Delta and the
 maximal step size epsilon_star, from which a one-step convex decomposition
 follows.  epsilon_star starts from a closed-form estimate (the
@@ -337,7 +339,7 @@ def rank_stage_bytes(sig: CombSignature, support_ranks) -> int:
 def _rank_test(sig: CombSignature, supports, n_known: int, pol: TolerancePolicy) -> linalg.RankDecision:
     """The pooled rank decision on the support bases projected off V, given
     the support vectors of each outcome and |V| (see
-    :func:`linalg.rank_decision` for the rank and cutoff).
+    :func:`linalg.block_rank_decision` for the rank and cutoff).
 
     The rows are built outcome by outcome and decided head first
     (:func:`linalg.block_rank_decision`).  Each outcome's rows are a projected
@@ -382,22 +384,57 @@ def _coordinate_blocks(supports, sig: CombSignature, head: int):
 def _full_support_pair(support_ranks, dim: int, n_known: int, pol: TolerancePolicy):
     """(a, b) for the full-support exit of :func:`is_extremal`, or None.
 
-    a is the first outcome of full support, b the first other outcome with a
-    nonzero support.  The projected rows of a alone have span = D^2 - |V|
-    singular values equal to 1, so the pooled rank is span + |V| = D^2
-    whenever the cutoff taken at sigma_max <= sqrt(M) lies below 1 (README,
-    "Full-support exit").
+    a is the first outcome of full support.  b is the next outcome of full
+    support when there is one, so that the witness is the identity exchange
+    (see :func:`identity_exchange_step`), and otherwise the first other
+    outcome with a nonzero support.  The projected rows of a alone have
+    span = D^2 - |V| singular values equal to 1, so the pooled rank is
+    span + |V| = D^2 whenever the cutoff taken at sigma_max <= sqrt(M) lies
+    below 1 (README, "Full-support exit").
     """
-    a = next((i for i, r in enumerate(support_ranks) if r == dim), None)
-    if a is None:
+    full = [i for i, r in enumerate(support_ranks) if r == dim]
+    if not full:
         return None
-    b = next((i for i, r in enumerate(support_ranks) if i != a and r > 0), None)
+    a = full[0]
+    b = full[1] if len(full) > 1 else next((i for i, r in enumerate(support_ranks) if i != a and r > 0), None)
     if b is None:
         return None
     rows = sum(r * r for r in support_ranks) + n_known
     if pol.rank_tol(rows, dim * dim, max(1.0, math.sqrt(len(support_ranks)))) >= 1.0:
         return None
     return a, b
+
+
+def identity_exchange_step(values, a: int, b: int, pol: TolerancePolicy = DEFAULT_TOL) -> float:
+    """epsilon* of the identity exchange D_b = I, D_a = -I (every other
+    D_i = 0) in closed form, from the eigenvalues ``values`` (M x D, any
+    order) of the outcomes.
+
+    T_i +/- epsilon I has the eigenvalues w_i +/- epsilon exactly, so only
+    T_a - epsilon I and T_b - epsilon I can bind.  With c = supp_tol(D, 1) / 2,
+    the slack of either is
+
+        w_min - epsilon + c max(w_max - epsilon, 1),
+
+    piecewise linear and strictly decreasing.  Its root is
+    (w_min + c w_max) / (1 + c) while w_max - epsilon >= 1 there, and
+    w_min + c once w_max - epsilon <= 1: the larger of the two.  The step is
+    the smaller root of a and b, less the rounding allowance
+    D eps_machine max(1, |w|_max) of the eigenvalues that
+    :func:`perturbation_feasible` computes.  As in
+    :func:`max_perturbation_step`, it is 0 when some outcome has a shifted
+    eigenvalue w + supp_tol(D, w_max) / 2 <= 0.
+    """
+    w = np.asarray(values)
+    dim = w.shape[-1]
+    high, low = w.max(axis=1), w.min(axis=1)
+    if np.min(low + 0.5 * pol.supp_tol(dim, high)) <= 0.0:
+        return 0.0
+    c = 0.5 * pol.supp_tol(dim, 1.0)
+    low, high = low[[a, b]], high[[a, b]]
+    roots = np.maximum((low + c * high) / (1.0 + c), low + c)
+    allowance = dim * np.finfo(float).eps * max(1.0, float(np.abs(w).max()))
+    return max(0.0, float(roots.min()) - allowance)
 
 
 def is_extremal(
@@ -427,9 +464,17 @@ def is_extremal(
 
     Full-support exit: when an outcome a has full support and another
     outcome b a nonzero one, and tau taken at sigma_max = sqrt(M) is below 1,
-    the rank is D^2 with no row built (README, "Full-support exit").  The
-    witness exchanges weight between the two: D_b = P_b, D_a = -P_b, with
-    P_b the projector onto Supp(T_b), every other D_i = 0 and Delta = 0.
+    the rank is D^2 with no row built (README, "Full-support exit").  b is
+    another full-support outcome when there is one (see
+    :func:`_full_support_pair`).  The witness exchanges weight between the
+    two: D_b = P_b, D_a = -P_b, with P_b the projector onto Supp(T_b), every
+    other D_i = 0 and Delta = 0.  When r_b = D, P_b is exactly I and
+    epsilon* comes in closed form from the validation eigenvalues
+    (:func:`identity_exchange_step`: the smaller root of the two piecewise
+    linear slacks of T_a - epsilon I and T_b - epsilon I, one branch for
+    lambda_max above 1 and one below, less a rounding allowance), with no
+    further eigensolver.  Otherwise P_b = U_b U_b^dagger and epsilon* is
+    searched (:func:`max_perturbation_step`).
 
     ``validation`` is the caller's :func:`is_valid_gqi` verdict on ``g`` at
     ``pol``, when it has one; otherwise ``g`` is validated here.  Each outcome
@@ -443,13 +488,18 @@ def is_extremal(
     dim = g.signature.total_dim
     family_size = sum(r * r for r in support_ranks) + n_known
     directions = None
+    step = None
     margin = None
     pair = _full_support_pair(support_ranks, dim, n_known, pol)
     if pair is not None:
         a, b = pair
         rank = dim * dim
-        p = supports[b] @ supports[b].conj().T
         directions = [np.zeros((dim, dim), dtype=complex) for _ in g.outcomes]
+        if support_ranks[b] == dim:
+            p = np.eye(dim, dtype=complex)
+            step = identity_exchange_step(spectra.values, a, b, pol)
+        else:
+            p = supports[b] @ supports[b].conj().T
         directions[a], directions[b] = -p, p
     else:
         decision = _rank_test(g.signature, supports, n_known, pol)
@@ -469,13 +519,11 @@ def is_extremal(
             margin = float(decision.singular_values[-1])
     perturbation = None
     if directions is not None:
-        # The directions lie in the leading max r_i eigenvectors.
-        in_supports = linalg.EigenDecomposition(spectra.values, spectra.vectors[..., : max(support_ranks)])
-        perturbation = Perturbation(
-            directions=tuple(directions),
-            delta=sum(directions),
-            epsilon_star=max_perturbation_step(g.outcomes, directions, pol, in_supports),
-        )
+        if step is None:
+            # The directions lie in the leading max r_i eigenvectors.
+            in_supports = linalg.EigenDecomposition(spectra.values, spectra.vectors[..., : max(support_ranks)])
+            step = max_perturbation_step(g.outcomes, directions, pol, in_supports)
+        perturbation = Perturbation(directions=tuple(directions), delta=sum(directions), epsilon_star=step)
     return ExtremalityCertificate(
         extremal=perturbation is None,
         family_size=family_size,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NotHermitianError, NotPositiveError
+from .errors import DimensionMismatchError, NotHermitianError
 
 
 @dataclass(frozen=True)
@@ -207,28 +207,6 @@ class RankDecision:
     nullvector: np.ndarray | None
 
 
-def rank_decision(
-    x: np.ndarray, pol: TolerancePolicy = DEFAULT_TOL, known: int = 0, ambient: int | None = None
-) -> RankDecision:
-    """Rank of the rows of ``x`` pooled with ``known`` orthonormal vectors.
-
-    The rows of ``x`` (m x n) are coordinates of family members in the
-    orthogonal complement of ``known`` orthonormal vectors of an
-    ``ambient``-dimensional space (by default n, with nothing known).  The
-    pooled family has rank ``rank(x) + known`` and the pooled cutoff
-
-        tau = max(m + known, ambient) * sigma * eps_rel,
-
-    with sigma = sigma_max(x), floored at 1 when ``known > 0`` because the
-    orthonormal members alone have unit singular values.  The rank comes from
-    a values-only SVD of ``x``.  A dependent family gets a null vector c with
-    ``|c^T x| <= tau``.  The rows span at most span = min(ambient - known, n)
-    dimensions, so beyond that c is taken from the first span + 1 rows.
-    """
-    x = np.asarray(x, dtype=float)
-    return block_rank_decision([x], x.shape[0], pol, known, ambient)
-
-
 def block_rank_decision(
     blocks,
     rows: int,
@@ -237,9 +215,23 @@ def block_rank_decision(
     ambient: int | None = None,
     sigma_bound: float | None = None,
 ) -> RankDecision:
-    """:func:`rank_decision` on the stack of ``blocks``, an iterable of
-    (k_i, n) arrays with ``rows`` = sum k_i rows in all, built in order and
-    only as far as the decision needs.
+    """Rank of the stack of ``blocks`` pooled with ``known`` orthonormal
+    vectors.  ``blocks`` is an iterable of (k_i, n) arrays with ``rows`` =
+    sum k_i rows in all, built in order and only as far as the decision
+    needs.
+
+    The rows are coordinates of family members in the orthogonal complement
+    of ``known`` orthonormal vectors of an ``ambient``-dimensional space (by
+    default n, with nothing known).  The pooled family has rank
+    ``rank(rows) + known`` and the pooled cutoff
+
+        tau = max(rows + known, ambient) * sigma * eps_rel,
+
+    with sigma = sigma_max of the rows, floored at 1 when ``known > 0``
+    because the orthonormal members alone have unit singular values.  A
+    dependent family gets a null vector c with ``|c^T x| <= tau``.  The rows
+    span at most span = min(ambient - known, n) dimensions, so beyond that c
+    is taken from the first span + 1 rows.
 
     Head first: with more rows than their span and an upper bound
     ``sigma_bound`` >= sigma_max of the stack, the first span + 1 rows (the
@@ -352,17 +344,6 @@ def unvectorize_hermitian(v: np.ndarray, d: int) -> np.ndarray:
     out[iu] = re + 1j * im
     out[(iu[1], iu[0])] = re - 1j * im
     return out
-
-
-def support_vectors(t: np.ndarray, pol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal eigenvectors (columns, eigenvalues descending) spanning Supp(t).
-
-    ``t`` must be positive semidefinite within tolerance.
-    """
-    eig = hermitian_eig(t, pol)
-    if not pol.psd(eig.values):
-        raise NotPositiveError(f"negative eigenvalue {eig.values[-1]:.3e}")
-    return eig.vectors[:, : eig.support_ranks(pol)]
 
 
 def support_operators(u: np.ndarray, traced: int = 1, start: int = 0, stop: int | None = None) -> np.ndarray:

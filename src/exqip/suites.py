@@ -52,11 +52,18 @@ class SuiteResult:
 
 
 def random_full_rank_state(d: int, rng, floor: float = 0.05) -> np.ndarray:
-    """Random density operator with eigenvalues bounded away from zero."""
+    """Random density operator whose eigenvalues all lie above
+    :func:`smallest_state_eigenvalue`."""
     u = channels.random_unitary(d, rng)
     w = rng.random(d) + floor
     w /= w.sum()
     return (u * w) @ u.conj().T
+
+
+def smallest_state_eigenvalue(d: int, floor: float = 0.05) -> float:
+    """The infimum of the eigenvalues :func:`random_full_rank_state` draws:
+    one weight at ``floor`` beside d - 1 weights just under 1 + floor."""
+    return floor / (floor + (d - 1) * (1.0 + floor))
 
 
 def random_extremal_qubit_tester(rng) -> testers.Tester:

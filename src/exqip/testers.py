@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import combs, gqi as gqi_mod, linalg
+from . import gqi as gqi_mod, linalg
 from .combs import CombSignature
 from .errors import DimensionMismatchError, ValidationError
 from .gqi import ExtremalityCertificate, Gqi, GqiVerdict
@@ -78,12 +78,6 @@ class Povm:
     @property
     def outcomes(self) -> tuple:
         return self.effects
-
-
-def tester_normalization(t: Tester, pol: TolerancePolicy = DEFAULT_TOL):
-    """rho = Tr_2(sum T_i) / d_2 and the product-form residual, from the comb cascade."""
-    comb = combs.is_deterministic_comb(sum(t.outcomes), t.signature, pol=pol)
-    return comb.reduced[0], comb.level_residuals[0]
 
 
 class TesterVerdict(NamedTuple):

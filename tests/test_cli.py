@@ -42,6 +42,10 @@ SAMPLE_OBJECTS = [
 ]
 
 
+# Every golden fixture, and a product tester written here.
+CERTIFICATE_INPUTS = sorted(n[: -len(".json")] for n in os.listdir(GOLDEN) if n != "expected.json") + ["product-tester"]
+
+
 class TestFileio:
     @pytest.mark.parametrize("obj", SAMPLE_OBJECTS, ids=lambda o: fileio.kind_of(o).name)
     def test_round_trip_byte_identical(self, obj, tmp_path):
@@ -93,18 +97,37 @@ class TestFileio:
         with pytest.raises(FileFormatError):
             fileio.load_object(path)
 
-    def test_certificate_round_trip(self, tmp_path):
-        cert = testers.is_extremal_tester(testers.schmidt_tester(0.0))
-        path = tmp_path / "cert.json"
-        fileio.save_certificate(path, "tester", cert, linalg.DEFAULT_TOL)
-        assert json.loads(path.read_text())["tool_version"] == exqip.__version__ == "0.1.0"
-        loaded = fileio.load_certificate(path)
-        assert loaded.extremal == cert.extremal
-        assert loaded.rank == cert.rank
-        assert loaded.support_ranks == cert.support_ranks
-        assert loaded.perturbation.epsilon_star == cert.perturbation.epsilon_star
+    @pytest.mark.parametrize("name", CERTIFICATE_INPUTS)
+    def test_certificate_round_trip(self, name, tmp_path, capsys):
+        """``exqip extremal --certificate`` writes the verdict's certificate,
+        and it reads back bit for bit; on gqi.json and povm.json that is the
+        identity exchange D_b = I, D_a = -I and its closed-form epsilon*."""
+        if name == "product-tester":
+            path = tmp_path / "tester.json"
+            fileio.save_object(path, testers.schmidt_tester(0.0))
+        else:
+            path = os.path.join(GOLDEN, f"{name}.json")
+        cert_path = tmp_path / "cert.json"
+        assert cli.main(["extremal", str(path), "--certificate", str(cert_path)]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        assert json.loads(cert_path.read_text())["tool_version"] == exqip.__version__ == "0.1.0"
+        obj = fileio.load_object(path)
+        cert = gqi.is_extremal(Gqi(obj.signature, obj.outcomes))
+        loaded = fileio.load_certificate(cert_path)
+        fields = ("extremal", "family_size", "rank", "support_ranks", "normalization_basis_size")
+        assert [getattr(loaded, f) for f in fields] == [getattr(cert, f) for f in fields]
+        if cert.perturbation is None:
+            assert loaded.perturbation is None and printed["epsilon_star"] is None
+            return
+        assert loaded.perturbation.epsilon_star == cert.perturbation.epsilon_star == printed["epsilon_star"]
+        assert np.array_equal(loaded.perturbation.delta, cert.perturbation.delta)
+        assert len(loaded.perturbation.directions) == len(cert.perturbation.directions)
         for a, b in zip(loaded.perturbation.directions, cert.perturbation.directions):
-            assert linalg.max_abs(a - b) == 0.0
+            assert np.array_equal(a, b)
+        if name in ("gqi", "povm"):
+            eye = np.eye(obj.signature.total_dim)
+            assert [d.tolist() for d in loaded.perturbation.directions] == [(-eye).tolist(), eye.tolist()]
+            assert not loaded.perturbation.delta.any()
 
 
 class TestCli:
@@ -134,7 +157,6 @@ class TestCli:
         assert self.run("validate", str(path)) == 0
         report = json.loads(capsys.readouterr().out)
         assert calls["cascade"] == 1
-        assert calls["tester_normalization"] == 0
         assert calls["partial_trace"] == 0
         assert calls["check_hermitian_stack"] == 1
         assert calls["eigh"] == [(2, 4, 4)]
@@ -281,7 +303,31 @@ class TestCli:
         assert out.out == ""
         assert out.err == f"error: tolerance 0.5 leaves every support empty at dimension {dim}\n"
         assert self.run("--tol", repr(1.0 / dim), "suite", name, "--seeds", "1") == 2
-        assert self.run("--tol", repr(0.9 / dim), "suite", name, "--seeds", "1") != 2
+        capsys.readouterr()
+        # Just below D eps_rel = 1 this guard lets the suite run; only
+        # xi-invariance refuses such a tolerance, by its own guard below.
+        code = self.run("--tol", repr(0.9 / dim), "suite", name, "--seeds", "1")
+        assert "leaves every support empty" not in capsys.readouterr().err
+        assert code != 2 or name == "xi-invariance"
+
+    def test_xi_suite_tol_that_reaches_the_drawn_states_exits_2(self, capsys):
+        """xi-invariance transforms by qubit states whose eigenvalues lie
+        above floor / (1 + 2 floor); a support cutoff supp_tol(2, 1) at or
+        above that refuses them, which is a usage error.  Below it, verdict
+        flips stay suite failures."""
+        floor = suites.smallest_state_eigenvalue(2)
+        assert floor == 0.05 / 1.1
+        rng = np.random.default_rng(0)
+        assert min(np.linalg.eigvalsh(suites.random_full_rank_state(2, rng))[0] for _ in range(200)) > floor
+        for tol in ("0.225", repr(floor / 2)):
+            assert self.run("--tol", tol, "suite", "xi-invariance", "--seeds", "1") == 2
+            out = capsys.readouterr()
+            assert out.out == ""
+            assert out.err.startswith(f"error: tolerance {float(tol):g} puts the support cutoff at or above 0.04545")
+        assert self.run("--tol", "0.015", "suite", "xi-invariance", "--seeds", "35") == 1
+        assert json.loads(capsys.readouterr().out)["failures"] == 1
+        assert self.run("--tol", "0.005", "suite", "xi-invariance", "--seeds", "35") == 0
+        assert self.run("suite", "xi-invariance", "--seeds", "35") == 0
 
     def test_tol_env(self, tmp_path, monkeypatch):
         path = str(tmp_path / "bell.json")

@@ -31,6 +31,8 @@ from exqip.errors import ValidationError
 from exqip.gqi import Gqi
 from exqip.linalg import DEFAULT_TOL
 
+import oracles
+
 
 def bisection_oracle(outcomes, directions, pol=DEFAULT_TOL):
     """Largest feasible epsilon by doubling, then 60 bisection steps."""
@@ -406,7 +408,7 @@ class TestEdgeCases:
 
 
 def random_hermitian_in_support(t, rng):
-    u = linalg.support_vectors(t)
+    u = oracles.support_vectors(t)
     r = u.shape[1]
     h = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
     return u @ (h + h.conj().T) @ u.conj().T
@@ -440,3 +442,111 @@ def test_property_step_is_maximal_and_matches_oracle(seed, d, counts, mixed):
         scale = np.finfo(float).eps * max(1.0, max(float(np.abs(np.linalg.eigvalsh(t)).max()) for t in g.outcomes))
         for x in (eps, ref):
             assert 0.0 <= gqi.perturbation_slack(g.outcomes, directions, x) <= scale
+
+
+def full_rank_split(sig, weights, rng, spread):
+    """Outcomes w_i C_i of random full-rank combs C_i.  With three weights
+    the third outcome is only a rank-deficient part b P C_3 P of w_3 C_3,
+    whose rest joins the second, so that exactly two outcomes have full
+    support."""
+    c = [combs.random_deterministic_comb(sig, seed=rng, spread=spread).operator for _ in weights]
+    ops = [w * x for w, x in zip(weights, c)]
+    if len(ops) == 3:
+        u = channels.random_unitary(sig.total_dim, rng)[:, : sig.total_dim // 2]
+        part = u @ u.conj().T @ c[2] @ u @ u.conj().T
+        lam = np.linalg.eigvalsh(c[2])
+        cut = 0.5 * weights[2] * lam[0] / lam[-1]
+        ops[1], ops[2] = ops[1] + ops[2] - cut * part, cut * part
+    return Gqi(sig, tuple(ops))
+
+
+def identity_exchange_population():
+    """GQIs with M = 2 and 3 and two full-support outcomes, from (3,1) to
+    (2,3,3,2), and the two margin branches written out: a binding outcome
+    whose lambda_max stays above 1 after the step, and POVM halves, whose
+    lambda_max is below 1."""
+    out = []
+    for dims in ((3, 1), (2, 2), (2, 2, 2, 2), (2, 3, 3, 2)):
+        sig = CombSignature(dims)
+        rng = np.random.default_rng([sig.total_dim, 13])
+        for m in (2, 3):
+            for spread in (0.3, 0.7):
+                out.append(full_rank_split(sig, rng.dirichlet(np.ones(m)), rng, spread))
+    phi = np.eye(2).ravel()
+    near_identity = 0.95 * np.outer(phi, phi) + 0.05 * np.eye(4) / 2
+    out.append(Gqi(CombSignature((2, 2)), (0.8 * near_identity, 0.2 * np.eye(4) / 2)))
+    out.append(Gqi(CombSignature((2, 1)), (np.eye(2) / 2, np.eye(2) / 2)))
+    return out
+
+
+class TestIdentityExchange:
+    """epsilon* of the identity exchange D_b = I, D_a = -I, in closed form
+    from the validation eigenvalues, against the bisection on
+    ``perturbation_feasible``."""
+
+    def test_against_bisection(self):
+        branches = set()
+        counts = set()
+        for g in identity_exchange_population():
+            cert = gqi.is_extremal(g)
+            t, d = g.outcomes, cert.perturbation.directions
+            dim = g.signature.total_dim
+            exchanged = [i for i, x in enumerate(d) if x.any()]
+            assert len(exchanged) == 2
+            assert all(np.array_equal(abs(d[i]), np.eye(dim)) for i in exchanged)
+            eps = cert.perturbation.epsilon_star
+            ref = bisection_oracle(t, d)
+            assert gqi.perturbation_feasible(t, d, eps)
+            assert not gqi.perturbation_feasible(t, d, eps * (1.0 + 1e-6))
+            # At most the rounding allowance below the boundary, and never above it.
+            w = gqi.is_valid_gqi(g).spectra.values
+            allowance = dim * np.finfo(float).eps * max(1.0, float(np.abs(w).max()))
+            assert ref - 2.0 * allowance <= eps <= ref
+            # The binding outcome's lambda_max after the step, against 1.
+            binding = min(exchanged, key=lambda i: w[i, -1] + 0.5 * DEFAULT_TOL.supp_tol(dim, w[i, 0] - eps) - eps)
+            branches.add(bool(w[binding, 0] - eps > 1.0))
+            counts.add(g.n_outcomes)
+        assert branches == {True, False}
+        assert counts == {2, 3}
+
+    def test_outcome_below_working_margin_gives_zero(self):
+        # A third outcome -delta |v><v| passes validation for delta up to
+        # supp_tol(D, 1) but lies below the working margin -supp_tol / 2, so
+        # no epsilon is feasible, as in the search.
+        sig = CombSignature((2, 2))
+        comb = combs.random_deterministic_comb(sig, seed=3, spread=0.5).operator
+        delta = 0.75 * DEFAULT_TOL.supp_tol(4, 1.0)
+        v = np.zeros((4, 4), dtype=complex)
+        v[0, 0] = delta
+        g = Gqi(sig, (comb / 2 + v / 2, comb / 2 + v / 2, -v))
+        cert = gqi.is_extremal(g)
+        assert cert.support_ranks == (4, 4, 0)
+        d = cert.perturbation.directions
+        assert np.array_equal(d[1], np.eye(4)) and np.array_equal(d[0], -np.eye(4))
+        assert cert.perturbation.epsilon_star == 0.0
+        assert bisection_oracle(g.outcomes, d) == 0.0
+
+    def test_full_rank_d16_runs_validation_alone(self, monkeypatch):
+        """The full-rank two-outcome GQI at (2,2,2,2) takes one batched
+        ``eigh`` of its outcomes and no other decomposition: no ``eigvalsh``,
+        no ``svd`` and no search."""
+        sig = CombSignature((2, 2, 2, 2))
+        rng = np.random.default_rng(1)
+        g = Gqi(sig, tuple(0.5 * combs.random_deterministic_comb(sig, seed=rng, spread=0.5).operator for _ in range(2)))
+        calls = []
+        for name in ("eigh", "eigvalsh", "svd"):
+            fn = getattr(np.linalg, name)
+
+            def counted(a, *args, _fn=fn, _name=name, **kwargs):
+                calls.append((_name, np.shape(a)))
+                return _fn(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("epsilon* searched")
+
+        monkeypatch.setattr(gqi, "max_perturbation_step", refuse)
+        cert = gqi.is_extremal(g)
+        assert calls == [("eigh", (2, 16, 16))]
+        assert cert.support_ranks == (16, 16) and cert.perturbation.epsilon_star > 0.0

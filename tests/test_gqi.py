@@ -11,6 +11,7 @@ from exqip.errors import DimensionMismatchError, ExtremalInputError, ValidationE
 from exqip.gqi import Gqi
 from exqip.linalg import TolerancePolicy
 
+import oracles
 from test_head_rank import measure_and_prepare, split_comb
 
 CHANNEL_SIG = CombSignature((2, 2))
@@ -92,12 +93,12 @@ class TestExtremality:
         assert linalg.max_abs(total - pert.delta) < 1e-12
         # each direction is supported inside its outcome's support
         for t, d in zip(g.outcomes, pert.directions):
-            u = linalg.support_vectors(t)
+            u = oracles.support_vectors(t)
             p = u @ u.conj().T
             assert linalg.max_abs(d - p @ d @ p) < 1e-10
         # Delta lies in the span of the variable basis: projections onto the
         # forbidden directions vanish, and reconstruction from the basis works
-        basis = combs.comb_variable_basis(g.signature)
+        basis = oracles.comb_variable_basis(g.signature)
         recon = sum(
             linalg.hs_inner(b, pert.delta).real * b for b in basis
         )
@@ -255,6 +256,29 @@ class TestProperties:
         b = gqi.is_extremal(Gqi(g.signature, tuple(g.outcomes[i] for i in order)))
         assert (b.extremal, b.rank, b.family_size) == (a.extremal, a.rank, a.family_size)
         assert b.support_ranks == tuple(a.support_ranks[i] for i in order)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(GQI_KINDS), st.integers(0, 2**31 - 1))
+    def test_local_unitaries(self, kind, seed):
+        """Conjugating every outcome by a product of unitaries, one on each
+        space of each tooth, maps GQIs to GQIs and keeps the verdict, rank,
+        support ranks and family size; the identity exchange keeps its
+        epsilon*, which depends on the outcomes' eigenvalues alone."""
+        g = draw_gqi(kind, seed)
+        rng = np.random.default_rng([seed, 1])
+        u = np.eye(1)
+        for d in g.signature.dims:
+            # Space 0 is the last Kronecker factor.
+            u = np.kron(channels.random_unitary(d, rng), u)
+        moved = Gqi(g.signature, tuple(u @ t @ u.conj().T for t in g.outcomes))
+        a = gqi.is_extremal(g)
+        b = gqi.is_extremal(moved)
+        assert (b.extremal, b.rank, b.support_ranks, b.family_size) == (a.extremal, a.rank, a.support_ranks, a.family_size)
+        dim = g.signature.total_dim
+        if a.perturbation is not None and any(np.array_equal(d, np.eye(dim)) for d in a.perturbation.directions):
+            assert any(np.array_equal(d, np.eye(dim)) for d in b.perturbation.directions)
+            want = a.perturbation.epsilon_star
+            assert abs(b.perturbation.epsilon_star - want) <= 1e-12 * want
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, len(INSTRUMENT_SHAPES) - 1), st.integers(0, 2**31 - 1), st.integers(0, 2**31 - 1))

