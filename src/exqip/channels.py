@@ -5,16 +5,17 @@ operator-to-vector map is a plain row-major reshape and Choi operators live on
 H_1 (x) H_0 (output factor first).  Minimal Kraus representations come from the
 Choi spectral decomposition.
 
-Extremality routes: Choi's criterion (independence of {K_m^dagger K_n}), the
-rank-test form of the master criterion (their equivalence is a test oracle),
-the pooled Kraus-product criterion for instruments, and the square-root /
-Lueders constructions.  The appendix fixtures exercise all seven attainable
+Extremality routes: Choi's criterion (independence of {K_m^dagger K_n}) and
+the pooled Kraus-product criterion for instruments, the paper's independent
+criteria; Theorem 1 and the instrument rank test, the master criterion,
+decided on the GQI view by :func:`gqi.is_extremal` as for every other kind
+(that the two routes agree is a test oracle); and the square-root / Lueders
+constructions.  The appendix fixtures exercise all seven attainable
 (instrument, channel, POVM) extremality combinations.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -185,28 +186,13 @@ def choi_condition(
 def channel_extremal_theorem1(
     c: Channel, pol: TolerancePolicy = DEFAULT_TOL, validation: gqi_mod.GqiVerdict | None = None
 ) -> bool:
-    """Master-criterion form: {|K_m>><<K_n|} pooled with {sigma_a (x) I} and
-    {sigma_a (x) sigma_b} must be linearly independent.  ``validation`` as in
-    :func:`instrument_extremal`."""
-    (ks,) = _validated_kraus(c, pol, validation)
-    vs = [vec_op(k) for k in ks]
-    family = [np.outer(vm, vn.conj()) for vm in vs for vn in vs]
-    family.extend(_theorem1_normalization_family(c.d1, c.d0))
-    return linalg.complex_family_rank(family, pol) == len(family)
-
-
-@functools.lru_cache(maxsize=None)
-def _theorem1_normalization_family(d1: int, d0: int) -> tuple:
-    """{sigma_a (x) I, sigma_a (x) sigma_b}, built once per (d1, d0) and read-only."""
-    eye0 = np.eye(d0, dtype=complex)
-    family = []
-    for sa in linalg.traceless_hermitian_basis(d1):
-        family.append(linalg.kron(sa, eye0))
-        for sb in linalg.traceless_hermitian_basis(d0):
-            family.append(linalg.kron(sa, sb))
-    for m in family:
-        m.flags.writeable = False
-    return tuple(family)
+    """Theorem 1, the master criterion at signature (d_0, d_1):
+    {|K_m>><<K_n|} pooled with {sigma_a (x) I} and {sigma_a (x) sigma_b}
+    must be linearly independent.  Decided by :func:`gqi.is_extremal` on the
+    Choi operator, which projects the support basis off those directions
+    without building them.  ``validation`` as in :func:`instrument_extremal`."""
+    verdict = _validated(c, pol, validation)
+    return gqi_mod.is_extremal(Gqi(c.signature, c.outcomes), pol=pol, validation=verdict).extremal
 
 
 def instrument_extremal(

@@ -44,6 +44,11 @@ def _policy(args, dim: int = 1) -> TolerancePolicy:
     return pol
 
 
+def _check_count(value: int, flag: str) -> None:
+    if value < 0:
+        raise ValueError(f"{flag} must be a non-negative integer, got {value}")
+
+
 def _load(args):
     """The working policy, the object of ``args.file`` and its kind."""
     obj = fileio.load_object(args.file)
@@ -104,6 +109,7 @@ def cmd_extremal(args) -> int:
 
 
 def cmd_decompose(args) -> int:
+    _check_count(args.steps, "--steps")
     pol, obj, kind = _load(args)
     root = Gqi(obj.signature, obj.outcomes)
     cert = _certificate(obj, kind, pol)
@@ -208,6 +214,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_suite(args) -> int:
+    _check_count(args.seeds, "--seeds")
     pol = _policy(args, suites.LARGEST_DIM[args.name])
     if args.name == "xi-invariance":
         # xi_transform needs a full-rank state: its eigenvalues must lie

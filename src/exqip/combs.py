@@ -231,7 +231,6 @@ def random_deterministic_comb(
     sig: CombSignature,
     seed=None,
     spread: float = 0.5,
-    pol: TolerancePolicy = DEFAULT_TOL,
 ) -> DeterministicComb:
     """Random comb from the cascade-preserving parametrization.
 

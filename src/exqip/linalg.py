@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -30,11 +31,11 @@ class TolerancePolicy:
     * rank cutoff:  ``max(m, n) * sigma_max * eps_rel``
     * support cutoff: ``dim * max(lambda_max, 1) * eps_rel``
     * normalization residuals: ``comb_factor * eps_rel`` (two partial traces
-      of eigendecomposition-accurate operators)
+      of eigendecomposition-accurate operators), ``comb_factor`` a constant
     """
 
     eps_rel: float = 1e-10
-    comb_factor: float = 10.0
+    comb_factor: ClassVar[float] = 10.0
 
     @property
     def eps_comb(self) -> float:
@@ -64,9 +65,6 @@ class TolerancePolicy:
         lambda_max), counted along the last axis of ``w`` as in :meth:`psd`."""
         tau = self.supp_tol(w.shape[-1], w.max(axis=-1, keepdims=True, initial=-np.inf))
         return np.count_nonzero(w > tau, axis=-1)
-
-    def scaled(self, eps_rel: float) -> "TolerancePolicy":
-        return TolerancePolicy(eps_rel=eps_rel, comb_factor=self.comb_factor)
 
 
 DEFAULT_TOL = TolerancePolicy()

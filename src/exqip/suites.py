@@ -51,19 +51,25 @@ class SuiteResult:
 # ---------------------------------------------------------------------------
 
 
-def random_full_rank_state(d: int, rng, floor: float = 0.05) -> np.ndarray:
+# The weights of random_full_rank_state are uniform on [STATE_FLOOR, 1 + STATE_FLOOR)
+# before normalization.
+STATE_FLOOR = 0.05
+
+
+def random_full_rank_state(d: int, rng) -> np.ndarray:
     """Random density operator whose eigenvalues all lie above
     :func:`smallest_state_eigenvalue`."""
     u = channels.random_unitary(d, rng)
-    w = rng.random(d) + floor
+    w = rng.random(d) + STATE_FLOOR
     w /= w.sum()
     return (u * w) @ u.conj().T
 
 
-def smallest_state_eigenvalue(d: int, floor: float = 0.05) -> float:
+def smallest_state_eigenvalue(d: int) -> float:
     """The infimum of the eigenvalues :func:`random_full_rank_state` draws:
-    one weight at ``floor`` beside d - 1 weights just under 1 + floor."""
-    return floor / (floor + (d - 1) * (1.0 + floor))
+    one weight at ``STATE_FLOOR`` beside d - 1 weights just under
+    1 + STATE_FLOOR."""
+    return STATE_FLOOR / (STATE_FLOOR + (d - 1) * (1.0 + STATE_FLOOR))
 
 
 def random_extremal_qubit_tester(rng) -> testers.Tester:

@@ -3,15 +3,15 @@
 The program decides extremality without any of these: it never ranks a
 whole stack in one call, takes supports from the eigenpairs of validation,
 reads a tester's rho from the cascade of its GQI verdict, and never builds
-the comb variable basis V.  The tests keep them as oracles and to build
-inputs.
+the comb variable basis V or the dense normalization family of Theorem 1.
+The tests keep them as oracles and to build inputs.
 """
 
 import math
 
 import numpy as np
 
-from exqip import combs, linalg
+from exqip import channels, combs, linalg
 from exqip.errors import NotPositiveError
 from exqip.linalg import DEFAULT_TOL
 
@@ -52,3 +52,16 @@ def comb_variable_basis(sig):
             for f in linalg.hermitian_basis(even * low):
                 out.append(linalg.kron(eye_top, linalg.kron(e, f)))
     return out
+
+
+def theorem1_dense(c, pol=DEFAULT_TOL):
+    """Theorem 1 on the dense family: the Kraus outer products
+    {|K_m>><<K_n|} pooled with {sigma_a (x) I} and {sigma_a (x) sigma_b},
+    ranked over the complex field in one SVD."""
+    vs = [channels.vec_op(k) for k in channels.channel_kraus(c, pol)]
+    family = [np.outer(vm, vn.conj()) for vm in vs for vn in vs]
+    eye0 = np.eye(c.d0, dtype=complex)
+    for sa in linalg.traceless_hermitian_basis(c.d1):
+        family.append(linalg.kron(sa, eye0))
+        family.extend(linalg.kron(sa, sb) for sb in linalg.traceless_hermitian_basis(c.d0))
+    return linalg.complex_family_rank(family, pol) == len(family)

@@ -6,10 +6,12 @@ import math
 import numpy as np
 import pytest
 
-from exqip import channels, gqi, linalg, testers
+from exqip import channels, gqi, linalg, suites, testers
 from exqip.channels import APPENDIX_TABLE, Channel, Instrument
 from exqip.errors import NotPositiveError, ValidationError
 from exqip.testers import Povm
+
+import oracles
 
 
 def haar_kraus(rng, d0, d1, count):
@@ -93,6 +95,49 @@ class TestChannelExtremality:
         c = Channel(d1=2, d0=2, choi=np.eye(4, dtype=complex))
         with pytest.raises(ValidationError):
             channels.choi_condition(c)
+        with pytest.raises(ValidationError, match="not a valid channel"):
+            channels.channel_extremal_theorem1(c)
+
+    def test_theorem1_matches_dense_family_and_choi(self):
+        """Theorem 1 on the GQI view against the dense family it replaced
+        and against Choi's criterion, at (d_0, d_1) up to D = 12."""
+        verdicts = set()
+        for d0, d1 in [(2, 2), (2, 3), (3, 2), (3, 3), (2, 4), (4, 2), (3, 4)]:
+            rng = np.random.default_rng(100 * d0 + d1)
+            for _ in range(30):
+                count = int(rng.integers(-(-d0 // d1), d0 * d1 + 1))
+                c = channels.random_channel(d0, d1, count, rng)
+                want = oracles.theorem1_dense(c)
+                assert channels.channel_extremal_theorem1(c) == want == channels.choi_condition(c), (d0, d1, count)
+                verdicts.add(want)
+        assert verdicts == {True, False}
+
+    def test_theorem1_builds_no_dense_family(self, monkeypatch):
+        """Given the validation verdict, Theorem 1 decomposes nothing again,
+        ranks no complex family and builds no Gell-Mann basis."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense Theorem 1 family built")
+
+        real_eigh = np.linalg.eigh
+        eighs = []
+
+        def counting_eigh(*args, **kwargs):
+            eighs.append(args[0].shape)
+            return real_eigh(*args, **kwargs)
+
+        rng = np.random.default_rng(7)
+        cases = []
+        for d0, d1 in suites.EQUIVALENCE_DIMS:
+            for count in sorted({-(-d0 // d1), d0 * d1}):
+                c = channels.random_channel(d0, d1, count, rng)
+                cases.append((c, gqi.is_valid_gqi(gqi.Gqi(c.signature, c.outcomes))))
+        monkeypatch.setattr(linalg, "complex_family_rank", refuse)
+        monkeypatch.setattr(linalg, "traceless_hermitian_basis", refuse)
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        verdicts = {channels.channel_extremal_theorem1(c, validation=v) for c, v in cases}
+        assert verdicts == {True, False}
+        assert eighs == []
 
 
 class TestInstrumentExtremality:

@@ -271,6 +271,32 @@ class TestCli:
         assert json.loads(capsys.readouterr().out)["total"] == 7
         assert self.run("suite", "equivalence", "--seeds", "3") == 0
 
+    @pytest.mark.parametrize("seeds", ["-1", "-3"])
+    def test_negative_seeds_exit_2(self, seeds, capsys):
+        assert self.run("suite", "equivalence", "--seeds", seeds) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error: --seeds must be a non-negative integer, got {seeds}\n"
+
+    def test_negative_steps_exit_2(self, tmp_path, capsys):
+        src = str(tmp_path / "depolarizing.json")
+        fileio.save_object(src, Channel(d1=2, d0=2, choi=np.eye(4, dtype=complex) / 2.0))
+        out_dir = tmp_path / "tree"
+        assert self.run("decompose", src, "--steps", "-2", "--out", str(out_dir)) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "error: --steps must be a non-negative integer, got -2\n"
+        assert not out_dir.exists()
+
+    def test_zero_steps_leave_the_root_as_the_one_leaf(self, tmp_path, capsys):
+        src = str(tmp_path / "depolarizing.json")
+        fileio.save_object(src, Channel(d1=2, d0=2, choi=np.eye(4, dtype=complex) / 2.0))
+        assert self.run("decompose", src, "--steps", "0", "--out", str(tmp_path / "tree")) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["steps"] == 0
+        assert [(leaf["weight"], leaf["depth"], leaf["status"]) for leaf in summary["leaves"]] == [(1.0, 0, None)]
+        assert summary["reconstruction_residual"] == 0.0
+
     def test_tol_flag(self, tmp_path):
         path = str(tmp_path / "bell.json")
         fileio.save_object(path, bell_tester())

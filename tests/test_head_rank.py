@@ -30,7 +30,7 @@ from exqip import channels, cli, combs, fileio, gqi, linalg, suites, testers
 from exqip.combs import CombSignature
 from exqip.errors import SizeLimitError
 from exqip.gqi import Gqi
-from exqip.linalg import DEFAULT_TOL
+from exqip.linalg import DEFAULT_TOL, TolerancePolicy
 
 import oracles
 from test_epsilon_star import acceptance_07_population, bench_ladder, ladder_population
@@ -336,7 +336,7 @@ class TestFullSupportExit:
         comb = ladder_inputs((2, 2), np.random.default_rng(9))[2].normalization
         sig = CombSignature((2, 2))
         n_known = combs.comb_variable_count(sig)
-        loose = DEFAULT_TOL.scaled(0.02)
+        loose = TolerancePolicy(eps_rel=0.02)
         assert 4 * loose.eps_rel < 1.0 <= loose.rank_tol(32 + n_known, 16, np.sqrt(2))
         cases = [
             (Gqi(sig, (comb,)), DEFAULT_TOL),

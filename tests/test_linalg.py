@@ -32,9 +32,10 @@ class TestTolerancePolicy:
         assert DEFAULT_TOL.eps_comb == pytest.approx(1e-9)
 
     def test_scaled(self):
-        p = DEFAULT_TOL.scaled(1e-6)
+        p = TolerancePolicy(eps_rel=1e-6)
         assert p.eps_rel == 1e-6
-        assert p.comb_factor == DEFAULT_TOL.comb_factor
+        assert p.comb_factor == DEFAULT_TOL.comb_factor == 10.0
+        assert p.eps_comb == pytest.approx(1e-5)
 
     def test_supp_tol_floor(self):
         # near-zero operators still get a usable threshold
