@@ -5,11 +5,13 @@ operator-to-vector map is a plain row-major reshape and Choi operators live on
 H_1 (x) H_0 (output factor first).  Minimal Kraus representations come from the
 Choi spectral decomposition.
 
-Extremality routes: Choi's criterion (independence of {K_m^dagger K_n}) and
-the pooled Kraus-product criterion for instruments, the paper's independent
-criteria; Theorem 1 and the instrument rank test, the master criterion,
-decided on the GQI view by :func:`gqi.is_extremal` as for every other kind
-(that the two routes agree is a test oracle); and the square-root / Lueders
+A channel is the one-outcome instrument whose operator is the Choi
+operator, so its validity and its criteria are the instrument's, under the
+channel names.  Extremality routes: the pooled Kraus-product criterion
+(Choi's criterion, the independence of {K_m^dagger K_n}, for a channel), the
+paper's independent criterion; the master criterion (Theorem 1 for a
+channel), decided by :func:`gqi.is_extremal` as for every other kind (that
+the two routes agree is a test oracle); and the square-root / Lueders
 constructions.  The appendix fixtures exercise all seven attainable
 (instrument, channel, POVM) extremality combinations.
 """
@@ -24,32 +26,8 @@ import numpy as np
 from . import gqi as gqi_mod, linalg, testers
 from .combs import CombSignature
 from .errors import DimensionMismatchError, NotPositiveError, ValidationError
-from .gqi import Gqi
 from .linalg import DEFAULT_TOL, TolerancePolicy
 from .testers import Povm
-
-
-@dataclass(frozen=True)
-class Channel:
-    d1: int
-    d0: int
-    choi: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "choi", np.asarray(self.choi, dtype=complex))
-        total = self.d1 * self.d0
-        if self.choi.shape != (total, total):
-            raise DimensionMismatchError(
-                f"Choi shape {self.choi.shape} does not match d1*d0 = {total}"
-            )
-
-    @property
-    def signature(self) -> CombSignature:
-        return CombSignature((self.d0, self.d1))
-
-    @property
-    def outcomes(self) -> tuple:
-        return (self.choi,)
 
 
 @dataclass(frozen=True)
@@ -80,6 +58,17 @@ class Instrument:
     @property
     def n_outcomes(self) -> int:
         return len(self.operators)
+
+
+class Channel(Instrument):
+    """A channel: the one-outcome instrument whose operator is the Choi operator."""
+
+    def __init__(self, d1: int, d0: int, choi):
+        super().__init__(d1, d0, (choi,))
+
+    @property
+    def choi(self) -> np.ndarray:
+        return self.operators[0]
 
 
 def vec_op(a: np.ndarray) -> np.ndarray:
@@ -117,13 +106,13 @@ def choi_to_kraus(choi: np.ndarray, d1: int, d0: int, pol: TolerancePolicy = DEF
     return _kraus_from_eig(eig, d1, d0, pol)
 
 
-def channel_kraus(c: Channel, pol: TolerancePolicy = DEFAULT_TOL) -> list:
-    return choi_to_kraus(c.choi, c.d1, c.d0, pol)
-
-
 def instrument_kraus(ins: Instrument, pol: TolerancePolicy = DEFAULT_TOL) -> list:
     """Per-outcome minimal Kraus lists."""
     return [choi_to_kraus(n, ins.d1, ins.d0, pol) for n in ins.operators]
+
+
+def channel_kraus(c: Channel, pol: TolerancePolicy = DEFAULT_TOL) -> list:
+    return instrument_kraus(c, pol)[0]
 
 
 def channel_from_kraus(kraus, d1: int | None = None, d0: int | None = None) -> Channel:
@@ -144,12 +133,8 @@ def instrument_from_kraus(outcome_kraus, d1: int | None = None, d0: int | None =
     return Instrument(d1=d1, d0=d0, operators=tuple(ops))
 
 
-def is_valid_channel(c: Channel, pol: TolerancePolicy = DEFAULT_TOL) -> bool:
-    return gqi_mod.is_valid_gqi(Gqi(c.signature, c.outcomes), pol=pol).ok
-
-
 def is_valid_instrument(ins: Instrument, pol: TolerancePolicy = DEFAULT_TOL) -> bool:
-    return gqi_mod.is_valid_gqi(Gqi(ins.signature, ins.outcomes), pol=pol).ok
+    return gqi_mod.is_valid_gqi(ins, pol=pol).ok
 
 
 def _validated(obj, pol: TolerancePolicy, validation: gqi_mod.GqiVerdict | None = None):
@@ -157,7 +142,7 @@ def _validated(obj, pol: TolerancePolicy, validation: gqi_mod.GqiVerdict | None 
     ``validation`` when the caller has one; an invalid object raises."""
     verdict = validation
     if verdict is None:
-        verdict = gqi_mod.is_valid_gqi(Gqi(obj.signature, obj.outcomes), pol=pol)
+        verdict = gqi_mod.is_valid_gqi(obj, pol=pol)
     if not verdict.ok:
         raise ValidationError(f"not a valid {type(obj).__name__.lower()}")
     return verdict
@@ -173,28 +158,6 @@ def _validated_kraus(obj, pol: TolerancePolicy, validation: gqi_mod.GqiVerdict |
     ]
 
 
-def choi_condition(
-    c: Channel, pol: TolerancePolicy = DEFAULT_TOL, validation: gqi_mod.GqiVerdict | None = None
-) -> bool:
-    """Choi's criterion: {K_m^dagger K_n} over the minimal Kraus family must be
-    linearly independent.  ``validation`` as in :func:`instrument_extremal`."""
-    (ks,) = _validated_kraus(c, pol, validation)
-    products = [km.conj().T @ kn for km in ks for kn in ks]
-    return linalg.complex_family_rank(products, pol) == len(products)
-
-
-def channel_extremal_theorem1(
-    c: Channel, pol: TolerancePolicy = DEFAULT_TOL, validation: gqi_mod.GqiVerdict | None = None
-) -> bool:
-    """Theorem 1, the master criterion at signature (d_0, d_1):
-    {|K_m>><<K_n|} pooled with {sigma_a (x) I} and {sigma_a (x) sigma_b}
-    must be linearly independent.  Decided by :func:`gqi.is_extremal` on the
-    Choi operator, which projects the support basis off those directions
-    without building them.  ``validation`` as in :func:`instrument_extremal`."""
-    verdict = _validated(c, pol, validation)
-    return gqi_mod.is_extremal(Gqi(c.signature, c.outcomes), pol=pol, validation=verdict).extremal
-
-
 def instrument_extremal(
     ins: Instrument, pol: TolerancePolicy = DEFAULT_TOL, validation: gqi_mod.GqiVerdict | None = None
 ) -> bool:
@@ -208,9 +171,25 @@ def instrument_extremal(
     return linalg.complex_family_rank(products, pol) == len(products)
 
 
-def instrument_extremal_rank_test(ins: Instrument, pol: TolerancePolicy = DEFAULT_TOL) -> bool:
-    """Direct master-criterion rank test on the GQI view (cross-check oracle)."""
-    return gqi_mod.is_extremal(Gqi(ins.signature, ins.outcomes), pol=pol).extremal
+def instrument_extremal_rank_test(
+    ins: Instrument, pol: TolerancePolicy = DEFAULT_TOL, validation: gqi_mod.GqiVerdict | None = None
+) -> bool:
+    """The master criterion, decided by :func:`gqi.is_extremal`: the support
+    bases pooled with the comb variable directions of the signature
+    (d_0, d_1) must be linearly independent.  ``validation`` as in
+    :func:`instrument_extremal`; an invalid instrument raises."""
+    verdict = _validated(ins, pol, validation)
+    return gqi_mod.is_extremal(ins, pol=pol, validation=verdict).extremal
+
+
+# A channel is the one-outcome instrument, so its criteria are the
+# instrument's.  Validity; Choi's criterion, the independence of
+# {K_m^dagger K_n} over the minimal Kraus family; and Theorem 1, the master
+# criterion {|K_m>><<K_n|} pooled with {sigma_a (x) I} and
+# {sigma_a (x) sigma_b}, whose directions the rank test never builds.
+is_valid_channel = is_valid_instrument
+choi_condition = instrument_extremal
+channel_extremal_theorem1 = instrument_extremal_rank_test
 
 
 @dataclass(frozen=True)

@@ -74,7 +74,7 @@ def _certificate(obj, kind: fileio.Kind, pol: TolerancePolicy) -> gqi_mod.Extrem
     ok, verdict = kind.verdict(obj, pol)
     if not ok:
         raise ValidationError(f"not a valid {kind.name}; `exqip validate` reports why")
-    return gqi_mod.is_extremal(Gqi(obj.signature, obj.outcomes), pol=pol, validation=verdict)
+    return gqi_mod.is_extremal(obj, pol=pol, validation=verdict)
 
 
 def cmd_validate(args) -> int:
@@ -111,7 +111,6 @@ def cmd_extremal(args) -> int:
 def cmd_decompose(args) -> int:
     _check_count(args.steps, "--steps")
     pol, obj, kind = _load(args)
-    root = Gqi(obj.signature, obj.outcomes)
     cert = _certificate(obj, kind, pol)
     if cert.extremal:
         print("input is extremal; nothing to decompose", file=sys.stderr)
@@ -129,17 +128,21 @@ def cmd_decompose(args) -> int:
         if c.extremal:
             leaves.append((g, weight, depth, "extremal"))
             return
+        if c.perturbation.epsilon_star == 0.0:
+            # No step is feasible: both sides would be the node itself.
+            leaves.append((g, weight, depth, None))
+            return
         plus, minus = gqi_mod.decompose_step(g, pol=pol, certificate=c)
         descend(plus, weight / 2.0, depth + 1)
         descend(minus, weight / 2.0, depth + 1)
 
-    descend(root, 1.0, 0, cert)
+    descend(obj, 1.0, 0, cert)
 
-    recon = [np.zeros_like(t) for t in root.outcomes]
+    recon = [np.zeros_like(t) for t in obj.outcomes]
     for g, w, _, _ in leaves:
         for i, t in enumerate(g.outcomes):
             recon[i] = recon[i] + w * t
-    residual = max(linalg.max_abs(a - b) for a, b in zip(recon, root.outcomes))
+    residual = max(linalg.max_abs(a - b) for a, b in zip(recon, obj.outcomes))
 
     entries = []
     for idx, (g, w, depth, status) in enumerate(leaves):

@@ -64,6 +64,9 @@ class DeterministicComb:
     signature: CombSignature
     operator: np.ndarray
 
+    def __post_init__(self):
+        object.__setattr__(self, "operator", np.asarray(self.operator, dtype=complex))
+
     @property
     def outcomes(self) -> tuple:
         return (self.operator,)

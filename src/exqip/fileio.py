@@ -5,8 +5,8 @@ pairs, row-major, with explicit dimensions.  Canonical formatting (sorted
 keys, two-space indent, trailing newline) makes write -> read -> write
 byte-identical and the fixtures diff-able.
 
-Every object kind is a GQI: it exposes ``signature``, the comb signature of
-its GQI view ``Gqi(x.signature, x.outcomes)``, and ``outcomes``.  The file
+Every object kind is a GQI: it exposes ``signature``, its comb signature,
+and ``outcomes``, which is all that :mod:`exqip.gqi` reads.  The file
 signature by kind, and the comb signature it stands for:
 
 * ``comb`` / ``gqi``:   ``[d_0, ..., d_{2N-1}]`` (label order), itself
@@ -40,7 +40,7 @@ FORMAT_VERSION = 1
 
 
 def _gqi_verdict(obj, pol: TolerancePolicy):
-    verdict = gqi_mod.is_valid_gqi(Gqi(obj.signature, obj.outcomes), pol=pol)
+    verdict = gqi_mod.is_valid_gqi(obj, pol=pol)
     return verdict.ok, verdict
 
 

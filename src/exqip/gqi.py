@@ -12,9 +12,13 @@ have full support the exchange is +/- the identity, and its epsilon_star is
 a formula in the eigenvalues of validation.
 A rank deficiency yields a constructive perturbation {D_i}, Delta and the
 maximal step size epsilon_star, from which a one-step convex decomposition
-follows.  epsilon_star starts from a closed-form estimate (the
-generalized-eigenvalue form of Choi's positivity argument) and is refined in
-a tight bracket on the positivity slack of T_i +/- epsilon D_i.
+follows.  With the constant working margin supp_tol(D, 1) / 2, epsilon_star
+is a closed form: the generalized-eigenvalue form of Choi's positivity
+argument, on each outcome's support.
+
+Every object kind is a GQI to this module: :func:`is_valid_gqi`,
+:func:`is_extremal`, :func:`decompose_step` and :func:`mix` read only its
+``signature`` and ``outcomes``.
 """
 
 from __future__ import annotations
@@ -92,6 +96,8 @@ class ExtremalityCertificate:
 
 def is_valid_gqi(g: Gqi, pol: TolerancePolicy = DEFAULT_TOL) -> GqiVerdict:
     """Accept iff every outcome is PSD and the sum is a deterministic comb.
+    ``g`` is a :class:`Gqi` or any object kind; only its ``signature`` and
+    ``outcomes`` are read.
 
     The outcomes are checked and decomposed as one stack: one batched
     Hermiticity check, one batched ``eigh``.  An outcome of the wrong shape
@@ -99,20 +105,21 @@ def is_valid_gqi(g: Gqi, pol: TolerancePolicy = DEFAULT_TOL) -> GqiVerdict:
     positive because the outcomes are, is symmetrized and goes through the
     cascade alone (README, "Conventions").
     """
-    if g.n_outcomes < 1:
+    outcomes = g.outcomes
+    if len(outcomes) < 1:
         raise ValidationError("a GQI needs at least one outcome")
     total = g.signature.total_dim
     shaped = next(
-        (i for i, t in enumerate(g.outcomes) if t.shape != (total, total)), g.n_outcomes
+        (i for i, t in enumerate(outcomes) if t.shape != (total, total)), len(outcomes)
     )
-    h = linalg.check_hermitian_stack(np.reshape(g.outcomes[:shaped], (shaped, total, total)), pol)
-    if shaped < g.n_outcomes:
+    h = linalg.check_hermitian_stack(np.reshape(outcomes[:shaped], (shaped, total, total)), pol)
+    if shaped < len(outcomes):
         raise DimensionMismatchError(
-            f"outcome shape {g.outcomes[shaped].shape} does not match signature dimension {total}"
+            f"outcome shape {outcomes[shaped].shape} does not match signature dimension {total}"
         )
     spectra = linalg.hermitian_eigs(h)
     w = spectra.values
-    s = g.normalization
+    s = sum(outcomes)
     comb_verdict = combs._cascade((s + s.conj().T) / 2, g.signature, pol.eps_comb, bool(np.all(pol.psd(w))))
     return GqiVerdict(comb_verdict.ok, tuple(w[:, -1].tolist()), comb_verdict, spectra)
 
@@ -130,47 +137,40 @@ def _require_valid(g: Gqi, pol: TolerancePolicy, verdict: GqiVerdict | None = No
 
 
 def perturbation_slack(outcomes, directions, eps: float, pol: TolerancePolicy = DEFAULT_TOL) -> float:
-    """Smallest lambda_min + supp_tol/2 over the 2M matrices T_i +/- eps D_i.
+    """Smallest lambda_min + c over the 2M matrices T_i +/- eps D_i, from one
+    batched ``eigvalsh``, with the working margin c = supp_tol(D, 1) / 2.
 
-    Non-negative exactly when :func:`perturbation_feasible` holds; its sign
-    change in eps is the root that :func:`max_perturbation_step` refines.
+    Non-negative exactly when :func:`perturbation_feasible` holds.
     """
     t = np.asarray(outcomes)
-    return block_slack(t, np.asarray(directions), eps, t.shape[-1], pol)
-
-
-def block_slack(base, blocks, eps: float, dim: int, pol: TolerancePolicy = DEFAULT_TOL, outside=None) -> float:
-    """:func:`perturbation_slack` of matrices given as blocks.
-
-    Matrix j of the 2M is base_i + eps blocks_i (j = i) or base_i - eps
-    blocks_i (j = M + i), joined by eigenvalues outside the block:
-    ``outside`` is the pair of (2M,) arrays of their smallest and largest
-    per matrix, or None when the blocks are whole.  The slack is the smallest
-    min(lambda_min, lo_j) + supp_tol(dim, max(lambda_max, hi_j)) / 2, with
-    the margin of the full dimension ``dim``.
-    """
-    w = np.linalg.eigvalsh(np.concatenate([base + eps * blocks, base - eps * blocks]))
-    low, high = w[:, 0], w[:, -1]
-    if outside is not None:
-        low, high = np.minimum(low, outside[0]), np.maximum(high, outside[1])
-    return float(np.min(low + 0.5 * pol.supp_tol(dim, high)))
+    d = np.asarray(directions)
+    w = np.linalg.eigvalsh(np.concatenate([t + eps * d, t - eps * d]))
+    return float(w[:, 0].min() + _margin(t.shape[-1], pol))
 
 
 def perturbation_feasible(outcomes, directions, eps: float, pol: TolerancePolicy = DEFAULT_TOL) -> bool:
     """True when every T_i +/- eps D_i stays PSD within the working margin.
 
-    The margin is half the support tolerance, so feasible perturbations keep a
-    positivity cushion and re-validate cleanly after file round trips.
+    The margin c = supp_tol(D, 1) / 2 is half the smallest support
+    tolerance, so feasible perturbations keep a positivity cushion and
+    re-validate cleanly after file round trips.
     """
     return perturbation_slack(outcomes, directions, eps, pol) >= 0.0
 
 
-# Half-width of the first bracket around the closed-form estimate, relative,
-# and the factor it grows by until the bracket holds the root.
-_BRACKET = 1e-10
-_WIDEN = 16.0
-# Relative bracket width at which the refinement stops.
-_STOP = 1e-14
+def _margin(dim: int, pol: TolerancePolicy) -> float:
+    """The working margin c = supp_tol(D, 1) / 2 of the epsilon* step."""
+    return 0.5 * pol.supp_tol(dim, 1.0)
+
+
+def _allowance(values) -> float:
+    """The rounding allowance a = 2 D eps_machine max(1, |w|_max) of the
+    epsilon* step, for the eigenvalues ``values`` (M x D) of the outcomes:
+    the step keeps T_i +/- epsilon* D_i at least a inside the margin, to
+    cover the rounding of the eigenvalues :func:`perturbation_slack`
+    computes."""
+    w = np.asarray(values)
+    return 2.0 * w.shape[-1] * np.finfo(float).eps * max(1.0, float(np.abs(w).max()))
 
 
 def max_perturbation_step(
@@ -179,40 +179,27 @@ def max_perturbation_step(
     pol: TolerancePolicy = DEFAULT_TOL,
     spectra: linalg.EigenDecomposition | None = None,
 ) -> float:
-    """Largest epsilon with every T_i +/- epsilon D_i PSD (within tolerance).
+    """Largest epsilon with every T_i +/- epsilon D_i PSD within the working
+    margin, in closed form (README, "The epsilon* step").
 
-    ``spectra`` are eigenpairs of the outcomes (a stack, in any eigenvalue
-    order), such as :attr:`GqiVerdict.spectra`; without them the outcomes are
-    decomposed here.  Their vectors may be cut to the first k < dim columns
-    when every D_i lies in the span of those columns, as the directions of
-    :func:`is_extremal` lie in the supports: then the search runs on k x k
-    blocks (below), with the same result up to rounding.
+    With the constant margin c = supp_tol(D, 1) / 2 and the rounding
+    allowance a (:func:`_allowance`), write T_i + c - a = V_i (W_i + c - a)
+    V_i^dagger on the columns that D_i may touch, and
+    S_i = V_i (W_i + c - a)^{-1/2} there.  Then T_i +/- epsilon D_i + c - a
+    is PSD exactly while epsilon |S_i^dagger D_i S_i|_2 <= 1, so the step is
+    1 / max_i |S_i^dagger D_i S_i|_2, from one batched ``eigvalsh``.  This is
+    the generalized-eigenvalue form of Choi's positivity argument.
 
-    Three steps (README, "The epsilon* step"):
+    ``spectra`` are eigenpairs of the outcomes, eigenvalues descending, such
+    as :attr:`GqiVerdict.spectra`.  With them each D_i must lie in the
+    support of T_i, its leading ``pol.support_rank`` eigenvectors, as the
+    witnesses of :func:`is_extremal` do, and S_i is taken on that support
+    alone.  Without them the outcomes are decomposed here and S_i is taken on
+    all D columns, so the directions may leave the supports.
 
-    1. Closed form.  With the working margin frozen at epsilon = 0,
-       m_i = supp_tol(dim, lambda_max(T_i)) / 2, and T_i + m_i = V_i (W_i + m_i) V_i^dagger,
-       T_i +/- epsilon D_i + m_i is PSD exactly while
-       epsilon * |S_i^dagger D_i S_i|_2 <= 1, with S_i = V_i (W_i + m_i)^{-1/2}.
-       So est = 1 / max_i |S_i^dagger D_i S_i|_2, also for directions with
-       components outside Supp(T_i).  It differs from the root only through
-       the margin's dependence on lambda_max(T_i +/- epsilon D_i).
-    2. Bracket.  [est (1 - 1e-10), est (1 + 1e-10)], widened 16-fold until
-       the lower end is feasible and the upper end is not.
-    3. Refine.  Secant and Illinois regula falsi on the slack, safeguarded by
-       bisection, until hi - lo <= 1e-14 hi or the slack at both ends is at
-       rounding level.
-
-    The slack is :func:`perturbation_slack`, probed through
-    :func:`block_slack`.  With k columns, V_i^dagger (T_i +/- epsilon D_i) V_i
-    is diag(W_i[:k]) +/- epsilon V_ik^dagger D_i V_ik beside diag(W_i[k:]), so
-    each probe decomposes the k x k blocks and takes the eigenvalues outside
-    them as constants; the margin keeps the dimension of T_i.
-
-    The lower end is returned, so the result passes
-    :func:`perturbation_feasible`; on blocks, up to the rounding of the
-    probed matrices.  When some T_i + m_i is not positive definite no
-    epsilon is feasible, and the result is 0.
+    The eigenvalues outside the columns used, which D_i does not touch,
+    decide only whether any epsilon is feasible: the step is 0 when one of
+    them has w + c <= 0, or one inside has w + c - a <= 0.
     """
     t = np.asarray(outcomes, dtype=complex)
     d = np.asarray(directions, dtype=complex)
@@ -220,89 +207,20 @@ def max_perturbation_step(
         raise ValidationError("all perturbation directions vanish")
     if spectra is None:
         w, v = np.linalg.eigh(t)
+        ranks = np.full(len(w), w.shape[-1])
     else:
         w, v = spectra.values, spectra.vectors
-    dim, k = w.shape[-1], v.shape[-1]
-    shifted = w + 0.5 * pol.supp_tol(dim, w.max(axis=1))[:, None]
+        ranks = pol.support_rank(w)
+    k = int(ranks.max())
+    used = np.arange(w.shape[-1]) < ranks[:, None]
+    shifted = w + _margin(w.shape[-1], pol) - np.where(used, _allowance(w), 0.0)
     if shifted.min() <= 0.0:
         return 0.0
-    # Rounding level of the eigenvalues, hence of the slack.  Shifted
-    # eigenvalues below it (an outcome left on the margin by an earlier split)
-    # are raised to it, so that rounding-level components of D_i there do not
-    # dominate the estimate.
-    noise = np.finfo(float).eps * max(1.0, float(np.abs(w).max()))
-    s = v / np.sqrt(np.maximum(shifted[:, :k], noise))[:, None, :]
-    norm = float(np.abs(np.linalg.eigvalsh(s.conj().transpose(0, 2, 1) @ d @ s)).max())
+    s = v[..., :k] / np.sqrt(np.where(used, shifted, np.inf))[:, None, :k]
+    norm = float(np.abs(np.linalg.eigvalsh(s.conj().transpose(0, 2, 1) @ d @ s)).max(initial=0.0))
     if not 0.0 < norm < np.inf:
         raise ValidationError(f"perturbation directions out of floating-point range (norm {norm})")
-    est = 1.0 / norm
-
-    base, blocks, outside = t, d, None
-    if k < dim:
-        base = w[:, :k, None] * np.eye(k)
-        blocks = v.conj().transpose(0, 2, 1) @ d @ v
-        rest = w[:, k:]
-        outside = (np.tile(rest.min(axis=1), 2), np.tile(rest.max(axis=1), 2))
-
-    def slack(eps: float) -> float:
-        return block_slack(base, blocks, eps, dim, pol, outside)
-
-    # Bracket: f_lo >= 0 > f_hi.  At epsilon = 0 the slack is min(shifted) > 0.
-    # prev is the infeasible point last replaced by hi.
-    width = _BRACKET
-    lo, hi = est * (1.0 - width), est * (1.0 + width)
-    f_lo, f_hi = slack(lo), slack(hi)
-    prev = None
-    while f_lo < 0.0:
-        prev = (hi, f_hi)
-        hi, f_hi = lo, f_lo
-        width *= _WIDEN
-        lo = est * (1.0 - width) if width < 1.0 else 0.0
-        f_lo = slack(lo) if lo > 0.0 else float(shifted.min())
-    while f_hi >= 0.0:
-        if width > 1e12:
-            raise ValidationError("perturbation never violates positivity")
-        lo, f_lo = hi, f_hi
-        width *= _WIDEN
-        hi = est * (1.0 + width)
-        f_hi = slack(hi)
-
-    # Refine.  Past the root the slack follows the one eigenvalue that
-    # crossed the margin, while below it the minimum may sit on another, flat
-    # branch (an eigenvalue outside the support of D_i).  So the secant
-    # through the last two infeasible points comes first, then Illinois
-    # regula falsi on the weighted end values g.  Each point is pulled at
-    # least half the stopping width inside the bracket, so that a point
-    # landing on the root lets the next probe close the bracket from the
-    # other side; a bracket that two probes failed to halve is bisected.
-    # Once the slack at both ends is at rounding level, further probes carry
-    # no information.
-    g_lo, g_hi = f_lo, f_hi
-    side = 0
-    older = old = np.inf
-    while hi - lo > _STOP * hi and not (f_lo <= noise and f_hi >= -noise):
-        step = 0.5 * _STOP * hi
-        x = np.nan
-        if prev is not None and prev[1] != f_hi:
-            x = hi - f_hi * (hi - prev[0]) / (f_hi - prev[1])
-        if not lo < x < hi + step:
-            x = hi - g_hi * (hi - lo) / (g_hi - g_lo)
-        if hi - lo > 0.5 * older or not np.isfinite(x):
-            x = 0.5 * (lo + hi)
-        else:
-            x = min(max(x, lo + step), hi - step)
-        older, old = old, hi - lo
-        fx = slack(x)
-        if fx >= 0.0:
-            if side < 0:
-                g_hi *= 0.5
-            lo, f_lo, g_lo, side = x, fx, fx, -1
-        else:
-            if side > 0:
-                g_lo *= 0.5
-            prev = (hi, f_hi)
-            hi, f_hi, g_hi, side = x, fx, fx, 1
-    return lo
+    return 1.0 / norm
 
 
 # Largest estimated peak of the rank stage, in bytes, that is attempted
@@ -407,34 +325,20 @@ def _full_support_pair(support_ranks, dim: int, n_known: int, pol: TolerancePoli
 
 def identity_exchange_step(values, a: int, b: int, pol: TolerancePolicy = DEFAULT_TOL) -> float:
     """epsilon* of the identity exchange D_b = I, D_a = -I (every other
-    D_i = 0) in closed form, from the eigenvalues ``values`` (M x D, any
-    order) of the outcomes.
+    D_i = 0), from the eigenvalues ``values`` (M x D, any order) of the
+    outcomes alone.
 
-    T_i +/- epsilon I has the eigenvalues w_i +/- epsilon exactly, so only
-    T_a - epsilon I and T_b - epsilon I can bind.  With c = supp_tol(D, 1) / 2,
-    the slack of either is
-
-        w_min - epsilon + c max(w_max - epsilon, 1),
-
-    piecewise linear and strictly decreasing.  Its root is
-    (w_min + c w_max) / (1 + c) while w_max - epsilon >= 1 there, and
-    w_min + c once w_max - epsilon <= 1: the larger of the two.  The step is
-    the smaller root of a and b, less the rounding allowance
-    D eps_machine max(1, |w|_max) of the eigenvalues that
-    :func:`perturbation_feasible` computes.  As in
-    :func:`max_perturbation_step`, it is 0 when some outcome has a shifted
-    eigenvalue w + supp_tol(D, w_max) / 2 <= 0.
+    The special case of :func:`max_perturbation_step` for this witness:
+    T_i +/- epsilon I has the eigenvalues w_i +/- epsilon exactly, so the
+    step is min(w_min of T_a, w_min of T_b) + c less the rounding allowance
+    (:func:`_allowance`), with c = supp_tol(D, 1) / 2.  It is 0 when some
+    eigenvalue has w + c <= 0.
     """
     w = np.asarray(values)
-    dim = w.shape[-1]
-    high, low = w.max(axis=1), w.min(axis=1)
-    if np.min(low + 0.5 * pol.supp_tol(dim, high)) <= 0.0:
+    c = _margin(w.shape[-1], pol)
+    if w.min() + c <= 0.0:
         return 0.0
-    c = 0.5 * pol.supp_tol(dim, 1.0)
-    low, high = low[[a, b]], high[[a, b]]
-    roots = np.maximum((low + c * high) / (1.0 + c), low + c)
-    allowance = dim * np.finfo(float).eps * max(1.0, float(np.abs(w).max()))
-    return max(0.0, float(roots.min()) - allowance)
+    return max(0.0, float(w[[a, b]].min() + c - _allowance(w)))
 
 
 def is_extremal(
@@ -449,7 +353,7 @@ def is_extremal(
     pooled rank is their rank plus |V|.  V is the comb variable basis of the
     signature, which is never built: the projected members come from partial
     traces (:func:`combs.complement_coordinates`).  Every object kind is
-    decided here, on its GQI view ``Gqi(x.signature, x.outcomes)``.
+    decided here, from its ``signature`` and ``outcomes``.
 
     The cutoff is the pooled family's: with r_i the support ranks,
 
@@ -469,12 +373,10 @@ def is_extremal(
     :func:`_full_support_pair`).  The witness exchanges weight between the
     two: D_b = P_b, D_a = -P_b, with P_b the projector onto Supp(T_b), every
     other D_i = 0 and Delta = 0.  When r_b = D, P_b is exactly I and
-    epsilon* comes in closed form from the validation eigenvalues
-    (:func:`identity_exchange_step`: the smaller root of the two piecewise
-    linear slacks of T_a - epsilon I and T_b - epsilon I, one branch for
-    lambda_max above 1 and one below, less a rounding allowance), with no
-    further eigensolver.  Otherwise P_b = U_b U_b^dagger and epsilon* is
-    searched (:func:`max_perturbation_step`).
+    epsilon* is read from the validation eigenvalues
+    (:func:`identity_exchange_step`), with no further eigensolver.
+    Otherwise P_b = U_b U_b^dagger.  Every other epsilon* is
+    :func:`max_perturbation_step` on the supports.
 
     ``validation`` is the caller's :func:`is_valid_gqi` verdict on ``g`` at
     ``pol``, when it has one; otherwise ``g`` is validated here.  Each outcome
@@ -520,9 +422,7 @@ def is_extremal(
     perturbation = None
     if directions is not None:
         if step is None:
-            # The directions lie in the leading max r_i eigenvectors.
-            in_supports = linalg.EigenDecomposition(spectra.values, spectra.vectors[..., : max(support_ranks)])
-            step = max_perturbation_step(g.outcomes, directions, pol, in_supports)
+            step = max_perturbation_step(g.outcomes, directions, pol, spectra)
         perturbation = Perturbation(directions=tuple(directions), delta=sum(directions), epsilon_star=step)
     return ExtremalityCertificate(
         extremal=perturbation is None,
@@ -559,8 +459,9 @@ def decompose_step(
 
 
 def mix(a: Gqi, b: Gqi, weight: float = 0.5) -> Gqi:
-    """Convex combination weight*a + (1-weight)*b of two same-shaped GQIs."""
-    if a.signature != b.signature or a.n_outcomes != b.n_outcomes:
+    """Convex combination weight*a + (1-weight)*b of two same-shaped GQIs,
+    or of any two objects with a ``signature`` and ``outcomes``."""
+    if a.signature != b.signature or len(a.outcomes) != len(b.outcomes):
         raise DimensionMismatchError("mixed GQIs must share signature and outcome count")
     return Gqi(
         signature=a.signature,

@@ -158,7 +158,7 @@ def random_nonextremal_gqi(rng) -> gqi_mod.Gqi:
     counts = [(1, 1), (1, 2), (2, 1), (1, 1, 1)][rng.integers(0, 4)]
     a = channels.random_instrument(2, 2, counts, rng)
     b = channels.random_instrument(2, 2, counts, rng)
-    return gqi_mod.mix(gqi_mod.Gqi(a.signature, a.outcomes), gqi_mod.Gqi(b.signature, b.outcomes), 0.5)
+    return gqi_mod.mix(a, b, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +177,7 @@ def run_equivalence(seeds: int = 200, pol: TolerancePolicy = DEFAULT_TOL) -> Sui
         for d0, d1 in EQUIVALENCE_DIMS:
             count = int(rng.integers(-(-d0 // d1), d0 * d1 + 1))
             chan = channels.random_channel(d0, d1, count, rng)
-            verdict = gqi_mod.is_valid_gqi(gqi_mod.Gqi(chan.signature, chan.outcomes), pol=pol)
+            verdict = gqi_mod.is_valid_gqi(chan, pol=pol)
             a = channels.choi_condition(chan, pol, verdict)
             b = channels.channel_extremal_theorem1(chan, pol, verdict)
             result.record(
@@ -230,7 +230,7 @@ def run_bounds(seeds: int = 200, pol: TolerancePolicy = DEFAULT_TOL) -> SuiteRes
                 result.record(bounds.ok, f"seed {seed}: tester bound violated {bounds}")
         counts = [(1,), (1, 1), (1, 2), (1, 1, 1), (2, 2)][int(rng.integers(0, 5))]
         ins = channels.random_instrument(2, 2, counts, rng)
-        verdict = gqi_mod.is_valid_gqi(gqi_mod.Gqi(ins.signature, ins.outcomes), pol=pol)
+        verdict = gqi_mod.is_valid_gqi(ins, pol=pol)
         if channels.instrument_extremal(ins, pol, verdict):
             bound = channels.instrument_rank_bound(ins, pol, verdict)
             result.record(bound.ok, f"seed {seed}: instrument bound violated {bound}")

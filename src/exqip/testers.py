@@ -22,7 +22,7 @@ import numpy as np
 from . import gqi as gqi_mod, linalg
 from .combs import CombSignature
 from .errors import DimensionMismatchError, ValidationError
-from .gqi import ExtremalityCertificate, Gqi, GqiVerdict
+from .gqi import ExtremalityCertificate, GqiVerdict
 from .linalg import DEFAULT_TOL, TolerancePolicy
 
 
@@ -97,7 +97,7 @@ def tester_verdict(t: Tester, pol: TolerancePolicy = DEFAULT_TOL) -> TesterVerdi
     R^(1), with residuals |sum T_i - I (x) rho|_max and |Tr rho - 1|.  The one
     further check, and rho's rank, is the support rule on rho's eigenvalues.
     """
-    verdict = gqi_mod.is_valid_gqi(Gqi(t.signature, t.outcomes), pol=pol)
+    verdict = gqi_mod.is_valid_gqi(t, pol=pol)
     rho = verdict.comb_verdict.reduced[0]
     w = np.linalg.eigvalsh(rho)
     return TesterVerdict(verdict.ok and bool(pol.psd(w)), verdict, rho, int(pol.support_rank(w)))
@@ -123,7 +123,7 @@ def is_extremal_tester(
     ``validation`` is the caller's :func:`tester_verdict` on ``t`` at ``pol``,
     when it has one."""
     verdict = _valid_tester(t, pol, validation).verdict
-    return gqi_mod.is_extremal(Gqi(t.signature, t.outcomes), pol=pol, validation=verdict)
+    return gqi_mod.is_extremal(t, pol=pol, validation=verdict)
 
 
 @dataclass(frozen=True)
@@ -213,12 +213,12 @@ def xi_inverse(
 
 
 def povm_is_valid(p: Povm, pol: TolerancePolicy = DEFAULT_TOL) -> bool:
-    return gqi_mod.is_valid_gqi(Gqi(p.signature, p.outcomes), pol=pol).ok
+    return gqi_mod.is_valid_gqi(p, pol=pol).ok
 
 
 def povm_is_extremal(p: Povm, pol: TolerancePolicy = DEFAULT_TOL) -> bool:
     """The GQI rank test on the POVM's view; its variable basis is empty."""
-    return gqi_mod.is_extremal(Gqi(p.signature, p.outcomes), pol=pol).extremal
+    return gqi_mod.is_extremal(p, pol=pol).extremal
 
 
 def tester_from_pure_normalization(phi: np.ndarray, p: Povm) -> Tester:
@@ -321,7 +321,7 @@ def classify_two_outcome_qubit(
     if linalg.max_abs(rho - np.eye(2) / 2.0) > pol.eps_comb:
         if rho_rank == 2:
             t = xi_inverse(t, rho, np.eye(2, dtype=complex), pol)
-            verdict = gqi_mod.is_valid_gqi(Gqi(t.signature, t.outcomes), pol=pol)
+            verdict = gqi_mod.is_valid_gqi(t, pol=pol)
         else:
             # Pure normalization: T_i = E_i (x) |phi><phi|; POVM criterion,
             # with E_i = (I (x) <phi|) T_i (I (x) |phi>).

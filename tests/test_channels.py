@@ -6,9 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from exqip import channels, gqi, linalg, suites, testers
+from exqip import channels, fileio, gqi, linalg, suites, testers
 from exqip.channels import APPENDIX_TABLE, Channel, Instrument
-from exqip.errors import NotPositiveError, ValidationError
+from exqip.errors import DimensionMismatchError, NotPositiveError, ValidationError
 from exqip.testers import Povm
 
 import oracles
@@ -97,6 +97,17 @@ class TestChannelExtremality:
             channels.choi_condition(c)
         with pytest.raises(ValidationError, match="not a valid channel"):
             channels.channel_extremal_theorem1(c)
+
+    def test_channel_is_the_one_outcome_instrument(self):
+        c = channels.random_channel(2, 3, 2, np.random.default_rng(5))
+        assert isinstance(c, Instrument) and c.operators == (c.choi,) and c.n_outcomes == 1
+        assert fileio.kind_of(c).name == "channel"
+        assert channels.is_valid_channel is channels.is_valid_instrument
+        assert channels.choi_condition is channels.instrument_extremal
+        assert channels.channel_extremal_theorem1 is channels.instrument_extremal_rank_test
+        assert [linalg.max_abs(a - b) for a, b in zip(channels.channel_kraus(c), channels.choi_to_kraus(c.choi, 3, 2))] == [0.0, 0.0]
+        with pytest.raises(DimensionMismatchError):
+            Channel(d1=2, d0=2, choi=np.eye(3))
 
     def test_theorem1_matches_dense_family_and_choi(self):
         """Theorem 1 on the GQI view against the dense family it replaced

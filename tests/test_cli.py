@@ -297,6 +297,19 @@ class TestCli:
         assert [(leaf["weight"], leaf["depth"], leaf["status"]) for leaf in summary["leaves"]] == [(1.0, 0, None)]
         assert summary["reconstruction_residual"] == 0.0
 
+    def test_zero_step_ends_the_branch(self, tmp_path, capsys):
+        # -1.5e-10 passes validation (supp_tol(2, 1) = 2e-10) but lies below
+        # the working margin -1e-10, so the witness has epsilon* = 0 and both
+        # sides of the split would be the node itself.
+        src = str(tmp_path / "margin-povm.json")
+        fileio.save_object(src, Povm(d=2, effects=(np.diag([0.5, -1.5e-10]), np.diag([0.5, 1.0 + 1.5e-10]))))
+        cert = gqi.is_extremal(fileio.load_object(src))
+        assert not cert.extremal and cert.perturbation.epsilon_star == 0.0
+        assert self.run("decompose", src, "--steps", "3", "--out", str(tmp_path / "tree")) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert [(leaf["weight"], leaf["depth"], leaf["status"]) for leaf in summary["leaves"]] == [(1.0, 0, None)]
+        assert summary["reconstruction_residual"] == 0.0
+
     def test_tol_flag(self, tmp_path):
         path = str(tmp_path / "bell.json")
         fileio.save_object(path, bell_tester())

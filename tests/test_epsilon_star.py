@@ -1,21 +1,19 @@
-"""The epsilon* step against the searches it replaces.
+"""The epsilon* step against a bisection on ``gqi.perturbation_feasible``.
 
-``gqi.max_perturbation_step`` starts from a closed-form estimate (the
-generalized-eigenvalue form of Choi's positivity argument, with the working
-margin frozen at epsilon = 0), brackets it and refines the bracket on the
-positivity slack, probed by ``gqi.block_slack``: on the D x D matrices
-T_i +/- eps D_i, or, when the directions lie in the leading k eigenvectors of
-the outcomes, on k x k blocks in their eigenbasis.  There are two oracles:
+``gqi.max_perturbation_step`` is a closed form.  With the constant working
+margin c = supp_tol(D, 1) / 2 and the rounding allowance
+a = 2 D eps_machine max(1, |w|_max), T_i +/- eps D_i + c - a is PSD exactly
+while eps |S_i^dagger D_i S_i|_2 <= 1, with S_i = U_i (W_i + c - a)^{-1/2} on
+each outcome's support (on all D columns when no eigenpairs are passed), and
+the step is 1 / max_i |S_i^dagger D_i S_i|_2 from one batched ``eigvalsh``.
+The oracles are a doubling-and-bisection search on ``perturbation_feasible``
+and the per-matrix feasibility test.
 
-* the former search, an upper bound from lambda_max(T_i) / |D_i|_2, up to 64
-  doublings until positivity fails, then 60 bisection steps on
-  ``gqi.perturbation_feasible``;
-* the same closed form, bracket and refinement probing
-  ``gqi.perturbation_slack`` on the D x D matrices, as the step ran before
-  it moved to support blocks.
-
-The block search is compared with the second oracle on the benchmark's own
-inputs (``perfbench/inputs.py``, which builds them with numpy alone).
+Maximality is "within 1e-12 relative of the bisection, or slack(eps*) <= 2a"
+(``assert_maximal``): the step stops a inside the margin by design, which is
+more than 1e-12 of eps* where the binding eigenvalue of T_i +/- eps D_i is
+small, and the slack that ``perturbation_slack`` reads carries up to
+D eps_machine max(1, |w|_max) of rounding, less than a.
 """
 
 import importlib.util
@@ -25,7 +23,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from exqip import channels, combs, fileio, gqi, linalg, suites
+from exqip import channels, cli, combs, fileio, gqi, suites, testers
 from exqip.combs import CombSignature
 from exqip.errors import ValidationError
 from exqip.gqi import Gqi
@@ -64,71 +62,32 @@ def bisection_oracle(outcomes, directions, pol=DEFAULT_TOL):
     return lo
 
 
-def full_matrix_search(outcomes, directions, spectra, pol=DEFAULT_TOL):
-    """The step as it ran on D x D matrices: closed form, bracket, then secant
-    and Illinois refinement, every probe a ``gqi.perturbation_slack``."""
-    t = np.asarray(outcomes, dtype=complex)
-    d = np.asarray(directions, dtype=complex)
-    w, v = spectra.values, spectra.vectors
-    shifted = w + 0.5 * pol.supp_tol(t.shape[-1], w.max(axis=1))[:, None]
-    if shifted.min() <= 0.0:
-        return 0.0
-    noise = np.finfo(float).eps * max(1.0, float(np.abs(w).max()))
-    s = v / np.sqrt(np.maximum(shifted, noise))[:, None, :]
-    est = 1.0 / float(np.abs(np.linalg.eigvalsh(s.conj().transpose(0, 2, 1) @ d @ s)).max())
+def margin(dim, pol=DEFAULT_TOL):
+    """The working margin c = supp_tol(D, 1) / 2."""
+    return 0.5 * pol.supp_tol(dim, 1.0)
 
-    def slack(eps):
-        return gqi.perturbation_slack(t, d, eps, pol)
 
-    width = 1e-10
-    lo, hi = est * (1.0 - width), est * (1.0 + width)
-    f_lo, f_hi = slack(lo), slack(hi)
-    prev = None
-    while f_lo < 0.0:
-        prev = (hi, f_hi)
-        hi, f_hi = lo, f_lo
-        width *= 16.0
-        lo = est * (1.0 - width) if width < 1.0 else 0.0
-        f_lo = slack(lo) if lo > 0.0 else float(shifted.min())
-    while f_hi >= 0.0:
-        lo, f_lo = hi, f_hi
-        width *= 16.0
-        hi = est * (1.0 + width)
-        f_hi = slack(hi)
-    g_lo, g_hi = f_lo, f_hi
-    side = 0
-    older = old = np.inf
-    while hi - lo > 1e-14 * hi and not (f_lo <= noise and f_hi >= -noise):
-        step = 0.5e-14 * hi
-        x = np.nan
-        if prev is not None and prev[1] != f_hi:
-            x = hi - f_hi * (hi - prev[0]) / (f_hi - prev[1])
-        if not lo < x < hi + step:
-            x = hi - g_hi * (hi - lo) / (g_hi - g_lo)
-        if hi - lo > 0.5 * older or not np.isfinite(x):
-            x = 0.5 * (lo + hi)
-        else:
-            x = min(max(x, lo + step), hi - step)
-        older, old = old, hi - lo
-        fx = slack(x)
-        if fx >= 0.0:
-            if side < 0:
-                g_hi *= 0.5
-            lo, f_lo, g_lo, side = x, fx, fx, -1
-        else:
-            if side > 0:
-                g_lo *= 0.5
-            prev = (hi, f_hi)
-            hi, f_hi, g_hi, side = x, fx, fx, 1
-    return lo
+def allowance(outcomes):
+    """The step's rounding allowance a = 2 D eps_machine max(1, |w|_max)."""
+    w = np.linalg.eigvalsh(np.asarray(outcomes))
+    return 2.0 * w.shape[-1] * np.finfo(float).eps * max(1.0, float(np.abs(w).max()))
+
+
+def assert_maximal(outcomes, directions, eps, ref):
+    """eps* is feasible, never above the bisection ``ref`` beyond 1e-12, and
+    within 1e-12 relative of it or at most 2a inside the margin (see the
+    module docstring for why 2a)."""
+    assert gqi.perturbation_feasible(outcomes, directions, eps)
+    assert eps <= ref * (1.0 + 1e-12)
+    if eps < ref * (1.0 - 1e-12):
+        assert gqi.perturbation_slack(outcomes, directions, eps) <= 2.0 * allowance(outcomes)
 
 
 def feasibility_oracle(outcomes, directions, eps, pol=DEFAULT_TOL):
-    """The per-matrix test: lambda_min >= -supp_tol(dim, lambda_max) / 2."""
+    """The per-matrix test: lambda_min >= -c, with c = supp_tol(D, 1) / 2."""
     for t, d in zip(outcomes, directions):
         for a in (t + eps * d, t - eps * d):
-            w = np.linalg.eigvalsh(a)
-            if w[0] < -0.5 * pol.supp_tol(a.shape[0], float(w[-1])):
+            if np.linalg.eigvalsh(a)[0] < -margin(a.shape[0], pol):
                 return False
     return True
 
@@ -188,12 +147,11 @@ def steps():
 
 
 def test_agrees_with_bisection(steps):
-    worst = 0.0
+    # One acceptance-07 witness binds on a small eigenvalue, and its step
+    # lies 1e-10 relative below the bisection: the allowance a, inside 2a.
     for t, d, ref in steps:
-        eps = gqi.max_perturbation_step(t, d)
         assert ref > 0
-        worst = max(worst, abs(eps - ref) / ref)
-    assert worst <= 1e-12
+        assert_maximal(t, d, gqi.max_perturbation_step(t, d), ref)
 
 
 def test_feasible_at_step_and_infeasible_beyond(steps):
@@ -203,33 +161,54 @@ def test_feasible_at_step_and_infeasible_beyond(steps):
         assert not gqi.perturbation_feasible(t, d, eps * (1.0 + 1e-6))
 
 
-def counted_probes(monkeypatch) -> list:
-    """Record every probe of the step's search."""
-    probes = []
-    slack = gqi.block_slack
+def counted_calls(monkeypatch, names=("eigh", "eigvalsh")) -> list:
+    """Record the shape of every ``np.linalg`` decomposition in ``names``."""
+    calls = []
+    for name in names:
+        fn = getattr(np.linalg, name)
 
-    def counted(*args, **kwargs):
-        probes.append(1)
-        return slack(*args, **kwargs)
+        def counted(a, *args, _fn=fn, _name=name, **kwargs):
+            calls.append((_name, np.shape(a)))
+            return _fn(a, *args, **kwargs)
 
-    monkeypatch.setattr(gqi, "block_slack", counted)
-    return probes
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
 
 
 def test_probes_per_step(steps, monkeypatch):
-    probes = counted_probes(monkeypatch)
+    # Without eigenpairs the step decomposes the outcomes once and runs one
+    # batched eigvalsh of the (M, D, D) stack S_i^dagger D_i S_i: no search.
+    calls = counted_calls(monkeypatch)
     for t, d, _ in steps:
+        calls.clear()
         gqi.max_perturbation_step(t, d)
-    # The former search made 62 or more probes per step.
-    assert len(probes) / len(steps) <= 16
+        shape = np.shape(t)
+        assert calls == [("eigh", shape), ("eigvalsh", shape)]
+
+
+def test_no_search_is_left():
+    for name in ("block_slack", "_BRACKET", "_WIDEN", "_STOP"):
+        assert not hasattr(gqi, name)
 
 
 def test_probes_per_certificate_step(monkeypatch):
+    # After validation a certificate's step is one batched eigvalsh of the
+    # (M, k, k) blocks, k the largest support rank; the identity exchange
+    # makes none.
     population = acceptance_07_population() + ladder_population()
-    probes = counted_probes(monkeypatch)
+    calls = counted_calls(monkeypatch, ("eigvalsh",))
+    exchanges = 0
     for g in population:
-        assert gqi.is_extremal(g).perturbation is not None
-    assert 2 * len(population) <= len(probes) <= 16 * len(population)
+        calls.clear()
+        cert = gqi.is_extremal(g)
+        assert cert.perturbation is not None
+        if any(np.array_equal(abs(d), np.eye(len(d))) for d in cert.perturbation.directions):
+            exchanges += 1
+            assert calls == []
+        else:
+            k = max(cert.support_ranks)
+            assert calls == [("eigvalsh", (g.n_outcomes, k, k))]
+    assert 0 < exchanges < len(population)
 
 
 def test_feasibility_matches_per_matrix_test(steps):
@@ -281,31 +260,19 @@ def summary(cert):
 
 
 def certified_step(g):
-    """The certificate of ``g`` and the full-matrix step on its witness."""
-    verdict = gqi.is_valid_gqi(g)
-    cert = gqi.is_extremal(g, validation=verdict)
+    """The certificate of ``g`` and the bisection on its witness."""
+    cert = gqi.is_extremal(g)
     if cert.extremal:
         return cert, None
-    return cert, full_matrix_search(g.outcomes, cert.perturbation.directions, verdict.spectra)
+    return cert, bisection_oracle(g.outcomes, cert.perturbation.directions)
 
 
 def assert_same_step(g, cert, ref):
-    """epsilon* within 1e-12 relative of the full-matrix step, or both inside
-    the rounding band of the slack: a step decided on an eigenvalue that sits
-    on the margin moves with the rounding of the probed matrices, which is up
-    to D eps_machine max(1, |lambda|_max) for a D x D ``eigvalsh``."""
-    eps = cert.perturbation.epsilon_star
-    if abs(eps - ref) <= 1e-12 * ref:
-        return
-    dim = g.signature.total_dim
-    band = dim * np.finfo(float).eps * max(1.0, max(float(np.abs(np.linalg.eigvalsh(t)).max()) for t in g.outcomes))
-    for x in (eps, ref):
-        assert abs(gqi.perturbation_slack(g.outcomes, cert.perturbation.directions, x)) <= band
+    assert_maximal(g.outcomes, cert.perturbation.directions, cert.perturbation.epsilon_star, ref)
 
 
 class TestSupportBlocks:
-    """The certificate's step, searched on support blocks, against the
-    full-matrix search."""
+    """The certificate's step, on the supports, against the bisection."""
 
     def test_acceptance_07(self):
         for g in acceptance_07_population():
@@ -323,7 +290,7 @@ class TestSupportBlocks:
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_tree_roots_and_children(self, seed):
-        # The children split along the full-matrix step are the twins: their
+        # The children split along the bisection's step are the twins: their
         # verdicts, ranks and support ranks must not move.
         for root in bench_tree_roots(seed):
             cert, ref = certified_step(root)
@@ -340,28 +307,16 @@ class TestSupportBlocks:
 
     def test_d64_midpoint_probes_2x2_blocks(self, monkeypatch):
         # The midpoint of two rank-one combs at (2,2,2,2,2,2) has support
-        # rank 2 of D = 64: the closed form sees one 2 x 2 block, every probe
-        # the two blocks T +/- eps D.
+        # rank 2 of D = 64: the step is one eigvalsh of the one 2 x 2 block
+        # S^dagger D S.
         dims = BENCH.LADDER["ladder-d64"]
         ((_, ops, _, _),) = BENCH.ladder_objects(dims, 1)
-        shapes = []
-        eigvalsh = np.linalg.eigvalsh
-        step = gqi.max_perturbation_step
-
-        def recorded_step(*args, **kwargs):
-            def recording(a, *rest, **kw):
-                shapes.append(np.shape(a))
-                return eigvalsh(a, *rest, **kw)
-
-            with monkeypatch.context() as m:
-                m.setattr(np.linalg, "eigvalsh", recording)
-                return step(*args, **kwargs)
-
-        monkeypatch.setattr(gqi, "max_perturbation_step", recorded_step)
-        cert = gqi.is_extremal(Gqi(CombSignature(dims), ops))
+        g = Gqi(CombSignature(dims), ops)
+        validation = gqi.is_valid_gqi(g)
+        calls = counted_calls(monkeypatch)
+        cert = gqi.is_extremal(g, validation=validation)
         assert cert.support_ranks == (2,) and not cert.extremal
-        assert shapes[0] == (1, 2, 2)
-        assert len(shapes) >= 3 and set(shapes[1:]) == {(2, 2, 2)}
+        assert calls == [("eigvalsh", (1, 2, 2))]
 
 
 class TestEdgeCases:
@@ -376,22 +331,18 @@ class TestEdgeCases:
         assert gqi.perturbation_feasible(t, d, eps)
         assert not gqi.perturbation_feasible(t, d, eps * (1.0 + 1e-6))
 
-    def test_direction_off_support_is_margin_limited(self, monkeypatch):
+    def test_direction_off_support_is_margin_limited(self):
         # D couples the support of T = diag(1, 0) to its kernel, so only the
-        # working margin m keeps T +/- eps D feasible: eps* = sqrt(m (1 + m)),
-        # with m = supp_tol(2, lambda_max) / 2 and lambda_max = 1 + O(eps^2).
-        # The closed form covers this case, so the first bracket holds.
+        # working margin keeps T +/- eps D feasible.  Without eigenpairs the
+        # step takes all columns, and it is exactly the root of
+        # det(T + m +/- eps D) = m (1 + m) - eps^2 with m = c - a: the margin
+        # less the allowance.
         t = (np.diag([1.0, 0.0]).astype(complex),)
         d = (np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),)
-        probes = counted_probes(monkeypatch)
         eps = gqi.max_perturbation_step(t, d)
-        assert len(probes) <= 4
-        monkeypatch.undo()
-        m = 0.5 * DEFAULT_TOL.supp_tol(2, 1.0 + eps**2)
-        assert eps == pytest.approx(np.sqrt(m * (1.0 + m)), rel=1e-8)
-        assert eps == pytest.approx(bisection_oracle(t, d), rel=1e-8)
-        assert gqi.perturbation_feasible(t, d, eps)
-        assert not gqi.perturbation_feasible(t, d, eps * (1.0 + 1e-6))
+        m = margin(2) - allowance(t)
+        assert eps == pytest.approx(np.sqrt(m * (1.0 + m)), rel=1e-12)
+        assert_maximal(t, d, eps, bisection_oracle(t, d))
 
     def test_eigenvalue_below_working_margin_gives_zero(self):
         # -1.5e-10 passes validation (supp_tol = 2e-10) but lies below the
@@ -434,14 +385,7 @@ def test_property_step_is_maximal_and_matches_oracle(seed, d, counts, mixed):
     assert eps > 0
     assert gqi.perturbation_feasible(g.outcomes, directions, eps)
     assert not gqi.perturbation_feasible(g.outcomes, directions, eps * (1.0 + 1e-6))
-    ref = bisection_oracle(g.outcomes, directions)
-    if abs(eps - ref) > 1e-12 * ref:
-        # A small step can sit where the slack moves by less than its rounding
-        # error over a relative 1e-12; then both searches stop on a sign change
-        # of the rounded slack, and both ends lie inside the rounding band.
-        scale = np.finfo(float).eps * max(1.0, max(float(np.abs(np.linalg.eigvalsh(t)).max()) for t in g.outcomes))
-        for x in (eps, ref):
-            assert 0.0 <= gqi.perturbation_slack(g.outcomes, directions, x) <= scale
+    assert_maximal(g.outcomes, directions, eps, bisection_oracle(g.outcomes, directions))
 
 
 def full_rank_split(sig, weights, rng, spread):
@@ -462,9 +406,8 @@ def full_rank_split(sig, weights, rng, spread):
 
 def identity_exchange_population():
     """GQIs with M = 2 and 3 and two full-support outcomes, from (3,1) to
-    (2,3,3,2), and the two margin branches written out: a binding outcome
-    whose lambda_max stays above 1 after the step, and POVM halves, whose
-    lambda_max is below 1."""
+    (2,3,3,2), and two written out: a binding outcome whose lambda_max stays
+    above 1 after the step, and POVM halves, whose lambda_max is below 1."""
     out = []
     for dims in ((3, 1), (2, 2), (2, 2, 2, 2), (2, 3, 3, 2)):
         sig = CombSignature(dims)
@@ -485,7 +428,6 @@ class TestIdentityExchange:
     ``perturbation_feasible``."""
 
     def test_against_bisection(self):
-        branches = set()
         counts = set()
         for g in identity_exchange_population():
             cert = gqi.is_extremal(g)
@@ -495,18 +437,14 @@ class TestIdentityExchange:
             assert len(exchanged) == 2
             assert all(np.array_equal(abs(d[i]), np.eye(dim)) for i in exchanged)
             eps = cert.perturbation.epsilon_star
-            ref = bisection_oracle(t, d)
-            assert gqi.perturbation_feasible(t, d, eps)
+            # The smaller lambda_min of the two, plus the margin, less the allowance.
+            w_min = min(float(np.linalg.eigvalsh(t[i])[0]) for i in exchanged)
+            assert eps == pytest.approx(w_min + margin(dim) - allowance(t), rel=1e-14)
             assert not gqi.perturbation_feasible(t, d, eps * (1.0 + 1e-6))
-            # At most the rounding allowance below the boundary, and never above it.
-            w = gqi.is_valid_gqi(g).spectra.values
-            allowance = dim * np.finfo(float).eps * max(1.0, float(np.abs(w).max()))
-            assert ref - 2.0 * allowance <= eps <= ref
-            # The binding outcome's lambda_max after the step, against 1.
-            binding = min(exchanged, key=lambda i: w[i, -1] + 0.5 * DEFAULT_TOL.supp_tol(dim, w[i, 0] - eps) - eps)
-            branches.add(bool(w[binding, 0] - eps > 1.0))
+            ref = bisection_oracle(t, d)
+            assert_maximal(t, d, eps, ref)
+            assert ref - 2.0 * allowance(t) <= eps
             counts.add(g.n_outcomes)
-        assert branches == {True, False}
         assert counts == {2, 3}
 
     def test_outcome_below_working_margin_gives_zero(self):
@@ -550,3 +488,104 @@ class TestIdentityExchange:
         cert = gqi.is_extremal(g)
         assert calls == [("eigh", (2, 16, 16))]
         assert cert.support_ranks == (16, 16) and cert.perturbation.epsilon_star > 0.0
+
+
+def tree_nodes(seed):
+    """The ``trees`` roots of ``seed``, their children and grandchildren."""
+    out, level = [], bench_tree_roots(seed)
+    for _ in range(3):
+        out += level
+        level = [
+            child
+            for g in level
+            if not (cert := gqi.is_extremal(g)).extremal
+            for child in gqi.decompose_step(g, certificate=cert)
+        ]
+    return out
+
+
+def suite_testers():
+    """The testers the xi-invariance and bounds suites draw, seeds 0-199."""
+    out = []
+    for seed in range(200):
+        rng = np.random.default_rng(2000 + seed)
+        out.append((suites.random_extremal_qubit_tester if seed % 2 == 0 else suites.random_nonextremal_qubit_tester)(rng))
+        rng = np.random.default_rng(3000 + seed)
+        out += [
+            suites.random_extremal_qubit_tester(rng),
+            suites.random_nonextremal_qubit_tester(rng),
+            suites.random_rank22_qubit_tester(rng, nonextremal=bool(rng.integers(0, 2))),
+        ]
+    return out
+
+
+def suite_channels():
+    """The channels the equivalence suite draws, seeds 0-199."""
+    out = []
+    for seed in range(200):
+        rng = np.random.default_rng(1000 + seed)
+        for d0, d1 in suites.EQUIVALENCE_DIMS:
+            count = int(rng.integers(-(-d0 // d1), d0 * d1 + 1))
+            out.append(channels.random_channel(d0, d1, count, rng))
+    return out
+
+
+CERTIFICATE_POPULATIONS = {
+    **{f"ladder-{seed}": (lambda seed=seed: bench_ladder(seed)) for seed in (1, 2, 3)},
+    "acceptance-07": acceptance_07_population,
+    **{f"trees-{seed}": (lambda seed=seed: tree_nodes(seed)) for seed in (1, 2, 3)},
+    "testers": suite_testers,
+    "channels": suite_channels,
+}
+
+
+class TestCertificates:
+    """Every certificate's epsilon* is a feasible, maximal and nonzero step."""
+
+    @pytest.mark.parametrize("name", list(CERTIFICATE_POPULATIONS))
+    def test_feasible_at_step_and_infeasible_beyond(self, name):
+        steps = 0
+        for g in CERTIFICATE_POPULATIONS[name]():
+            cert = gqi.is_extremal(g)
+            if cert.extremal:
+                continue
+            t, d, eps = g.outcomes, cert.perturbation.directions, cert.perturbation.epsilon_star
+            assert eps > 0.0
+            assert gqi.perturbation_feasible(t, d, eps)
+            assert not gqi.perturbation_feasible(t, d, eps * (1.0 + 1e-6))
+            steps += 1
+        assert steps > 0
+
+    def test_tester_split_children_are_testers(self):
+        # A step to the margin c = supp_tol(4, 1) / 2 keeps rho of both
+        # children above the tester's own cutoff -supp_tol(2, 1).
+        children = 0
+        for t in suite_testers():
+            cert = gqi.is_extremal(t)
+            if cert.extremal:
+                continue
+            for child in gqi.decompose_step(t, certificate=cert):
+                assert testers.is_valid_tester(testers.Tester(t.d2, t.d1, child.outcomes))
+                children += 1
+        assert children > 0
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_trees_take_no_zero_step(self, seed, tmp_path, monkeypatch, capsys):
+        # Children of a maximal step sit a inside the margin, outside their
+        # supports, so their own steps are not 0.
+        steps = []
+        decide = gqi.is_extremal
+
+        def recorded(*args, **kwargs):
+            cert = decide(*args, **kwargs)
+            if cert.perturbation is not None:
+                steps.append(cert.perturbation.epsilon_star)
+            return cert
+
+        monkeypatch.setattr(gqi, "is_extremal", recorded)
+        for name, kind, signature, ops, depth in BENCH.tree_inputs(seed):
+            path = str(tmp_path / f"{name}.json")
+            BENCH.write_operator_file(path, kind, signature, ops)
+            assert cli.main(["decompose", path, "--steps", str(depth), "--out", str(tmp_path / name)]) == 0
+        capsys.readouterr()
+        assert len(steps) > 100 and min(steps) > 0.0
