@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -29,6 +30,13 @@ from .errors import DimensionMismatchError, ExqipError, FileFormatError, SizeLim
 from .gqi import Gqi
 from .linalg import TolerancePolicy
 from .testers import Povm, Tester
+
+
+# Estimated peak bytes per matrix entry of writing a generated operator,
+# mostly the JSON lists and text of the file: measured at 73 MB for D = 256,
+# 627 MB for D = 1024 and 2.9 GB for D = 2304 (`generate random-comb`,
+# CPython 3.11, numpy 2.4).
+GENERATE_BYTES_PER_ENTRY = 600
 
 
 def _policy(args, dim: int = 1) -> TolerancePolicy:
@@ -178,6 +186,8 @@ def _parse_signature(text: str) -> CombSignature:
 def cmd_generate(args) -> int:
     pol = _policy(args)
     if args.kind == "two-outcome-qubit-tester":
+        if not math.isfinite(args.schmidt_angle):
+            raise ValueError(f"--schmidt-angle must be a finite number, got {args.schmidt_angle}")
         obj = testers.schmidt_tester(args.schmidt_angle)
         meta = {"schmidt_angle": args.schmidt_angle}
     elif args.kind == "split-tester":
@@ -206,8 +216,13 @@ def cmd_generate(args) -> int:
         if not 0.0 <= args.spread <= 1.0:
             raise ValueError(f"--spread must lie in [0, 1], got {args.spread}")
         sig = _parse_signature(args.signature)
-        comb = combs.random_deterministic_comb(sig, seed=args.seed, spread=args.spread)
-        obj = comb
+        need = GENERATE_BYTES_PER_ENTRY * sig.total_dim ** 2
+        if need > gqi_mod.RANK_STAGE_BUDGET:
+            raise SizeLimitError(
+                f"a random comb at signature {sig.dims} needs about {need:,} bytes, "
+                f"above the budget of {gqi_mod.RANK_STAGE_BUDGET:,} bytes"
+            )
+        obj = combs.random_deterministic_comb(sig, seed=args.seed, spread=args.spread)
         meta = {"seed": args.seed, "spread": args.spread}
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(f"unknown kind {args.kind}")

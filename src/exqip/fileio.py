@@ -173,12 +173,22 @@ def payload_to_object(payload: dict):
 
 
 def dumps_canonical(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """The canonical text of ``payload``.  A NaN or infinity raises
+    ValueError: JSON has no such number, and :func:`json_to_matrix` refuses
+    it on reading."""
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def _write(path, payload: dict) -> None:
+    """Write ``payload`` canonically; it is serialized before the file is
+    opened, so a payload that cannot be written leaves no file behind."""
+    text = dumps_canonical(payload)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def save_object(path, obj, metadata: dict | None = None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_canonical(object_to_payload(obj, metadata)))
+    _write(path, object_to_payload(obj, metadata))
 
 
 def load_object(path):
@@ -215,31 +225,50 @@ def certificate_to_payload(kind: str, cert: ExtremalityCertificate, pol: Toleran
 
 
 def save_certificate(path, kind, cert, pol) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_canonical(certificate_to_payload(kind, cert, pol)))
+    _write(path, certificate_to_payload(kind, cert, pol))
+
+
+def _count(value) -> int:
+    # bool is a subclass of int, and JSON true is not a count.
+    if type(value) is not int or value < 0:
+        raise ValueError(f"expected a non-negative integer, got {value!r}")
+    return value
 
 
 def load_certificate(path) -> ExtremalityCertificate:
+    """The certificate in ``path``; a malformed file raises
+    :class:`FileFormatError`, as :func:`payload_to_object` does."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"invalid JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise FileFormatError("top-level JSON value must be an object")
     if payload.get("format") != CERTIFICATE_FORMAT_NAME:
         raise FileFormatError("not a certificate file")
-    pert = None
-    if payload.get("perturbation") is not None:
-        p = payload["perturbation"]
-        pert = Perturbation(
-            directions=tuple(json_to_matrix(d) for d in p["directions"]),
-            delta=json_to_matrix(p["delta"]),
-            epsilon_star=float(p["epsilon_star"]),
+    try:
+        verdict = payload["verdict"]
+        p = payload.get("perturbation")
+        pert = None
+        if p is not None:
+            pert = Perturbation(
+                directions=tuple(json_to_matrix(d) for d in p["directions"]),
+                delta=json_to_matrix(p["delta"]),
+                epsilon_star=float(p["epsilon_star"]),
+            )
+        cert = ExtremalityCertificate(
+            extremal=verdict == "extremal",
+            family_size=_count(payload["family_size"]),
+            rank=_count(payload["rank"]),
+            support_ranks=tuple(_count(r) for r in payload["support_ranks"]),
+            normalization_basis_size=_count(payload["normalization_basis_size"]),
+            perturbation=pert,
         )
-    return ExtremalityCertificate(
-        extremal=payload["verdict"] == "extremal",
-        family_size=int(payload["family_size"]),
-        rank=int(payload["rank"]),
-        support_ranks=tuple(payload["support_ranks"]),
-        normalization_basis_size=int(payload["normalization_basis_size"]),
-        perturbation=pert,
-    )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FileFormatError(f"malformed certificate file: {exc}") from exc
+    if verdict not in ("extremal", "not_extremal"):
+        raise FileFormatError(f"unknown verdict {verdict!r}")
+    if cert.extremal != (pert is None):
+        raise FileFormatError(f"verdict {verdict!r} contradicts the perturbation given")
+    return cert

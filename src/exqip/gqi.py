@@ -254,17 +254,38 @@ def rank_stage_bytes(sig: CombSignature, support_ranks) -> int:
     return 64 * r * r * c * c + 24 * m * n + 8 * (h * n + h * h + k * n + 4 * k * k)
 
 
-def _rank_test(sig: CombSignature, supports, n_known: int, pol: TolerancePolicy) -> linalg.RankDecision:
+def _rank_test(sig: CombSignature, supports, n_known: int, bound: float, pol: TolerancePolicy):
     """The pooled rank decision on the support bases projected off V, given
-    the support vectors of each outcome and |V| (see
-    :func:`linalg.block_rank_decision` for the rank and cutoff).
+    the support vectors of each outcome, |V| and ``bound``, the cutoff taken
+    at sigma_max = sqrt(M) (see :func:`is_extremal`).
 
-    The rows are built outcome by outcome and decided head first
-    (:func:`linalg.block_rank_decision`).  Each outcome's rows are a projected
+    Returns (rank, c, margin).  The null vector c, a unit coefficient vector
+    over the m = sum r_i^2 rows, is present exactly when the rows are
+    dependent; the margin, the smallest singular value of the rows, exactly
+    when they are independent and m > 0.
+
+    An input whose estimated peak (:func:`rank_stage_bytes`) exceeds
+    ``RANK_STAGE_BUDGET`` raises :class:`SizeLimitError` before any row is
+    built.  The rows are built outcome by outcome (:func:`_coordinate_blocks`)
+    and only as far as the decision needs.  They span at most
+    span = min(D^2 - |V|, n) dimensions of their n coordinates.
+
+    Head first: when m > span, the first span + 1 rows (the head) are
+    decomposed first, with U.  If the head has span singular values above
+    ``bound``, the pooled rank is span + |V| and the remaining rows are never
+    built (README, "Head-first rank"): each outcome's rows are a projected
     orthonormal family, of spectral norm at most 1, so sqrt(M) bounds
-    sigma_max of the stack of M outcomes.  An input whose estimated peak
-    (:func:`rank_stage_bytes`) exceeds ``RANK_STAGE_BUDGET`` raises
-    :class:`SizeLimitError` before any row is built.
+    sigma_max of the stack.  Otherwise the rank comes from the values-only
+    SVD of all the rows at the pooled cutoff
+
+        tau = max(m + |V|, D^2) * sigma * eps_rel,
+
+    sigma = sigma_max, floored at 1 when |V| > 0 because the orthonormal
+    members of V alone have unit singular values.  c is the last left
+    singular vector of the head, padded with zeros and oriented so that its
+    largest entry is positive.  The head's U is full when the head has more
+    rows than columns (n = span, as on (1, d)): the thin U would hold only
+    vectors of nonzero singular values.
     """
     ranks = [u.shape[1] for u in supports]
     need = rank_stage_bytes(sig, ranks)
@@ -274,14 +295,37 @@ def _rank_test(sig: CombSignature, supports, n_known: int, pol: TolerancePolicy)
             f"needs about {need:,} bytes, above the budget of {RANK_STAGE_BUDGET:,} bytes"
         )
     ambient = sig.total_dim ** 2
-    return linalg.block_rank_decision(
-        _coordinate_blocks(supports, sig, ambient - n_known + 1),
-        sum(r * r for r in ranks),
-        pol,
-        known=n_known,
-        ambient=ambient,
-        sigma_bound=math.sqrt(len(supports)),
-    )
+    m = sum(r * r for r in ranks)
+    blocks = _coordinate_blocks(supports, sig, ambient - n_known + 1)
+    built = [next(blocks)]
+    n = built[0].shape[1]
+    span = min(ambient - n_known, n)
+
+    def head_svd(x):
+        head = x[: span + 1]
+        return np.linalg.svd(head, full_matrices=head.shape[0] > n)[:2]
+
+    u, rank = None, span
+    if m > span:
+        while sum(b.shape[0] for b in built) <= span:
+            built.append(next(blocks))
+        u, s = head_svd(np.vstack(built))
+    if u is None or np.count_nonzero(s > bound) < span:
+        built.extend(blocks)
+        x = built[0] if len(built) == 1 else np.vstack(built)
+        del built
+        s = np.linalg.svd(x, compute_uv=False)
+        sigma = max(1.0 if n_known else 0.0, float(s[0]) if s.size else 0.0)
+        rank = int(np.count_nonzero(s > pol.rank_tol(m + n_known, ambient, sigma)))
+        if rank == m:
+            return rank + n_known, None, float(s[-1]) if s.size else None
+        if u is None:
+            u, _ = head_svd(x)
+    c = np.zeros(m)
+    c[: u.shape[0]] = u[:, -1]
+    if c[np.argmax(np.abs(c))] < 0:
+        c = -c
+    return rank + n_known, c, None
 
 
 def _coordinate_blocks(supports, sig: CombSignature, head: int):
@@ -299,7 +343,7 @@ def _coordinate_blocks(supports, sig: CombSignature, head: int):
         start += rows
 
 
-def _full_support_pair(support_ranks, dim: int, n_known: int, pol: TolerancePolicy):
+def _full_support_pair(support_ranks, dim: int, bound: float):
     """(a, b) for the full-support exit of :func:`is_extremal`, or None.
 
     a is the first outcome of full support.  b is the next outcome of full
@@ -307,20 +351,15 @@ def _full_support_pair(support_ranks, dim: int, n_known: int, pol: TolerancePoli
     (see :func:`identity_exchange_step`), and otherwise the first other
     outcome with a nonzero support.  The projected rows of a alone have
     span = D^2 - |V| singular values equal to 1, so the pooled rank is
-    span + |V| = D^2 whenever the cutoff taken at sigma_max <= sqrt(M) lies
-    below 1 (README, "Full-support exit").
+    span + |V| = D^2 whenever ``bound``, the cutoff taken at
+    sigma_max <= sqrt(M), lies below 1 (README, "Full-support exit").
     """
     full = [i for i, r in enumerate(support_ranks) if r == dim]
-    if not full:
+    if not full or bound >= 1.0:
         return None
     a = full[0]
     b = full[1] if len(full) > 1 else next((i for i, r in enumerate(support_ranks) if i != a and r > 0), None)
-    if b is None:
-        return None
-    rows = sum(r * r for r in support_ranks) + n_known
-    if pol.rank_tol(rows, dim * dim, max(1.0, math.sqrt(len(support_ranks)))) >= 1.0:
-        return None
-    return a, b
+    return None if b is None else (a, b)
 
 
 def identity_exchange_step(values, a: int, b: int, pol: TolerancePolicy = DEFAULT_TOL) -> float:
@@ -364,7 +403,11 @@ def is_extremal(
     When sum r_i^2 > D^2 - |V| the counting rule already rules out
     extremality, and c comes from the first D^2 - |V| + 1 projected members,
     the head.  The rank is then decided on the head alone when it can be
-    (README, "Head-first rank"), and the remaining members are not built.
+    (README, "Head-first rank"), and the remaining members are not built
+    (:func:`_rank_test`).  Each outcome's projected members have spectral
+    norm at most 1, so sigma_max <= sqrt(M) for M outcomes; tau taken at
+    sqrt(M) is computed once here and read by both this head exit and the
+    full-support exit.
 
     Full-support exit: when an outcome a has full support and another
     outcome b a nonzero one, and tau taken at sigma_max = sqrt(M) is below 1,
@@ -389,10 +432,12 @@ def is_extremal(
     n_known = combs.comb_variable_count(g.signature)
     dim = g.signature.total_dim
     family_size = sum(r * r for r in support_ranks) + n_known
+    # The cutoff at sigma_max <= sqrt(M), shared by both exits.
+    bound = pol.rank_tol(family_size, dim * dim, math.sqrt(len(supports)))
     directions = None
     step = None
     margin = None
-    pair = _full_support_pair(support_ranks, dim, n_known, pol)
+    pair = _full_support_pair(support_ranks, dim, bound)
     if pair is not None:
         a, b = pair
         rank = dim * dim
@@ -404,21 +449,14 @@ def is_extremal(
             p = supports[b] @ supports[b].conj().T
         directions[a], directions[b] = -p, p
     else:
-        decision = _rank_test(g.signature, supports, n_known, pol)
-        rank = decision.rank
-        if decision.nullvector is not None:
+        rank, c, margin = _rank_test(g.signature, supports, n_known, bound, pol)
+        if c is not None:
             directions = []
             pos = 0
             for u, r in zip(supports, support_ranks):
-                h = linalg.unvectorize_hermitian(decision.nullvector[pos : pos + r * r], r)
+                h = linalg.unvectorize_hermitian(c[pos : pos + r * r], r)
                 directions.append(u @ h @ u.conj().T)
                 pos += r * r
-        elif decision.singular_values.size:
-            # An extremal family never has more members than its span, so its
-            # rank is never decided on the head alone: the values are the
-            # whole family's.  A tolerance above every eigenvalue leaves the
-            # family empty.
-            margin = float(decision.singular_values[-1])
     perturbation = None
     if directions is not None:
         if step is None:

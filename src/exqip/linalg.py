@@ -1,10 +1,12 @@
 """Dense complex linear-algebra kernel.
 
 Everything downstream (combs, instruments, testers, channels) is built on the
-handful of primitives in this module: Hermitian eigendecompositions, SVD-based
-numerical rank with nullvector extraction, partial traces, Hermitian operator
-bases, and the real vectorization that turns operator-independence questions
-into matrix-rank questions.
+handful of primitives in this module: Hermitian eigendecompositions, partial
+traces, Hermitian operator bases and the partial traces of support bases, and
+the real vectorization that turns operator-independence questions into
+matrix-rank questions.  The pooled rank test of extremality is
+:mod:`exqip.gqi`'s; :func:`complex_family_rank` serves the Kraus-product
+criterion.
 
 Operators are plain complex ``numpy`` arrays.  All functions are pure.
 """
@@ -180,112 +182,6 @@ def sqrt_psd(a: np.ndarray, pol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
 def eig_sqrt(eig: EigenDecomposition) -> np.ndarray:
     """:func:`sqrt_psd` of the operator that ``eig`` decomposes."""
     return (eig.vectors * np.sqrt(np.clip(eig.values, 0.0, None))) @ eig.vectors.conj().T
-
-
-def _fix_sign(vec: np.ndarray) -> np.ndarray:
-    # Deterministic orientation: make the largest-magnitude entry positive.
-    k = int(np.argmax(np.abs(vec)))
-    if vec[k] < 0:
-        return -vec
-    return vec
-
-
-@dataclass(frozen=True)
-class RankDecision:
-    """A rank decided from ``singular_values`` at a cutoff.
-
-    ``nullvector`` is a unit coefficient vector over the decided rows, present
-    exactly when they are dependent.  ``singular_values`` are those of all
-    the rows, or of the head alone when the rank was decided there (see
-    :func:`block_rank_decision`).
-    """
-
-    rank: int
-    singular_values: np.ndarray
-    nullvector: np.ndarray | None
-
-
-def block_rank_decision(
-    blocks,
-    rows: int,
-    pol: TolerancePolicy = DEFAULT_TOL,
-    known: int = 0,
-    ambient: int | None = None,
-    sigma_bound: float | None = None,
-) -> RankDecision:
-    """Rank of the stack of ``blocks`` pooled with ``known`` orthonormal
-    vectors.  ``blocks`` is an iterable of (k_i, n) arrays with ``rows`` =
-    sum k_i rows in all, built in order and only as far as the decision
-    needs.
-
-    The rows are coordinates of family members in the orthogonal complement
-    of ``known`` orthonormal vectors of an ``ambient``-dimensional space (by
-    default n, with nothing known).  The pooled family has rank
-    ``rank(rows) + known`` and the pooled cutoff
-
-        tau = max(rows + known, ambient) * sigma * eps_rel,
-
-    with sigma = sigma_max of the rows, floored at 1 when ``known > 0``
-    because the orthonormal members alone have unit singular values.  A
-    dependent family gets a null vector c with ``|c^T x| <= tau``.  The rows
-    span at most span = min(ambient - known, n) dimensions, so beyond that c
-    is taken from the first span + 1 rows.
-
-    Head first: with more rows than their span and an upper bound
-    ``sigma_bound`` >= sigma_max of the stack, the first span + 1 rows (the
-    head) are decomposed first, with U.  If the head alone has span singular
-    values above the cutoff taken at ``sigma_bound``, the pooled rank is
-    span + known: sigma_k(stack) >= sigma_k(head), the cutoff grows with
-    sigma, and the rows span no more than span dimensions.  The remaining
-    blocks are then never built, and ``singular_values`` holds the head's
-    values.  Otherwise the rank comes from the values-only SVD of the whole
-    stack, as without a bound.  The null vector is the last left singular
-    vector of the head either way, from the same SVD call.
-    """
-    blocks = iter(blocks)
-    built = [np.asarray(next(blocks), dtype=float)]
-    _, n = built[0].shape
-    ambient = n if ambient is None else ambient
-    span = min(ambient - known, n)
-    floor = 1.0 if known else 0.0
-    u = None
-    if sigma_bound is not None and rows > span:
-        have = built[0].shape[0]
-        while have <= span:
-            built.append(np.asarray(next(blocks), dtype=float))
-            have += built[-1].shape[0]
-        u, s = _head_svd(np.vstack(built), span)
-        tau = pol.rank_tol(rows + known, ambient, max(floor, sigma_bound))
-        if np.count_nonzero(s > tau) >= span:
-            return RankDecision(span + known, s, _head_nullvector(u, rows))
-    built.extend(np.asarray(b, dtype=float) for b in blocks)
-    x = built[0] if len(built) == 1 else np.vstack(built)
-    del built
-    m = x.shape[0]
-    s = np.linalg.svd(x, compute_uv=False)
-    sigma = max(floor, float(s[0]) if s.size else 0.0)
-    tau = pol.rank_tol(m + known, ambient, sigma)
-    rank = int(np.count_nonzero(s > tau))
-    if rank == m:
-        return RankDecision(rank + known, s, None)
-    if u is None:
-        u, _ = _head_svd(x, span)
-    return RankDecision(rank + known, s, _head_nullvector(u, m))
-
-
-def _head_svd(x: np.ndarray, span: int):
-    """U and the singular values of the head, the first span + 1 rows of ``x``."""
-    head = x[: span + 1]
-    u, s, _ = np.linalg.svd(head, full_matrices=head.shape[0] > head.shape[1])
-    return u, s
-
-
-def _head_nullvector(u: np.ndarray, rows: int) -> np.ndarray:
-    """The last left singular vector of the head, padded with zeros to
-    ``rows`` coefficients."""
-    c = np.zeros(rows)
-    c[: u.shape[0]] = u[:, -1]
-    return _fix_sign(c)
 
 
 def complex_family_rank(mats, pol: TolerancePolicy = DEFAULT_TOL) -> int:

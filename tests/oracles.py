@@ -7,6 +7,7 @@ the comb variable basis V or the dense normalization family of Theorem 1.
 The tests keep them as oracles and to build inputs.
 """
 
+import collections
 import math
 
 import numpy as np
@@ -16,12 +17,31 @@ from exqip.errors import NotPositiveError
 from exqip.linalg import DEFAULT_TOL
 
 
+Decision = collections.namedtuple("Decision", "rank nullvector")
+
+
 def rank_decision(x, pol=DEFAULT_TOL, known=0, ambient=None):
-    """``linalg.block_rank_decision`` on the whole of ``x`` at once: the rank
-    from a values-only SVD of every row, with the same rank, cutoff and null
-    vector."""
+    """The pooled rank of the rows of ``x`` with ``known`` orthonormal
+    vectors of an ``ambient``-dimensional space (by default the row length,
+    with nothing known), from one values-only SVD of every row, at the cutoff
+    max(rows + known, ambient) * sigma * eps_rel, sigma = sigma_max floored
+    at 1 when ``known > 0``.  A dependent family gets a unit null vector: the
+    last left singular vector of the first span + 1 rows,
+    span = min(ambient - known, row length), with the full U, padded with
+    zeros and oriented so that its largest entry is positive."""
     x = np.asarray(x, dtype=float)
-    return linalg.block_rank_decision([x], x.shape[0], pol, known, ambient)
+    m, n = x.shape
+    ambient = n if ambient is None else ambient
+    s = np.linalg.svd(x, compute_uv=False)
+    sigma = max(1.0 if known else 0.0, float(s[0]) if s.size else 0.0)
+    rank = int(np.count_nonzero(s > pol.rank_tol(m + known, ambient, sigma)))
+    if rank == m:
+        return Decision(rank + known, None)
+    head = x[: min(ambient - known, n) + 1]
+    u = np.linalg.svd(head, full_matrices=head.shape[0] > n)[0]
+    c = np.zeros(m)
+    c[: len(head)] = u[:, -1]
+    return Decision(rank + known, c if c[np.argmax(np.abs(c))] > 0 else -c)
 
 
 def support_vectors(t, pol=DEFAULT_TOL):

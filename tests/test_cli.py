@@ -46,6 +46,25 @@ SAMPLE_OBJECTS = [
 CERTIFICATE_INPUTS = sorted(n[: -len(".json")] for n in os.listdir(GOLDEN) if n != "expected.json") + ["product-tester"]
 
 
+def _without(d, key):
+    return {k: v for k, v in d.items() if k != key}
+
+
+# Edits that make the certificate of a non-extremal verdict malformed.
+MALFORMED_CERTIFICATES = {
+    "list": lambda p: [p],
+    "no-verdict": lambda p: _without(p, "verdict"),
+    "bad-verdict": lambda p: {**p, "verdict": "maybe"},
+    "no-perturbation": lambda p: {**p, "perturbation": None},
+    "no-directions": lambda p: {**p, "perturbation": _without(p["perturbation"], "directions")},
+    "bad-epsilon": lambda p: {**p, "perturbation": {**p["perturbation"], "epsilon_star": "x"}},
+    "bad-family-size": lambda p: {**p, "family_size": "x"},
+    "fractional-family-size": lambda p: {**p, "family_size": 12.7},
+    "bad-support-ranks": lambda p: {**p, "support_ranks": 3},
+    "boolean-support-rank": lambda p: {**p, "support_ranks": [True, 4]},
+}
+
+
 class TestFileio:
     @pytest.mark.parametrize("obj", SAMPLE_OBJECTS, ids=lambda o: fileio.kind_of(o).name)
     def test_round_trip_byte_identical(self, obj, tmp_path):
@@ -96,6 +115,23 @@ class TestFileio:
         path.write_text(json.dumps(payload))
         with pytest.raises(FileFormatError):
             fileio.load_object(path)
+
+    def test_non_finite_entry_writes_no_file(self, tmp_path):
+        """JSON has no NaN: writing one raises before the file is opened."""
+        path = tmp_path / "obj.json"
+        nan = np.full((4, 4), np.nan, dtype=complex)
+        with pytest.raises(ValueError):
+            fileio.save_object(path, Gqi(CombSignature((2, 2)), (nan,)))
+        assert not path.exists()
+
+    @pytest.mark.parametrize("edit", MALFORMED_CERTIFICATES.values(), ids=MALFORMED_CERTIFICATES.keys())
+    def test_malformed_certificate_rejected(self, edit, tmp_path, capsys):
+        path = tmp_path / "cert.json"
+        assert cli.main(["extremal", os.path.join(GOLDEN, "gqi.json"), "--certificate", str(path)]) == 0
+        capsys.readouterr()
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        with pytest.raises(FileFormatError):
+            fileio.load_certificate(path)
 
     @pytest.mark.parametrize("name", CERTIFICATE_INPUTS)
     def test_certificate_round_trip(self, name, tmp_path, capsys):
@@ -190,6 +226,8 @@ class TestCli:
             ["random-comb", "--signature", "2,2,2"],
             ["combination", "--k", "9"],
             ["random-comb", "--spread", "2"],
+            ["two-outcome-qubit-tester", "--schmidt-angle", "nan"],
+            ["two-outcome-qubit-tester", "--schmidt-angle", "inf"],
         ],
     )
     def test_bad_generate_options_exit_2(self, args, tmp_path, capsys):
@@ -200,6 +238,8 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
         assert not (tmp_path / "out.json").exists()
+        if "--schmidt-angle" in args:
+            assert "--schmidt-angle" in err
 
     def test_decompose_tree(self, tmp_path, capsys):
         src = str(tmp_path / "prod.json")
@@ -391,6 +431,34 @@ def test_suite_dimensions_are_the_largest_drawn():
     ]
     assert {x.signature.total_dim for x in drawn} == {suites.LARGEST_DIM["xi-invariance"]}
     assert suites.LARGEST_DIM["bounds"] == suites.LARGEST_DIM["xi-invariance"]
+
+
+def test_generate_refuses_a_comb_above_the_budget(tmp_path):
+    """`generate random-comb --signature 200,200` (D = 40 000) exits 2 with
+    the estimate before anything is allocated.  It runs under a 1 GiB
+    address-space limit, so that without the guard it fails at once rather
+    than allocating."""
+    src = os.path.join(os.path.dirname(GOLDEN), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    code = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "import exqip.cli\n"
+        "sys.exit(exqip.cli.main(sys.argv[1:]))\n"
+    )
+    out = tmp_path / "comb.json"
+    run = subprocess.run(
+        [sys.executable, "-c", code, "generate", "random-comb", "--signature", "200,200", "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert run.returncode == 2, run.stderr
+    need = cli.GENERATE_BYTES_PER_ENTRY * 40000 ** 2
+    assert run.stderr == (
+        f"error: a random comb at signature (200, 200) needs about {need:,} bytes, "
+        f"above the budget of {gqi.RANK_STAGE_BUDGET:,} bytes\n"
+    )
+    assert not out.exists()
 
 
 def test_runtime_imports_no_scipy():

@@ -26,7 +26,7 @@ import os
 import numpy as np
 import pytest
 
-from exqip import channels, cli, combs, fileio, gqi, linalg, suites, testers
+from exqip import channels, cli, combs, fileio, gqi, suites, testers
 from exqip.combs import CombSignature
 from exqip.errors import SizeLimitError
 from exqip.gqi import Gqi
@@ -138,7 +138,7 @@ def recorded(monkeypatch):
     head (no values-only SVD of the full stack)."""
     out = []
     full_svds = [0]
-    block_rank_decision, svd = linalg.block_rank_decision, np.linalg.svd
+    rank_test, svd = gqi._rank_test, np.linalg.svd
 
     def counted_svd(a, *args, compute_uv=True, **kwargs):
         full_svds[0] += not compute_uv
@@ -146,12 +146,12 @@ def recorded(monkeypatch):
 
     def recording(*args, **kwargs):
         before = full_svds[0]
-        decision = block_rank_decision(*args, **kwargs)
-        out.append((decision, full_svds[0] == before))
-        return decision
+        rank, c, margin = rank_test(*args, **kwargs)
+        out.append((oracles.Decision(rank, c), full_svds[0] == before))
+        return rank, c, margin
 
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
-    monkeypatch.setattr(linalg, "block_rank_decision", recording)
+    monkeypatch.setattr(gqi, "_rank_test", recording)
     return out
 
 
@@ -167,7 +167,7 @@ POPULATIONS = {
 @pytest.mark.parametrize("name", POPULATIONS)
 def test_matches_full_stack(name, recorded):
     """Verdict, rank, support ranks and family size on every input; the
-    decision and its null vector wherever ``block_rank_decision`` ran."""
+    decision and its null vector wherever the rank stage ran."""
     population = POPULATIONS[name]()
     wants = [full_stack_decision(g) for g in population]
     recorded.clear()
@@ -202,29 +202,97 @@ def test_matches_full_stack(name, recorded):
         assert paths["fallback"] == len(population)
 
 
-def test_exit_skips_the_rest_of_the_rows(monkeypatch):
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """(shape, compute_uv) of every ``np.linalg.svd`` call."""
+    out = []
+    svd = np.linalg.svd
+
+    def counted_svd(a, *args, compute_uv=True, **kwargs):
+        out.append((a.shape, compute_uv))
+        return svd(a, *args, compute_uv=compute_uv, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    return out
+
+
+def test_exit_skips_the_rest_of_the_rows(monkeypatch, svd_calls):
     """A split comb at (2,2,2,2): one SVD per verdict, and only the head of
     the rows is built."""
     g = split_comb(CombSignature((2, 2, 2, 2)), np.random.default_rng(3))
-    svds, rows = [], []
-    svd, coordinates = np.linalg.svd, combs.complement_coordinates
-
-    def counted_svd(a, *args, **kwargs):
-        svds.append(a.shape)
-        return svd(a, *args, **kwargs)
+    rows = []
+    coordinates = combs.complement_coordinates
 
     def counted_coordinates(u, sig, *args):
         x = coordinates(u, sig, *args)
         rows.append(x.shape[0])
         return x
 
-    monkeypatch.setattr(np.linalg, "svd", counted_svd)
     monkeypatch.setattr(combs, "complement_coordinates", counted_coordinates)
     cert = gqi.is_extremal(g)
     span = 256 - combs.comb_variable_count(g.signature)
     assert cert.support_ranks == (15, 15) and not cert.extremal
-    assert [shape[0] for shape in svds] == [span + 1]
+    assert [shape[0] for shape, _ in svd_calls] == [span + 1]
     assert rows == [span + 1]
+
+
+def test_svd_calls_per_path(svd_calls):
+    """With m = sum r_i^2 rows of n coordinates and span = D^2 - |V|: an
+    extremal family within the span runs one values-only SVD of all rows; a
+    dependent one adds one SVD with U of the same rows; the head exit runs
+    one SVD with U of the span + 1 rows of the head; the fallback runs that
+    one and then a values-only SVD of all rows."""
+    rng = np.random.default_rng(4)
+    rank_one, midpoint, _ = ladder_inputs((2, 2, 2, 2), rng)
+    cases = [
+        ("extremal", rank_one),
+        ("dependent", midpoint),
+        ("head exit", split_comb(CombSignature((2, 2, 2, 2)), rng)),
+        ("fallback", measure_and_prepare(rng, 3, 2)),
+    ]
+    for name, g in cases:
+        sig = g.signature
+        span = sig.total_dim ** 2 - combs.comb_variable_count(sig)
+        n = combs.complement_coordinates(np.eye(sig.total_dim)[:, :1], sig).shape[1]
+        verdict = gqi.is_valid_gqi(g)
+        svd_calls.clear()
+        cert = gqi.is_extremal(g, validation=verdict)
+        m = cert.family_size - cert.normalization_basis_size
+        rows, head = ((m, n), False), ((span + 1, n), True)
+        want = {
+            "extremal": [rows],
+            "dependent": [rows, ((m, n), True)],
+            "head exit": [head],
+            "fallback": [head, rows],
+        }
+        assert cert.extremal == (name == "extremal"), name
+        assert (m > span) == (name in ("head exit", "fallback")), name
+        assert svd_calls == want[name], name
+
+
+@pytest.mark.parametrize("dims", [(1, 3), (1, 4), (1, 1, 1, 3)])
+def test_witness_stays_in_v_where_n_is_span(dims):
+    """Two outcomes splitting a rank-deficient state.  Every even space is
+    trivial, so the rows have n = span = 1 coordinate and the head has two
+    rows: its null vector is a column of the full U only.  Delta lies in V,
+    and both children are valid."""
+    sig = CombSignature(dims)
+    d = sig.total_dim
+    rng = np.random.default_rng(d)
+    for r in range(1, d):
+        v = channels.random_unitary(d, rng)[:, :r]
+        w = rng.uniform(0.2, 1.0, r)
+        w /= w.sum()
+        rho, root = (v * w) @ v.conj().T, (v * np.sqrt(w)) @ v.conj().T
+        x = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
+        e = v @ (x @ x.conj().T) @ v.conj().T
+        e /= 1.5 * np.linalg.eigvalsh(e)[-1]
+        g = Gqi(sig, (root @ e @ root, rho - root @ e @ root))
+        cert = gqi.is_extremal(g)
+        assert cert.support_ranks == (r, r) and not cert.extremal
+        assert np.abs(combs.forbidden_part(cert.perturbation.delta, sig)).max() <= 1e-12
+        for child in gqi.decompose_step(g, certificate=cert):
+            assert gqi.is_valid_gqi(child).ok
 
 
 def refuse(*args, **kwargs):
@@ -262,7 +330,7 @@ class TestFullSupportExit:
         monkeypatch.setattr(np.linalg, "svd", refuse)
         monkeypatch.setattr(combs, "complement_coordinates", refuse)
         monkeypatch.setattr(gqi, "rank_stage_bytes", refuse)
-        monkeypatch.setattr(linalg, "block_rank_decision", refuse)
+        monkeypatch.setattr(gqi, "_rank_test", refuse)
         for g in self.full_support_inputs():
             cert = gqi.is_extremal(g)
             assert not cert.extremal and cert.rank == g.signature.total_dim ** 2

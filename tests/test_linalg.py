@@ -166,8 +166,8 @@ class TestHermitianEig:
 
 
 class TestNumericalRank:
-    """``oracles.rank_decision`` (``linalg.block_rank_decision`` on one
-    block) on families of real vectors (the rows)."""
+    """``oracles.rank_decision``, the independent reference of the rank
+    stage, on families of real vectors (the rows)."""
 
     def test_full_rank(self):
         decision = oracles.rank_decision(np.eye(3))
