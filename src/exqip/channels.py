@@ -13,7 +13,8 @@ paper's independent criterion; the master criterion (Theorem 1 for a
 channel), decided by :func:`gqi.is_extremal` as for every other kind (that
 the two routes agree is a test oracle); and the square-root / Lueders
 constructions.  The appendix fixtures exercise all seven attainable
-(instrument, channel, POVM) extremality combinations.
+(instrument, channel, POVM) extremality combinations.  The classes
+:class:`Instrument` and :class:`Channel` are defined in :mod:`exqip.gqi`.
 """
 
 from __future__ import annotations
@@ -24,51 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gqi as gqi_mod, linalg, testers
-from .combs import CombSignature
-from .errors import DimensionMismatchError, NotPositiveError, ValidationError
+from .errors import NotPositiveError, ValidationError
+from .gqi import Channel, Instrument, Povm
 from .linalg import DEFAULT_TOL, TolerancePolicy
-from .testers import Povm
-
-
-@dataclass(frozen=True)
-class Instrument:
-    d1: int
-    d0: int
-    operators: tuple
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "operators", tuple(np.asarray(n, dtype=complex) for n in self.operators)
-        )
-        total = self.d1 * self.d0
-        for n in self.operators:
-            if n.shape != (total, total):
-                raise DimensionMismatchError(
-                    f"operator shape {n.shape} does not match d1*d0 = {total}"
-                )
-
-    @property
-    def signature(self) -> CombSignature:
-        return CombSignature((self.d0, self.d1))
-
-    @property
-    def outcomes(self) -> tuple:
-        return self.operators
-
-    @property
-    def n_outcomes(self) -> int:
-        return len(self.operators)
-
-
-class Channel(Instrument):
-    """A channel: the one-outcome instrument whose operator is the Choi operator."""
-
-    def __init__(self, d1: int, d0: int, choi):
-        super().__init__(d1, d0, (choi,))
-
-    @property
-    def choi(self) -> np.ndarray:
-        return self.operators[0]
 
 
 def vec_op(a: np.ndarray) -> np.ndarray:

@@ -19,6 +19,7 @@ signature by kind, and the comb signature it stands for:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -26,13 +27,10 @@ import numpy as np
 
 from . import __version__
 from . import gqi as gqi_mod
-from . import testers
-from .channels import Channel, Instrument
 from .combs import CombSignature, DeterministicComb
 from .errors import DimensionMismatchError, FileFormatError
-from .gqi import ExtremalityCertificate, Gqi, Perturbation
+from .gqi import Channel, ExtremalityCertificate, Gqi, Instrument, Perturbation, Povm, Tester
 from .linalg import TolerancePolicy
-from .testers import Povm, Tester
 
 FORMAT_NAME = "exqip-operator-file"
 CERTIFICATE_FORMAT_NAME = "exqip-certificate"
@@ -45,6 +43,9 @@ def _gqi_verdict(obj, pol: TolerancePolicy):
 
 
 def _tester_verdict(t: Tester, pol: TolerancePolicy):
+    # Imported here: only a tester file needs the tester criteria.
+    from . import testers
+
     return testers.tester_verdict(t, pol=pol)[:2]
 
 
@@ -108,13 +109,25 @@ def matrix_to_json(m: np.ndarray) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in m]
 
 
+# The types of a JSON number.  bool is a subclass of int, and JSON true is
+# not a number.
+_NUMBER = (int, float)
+
+
+def _entry(pair) -> complex:
+    """The complex number of one ``[re, im]`` entry: a list of exactly two
+    numbers."""
+    if type(pair) is list and len(pair) == 2:
+        real, imag = pair
+        if type(real) in _NUMBER and type(imag) in _NUMBER:
+            return complex(real, imag)
+    raise FileFormatError(f"malformed matrix entry {pair!r}: expected [re, im], two numbers")
+
+
 def json_to_matrix(rows) -> np.ndarray:
     try:
-        out = np.array(
-            [[complex(entry[0], entry[1]) for entry in row] for row in rows],
-            dtype=complex,
-        )
-    except (TypeError, IndexError, ValueError) as exc:
+        out = np.array([[_entry(pair) for pair in row] for row in rows], dtype=complex)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise FileFormatError(f"malformed matrix entry: {exc}") from exc
     if out.ndim != 2:
         raise FileFormatError("matrix must be a list of equal-length rows")
@@ -235,6 +248,13 @@ def _count(value) -> int:
     return value
 
 
+def _step(value) -> float:
+    # Python's json reads NaN and Infinity, which are no step size.
+    if type(value) not in _NUMBER or not math.isfinite(value) or value < 0:
+        raise ValueError(f"epsilon_star must be a finite non-negative number, got {value!r}")
+    return float(value)
+
+
 def load_certificate(path) -> ExtremalityCertificate:
     """The certificate in ``path``; a malformed file raises
     :class:`FileFormatError`, as :func:`payload_to_object` does."""
@@ -255,7 +275,7 @@ def load_certificate(path) -> ExtremalityCertificate:
             pert = Perturbation(
                 directions=tuple(json_to_matrix(d) for d in p["directions"]),
                 delta=json_to_matrix(p["delta"]),
-                epsilon_star=float(p["epsilon_star"]),
+                epsilon_star=_step(p["epsilon_star"]),
             )
         cert = ExtremalityCertificate(
             extremal=verdict == "extremal",
@@ -265,7 +285,7 @@ def load_certificate(path) -> ExtremalityCertificate:
             normalization_basis_size=_count(payload["normalization_basis_size"]),
             perturbation=pert,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FileFormatError(f"malformed certificate file: {exc}") from exc
     if verdict not in ("extremal", "not_extremal"):
         raise FileFormatError(f"unknown verdict {verdict!r}")

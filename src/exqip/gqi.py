@@ -18,7 +18,10 @@ argument, on each outcome's support.
 
 Every object kind is a GQI to this module: :func:`is_valid_gqi`,
 :func:`is_extremal`, :func:`decompose_step` and :func:`mix` read only its
-``signature`` and ``outcomes``.
+``signature`` and ``outcomes``.  The classes of the kinds, :class:`Tester`,
+:class:`Povm`, :class:`Instrument` and :class:`Channel`, live here beside
+:class:`Gqi`, so that reading and deciding any kind needs no module of the
+kind-specific criteria.
 """
 
 from __future__ import annotations
@@ -51,6 +54,107 @@ class Gqi:
     @property
     def normalization(self) -> np.ndarray:
         return sum(self.outcomes)
+
+
+@dataclass(frozen=True)
+class Tester:
+    """A 1-tester: PSD outcomes on H_2 (x) H_1 (output factor first) summing
+    to I_2 (x) rho, the GQI view on the signature (1, d_1, d_2, 1)."""
+
+    __test__ = False  # "Test" prefix: keep pytest from collecting this class
+
+    d2: int
+    d1: int
+    outcomes: tuple
+
+    def __post_init__(self):
+        object.__setattr__(
+            self, "outcomes", tuple(np.asarray(t, dtype=complex) for t in self.outcomes)
+        )
+        total = self.d2 * self.d1
+        for t in self.outcomes:
+            if t.shape != (total, total):
+                raise DimensionMismatchError(
+                    f"outcome shape {t.shape} does not match d2*d1 = {total}"
+                )
+
+    @property
+    def signature(self) -> CombSignature:
+        """A GQI with trivial end spaces (d_0 = d_3 = 1)."""
+        return CombSignature((1, self.d1, self.d2, 1))
+
+    @property
+    def n_outcomes(self) -> int:
+        return len(self.outcomes)
+
+
+@dataclass(frozen=True)
+class Povm:
+    d: int
+    effects: tuple
+
+    def __post_init__(self):
+        object.__setattr__(
+            self, "effects", tuple(np.asarray(e, dtype=complex) for e in self.effects)
+        )
+        for e in self.effects:
+            if e.shape != (self.d, self.d):
+                raise DimensionMismatchError(
+                    f"effect shape {e.shape} does not match dimension {self.d}"
+                )
+
+    @property
+    def signature(self) -> CombSignature:
+        """A GQI with a trivial output space (d_1 = 1)."""
+        return CombSignature((self.d, 1))
+
+    @property
+    def outcomes(self) -> tuple:
+        return self.effects
+
+
+@dataclass(frozen=True)
+class Instrument:
+    """An instrument by its Choi operators on H_1 (x) H_0 (output factor
+    first), the GQI view on the signature (d_0, d_1)."""
+
+    d1: int
+    d0: int
+    operators: tuple
+
+    def __post_init__(self):
+        object.__setattr__(
+            self, "operators", tuple(np.asarray(n, dtype=complex) for n in self.operators)
+        )
+        total = self.d1 * self.d0
+        for n in self.operators:
+            if n.shape != (total, total):
+                raise DimensionMismatchError(
+                    f"operator shape {n.shape} does not match d1*d0 = {total}"
+                )
+
+    @property
+    def signature(self) -> CombSignature:
+        return CombSignature((self.d0, self.d1))
+
+    @property
+    def outcomes(self) -> tuple:
+        return self.operators
+
+    @property
+    def n_outcomes(self) -> int:
+        return len(self.operators)
+
+
+class Channel(Instrument):
+    """A channel: the one-outcome instrument whose operator is the Choi operator."""
+
+    def __init__(self, d1: int, d0: int, choi):
+        super().__init__(d1, d0, (choi,))
+
+    @property
+    def choi(self) -> np.ndarray:
+        return self.operators[0]
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,8 @@ traceless on H_1.
 
 Also here: the rank/outcome-count bounds, the normalization-changing
 xi transform, POVM extremality, pure-normalization testers, the closed-form
-classification of two-outcome qubit testers, and outcome splitting.
+classification of two-outcome qubit testers, and outcome splitting.  The
+classes :class:`Tester` and :class:`Povm` are defined in :mod:`exqip.gqi`.
 """
 
 from __future__ import annotations
@@ -20,64 +21,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import gqi as gqi_mod, linalg
-from .combs import CombSignature
 from .errors import DimensionMismatchError, ValidationError
-from .gqi import ExtremalityCertificate, GqiVerdict
+from .gqi import ExtremalityCertificate, GqiVerdict, Povm, Tester
 from .linalg import DEFAULT_TOL, TolerancePolicy
-
-
-@dataclass(frozen=True)
-class Tester:
-    __test__ = False  # "Test" prefix: keep pytest from collecting this class
-
-    d2: int
-    d1: int
-    outcomes: tuple
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "outcomes", tuple(np.asarray(t, dtype=complex) for t in self.outcomes)
-        )
-        total = self.d2 * self.d1
-        for t in self.outcomes:
-            if t.shape != (total, total):
-                raise DimensionMismatchError(
-                    f"outcome shape {t.shape} does not match d2*d1 = {total}"
-                )
-
-    @property
-    def signature(self) -> CombSignature:
-        """A GQI with trivial end spaces (d_0 = d_3 = 1)."""
-        return CombSignature((1, self.d1, self.d2, 1))
-
-    @property
-    def n_outcomes(self) -> int:
-        return len(self.outcomes)
-
-
-@dataclass(frozen=True)
-class Povm:
-    d: int
-    effects: tuple
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "effects", tuple(np.asarray(e, dtype=complex) for e in self.effects)
-        )
-        for e in self.effects:
-            if e.shape != (self.d, self.d):
-                raise DimensionMismatchError(
-                    f"effect shape {e.shape} does not match dimension {self.d}"
-                )
-
-    @property
-    def signature(self) -> CombSignature:
-        """A GQI with a trivial output space (d_1 = 1)."""
-        return CombSignature((self.d, 1))
-
-    @property
-    def outcomes(self) -> tuple:
-        return self.effects
 
 
 class TesterVerdict(NamedTuple):

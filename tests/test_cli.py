@@ -62,6 +62,23 @@ MALFORMED_CERTIFICATES = {
     "fractional-family-size": lambda p: {**p, "family_size": 12.7},
     "bad-support-ranks": lambda p: {**p, "support_ranks": 3},
     "boolean-support-rank": lambda p: {**p, "support_ranks": [True, 4]},
+    "string-epsilon": lambda p: {**p, "perturbation": {**p["perturbation"], "epsilon_star": "0.5"}},
+    "boolean-epsilon": lambda p: {**p, "perturbation": {**p["perturbation"], "epsilon_star": True}},
+    "nan-epsilon": lambda p: {**p, "perturbation": {**p["perturbation"], "epsilon_star": math.nan}},
+    "infinite-epsilon": lambda p: {**p, "perturbation": {**p["perturbation"], "epsilon_star": math.inf}},
+    "negative-epsilon": lambda p: {**p, "perturbation": {**p["perturbation"], "epsilon_star": -1.0}},
+    "huge-integer-epsilon": lambda p: {**p, "perturbation": {**p["perturbation"], "epsilon_star": 10 ** 400}},
+}
+
+# Matrix entries that are not [re, im] with two numbers, neither of them a
+# boolean; a number too large for a float is no entry either.
+MALFORMED_ENTRIES = {
+    "three-numbers": [1.0, 0.0, 7.0],
+    "booleans": [True, False],
+    "one-number": [1.0],
+    "bare-number": 1.0,
+    "string-part": [1.0, "0.0"],
+    "huge-integer": [10 ** 400, 0.0],
 }
 
 
@@ -106,6 +123,25 @@ class TestFileio:
         path.write_text(json.dumps(payload))
         with pytest.raises(FileFormatError):
             fileio.load_object(path)
+        payload["outcomes"][0][0][0] = [math.nan, 0.0]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(FileFormatError, match="non-finite"):
+            fileio.load_object(path)
+
+    @pytest.mark.parametrize("entry", MALFORMED_ENTRIES.values(), ids=MALFORMED_ENTRIES.keys())
+    def test_malformed_entry_rejected(self, entry, tmp_path, capsys):
+        """An entry is exactly two numbers, neither of them a boolean;
+        anything else is a file-format error, exit 2 from the CLI."""
+        path = tmp_path / "obj.json"
+        fileio.save_object(path, bell_tester())
+        payload = json.loads(path.read_text())
+        payload["outcomes"][1][2][3] = entry
+        path.write_text(json.dumps(payload))
+        with pytest.raises(FileFormatError, match="malformed matrix entry"):
+            fileio.load_object(path)
+        assert cli.main(["validate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed matrix entry") and "Traceback" not in err
 
     def test_shape_mismatch_rejected(self, tmp_path):
         path = tmp_path / "obj.json"
@@ -216,6 +252,7 @@ class TestCli:
     def test_bad_usage_exits_2(self):
         assert self.run("no-such-command") == 2
         assert self.run("generate", "no-such-kind", "--out", "x.json") == 2
+        assert self.run("suite", "nosuch") == 2
 
     @pytest.mark.parametrize(
         "args",
@@ -461,19 +498,53 @@ def test_generate_refuses_a_comb_above_the_budget(tmp_path):
     assert not out.exists()
 
 
-def test_runtime_imports_no_scipy():
-    """The runtime dependency is numpy alone: a fresh `exqip extremal` on a
-    tester imports no scipy module."""
+def _fresh_modules(code, *args) -> set:
+    """The exqip and scipy modules loaded after ``code`` runs in a fresh
+    ``python -c`` process with arguments ``args``.  The process must exit 0."""
     src = os.path.join(os.path.dirname(GOLDEN), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = (
-        "import sys\n"
-        "import exqip.cli\n"
-        "assert exqip.cli.main(['extremal', sys.argv[1]]) == 0\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
-    )
-    run = subprocess.run(
-        [sys.executable, "-c", code, os.path.join(GOLDEN, "tester.json")],
-        capture_output=True, text=True, env=env, check=True,
-    )
-    assert run.stdout.splitlines()[-1] == "[]"
+    report = "import json, sys\nprint(json.dumps([m for m in sys.modules if m.split('.')[0] in ('exqip', 'scipy')]))"
+    run = subprocess.run([sys.executable, "-c", f"{code}\n{report}", *args], capture_output=True, text=True, env=env)
+    assert run.returncode == 0, run.stderr
+    return set(json.loads(run.stdout.splitlines()[-1]))
+
+
+# `python -m exqip.cli ARGS`, which must exit 0.
+RUN_CLI = (
+    "import runpy\n"
+    "try:\n"
+    "    runpy.run_module('exqip.cli', run_name='__main__', alter_sys=True)\n"
+    "except SystemExit as exc:\n"
+    "    assert exc.code == 0, exc.code\n"
+)
+
+
+# What `exqip validate` and `exqip extremal` load for a file of any kind but
+# a tester; the command's own module runs as __main__.
+CORE_MODULES = {"exqip", "exqip.errors", "exqip.linalg", "exqip.combs", "exqip.gqi", "exqip.fileio"}
+
+
+def test_runtime_imports_no_scipy(tmp_path):
+    """A command loads only the modules it runs, and the runtime dependency
+    is numpy alone.  `import exqip` loads no submodule; a fresh `exqip
+    validate` or `exqip extremal --certificate` on a GQI loads neither the
+    suites nor the channel and tester criteria; `exqip extremal` on a tester
+    adds the tester module and no scipy module."""
+    gqi_file = os.path.join(GOLDEN, "gqi.json")
+    assert _fresh_modules("import exqip") == {"exqip"}
+    assert _fresh_modules(RUN_CLI, "validate", gqi_file) == CORE_MODULES
+    cert = str(tmp_path / "cert.json")
+    assert _fresh_modules(RUN_CLI, "extremal", gqi_file, "--certificate", cert) == CORE_MODULES
+    assert fileio.load_certificate(cert).family_size > 0
+    tester_file = os.path.join(GOLDEN, "tester.json")
+    assert _fresh_modules(RUN_CLI, "extremal", tester_file) == CORE_MODULES | {"exqip.testers"}
+
+
+def test_suite_names_are_the_suites(capsys):
+    """The parser's suite names, kept in the CLI so that it need not import
+    the suites, are those of ``suites.SUITES``, and `exqip suite --help`
+    lists them."""
+    assert cli.SUITE_NAMES == tuple(sorted(suites.SUITES))
+    assert cli.main(["suite", "--help"]) == 0
+    usage = capsys.readouterr().out
+    assert all(name in usage for name in suites.SUITES)
