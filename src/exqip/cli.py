@@ -17,7 +17,6 @@ default 1e-10).
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -31,10 +30,11 @@ from .gqi import Gqi, Povm, Tester
 from .linalg import TolerancePolicy
 
 
-# Estimated peak bytes per matrix entry of writing a generated operator,
-# mostly the JSON lists and text of the file: measured at 73 MB for D = 256,
-# 627 MB for D = 1024 and 2.9 GB for D = 2304 (`generate random-comb`,
-# CPython 3.11, numpy 2.4).
+# An upper bound on the peak bytes per matrix entry of generating and
+# writing an operator, mostly the text of the file and its pieces: a fresh
+# `generate random-comb` peaks at 58 MB for D = 256 and 311 MB for D = 1024
+# (CPython 3.11, numpy 2.4).  600 is what the writer that built JSON lists
+# took at D = 1024 (627 MB).
 GENERATE_BYTES_PER_ENTRY = 600
 
 # The names of ``suites.SUITES``, kept here so that building the parser
@@ -92,29 +92,22 @@ def _certificate(obj, kind: fileio.Kind, pol: TolerancePolicy) -> gqi_mod.Extrem
 def cmd_validate(args) -> int:
     pol, obj, kind = _load(args)
     report = _validate_report(obj, kind, pol)
-    print(json.dumps(report, indent=2, sort_keys=True))
+    sys.stdout.write(fileio.dumps_canonical(report))
     return 0 if report["valid"] else 1
 
 
 def cmd_extremal(args) -> int:
     pol, obj, kind = _load(args)
     cert = _certificate(obj, kind, pol)
-    print(
-        json.dumps(
-            {
-                "kind": kind.name,
-                "verdict": cert.verdict,
-                "family_size": cert.family_size,
-                "rank": cert.rank,
-                "support_ranks": list(cert.support_ranks),
-                "epsilon_star": None
-                if cert.perturbation is None
-                else cert.perturbation.epsilon_star,
-            },
-            indent=2,
-            sort_keys=True,
-        )
-    )
+    report = {
+        "kind": kind.name,
+        "verdict": cert.verdict,
+        "family_size": cert.family_size,
+        "rank": cert.rank,
+        "support_ranks": list(cert.support_ranks),
+        "epsilon_star": None if cert.perturbation is None else cert.perturbation.epsilon_star,
+    }
+    sys.stdout.write(fileio.dumps_canonical(report))
     if args.certificate:
         fileio.save_certificate(args.certificate, kind.name, cert, pol)
     return 0
@@ -252,7 +245,7 @@ def cmd_suite(args) -> int:
                 "the smallest eigenvalue of the states xi-invariance draws"
             )
     result = suites.run_suite(args.name, seeds=args.seeds, pol=pol)
-    print(json.dumps(result.summary(), indent=2, sort_keys=True))
+    sys.stdout.write(fileio.dumps_canonical(result.summary()))
     return 0 if result.ok else 1
 
 
@@ -316,7 +309,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (FileFormatError, FileNotFoundError, SizeLimitError, ValueError) as exc:
+    except (FileFormatError, OSError, SizeLimitError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ExqipError as exc:

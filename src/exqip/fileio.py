@@ -104,11 +104,6 @@ KINDS = {
 }
 
 
-def matrix_to_json(m: np.ndarray) -> list:
-    m = np.asarray(m, dtype=complex)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
-
-
 # The types of a JSON number.  bool is a subclass of int, and JSON true is
 # not a number.
 _NUMBER = (int, float)
@@ -150,7 +145,7 @@ def object_to_payload(obj, metadata: dict | None = None) -> dict:
         "version": FORMAT_VERSION,
         "kind": kind.name,
         "signature": kind.file_signature(obj.signature),
-        "outcomes": [matrix_to_json(m) for m in obj.outcomes],
+        "outcomes": [np.asarray(m, dtype=complex) for m in obj.outcomes],
         "metadata": dict(metadata or {}),
     }
 
@@ -185,11 +180,88 @@ def payload_to_object(payload: dict):
     return kind.build(sig, tuple(matrices))
 
 
+# ``json``'s own writers: the escaped text of a string, and the text of any
+# value without indent, which refuses a NaN or an infinity.
+_string_text = json.encoder.encode_basestring_ascii
+_compact_text = json.JSONEncoder(allow_nan=False).encode
+
+
+def _scalar_text(value) -> str:
+    """The text of a scalar, by the rules of ``json``'s encoder: a string
+    escaped to ASCII, ``null``, ``true``, ``false``, ``int.__repr__`` and
+    ``float.__repr__``; a NaN or an infinity raises ValueError.  Anything
+    else, such as ``{}`` or ``[]``, goes to ``json`` itself."""
+    if isinstance(value, str):
+        return _string_text(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError("Out of range float values are not JSON compliant")
+        return float.__repr__(value)
+    return _compact_text(value)
+
+
+def _matrix_text(m: np.ndarray, ind: str) -> str:
+    """The text of a complex matrix, rows of ``[re, im]`` pairs, at the
+    line prefix ``ind`` (a newline and the indent of its first line).
+
+    One template holds the fixed indent strings, and ``%r`` writes each part
+    with ``float.__repr__``, as ``json`` writes a float.
+    """
+    if m.ndim != 2:
+        raise TypeError(f"a matrix must have two dimensions, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValueError("Out of range float values are not JSON compliant")
+    if not len(m):
+        return "[]"
+    i1, i2, i3 = ind + "  ", ind + "    ", ind + "      "
+    row = f"[{i2}" + f",{i2}".join([f"[{i3}%r,{i3}%r{i2}]"] * m.shape[1]) + f"{i1}]" if m.shape[1] else "[]"
+    template = f"[{i1}" + f",{i1}".join([row] * len(m)) + f"{ind}]"
+    return template % tuple(np.stack([m.real, m.imag], -1).ravel().tolist())
+
+
+def _pieces(value, ind: str, out: list) -> None:
+    """Append the text of ``value`` at the line prefix ``ind``."""
+    if isinstance(value, dict) and value:
+        inner, sep = ind + "  ", "{"
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(f"{sep}{inner}{_string_text(key)}: ")
+            _pieces(value[key], inner, out)
+            sep = ","
+        out.append(ind + "}")
+    elif isinstance(value, (list, tuple)) and value:
+        inner, sep = ind + "  ", "["
+        for item in value:
+            out.append(sep + inner)
+            _pieces(item, inner, out)
+            sep = ","
+        out.append(ind + "]")
+    elif isinstance(value, np.ndarray):
+        out.append(_matrix_text(value, ind))
+    else:
+        out.append(_scalar_text(value))
+
+
 def dumps_canonical(payload: dict) -> str:
-    """The canonical text of ``payload``.  A NaN or infinity raises
+    """The canonical text of ``payload``: the bytes of
+    ``json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)`` and a
+    newline, where a complex ndarray stands for its rows of ``[re, im]``
+    pairs.  Dictionary keys must be strings.  A NaN or infinity raises
     ValueError: JSON has no such number, and :func:`json_to_matrix` refuses
     it on reading."""
-    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    out = []
+    _pieces(payload, "\n", out)
+    out.append("\n")
+    return "".join(out)
 
 
 def _write(path, payload: dict) -> None:
@@ -230,8 +302,8 @@ def certificate_to_payload(kind: str, cert: ExtremalityCertificate, pol: Toleran
     }
     if cert.perturbation is not None:
         payload["perturbation"] = {
-            "directions": [matrix_to_json(d) for d in cert.perturbation.directions],
-            "delta": matrix_to_json(cert.perturbation.delta),
+            "directions": [np.asarray(d, dtype=complex) for d in cert.perturbation.directions],
+            "delta": np.asarray(cert.perturbation.delta, dtype=complex),
             "epsilon_star": cert.perturbation.epsilon_star,
         }
     return payload

@@ -1,13 +1,17 @@
 """Tests for the file formats and the command-line interface."""
 
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import exqip
 from exqip import channels, cli, fileio, gqi, linalg, suites, testers
@@ -82,6 +86,23 @@ MALFORMED_ENTRIES = {
 }
 
 
+def assert_same_payload(a, b):
+    """``a`` and ``b`` hold the same fields: every matrix equal entry for
+    entry with the same dtype, everything else equal by ``==``."""
+    if isinstance(a, np.ndarray):
+        assert isinstance(b, np.ndarray) and a.dtype == b.dtype and np.array_equal(a, b)
+    elif isinstance(a, dict):
+        assert isinstance(b, dict) and a.keys() == b.keys()
+        for key in a:
+            assert_same_payload(a[key], b[key])
+    elif isinstance(a, list):
+        assert isinstance(b, list) and len(a) == len(b)
+        for x, y in zip(a, b):
+            assert_same_payload(x, y)
+    else:
+        assert not isinstance(b, np.ndarray) and a == b
+
+
 class TestFileio:
     @pytest.mark.parametrize("obj", SAMPLE_OBJECTS, ids=lambda o: fileio.kind_of(o).name)
     def test_round_trip_byte_identical(self, obj, tmp_path):
@@ -98,9 +119,7 @@ class TestFileio:
         path = tmp_path / "obj.json"
         fileio.save_object(path, obj)
         loaded = fileio.load_object(path)
-        a = fileio.object_to_payload(obj)
-        b = fileio.object_to_payload(loaded)
-        assert a == b
+        assert_same_payload(fileio.object_to_payload(obj), fileio.object_to_payload(loaded))
 
     def test_truncated_file_rejected(self, tmp_path):
         path = tmp_path / "obj.json"
@@ -202,6 +221,139 @@ class TestFileio:
             assert not loaded.perturbation.delta.any()
 
 
+def as_lists(value):
+    """``value`` with every matrix as the rows of ``[re, im]`` pairs that a
+    file holds: the payload whose ``json.dumps`` is the oracle of
+    :func:`fileio.dumps_canonical`."""
+    if isinstance(value, np.ndarray):
+        return [[[float(z.real), float(z.imag)] for z in row] for row in value]
+    if isinstance(value, dict):
+        return {k: as_lists(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [as_lists(v) for v in value]
+    return value
+
+
+# Signed zeros, subnormals, the ends of the exponent range and floats with
+# integer values, whose repr switches to exponent form at 1e16.
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, 1e300, -1e300, 1e-300,
+               -1e-300, 1.7976931348623157e308, 1.0, -3.0, 1e15, 1e16, 2.0 ** 53, 0.1, 1e-5]
+FINITE = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+NON_FINITE = [math.nan, math.inf, -math.inf]
+# Non-ASCII, control characters, escapes and a lone surrogate.
+EDGE_TEXT = ["", "\x00\x1f\x7f", "caf\u00e9 \u91cf\u5b50 \U0001d4b3", '"\\/\b\f\n\r\t', "\ud800"]
+TEXT = st.one_of(st.sampled_from(EDGE_TEXT), st.text(max_size=8))
+SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), FINITE, TEXT)
+
+
+@st.composite
+def matrices(draw, min_size=0):
+    """A complex matrix of ``min_size`` to 5 rows and columns, each part of
+    each entry drawn on its own, so that -0.0 survives."""
+    shape = (draw(st.integers(min_size, 5)), draw(st.integers(min_size, 5)))
+    parts = draw(st.lists(FINITE, min_size=2 * shape[0] * shape[1], max_size=2 * shape[0] * shape[1]))
+    m = np.empty(shape, dtype=complex)
+    m.real = np.reshape(parts[::2], shape)
+    m.imag = np.reshape(parts[1::2], shape)
+    return m
+
+
+PAYLOADS = st.dictionaries(
+    TEXT,
+    st.recursive(
+        st.one_of(SCALARS, matrices()),
+        lambda inner: st.one_of(st.lists(inner, max_size=4), st.dictionaries(TEXT, inner, max_size=4)),
+        max_leaves=12,
+    ),
+    max_size=6,
+)
+
+
+class TestWriter:
+    @settings(max_examples=300, deadline=None)
+    @given(PAYLOADS)
+    def test_matches_json_dumps(self, payload):
+        """The canonical text is that of ``json.dumps`` on the payload with
+        its matrices as lists."""
+        want = json.dumps(as_lists(payload), indent=2, sort_keys=True, allow_nan=False) + "\n"
+        assert fileio.dumps_canonical(payload) == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(PAYLOADS, TEXT, matrices(min_size=1), st.sampled_from(NON_FINITE), st.integers(0, 10 ** 6),
+           st.sampled_from(["matrix", "scalar", "nested"]))
+    def test_non_finite_raises(self, payload, key, m, bad, choice, where):
+        """A NaN or infinity in a matrix entry or a scalar raises, as
+        ``json.dumps`` does."""
+        m.view(float).reshape(-1)[choice % (2 * m.size)] = bad
+        payload[key] = {"matrix": m, "scalar": bad, "nested": [None, {"x": [m.real.tolist(), bad]}]}[where]
+        with pytest.raises(ValueError):
+            json.dumps(as_lists(payload), allow_nan=False)
+        with pytest.raises(ValueError):
+            fileio.dumps_canonical(payload)
+
+    @settings(max_examples=40, deadline=None)
+    @given(matrices(min_size=1), st.sampled_from(NON_FINITE), st.integers(0, 10 ** 6),
+           st.sampled_from(["outcome", "metadata", "direction", "delta", "epsilon"]))
+    def test_non_finite_writes_no_file(self, m, bad, choice, where):
+        """A NaN or infinity in an outcome, the metadata, a direction, the
+        shift or epsilon* raises before the file is opened."""
+        n = max(m.shape)
+        good = np.zeros((n, n), dtype=complex)
+        good[: m.shape[0], : m.shape[1]] = m
+        spoilt = good.copy()
+        spoilt.view(float).reshape(-1)[choice % (2 * spoilt.size)] = bad
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "out.json")
+            with pytest.raises(ValueError):
+                if where == "outcome":
+                    fileio.save_object(path, Gqi(CombSignature((n, 1)), (spoilt,)))
+                elif where == "metadata":
+                    fileio.save_object(path, Gqi(CombSignature((n, 1)), (good,)), metadata={"x": [1, {"y": bad}]})
+                else:
+                    pert = gqi.Perturbation(
+                        directions=(spoilt if where == "direction" else good,),
+                        delta=spoilt if where == "delta" else good,
+                        epsilon_star=bad if where == "epsilon" else 0.5,
+                    )
+                    cert = gqi.ExtremalityCertificate(False, 2, 1, (1,), 1, pert)
+                    fileio.save_certificate(path, "gqi", cert, linalg.DEFAULT_TOL)
+            assert os.listdir(tmp) == []
+
+
+def midpoint_tree(kind, seed_a, seed_b, steps=3):
+    """The input and the ``(leaf, weight)`` pairs, read back from their
+    files, of `exqip decompose --steps STEPS` on the midpoint of two random
+    objects of ``kind``: instruments on C^d (``instrument-d2``,
+    ``instrument-d3``) or Schmidt qubit testers (``tester``).  The weights
+    sum to 1, the weighted leaves reconstruct the input to 1e-12 and stdout
+    is summary.json."""
+    def draw(seed):
+        rng = np.random.default_rng(seed)
+        if kind == "tester":
+            u2, u1 = channels.random_unitary(2, rng), channels.random_unitary(2, rng)
+            return testers.schmidt_tester(rng.uniform(0.0, math.pi / 4), u2, u1)
+        d = int(kind[-1])
+        return channels.random_instrument(d, d, (1, d), rng)
+
+    a, b = draw(seed_a), draw(seed_b)
+    mid = fileio.kind_of(a).build(a.signature, tuple(0.5 * x + 0.5 * y for x, y in zip(a.outcomes, b.outcomes)))
+    with tempfile.TemporaryDirectory() as tmp:
+        src, out_dir = os.path.join(tmp, "mid.json"), os.path.join(tmp, "tree")
+        fileio.save_object(src, mid)
+        root = fileio.load_object(src)
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            assert cli.main(["decompose", src, "--steps", str(steps), "--out", out_dir]) == 0
+        with open(os.path.join(out_dir, "summary.json"), encoding="utf-8") as fh:
+            text = fh.read()
+        assert stdout.getvalue() == text
+        leaves = [(fileio.load_object(os.path.join(out_dir, e["file"])), e["weight"]) for e in json.loads(text)["leaves"]]
+    assert abs(math.fsum(w for _, w in leaves) - 1.0) <= 1e-12
+    for i, t in enumerate(root.outcomes):
+        assert linalg.max_abs(sum(w * leaf.outcomes[i] for leaf, w in leaves) - t) <= 1e-12
+    return root, leaves
+
+
 class TestCli:
     def run(self, *argv):
         return cli.main(list(argv))
@@ -293,6 +445,47 @@ class TestCli:
         for leaf in summary["leaves"]:
             obj = fileio.load_object(os.path.join(out_dir, leaf["file"]))
             assert testers.is_valid_tester(obj)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(["instrument-d2", "instrument-d3", "tester"]), st.integers(0, 2**31 - 1),
+           st.integers(0, 2**31 - 1))
+    def test_decompose_midpoint(self, kind, seed_a, seed_b):
+        """On the midpoint of two random instruments or two random Schmidt
+        testers, every leaf read back from its file is of the input's kind
+        and a valid GQI, and an instrument leaf is a valid instrument."""
+        assume(seed_a != seed_b)
+        root, leaves = midpoint_tree(kind, seed_a, seed_b)
+        for leaf, _ in leaves:
+            assert fileio.kind_of(leaf) is fileio.kind_of(root)
+            # A tester leaf is not always a valid tester: see the next test.
+            assert gqi.is_valid_gqi(leaf).ok if kind == "tester" else channels.is_valid_instrument(leaf)
+
+    @pytest.mark.xfail(strict=True, reason="every outcome of a leaf may sit at -c, so rho at -M*c, "
+                       "below the tester's own cutoff -supp_tol(d1, 1)")
+    def test_decompose_tester_leaves_are_testers(self):
+        """Every leaf of a tester tree is a valid tester.  Three levels down
+        the midpoint of the Schmidt testers of seeds 0 and 1, two leaves have
+        rho with an eigenvalue near -2 supp_tol(4, 1) / 2 = -4e-10, below
+        -supp_tol(2, 1) = -2e-10."""
+        _, leaves = midpoint_tree("tester", 0, 1)
+        assert all(testers.is_valid_tester(leaf) for leaf, _ in leaves)
+
+    @pytest.mark.parametrize("case", ["certificate-to-directory", "out-is-a-file", "validate-directory"])
+    def test_bad_path_exits_2(self, case, tmp_path, capsys):
+        """An operating-system error on a path the user gave is a usage
+        error: exit 2 and an ``error:`` line, not a traceback."""
+        src = os.path.join(GOLDEN, "gqi.json")
+        existing = tmp_path / "existing"
+        existing.write_text("kept\n")
+        argv = {
+            "certificate-to-directory": ["extremal", src, "--certificate", str(tmp_path)],
+            "out-is-a-file": ["decompose", src, "--out", str(existing)],
+            "validate-directory": ["validate", str(tmp_path)],
+        }[case]
+        assert self.run(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert existing.read_text() == "kept\n"
 
     def test_decompose_decides_root_once(self, tmp_path, monkeypatch):
         decided = []
