@@ -272,32 +272,20 @@ def combination_fixture(k: int) -> Instrument:
         k2 = np.array([[0.0, math.sqrt(gamma)], [0.0, 0.0]], dtype=complex)
         a = instrument_from_kraus([[k1], [k2]], d1=2, d0=2)
         b = instrument_from_kraus([[k2], [k1]], d1=2, d0=2)
-        return Instrument(
-            d1=2,
-            d0=2,
-            operators=tuple(0.5 * x + 0.5 * y for x, y in zip(a.operators, b.operators)),
-        )
+        return gqi_mod.mix(a, b)
     if k == 7:
         pi = [np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)]
         sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
         a = instrument_from_kraus([[p] for p in pi], d1=2, d0=2)
         b = instrument_from_kraus([[sx @ p] for p in pi], d1=2, d0=2)
-        return Instrument(
-            d1=2,
-            d0=2,
-            operators=tuple(0.5 * x + 0.5 * y for x, y in zip(a.operators, b.operators)),
-        )
+        return gqi_mod.mix(a, b)
     if k == 8:
         h = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
         comp = [np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)]
         had = [h @ p @ h.conj().T for p in comp]
         a = luders_instrument(comp)
         b = luders_instrument(had)
-        return Instrument(
-            d1=2,
-            d0=2,
-            operators=tuple(0.5 * x + 0.5 * y for x, y in zip(a.operators, b.operators)),
-        )
+        return gqi_mod.mix(a, b)
     raise ValidationError(f"unknown combination {k}; valid rows are 1,2,3,4,6,7,8")
 
 

@@ -56,6 +56,18 @@ def _policy(args, dim: int = 1) -> TolerancePolicy:
     return pol
 
 
+def _check_rank_cutoff(pol: TolerancePolicy, dim: int) -> None:
+    """Refuse a tolerance with dim^2 * eps_rel >= 1 for a rank test at total
+    dimension up to ``dim``: the rank cutoff tau = max(m + |V|, D^2) * sigma
+    * eps_rel, with sigma >= sigma_max, then lies at or above every singular
+    value, and every projected rank would be 0."""
+    if dim * dim * pol.eps_rel >= 1.0:
+        raise ValueError(
+            f"tolerance {pol.eps_rel:g} puts the rank cutoff at or above every singular value "
+            f"at dimension {dim}"
+        )
+
+
 def _check_count(value: int, flag: str) -> None:
     if value < 0:
         raise ValueError(f"{flag} must be a non-negative integer, got {value}")
@@ -82,7 +94,9 @@ def _validate_report(obj, kind: fileio.Kind, pol: TolerancePolicy) -> dict:
 
 
 def _certificate(obj, kind: fileio.Kind, pol: TolerancePolicy) -> gqi_mod.ExtremalityCertificate:
-    """Validate through the kind table, then decide on the GQI view."""
+    """Refuse a rank cutoff above every singular value, validate through the
+    kind table, then decide on the GQI view."""
+    _check_rank_cutoff(pol, obj.signature.total_dim)
     ok, verdict = kind.verdict(obj, pol)
     if not ok:
         raise ValidationError(f"not a valid {kind.name}; `exqip validate` reports why")
@@ -152,11 +166,7 @@ def cmd_decompose(args) -> int:
     entries = []
     for idx, (g, w, depth, status) in enumerate(leaves):
         name = f"leaf_{idx:03d}.json"
-        fileio.save_object(
-            os.path.join(args.out, name),
-            kind.build(g.signature, g.outcomes),
-            metadata={"weight": w, "depth": depth},
-        )
+        fileio.save_object(os.path.join(args.out, name), g, metadata={"weight": w, "depth": depth})
         entries.append({"file": name, "weight": w, "depth": depth, "status": status})
 
     summary = {
@@ -244,6 +254,7 @@ def cmd_suite(args) -> int:
                 f"tolerance {pol.eps_rel:g} puts the support cutoff at or above {floor:.4g}, "
                 "the smallest eigenvalue of the states xi-invariance draws"
             )
+    _check_rank_cutoff(pol, suites.LARGEST_DIM[args.name])
     result = suites.run_suite(args.name, seeds=args.seeds, pol=pol)
     sys.stdout.write(fileio.dumps_canonical(result.summary()))
     return 0 if result.ok else 1

@@ -71,6 +71,10 @@ class DeterministicComb:
     def outcomes(self) -> tuple:
         return (self.operator,)
 
+    @classmethod
+    def from_view(cls, signature: CombSignature, outcomes) -> "DeterministicComb":
+        return cls(signature, outcomes[0])
+
 
 @dataclass(frozen=True)
 class CombVerdict:

@@ -5,9 +5,12 @@ pairs, row-major, with explicit dimensions.  Canonical formatting (sorted
 keys, two-space indent, trailing newline) makes write -> read -> write
 byte-identical and the fixtures diff-able.
 
-Every object kind is a GQI: it exposes ``signature``, its comb signature,
-and ``outcomes``, which is all that :mod:`exqip.gqi` reads.  The file
-signature by kind, and the comb signature it stands for:
+Every object kind but ``comb`` is a :class:`~exqip.gqi.Gqi`, and the comb
+too exposes ``signature``, its comb signature, and ``outcomes``, which is
+all that :mod:`exqip.gqi` reads.  Each kind's class builds an object from
+those two with ``from_view``, and :func:`kind_of` matches an object's exact
+class, since a tester is also a ``Gqi``.  The file signature by kind, and
+the comb signature it stands for:
 
 * ``comb`` / ``gqi``:   ``[d_0, ..., d_{2N-1}]`` (label order), itself
 * ``channel`` / ``instrument``: ``[d_0, d_1]`` (input, output), itself
@@ -55,9 +58,8 @@ class Kind:
 
     ``layout`` is the comb signature of the kind's GQI view with the names of
     the file's dimensions in their places, or ``None`` when the file holds
-    the comb signature itself.  ``build`` makes an object from a comb
-    signature and outcomes; ``single`` names the one operator a file of the
-    kind must hold, if it holds one.  ``verdict`` returns ``(ok, GqiVerdict)``
+    the comb signature itself.  ``single`` names the one operator a file of
+    the kind must hold, if it holds one.  ``verdict`` returns ``(ok, GqiVerdict)``
     for an object, and ``residual_names`` are the kind's own names for the
     leading cascade residuals.
     """
@@ -65,10 +67,13 @@ class Kind:
     name: str
     cls: type
     layout: tuple | None
-    build: Callable
     single: str | None = None
     verdict: Callable = _gqi_verdict
     residual_names: tuple = ()
+
+    def build(self, sig: CombSignature, outcomes):
+        """The object of this kind with the comb signature and outcomes."""
+        return self.cls.from_view(sig, outcomes)
 
     def file_signature(self, sig: CombSignature) -> list:
         if self.layout is None:
@@ -91,15 +96,13 @@ class Kind:
 KINDS = {
     k.name: k
     for k in (
-        Kind("comb", DeterministicComb, None, lambda s, o: DeterministicComb(s, o[0]), "operator"),
-        Kind("gqi", Gqi, None, Gqi),
-        Kind("tester", Tester, (1, "d1", "d2", 1), lambda s, o: Tester(d2=s.dims[2], d1=s.dims[1], outcomes=o),
-             verdict=_tester_verdict, residual_names=("product_form_residual",)),
-        Kind("channel", Channel, ("d0", "d1"), lambda s, o: Channel(d1=s.dims[1], d0=s.dims[0], choi=o[0]),
-             "Choi operator"),
-        Kind("instrument", Instrument, ("d0", "d1"),
-             lambda s, o: Instrument(d1=s.dims[1], d0=s.dims[0], operators=o)),
-        Kind("povm", Povm, ("d", 1), lambda s, o: Povm(d=s.dims[0], effects=o)),
+        Kind("comb", DeterministicComb, None, "operator"),
+        Kind("gqi", Gqi, None),
+        Kind("tester", Tester, (1, "d1", "d2", 1), verdict=_tester_verdict,
+             residual_names=("product_form_residual",)),
+        Kind("channel", Channel, ("d0", "d1"), "Choi operator"),
+        Kind("instrument", Instrument, ("d0", "d1")),
+        Kind("povm", Povm, ("d", 1)),
     )
 }
 
@@ -133,7 +136,7 @@ def json_to_matrix(rows) -> np.ndarray:
 
 def kind_of(obj) -> Kind:
     for kind in KINDS.values():
-        if isinstance(obj, kind.cls):
+        if type(obj) is kind.cls:
             return kind
     raise FileFormatError(f"unsupported object type {type(obj).__name__}")
 

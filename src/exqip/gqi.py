@@ -16,12 +16,15 @@ follows.  With the constant working margin supp_tol(D, 1) / 2, epsilon_star
 is a closed form: the generalized-eigenvalue form of Choi's positivity
 argument, on each outcome's support.
 
-Every object kind is a GQI to this module: :func:`is_valid_gqi`,
-:func:`is_extremal`, :func:`decompose_step` and :func:`mix` read only its
-``signature`` and ``outcomes``.  The classes of the kinds, :class:`Tester`,
-:class:`Povm`, :class:`Instrument` and :class:`Channel`, live here beside
-:class:`Gqi`, so that reading and deciding any kind needs no module of the
-kind-specific criteria.
+Every object kind but the deterministic comb is a :class:`Gqi`:
+:class:`Tester`, :class:`Povm`, :class:`Instrument` and :class:`Channel` are
+subclasses that store only ``signature`` and ``outcomes`` and read their
+dimensions from the signature.  :func:`is_valid_gqi`, :func:`is_extremal`,
+:func:`decompose_step` and :func:`mix` read only those two fields, and the
+last two build their results with ``from_view`` of the input's class
+(:meth:`Gqi.from_view`), so that they keep its kind; the comb has a
+``from_view`` of its own.  The kinds live here beside :class:`Gqi`, so that
+reading and deciding any kind needs no module of the kind-specific criteria.
 """
 
 from __future__ import annotations
@@ -39,6 +42,10 @@ from .linalg import DEFAULT_TOL, TolerancePolicy
 
 @dataclass(frozen=True)
 class Gqi:
+    """Outcomes on a comb signature.  A kind, a subclass, checks the outcome
+    shapes when it is built; a plain Gqi leaves that to :func:`is_valid_gqi`,
+    which reports it in order among the outcomes' other faults."""
+
     signature: CombSignature
     outcomes: tuple
 
@@ -46,6 +53,19 @@ class Gqi:
         object.__setattr__(
             self, "outcomes", tuple(np.asarray(t, dtype=complex) for t in self.outcomes)
         )
+        if type(self) is not Gqi:
+            total = self.signature.total_dim
+            for t in self.outcomes:
+                if t.shape != (total, total):
+                    raise _shape_error(t, total)
+
+    @classmethod
+    def from_view(cls, signature: CombSignature, outcomes) -> "Gqi":
+        """The object of this kind with the GQI view (signature, outcomes),
+        built past the kind's own constructor, which takes its dimensions."""
+        g = cls.__new__(cls)
+        Gqi.__init__(g, signature, outcomes)
+        return g
 
     @property
     def n_outcomes(self) -> int:
@@ -56,94 +76,61 @@ class Gqi:
         return sum(self.outcomes)
 
 
-@dataclass(frozen=True)
-class Tester:
+def _shape_error(t: np.ndarray, total: int) -> DimensionMismatchError:
+    return DimensionMismatchError(f"outcome shape {t.shape} does not match signature dimension {total}")
+
+
+class Tester(Gqi):
     """A 1-tester: PSD outcomes on H_2 (x) H_1 (output factor first) summing
     to I_2 (x) rho, the GQI view on the signature (1, d_1, d_2, 1)."""
 
     __test__ = False  # "Test" prefix: keep pytest from collecting this class
 
-    d2: int
-    d1: int
-    outcomes: tuple
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "outcomes", tuple(np.asarray(t, dtype=complex) for t in self.outcomes)
-        )
-        total = self.d2 * self.d1
-        for t in self.outcomes:
-            if t.shape != (total, total):
-                raise DimensionMismatchError(
-                    f"outcome shape {t.shape} does not match d2*d1 = {total}"
-                )
+    def __init__(self, d2: int, d1: int, outcomes):
+        super().__init__(CombSignature((1, d1, d2, 1)), outcomes)
 
     @property
-    def signature(self) -> CombSignature:
-        """A GQI with trivial end spaces (d_0 = d_3 = 1)."""
-        return CombSignature((1, self.d1, self.d2, 1))
+    def d1(self) -> int:
+        return self.signature.dims[1]
 
     @property
-    def n_outcomes(self) -> int:
-        return len(self.outcomes)
+    def d2(self) -> int:
+        return self.signature.dims[2]
 
 
-@dataclass(frozen=True)
-class Povm:
-    d: int
-    effects: tuple
+class Povm(Gqi):
+    """A POVM by its effects on H_d, the GQI view on the signature (d, 1)."""
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "effects", tuple(np.asarray(e, dtype=complex) for e in self.effects)
-        )
-        for e in self.effects:
-            if e.shape != (self.d, self.d):
-                raise DimensionMismatchError(
-                    f"effect shape {e.shape} does not match dimension {self.d}"
-                )
+    def __init__(self, d: int, effects):
+        super().__init__(CombSignature((d, 1)), effects)
 
     @property
-    def signature(self) -> CombSignature:
-        """A GQI with a trivial output space (d_1 = 1)."""
-        return CombSignature((self.d, 1))
+    def d(self) -> int:
+        return self.signature.dims[0]
 
     @property
-    def outcomes(self) -> tuple:
-        return self.effects
+    def effects(self) -> tuple:
+        return self.outcomes
 
 
-@dataclass(frozen=True)
-class Instrument:
+class Instrument(Gqi):
     """An instrument by its Choi operators on H_1 (x) H_0 (output factor
     first), the GQI view on the signature (d_0, d_1)."""
 
-    d1: int
-    d0: int
-    operators: tuple
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "operators", tuple(np.asarray(n, dtype=complex) for n in self.operators)
-        )
-        total = self.d1 * self.d0
-        for n in self.operators:
-            if n.shape != (total, total):
-                raise DimensionMismatchError(
-                    f"operator shape {n.shape} does not match d1*d0 = {total}"
-                )
+    def __init__(self, d1: int, d0: int, operators):
+        super().__init__(CombSignature((d0, d1)), operators)
 
     @property
-    def signature(self) -> CombSignature:
-        return CombSignature((self.d0, self.d1))
+    def d0(self) -> int:
+        return self.signature.dims[0]
 
     @property
-    def outcomes(self) -> tuple:
-        return self.operators
+    def d1(self) -> int:
+        return self.signature.dims[1]
 
     @property
-    def n_outcomes(self) -> int:
-        return len(self.operators)
+    def operators(self) -> tuple:
+        return self.outcomes
 
 
 class Channel(Instrument):
@@ -218,9 +205,7 @@ def is_valid_gqi(g: Gqi, pol: TolerancePolicy = DEFAULT_TOL) -> GqiVerdict:
     )
     h = linalg.check_hermitian_stack(np.reshape(outcomes[:shaped], (shaped, total, total)), pol)
     if shaped < len(outcomes):
-        raise DimensionMismatchError(
-            f"outcome shape {outcomes[shaped].shape} does not match signature dimension {total}"
-        )
+        raise _shape_error(outcomes[shaped], total)
     spectra = linalg.hermitian_eigs(h)
     w = spectra.values
     s = sum(outcomes)
@@ -582,32 +567,26 @@ def decompose_step(
     pol: TolerancePolicy = DEFAULT_TOL,
     certificate: ExtremalityCertificate | None = None,
 ):
-    """Split a non-extremal GQI into two valid GQIs averaging back to it."""
+    """Split a non-extremal GQI into two valid GQIs of its kind averaging
+    back to it."""
     if certificate is None:
         certificate = is_extremal(g, pol)
     if certificate.extremal or certificate.perturbation is None:
         raise ExtremalInputError("cannot decompose an extremal GQI")
     pert = certificate.perturbation
     eps = pert.epsilon_star
-    plus = Gqi(
-        signature=g.signature,
-        outcomes=tuple(t + eps * d for t, d in zip(g.outcomes, pert.directions)),
-    )
-    minus = Gqi(
-        signature=g.signature,
-        outcomes=tuple(t - eps * d for t, d in zip(g.outcomes, pert.directions)),
-    )
+    new = type(g).from_view
+    plus = new(g.signature, tuple(t + eps * d for t, d in zip(g.outcomes, pert.directions)))
+    minus = new(g.signature, tuple(t - eps * d for t, d in zip(g.outcomes, pert.directions)))
     return plus, minus
 
 
 def mix(a: Gqi, b: Gqi, weight: float = 0.5) -> Gqi:
     """Convex combination weight*a + (1-weight)*b of two same-shaped GQIs,
-    or of any two objects with a ``signature`` and ``outcomes``."""
+    of the kind of ``a``."""
     if a.signature != b.signature or len(a.outcomes) != len(b.outcomes):
         raise DimensionMismatchError("mixed GQIs must share signature and outcome count")
-    return Gqi(
-        signature=a.signature,
-        outcomes=tuple(
-            weight * ta + (1.0 - weight) * tb for ta, tb in zip(a.outcomes, b.outcomes)
-        ),
+    return type(a).from_view(
+        a.signature,
+        tuple(weight * ta + (1.0 - weight) * tb for ta, tb in zip(a.outcomes, b.outcomes)),
     )

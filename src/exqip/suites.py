@@ -105,11 +105,7 @@ def random_nonextremal_qubit_tester(rng) -> testers.Tester:
         channels.random_unitary(2, rng),
         channels.random_unitary(2, rng),
     )
-    return testers.Tester(
-        d2=2,
-        d1=2,
-        outcomes=tuple(0.5 * x + 0.5 * y for x, y in zip(a.outcomes, b.outcomes)),
-    )
+    return gqi_mod.mix(a, b)
 
 
 def random_rank22_qubit_tester(rng, nonextremal: bool = False) -> testers.Tester:
@@ -153,7 +149,7 @@ def random_two_outcome_qubit_tester(rng) -> testers.Tester:
     return testers.schmidt_tester(1e-6, u2, u1)
 
 
-def random_nonextremal_gqi(rng) -> gqi_mod.Gqi:
+def random_nonextremal_gqi(rng) -> channels.Instrument:
     """Midpoint of two distinct random instruments (never extremal)."""
     counts = [(1, 1), (1, 2), (2, 1), (1, 1, 1)][rng.integers(0, 4)]
     a = channels.random_instrument(2, 2, counts, rng)

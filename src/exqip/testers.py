@@ -98,9 +98,8 @@ def check_bounds(
 
     The ranks of rho and of the outcomes come from :func:`tester_verdict`:
     the caller's ``validation`` on ``t`` at ``pol`` when it has one, so that
-    nothing is decomposed again."""
-    if validation is None:
-        validation = tester_verdict(t, pol=pol)
+    nothing is decomposed again.  An invalid tester raises."""
+    validation = _valid_tester(t, pol, validation)
     r = validation.rho_rank
     ranks = [int(x) for x in validation.verdict.spectra.support_ranks(pol)]
     lhs = sum(x * x for x in ranks) + r * r - 1

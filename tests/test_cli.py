@@ -601,6 +601,32 @@ class TestCli:
         assert self.run("--tol", "0.25", command, path, *extra) == 2
         assert self.run("--tol", "0.2", "validate", path) == 0
 
+    def test_tol_that_empties_every_rank_exits_2(self, tmp_path, capsys):
+        """At D^2 eps_rel >= 1 the rank cutoff lies at or above every singular
+        value, so the identity channel would read not_extremal with a witness
+        whose leaves fail validation.  validate runs no rank test."""
+        path = str(tmp_path / "id.json")
+        assert self.run("generate", "combination", "--k", "1", "--out", path) == 0
+        capsys.readouterr()
+        tree = str(tmp_path / "tree")
+        for command, extra in (("extremal", []), ("decompose", ["--steps", "1", "--out", tree])):
+            assert self.run("--tol", "0.1", command, path, *extra) == 2
+            out = capsys.readouterr()
+            assert out.out == ""
+            assert out.err == (
+                "error: tolerance 0.1 puts the rank cutoff at or above every singular value at dimension 4\n"
+            )
+            # D^2 eps_rel = 1 is refused too.
+            assert self.run("--tol", "0.0625", command, path, *extra) == 2
+            assert "puts the rank cutoff" in capsys.readouterr().err
+        assert not os.path.exists(tree)
+        # Just below D^2 eps_rel = 1 the command runs.
+        assert self.run("--tol", "0.06", "extremal", path) == 0
+        assert self.run("--tol", "0.1", "validate", path) == 0
+        assert self.run("--tol", "0.05", "suite", "equivalence", "--seeds", "2") == 2
+        out = capsys.readouterr()
+        assert out.err.endswith("puts the rank cutoff at or above every singular value at dimension 9\n")
+
     @pytest.mark.parametrize(
         "name,dim", [("equivalence", 9), ("xi-invariance", 4), ("bounds", 4), ("appendix-c", 8)]
     )
@@ -613,11 +639,14 @@ class TestCli:
         assert out.err == f"error: tolerance 0.5 leaves every support empty at dimension {dim}\n"
         assert self.run("--tol", repr(1.0 / dim), "suite", name, "--seeds", "1") == 2
         capsys.readouterr()
-        # Just below D eps_rel = 1 this guard lets the suite run; only
-        # xi-invariance refuses such a tolerance, by its own guard below.
+        # Just below D eps_rel = 1 this guard lets the suite pass, but
+        # D^2 eps_rel >= 1 there: the rank-cutoff guard refuses it, after
+        # xi-invariance's own guard below.
         code = self.run("--tol", repr(0.9 / dim), "suite", name, "--seeds", "1")
-        assert "leaves every support empty" not in capsys.readouterr().err
-        assert code != 2 or name == "xi-invariance"
+        err = capsys.readouterr().err
+        assert "leaves every support empty" not in err
+        guard = "puts the support cutoff" if name == "xi-invariance" else "puts the rank cutoff"
+        assert code == 2 and guard in err
 
     def test_xi_suite_tol_that_reaches_the_drawn_states_exits_2(self, capsys):
         """xi-invariance transforms by qubit states whose eigenvalues lie

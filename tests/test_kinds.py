@@ -1,4 +1,4 @@
-"""The kind table and the CLI output of every object kind.
+"""The kind table, the kind classes and the CLI output of every object kind.
 
 ``tests/golden_cli/`` holds one operator file per object kind, plus two
 testers whose rho is rank-deficient, with the ``exqip validate`` and
@@ -14,10 +14,13 @@ import io
 import json
 import os
 
+import numpy as np
 import pytest
 
-from exqip import cli, fileio
-from exqip.gqi import Gqi
+from exqip import cli, fileio, gqi
+from exqip.combs import CombSignature, DeterministicComb
+from exqip.errors import DimensionMismatchError
+from exqip.gqi import Channel, Gqi, Instrument, Povm, Tester
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden_cli")
 KIND_FIXTURES = ["comb", "gqi", "tester", "channel", "instrument", "povm"]
@@ -111,3 +114,63 @@ def test_cli_json_matches_golden(name):
             elif eps is not None:
                 assert abs(eps - want_eps) <= 1e-12 * abs(want_eps)
         assert got == want
+
+
+@pytest.mark.parametrize("name", sorted(EXPECTED))
+def test_every_kind_but_the_comb_is_a_gqi(name):
+    obj = fileio.load_object(fixture_path(name))
+    assert isinstance(obj, Gqi) == (type(obj) is not DeterministicComb)
+
+
+@pytest.mark.parametrize("name", sorted(EXPECTED))
+def test_mix_and_decompose_step_keep_the_kind(name, tmp_path):
+    """The results are of the input's class and are written and read back
+    as its kind."""
+    obj = fileio.load_object(fixture_path(name))
+    results = [gqi.mix(obj, obj, 0.25)]
+    cert = gqi.is_extremal(obj)
+    if not cert.extremal:
+        results.extend(gqi.decompose_step(obj, certificate=cert))
+    path = tmp_path / "x.json"
+    for x in results:
+        assert type(x) is type(obj)
+        fileio.save_object(path, x)
+        back = fileio.load_object(path)
+        assert type(back) is type(obj)
+        assert back.signature == obj.signature
+        assert all(np.array_equal(a, b) for a, b in zip(back.outcomes, x.outcomes))
+
+
+def test_kind_of_matches_the_exact_class():
+    t = fileio.load_object(fixture_path("tester"))
+    c = fileio.load_object(fixture_path("channel"))
+    assert isinstance(t, Gqi) and fileio.kind_of(t).name == "tester"
+    assert isinstance(c, Instrument) and fileio.kind_of(c).name == "channel"
+    assert fileio.kind_of(Gqi.from_view(t.signature, t.outcomes)).name == "gqi"
+    assert fileio.kind_of(Instrument.from_view(c.signature, c.outcomes)).name == "instrument"
+
+
+SHAPE_MESSAGE = r"^outcome shape \(3, 3\) does not match signature dimension 4$"
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda bad: Tester(d2=2, d1=2, outcomes=(np.eye(4) / 2, bad)),
+        lambda bad: Povm(d=4, effects=(bad,)),
+        lambda bad: Instrument(d1=2, d0=2, operators=(bad,)),
+        lambda bad: Channel(d1=2, d0=2, choi=bad),
+        lambda bad: Tester.from_view(CombSignature((1, 2, 2, 1)), (bad,)),
+        lambda bad: Channel.from_view(CombSignature((2, 2)), (bad,)),
+    ],
+)
+def test_kind_constructors_check_shapes(build):
+    with pytest.raises(DimensionMismatchError, match=SHAPE_MESSAGE):
+        build(np.eye(3))
+
+
+def test_plain_gqi_defers_the_shape_check():
+    g = Gqi(CombSignature((2, 2)), (np.eye(3),))
+    assert type(Gqi.from_view(g.signature, g.outcomes)) is Gqi
+    with pytest.raises(DimensionMismatchError, match=SHAPE_MESSAGE):
+        gqi.is_valid_gqi(g)

@@ -119,6 +119,12 @@ class TestBounds:
         assert not b.ok
         assert not testers.is_extremal_tester(t).extremal
 
+    def test_invalid_tester_rejected(self):
+        t = testers.schmidt_tester(0.3)
+        t = Tester(d2=2, d1=2, outcomes=(t.outcomes[0], t.outcomes[1] + np.diag([0.1, 0, 0, 0])))
+        with pytest.raises(ValidationError, match="^not a valid 1-tester$"):
+            testers.check_bounds(t)
+
     def test_bound_is_not_sufficient(self):
         # the product tester satisfies the bounds yet is not extremal
         b = testers.check_bounds(product_tester())
