@@ -47,8 +47,14 @@ def _policy(args, dim: int = 1) -> TolerancePolicy:
     """The working policy for objects of total dimension up to ``dim``.  A
     tolerance with dim * eps_rel >= 1 is refused: there the support cutoff
     lies at or above every eigenvalue, so every support would be empty."""
-    eps = os.environ.get("EXQIP_TOL") if args.tol is None else args.tol
-    pol = linalg.DEFAULT_TOL if eps is None else TolerancePolicy(eps_rel=float(eps))
+    eps = args.tol
+    if eps is None and "EXQIP_TOL" in os.environ:
+        text = os.environ["EXQIP_TOL"]
+        try:
+            eps = float(text)
+        except ValueError:
+            raise ValueError(f"EXQIP_TOL must be a number, got {text!r}") from None
+    pol = linalg.DEFAULT_TOL if eps is None else TolerancePolicy(eps_rel=eps)
     if not 0.0 < pol.eps_rel < 1.0:
         raise ValueError(f"tolerance must lie in (0, 1), got {pol.eps_rel}")
     if dim * pol.eps_rel >= 1.0:
@@ -80,11 +86,11 @@ def _load(args):
 
 
 def _validate_report(obj, kind: fileio.Kind, pol: TolerancePolicy) -> dict:
-    ok, verdict = kind.verdict(obj, pol)
+    verdict = gqi_mod.is_valid_gqi(obj, pol=pol)
     residuals = [float(r) for r in verdict.comb_verdict.level_residuals]
     return {
         "kind": kind.name,
-        "valid": bool(ok),
+        "valid": bool(verdict.ok),
         "outcomes": len(obj.outcomes),
         "signature": list(obj.signature.dims),
         "min_eigenvalues": [float(x) for x in verdict.outcome_min_eigenvalues],
@@ -94,11 +100,11 @@ def _validate_report(obj, kind: fileio.Kind, pol: TolerancePolicy) -> dict:
 
 
 def _certificate(obj, kind: fileio.Kind, pol: TolerancePolicy) -> gqi_mod.ExtremalityCertificate:
-    """Refuse a rank cutoff above every singular value, validate through the
-    kind table, then decide on the GQI view."""
+    """Refuse a rank cutoff above every singular value, then validate and
+    decide on the GQI view."""
     _check_rank_cutoff(pol, obj.signature.total_dim)
-    ok, verdict = kind.verdict(obj, pol)
-    if not ok:
+    verdict = gqi_mod.is_valid_gqi(obj, pol=pol)
+    if not verdict.ok:
         raise ValidationError(f"not a valid {kind.name}; `exqip validate` reports why")
     return gqi_mod.is_extremal(obj, pol=pol, validation=verdict)
 
@@ -129,6 +135,9 @@ def cmd_extremal(args) -> int:
 
 def cmd_decompose(args) -> int:
     _check_count(args.steps, "--steps")
+    # Leaves of an earlier tree would stay beside the new ones.
+    if os.path.isdir(args.out) and os.listdir(args.out):
+        raise ValueError(f"--out {args.out} is not empty")
     pol, obj, kind = _load(args)
     cert = _certificate(obj, kind, pol)
     if cert.extremal:

@@ -9,6 +9,11 @@ normalization cascade
 Convention: the comb operator lives on H_{2N-1} (x) ... (x) H_0, i.e. space 0
 is the LAST Kronecker factor.  A signature lists dimensions in label order
 (d_0, ..., d_{2N-1}).
+
+:class:`Gqi`, outcomes on a signature, lives here beside
+:class:`CombSignature`, and :mod:`exqip.gqi` re-exports it: every object
+kind is a ``Gqi``, and :class:`DeterministicComb` is the one-outcome ``Gqi``
+whose outcome is the comb operator.
 """
 
 from __future__ import annotations
@@ -59,21 +64,57 @@ class CombSignature:
         return CombSignature(self.dims[: 2 * level])
 
 
-@dataclass(frozen=True)
-class DeterministicComb:
+@dataclass(frozen=True, eq=False)
+class Gqi:
+    """Outcomes on a comb signature, the view every object kind is.  A kind,
+    a subclass, checks the outcome shapes when it is built; a plain Gqi
+    leaves that to :func:`exqip.gqi.is_valid_gqi`, which reports it in order
+    among the outcomes' other faults.  Objects compare and hash by identity."""
+
     signature: CombSignature
-    operator: np.ndarray
+    outcomes: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "operator", np.asarray(self.operator, dtype=complex))
-
-    @property
-    def outcomes(self) -> tuple:
-        return (self.operator,)
+        object.__setattr__(
+            self, "outcomes", tuple(np.asarray(t, dtype=complex) for t in self.outcomes)
+        )
+        if type(self) is not Gqi:
+            total = self.signature.total_dim
+            for t in self.outcomes:
+                if t.shape != (total, total):
+                    raise _shape_error(t, total)
 
     @classmethod
-    def from_view(cls, signature: CombSignature, outcomes) -> "DeterministicComb":
-        return cls(signature, outcomes[0])
+    def from_view(cls, signature: CombSignature, outcomes) -> "Gqi":
+        """The object of this kind with the GQI view (signature, outcomes),
+        built past the kind's own constructor, which takes its dimensions."""
+        g = cls.__new__(cls)
+        Gqi.__init__(g, signature, outcomes)
+        return g
+
+    @property
+    def n_outcomes(self) -> int:
+        return len(self.outcomes)
+
+    @property
+    def normalization(self) -> np.ndarray:
+        return sum(self.outcomes)
+
+
+def _shape_error(t: np.ndarray, total: int) -> DimensionMismatchError:
+    return DimensionMismatchError(f"outcome shape {t.shape} does not match signature dimension {total}")
+
+
+class DeterministicComb(Gqi):
+    """A deterministic comb: the one-outcome GQI whose outcome is the comb
+    operator."""
+
+    def __init__(self, signature: CombSignature, operator):
+        super().__init__(signature, (operator,))
+
+    @property
+    def operator(self) -> np.ndarray:
+        return self.outcomes[0]
 
 
 @dataclass(frozen=True)

@@ -5,12 +5,13 @@ pairs, row-major, with explicit dimensions.  Canonical formatting (sorted
 keys, two-space indent, trailing newline) makes write -> read -> write
 byte-identical and the fixtures diff-able.
 
-Every object kind but ``comb`` is a :class:`~exqip.gqi.Gqi`, and the comb
-too exposes ``signature``, its comb signature, and ``outcomes``, which is
-all that :mod:`exqip.gqi` reads.  Each kind's class builds an object from
-those two with ``from_view``, and :func:`kind_of` matches an object's exact
-class, since a tester is also a ``Gqi``.  The file signature by kind, and
-the comb signature it stands for:
+Every object kind, ``comb`` included, is a :class:`~exqip.gqi.Gqi`: its
+``signature``, a comb signature, and its ``outcomes`` are all that
+:mod:`exqip.gqi` reads, and :func:`exqip.gqi.is_valid_gqi` decides its
+validity.  :data:`KINDS` holds no validity rule of its own.  Each kind's
+class builds an object from those two with ``from_view``, and
+:func:`kind_of` matches an object's exact class, since a tester is also a
+``Gqi``.  The file signature by kind, and the comb signature it stands for:
 
 * ``comb`` / ``gqi``:   ``[d_0, ..., d_{2N-1}]`` (label order), itself
 * ``channel`` / ``instrument``: ``[d_0, d_1]`` (input, output), itself
@@ -24,12 +25,10 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from . import __version__
-from . import gqi as gqi_mod
 from .combs import CombSignature, DeterministicComb
 from .errors import DimensionMismatchError, FileFormatError
 from .gqi import Channel, ExtremalityCertificate, Gqi, Instrument, Perturbation, Povm, Tester
@@ -40,18 +39,6 @@ CERTIFICATE_FORMAT_NAME = "exqip-certificate"
 FORMAT_VERSION = 1
 
 
-def _gqi_verdict(obj, pol: TolerancePolicy):
-    verdict = gqi_mod.is_valid_gqi(obj, pol=pol)
-    return verdict.ok, verdict
-
-
-def _tester_verdict(t: Tester, pol: TolerancePolicy):
-    # Imported here: only a tester file needs the tester criteria.
-    from . import testers
-
-    return testers.tester_verdict(t, pol=pol)[:2]
-
-
 @dataclass(frozen=True)
 class Kind:
     """One object kind: its name in files, its class and its file signature.
@@ -59,16 +46,15 @@ class Kind:
     ``layout`` is the comb signature of the kind's GQI view with the names of
     the file's dimensions in their places, or ``None`` when the file holds
     the comb signature itself.  ``single`` names the one operator a file of
-    the kind must hold, if it holds one.  ``verdict`` returns ``(ok, GqiVerdict)``
-    for an object, and ``residual_names`` are the kind's own names for the
-    leading cascade residuals.
+    the kind must hold, if it holds one, and ``residual_names`` are the
+    kind's own names for the leading cascade residuals.  Validity is not a
+    kind's own: every kind is valid exactly when its GQI view is.
     """
 
     name: str
     cls: type
     layout: tuple | None
     single: str | None = None
-    verdict: Callable = _gqi_verdict
     residual_names: tuple = ()
 
     def build(self, sig: CombSignature, outcomes):
@@ -98,8 +84,7 @@ KINDS = {
     for k in (
         Kind("comb", DeterministicComb, None, "operator"),
         Kind("gqi", Gqi, None),
-        Kind("tester", Tester, (1, "d1", "d2", 1), verdict=_tester_verdict,
-             residual_names=("product_form_residual",)),
+        Kind("tester", Tester, (1, "d1", "d2", 1), residual_names=("product_form_residual",)),
         Kind("channel", Channel, ("d0", "d1"), "Choi operator"),
         Kind("instrument", Instrument, ("d0", "d1")),
         Kind("povm", Povm, ("d", 1)),

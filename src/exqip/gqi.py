@@ -16,15 +16,17 @@ follows.  With the constant working margin supp_tol(D, 1) / 2, epsilon_star
 is a closed form: the generalized-eigenvalue form of Choi's positivity
 argument, on each outcome's support.
 
-Every object kind but the deterministic comb is a :class:`Gqi`:
-:class:`Tester`, :class:`Povm`, :class:`Instrument` and :class:`Channel` are
-subclasses that store only ``signature`` and ``outcomes`` and read their
-dimensions from the signature.  :func:`is_valid_gqi`, :func:`is_extremal`,
-:func:`decompose_step` and :func:`mix` read only those two fields, and the
-last two build their results with ``from_view`` of the input's class
-(:meth:`Gqi.from_view`), so that they keep its kind; the comb has a
-``from_view`` of its own.  The kinds live here beside :class:`Gqi`, so that
-reading and deciding any kind needs no module of the kind-specific criteria.
+Every object kind is a :class:`Gqi`, which lives in :mod:`exqip.combs`
+beside the comb signature and is re-exported here.  :class:`Tester`,
+:class:`Povm`, :class:`Instrument` and :class:`Channel` are subclasses that
+store only ``signature`` and ``outcomes`` and read their dimensions from the
+signature, and so is :class:`~exqip.combs.DeterministicComb`, the one-outcome
+GQI.  :func:`is_valid_gqi` decides the validity of every kind, a tester's
+included.  It, :func:`is_extremal`, :func:`decompose_step` and :func:`mix`
+read only those two fields, and the last two build their results with
+:meth:`Gqi.from_view` of the input's class, so that they keep its kind.  The
+kinds live here beside the GQI core, so that reading and deciding any kind
+needs no module of the kind-specific criteria.
 """
 
 from __future__ import annotations
@@ -35,49 +37,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import combs, linalg
-from .combs import CombSignature
+from .combs import CombSignature, Gqi, _shape_error
 from .errors import DimensionMismatchError, ExtremalInputError, SizeLimitError, ValidationError
 from .linalg import DEFAULT_TOL, TolerancePolicy
-
-
-@dataclass(frozen=True)
-class Gqi:
-    """Outcomes on a comb signature.  A kind, a subclass, checks the outcome
-    shapes when it is built; a plain Gqi leaves that to :func:`is_valid_gqi`,
-    which reports it in order among the outcomes' other faults."""
-
-    signature: CombSignature
-    outcomes: tuple
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "outcomes", tuple(np.asarray(t, dtype=complex) for t in self.outcomes)
-        )
-        if type(self) is not Gqi:
-            total = self.signature.total_dim
-            for t in self.outcomes:
-                if t.shape != (total, total):
-                    raise _shape_error(t, total)
-
-    @classmethod
-    def from_view(cls, signature: CombSignature, outcomes) -> "Gqi":
-        """The object of this kind with the GQI view (signature, outcomes),
-        built past the kind's own constructor, which takes its dimensions."""
-        g = cls.__new__(cls)
-        Gqi.__init__(g, signature, outcomes)
-        return g
-
-    @property
-    def n_outcomes(self) -> int:
-        return len(self.outcomes)
-
-    @property
-    def normalization(self) -> np.ndarray:
-        return sum(self.outcomes)
-
-
-def _shape_error(t: np.ndarray, total: int) -> DimensionMismatchError:
-    return DimensionMismatchError(f"outcome shape {t.shape} does not match signature dimension {total}")
 
 
 class Tester(Gqi):

@@ -220,7 +220,7 @@ def run_bounds(seeds: int = 200, pol: TolerancePolicy = DEFAULT_TOL) -> SuiteRes
             random_rank22_qubit_tester(rng, nonextremal=bool(rng.integers(0, 2))),
         ]
         for t in pool:
-            checks = testers.tester_verdict(t, pol=pol)
+            checks = gqi_mod.is_valid_gqi(t, pol=pol)
             if testers.is_extremal_tester(t, pol, checks).extremal:
                 bounds = testers.check_bounds(t, pol, checks)
                 result.record(bounds.ok, f"seed {seed}: tester bound violated {bounds}")

@@ -2,9 +2,9 @@
 
 A 1-tester is a collection of PSD operators T_1..T_M on H_2 (x) H_1 (output
 factor first) summing to I_2 (x) rho for a state rho on H_1: a GQI on the
-signature (1, d_1, d_2, 1), and a POVM one on (d, 1).  Both are decided by the
-GQI rank test; for a tester the variable directions are I_2 (x) sigma, sigma
-traceless on H_1.
+signature (1, d_1, d_2, 1), and a POVM one on (d, 1).  Both are valid exactly
+when their GQI view is, and are decided by the GQI rank test; for a tester
+the variable directions are I_2 (x) sigma, sigma traceless on H_1.
 
 Also here: the rank/outcome-count bounds, the normalization-changing
 xi transform, POVM extremality, pure-normalization testers, the closed-form
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -26,50 +25,34 @@ from .gqi import ExtremalityCertificate, GqiVerdict, Povm, Tester
 from .linalg import DEFAULT_TOL, TolerancePolicy
 
 
-class TesterVerdict(NamedTuple):
-    """A tester's checks: validity, the :func:`gqi.is_valid_gqi` verdict of
-    its GQI view, rho and the support rank of rho."""
-
-    ok: bool
-    verdict: GqiVerdict
-    rho: np.ndarray
-    rho_rank: int
-
-
-def tester_verdict(t: Tester, pol: TolerancePolicy = DEFAULT_TOL) -> TesterVerdict:
-    """Whether ``t`` is a valid 1-tester, with the GQI verdict and rho.
-
-    On the signature (1, d_1, d_2, 1) the cascade reduces the sum to rho =
-    R^(1), with residuals |sum T_i - I (x) rho|_max and |Tr rho - 1|.  The one
-    further check, and rho's rank, is the support rule on rho's eigenvalues.
-    """
-    verdict = gqi_mod.is_valid_gqi(t, pol=pol)
-    rho = verdict.comb_verdict.reduced[0]
-    w = np.linalg.eigvalsh(rho)
-    return TesterVerdict(verdict.ok and bool(pol.psd(w)), verdict, rho, int(pol.support_rank(w)))
-
-
 def is_valid_tester(t: Tester, pol: TolerancePolicy = DEFAULT_TOL) -> bool:
-    return tester_verdict(t, pol).ok
+    """The GQI verdict on the tester's view.  On the signature (1, d_1, d_2, 1)
+    the cascade reduces the sum to rho = R^(1), with residuals
+    |sum T_i - I (x) rho|_max and |Tr rho - 1|; rho is positive within the
+    band of the sum (README, "Conventions")."""
+    return gqi_mod.is_valid_gqi(t, pol=pol).ok
 
 
-def _valid_tester(t: Tester, pol: TolerancePolicy, validation: TesterVerdict | None = None):
+def _valid_tester(t: Tester, pol: TolerancePolicy, validation: GqiVerdict | None = None) -> GqiVerdict:
     if validation is None:
-        validation = tester_verdict(t, pol=pol)
+        validation = gqi_mod.is_valid_gqi(t, pol=pol)
     if not validation.ok:
         raise ValidationError("not a valid 1-tester")
     return validation
 
 
+def _rho_rank(verdict: GqiVerdict, pol: TolerancePolicy) -> int:
+    """The support rank of rho, R^(1) of the verdict's cascade."""
+    return int(pol.support_rank(np.linalg.eigvalsh(verdict.comb_verdict.reduced[0])))
+
+
 def is_extremal_tester(
-    t: Tester, pol: TolerancePolicy = DEFAULT_TOL, validation: TesterVerdict | None = None
+    t: Tester, pol: TolerancePolicy = DEFAULT_TOL, validation: GqiVerdict | None = None
 ) -> ExtremalityCertificate:
-    """The GQI rank test on the tester's view, validated once: the tester
-    checks of :func:`tester_verdict`, whose eigenpairs the rank test reuses.
-    ``validation`` is the caller's :func:`tester_verdict` on ``t`` at ``pol``,
-    when it has one."""
-    verdict = _valid_tester(t, pol, validation).verdict
-    return gqi_mod.is_extremal(t, pol=pol, validation=verdict)
+    """The GQI rank test on the tester's view, validated once.
+    ``validation`` is the caller's :func:`gqi.is_valid_gqi` verdict on ``t``
+    at ``pol``, when it has one; the rank test reuses its eigenpairs."""
+    return gqi_mod.is_extremal(t, pol=pol, validation=_valid_tester(t, pol, validation))
 
 
 @dataclass(frozen=True)
@@ -92,16 +75,17 @@ class TesterBounds:
 
 
 def check_bounds(
-    t: Tester, pol: TolerancePolicy = DEFAULT_TOL, validation: TesterVerdict | None = None
+    t: Tester, pol: TolerancePolicy = DEFAULT_TOL, validation: GqiVerdict | None = None
 ) -> TesterBounds:
     """Necessary counting bounds for extremality (never sufficient).
 
-    The ranks of rho and of the outcomes come from :func:`tester_verdict`:
-    the caller's ``validation`` on ``t`` at ``pol`` when it has one, so that
-    nothing is decomposed again.  An invalid tester raises."""
+    The outcome ranks come from the eigenpairs of :func:`gqi.is_valid_gqi`,
+    the caller's ``validation`` on ``t`` at ``pol`` when it has one, and the
+    rank of rho from the eigenvalues of its ``R^(1)``.  An invalid tester
+    raises."""
     validation = _valid_tester(t, pol, validation)
-    r = validation.rho_rank
-    ranks = [int(x) for x in validation.verdict.spectra.support_ranks(pol)]
+    r = _rho_rank(validation, pol)
+    ranks = [int(x) for x in validation.spectra.support_ranks(pol)]
     lhs = sum(x * x for x in ranks) + r * r - 1
     rhs = (r * t.d2) ** 2
     applicable = all(x == 1 for x in ranks) and r == t.d1
@@ -262,9 +246,10 @@ def classify_two_outcome_qubit(
     """
     if t.d1 != 2 or t.d2 != 2 or t.n_outcomes != 2:
         raise DimensionMismatchError("closed form requires a two-outcome qubit tester")
-    _, verdict, rho, rho_rank = _valid_tester(t, pol)
+    verdict = _valid_tester(t, pol)
+    rho = verdict.comb_verdict.reduced[0]
     if linalg.max_abs(rho - np.eye(2) / 2.0) > pol.eps_comb:
-        if rho_rank == 2:
+        if _rho_rank(verdict, pol) == 2:
             t = xi_inverse(t, rho, np.eye(2, dtype=complex), pol)
             verdict = gqi_mod.is_valid_gqi(t, pol=pol)
         else:

@@ -372,7 +372,8 @@ class TestCli:
     def test_validate_decides_once(self, tmp_path, monkeypatch, capsys):
         """One GQI verdict per report: the outcomes decomposed once as a
         stack, rho extracted once, by the one cascade pass of the comb
-        check; the product-form residual is the cascade's first residual."""
+        check, and not decomposed; the product-form residual is the
+        cascade's first residual."""
         from test_testers import count_calls
 
         path = tmp_path / "tester.json"
@@ -384,7 +385,7 @@ class TestCli:
         assert calls["partial_trace"] == 0
         assert calls["check_hermitian_stack"] == 1
         assert calls["eigh"] == [(2, 4, 4)]
-        assert calls["eigvalsh"] == [(2, 2)]
+        assert calls["eigvalsh"] == []
         assert report["product_form_residual"] == report["cascade_residuals"][0]
 
     def test_validate_invalid_exits_1(self, tmp_path):
@@ -401,10 +402,17 @@ class TestCli:
         path.write_text(path.read_text()[:80])
         assert self.run("validate", str(path)) == 2
 
-    def test_bad_usage_exits_2(self):
+    def test_bad_usage_exits_2(self, monkeypatch, capsys):
         assert self.run("no-such-command") == 2
         assert self.run("generate", "no-such-kind", "--out", "x.json") == 2
         assert self.run("suite", "nosuch") == 2
+        capsys.readouterr()
+        for value in ("abc", ""):
+            monkeypatch.setenv("EXQIP_TOL", value)
+            assert self.run("validate", os.path.join(GOLDEN, "gqi.json")) == 2
+            out = capsys.readouterr()
+            assert out.out == ""
+            assert out.err == f"error: EXQIP_TOL must be a number, got {value!r}\n"
 
     @pytest.mark.parametrize(
         "args",
@@ -452,23 +460,25 @@ class TestCli:
     def test_decompose_midpoint(self, kind, seed_a, seed_b):
         """On the midpoint of two random instruments or two random Schmidt
         testers, every leaf read back from its file is of the input's kind
-        and a valid GQI, and an instrument leaf is a valid instrument."""
+        and valid as that kind."""
         assume(seed_a != seed_b)
         root, leaves = midpoint_tree(kind, seed_a, seed_b)
         for leaf, _ in leaves:
             assert fileio.kind_of(leaf) is fileio.kind_of(root)
-            # A tester leaf is not always a valid tester: see the next test.
-            assert gqi.is_valid_gqi(leaf).ok if kind == "tester" else channels.is_valid_instrument(leaf)
+            assert testers.is_valid_tester(leaf) if kind == "tester" else channels.is_valid_instrument(leaf)
 
-    @pytest.mark.xfail(strict=True, reason="every outcome of a leaf may sit at -c, so rho at -M*c, "
-                       "below the tester's own cutoff -supp_tol(d1, 1)")
-    def test_decompose_tester_leaves_are_testers(self):
-        """Every leaf of a tester tree is a valid tester.  Three levels down
-        the midpoint of the Schmidt testers of seeds 0 and 1, two leaves have
-        rho with an eigenvalue near -2 supp_tol(4, 1) / 2 = -4e-10, below
-        -supp_tol(2, 1) = -2e-10."""
+    def test_decompose_tester_leaves_are_testers(self, tmp_path):
+        """Every leaf of a tester tree is a valid tester, and `exqip validate`
+        accepts its file.  Three levels down the midpoint of the Schmidt
+        testers of seeds 0 and 1, two leaves have rho with an eigenvalue near
+        -2 supp_tol(4, 1) / 2 = -4e-10: within the band of the sum, though
+        below -supp_tol(2, 1) = -2e-10."""
         _, leaves = midpoint_tree("tester", 0, 1)
-        assert all(testers.is_valid_tester(leaf) for leaf, _ in leaves)
+        for i, (leaf, _) in enumerate(leaves):
+            assert testers.is_valid_tester(leaf)
+            path = str(tmp_path / f"leaf_{i}.json")
+            fileio.save_object(path, leaf)
+            assert self.run("validate", path) == 0
 
     @pytest.mark.parametrize("case", ["certificate-to-directory", "out-is-a-file", "validate-directory"])
     def test_bad_path_exits_2(self, case, tmp_path, capsys):
@@ -486,6 +496,26 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert existing.read_text() == "kept\n"
+
+    def test_decompose_refuses_a_non_empty_out(self, tmp_path, capsys):
+        """A second tree into the directory of the first exits 2 before the
+        input is loaded, and leaves the first tree as it was; an existing
+        empty directory is accepted."""
+        src = str(tmp_path / "prod.json")
+        fileio.save_object(src, testers.schmidt_tester(0.0))
+        out_dir = tmp_path / "tree"
+        assert self.run("decompose", src, "--steps", "2", "--out", str(out_dir)) == 0
+        first = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+        capsys.readouterr()
+        assert self.run("decompose", str(tmp_path / "missing.json"), "--steps", "1", "--out", str(out_dir)) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error: --out {out_dir} is not empty\n"
+        assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == first
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        assert self.run("decompose", src, "--steps", "1", "--out", str(empty)) == 0
+        assert (empty / "summary.json").exists()
 
     def test_decompose_decides_root_once(self, tmp_path, monkeypatch):
         decided = []
@@ -741,17 +771,17 @@ RUN_CLI = (
 )
 
 
-# What `exqip validate` and `exqip extremal` load for a file of any kind but
-# a tester; the command's own module runs as __main__.
+# What `exqip validate` and `exqip extremal` load for a file of any kind;
+# the command's own module runs as __main__.
 CORE_MODULES = {"exqip", "exqip.errors", "exqip.linalg", "exqip.combs", "exqip.gqi", "exqip.fileio"}
 
 
 def test_runtime_imports_no_scipy(tmp_path):
     """A command loads only the modules it runs, and the runtime dependency
     is numpy alone.  `import exqip` loads no submodule; a fresh `exqip
-    validate` or `exqip extremal --certificate` on a GQI loads neither the
-    suites nor the channel and tester criteria; `exqip extremal` on a tester
-    adds the tester module and no scipy module."""
+    validate` or `exqip extremal --certificate` on a file of any kind loads
+    neither the suites nor the channel and tester criteria, and no scipy
+    module."""
     gqi_file = os.path.join(GOLDEN, "gqi.json")
     assert _fresh_modules("import exqip") == {"exqip"}
     assert _fresh_modules(RUN_CLI, "validate", gqi_file) == CORE_MODULES
@@ -759,7 +789,8 @@ def test_runtime_imports_no_scipy(tmp_path):
     assert _fresh_modules(RUN_CLI, "extremal", gqi_file, "--certificate", cert) == CORE_MODULES
     assert fileio.load_certificate(cert).family_size > 0
     tester_file = os.path.join(GOLDEN, "tester.json")
-    assert _fresh_modules(RUN_CLI, "extremal", tester_file) == CORE_MODULES | {"exqip.testers"}
+    assert _fresh_modules(RUN_CLI, "validate", tester_file) == CORE_MODULES
+    assert _fresh_modules(RUN_CLI, "extremal", tester_file) == CORE_MODULES
 
 
 def test_suite_names_are_the_suites(capsys):

@@ -118,8 +118,19 @@ def test_cli_json_matches_golden(name):
 
 @pytest.mark.parametrize("name", sorted(EXPECTED))
 def test_every_kind_but_the_comb_is_a_gqi(name):
+    """Every kind is a Gqi, the comb too."""
     obj = fileio.load_object(fixture_path(name))
-    assert isinstance(obj, Gqi) == (type(obj) is not DeterministicComb)
+    assert isinstance(obj, Gqi)
+
+
+def test_kinds_compare_and_hash_by_identity():
+    """Equal outcomes in distinct arrays make distinct objects, and neither
+    ``==`` nor ``hash`` looks into the arrays."""
+    for name in KIND_FIXTURES:
+        t, twin = (fileio.load_object(fixture_path(name)) for _ in range(2))
+        assert t == t
+        assert (t == twin) is False
+        assert len({t, twin}) == 2
 
 
 @pytest.mark.parametrize("name", sorted(EXPECTED))
@@ -162,6 +173,7 @@ SHAPE_MESSAGE = r"^outcome shape \(3, 3\) does not match signature dimension 4$"
         lambda bad: Channel(d1=2, d0=2, choi=bad),
         lambda bad: Tester.from_view(CombSignature((1, 2, 2, 1)), (bad,)),
         lambda bad: Channel.from_view(CombSignature((2, 2)), (bad,)),
+        lambda bad: DeterministicComb(CombSignature((2, 2)), bad),
     ],
 )
 def test_kind_constructors_check_shapes(build):

@@ -353,8 +353,8 @@ class TestClassifyValidatesOnce:
         assert calls["partial_trace"] == 0
         assert calls["check_hermitian_stack"] == 1
         assert calls["eigh"] == [(2, 4, 4)]
-        # rho's check; the sum is not decomposed.
-        assert calls["eigvalsh"] == [(2, 2)]
+        # Neither rho, whose rank is not read here, nor the sum is decomposed.
+        assert calls["eigvalsh"] == []
 
     def test_xi_branch_redoes_the_verdict(self, monkeypatch):
         t = testers.xi_transform(bell_tester(), np.diag([0.7, 0.3]).astype(complex), np.eye(2))
@@ -363,7 +363,7 @@ class TestClassifyValidatesOnce:
         # One cascade per GQI verdict: the tester's, and the one of the
         # outcomes xi_inverse returns.
         assert calls["cascade"] == 2
-        # The given outcomes, rho (once, in xi_inverse: its rank is the
-        # tester verdict's) and the outcomes xi_inverse returns.
+        # The given outcomes, rho (once, in xi_inverse: its rank is read
+        # from eigvalsh) and the outcomes xi_inverse returns.
         assert calls["eigh"] == [(2, 4, 4), (2, 2), (2, 4, 4)]
         assert calls["eigvalsh"] == [(2, 2)]

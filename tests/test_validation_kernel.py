@@ -176,9 +176,9 @@ def test_rho_is_the_former_normalization():
     count = 0
     for t in suite_testers():
         rho, residual = oracle_tester_normalization(t)
-        checks = testers.tester_verdict(t)
-        assert same_bits(checks.rho, rho)
-        assert checks.verdict.comb_verdict.level_residuals[0] == residual
+        checks = gqi.is_valid_gqi(t).comb_verdict
+        assert same_bits(checks.reduced[0], rho)
+        assert checks.level_residuals[0] == residual
         got_rho, got_residual = oracles.tester_normalization(t)
         assert same_bits(got_rho, rho)
         assert got_residual == residual
@@ -205,7 +205,7 @@ def oracle_stack_psd(w, pol):
 
 
 def oracle_tester_rank(w, pol):
-    """``tester_verdict`` on ascending eigenvalues."""
+    """The support rank of rho in ``testers`` on ascending eigenvalues."""
     w = np.sort(w)
     cutoff = pol.supp_tol(w.size, float(w[-1]))
     return int(np.count_nonzero(w > cutoff))
