@@ -49,12 +49,11 @@ def kraus_to_choi(kraus) -> np.ndarray:
     return out
 
 
-def _kraus_from_eig(eig: linalg.EigenDecomposition, d1: int, d0: int, pol: TolerancePolicy) -> list:
-    """sqrt(lambda_m) unvec(v_m) over the eigenpairs above the support cutoff."""
-    return [
-        math.sqrt(eig.values[m]) * unvec_op(eig.vectors[:, m], d1, d0)
-        for m in range(eig.support_ranks(pol))
-    ]
+def _kraus_stack(eig: linalg.EigenDecomposition, d1: int, d0: int, pol: TolerancePolicy) -> np.ndarray:
+    """sqrt(lambda_m) unvec(v_m) over the r eigenpairs above the support
+    cutoff, as a stack (r, d1, d0)."""
+    r = eig.support_ranks(pol)
+    return np.sqrt(eig.values[:r])[:, None, None] * eig.vectors[:, :r].T.reshape(r, d1, d0)
 
 
 def choi_to_kraus(choi: np.ndarray, d1: int, d0: int, pol: TolerancePolicy = DEFAULT_TOL) -> list:
@@ -62,7 +61,7 @@ def choi_to_kraus(choi: np.ndarray, d1: int, d0: int, pol: TolerancePolicy = DEF
     eig = linalg.hermitian_eig(choi, pol)
     if not pol.psd(eig.values):
         raise NotPositiveError(f"Choi operator has negative eigenvalue {eig.values[-1]:.3e}")
-    return _kraus_from_eig(eig, d1, d0, pol)
+    return list(_kraus_stack(eig, d1, d0, pol))
 
 
 def instrument_kraus(ins: Instrument, pol: TolerancePolicy = DEFAULT_TOL) -> list:
@@ -107,14 +106,12 @@ def _validated(obj, pol: TolerancePolicy, validation: gqi_mod.GqiVerdict | None 
     return verdict
 
 
-def _validated_kraus(obj, pol: TolerancePolicy, validation: gqi_mod.GqiVerdict | None = None) -> list:
-    """Per-outcome minimal Kraus lists of a channel or an instrument, from the
-    eigenpairs of its validation."""
-    verdict = _validated(obj, pol, validation)
-    return [
-        _kraus_from_eig(verdict.spectra[i], obj.d1, obj.d0, pol)
-        for i in range(len(verdict.spectra.values))
-    ]
+def _kraus_products(kraus: np.ndarray) -> np.ndarray:
+    """The r^2 products K_m^dagger K_n of a Kraus stack (r, d1, d0), m-major,
+    from one broadcast ``matmul``: (r^2, d0, d0)."""
+    k = np.asarray(kraus)
+    r, _, d0 = k.shape
+    return (k.conj().transpose(0, 2, 1)[:, None] @ k[None]).reshape(r * r, d0, d0)
 
 
 def instrument_extremal(
@@ -123,10 +120,12 @@ def instrument_extremal(
     """Kraus-product criterion: the pooled per-outcome families
     {K_m^(i)dagger K_n^(i)} must be linearly independent.  ``validation`` is
     the caller's :func:`gqi.is_valid_gqi` verdict on the instrument at
-    ``pol``, when it has one."""
-    products = []
-    for ks in _validated_kraus(ins, pol, validation):
-        products.extend(km.conj().T @ kn for km in ks for kn in ks)
+    ``pol``, when it has one; each outcome's minimal Kraus stack comes from
+    its eigenpairs."""
+    spectra = _validated(ins, pol, validation).spectra
+    products = np.concatenate(
+        [_kraus_products(_kraus_stack(spectra[i], ins.d1, ins.d0, pol)) for i in range(len(spectra.values))]
+    )
     return linalg.complex_family_rank(products, pol) == len(products)
 
 

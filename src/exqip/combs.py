@@ -18,6 +18,7 @@ whose outcome is the comb operator.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -58,6 +59,17 @@ class CombSignature:
     @property
     def odd_product(self) -> int:
         return math.prod(self.dims[1::2]) if self.dims else 1
+
+    @functools.cached_property
+    def levels(self) -> tuple:
+        """Per level n, from the last tooth down: (top, odd, even, low), the
+        dimensions of the spaces above 2n-1, of the odd space 2n-1, of the
+        even space 2n-2 and of the spaces below it."""
+        dims = self.dims
+        return tuple(
+            (math.prod(dims[2 * n :]), dims[2 * n - 1], dims[2 * n - 2], math.prod(dims[: 2 * n - 2]))
+            for n in range(self.n, 0, -1)
+        )
 
     def truncated(self, level: int) -> "CombSignature":
         """Signature of the reduced comb R^(level)."""
@@ -138,24 +150,36 @@ def central_comb(sig: CombSignature) -> DeterministicComb:
     return DeterministicComb(signature=sig, operator=op)
 
 
-def _cascade(r: np.ndarray, sig: CombSignature, tol: float, positive: bool) -> CombVerdict:
-    """The comb verdict on the Hermitian ``r`` = R^(N): ``positive``, as the
-    caller decided it, and every cascade residual at most ``tol``.
+def _cascade(r: np.ndarray, sig: CombSignature, tol: float, positive) -> list:
+    """The comb verdicts on a stack ``r`` (k, D, D) of Hermitian R^(N): one
+    per operator, ``ok`` when its entry of ``positive``, as the caller
+    decided it, holds and every cascade residual is at most ``tol``.
 
     Per level n, R^(n) is a tensor on (odd, even, low) x (odd, even, low), the
     spaces 2n-1, 2n-2 and those below; R^(n-1) = Tr_odd Tr_even R^(n) / d_even,
     the even space traced first, and the residual is
     |Tr_odd R^(n) - I_even (x) R^(n-1)|_max, with R^(0) = 1 in the last one,
-    all on the tensor axes."""
+    all on the tensor axes.  Each operator's verdict is the same to the bit
+    as from a stack of its own."""
     residuals, reduced, current = [], [], r
-    for n, (_, odd, even, low) in zip(range(sig.n, 0, -1), _levels(sig)):
-        t = current.reshape(odd, even, low, odd, even, low)
-        lhs = t.trace(axis1=0, axis2=3)
-        current = t.trace(axis1=1, axis2=4).trace(axis1=0, axis2=2) / even
-        below = current if n > 1 else np.ones((1, 1))
-        residuals.append(linalg.max_abs(lhs - np.eye(even)[:, None, :, None] * below[:, None]))
+    k = len(r)
+    for n, (_, odd, even, low) in zip(range(sig.n, 0, -1), sig.levels):
+        t = current.reshape(k, odd, even, low, odd, even, low)
+        lhs = t.trace(axis1=1, axis2=4)
+        current = t.trace(axis1=2, axis2=5).trace(axis1=1, axis2=3) / even
+        eye = np.eye(even)[:, None, :, None]
+        # R^(0) = 1, and I (x) 1 is I to the bit.
+        gap = lhs - (eye * current[:, None, :, None, :] if n > 1 else eye)
+        residuals.append(np.abs(gap).reshape(k, -1).max(axis=1).tolist())
         reduced.append(current)
-    return CombVerdict(positive and all(res <= tol for res in residuals), tuple(residuals), tuple(reduced))
+    return [
+        CombVerdict(
+            bool(positive[j]) and all(res[j] <= tol for res in residuals),
+            tuple(res[j] for res in residuals),
+            tuple(op[j] for op in reduced),
+        )
+        for j in range(k)
+    ]
 
 
 def is_deterministic_comb(
@@ -171,7 +195,8 @@ def is_deterministic_comb(
         raise DimensionMismatchError(
             f"operator dimension {r.shape[0]} != signature total {sig.total_dim}"
         )
-    return _cascade(r, sig, pol.eps_comb if tol is None else tol, bool(pol.psd(np.linalg.eigvalsh(r))))
+    positive = pol.psd(np.linalg.eigvalsh(r))
+    return _cascade(r[None], sig, pol.eps_comb if tol is None else tol, [positive])[0]
 
 
 def reduced_comb(
@@ -191,15 +216,6 @@ def reduced_comb(
     return DeterministicComb(signature=sig.truncated(level), operator=op)
 
 
-def _levels(sig: CombSignature):
-    """Per level n, from the last tooth down: (top, odd, even, low), the
-    dimensions of the spaces above 2n-1, of the odd space 2n-1, of the even
-    space 2n-2 and of the spaces below it."""
-    dims = sig.dims
-    for n in range(sig.n, 0, -1):
-        yield math.prod(dims[2 * n :]), dims[2 * n - 1], dims[2 * n - 2], math.prod(dims[: 2 * n - 2])
-
-
 def comb_variable_count(sig: CombSignature) -> int:
     """|V|, the number of variable directions of the deterministic-comb
     family: per level, the traceless operators on the odd (output) space
@@ -207,7 +223,7 @@ def comb_variable_count(sig: CombSignature) -> int:
     identity above.  Adding any combination of them to a comb preserves the
     normalization cascade exactly; only positivity can fail.  V is never
     built."""
-    return sum((odd * odd - 1) * (even * low) ** 2 for _, odd, even, low in _levels(sig))
+    return sum((odd * odd - 1) * (even * low) ** 2 for _, odd, even, low in sig.levels)
 
 
 def comb_forbidden_directions(sig: CombSignature) -> list:
@@ -218,7 +234,7 @@ def comb_forbidden_directions(sig: CombSignature) -> list:
     variable directions V (see :func:`comb_variable_count`).
     """
     out = []
-    for top, odd, even, low in _levels(sig):
+    for top, odd, even, low in sig.levels:
         eye_top = np.eye(top * odd, dtype=complex) / math.sqrt(top * odd)
         for e in linalg.traceless_hermitian_basis(even):
             for f in linalg.hermitian_basis(low):
@@ -234,8 +250,20 @@ def _traceless_part(y: np.ndarray, even: int, low: int) -> np.ndarray:
     return y - np.einsum("ef,kij->keifj", eye, t).reshape(y.shape)
 
 
+def level_operators(u: np.ndarray, sig: CombSignature) -> list:
+    """Y_n = Tr_{spaces >= 2n-1} q_j / sqrt(top_n) of every support basis
+    element q_j of span(u) (:func:`linalg.support_operators` order), one
+    stack per level n with a nontrivial even space, from one
+    :func:`linalg.support_operators` call each.  ``u`` is (..., D, r)."""
+    return [
+        linalg.support_operators(u, top * odd) / math.sqrt(top * odd)
+        for top, odd, even, _ in sig.levels
+        if even > 1
+    ]
+
+
 def complement_coordinates(
-    u: np.ndarray, sig: CombSignature, start: int = 0, stop: int | None = None
+    u: np.ndarray, sig: CombSignature, start: int = 0, stop: int | None = None, levels: list | None = None
 ) -> np.ndarray:
     """Support basis of span(u) projected off the comb variable directions.
 
@@ -249,18 +277,21 @@ def complement_coordinates(
     traceless on space 2n-2.  They come from partial traces of ``u`` alone:
     no D^2-long operator is built.
     Levels with a trivial even space contribute nothing and are skipped.
-    Only the rows ``start`` to ``stop`` (by default all r^2) are built.
+    Only the rows ``start`` to ``stop`` (by default all r^2) are made
+    coordinates, from ``levels``, the :func:`level_operators` of ``u``, when
+    the caller has them; each row is the same to the bit as in the whole
+    stack.  A stack ``u`` (..., D, r) gives (..., rows, n).
     """
-    r = u.shape[1]
-    trace = np.zeros((r * r, 1))
-    trace[:r] = 1.0 / math.sqrt(sig.total_dim)
-    cols = [trace[start:stop]]
-    for top, odd, even, low in _levels(sig):
-        if even == 1:
-            continue
-        y = linalg.support_operators(u, top * odd, start, stop) / math.sqrt(top * odd)
-        cols.append(linalg.vectorize_hermitian(_traceless_part(y, even, low)))
-    return np.hstack(cols)
+    *lead, _, r = u.shape
+    if levels is None:
+        levels = level_operators(u, sig)
+    trace = np.zeros((*lead, r * r, 1))
+    trace[..., :r, :] = 1.0 / math.sqrt(sig.total_dim)
+    cols = [trace[..., start:stop, :]]
+    shapes = [(even, low) for _, _, even, low in sig.levels if even > 1]
+    for y, (even, low) in zip(levels, shapes):
+        cols.append(linalg.vectorize_hermitian(_traceless_part(y[..., start:stop, :, :], even, low)))
+    return np.concatenate(cols, axis=-1)
 
 
 def forbidden_part(op: np.ndarray, sig: CombSignature) -> np.ndarray:
@@ -268,7 +299,7 @@ def forbidden_part(op: np.ndarray, sig: CombSignature) -> np.ndarray:
     forbidden directions, by trace-and-replace on each level."""
     dim = sig.total_dim
     out = np.trace(op) / dim * np.eye(dim, dtype=complex)
-    for top, odd, even, low in _levels(sig):
+    for top, odd, even, low in sig.levels:
         y = linalg.partial_trace(op, (top * odd, even * low), {0})
         y = _traceless_part(y[None], even, low)[0]
         out = out + linalg.kron(np.eye(top * odd, dtype=complex) / (top * odd), y)

@@ -27,6 +27,14 @@ read only those two fields, and the last two build their results with
 :meth:`Gqi.from_view` of the input's class, so that they keep its kind.  The
 kinds live here beside the GQI core, so that reading and deciding any kind
 needs no module of the kind-specific criteria.
+
+A population is decided in stacked passes (README, "Deciding a
+population"): :func:`validate_all` groups objects by signature and outcome
+shapes and :func:`decide_all` by signature and support ranks, and each
+stage runs once per group on a stack with a leading axis.  Each result is
+the same to the bit as the object's own call, because
+:func:`is_valid_gqi` and :func:`is_extremal` are that code on a stack of
+one.
 """
 
 from __future__ import annotations
@@ -38,7 +46,7 @@ import numpy as np
 
 from . import combs, linalg
 from .combs import CombSignature, Gqi, _shape_error
-from .errors import DimensionMismatchError, ExtremalInputError, SizeLimitError, ValidationError
+from .errors import DimensionMismatchError, ExqipError, ExtremalInputError, SizeLimitError, ValidationError
 from .linalg import DEFAULT_TOL, TolerancePolicy
 
 
@@ -147,6 +155,21 @@ class ExtremalityCertificate:
         return "extremal" if self.extremal else "not_extremal"
 
 
+def validate_all(objects, pol: TolerancePolicy = DEFAULT_TOL) -> list:
+    """:func:`is_valid_gqi` of every object, decided in stacked passes: one
+    per group of objects with the same signature and outcome shapes (README,
+    "Deciding a population").  Each verdict is the same to the bit as the
+    object's own call.  An invalid object gets a verdict with ``ok`` false.
+    An object that :func:`is_valid_gqi` would raise for (a non-Hermitian or
+    non-finite outcome, a wrong shape, no outcome) raises that error for the
+    first such object, its index in ``objects`` leading the message."""
+    objects = list(objects)
+    return _grouped(
+        [(g.signature, tuple(t.shape for t in g.outcomes)) for g in objects],
+        lambda members: _validate_stack([objects[i] for i in members], pol),
+    )
+
+
 def is_valid_gqi(g: Gqi, pol: TolerancePolicy = DEFAULT_TOL) -> GqiVerdict:
     """Accept iff every outcome is PSD and the sum is a deterministic comb.
     ``g`` is a :class:`Gqi` or any object kind; only its ``signature`` and
@@ -156,23 +179,72 @@ def is_valid_gqi(g: Gqi, pol: TolerancePolicy = DEFAULT_TOL) -> GqiVerdict:
     Hermiticity check, one batched ``eigh``.  An outcome of the wrong shape
     raises after the Hermiticity check of the outcomes before it.  The sum,
     positive because the outcomes are, is symmetrized and goes through the
-    cascade alone (README, "Conventions").
+    cascade alone (README, "Conventions").  This is the stacked pass of
+    :func:`validate_all` on ``g`` alone.
     """
-    outcomes = g.outcomes
-    if len(outcomes) < 1:
+    return _validate_stack([g], pol)[0]
+
+
+def _validate_stack(gs: list, pol: TolerancePolicy) -> list:
+    """The verdicts on K GQIs of one signature and one list of outcome
+    shapes, from one Hermiticity check, one ``eigh`` of the (K M, D, D)
+    stack and one cascade pass of the K sums."""
+    first = gs[0]
+    m = len(first.outcomes)
+    if m < 1:
         raise ValidationError("a GQI needs at least one outcome")
-    total = g.signature.total_dim
-    shaped = next(
-        (i for i, t in enumerate(outcomes) if t.shape != (total, total)), len(outcomes)
-    )
-    h = linalg.check_hermitian_stack(np.reshape(outcomes[:shaped], (shaped, total, total)), pol)
-    if shaped < len(outcomes):
-        raise _shape_error(outcomes[shaped], total)
+    total = first.signature.total_dim
+    shaped = next((i for i, t in enumerate(first.outcomes) if t.shape != (total, total)), m)
+    x = np.array([g.outcomes[:shaped] for g in gs])
+    h = linalg.check_hermitian_stack(x.reshape(len(gs) * shaped, total, total), pol)
+    if shaped < m:
+        raise _shape_error(first.outcomes[shaped], total)
     spectra = linalg.hermitian_eigs(h)
-    w = spectra.values
-    s = sum(outcomes)
-    comb_verdict = combs._cascade((s + s.conj().T) / 2, g.signature, pol.eps_comb, bool(np.all(pol.psd(w))))
-    return GqiVerdict(comb_verdict.ok, tuple(w[:, -1].tolist()), comb_verdict, spectra)
+    w = spectra.values.reshape(len(gs), m, total)
+    v = spectra.vectors.reshape(len(gs), m, total, total)
+    # Summed in the order of sum(outcomes), so that each sum is its own call's to the bit.
+    s = sum(x[:, i] for i in range(m))
+    comb_verdicts = combs._cascade(
+        (s + s.conj().transpose(0, 2, 1)) / 2, first.signature, pol.eps_comb, pol.psd(w).all(axis=1)
+    )
+    return [
+        GqiVerdict(cv.ok, tuple(w[j, :, -1].tolist()), cv, linalg.EigenDecomposition(w[j], v[j]))
+        for j, cv in enumerate(comb_verdicts)
+    ]
+
+
+def _grouped(keys: list, run) -> list:
+    """One result per member: ``run(indices)`` decides the members at
+    ``indices``, which share a key, as one stack and returns their results
+    in order.
+
+    When a group raises an :class:`ExqipError`, its members are decided one
+    at a time, in order, and the first that raises is the group's fault.  The
+    fault of the lowest member index over all groups is raised again with
+    that index leading its message, so no member is passed over."""
+    groups = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    out, faults = [None] * len(keys), []
+    for members in groups.values():
+        try:
+            results = run(members)
+        except ExqipError as err:
+            for i in members if len(members) > 1 else ():
+                try:
+                    run([i])
+                except ExqipError as alone:
+                    faults.append((i, alone))
+                    break
+            else:
+                faults.append((members[0], err))
+            continue
+        for i, result in zip(members, results):
+            out[i] = result
+    if faults:
+        i, err = min(faults, key=lambda fault: fault[0])
+        raise type(err)(f"member {i}: {err}") from err
+    return out
 
 
 def _require_valid(g: Gqi, pol: TolerancePolicy, verdict: GqiVerdict | None = None) -> GqiVerdict:
@@ -214,14 +286,14 @@ def _margin(dim: int, pol: TolerancePolicy) -> float:
     return 0.5 * pol.supp_tol(dim, 1.0)
 
 
-def _allowance(values) -> float:
+def _allowance(values):
     """The rounding allowance a = 2 D eps_machine max(1, |w|_max) of the
     epsilon* step, for the eigenvalues ``values`` (M x D) of the outcomes:
     the step keeps T_i +/- epsilon* D_i at least a inside the margin, to
     cover the rounding of the eigenvalues :func:`perturbation_slack`
-    computes."""
+    computes.  A stack (..., M, D) gives one allowance per GQI."""
     w = np.asarray(values)
-    return 2.0 * w.shape[-1] * np.finfo(float).eps * max(1.0, float(np.abs(w).max()))
+    return 2.0 * w.shape[-1] * np.finfo(float).eps * np.maximum(1.0, np.abs(w).max(axis=(-2, -1)))
 
 
 def max_perturbation_step(
@@ -229,7 +301,7 @@ def max_perturbation_step(
     directions,
     pol: TolerancePolicy = DEFAULT_TOL,
     spectra: linalg.EigenDecomposition | None = None,
-) -> float:
+):
     """Largest epsilon with every T_i +/- epsilon D_i PSD within the working
     margin, in closed form (README, "The epsilon* step").
 
@@ -251,27 +323,42 @@ def max_perturbation_step(
     The eigenvalues outside the columns used, which D_i does not touch,
     decide only whether any epsilon is feasible: the step is 0 when one of
     them has w + c <= 0, or one inside has w + c - a <= 0.
+
+    Outcomes and directions (M, D, D) give a float.  A stack (K, M, D, D) of
+    K GQIs, with spectra of the same stack, gives the K steps as an array
+    from one ``eigvalsh`` of all their blocks, each the same to the bit as
+    its own call when the GQIs share the largest support rank k.
     """
-    t = np.asarray(outcomes, dtype=complex)
     d = np.asarray(directions, dtype=complex)
-    if not np.abs(d).max(initial=0.0) >= 1e-300:
+    lead = d.shape[:-3]
+    d = d.reshape(-1, *d.shape[-3:])
+    if not np.abs(d).max(axis=(1, 2, 3), initial=0.0).min() >= 1e-300:
         raise ValidationError("all perturbation directions vanish")
     if spectra is None:
-        w, v = np.linalg.eigh(t)
-        ranks = np.full(len(w), w.shape[-1])
+        w, v = np.linalg.eigh(np.asarray(outcomes, dtype=complex))
     else:
         w, v = spectra.values, spectra.vectors
-        ranks = pol.support_rank(w)
+    dim = w.shape[-1]
+    w = w.reshape(len(d), -1, dim)
+    ranks = np.full(w.shape[:-1], dim) if spectra is None else pol.support_rank(w)
     k = int(ranks.max())
-    used = np.arange(w.shape[-1]) < ranks[:, None]
-    shifted = w + _margin(w.shape[-1], pol) - np.where(used, _allowance(w), 0.0)
-    if shifted.min() <= 0.0:
-        return 0.0
-    s = v[..., :k] / np.sqrt(np.where(used, shifted, np.inf))[:, None, :k]
-    norm = float(np.abs(np.linalg.eigvalsh(s.conj().transpose(0, 2, 1) @ d @ s)).max(initial=0.0))
-    if not 0.0 < norm < np.inf:
-        raise ValidationError(f"perturbation directions out of floating-point range (norm {norm})")
-    return 1.0 / norm
+    used = np.arange(dim) < ranks[..., None]
+    # used * a is a where used and 0.0 elsewhere, as a is positive and finite.
+    shifted = w + _margin(dim, pol) - used * _allowance(w)[:, None, None]
+    feasible = [j for j, low in enumerate(shifted.min(axis=(1, 2)).tolist()) if low > 0.0]
+    step = [0.0] * len(d)
+    if feasible:
+        v = v.reshape(len(d), -1, dim, dim)
+        if len(feasible) < len(d):
+            v, used, shifted, d = v[feasible], used[feasible], shifted[feasible], d[feasible]
+        s = v[..., :k] / np.sqrt(np.where(used, shifted, np.inf))[:, :, None, :k]
+        blocks = s.conj().transpose(0, 1, 3, 2) @ d @ s
+        norms = np.abs(np.linalg.eigvalsh(blocks.reshape(-1, k, k))).reshape(len(d), -1).max(axis=1, initial=0.0)
+        for j, norm in zip(feasible, norms.tolist()):
+            if not 0.0 < norm < np.inf:
+                raise ValidationError(f"perturbation directions out of floating-point range (norm {norm})")
+            step[j] = 1.0 / norm
+    return step[0] if lead == () else np.reshape(step, lead)
 
 
 # Largest estimated peak of the rank stage, in bytes, that is attempted
@@ -295,7 +382,7 @@ def rank_stage_bytes(sig: CombSignature, support_ranks) -> int:
       SVD workspace.
     """
     d = sig.total_dim
-    reduced = [even * low for _, _, even, low in combs._levels(sig) if even > 1]
+    reduced = [even * low for _, _, even, low in sig.levels if even > 1]
     n = 1 + sum(c * c for c in reduced)
     m = sum(r * r for r in support_ranks)
     h = min(m, d * d - combs.comb_variable_count(sig) + 1)
@@ -305,29 +392,35 @@ def rank_stage_bytes(sig: CombSignature, support_ranks) -> int:
     return 64 * r * r * c * c + 24 * m * n + 8 * (h * n + h * h + k * n + 4 * k * k)
 
 
-def _rank_test(sig: CombSignature, supports, n_known: int, bound: float, pol: TolerancePolicy):
-    """The pooled rank decision on the support bases projected off V, given
-    the support vectors of each outcome, |V| and ``bound``, the cutoff taken
-    at sigma_max = sqrt(M) (see :func:`is_extremal`).
+def _rank_test(sig: CombSignature, supports, n_known: int, bound: float, pol: TolerancePolicy) -> list:
+    """The pooled rank decisions on the support bases projected off V of K
+    GQIs with the same signature and support ranks, given per outcome the
+    stack (K, D, r_i) of their support vectors, |V| and ``bound``, the cutoff
+    taken at sigma_max = sqrt(M) (see :func:`is_extremal`).
 
-    Returns (rank, c, margin).  The null vector c, a unit coefficient vector
-    over the m = sum r_i^2 rows, is present exactly when the rows are
-    dependent; the margin, the smallest singular value of the rows, exactly
-    when they are independent and m > 0.
+    Returns one (rank, c, margin) per GQI.  The null vector c, a unit
+    coefficient vector over the m = sum r_i^2 rows, is present exactly when
+    the rows are dependent; the margin, the smallest singular value of the
+    rows, exactly when they are independent and m > 0.  Each is the same to
+    the bit as from a stack of its own: every step below runs on the stack
+    with a leading axis, and numpy's stacked SVD and products run one LAPACK
+    or BLAS call per matrix.
 
     An input whose estimated peak (:func:`rank_stage_bytes`) exceeds
     ``RANK_STAGE_BUDGET`` raises :class:`SizeLimitError` before any row is
-    built.  The rows are built outcome by outcome (:func:`_coordinate_blocks`)
-    and only as far as the decision needs.  They span at most
-    span = min(D^2 - |V|, n) dimensions of their n coordinates.
+    built.  The rows are built outcome by outcome and only as far as the
+    decision needs.  They span at most span = D^2 - |V| dimensions of their
+    n >= span coordinates.
 
     Head first: when m > span, the first span + 1 rows (the head) are
-    decomposed first, with U.  If the head has span singular values above
-    ``bound``, the pooled rank is span + |V| and the remaining rows are never
-    built (README, "Head-first rank"): each outcome's rows are a projected
-    orthonormal family, of spectral norm at most 1, so sqrt(M) bounds
-    sigma_max of the stack.  Otherwise the rank comes from the values-only
-    SVD of all the rows at the pooled cutoff
+    decomposed first, with U.  A GQI whose head has span singular values
+    above ``bound`` has the pooled rank span + |V|, and its remaining rows
+    are never built (README, "Head-first rank"): each outcome's rows are a
+    projected orthonormal family, of spectral norm at most 1, so sqrt(M)
+    bounds sigma_max of the stack.  The outcome whose rows straddle the head
+    has its partial traces taken once (:func:`combs.level_operators`), and
+    its rows past the head come from them.  Every other GQI takes its rank
+    from the values-only SVD of all its rows at the pooled cutoff
 
         tau = max(m + |V|, D^2) * sigma * eps_rel,
 
@@ -338,7 +431,7 @@ def _rank_test(sig: CombSignature, supports, n_known: int, bound: float, pol: To
     rows than columns (n = span, as on (1, d)): the thin U would hold only
     vectors of nonzero singular values.
     """
-    ranks = [u.shape[1] for u in supports]
+    ranks = [u.shape[-1] for u in supports]
     need = rank_stage_bytes(sig, ranks)
     if need > RANK_STAGE_BUDGET:
         raise SizeLimitError(
@@ -346,52 +439,71 @@ def _rank_test(sig: CombSignature, supports, n_known: int, bound: float, pol: To
             f"needs about {need:,} bytes, above the budget of {RANK_STAGE_BUDGET:,} bytes"
         )
     ambient = sig.total_dim ** 2
+    span = ambient - n_known
     m = sum(r * r for r in ranks)
-    blocks = _coordinate_blocks(supports, sig, ambient - n_known + 1)
-    built = [next(blocks)]
-    n = built[0].shape[1]
-    span = min(ambient - n_known, n)
-
-    def head_svd(x):
-        head = x[: span + 1]
-        return np.linalg.svd(head, full_matrices=head.shape[0] > n)[:2]
-
-    u, rank = None, span
+    head = span + 1 if m > span else m
+    first, rest, start = [], [], 0
+    for v, r in zip(supports, ranks):
+        if start + r * r <= head:
+            first.append(combs.complement_coordinates(v, sig))
+        elif start < head:
+            levels = combs.level_operators(v, sig)
+            first.append(combs.complement_coordinates(v, sig, 0, head - start, levels))
+            rest.append((v, head - start, levels))
+        else:
+            rest.append((v, 0, None))
+        start += r * r
+    x = first[0] if len(first) == 1 else np.concatenate(first, axis=-2)
+    del first
+    n = x.shape[-1]
+    out = [None] * len(x)
+    todo, u = list(range(len(x))), None
     if m > span:
-        while sum(b.shape[0] for b in built) <= span:
-            built.append(next(blocks))
-        u, s = head_svd(np.vstack(built))
-    if u is None or np.count_nonzero(s > bound) < span:
-        built.extend(blocks)
-        x = built[0] if len(built) == 1 else np.vstack(built)
-        del built
-        s = np.linalg.svd(x, compute_uv=False)
-        sigma = max(1.0 if n_known else 0.0, float(s[0]) if s.size else 0.0)
-        rank = int(np.count_nonzero(s > pol.rank_tol(m + n_known, ambient, sigma)))
+        u, s = np.linalg.svd(x, full_matrices=head > n)[:2]
+        exits = ((s > bound).sum(axis=-1) >= span).tolist()
+        for j in todo:
+            if exits[j]:
+                out[j] = (span + n_known, _null_vector(u[j], m), None)
+        todo = [j for j in todo if not exits[j]]
+    if not todo:
+        return out
+    # Only the head path leaves some members behind, so u is set then.
+    sel = slice(None)
+    if len(todo) < len(x):
+        sel = todo
+        x, u = x[sel], u[sel]
+    if rest:
+        blocks = [x]
+        for v, row, levels in rest:
+            levels = None if levels is None else [y[sel] for y in levels]
+            blocks.append(combs.complement_coordinates(v[sel], sig, row, None, levels))
+        x = np.concatenate(blocks, axis=-2)
+        del blocks, rest, levels
+    dependent = []
+    for pos, (j, sj) in enumerate(zip(todo, np.linalg.svd(x, compute_uv=False))):
+        sigma = max(1.0 if n_known else 0.0, float(sj[0]) if sj.size else 0.0)
+        rank = int(np.count_nonzero(sj > pol.rank_tol(m + n_known, ambient, sigma)))
         if rank == m:
-            return rank + n_known, None, float(s[-1]) if s.size else None
-        if u is None:
-            u, _ = head_svd(x)
+            out[j] = (rank + n_known, None, float(sj[-1]) if sj.size else None)
+        else:
+            dependent.append((pos, j, rank))
+    if dependent and u is None:
+        rows = [pos for pos, _, _ in dependent]
+        heads = x if len(rows) == len(x) else x[rows]
+        u = dict(zip(rows, np.linalg.svd(heads, full_matrices=x.shape[-2] > n)[0]))
+    for pos, j, rank in dependent:
+        out[j] = (rank + n_known, _null_vector(u[pos], m), None)
+    return out
+
+
+def _null_vector(u: np.ndarray, m: int) -> np.ndarray:
+    """The last left singular vector of a head, ``u``, padded to the m rows
+    and oriented so that its largest entry is positive."""
     c = np.zeros(m)
     c[: u.shape[0]] = u[:, -1]
     if c[np.argmax(np.abs(c))] < 0:
         c = -c
-    return rank + n_known, c, None
-
-
-def _coordinate_blocks(supports, sig: CombSignature, head: int):
-    """The projected coordinates of each support in turn, lazily; the rows of
-    the support that completes the first ``head`` rows come in two blocks,
-    split there, so that the head is built without the rest."""
-    start = 0
-    for u in supports:
-        rows = u.shape[1] ** 2
-        if start < head < start + rows:
-            yield combs.complement_coordinates(u, sig, 0, head - start)
-            yield combs.complement_coordinates(u, sig, head - start)
-        else:
-            yield combs.complement_coordinates(u, sig)
-        start += rows
+    return c
 
 
 def _full_support_pair(support_ranks, dim: int, bound: float):
@@ -429,6 +541,42 @@ def identity_exchange_step(values, a: int, b: int, pol: TolerancePolicy = DEFAUL
     if w.min() + c <= 0.0:
         return 0.0
     return max(0.0, float(w[[a, b]].min() + c - _allowance(w)))
+
+
+def decide_all(objects, pol: TolerancePolicy = DEFAULT_TOL, validations=None) -> list:
+    """:func:`is_extremal` of every object, decided in stacked passes (README,
+    "Deciding a population").  ``validations`` are the caller's
+    :func:`validate_all` verdicts on ``objects`` at ``pol``, when it has them.
+
+    The objects are grouped by signature and support ranks, and a group is
+    cut into stacks of K members whose estimated peak, K times
+    :func:`rank_stage_bytes`, stays within ``RANK_STAGE_BUDGET``.  Per stack
+    the full-support exit is taken, or one rank stage runs
+    (:func:`_rank_test`); the witnesses of the dependent members get their
+    epsilon* from one :func:`max_perturbation_step` of the stack.  Each
+    certificate is the same to the bit as the object's own call.  An object
+    that :func:`is_extremal` would raise for, an invalid one included, raises
+    that error for the first such object, its index in ``objects`` leading
+    the message.
+    """
+    objects = list(objects)
+    validations = validate_all(objects, pol) if validations is None else list(validations)
+    if len(validations) != len(objects):
+        raise DimensionMismatchError(f"{len(validations)} validations for {len(objects)} objects")
+    ranks = [_support_ranks(v, pol) for v in validations]
+    sizes, seen, keys = {}, {}, []
+    for g, r in zip(objects, ranks):
+        key = (g.signature, r)
+        if key not in sizes:
+            sizes[key] = max(1, RANK_STAGE_BUDGET // max(1, rank_stage_bytes(*key)))
+        seen[key] = seen.get(key, -1) + 1
+        keys.append((key, seen[key] // sizes[key]))
+    return _grouped(
+        keys,
+        lambda members: _decide_stack(
+            [objects[i] for i in members], [validations[i] for i in members], ranks[members[0]], pol
+        ),
+    )
 
 
 def is_extremal(
@@ -475,53 +623,80 @@ def is_extremal(
     ``validation`` is the caller's :func:`is_valid_gqi` verdict on ``g`` at
     ``pol``, when it has one; otherwise ``g`` is validated here.  Each outcome
     is decomposed once, in validation, and the rank test and epsilon* reuse
-    the eigenpairs.
+    the eigenpairs.  This is the stacked pass of :func:`decide_all` on ``g``
+    alone.
     """
-    spectra = _require_valid(g, pol, validation).spectra
-    supports = [v[:, :r] for v, r in zip(spectra.vectors, spectra.support_ranks(pol))]
-    support_ranks = tuple(u.shape[1] for u in supports)
-    n_known = combs.comb_variable_count(g.signature)
-    dim = g.signature.total_dim
+    validation = _require_valid(g, pol, validation)
+    return _decide_stack([g], [validation], _support_ranks(validation, pol), pol)[0]
+
+
+def _support_ranks(verdict: GqiVerdict, pol: TolerancePolicy) -> tuple:
+    return tuple(verdict.spectra.support_ranks(pol).tolist())
+
+
+def _decide_stack(gs: list, verdicts: list, support_ranks: tuple, pol: TolerancePolicy) -> list:
+    """The certificates of K valid GQIs with the same signature and support
+    ranks (see :func:`is_extremal`)."""
+    for g, verdict in zip(gs, verdicts):
+        _require_valid(g, pol, verdict)
+    sig = gs[0].signature
+    n_known = combs.comb_variable_count(sig)
+    dim = sig.total_dim
     family_size = sum(r * r for r in support_ranks) + n_known
     # The cutoff at sigma_max <= sqrt(M), shared by both exits.
-    bound = pol.rank_tol(family_size, dim * dim, math.sqrt(len(supports)))
-    directions = None
-    step = None
-    margin = None
+    bound = pol.rank_tol(family_size, dim * dim, math.sqrt(len(support_ranks)))
+    values = np.array([v.spectra.values for v in verdicts])
+    steps = None
     pair = _full_support_pair(support_ranks, dim, bound)
     if pair is not None:
         a, b = pair
-        rank = dim * dim
-        directions = [np.zeros((dim, dim), dtype=complex) for _ in g.outcomes]
+        decided = [(dim * dim, None, None)] * len(gs)
+        dependent = range(len(gs))
+        directions = [np.zeros((len(gs), dim, dim), dtype=complex) for _ in support_ranks]
         if support_ranks[b] == dim:
-            p = np.eye(dim, dtype=complex)
-            step = identity_exchange_step(spectra.values, a, b, pol)
+            p = np.eye(dim, dtype=complex)[None].repeat(len(gs), axis=0)
+            steps = [identity_exchange_step(w, a, b, pol) for w in values]
         else:
-            p = supports[b] @ supports[b].conj().T
+            vectors = np.array([v.spectra.vectors for v in verdicts])
+            u = vectors[:, b, :, : support_ranks[b]]
+            p = u @ u.conj().transpose(0, 2, 1)
         directions[a], directions[b] = -p, p
     else:
-        rank, c, margin = _rank_test(g.signature, supports, n_known, bound, pol)
-        if c is not None:
-            directions = []
-            pos = 0
+        vectors = np.array([v.spectra.vectors for v in verdicts])
+        supports = [vectors[:, i, :, :r] for i, r in enumerate(support_ranks)]
+        decided = _rank_test(sig, supports, n_known, bound, pol)
+        dependent = [j for j, (_, c, _) in enumerate(decided) if c is not None]
+        if dependent:
+            c = np.array([decided[j][1] for j in dependent])
+            if len(dependent) < len(gs):
+                values, vectors = values[dependent], vectors[dependent]
+                supports = [u[dependent] for u in supports]
+            directions, pos = [], 0
             for u, r in zip(supports, support_ranks):
-                h = linalg.unvectorize_hermitian(c[pos : pos + r * r], r)
-                directions.append(u @ h @ u.conj().T)
+                h = linalg.unvectorize_hermitian(c[:, pos : pos + r * r], r)
+                directions.append(u @ h @ u.conj().transpose(0, 2, 1))
                 pos += r * r
-    perturbation = None
-    if directions is not None:
-        if step is None:
-            step = max_perturbation_step(g.outcomes, directions, pol, spectra)
-        perturbation = Perturbation(directions=tuple(directions), delta=sum(directions), epsilon_star=step)
-    return ExtremalityCertificate(
-        extremal=perturbation is None,
-        family_size=family_size,
-        rank=rank,
-        support_ranks=support_ranks,
-        normalization_basis_size=n_known,
-        perturbation=perturbation,
-        margin=margin,
-    )
+    perturbations = [None] * len(gs)
+    if dependent:
+        witnesses = [tuple(d[pos] for d in directions) for pos in range(len(dependent))]
+        if steps is None:
+            steps = max_perturbation_step(
+                [gs[j].outcomes for j in dependent], witnesses, pol, linalg.EigenDecomposition(values, vectors)
+            )
+        for j, d, step in zip(dependent, witnesses, steps):
+            perturbations[j] = Perturbation(directions=d, delta=sum(d), epsilon_star=float(step))
+    return [
+        ExtremalityCertificate(
+            extremal=perturbation is None,
+            family_size=family_size,
+            rank=rank,
+            support_ranks=support_ranks,
+            normalization_basis_size=n_known,
+            perturbation=perturbation,
+            margin=margin,
+        )
+        for (rank, _, margin), perturbation in zip(decided, perturbations)
+    ]
 
 
 def decompose_step(

@@ -66,7 +66,7 @@ class TolerancePolicy:
         """The support rule for rank: the eigenvalues above supp_tol(d,
         lambda_max), counted along the last axis of ``w`` as in :meth:`psd`."""
         tau = self.supp_tol(w.shape[-1], w.max(axis=-1, keepdims=True, initial=-np.inf))
-        return np.count_nonzero(w > tau, axis=-1)
+        return (w > tau).sum(axis=-1)
 
 
 DEFAULT_TOL = TolerancePolicy()
@@ -122,11 +122,11 @@ def check_hermitian_stack(a: np.ndarray, pol: TolerancePolicy = DEFAULT_TOL) -> 
     scale = np.abs(a).max(axis=(-2, -1), initial=0.0)
     finite = np.isfinite(scale)
     k = len(a) if finite.all() else int(np.argmin(finite))
-    adjoint = np.swapaxes(a.conj(), -2, -1)
+    adjoint = a.conj().transpose(0, 2, 1)
     dev = np.abs(a[:k] - adjoint[:k]).max(axis=(-2, -1), initial=0.0)
-    bad = np.flatnonzero(dev > pol.herm_tols(scale[:k]))
-    if bad.size:
-        raise NotHermitianError(f"not Hermitian: |A - A^dagger|_max = {dev[bad[0]]:.3e}")
+    bad = dev > pol.herm_tols(scale[:k])
+    if bad.any():
+        raise NotHermitianError(f"not Hermitian: |A - A^dagger|_max = {dev[bad.argmax()]:.3e}")
     if k < len(a):
         raise NotHermitianError("matrix contains non-finite entries")
     return (a + adjoint) / 2
@@ -185,11 +185,12 @@ def eig_sqrt(eig: EigenDecomposition) -> np.ndarray:
 
 
 def complex_family_rank(mats, pol: TolerancePolicy = DEFAULT_TOL) -> int:
-    """Rank over the complex field of a family of matrices of equal shape."""
-    rows = [np.asarray(m, dtype=complex).ravel() for m in mats]
-    if not rows:
+    """Rank over the complex field of a family of matrices of equal shape,
+    given as a sequence or as one stack (k, a, b)."""
+    x = np.asarray(mats, dtype=complex)
+    if len(x) == 0:
         return 0
-    x = np.vstack(rows)
+    x = x.reshape(len(x), -1)
     s = np.linalg.svd(x, compute_uv=False)
     tau = pol.rank_tol(*x.shape, float(s[0]) if s.size else 0.0)
     return int(np.count_nonzero(s > tau))
@@ -225,22 +226,24 @@ def vectorize_hermitian(a: np.ndarray) -> np.ndarray:
 
 
 def unvectorize_hermitian(v: np.ndarray, d: int) -> np.ndarray:
-    """Inverse of :func:`vectorize_hermitian`."""
+    """Inverse of :func:`vectorize_hermitian`: a vector of length d^2 to a
+    d x d operator, or a stack (..., d^2) to (..., d, d)."""
     v = np.asarray(v, dtype=float)
-    if v.size != d * d:
-        raise DimensionMismatchError(f"vector length {v.size} != {d}^2")
+    if v.shape[-1:] != (d * d,):
+        raise DimensionMismatchError(f"vector length {v.shape[-1] if v.ndim else v.size} != {d}^2")
     n_off = d * (d - 1) // 2
-    diag = v[:d]
-    re = v[d : d + n_off] / math.sqrt(2.0)
-    im = v[d + n_off :] / math.sqrt(2.0)
-    out = np.diag(diag).astype(complex)
+    re = v[..., d : d + n_off] / math.sqrt(2.0)
+    im = v[..., d + n_off :] / math.sqrt(2.0)
+    out = np.zeros(v.shape[:-1] + (d, d), dtype=complex)
+    out.reshape(*v.shape[:-1], d * d)[..., :: d + 1] = v[..., :d]
     iu = _upper_indices(d)
-    out[iu] = re + 1j * im
-    out[(iu[1], iu[0])] = re - 1j * im
+    im = 1j * im
+    out[..., iu[0], iu[1]] = re + im
+    out[..., iu[1], iu[0]] = re - im
     return out
 
 
-def support_operators(u: np.ndarray, traced: int = 1, start: int = 0, stop: int | None = None) -> np.ndarray:
+def support_operators(u: np.ndarray, traced: int = 1) -> np.ndarray:
     """Support basis of the column span of ``u``, leading factor traced out.
 
     ``u`` (D x r) has orthonormal columns.  Returns the stack (r^2, m, m),
@@ -251,39 +254,21 @@ def support_operators(u: np.ndarray, traced: int = 1, start: int = 0, stop: int 
     (n < k, lexicographic).  In these coordinates sum_j c_j q_j = u H u^dagger
     with H = unvectorize_hermitian(c, r).  ``traced = 1`` gives the basis
     itself.  The projected support coordinates of the comb rank test are built
-    from these partial traces without forming any q_j.  Only the operators
-    ``start`` to ``stop`` (by default all r^2) are formed; each is the same to
-    the bit as in the whole stack.
+    from these partial traces without forming any q_j.  A stack ``u``
+    (..., D, r) gives (..., r^2, m, m), each operator the same to the bit as
+    from its own call.
     """
-    d, r = u.shape
+    *lead, d, r = u.shape
     m = d // traced
-    w = u.reshape(traced, m * r)
-    # g[a, b] = Tr_0 |u_a><u_b|
-    g = (w.T @ w.conj()).reshape(m, r, m, r).transpose(1, 3, 0, 2)
-    diag, n, k, n_anti, k_anti = _support_rows(r, start, r * r if stop is None else stop)
+    stack = math.prod(lead)
+    w = u.reshape(stack, traced, m * r)
+    # g[:, a, b] = Tr_0 |u_a><u_b|
+    g = (w.transpose(0, 2, 1) @ w.conj()).reshape(stack, m, r, m, r).transpose(0, 2, 4, 1, 3)
+    diag, (n, k) = np.arange(r), _upper_indices(r)
+    diag, upper, lower = g[:, diag, diag], g[:, n, k], g[:, k, n]
     s = 1.0 / math.sqrt(2.0)
-    return np.concatenate(
-        [
-            g[diag, diag],
-            s * (g[n, k] + g[k, n]),
-            1j * s * (g[n_anti, k_anti] - g[k_anti, n_anti]),
-        ]
-    )
-
-
-@functools.lru_cache(maxsize=64)
-def _support_rows(r: int, start: int, stop: int) -> tuple:
-    """Indices of the support basis elements ``start`` to ``stop`` of rank
-    ``r`` (:func:`support_operators` order), read-only: the projectors, then
-    (n, k) of the symmetric pairs, then (n, k) of the antisymmetric pairs."""
-    n, k = _upper_indices(r)
-    j = np.arange(start, stop)
-    sym = j[(j >= r) & (j < r + n.size)] - r
-    anti = j[j >= r + n.size] - r - n.size
-    out = (j[j < r], n[sym], k[sym], n[anti], k[anti])
-    for idx in out:
-        idx.flags.writeable = False
-    return out
+    rows = np.concatenate([diag, s * (upper + lower), 1j * s * (upper - lower)], axis=1)
+    return rows.reshape(*lead, r * r, m, m)
 
 
 def traceless_hermitian_basis(d: int) -> list:

@@ -4,10 +4,17 @@ These back the ``exqip suite`` CLI command and the acceptance tests: the
 channel-criteria equivalence check, verdict invariance under the
 normalization-changing xi transform, the counting bounds as necessary
 conditions, and the appendix fixture table regression.
+
+The seeded suites draw a pass of at most ``PASS_SEEDS`` seeds first, each
+seed with its own generator in a fixed draw order, and then decide the whole
+pass with :func:`gqi.validate_all` and :func:`gqi.decide_all`.  No draw
+depends on a verdict, so a suite's population is that of deciding one
+object at a time.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -163,19 +170,33 @@ def random_nonextremal_gqi(rng) -> channels.Instrument:
 
 EQUIVALENCE_DIMS = ((2, 2), (2, 3), (3, 2), (3, 3))
 
+# Seeds drawn and decided per pass: a pass holds its whole population in
+# memory, so a suite's memory stays bounded however many seeds it runs.
+PASS_SEEDS = 100
+
+
+def _passes(seeds: int):
+    for start in range(0, seeds, PASS_SEEDS):
+        yield range(start, min(seeds, start + PASS_SEEDS))
+
 
 def run_equivalence(seeds: int = 200, pol: TolerancePolicy = DEFAULT_TOL) -> SuiteResult:
     """Choi's criterion and the master-criterion form must agree on random
     channels across small dimension pairs."""
     result = SuiteResult(name="equivalence")
-    for seed in range(seeds):
-        rng = np.random.default_rng(1000 + seed)
-        for d0, d1 in EQUIVALENCE_DIMS:
-            count = int(rng.integers(-(-d0 // d1), d0 * d1 + 1))
-            chan = channels.random_channel(d0, d1, count, rng)
-            verdict = gqi_mod.is_valid_gqi(chan, pol=pol)
+    for chunk in _passes(seeds):
+        drawn = []
+        for seed in chunk:
+            rng = np.random.default_rng(1000 + seed)
+            for d0, d1 in EQUIVALENCE_DIMS:
+                count = int(rng.integers(-(-d0 // d1), d0 * d1 + 1))
+                drawn.append((seed, d0, d1, count, channels.random_channel(d0, d1, count, rng)))
+        chans = [chan for *_, chan in drawn]
+        verdicts = gqi_mod.validate_all(chans, pol)
+        certs = gqi_mod.decide_all(chans, pol, verdicts)
+        for (seed, d0, d1, count, chan), verdict, cert in zip(drawn, verdicts, certs):
             a = channels.choi_condition(chan, pol, verdict)
-            b = channels.channel_extremal_theorem1(chan, pol, verdict)
+            b = cert.extremal
             result.record(
                 a == b,
                 f"seed {seed} dims ({d0},{d1}) kraus {count}: choi={a} rank-form={b}",
@@ -187,49 +208,57 @@ def run_xi_invariance(seeds: int = 200, pol: TolerancePolicy = DEFAULT_TOL) -> S
     """Extremality verdicts are invariant under xi_{rho,U}; the transform
     round-trips to 1e-10."""
     result = SuiteResult(name="xi-invariance")
-    for seed in range(seeds):
-        rng = np.random.default_rng(2000 + seed)
-        if seed % 2 == 0:
-            t = random_extremal_qubit_tester(rng)
-        else:
-            t = random_nonextremal_qubit_tester(rng)
-        rho = random_full_rank_state(2, rng)
-        u = channels.random_unitary(2, rng)
-        before = testers.is_extremal_tester(t, pol).extremal
-        moved = testers.xi_transform(t, rho, u, pol)
-        after = testers.is_extremal_tester(moved, pol).extremal
-        back = testers.xi_inverse(moved, rho, u, pol)
-        residual = max(
-            linalg.max_abs(x - y) for x, y in zip(back.outcomes, t.outcomes)
-        )
-        result.record(
-            before == after and residual <= 1e-10,
-            f"seed {seed}: before={before} after={after} roundtrip={residual:.2e}",
-        )
+    for chunk in _passes(seeds):
+        drawn = []
+        for seed in chunk:
+            rng = np.random.default_rng(2000 + seed)
+            if seed % 2 == 0:
+                t = random_extremal_qubit_tester(rng)
+            else:
+                t = random_nonextremal_qubit_tester(rng)
+            rho = random_full_rank_state(2, rng)
+            u = channels.random_unitary(2, rng)
+            moved = testers.xi_transform(t, rho, u, pol)
+            back = testers.xi_inverse(moved, rho, u, pol)
+            residual = max(
+                linalg.max_abs(x - y) for x, y in zip(back.outcomes, t.outcomes)
+            )
+            drawn.append((seed, t, moved, residual))
+        certs = gqi_mod.decide_all([x for _, t, moved, _ in drawn for x in (t, moved)], pol)
+        for (seed, _, _, residual), first, second in zip(drawn, certs[::2], certs[1::2]):
+            before, after = first.extremal, second.extremal
+            result.record(
+                before == after and residual <= 1e-10,
+                f"seed {seed}: before={before} after={after} roundtrip={residual:.2e}",
+            )
     return result
 
 
 def run_bounds(seeds: int = 200, pol: TolerancePolicy = DEFAULT_TOL) -> SuiteResult:
     """Counting bounds hold for every object the criteria report extremal."""
     result = SuiteResult(name="bounds")
-    for seed in range(seeds):
-        rng = np.random.default_rng(3000 + seed)
-        pool = [
-            random_extremal_qubit_tester(rng),
-            random_nonextremal_qubit_tester(rng),
-            random_rank22_qubit_tester(rng, nonextremal=bool(rng.integers(0, 2))),
-        ]
-        for t in pool:
-            checks = gqi_mod.is_valid_gqi(t, pol=pol)
-            if testers.is_extremal_tester(t, pol, checks).extremal:
-                bounds = testers.check_bounds(t, pol, checks)
-                result.record(bounds.ok, f"seed {seed}: tester bound violated {bounds}")
-        counts = [(1,), (1, 1), (1, 2), (1, 1, 1), (2, 2)][int(rng.integers(0, 5))]
-        ins = channels.random_instrument(2, 2, counts, rng)
-        verdict = gqi_mod.is_valid_gqi(ins, pol=pol)
-        if channels.instrument_extremal(ins, pol, verdict):
-            bound = channels.instrument_rank_bound(ins, pol, verdict)
-            result.record(bound.ok, f"seed {seed}: instrument bound violated {bound}")
+    for chunk in _passes(seeds):
+        drawn = []
+        for seed in chunk:
+            rng = np.random.default_rng(3000 + seed)
+            pool = [
+                random_extremal_qubit_tester(rng),
+                random_nonextremal_qubit_tester(rng),
+                random_rank22_qubit_tester(rng, nonextremal=bool(rng.integers(0, 2))),
+            ]
+            counts = [(1,), (1, 1), (1, 2), (1, 1, 1), (2, 2)][int(rng.integers(0, 5))]
+            drawn.append((seed, pool, channels.random_instrument(2, 2, counts, rng)))
+        pools = [t for _, pool, _ in drawn for t in pool]
+        verdicts = gqi_mod.validate_all(pools + [ins for *_, ins in drawn], pol)
+        tested = iter(zip(pools, verdicts, gqi_mod.decide_all(pools, pol, verdicts[: len(pools)])))
+        for (seed, pool, ins), verdict in zip(drawn, verdicts[len(pools) :]):
+            for t, checks, cert in itertools.islice(tested, len(pool)):
+                if cert.extremal:
+                    bounds = testers.check_bounds(t, pol, checks)
+                    result.record(bounds.ok, f"seed {seed}: tester bound violated {bounds}")
+            if channels.instrument_extremal(ins, pol, verdict):
+                bound = channels.instrument_rank_bound(ins, pol, verdict)
+                result.record(bound.ok, f"seed {seed}: instrument bound violated {bound}")
     return result
 
 

@@ -66,7 +66,7 @@ def comb_variable_basis(sig):
     each odd (output) space tensored with a Hermitian basis of everything
     below, padded with the identity above."""
     out = []
-    for top, odd, even, low in combs._levels(sig):
+    for top, odd, even, low in sig.levels:
         eye_top = np.eye(top, dtype=complex) / math.sqrt(top)
         for e in linalg.traceless_hermitian_basis(odd):
             for f in linalg.hermitian_basis(even * low):

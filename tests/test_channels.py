@@ -151,6 +151,72 @@ class TestChannelExtremality:
         assert eighs == []
 
 
+def former_kraus_products(eig, d1, d0, pol=linalg.DEFAULT_TOL):
+    """The r^2 products K_m^dagger K_n, m-major, one product at a time, of
+    the Kraus operators sqrt(lambda_m) unvec(v_m) taken one at a time."""
+    ks = [
+        math.sqrt(eig.values[m]) * channels.unvec_op(eig.vectors[:, m], d1, d0)
+        for m in range(eig.support_ranks(pol))
+    ]
+    return [km.conj().T @ kn for km in ks for kn in ks]
+
+
+def former_choi_condition(ins, pol=linalg.DEFAULT_TOL):
+    spectra = gqi.is_valid_gqi(ins, pol=pol).spectra
+    products = []
+    for i in range(len(spectra.values)):
+        products += former_kraus_products(spectra[i], ins.d1, ins.d0, pol)
+    return linalg.complex_family_rank(products, pol) == len(products)
+
+
+def equivalence_channels(seeds):
+    """The ``equivalence`` suite's population."""
+    out = []
+    for seed in range(seeds):
+        rng = np.random.default_rng(1000 + seed)
+        for d0, d1 in suites.EQUIVALENCE_DIMS:
+            out.append(channels.random_channel(d0, d1, int(rng.integers(-(-d0 // d1), d0 * d1 + 1)), rng))
+    return out
+
+
+class TestKrausProducts:
+    """The Kraus products of the Kraus-product criterion come from one
+    broadcast matmul of the (r, d1, d0) Kraus stack."""
+
+    def population(self):
+        rng = np.random.default_rng(31)
+        out = equivalence_channels(10)
+        out += [channels.random_instrument(2, 2, counts, rng) for counts in ((1, 1), (1, 2), (2, 2), (1, 1, 2))]
+        return out + [channels.combination_fixture(k) for k in sorted(APPENDIX_TABLE)]
+
+    def test_products_are_the_former_products_to_the_bit(self):
+        for ins in self.population():
+            spectra = gqi.is_valid_gqi(ins).spectra
+            for i in range(len(spectra.values)):
+                got = channels._kraus_products(channels._kraus_stack(spectra[i], ins.d1, ins.d0, linalg.DEFAULT_TOL))
+                want = former_kraus_products(spectra[i], ins.d1, ins.d0)
+                assert got.shape == (len(want), ins.d0, ins.d0)
+                assert all(np.array_equal(a, b) and a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+    def test_kraus_lists_are_the_former_lists(self):
+        for ins in self.population():
+            for n in ins.operators:
+                eig = linalg.hermitian_eig(n)
+                want = [
+                    math.sqrt(eig.values[m]) * channels.unvec_op(eig.vectors[:, m], ins.d1, ins.d0)
+                    for m in range(eig.support_ranks(linalg.DEFAULT_TOL))
+                ]
+                got = channels.choi_to_kraus(n, ins.d1, ins.d0)
+                assert len(got) == len(want)
+                assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+    def test_choi_verdicts_on_the_equivalence_population(self):
+        population = equivalence_channels(200)
+        got = [channels.choi_condition(c) for c in population]
+        assert got == [former_choi_condition(c) for c in population]
+        assert set(got) == {True, False}
+
+
 class TestInstrumentExtremality:
     def test_luders_extremal(self):
         ins = channels.luders_instrument(

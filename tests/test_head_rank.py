@@ -134,8 +134,9 @@ def fallback_population():
 
 @pytest.fixture
 def recorded(monkeypatch):
-    """Decisions of ``gqi.is_extremal``, each with whether it stopped at the
-    head (no values-only SVD of the full stack)."""
+    """Decisions of the rank stage, one per GQI of each stacked call, each
+    with whether the call stopped at the head (no values-only SVD of the
+    full stack)."""
     out = []
     full_svds = [0]
     rank_test, svd = gqi._rank_test, np.linalg.svd
@@ -146,9 +147,10 @@ def recorded(monkeypatch):
 
     def recording(*args, **kwargs):
         before = full_svds[0]
-        rank, c, margin = rank_test(*args, **kwargs)
-        out.append((oracles.Decision(rank, c), full_svds[0] == before))
-        return rank, c, margin
+        decided = rank_test(*args, **kwargs)
+        for rank, c, _ in decided:
+            out.append((oracles.Decision(rank, c), full_svds[0] == before))
+        return decided
 
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
     monkeypatch.setattr(gqi, "_rank_test", recording)
@@ -204,12 +206,12 @@ def test_matches_full_stack(name, recorded):
 
 @pytest.fixture
 def svd_calls(monkeypatch):
-    """(shape, compute_uv) of every ``np.linalg.svd`` call."""
+    """(matrix shape, compute_uv) of every ``np.linalg.svd`` call."""
     out = []
     svd = np.linalg.svd
 
     def counted_svd(a, *args, compute_uv=True, **kwargs):
-        out.append((a.shape, compute_uv))
+        out.append((a.shape[-2:], compute_uv))
         return svd(a, *args, compute_uv=compute_uv, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
@@ -225,7 +227,7 @@ def test_exit_skips_the_rest_of_the_rows(monkeypatch, svd_calls):
 
     def counted_coordinates(u, sig, *args):
         x = coordinates(u, sig, *args)
-        rows.append(x.shape[0])
+        rows.append(x.shape[-2])
         return x
 
     monkeypatch.setattr(combs, "complement_coordinates", counted_coordinates)

@@ -1,0 +1,430 @@
+"""Deciding a population in stacked passes, against one object at a time.
+
+``gqi.validate_all`` and ``gqi.decide_all`` group the objects and run each
+stage once per group on a stack with a leading axis; ``is_valid_gqi`` and
+``is_extremal`` are the same code on a stack of one.  The reference below is
+the former call chain of one object: the cascade of one operator, every
+projected row built at once, the head SVD on the first D^2 - |V| + 1 rows
+and the epsilon* step of one GQI.  Verdicts and certificates must equal it
+to the bit, and every member of a population must equal its own call.
+
+Also here: one partial-trace tensor per level and outcome on the rank
+stage's fallback, and the summaries of the suites, which now decide their
+populations in stacked passes.
+"""
+
+import glob
+import math
+import os
+
+import numpy as np
+import pytest
+
+from exqip import channels, combs, fileio, gqi, linalg, suites
+from exqip.combs import CombSignature
+from exqip.errors import DimensionMismatchError, NotHermitianError, SizeLimitError, ValidationError
+from exqip.gqi import Gqi
+from exqip.linalg import DEFAULT_TOL
+
+from test_epsilon_star import acceptance_07_population, bench_ladder, identity_exchange_population
+from test_head_rank import fallback_population, split_comb
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden_cli")
+
+
+# ---------------------------------------------------------------------------
+# The former call chain of one object
+# ---------------------------------------------------------------------------
+
+
+def former_validation(g, pol=DEFAULT_TOL):
+    """(ok, outcome min eigenvalues, cascade residuals, reduced combs,
+    spectra) of one GQI, with the cascade on its one summed operator."""
+    spectra = linalg.hermitian_eigs(linalg.check_hermitian_stack(np.array(g.outcomes), pol))
+    s = sum(g.outcomes)
+    current = (s + s.conj().T) / 2
+    residuals, reduced = [], []
+    sig = g.signature
+    for n, (_, odd, even, low) in zip(range(sig.n, 0, -1), sig.levels):
+        t = current.reshape(odd, even, low, odd, even, low)
+        lhs = t.trace(axis1=0, axis2=3)
+        current = t.trace(axis1=1, axis2=4).trace(axis1=0, axis2=2) / even
+        below = current if n > 1 else np.ones((1, 1))
+        residuals.append(linalg.max_abs(lhs - np.eye(even)[:, None, :, None] * below[:, None]))
+        reduced.append(current)
+    ok = bool(np.all(pol.psd(spectra.values))) and all(r <= pol.eps_comb for r in residuals)
+    return ok, tuple(spectra.values[:, -1].tolist()), tuple(residuals), reduced, spectra
+
+
+def former_step(outcomes, directions, spectra, pol=DEFAULT_TOL):
+    """epsilon* of one GQI on its supports, from one eigvalsh of its blocks."""
+    d = np.asarray(directions, dtype=complex)
+    w, v = spectra.values, spectra.vectors
+    ranks = pol.support_rank(w)
+    k = int(ranks.max())
+    used = np.arange(w.shape[-1]) < ranks[:, None]
+    allowance = 2.0 * w.shape[-1] * np.finfo(float).eps * max(1.0, float(np.abs(w).max()))
+    shifted = w + 0.5 * pol.supp_tol(w.shape[-1], 1.0) - np.where(used, allowance, 0.0)
+    if shifted.min() <= 0.0:
+        return 0.0
+    s = v[..., :k] / np.sqrt(np.where(used, shifted, np.inf))[:, None, :k]
+    return 1.0 / float(np.abs(np.linalg.eigvalsh(s.conj().transpose(0, 2, 1) @ d @ s)).max(initial=0.0))
+
+
+def null_vector(u, m):
+    c = np.zeros(m)
+    c[: u.shape[0]] = u[:, -1]
+    return -c if c[np.argmax(np.abs(c))] < 0 else c
+
+
+def former_rank(sig, supports, n_known, bound, pol=DEFAULT_TOL):
+    """(rank, c, margin) of one GQI from all its projected rows at once."""
+    x = np.vstack([combs.complement_coordinates(u, sig) for u in supports])
+    m, n = x.shape
+    ambient = sig.total_dim ** 2
+    span = ambient - n_known
+    u = None
+    if m > span:
+        u, s = np.linalg.svd(x[: span + 1], full_matrices=span + 1 > n)[:2]
+        if np.count_nonzero(s > bound) >= span:
+            return span + n_known, null_vector(u, m), None
+    s = np.linalg.svd(x, compute_uv=False)
+    sigma = max(1.0 if n_known else 0.0, float(s[0]) if s.size else 0.0)
+    rank = int(np.count_nonzero(s > pol.rank_tol(m + n_known, ambient, sigma)))
+    if rank == m:
+        return rank + n_known, None, float(s[-1]) if s.size else None
+    if u is None:
+        u = np.linalg.svd(x, full_matrices=m > n)[0]
+    return rank + n_known, null_vector(u, m), None
+
+
+def former_certificate(g, pol=DEFAULT_TOL):
+    """(extremal, family size, rank, support ranks, |V|, directions, delta,
+    epsilon*, margin) of one valid GQI."""
+    spectra = former_validation(g, pol)[4]
+    supports = [v[:, :r] for v, r in zip(spectra.vectors, spectra.support_ranks(pol))]
+    ranks = tuple(u.shape[1] for u in supports)
+    sig = g.signature
+    n_known = combs.comb_variable_count(sig)
+    dim = sig.total_dim
+    family_size = sum(r * r for r in ranks) + n_known
+    bound = pol.rank_tol(family_size, dim * dim, math.sqrt(len(ranks)))
+    pair = gqi._full_support_pair(ranks, dim, bound)
+    directions, step, margin = None, None, None
+    if pair is not None:
+        a, b = pair
+        rank = dim * dim
+        directions = [np.zeros((dim, dim), dtype=complex) for _ in ranks]
+        if ranks[b] == dim:
+            p = np.eye(dim, dtype=complex)
+            step = gqi.identity_exchange_step(spectra.values, a, b, pol)
+        else:
+            p = supports[b] @ supports[b].conj().T
+        directions[a], directions[b] = -p, p
+    else:
+        rank, c, margin = former_rank(sig, supports, n_known, bound, pol)
+        if c is not None:
+            directions, pos = [], 0
+            for u, r in zip(supports, ranks):
+                directions.append(u @ linalg.unvectorize_hermitian(c[pos : pos + r * r], r) @ u.conj().T)
+                pos += r * r
+    if directions is None:
+        return True, family_size, rank, ranks, n_known, None, None, None, margin
+    if step is None:
+        step = former_step(g.outcomes, directions, spectra, pol)
+    return False, family_size, rank, ranks, n_known, directions, sum(directions), step, margin
+
+
+# ---------------------------------------------------------------------------
+# Comparisons
+# ---------------------------------------------------------------------------
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def assert_verdict_is_former(verdict, g):
+    ok, lows, residuals, reduced, spectra = former_validation(g)
+    assert verdict.ok is ok
+    assert verdict.outcome_min_eigenvalues == lows
+    assert verdict.comb_verdict.level_residuals == residuals
+    assert all(same_bits(a, b) for a, b in zip(verdict.comb_verdict.reduced, reduced, strict=True))
+    assert same_bits(verdict.spectra.values, spectra.values)
+    assert same_bits(verdict.spectra.vectors, spectra.vectors)
+
+
+def assert_certificate_is_former(cert, g):
+    extremal, family_size, rank, ranks, n_known, directions, delta, step, margin = former_certificate(g)
+    assert (cert.extremal, cert.family_size, cert.rank, cert.support_ranks) == (extremal, family_size, rank, ranks)
+    assert cert.normalization_basis_size == n_known and cert.margin == margin
+    if extremal:
+        assert cert.perturbation is None
+        return
+    pert = cert.perturbation
+    assert all(same_bits(a, b) for a, b in zip(pert.directions, directions, strict=True))
+    assert same_bits(pert.delta, delta)
+    assert type(pert.epsilon_star) is float and pert.epsilon_star == step
+
+
+def assert_same_certificate(a, b):
+    assert (a.extremal, a.family_size, a.rank, a.support_ranks) == (b.extremal, b.family_size, b.rank, b.support_ranks)
+    assert (a.normalization_basis_size, a.margin) == (b.normalization_basis_size, b.margin)
+    assert (a.perturbation is None) == (b.perturbation is None)
+    if a.perturbation is not None:
+        assert all(same_bits(x, y) for x, y in zip(a.perturbation.directions, b.perturbation.directions, strict=True))
+        assert same_bits(a.perturbation.delta, b.perturbation.delta)
+        assert a.perturbation.epsilon_star == b.perturbation.epsilon_star
+
+
+def assert_same_verdict(a, b):
+    assert a == b
+    assert all(same_bits(x, y) for x, y in zip(a.comb_verdict.reduced, b.comb_verdict.reduced, strict=True))
+    assert same_bits(a.spectra.values, b.spectra.values) and same_bits(a.spectra.vectors, b.spectra.vectors)
+
+
+# ---------------------------------------------------------------------------
+# Populations
+# ---------------------------------------------------------------------------
+
+
+def golden():
+    paths = sorted(p for p in glob.glob(os.path.join(GOLDEN, "*.json")) if not p.endswith("expected.json"))
+    return [fileio.load_object(p) for p in paths]
+
+
+def ladder():
+    return [g for seed in (1, 2, 3) for g in bench_ladder(seed)]
+
+
+def gates():
+    """Draws of the populations of gates 01, 02 and 04-07."""
+    out = []
+    for d0, d1 in suites.EQUIVALENCE_DIMS:
+        for seed in range(4):
+            rng = np.random.default_rng(10_000 * d0 + 100 * d1 + seed)
+            out.append(channels.random_channel(d0, d1, int(rng.integers(-(-d0 // d1), d0 * d1 + 1)), rng))
+    for seed in range(6):
+        rng = np.random.default_rng(20_000 + seed)
+        counts = [(1, 1), (1, 2), (2, 1), (2, 2), (1, 1, 1), (1, 1, 2)][seed]
+        out.append(channels.random_instrument(2, 2, counts, rng))
+    for seed in range(8):
+        rng = np.random.default_rng(3000 + seed)
+        out += [
+            suites.random_extremal_qubit_tester(rng),
+            suites.random_nonextremal_qubit_tester(rng),
+            suites.random_two_outcome_qubit_tester(rng),
+        ]
+    return out + acceptance_07_population()[:20]
+
+
+POPULATIONS = {"golden": golden, "ladder": ladder, "gates": gates}
+
+
+@pytest.mark.parametrize("name", POPULATIONS)
+def test_single_call_is_former_call_chain(name):
+    """is_valid_gqi and is_extremal, the stacked code on one object, equal
+    the former call chain of that object to the bit."""
+    decided = 0
+    for g in POPULATIONS[name]():
+        verdict = gqi.is_valid_gqi(g)
+        assert_verdict_is_former(verdict, g)
+        if verdict.ok:
+            assert_certificate_is_former(gqi.is_extremal(g), g)
+            decided += 1
+    assert decided > 0
+
+
+def keys(population):
+    return [(g.signature, gqi.is_extremal(g).support_ranks) for g in population]
+
+
+@pytest.mark.parametrize("name", POPULATIONS)
+def test_population_is_its_single_calls(name):
+    population = POPULATIONS[name]()
+    verdicts = gqi.validate_all(population)
+    assert len(verdicts) == len(population)
+    for g, verdict in zip(population, verdicts):
+        assert_same_verdict(verdict, gqi.is_valid_gqi(g))
+    valid = [g for g, v in zip(population, verdicts) if v.ok]
+    for g, cert in zip(valid, gqi.decide_all(valid)):
+        assert_same_certificate(cert, gqi.is_extremal(g))
+
+
+def mixed_population():
+    """Several signatures and support-rank tuples, each group of several
+    members: full-support and identity-exchange exits, head-first exits, the
+    fallback, extremal and dependent members."""
+    rng = np.random.default_rng(21)
+    out = []
+    out += [split_comb(CombSignature((2, 2)), rng) for _ in range(3)]
+    out += fallback_population() + fallback_population()
+    out += identity_exchange_population()[:4]
+    for seed in range(4):
+        out += [g for g in bench_ladder(seed + 1) if g.signature.total_dim <= 16]
+    for seed in range(6):
+        r = np.random.default_rng(4000 + seed)
+        out.append(suites.random_rank22_qubit_tester(r, nonextremal=bool(seed % 2)))
+        out.append(channels.random_instrument(2, 2, (1, 1), r))
+    # A full-support outcome beside one of rank 2: the projector exchange.
+    for seed in range(3):
+        u = channels.random_unitary(4, np.random.default_rng(50 + seed))[:, :2]
+        x = 0.5 * u @ u.conj().T
+        out.append(Gqi(CombSignature((1, 2, 2, 1)), (np.eye(4) / 2 - x / 2, x / 2)))
+    order = np.random.default_rng(5).permutation(len(out))
+    return [out[i] for i in order]
+
+
+def test_mixed_population_is_its_single_calls():
+    population = mixed_population()
+    verdicts = gqi.validate_all(population)
+    certs = gqi.decide_all(population, validations=verdicts)
+    paths = set()
+    for g, verdict, cert in zip(population, verdicts, certs, strict=True):
+        assert_same_verdict(verdict, gqi.is_valid_gqi(g))
+        single = gqi.is_extremal(g)
+        assert_same_certificate(cert, single)
+        assert_certificate_is_former(cert, g)
+        dim = g.signature.total_dim
+        if cert.perturbation is not None and cert.rank == dim * dim and dim in cert.support_ranks:
+            paths.add("identity-exchange" if cert.support_ranks.count(dim) > 1 else "projector-exchange")
+        elif cert.rank == dim * dim:
+            paths.add("head" if not cert.extremal else "extremal")
+        else:
+            paths.add("extremal" if cert.extremal else "dependent")
+    assert {"identity-exchange", "projector-exchange", "head", "extremal", "dependent"} <= paths
+    groups = {}
+    for key in keys(population):
+        groups[key] = groups.get(key, 0) + 1
+    assert len({sig for sig, _ in groups}) >= 3 and len(groups) >= 6
+    assert sum(size > 1 for size in groups.values()) >= 4
+
+
+def test_decide_all_matches_in_any_order():
+    population = mixed_population()
+    certs = gqi.decide_all(population)
+    back = gqi.decide_all(population[::-1])[::-1]
+    for a, b in zip(certs, back, strict=True):
+        assert_same_certificate(a, b)
+
+
+def invalid_povm():
+    return Gqi(CombSignature((2, 1)), (np.eye(2), np.eye(2)))
+
+
+class TestFaults:
+    def test_invalid_member_gets_a_verdict(self):
+        population = mixed_population()
+        population.insert(3, invalid_povm())
+        verdicts = gqi.validate_all(population)
+        assert len(verdicts) == len(population)
+        assert not verdicts[3].ok and all(v.ok for i, v in enumerate(verdicts) if i != 3)
+        assert_same_verdict(verdicts[3], gqi.is_valid_gqi(population[3]))
+
+    def test_invalid_member_raises_with_its_index(self):
+        population = mixed_population()
+        population.insert(3, invalid_povm())
+        with pytest.raises(ValidationError) as single:
+            gqi.is_extremal(population[3])
+        with pytest.raises(ValidationError) as stacked:
+            gqi.decide_all(population)
+        assert str(stacked.value) == f"member 3: {single.value}"
+
+    def test_first_faulty_member_raises(self):
+        """The lowest index over all groups, and within a group the member
+        that faults alone; each error is the one of its own call."""
+        skew = np.eye(4, dtype=complex) / 4
+        skew[0, 1] = 1e-3
+        good = Gqi(CombSignature((2, 2)), (np.eye(4) / 4, np.eye(4) / 4))
+        bad = Gqi(CombSignature((2, 2)), (np.eye(4) / 4, skew))
+        misshaped = Gqi(CombSignature((2, 1)), (np.eye(2), np.eye(3)))
+        population = [good, good, misshaped, good, bad, bad]
+        with pytest.raises(DimensionMismatchError, match=r"^member 2: outcome shape \(3, 3\)"):
+            gqi.validate_all(population)
+        with pytest.raises(NotHermitianError, match=r"^member 3: not Hermitian: \|A - A\^dagger\|_max = 1\.000e-03$"):
+            gqi.validate_all(population[:2] + population[3:])
+        with pytest.raises(ValidationError, match="^member 1: a GQI needs at least one outcome$"):
+            gqi.validate_all([good, Gqi(CombSignature((2, 2)), ())])
+
+    def test_size_guard_raises_for_its_group(self, monkeypatch):
+        monkeypatch.setattr(gqi, "RANK_STAGE_BUDGET", 1000)
+        population = [suites.random_nonextremal_gqi(np.random.default_rng(s)) for s in range(3)]
+        with pytest.raises(SizeLimitError) as single:
+            gqi.is_extremal(population[0])
+        with pytest.raises(SizeLimitError) as stacked:
+            gqi.decide_all(population)
+        assert str(stacked.value) == f"member 0: {single.value}"
+
+
+def test_fallback_takes_each_partial_trace_once(monkeypatch):
+    """On the rank stage's fallback the outcome split at the head has its
+    partial-trace tensor formed once per level: one support_operators call
+    per level and outcome."""
+    calls = []
+    support_operators = linalg.support_operators
+
+    def counted(u, *args, **kwargs):
+        calls.append(u.shape)
+        return support_operators(u, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "support_operators", counted)
+    for g in fallback_population():
+        calls.clear()
+        cert = gqi.is_extremal(g)
+        assert cert.rank < g.signature.total_dim ** 2
+        levels = sum(even > 1 for _, _, even, _ in g.signature.levels)
+        assert len(calls) == levels * len(g.outcomes)
+
+
+SUMMARIES = {
+    "equivalence": {"total": 160, "failures": 0, "details": []},
+    "xi-invariance": {"total": 40, "failures": 0, "details": []},
+    "bounds": {"total": 84, "failures": 0, "details": []},
+    "appendix-c": {"total": 7, "failures": 0, "details": []},
+}
+
+
+@pytest.mark.parametrize("name", SUMMARIES)
+def test_suite_summary_at_40_seeds(name):
+    """The summaries read before the suites decided their populations in
+    stacked passes; the bounds total counts the verdicts found extremal."""
+    summary = suites.run_suite(name, seeds=40).summary()
+    assert {key: summary[key] for key in ("total", "failures", "details")} == SUMMARIES[name]
+
+
+def test_suites_decide_in_passes(monkeypatch):
+    """A pass holds at most PASS_SEEDS seeds of a suite's population."""
+    sizes = []
+    decide_all = gqi.decide_all
+
+    def counted(objects, *args, **kwargs):
+        objects = list(objects)
+        sizes.append(len(objects))
+        return decide_all(objects, *args, **kwargs)
+
+    monkeypatch.setattr(gqi, "decide_all", counted)
+    monkeypatch.setattr(suites, "PASS_SEEDS", 3)
+    result = suites.run_equivalence(seeds=7)
+    assert result.total == 28 and result.ok
+    assert sizes == [12, 12, 4]
+
+
+def test_rank_stages_stay_within_the_budget(monkeypatch):
+    """A group is cut into stacks whose estimated peak, K times that of one
+    member, stays within the budget."""
+    population = [split_comb(CombSignature((2, 2)), np.random.default_rng(s)) for s in range(7)]
+    need = gqi.rank_stage_bytes(CombSignature((2, 2)), gqi.is_extremal(population[0]).support_ranks)
+    stacks = []
+    rank_test = gqi._rank_test
+
+    def recorded(sig, supports, *args):
+        stacks.append(len(supports[0]))
+        return rank_test(sig, supports, *args)
+
+    monkeypatch.setattr(gqi, "_rank_test", recorded)
+    monkeypatch.setattr(gqi, "RANK_STAGE_BUDGET", 3 * need)
+    certs = gqi.decide_all(population)
+    assert stacks == [3, 3, 1]
+    for g, cert in zip(population, certs):
+        assert_same_certificate(cert, gqi.is_extremal(g))

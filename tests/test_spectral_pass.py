@@ -276,12 +276,13 @@ class TestTracerGuard:
     """The verdict reaches validation and epsilon* through the module
     attributes, where a wrapper installed on the module sees them."""
 
-    def counting(self, monkeypatch, name):
+    def counting(self, monkeypatch, name, size=lambda args: 1):
+        """Calls of ``gqi.<name>``, or the sum of ``size(args)`` over them."""
         fn = getattr(gqi, name)
         count = [0]
 
         def counted(*args, **kwargs):
-            count[0] += 1
+            count[0] += size(args)
             return fn(*args, **kwargs)
 
         monkeypatch.setattr(gqi, name, counted)
@@ -303,8 +304,10 @@ class TestTracerGuard:
         assert (valid[0], step[0]) == (1, 1)
 
     def test_equivalence_suite_validates_each_channel_once(self, monkeypatch):
-        # Both criteria read the Kraus operators from one verdict per channel.
+        # Both criteria read the Kraus operators from one verdict per channel,
+        # and the channels are validated as one population.
         valid = self.counting(monkeypatch, "is_valid_gqi")
+        members = self.counting(monkeypatch, "validate_all", lambda args: len(args[0]))
         result = suites.run_equivalence(seeds=5)
         assert result.total == 20 and result.ok
-        assert valid[0] == 20
+        assert (valid[0], members[0]) == (0, 20)

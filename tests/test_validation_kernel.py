@@ -355,7 +355,7 @@ def test_band_case_changes_as_documented():
     sig = CombSignature((2, 2))
     low = -1.5 * DEFAULT_TOL.supp_tol(4, 1.0)
     s = np.diag([1.0 - low, low, low, 1.0 - low]).astype(complex)
-    assert combs._cascade(s, sig, DEFAULT_TOL.eps_comb, True).ok
+    assert combs._cascade(s[None], sig, DEFAULT_TOL.eps_comb, [True])[0].ok
     halves, whole = Gqi(sig, (s / 2, s / 2)), Gqi(sig, (s,))
     assert not oracle_gqi_ok(halves) and gqi.is_valid_gqi(halves).ok
     assert not oracle_gqi_ok(whole) and not gqi.is_valid_gqi(whole).ok
