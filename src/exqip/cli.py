@@ -12,11 +12,17 @@ Exit codes: 0 success, 1 mathematical failure (invalid object, failing suite,
 undecomposable input), 2 usage or file-format error.  The working tolerance is
 ``--tol`` or the ``EXQIP_TOL`` environment variable (relative epsilon,
 default 1e-10).
+
+``decompose`` grows its tree one depth at a time: the undecided nodes of each
+depth go through one ``gqi.decide_all``, and the leaves are written in
+depth-first order, sorted by tree path (README, "Deciding a population").
+The parser is built once per process.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -26,7 +32,7 @@ import numpy as np
 from . import combs, fileio, gqi as gqi_mod, linalg
 from .combs import CombSignature
 from .errors import DimensionMismatchError, ExqipError, FileFormatError, SizeLimitError, ValidationError
-from .gqi import Gqi, Povm, Tester
+from .gqi import Povm, Tester
 from .linalg import TolerancePolicy
 
 
@@ -133,6 +139,23 @@ def cmd_extremal(args) -> int:
     return 0
 
 
+def _decide_frontier(nodes: list, pol: TolerancePolicy) -> list:
+    """The certificates of a frontier's undecided ``nodes``, from
+    ``gqi.decide_all`` in passes whose stacked outcomes stay within
+    ``gqi.RANK_STAGE_BUDGET`` bytes.  An invalid node raises the error
+    ``gqi.is_extremal`` raises for it, without decide_all's member index."""
+    if not nodes:
+        return []
+    per_pass = max(1, gqi_mod.RANK_STAGE_BUDGET // sum(t.nbytes for t in nodes[0].outcomes))
+    certs = []
+    for start in range(0, len(nodes), per_pass):
+        try:
+            certs += gqi_mod.decide_all(nodes[start : start + per_pass], pol)
+        except ExqipError as err:
+            raise (err.__cause__ or err) from None
+    return certs
+
+
 def cmd_decompose(args) -> int:
     _check_count(args.steps, "--steps")
     # Leaves of an earlier tree would stay beside the new ones.
@@ -145,36 +168,38 @@ def cmd_decompose(args) -> int:
         return 1
     os.makedirs(args.out, exist_ok=True)
 
-    leaves = []
-
-    def descend(g: Gqi, weight: float, depth: int, c: gqi_mod.ExtremalityCertificate | None = None) -> None:
-        if depth >= args.steps:
-            leaves.append((g, weight, depth, None))
-            return
-        if c is None:
-            c = gqi_mod.is_extremal(g, pol=pol)
-        if c.extremal:
-            leaves.append((g, weight, depth, "extremal"))
-            return
-        if c.perturbation.epsilon_star == 0.0:
-            # No step is feasible: both sides would be the node itself.
-            leaves.append((g, weight, depth, None))
-            return
-        plus, minus = gqi_mod.decompose_step(g, pol=pol, certificate=c)
-        descend(plus, weight / 2.0, depth + 1)
-        descend(minus, weight / 2.0, depth + 1)
-
-    descend(obj, 1.0, 0, cert)
+    # A frontier entry is (tree path, node, weight, certificate or None).  A
+    # path lists the sides taken from the root, 0 for plus and 1 for minus,
+    # so sorting the leaves by path gives the depth-first order.
+    frontier, leaves = [((), obj, 1.0, cert)], []
+    for _ in range(args.steps):
+        decided = iter(_decide_frontier([g for _, g, _, c in frontier if c is None], pol))
+        children = []
+        for path, g, weight, c in frontier:
+            if c is None:
+                c = next(decided)
+            if c.extremal:
+                leaves.append((path, g, weight, "extremal"))
+            elif c.perturbation.epsilon_star == 0.0:
+                # No step is feasible: both sides would be the node itself.
+                leaves.append((path, g, weight, None))
+            else:
+                plus, minus = gqi_mod.decompose_step(g, pol=pol, certificate=c)
+                children += [(path + (0,), plus, weight / 2.0, None), (path + (1,), minus, weight / 2.0, None)]
+        frontier = children
+    # Nodes still in the frontier at --steps are leaves without a verdict.
+    leaves += [(path, g, weight, None) for path, g, weight, _ in frontier]
+    leaves.sort(key=lambda leaf: leaf[0])
 
     recon = [np.zeros_like(t) for t in obj.outcomes]
-    for g, w, _, _ in leaves:
+    for _, g, w, _ in leaves:
         for i, t in enumerate(g.outcomes):
             recon[i] = recon[i] + w * t
     residual = max(linalg.max_abs(a - b) for a, b in zip(recon, obj.outcomes))
 
     entries = []
-    for idx, (g, w, depth, status) in enumerate(leaves):
-        name = f"leaf_{idx:03d}.json"
+    for idx, (path, g, w, status) in enumerate(leaves):
+        name, depth = f"leaf_{idx:03d}.json", len(path)
         fileio.save_object(os.path.join(args.out, name), g, metadata={"weight": w, "depth": depth})
         entries.append({"file": name, "weight": w, "depth": depth, "status": status})
 
@@ -269,7 +294,10 @@ def cmd_suite(args) -> int:
     return 0 if result.ok else 1
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: ``parse_args`` returns a fresh
+    namespace on every call."""
     parser = argparse.ArgumentParser(
         prog="exqip",
         description="Validate, classify, and decompose quantum protocol operators.",
@@ -284,18 +312,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check an operator file")
     p.add_argument("file")
-    p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("extremal", help="decide extremality")
     p.add_argument("file")
     p.add_argument("--certificate", help="write a certificate JSON here")
-    p.set_defaults(func=cmd_extremal)
 
     p = sub.add_parser("decompose", help="binary convex decomposition")
     p.add_argument("file")
     p.add_argument("--steps", type=int, default=1, help="maximum tree depth")
     p.add_argument("--out", required=True, help="output directory for leaves")
-    p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("generate", help="write an example object")
     p.add_argument(
@@ -311,12 +336,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--signature", default="2,2", help="comma-separated dims (random-comb)")
     p.add_argument("--spread", type=float, default=0.5)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("suite", help="run a randomized property suite")
     p.add_argument("name", choices=SUITE_NAMES)
     p.add_argument("--seeds", type=int, default=200)
-    p.set_defaults(func=cmd_suite)
 
     return parser
 
@@ -327,8 +350,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    # Looked up by name on each call, so that the cached parser holds no
+    # command function and a wrapped or replaced one is the one that runs.
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return command(args)
     except (FileFormatError, OSError, SizeLimitError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -2,17 +2,20 @@
 
 The program decides extremality without any of these: it never ranks a
 whole stack in one call, takes supports from the eigenpairs of validation,
-reads a tester's rho from the cascade of its GQI verdict, and never builds
-the comb variable basis V or the dense normalization family of Theorem 1.
-The tests keep them as oracles and to build inputs.
+reads a tester's rho from the cascade of its GQI verdict, never builds the
+comb variable basis V or the dense normalization family of Theorem 1, and
+decomposes a tree one depth at a time.  The tests keep them as oracles and
+to build inputs.
 """
 
 import collections
 import math
+import os
+import sys
 
 import numpy as np
 
-from exqip import channels, combs, linalg
+from exqip import channels, cli, combs, fileio, gqi, linalg
 from exqip.errors import NotPositiveError
 from exqip.linalg import DEFAULT_TOL
 
@@ -85,3 +88,64 @@ def theorem1_dense(c, pol=DEFAULT_TOL):
         family.append(linalg.kron(sa, eye0))
         family.extend(linalg.kron(sa, sb) for sb in linalg.traceless_hermitian_basis(c.d0))
     return linalg.complex_family_rank(family, pol) == len(family)
+
+
+def recursive_decompose(args) -> int:
+    """`exqip decompose` as it was before the frontier loop: the tree is
+    descended depth first, one ``gqi.is_extremal`` per node below the root,
+    and the first invalid node in that order raises.  Run in place of
+    ``cli.cmd_decompose``, it writes the same leaves, summary and output."""
+    cli._check_count(args.steps, "--steps")
+    if os.path.isdir(args.out) and os.listdir(args.out):
+        raise ValueError(f"--out {args.out} is not empty")
+    pol, obj, kind = cli._load(args)
+    cert = cli._certificate(obj, kind, pol)
+    if cert.extremal:
+        print("input is extremal; nothing to decompose", file=sys.stderr)
+        return 1
+    os.makedirs(args.out, exist_ok=True)
+
+    leaves = []
+
+    def descend(g, weight, depth, c=None):
+        if depth >= args.steps:
+            leaves.append((g, weight, depth, None))
+            return
+        if c is None:
+            c = gqi.is_extremal(g, pol=pol)
+        if c.extremal:
+            leaves.append((g, weight, depth, "extremal"))
+            return
+        if c.perturbation.epsilon_star == 0.0:
+            leaves.append((g, weight, depth, None))
+            return
+        plus, minus = gqi.decompose_step(g, pol=pol, certificate=c)
+        descend(plus, weight / 2.0, depth + 1)
+        descend(minus, weight / 2.0, depth + 1)
+
+    descend(obj, 1.0, 0, cert)
+
+    recon = [np.zeros_like(t) for t in obj.outcomes]
+    for g, w, _, _ in leaves:
+        for i, t in enumerate(g.outcomes):
+            recon[i] = recon[i] + w * t
+    residual = max(linalg.max_abs(a - b) for a, b in zip(recon, obj.outcomes))
+
+    entries = []
+    for idx, (g, w, depth, status) in enumerate(leaves):
+        name = f"leaf_{idx:03d}.json"
+        fileio.save_object(os.path.join(args.out, name), g, metadata={"weight": w, "depth": depth})
+        entries.append({"file": name, "weight": w, "depth": depth, "status": status})
+
+    summary = {
+        "kind": kind.name,
+        "steps": args.steps,
+        "leaves": entries,
+        "total_weight": sum(e["weight"] for e in entries),
+        "reconstruction_residual": float(residual),
+    }
+    text = fileio.dumps_canonical(summary)
+    with open(os.path.join(args.out, "summary.json"), "w", encoding="utf-8") as fh:
+        fh.write(text)
+    sys.stdout.write(text)
+    return 0 if residual <= 1e-8 else 1

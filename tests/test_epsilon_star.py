@@ -573,16 +573,16 @@ class TestCertificates:
     def test_trees_take_no_zero_step(self, seed, tmp_path, monkeypatch, capsys):
         # Children of a maximal step sit a inside the margin, outside their
         # supports, so their own steps are not 0.
+        # The root is decided by is_extremal, every later depth by decide_all.
         steps = []
-        decide = gqi.is_extremal
+        decide, decide_all = gqi.is_extremal, gqi.decide_all
 
-        def recorded(*args, **kwargs):
-            cert = decide(*args, **kwargs)
-            if cert.perturbation is not None:
-                steps.append(cert.perturbation.epsilon_star)
-            return cert
+        def recorded(certs):
+            steps.extend(c.perturbation.epsilon_star for c in certs if c.perturbation is not None)
+            return certs
 
-        monkeypatch.setattr(gqi, "is_extremal", recorded)
+        monkeypatch.setattr(gqi, "is_extremal", lambda *args, **kwargs: recorded([decide(*args, **kwargs)])[0])
+        monkeypatch.setattr(gqi, "decide_all", lambda *args, **kwargs: recorded(decide_all(*args, **kwargs)))
         for name, kind, signature, ops, depth in BENCH.tree_inputs(seed):
             path = str(tmp_path / f"{name}.json")
             BENCH.write_operator_file(path, kind, signature, ops)
