@@ -7,11 +7,14 @@ Choi spectral decomposition.
 
 A channel is the one-outcome instrument whose operator is the Choi
 operator, so its validity and its criteria are the instrument's, under the
-channel names.  Extremality routes: the pooled Kraus-product criterion
-(Choi's criterion, the independence of {K_m^dagger K_n}, for a channel), the
-paper's independent criterion; the master criterion (Theorem 1 for a
-channel), decided by :func:`gqi.is_extremal` as for every other kind (that
-the two routes agree is a test oracle); and the square-root / Lueders
+channel names.  Every criterion refuses an invalid object through the one
+gate of :mod:`exqip.gqi`, with its message; :func:`instrument_extremal` and
+:func:`instrument_rank_bound` also take the caller's validation verdict,
+which the suites pass on.  Extremality routes: the pooled Kraus-product
+criterion (Choi's criterion, the independence of {K_m^dagger K_n}, for a
+channel), the paper's independent criterion; the master criterion (Theorem 1
+for a channel), decided by :func:`gqi.is_extremal` as for every other kind
+(that the two routes agree is a test oracle); and the square-root / Lueders
 constructions.  The appendix fixtures exercise all seven attainable
 (instrument, channel, POVM) extremality combinations.  The classes
 :class:`Instrument` and :class:`Channel` are defined in :mod:`exqip.gqi`.
@@ -95,17 +98,6 @@ def is_valid_instrument(ins: Instrument, pol: TolerancePolicy = DEFAULT_TOL) -> 
     return gqi_mod.is_valid_gqi(ins, pol=pol).ok
 
 
-def _validated(obj, pol: TolerancePolicy, validation: gqi_mod.GqiVerdict | None = None):
-    """The :func:`gqi.is_valid_gqi` verdict of a channel or an instrument,
-    ``validation`` when the caller has one; an invalid object raises."""
-    verdict = validation
-    if verdict is None:
-        verdict = gqi_mod.is_valid_gqi(obj, pol=pol)
-    if not verdict.ok:
-        raise ValidationError(f"not a valid {type(obj).__name__.lower()}")
-    return verdict
-
-
 def _kraus_products(kraus: np.ndarray) -> np.ndarray:
     """The r^2 products K_m^dagger K_n of a Kraus stack (r, d1, d0), m-major,
     from one broadcast ``matmul``: (r^2, d0, d0)."""
@@ -121,23 +113,20 @@ def instrument_extremal(
     {K_m^(i)dagger K_n^(i)} must be linearly independent.  ``validation`` is
     the caller's :func:`gqi.is_valid_gqi` verdict on the instrument at
     ``pol``, when it has one; each outcome's minimal Kraus stack comes from
-    its eigenpairs."""
-    spectra = _validated(ins, pol, validation).spectra
+    its eigenpairs.  An invalid instrument raises the error of
+    :func:`gqi._require_valid`."""
+    spectra = gqi_mod._require_valid(ins, pol, validation).spectra
     products = np.concatenate(
         [_kraus_products(_kraus_stack(spectra[i], ins.d1, ins.d0, pol)) for i in range(len(spectra.values))]
     )
     return linalg.complex_family_rank(products, pol) == len(products)
 
 
-def instrument_extremal_rank_test(
-    ins: Instrument, pol: TolerancePolicy = DEFAULT_TOL, validation: gqi_mod.GqiVerdict | None = None
-) -> bool:
+def instrument_extremal_rank_test(ins: Instrument, pol: TolerancePolicy = DEFAULT_TOL) -> bool:
     """The master criterion, decided by :func:`gqi.is_extremal`: the support
     bases pooled with the comb variable directions of the signature
-    (d_0, d_1) must be linearly independent.  ``validation`` as in
-    :func:`instrument_extremal`; an invalid instrument raises."""
-    verdict = _validated(ins, pol, validation)
-    return gqi_mod.is_extremal(ins, pol=pol, validation=verdict).extremal
+    (d_0, d_1) must be linearly independent."""
+    return gqi_mod.is_extremal(ins, pol=pol).extremal
 
 
 # A channel is the one-outcome instrument, so its criteria are the
@@ -165,7 +154,7 @@ def instrument_rank_bound(
 
     The ranks are the Kraus counts, read from the validation eigenpairs:
     ``validation`` as in :func:`instrument_extremal`."""
-    ranks = [int(r) for r in _validated(ins, pol, validation).spectra.support_ranks(pol)]
+    ranks = [int(r) for r in gqi_mod._require_valid(ins, pol, validation).spectra.support_ranks(pol)]
     lhs = sum(r * r for r in ranks)
     rhs = ins.d0 ** 2
     return InstrumentRankBound(outcome_ranks=tuple(ranks), lhs=lhs, rhs=rhs, ok=lhs <= rhs)

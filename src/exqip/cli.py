@@ -14,9 +14,10 @@ undecomposable input), 2 usage or file-format error.  The working tolerance is
 default 1e-10).
 
 ``decompose`` grows its tree one depth at a time: the undecided nodes of each
-depth go through one ``gqi.decide_all``, and the leaves are written in
-depth-first order, sorted by tree path (README, "Deciding a population").
-The parser is built once per process.
+depth go through one ``gqi.decide_all``, which cuts them into stacks, and
+the leaves are written in depth-first order, sorted by tree path (README,
+"Deciding a population").  An invalid object or node is refused by the one
+gate of ``gqi``, with its message.  The parser is built once per process.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 
 from . import combs, fileio, gqi as gqi_mod, linalg
 from .combs import CombSignature
-from .errors import DimensionMismatchError, ExqipError, FileFormatError, SizeLimitError, ValidationError
+from .errors import DimensionMismatchError, ExqipError, FileFormatError, SizeLimitError
 from .gqi import Povm, Tester
 from .linalg import TolerancePolicy
 
@@ -105,14 +106,11 @@ def _validate_report(obj, kind: fileio.Kind, pol: TolerancePolicy) -> dict:
     }
 
 
-def _certificate(obj, kind: fileio.Kind, pol: TolerancePolicy) -> gqi_mod.ExtremalityCertificate:
+def _certificate(obj, pol: TolerancePolicy) -> gqi_mod.ExtremalityCertificate:
     """Refuse a rank cutoff above every singular value, then validate and
     decide on the GQI view."""
     _check_rank_cutoff(pol, obj.signature.total_dim)
-    verdict = gqi_mod.is_valid_gqi(obj, pol=pol)
-    if not verdict.ok:
-        raise ValidationError(f"not a valid {kind.name}; `exqip validate` reports why")
-    return gqi_mod.is_extremal(obj, pol=pol, validation=verdict)
+    return gqi_mod.is_extremal(obj, pol=pol)
 
 
 def cmd_validate(args) -> int:
@@ -124,7 +122,7 @@ def cmd_validate(args) -> int:
 
 def cmd_extremal(args) -> int:
     pol, obj, kind = _load(args)
-    cert = _certificate(obj, kind, pol)
+    cert = _certificate(obj, pol)
     report = {
         "kind": kind.name,
         "verdict": cert.verdict,
@@ -139,30 +137,13 @@ def cmd_extremal(args) -> int:
     return 0
 
 
-def _decide_frontier(nodes: list, pol: TolerancePolicy) -> list:
-    """The certificates of a frontier's undecided ``nodes``, from
-    ``gqi.decide_all`` in passes whose stacked outcomes stay within
-    ``gqi.RANK_STAGE_BUDGET`` bytes.  An invalid node raises the error
-    ``gqi.is_extremal`` raises for it, without decide_all's member index."""
-    if not nodes:
-        return []
-    per_pass = max(1, gqi_mod.RANK_STAGE_BUDGET // sum(t.nbytes for t in nodes[0].outcomes))
-    certs = []
-    for start in range(0, len(nodes), per_pass):
-        try:
-            certs += gqi_mod.decide_all(nodes[start : start + per_pass], pol)
-        except ExqipError as err:
-            raise (err.__cause__ or err) from None
-    return certs
-
-
 def cmd_decompose(args) -> int:
     _check_count(args.steps, "--steps")
     # Leaves of an earlier tree would stay beside the new ones.
     if os.path.isdir(args.out) and os.listdir(args.out):
         raise ValueError(f"--out {args.out} is not empty")
     pol, obj, kind = _load(args)
-    cert = _certificate(obj, kind, pol)
+    cert = _certificate(obj, pol)
     if cert.extremal:
         print("input is extremal; nothing to decompose", file=sys.stderr)
         return 1
@@ -173,7 +154,12 @@ def cmd_decompose(args) -> int:
     # so sorting the leaves by path gives the depth-first order.
     frontier, leaves = [((), obj, 1.0, cert)], []
     for _ in range(args.steps):
-        decided = iter(_decide_frontier([g for _, g, _, c in frontier if c is None], pol))
+        nodes = [g for _, g, _, c in frontier if c is None]
+        try:
+            decided = iter(gqi_mod.decide_all(nodes, pol) if nodes else ())
+        except ExqipError as err:
+            # The error the node's own is_extremal raises, without the member index.
+            raise (err.__cause__ or err) from None
         children = []
         for path, g, weight, c in frontier:
             if c is None:

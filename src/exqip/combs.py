@@ -132,8 +132,8 @@ class DeterministicComb(Gqi):
 @dataclass(frozen=True)
 class CombVerdict:
     """A comb check: ``ok`` when positive with every cascade residual within
-    the bound; one residual per level and the reduced combs R^(N-1), ...,
-    R^(0), which take no part in equality or repr."""
+    the bound; one residual per level (one at N = 0) and the reduced combs
+    R^(N-1), ..., R^(0), which take no part in equality or repr."""
 
     ok: bool
     level_residuals: tuple
@@ -159,10 +159,13 @@ def _cascade(r: np.ndarray, sig: CombSignature, tol: float, positive) -> list:
     spaces 2n-1, 2n-2 and those below; R^(n-1) = Tr_odd Tr_even R^(n) / d_even,
     the even space traced first, and the residual is
     |Tr_odd R^(n) - I_even (x) R^(n-1)|_max, with R^(0) = 1 in the last one,
-    all on the tensor axes.  Each operator's verdict is the same to the bit
-    as from a stack of its own."""
+    all on the tensor axes.  At N = 0 there is no level, and the one residual
+    is |R - 1|_max.  Each operator's verdict is the same to the bit as from a
+    stack of its own."""
     residuals, reduced, current = [], [], r
     k = len(r)
+    if sig.n == 0:
+        residuals.append(np.abs(r - 1.0).reshape(k, -1).max(axis=1).tolist())
     for n, (_, odd, even, low) in zip(range(sig.n, 0, -1), sig.levels):
         t = current.reshape(k, odd, even, low, odd, even, low)
         lhs = t.trace(axis1=1, axis2=4)

@@ -31,10 +31,12 @@ needs no module of the kind-specific criteria.
 A population is decided in stacked passes (README, "Deciding a
 population"): :func:`validate_all` groups objects by signature and outcome
 shapes and :func:`decide_all` by signature and support ranks, and each
-stage runs once per group on a stack with a leading axis.  Each result is
-the same to the bit as the object's own call, because
-:func:`is_valid_gqi` and :func:`is_extremal` are that code on a stack of
-one.
+stage runs once per stack with a leading axis.  This module alone cuts a
+group into stacks within ``RANK_STAGE_BUDGET``, names the faulty member and,
+in :func:`_require_valid`, refuses an invalid object, with one message for
+every kind and caller.  Each result is the same to the bit as the object's
+own call, because :func:`is_valid_gqi` and :func:`is_extremal` are that
+code on a stack of one.
 """
 
 from __future__ import annotations
@@ -157,15 +159,17 @@ class ExtremalityCertificate:
 
 def validate_all(objects, pol: TolerancePolicy = DEFAULT_TOL) -> list:
     """:func:`is_valid_gqi` of every object, decided in stacked passes: one
-    per group of objects with the same signature and outcome shapes (README,
-    "Deciding a population").  Each verdict is the same to the bit as the
-    object's own call.  An invalid object gets a verdict with ``ok`` false.
-    An object that :func:`is_valid_gqi` would raise for (a non-Hermitian or
-    non-finite outcome, a wrong shape, no outcome) raises that error for the
-    first such object, its index in ``objects`` leading the message."""
+    per stack of objects with the same signature and outcome shapes, their
+    outcomes within ``RANK_STAGE_BUDGET`` bytes (README, "Deciding a
+    population").  Each verdict is the same to the bit as the object's own
+    call.  An invalid object gets a verdict with ``ok`` false.  An object
+    that :func:`is_valid_gqi` would raise for (a non-Hermitian or non-finite
+    outcome, a wrong shape, no outcome) raises that error for the first such
+    object, its index in ``objects`` leading the message."""
     objects = list(objects)
     return _grouped(
         [(g.signature, tuple(t.shape for t in g.outcomes)) for g in objects],
+        lambda key: 16 * sum(math.prod(shape) for shape in key[1]),
         lambda members: _validate_stack([objects[i] for i in members], pol),
     )
 
@@ -213,20 +217,25 @@ def _validate_stack(gs: list, pol: TolerancePolicy) -> list:
     ]
 
 
-def _grouped(keys: list, run) -> list:
-    """One result per member: ``run(indices)`` decides the members at
-    ``indices``, which share a key, as one stack and returns their results
-    in order.
+def _grouped(keys: list, member_bytes, run) -> list:
+    """One result per member: the members that share a key are cut, in
+    order, into stacks of at most max(1, RANK_STAGE_BUDGET //
+    ``member_bytes(key)``) members, and ``run(indices)`` decides the members
+    at ``indices`` as one stack and returns their results in order.
 
-    When a group raises an :class:`ExqipError`, its members are decided one
-    at a time, in order, and the first that raises is the group's fault.  The
-    fault of the lowest member index over all groups is raised again with
-    that index leading its message, so no member is passed over."""
+    When a stack raises an :class:`ExqipError`, its members are decided one
+    at a time, in order, and the first that raises is the stack's fault.
+    The fault of the lowest member index over all stacks is raised again
+    with that index leading its message, so no member is passed over."""
     groups = {}
     for i, key in enumerate(keys):
         groups.setdefault(key, []).append(i)
+    stacks = []
+    for key, group in groups.items():
+        size = max(1, RANK_STAGE_BUDGET // max(1, member_bytes(key)))
+        stacks += [group[start : start + size] for start in range(0, len(group), size)]
     out, faults = [None] * len(keys), []
-    for members in groups.values():
+    for members in stacks:
         try:
             results = run(members)
         except ExqipError as err:
@@ -248,6 +257,8 @@ def _grouped(keys: list, run) -> list:
 
 
 def _require_valid(g: Gqi, pol: TolerancePolicy, verdict: GqiVerdict | None = None) -> GqiVerdict:
+    """The one validity gate of every kind: ``verdict``, or ``g``'s own when
+    it is None, unless it fails, when :class:`ValidationError` is raised."""
     if verdict is None:
         verdict = is_valid_gqi(g, pol=pol)
     if not verdict.ok:
@@ -564,26 +575,16 @@ def decide_all(objects, pol: TolerancePolicy = DEFAULT_TOL, validations=None) ->
     if len(validations) != len(objects):
         raise DimensionMismatchError(f"{len(validations)} validations for {len(objects)} objects")
     ranks = [_support_ranks(v, pol) for v in validations]
-    sizes, seen, keys = {}, {}, []
-    for g, r in zip(objects, ranks):
-        key = (g.signature, r)
-        if key not in sizes:
-            sizes[key] = max(1, RANK_STAGE_BUDGET // max(1, rank_stage_bytes(*key)))
-        seen[key] = seen.get(key, -1) + 1
-        keys.append((key, seen[key] // sizes[key]))
     return _grouped(
-        keys,
+        [(g.signature, r) for g, r in zip(objects, ranks)],
+        lambda key: rank_stage_bytes(*key),
         lambda members: _decide_stack(
             [objects[i] for i in members], [validations[i] for i in members], ranks[members[0]], pol
         ),
     )
 
 
-def is_extremal(
-    g: Gqi,
-    pol: TolerancePolicy = DEFAULT_TOL,
-    validation: GqiVerdict | None = None,
-) -> ExtremalityCertificate:
+def is_extremal(g: Gqi, pol: TolerancePolicy = DEFAULT_TOL) -> ExtremalityCertificate:
     """Master extremality criterion: support bases of all outcomes pooled with
     the normalization variable basis V must be linearly independent.
 
@@ -620,13 +621,12 @@ def is_extremal(
     Otherwise P_b = U_b U_b^dagger.  Every other epsilon* is
     :func:`max_perturbation_step` on the supports.
 
-    ``validation`` is the caller's :func:`is_valid_gqi` verdict on ``g`` at
-    ``pol``, when it has one; otherwise ``g`` is validated here.  Each outcome
-    is decomposed once, in validation, and the rank test and epsilon* reuse
-    the eigenpairs.  This is the stacked pass of :func:`decide_all` on ``g``
-    alone.
+    Each outcome is decomposed once, in validation, and the rank test and
+    epsilon* reuse the eigenpairs; an invalid ``g`` raises the error of
+    :func:`_require_valid`.  This is the stacked pass of :func:`decide_all`
+    on ``g`` alone.
     """
-    validation = _require_valid(g, pol, validation)
+    validation = is_valid_gqi(g, pol)
     return _decide_stack([g], [validation], _support_ranks(validation, pol), pol)[0]
 
 
@@ -635,8 +635,8 @@ def _support_ranks(verdict: GqiVerdict, pol: TolerancePolicy) -> tuple:
 
 
 def _decide_stack(gs: list, verdicts: list, support_ranks: tuple, pol: TolerancePolicy) -> list:
-    """The certificates of K valid GQIs with the same signature and support
-    ranks (see :func:`is_extremal`)."""
+    """The certificates of K GQIs with the same signature and support ranks
+    (see :func:`is_extremal`), after the gate of each verdict."""
     for g, verdict in zip(gs, verdicts):
         _require_valid(g, pol, verdict)
     sig = gs[0].signature

@@ -4,7 +4,10 @@ A 1-tester is a collection of PSD operators T_1..T_M on H_2 (x) H_1 (output
 factor first) summing to I_2 (x) rho for a state rho on H_1: a GQI on the
 signature (1, d_1, d_2, 1), and a POVM one on (d, 1).  Both are valid exactly
 when their GQI view is, and are decided by the GQI rank test; for a tester
-the variable directions are I_2 (x) sigma, sigma traceless on H_1.
+the variable directions are I_2 (x) sigma, sigma traceless on H_1.  Every
+criterion refuses an invalid object through the one gate of
+:mod:`exqip.gqi`, with its message; :func:`check_bounds` also takes the
+caller's validation verdict, which the bounds suite passes on.
 
 Also here: the rank/outcome-count bounds, the normalization-changing
 xi transform, POVM extremality, pure-normalization testers, the closed-form
@@ -33,26 +36,14 @@ def is_valid_tester(t: Tester, pol: TolerancePolicy = DEFAULT_TOL) -> bool:
     return gqi_mod.is_valid_gqi(t, pol=pol).ok
 
 
-def _valid_tester(t: Tester, pol: TolerancePolicy, validation: GqiVerdict | None = None) -> GqiVerdict:
-    if validation is None:
-        validation = gqi_mod.is_valid_gqi(t, pol=pol)
-    if not validation.ok:
-        raise ValidationError("not a valid 1-tester")
-    return validation
-
-
 def _rho_rank(verdict: GqiVerdict, pol: TolerancePolicy) -> int:
     """The support rank of rho, R^(1) of the verdict's cascade."""
     return int(pol.support_rank(np.linalg.eigvalsh(verdict.comb_verdict.reduced[0])))
 
 
-def is_extremal_tester(
-    t: Tester, pol: TolerancePolicy = DEFAULT_TOL, validation: GqiVerdict | None = None
-) -> ExtremalityCertificate:
-    """The GQI rank test on the tester's view, validated once.
-    ``validation`` is the caller's :func:`gqi.is_valid_gqi` verdict on ``t``
-    at ``pol``, when it has one; the rank test reuses its eigenpairs."""
-    return gqi_mod.is_extremal(t, pol=pol, validation=_valid_tester(t, pol, validation))
+def is_extremal_tester(t: Tester, pol: TolerancePolicy = DEFAULT_TOL) -> ExtremalityCertificate:
+    """The GQI rank test on the tester's view, validated once."""
+    return gqi_mod.is_extremal(t, pol=pol)
 
 
 @dataclass(frozen=True)
@@ -82,8 +73,8 @@ def check_bounds(
     The outcome ranks come from the eigenpairs of :func:`gqi.is_valid_gqi`,
     the caller's ``validation`` on ``t`` at ``pol`` when it has one, and the
     rank of rho from the eigenvalues of its ``R^(1)``.  An invalid tester
-    raises."""
-    validation = _valid_tester(t, pol, validation)
+    raises the error of :func:`gqi._require_valid`."""
+    validation = gqi_mod._require_valid(t, pol, validation)
     r = _rho_rank(validation, pol)
     ranks = [int(x) for x in validation.spectra.support_ranks(pol)]
     lhs = sum(x * x for x in ranks) + r * r - 1
@@ -246,7 +237,7 @@ def classify_two_outcome_qubit(
     """
     if t.d1 != 2 or t.d2 != 2 or t.n_outcomes != 2:
         raise DimensionMismatchError("closed form requires a two-outcome qubit tester")
-    verdict = _valid_tester(t, pol)
+    verdict = gqi_mod._require_valid(t, pol)
     rho = verdict.comb_verdict.reduced[0]
     if linalg.max_abs(rho - np.eye(2) / 2.0) > pol.eps_comb:
         if _rho_rank(verdict, pol) == 2:

@@ -99,7 +99,7 @@ def recursive_decompose(args) -> int:
     if os.path.isdir(args.out) and os.listdir(args.out):
         raise ValueError(f"--out {args.out} is not empty")
     pol, obj, kind = cli._load(args)
-    cert = cli._certificate(obj, kind, pol)
+    cert = cli._certificate(obj, pol)
     if cert.extremal:
         print("input is extremal; nothing to decompose", file=sys.stderr)
         return 1

@@ -95,7 +95,7 @@ class TestChannelExtremality:
         c = Channel(d1=2, d0=2, choi=np.eye(4, dtype=complex))
         with pytest.raises(ValidationError):
             channels.choi_condition(c)
-        with pytest.raises(ValidationError, match="not a valid channel"):
+        with pytest.raises(ValidationError, match=r"^invalid GQI: outcome min eigenvalues \(1\.0,\), cascade residuals \(1\.0,\)$"):
             channels.channel_extremal_theorem1(c)
 
     def test_channel_is_the_one_outcome_instrument(self):
@@ -124,8 +124,8 @@ class TestChannelExtremality:
         assert verdicts == {True, False}
 
     def test_theorem1_builds_no_dense_family(self, monkeypatch):
-        """Given the validation verdict, Theorem 1 decomposes nothing again,
-        ranks no complex family and builds no Gell-Mann basis."""
+        """Theorem 1 runs one eigh per channel, its own validation, ranks no
+        complex family and builds no Gell-Mann basis."""
 
         def refuse(*args, **kwargs):
             raise AssertionError("dense Theorem 1 family built")
@@ -142,13 +142,13 @@ class TestChannelExtremality:
         for d0, d1 in suites.EQUIVALENCE_DIMS:
             for count in sorted({-(-d0 // d1), d0 * d1}):
                 c = channels.random_channel(d0, d1, count, rng)
-                cases.append((c, gqi.is_valid_gqi(gqi.Gqi(c.signature, c.outcomes))))
+                cases.append(c)
         monkeypatch.setattr(linalg, "complex_family_rank", refuse)
         monkeypatch.setattr(linalg, "traceless_hermitian_basis", refuse)
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-        verdicts = {channels.channel_extremal_theorem1(c, validation=v) for c, v in cases}
+        verdicts = {channels.channel_extremal_theorem1(c) for c in cases}
         assert verdicts == {True, False}
-        assert eighs == []
+        assert eighs == [(1, c.d0 * c.d1, c.d0 * c.d1) for c in cases]
 
 
 def former_kraus_products(eig, d1, d0, pol=linalg.DEFAULT_TOL):

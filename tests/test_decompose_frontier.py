@@ -138,23 +138,22 @@ class TestDecisions:
 
     def test_small_budget_decides_in_passes(self, tmp_path, monkeypatch, capsys):
         """A frontier whose stacked outcomes exceed RANK_STAGE_BUDGET is
-        decided in several passes, and the tree does not change."""
+        validated in several stacks, and the tree does not change."""
         path, steps = bench_tree(1, "midpoint-instrument-d2", tmp_path)
         node_bytes = sum(t.nbytes for t in fileio.load_object(path).outcomes)
-        decide_all = gqi.decide_all
+        validate_stack = gqi._validate_stack
         passes = {"whole": [], "cut": []}
         results = {}
         for side in ("whole", "cut"):
             if side == "cut":
-                # 16 nodes a pass; the rank stages of this tree need 7 896 bytes.
+                # 16 nodes a stack; the rank stages of this tree need 7 896 bytes.
                 monkeypatch.setattr(gqi, "RANK_STAGE_BUDGET", 16 * node_bytes)
 
-            def counted(objects, *args, side=side, **kwargs):
-                objects = list(objects)
-                passes[side].append(len(objects))
-                return decide_all(objects, *args, **kwargs)
+            def counted(gs, *args, side=side):
+                passes[side].append(len(gs))
+                return validate_stack(gs, *args)
 
-            monkeypatch.setattr(gqi, "decide_all", counted)
+            monkeypatch.setattr(gqi, "_validate_stack", counted)
             out_dir = str(tmp_path / side)
             results[side] = (*run(["decompose", path, "--steps", str(steps), "--out", out_dir], capsys), tree_files(out_dir))
         assert max(passes["whole"]) > 16 and max(passes["cut"]) == 16

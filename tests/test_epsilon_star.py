@@ -314,7 +314,7 @@ class TestSupportBlocks:
         g = Gqi(CombSignature(dims), ops)
         validation = gqi.is_valid_gqi(g)
         calls = counted_calls(monkeypatch)
-        cert = gqi.is_extremal(g, validation=validation)
+        cert = gqi.decide_all([g], validations=[validation])[0]
         assert cert.support_ranks == (2,) and not cert.extremal
         assert calls == [("eigvalsh", (1, 2, 2))]
 

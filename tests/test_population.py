@@ -428,3 +428,25 @@ def test_rank_stages_stay_within_the_budget(monkeypatch):
     assert stacks == [3, 3, 1]
     for g, cert in zip(population, certs):
         assert_same_certificate(cert, gqi.is_extremal(g))
+
+
+def test_validation_stacks_stay_within_the_budget(monkeypatch):
+    """validate_all cuts a group into stacks of K members whose stacked
+    outcomes, 16 M D^2 bytes each, stay within the budget; every verdict is
+    the uncut one to the bit."""
+    population = [split_comb(CombSignature((2, 2)), np.random.default_rng(s)) for s in range(7)]
+    m = len(population[0].outcomes)
+    uncut = gqi.validate_all(population)
+    stacks = []
+    eigs = linalg.hermitian_eigs
+
+    def recorded(h):
+        stacks.append(len(h))
+        return eigs(h)
+
+    monkeypatch.setattr(linalg, "hermitian_eigs", recorded)
+    monkeypatch.setattr(gqi, "RANK_STAGE_BUDGET", 3 * 16 * m * 16)
+    cut = gqi.validate_all(population)
+    assert stacks == [3 * m, 3 * m, m]
+    for a, b in zip(cut, uncut, strict=True):
+        assert_same_verdict(a, b)

@@ -268,7 +268,7 @@ class TestErrorPaths:
             dent = np.diag([0.01, -0.01, 0.0, 0.0])
             t = testers.Tester(d2=2, d1=2, outcomes=(t.outcomes[0] - dent, t.outcomes[1] + dent))
         assert not testers.is_valid_tester(t)
-        with pytest.raises(ValidationError, match="^not a valid 1-tester$"):
+        with pytest.raises(ValidationError, match=r"^invalid GQI: outcome min eigenvalues \(.*\), cascade residuals \(.*\)$"):
             testers.is_extremal_tester(t)
 
 

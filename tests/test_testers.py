@@ -122,7 +122,7 @@ class TestBounds:
     def test_invalid_tester_rejected(self):
         t = testers.schmidt_tester(0.3)
         t = Tester(d2=2, d1=2, outcomes=(t.outcomes[0], t.outcomes[1] + np.diag([0.1, 0, 0, 0])))
-        with pytest.raises(ValidationError, match="^not a valid 1-tester$"):
+        with pytest.raises(ValidationError, match=r"^invalid GQI: outcome min eigenvalues \(.*\), cascade residuals \(.*\)$"):
             testers.check_bounds(t)
 
     def test_bound_is_not_sufficient(self):
