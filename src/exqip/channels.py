@@ -16,7 +16,8 @@ channel), the paper's independent criterion; the master criterion (Theorem 1
 for a channel), decided by :func:`gqi.is_extremal` as for every other kind
 (that the two routes agree is a test oracle); and the square-root / Lueders
 constructions.  The appendix fixtures exercise all seven attainable
-(instrument, channel, POVM) extremality combinations.  The classes
+(instrument, channel, POVM) extremality combinations, which
+:func:`classify_combinations` decides in one stacked pass.  The classes
 :class:`Instrument` and :class:`Channel` are defined in :mod:`exqip.gqi`.
 """
 
@@ -27,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import gqi as gqi_mod, linalg, testers
-from .errors import NotPositiveError, ValidationError
+from . import gqi as gqi_mod, linalg
+from .errors import ExqipError, NotPositiveError, ValidationError
 from .gqi import Channel, Instrument, Povm
 from .linalg import DEFAULT_TOL, TolerancePolicy
 
@@ -197,13 +198,49 @@ class CombinationTriple:
         return tuple("+" if flag else "-" for flag in (self.instrument, self.channel, self.povm))
 
 
+def classify_combinations(instruments, pol: TolerancePolicy = DEFAULT_TOL) -> list:
+    """:func:`classify_combination` of every instrument, in one stacked pass:
+    one :func:`gqi.validate_all` of the instruments, their induced channels
+    and their induced POVMs, one :func:`gqi.decide_all` of the POVMs, and the
+    Kraus-product criterion on the verdicts of the instruments and channels.
+
+    The first instrument at fault raises, its index leading the message: its
+    own error or failed gate, then its channel's, then its POVM's."""
+    instruments = list(instruments)
+    n = len(instruments)
+    # An instrument with no outcome has no channel; it raises before its stand-in is read.
+    objects = instruments + [induced_channel(x) if x.outcomes else x for x in instruments]
+    objects += [induced_povm(x) for x in instruments]
+    try:
+        verdicts = gqi_mod.validate_all(objects, pol)
+    except ExqipError:
+        # Each object is then validated alone, in the order of the gates below.
+        verdicts = [None] * len(objects)
+    for i in range(n):
+        try:
+            for j in range(i, len(objects), n):
+                verdicts[j] = gqi_mod._require_valid(objects[j], pol, verdicts[j])
+        except ExqipError as err:
+            raise type(err)(f"member {i}: {err}") from err
+    povms = gqi_mod.decide_all(objects[2 * n :], pol, verdicts[2 * n :])
+    return [
+        CombinationTriple(
+            instrument=instrument_extremal(instruments[i], pol, verdicts[i]),
+            channel=choi_condition(objects[n + i], pol, verdicts[n + i]),
+            povm=povms[i].extremal,
+        )
+        for i in range(n)
+    ]
+
+
 def classify_combination(ins: Instrument, pol: TolerancePolicy = DEFAULT_TOL) -> CombinationTriple:
-    """Extremality of an instrument, its induced channel, and its induced POVM."""
-    return CombinationTriple(
-        instrument=instrument_extremal(ins, pol),
-        channel=choi_condition(induced_channel(ins), pol),
-        povm=testers.povm_is_extremal(induced_povm(ins), pol),
-    )
+    """Extremality of an instrument, its induced channel, and its induced
+    POVM: :func:`classify_combinations` on ``ins`` alone, which raises the
+    error of the first of the three at fault, with no index."""
+    try:
+        return classify_combinations([ins], pol)[0]
+    except ExqipError as err:
+        raise (err.__cause__ or err) from None
 
 
 APPENDIX_TABLE = {

@@ -231,6 +231,11 @@ def cmd_generate(args) -> int:
             sub = fileio.load_object(args.sub_povm)
             if not isinstance(sub, Povm):
                 raise FileFormatError("--sub-povm must point to a povm file")
+            if sub.d != base.d1 * base.d2:
+                raise FileFormatError(
+                    f"--sub-povm is on d = {sub.d}, but the tester's outcomes are on d_1 d_2 = "
+                    f"{base.d1 * base.d2}"
+                )
             effects = sub.effects
         else:
             effects = testers.projective_split_effects(base.outcomes[args.outcome], pol)

@@ -205,14 +205,16 @@ def _matrix_text(m: np.ndarray, ind: str) -> str:
     """
     if m.ndim != 2:
         raise TypeError(f"a matrix must have two dimensions, got shape {m.shape}")
-    if not np.isfinite(m).all():
+    # The [re, im] pairs of the entries, row-major: the complex array's float view.
+    parts = np.ascontiguousarray(m, dtype=complex).view(float)
+    if not np.isfinite(parts).all():
         raise ValueError("Out of range float values are not JSON compliant")
     if not len(m):
         return "[]"
     i1, i2, i3 = ind + "  ", ind + "    ", ind + "      "
     row = f"[{i2}" + f",{i2}".join([f"[{i3}%r,{i3}%r{i2}]"] * m.shape[1]) + f"{i1}]" if m.shape[1] else "[]"
     template = f"[{i1}" + f",{i1}".join([row] * len(m)) + f"{ind}]"
-    return template % tuple(np.stack([m.real, m.imag], -1).ravel().tolist())
+    return template % tuple(parts.ravel().tolist())
 
 
 def _pieces(value, ind: str, out: list) -> None:

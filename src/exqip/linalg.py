@@ -9,6 +9,8 @@ matrix-rank questions.  The pooled rank test of extremality is
 criterion.
 
 Operators are plain complex ``numpy`` arrays.  All functions are pure.
+:func:`kron` takes two matrices and forms their product with one broadcast
+multiplication, the same to the bit as ``np.kron``.
 """
 
 from __future__ import annotations
@@ -133,7 +135,14 @@ def check_hermitian_stack(a: np.ndarray, pol: TolerancePolicy = DEFAULT_TOL) -> 
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.kron(a, b)
+    """The Kronecker product of two matrices, from one broadcast product.
+    These are the multiplications ``np.kron`` makes, on operands of the same
+    layout, so every entry is the same to the bit."""
+    a, b = np.asarray(a), np.asarray(b)
+    if a.ndim != 2 or b.ndim != 2:
+        raise DimensionMismatchError(f"kron takes two matrices, got shapes {a.shape} and {b.shape}")
+    (m, n), (p, q) = a.shape, b.shape
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * p, n * q)
 
 
 def partial_trace(a: np.ndarray, dims, traced) -> np.ndarray:

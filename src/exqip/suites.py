@@ -9,7 +9,8 @@ The seeded suites draw a pass of at most ``PASS_SEEDS`` seeds first, each
 seed with its own generator in a fixed draw order, and then decide the whole
 pass with :func:`gqi.validate_all` and :func:`gqi.decide_all`.  No draw
 depends on a verdict, so a suite's population is that of deciding one
-object at a time.
+object at a time.  The appendix suite classifies its seven fixtures with one
+:func:`channels.classify_combinations`.
 """
 
 from __future__ import annotations
@@ -266,8 +267,9 @@ def run_appendix_c(seeds: int = 0, pol: TolerancePolicy = DEFAULT_TOL) -> SuiteR
     """Each fixture must reproduce its row of the extremality table.  The
     population is fixed: ``seeds`` is ignored."""
     result = SuiteResult(name="appendix-c")
-    for k, expected in sorted(APPENDIX_TABLE.items()):
-        triple = channels.classify_combination(channels.combination_fixture(k), pol)
+    rows = sorted(APPENDIX_TABLE.items())
+    triples = channels.classify_combinations([channels.combination_fixture(k) for k, _ in rows], pol)
+    for (k, expected), triple in zip(rows, triples):
         got = triple.as_signs()
         result.record(got == expected, f"row {k}: expected {expected}, got {got}")
     return result

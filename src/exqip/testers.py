@@ -94,8 +94,12 @@ def check_bounds(
     )
 
 
-def _full_rank_eig(rho: np.ndarray, pol: TolerancePolicy) -> linalg.EigenDecomposition:
-    """The eigendecomposition of ``rho``, which the xi transform needs full rank."""
+def _xi_state(t: Tester, rho: np.ndarray, u: np.ndarray, pol: TolerancePolicy) -> linalg.EigenDecomposition:
+    """The eigendecomposition of ``rho``, which the xi maps of ``t`` need
+    full rank; ``rho`` and ``u`` must be d_1 x d_1."""
+    for name, m in (("rho", rho), ("U", u)):
+        if np.shape(m) != (t.d1, t.d1):
+            raise DimensionMismatchError(f"{name} has shape {np.shape(m)}, but d_1 x d_1 is {(t.d1, t.d1)}")
     eig = linalg.hermitian_eig(rho, pol)
     if pol.support_rank(eig.values) < eig.values.size:
         raise ValidationError("xi transform requires a full-rank state")
@@ -110,7 +114,7 @@ def xi_transform(
     Maps uniform-normalization testers to normalization I (x) rho; invertible
     for full-rank rho and preserves the extremality verdict.
     """
-    a = linalg.kron(np.eye(t.d2, dtype=complex), linalg.eig_sqrt(_full_rank_eig(rho, pol)) @ u)
+    a = linalg.kron(np.eye(t.d2, dtype=complex), linalg.eig_sqrt(_xi_state(t, rho, u, pol)) @ u)
     return Tester(
         d2=t.d2,
         d1=t.d1,
@@ -122,7 +126,7 @@ def xi_inverse(
     t: Tester, rho: np.ndarray, u: np.ndarray, pol: TolerancePolicy = DEFAULT_TOL
 ) -> Tester:
     """Inverse of :func:`xi_transform` for the same (rho, U)."""
-    eig = _full_rank_eig(rho, pol)
+    eig = _xi_state(t, rho, u, pol)
     inv_sqrt = (eig.vectors / np.sqrt(eig.values)) @ eig.vectors.conj().T
     b = linalg.kron(np.eye(t.d2, dtype=complex), u.conj().T @ inv_sqrt)
     return Tester(
@@ -178,6 +182,10 @@ def split_outcome(
     if isinstance(sub_effects, Povm):
         sub_effects = sub_effects.effects
     sub_effects = [np.asarray(e, dtype=complex) for e in sub_effects]
+    shape = t.outcomes[index].shape
+    for e in sub_effects:
+        if e.shape != shape:
+            raise DimensionMismatchError(f"sub-POVM effect shape {e.shape} does not match outcome shape {shape}")
     eig = linalg.hermitian_eig(t.outcomes[index], pol)
     cols = eig.vectors[:, : eig.support_ranks(pol)]
     proj = cols @ cols.conj().T

@@ -4,8 +4,8 @@ The program decides extremality without any of these: it never ranks a
 whole stack in one call, takes supports from the eigenpairs of validation,
 reads a tester's rho from the cascade of its GQI verdict, never builds the
 comb variable basis V or the dense normalization family of Theorem 1, and
-decomposes a tree one depth at a time.  The tests keep them as oracles and
-to build inputs.
+decomposes a tree one depth at a time and classifies the appendix fixtures
+in one stacked pass.  The tests keep them as oracles and to build inputs.
 """
 
 import collections
@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from exqip import channels, cli, combs, fileio, gqi, linalg
+from exqip import channels, cli, combs, fileio, gqi, linalg, testers
 from exqip.errors import NotPositiveError
 from exqip.linalg import DEFAULT_TOL
 
@@ -88,6 +88,18 @@ def theorem1_dense(c, pol=DEFAULT_TOL):
         family.append(linalg.kron(sa, eye0))
         family.extend(linalg.kron(sa, sb) for sb in linalg.traceless_hermitian_basis(c.d0))
     return linalg.complex_family_rank(family, pol) == len(family)
+
+
+def classify_combination(ins, pol=DEFAULT_TOL):
+    """The appendix row of ``ins`` as it was classified before the stacked
+    pass: the Kraus-product criterion on the instrument, Choi's criterion on
+    its induced channel and the rank test on its induced POVM, each
+    validating its own object, in that order."""
+    return channels.CombinationTriple(
+        instrument=channels.instrument_extremal(ins, pol),
+        channel=channels.choi_condition(channels.induced_channel(ins), pol),
+        povm=testers.povm_is_extremal(channels.induced_povm(ins), pol),
+    )
 
 
 def recursive_decompose(args) -> int:

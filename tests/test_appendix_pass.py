@@ -1,0 +1,126 @@
+"""The appendix table in one stacked pass.
+
+``channels.classify_combinations`` validates the instruments, their induced
+channels and their induced POVMs with one ``gqi.validate_all``, decides the
+POVMs with one ``gqi.decide_all`` and runs the Kraus-product criterion on
+the verdicts it has.  The per-row call chain it replaced is the oracle
+(``oracles.classify_combination``).  ``classify_combination`` is the pass on
+one instrument and raises that chain's errors; the pass itself leads them
+with the index of the instrument at fault.
+"""
+
+import numpy as np
+import pytest
+
+from exqip import channels, gqi, suites
+from exqip.channels import APPENDIX_TABLE
+from exqip.gqi import Instrument
+
+import oracles
+
+ROWS = sorted(APPENDIX_TABLE)
+
+
+def fixtures(rows):
+    return [channels.combination_fixture(k) for k in rows]
+
+
+def raised(f, *args):
+    """The type and message of the error ``f(*args)`` raises."""
+    with pytest.raises(Exception) as info:
+        f(*args)
+    return type(info.value), str(info.value)
+
+
+def faulty_instruments():
+    """Instruments that the per-row chain refuses, each for a reason of its own."""
+    return {
+        "non-Hermitian": Instrument(2, 2, (np.triu(np.ones((4, 4))) / 2,)),
+        # Its channel, diag(1, 0, 0, 1), is valid and its POVM is not: the
+        # instrument's own gate must speak first.
+        "negative outcome": Instrument(2, 2, (np.diag([1.5, 0, 0, 1]), np.diag([-0.5, 0, 0, 0]))),
+        "not trace preserving": Instrument(2, 2, (np.eye(4) / 4,)),
+        "non-finite": Instrument(2, 2, (np.full((4, 4), np.nan),)),
+        "no outcome": Instrument(2, 2, ()),
+    }
+
+
+def test_matches_the_per_row_chain():
+    """Row by row on the seven fixtures: in table order, shuffled, with
+    repeats, alone and none."""
+    rng = np.random.default_rng(24)
+    orders = [ROWS, [int(k) for k in rng.permutation(ROWS)], [int(k) for k in rng.choice(ROWS, 12)], [2], []]
+    for rows in orders:
+        instruments = fixtures(rows)
+        got = channels.classify_combinations(instruments)
+        assert got == [oracles.classify_combination(ins) for ins in instruments]
+        assert [t.as_signs() for t in got] == [APPENDIX_TABLE[k] for k in rows]
+        assert [channels.classify_combination(ins) for ins in instruments] == got
+
+
+def test_one_validation_stack_per_group(monkeypatch):
+    """The suite validates each of its 21 objects (seven instruments, their
+    channels and their POVMs) once, in one stack per (signature, outcome
+    count): six stacks."""
+    stacks = []
+    validate_stack = gqi._validate_stack
+
+    def counted(gs, *args):
+        stacks.append(list(gs))
+        return validate_stack(gs, *args)
+
+    monkeypatch.setattr(gqi, "_validate_stack", counted)
+    result = suites.run_appendix_c()
+    assert result.ok and result.total == 7
+    members = [g for stack in stacks for g in stack]
+    assert len(members) == len({id(g) for g in members}) == 21
+    keys = [{(g.signature, g.n_outcomes) for g in stack} for stack in stacks]
+    assert all(len(key) == 1 for key in keys)
+    assert len({key.pop() for key in keys}) == len(stacks) == 6
+
+
+def test_appendix_suite_is_one_pass(monkeypatch):
+    """``run_appendix_c`` classifies the seven fixtures in one call and
+    makes no per-object classify call."""
+    calls = []
+    classify = channels.classify_combinations
+
+    def counted(instruments, pol):
+        calls.append(len(instruments))
+        return classify(instruments, pol)
+
+    def per_object(*args):
+        raise AssertionError("per-object classify call")
+
+    monkeypatch.setattr(channels, "classify_combinations", counted)
+    monkeypatch.setattr(channels, "classify_combination", per_object)
+    assert suites.run_suite("appendix-c").ok
+    assert calls == [7]
+
+
+@pytest.mark.parametrize("name", sorted(faulty_instruments()))
+def test_single_keeps_the_chains_error(name):
+    """``classify_combination`` raises the error and message of the per-row
+    chain, with no member index."""
+    ins = faulty_instruments()[name]
+    want = raised(oracles.classify_combination, ins)
+    assert raised(channels.classify_combination, ins) == want
+    assert not want[1].startswith("member")
+
+
+@pytest.mark.parametrize("name", sorted(faulty_instruments()))
+def test_member_index_leads_the_error(name):
+    """In a population the instrument's index leads the chain's message."""
+    ins = faulty_instruments()[name]
+    kind, message = raised(oracles.classify_combination, ins)
+    good = fixtures([3, 8])
+    assert raised(channels.classify_combinations, good + [ins] + good) == (kind, f"member 2: {message}")
+
+
+def test_first_instrument_at_fault_raises():
+    """An invalid instrument before a non-Hermitian one raises first,
+    although the stacked validation failed on the latter."""
+    bad = faulty_instruments()
+    kind, message = raised(oracles.classify_combination, bad["negative outcome"])
+    population = fixtures([1]) + [bad["negative outcome"], bad["non-Hermitian"]]
+    assert raised(channels.classify_combinations, population) == (kind, f"member 1: {message}")

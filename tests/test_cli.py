@@ -563,6 +563,19 @@ class TestCli:
         assert split.n_outcomes == 4
         assert self.run("extremal", out) == 0
 
+    def test_split_tester_sub_povm_of_another_dimension_exits_2(self, tmp_path, capsys):
+        """A --sub-povm on d = 3 for a qubit tester, D = 4, is refused with
+        both dimensions and no file written."""
+        base, sub, out = (str(tmp_path / name) for name in ("bell.json", "p3.json", "split.json"))
+        fileio.save_object(base, bell_tester())
+        fileio.save_object(sub, Povm(3, (np.eye(3),)))
+        assert self.run("generate", "split-tester", "--base", base, "--outcome", "1",
+                        "--sub-povm", sub, "--out", out) == 2
+        assert capsys.readouterr().err == (
+            "error: --sub-povm is on d = 3, but the tester's outcomes are on d_1 d_2 = 4\n"
+        )
+        assert not os.path.exists(out)
+
     def test_suite_command(self, capsys):
         assert self.run("suite", "appendix-c") == 0
         out = json.loads(capsys.readouterr().out)

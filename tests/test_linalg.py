@@ -73,6 +73,56 @@ class TestCheckHermitian:
         linalg.check_hermitian(h.T)  # must not trip the dtype view
 
 
+# Any float, signed zeros, subnormals and the ends of the range included.
+PARTS = st.floats(width=64)
+
+
+@st.composite
+def kron_operands(draw):
+    """A matrix of 1-6 rows and columns, real or complex, contiguous or a
+    strided or transposed view of a larger array."""
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    layout = draw(st.sampled_from(["contiguous", "strided", "transposed"]))
+    shape = {"contiguous": (m, n), "strided": (2 * m, 3 * n), "transposed": (n, m)}[layout]
+    dtype = draw(st.sampled_from([float, complex]))
+    parts = draw(st.lists(PARTS, min_size=2 * shape[0] * shape[1], max_size=2 * shape[0] * shape[1]))
+    a = np.empty(shape, dtype=dtype)
+    a.real = np.reshape(parts[::2], shape)
+    if dtype is complex:
+        a.imag = np.reshape(parts[1::2], shape)
+    return {"contiguous": a, "strided": a[::2, ::3], "transposed": a.T}[layout]
+
+
+class TestKron:
+    @settings(max_examples=300, deadline=None)
+    @given(kron_operands(), kron_operands())
+    def test_is_np_kron_to_the_bit(self, a, b):
+        """Every entry, NaNs and signed zeros included, and the dtype are
+        those of ``np.kron``, for real, complex and mixed operands."""
+        with np.errstate(all="ignore"):
+            got, want = linalg.kron(a, b), np.kron(a, b)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    def test_suites_call_no_np_kron(self, monkeypatch):
+        """The tester generators and the xi maps take their products from
+        ``linalg.kron``: a round of every suite makes no ``np.kron`` call."""
+        from exqip import suites
+
+        def refused(*args):
+            raise AssertionError("np.kron called")
+
+        monkeypatch.setattr(np, "kron", refused)
+        for name in suites.SUITES:
+            assert suites.run_suite(name, seeds=4).ok
+
+    @pytest.mark.parametrize("shapes", [((2,), (2, 2)), ((2, 2), (3,)), ((), (2, 2)), ((2, 2, 2), (2, 2))])
+    def test_only_matrices(self, shapes):
+        a, b = (np.ones(shape) for shape in shapes)
+        with pytest.raises(DimensionMismatchError):
+            linalg.kron(a, b)
+
+
 class TestPartialTrace:
     def test_kron_factorization(self):
         rng = np.random.default_rng(2)

@@ -163,6 +163,17 @@ class TestXiTransform:
         with pytest.raises(ValidationError):
             testers.xi_transform(bell_tester(), np.diag([1.0, 0.0]), np.eye(2))
 
+    @pytest.mark.parametrize("xi", [testers.xi_transform, testers.xi_inverse])
+    def test_factors_must_be_d1_by_d1(self, xi):
+        """A rho or U that is not d_1 x d_1 raises, naming both shapes."""
+        rho, u = np.eye(2) / 2, np.eye(2)
+        with pytest.raises(DimensionMismatchError, match=r"rho has shape \(3, 3\), but d_1 x d_1 is \(2, 2\)"):
+            xi(bell_tester(), np.eye(3) / 3, u)
+        with pytest.raises(DimensionMismatchError, match=r"U has shape \(3, 3\), but d_1 x d_1 is \(2, 2\)"):
+            xi(bell_tester(), rho, np.eye(3))
+        with pytest.raises(DimensionMismatchError, match=r"U has shape \(2,\)"):
+            xi(bell_tester(), rho, np.ones(2))
+
 
 class TestPovm:
     def test_projective_valid_and_extremal(self):
@@ -235,6 +246,11 @@ class TestSplitting:
         t = bell_tester()
         with pytest.raises(ValidationError):
             testers.split_outcome(t, 1, [np.eye(4, dtype=complex)])
+
+    def test_effect_of_another_dimension_rejected(self):
+        """A sub-POVM on d = 3 for outcomes on D = 4 raises, naming both shapes."""
+        with pytest.raises(DimensionMismatchError, match=r"shape \(3, 3\) does not match outcome shape \(4, 4\)"):
+            testers.split_outcome(bell_tester(), 1, Povm(3, (np.eye(3),)))
 
     def test_bad_index_rejected(self):
         with pytest.raises(DimensionMismatchError):
