@@ -253,21 +253,7 @@ def _traceless_part(y: np.ndarray, even: int, low: int) -> np.ndarray:
     return y - np.einsum("ef,kij->keifj", eye, t).reshape(y.shape)
 
 
-def level_operators(u: np.ndarray, sig: CombSignature) -> list:
-    """Y_n = Tr_{spaces >= 2n-1} q_j / sqrt(top_n) of every support basis
-    element q_j of span(u) (:func:`linalg.support_operators` order), one
-    stack per level n with a nontrivial even space, from one
-    :func:`linalg.support_operators` call each.  ``u`` is (..., D, r)."""
-    return [
-        linalg.support_operators(u, top * odd) / math.sqrt(top * odd)
-        for top, odd, even, _ in sig.levels
-        if even > 1
-    ]
-
-
-def complement_coordinates(
-    u: np.ndarray, sig: CombSignature, start: int = 0, stop: int | None = None, levels: list | None = None
-) -> np.ndarray:
+def complement_coordinates(u: np.ndarray, sig: CombSignature, start: int = 0, stop: int | None = None) -> np.ndarray:
     """Support basis of span(u) projected off the comb variable directions.
 
     ``u`` (D x r) has orthonormal columns.  Row j is an isometric image of
@@ -277,23 +263,21 @@ def complement_coordinates(
     of V is spanned by the identity and :func:`comb_forbidden_directions`, so
     the coordinates are Tr q / sqrt(D) and then, per level n with
     Y_n = Tr_{spaces >= 2n-1} q / sqrt(top_n), the vectorized part of Y_n
-    traceless on space 2n-2.  They come from partial traces of ``u`` alone:
-    no D^2-long operator is built.
-    Levels with a trivial even space contribute nothing and are skipped.
-    Only the rows ``start`` to ``stop`` (by default all r^2) are made
-    coordinates, from ``levels``, the :func:`level_operators` of ``u``, when
-    the caller has them; each row is the same to the bit as in the whole
-    stack.  A stack ``u`` (..., D, r) gives (..., rows, n).
+    traceless on space 2n-2.  They come from partial traces of ``u`` alone,
+    one :func:`linalg.support_operators` call per level: no D^2-long operator
+    is built.  Levels with a trivial even space contribute nothing and are
+    skipped.  Only the rows ``start`` to ``stop`` (by default all r^2) are
+    made coordinates, each the same to the bit as in the whole stack.  A
+    stack ``u`` (..., D, r) gives (..., rows, n).
     """
     *lead, _, r = u.shape
-    if levels is None:
-        levels = level_operators(u, sig)
     trace = np.zeros((*lead, r * r, 1))
     trace[..., :r, :] = 1.0 / math.sqrt(sig.total_dim)
     cols = [trace[..., start:stop, :]]
-    shapes = [(even, low) for _, _, even, low in sig.levels if even > 1]
-    for y, (even, low) in zip(levels, shapes):
-        cols.append(linalg.vectorize_hermitian(_traceless_part(y[..., start:stop, :, :], even, low)))
+    for top, odd, even, low in sig.levels:
+        if even > 1:
+            y = linalg.support_operators(u, top * odd)[..., start:stop, :, :] / math.sqrt(top * odd)
+            cols.append(linalg.vectorize_hermitian(_traceless_part(y, even, low)))
     return np.concatenate(cols, axis=-1)
 
 

@@ -41,6 +41,7 @@ code on a stack of one.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -166,11 +167,15 @@ def validate_all(objects, pol: TolerancePolicy = DEFAULT_TOL) -> list:
     that :func:`is_valid_gqi` would raise for (a non-Hermitian or non-finite
     outcome, a wrong shape, no outcome) raises that error for the first such
     object, its index in ``objects`` leading the message."""
-    objects = list(objects)
+    return _validate_grouped(list(objects), pol, False)
+
+
+def _validate_grouped(objects: list, pol: TolerancePolicy, gate: bool) -> list:
+    """The stacked passes of :func:`validate_all`; with ``gate``, an invalid object raises in its pass."""
     return _grouped(
         [(g.signature, tuple(t.shape for t in g.outcomes)) for g in objects],
         lambda key: 16 * sum(math.prod(shape) for shape in key[1]),
-        lambda members: _validate_stack([objects[i] for i in members], pol),
+        lambda members: _validate_stack([objects[i] for i in members], pol, gate),
     )
 
 
@@ -189,10 +194,11 @@ def is_valid_gqi(g: Gqi, pol: TolerancePolicy = DEFAULT_TOL) -> GqiVerdict:
     return _validate_stack([g], pol)[0]
 
 
-def _validate_stack(gs: list, pol: TolerancePolicy) -> list:
+def _validate_stack(gs: list, pol: TolerancePolicy, gate: bool = False) -> list:
     """The verdicts on K GQIs of one signature and one list of outcome
     shapes, from one Hermiticity check, one ``eigh`` of the (K M, D, D)
-    stack and one cascade pass of the K sums."""
+    stack and one cascade pass of the K sums; with ``gate``, each verdict
+    passes :func:`_require_valid` in the same pass."""
     first = gs[0]
     m = len(first.outcomes)
     if m < 1:
@@ -211,10 +217,11 @@ def _validate_stack(gs: list, pol: TolerancePolicy) -> list:
     comb_verdicts = combs._cascade(
         (s + s.conj().transpose(0, 2, 1)) / 2, first.signature, pol.eps_comb, pol.psd(w).all(axis=1)
     )
-    return [
+    verdicts = [
         GqiVerdict(cv.ok, tuple(w[j, :, -1].tolist()), cv, linalg.EigenDecomposition(w[j], v[j]))
         for j, cv in enumerate(comb_verdicts)
     ]
+    return [_require_valid(g, pol, verdict) for g, verdict in zip(gs, verdicts)] if gate else verdicts
 
 
 def _grouped(keys: list, member_bytes, run) -> list:
@@ -413,25 +420,18 @@ def _rank_test(sig: CombSignature, supports, n_known: int, bound: float, pol: To
     coefficient vector over the m = sum r_i^2 rows, is present exactly when
     the rows are dependent; the margin, the smallest singular value of the
     rows, exactly when they are independent and m > 0.  Each is the same to
-    the bit as from a stack of its own: every step below runs on the stack
-    with a leading axis, and numpy's stacked SVD and products run one LAPACK
-    or BLAS call per matrix.
+    the bit as from a stack of its own: numpy's stacked SVD and products run
+    one LAPACK or BLAS call per matrix.
 
-    An input whose estimated peak (:func:`rank_stage_bytes`) exceeds
-    ``RANK_STAGE_BUDGET`` raises :class:`SizeLimitError` before any row is
-    built.  The rows are built outcome by outcome and only as far as the
-    decision needs.  They span at most span = D^2 - |V| dimensions of their
-    n >= span coordinates.
-
-    Head first: when m > span, the first span + 1 rows (the head) are
-    decomposed first, with U.  A GQI whose head has span singular values
-    above ``bound`` has the pooled rank span + |V|, and its remaining rows
-    are never built (README, "Head-first rank"): each outcome's rows are a
-    projected orthonormal family, of spectral norm at most 1, so sqrt(M)
-    bounds sigma_max of the stack.  The outcome whose rows straddle the head
-    has its partial traces taken once (:func:`combs.level_operators`), and
-    its rows past the head come from them.  Every other GQI takes its rank
-    from the values-only SVD of all its rows at the pooled cutoff
+    Above ``RANK_STAGE_BUDGET`` estimated bytes (:func:`rank_stage_bytes`),
+    :class:`SizeLimitError` is raised before any row is built.  The rows
+    span at most span = D^2 - |V| dimensions.  When m > span, the first
+    span + 1 rows, the head, are built and decomposed first, with U; a GQI
+    whose head has span singular values above ``bound`` has the pooled rank
+    span + |V| (README, "Head-first rank").  Every other GQI falls back to the
+    values-only SVD of all rows, those past the head built then, each once
+    (the outcome that straddles the head forms its partial traces again), at
+    the pooled cutoff
 
         tau = max(m + |V|, D^2) * sigma * eps_rel,
 
@@ -451,21 +451,14 @@ def _rank_test(sig: CombSignature, supports, n_known: int, bound: float, pol: To
         )
     ambient = sig.total_dim ** 2
     span = ambient - n_known
-    m = sum(r * r for r in ranks)
+    starts = [0, *itertools.accumulate(r * r for r in ranks)]
+    m = starts[-1]
     head = span + 1 if m > span else m
-    first, rest, start = [], [], 0
-    for v, r in zip(supports, ranks):
-        if start + r * r <= head:
-            first.append(combs.complement_coordinates(v, sig))
-        elif start < head:
-            levels = combs.level_operators(v, sig)
-            first.append(combs.complement_coordinates(v, sig, 0, head - start, levels))
-            rest.append((v, head - start, levels))
-        else:
-            rest.append((v, 0, None))
-        start += r * r
-    x = first[0] if len(first) == 1 else np.concatenate(first, axis=-2)
-    del first
+    # Head blocks of the outcomes that start in the head, the first always (an
+    # all-empty family's zero-row block); rest: (vectors, first row past it).
+    x = [combs.complement_coordinates(v, sig, 0, head - a) for v, a in zip(supports, starts) if a < max(head, 1)]
+    rest = [(v, max(0, head - a)) for v, a, b in zip(supports, starts, starts[1:]) if b > head]
+    x = x[0] if len(x) == 1 else np.concatenate(x, axis=-2)
     n = x.shape[-1]
     out = [None] * len(x)
     todo, u = list(range(len(x))), None
@@ -478,32 +471,24 @@ def _rank_test(sig: CombSignature, supports, n_known: int, bound: float, pol: To
         todo = [j for j in todo if not exits[j]]
     if not todo:
         return out
-    # Only the head path leaves some members behind, so u is set then.
-    sel = slice(None)
     if len(todo) < len(x):
-        sel = todo
-        x, u = x[sel], u[sel]
+        x = x[todo]
     if rest:
-        blocks = [x]
-        for v, row, levels in rest:
-            levels = None if levels is None else [y[sel] for y in levels]
-            blocks.append(combs.complement_coordinates(v[sel], sig, row, None, levels))
-        x = np.concatenate(blocks, axis=-2)
-        del blocks, rest, levels
+        x = np.concatenate([x] + [combs.complement_coordinates(v[todo], sig, row) for v, row in rest], axis=-2)
     dependent = []
-    for pos, (j, sj) in enumerate(zip(todo, np.linalg.svd(x, compute_uv=False))):
+    for j, sj in zip(todo, np.linalg.svd(x, compute_uv=False)):
         sigma = max(1.0 if n_known else 0.0, float(sj[0]) if sj.size else 0.0)
         rank = int(np.count_nonzero(sj > pol.rank_tol(m + n_known, ambient, sigma)))
         if rank == m:
             out[j] = (rank + n_known, None, float(sj[-1]) if sj.size else None)
         else:
-            dependent.append((pos, j, rank))
+            dependent.append((j, rank))
     if dependent and u is None:
-        rows = [pos for pos, _, _ in dependent]
-        heads = x if len(rows) == len(x) else x[rows]
-        u = dict(zip(rows, np.linalg.svd(heads, full_matrices=x.shape[-2] > n)[0]))
-    for pos, j, rank in dependent:
-        out[j] = (rank + n_known, _null_vector(u[pos], m), None)
+        # With no head every member is left, so member j is row j of x.
+        rows = [j for j, _ in dependent]
+        u = dict(zip(rows, np.linalg.svd(x if len(rows) == len(x) else x[rows], full_matrices=x.shape[-2] > n)[0]))
+    for j, rank in dependent:
+        out[j] = (rank + n_known, _null_vector(u[j], m), None)
     return out
 
 
@@ -571,7 +556,8 @@ def decide_all(objects, pol: TolerancePolicy = DEFAULT_TOL, validations=None) ->
     the message.
     """
     objects = list(objects)
-    validations = validate_all(objects, pol) if validations is None else list(validations)
+    # Gated in the validation pass, an invalid member is weighed against those that raise there.
+    validations = _validate_grouped(objects, pol, True) if validations is None else list(validations)
     if len(validations) != len(objects):
         raise DimensionMismatchError(f"{len(validations)} validations for {len(objects)} objects")
     ranks = [_support_ranks(v, pol) for v in validations]

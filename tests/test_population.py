@@ -8,8 +8,7 @@ projected row built at once, the head SVD on the first D^2 - |V| + 1 rows
 and the epsilon* step of one GQI.  Verdicts and certificates must equal it
 to the bit, and every member of a population must equal its own call.
 
-Also here: one partial-trace tensor per level and outcome on the rank
-stage's fallback, and the summaries of the suites, which now decide their
+Also here: the summaries of the suites, which now decide their
 populations in stacked passes.
 """
 
@@ -347,6 +346,23 @@ class TestFaults:
         with pytest.raises(ValidationError, match="^member 1: a GQI needs at least one outcome$"):
             gqi.validate_all([good, Gqi(CombSignature((2, 2)), ())])
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_invalid_member_before_one_that_raises_in_validation(self, d):
+        """An invalid member before a non-Hermitian one, in the same stack
+        (d = 2) or in another (d = 3): decide_all names the invalid one with
+        the error of its own is_extremal."""
+        invalid = Gqi(CombSignature((2, 1)), (np.diag([1.1, 0.0]), np.diag([-0.1, 1.0])))
+        skew = np.zeros((d, d), dtype=complex)
+        skew[0, :2] = 1.0
+        skewed = Gqi(CombSignature((d, 1)), (skew, np.eye(d) - skew))
+        with pytest.raises(ValidationError) as single:
+            gqi.is_extremal(invalid)
+        with pytest.raises(NotHermitianError):
+            gqi.validate_all([invalid, skewed])
+        with pytest.raises(ValidationError) as stacked:
+            gqi.decide_all([invalid, skewed])
+        assert str(stacked.value) == f"member 0: {single.value}"
+
     def test_size_guard_raises_for_its_group(self, monkeypatch):
         monkeypatch.setattr(gqi, "RANK_STAGE_BUDGET", 1000)
         population = [suites.random_nonextremal_gqi(np.random.default_rng(s)) for s in range(3)]
@@ -355,26 +371,6 @@ class TestFaults:
         with pytest.raises(SizeLimitError) as stacked:
             gqi.decide_all(population)
         assert str(stacked.value) == f"member 0: {single.value}"
-
-
-def test_fallback_takes_each_partial_trace_once(monkeypatch):
-    """On the rank stage's fallback the outcome split at the head has its
-    partial-trace tensor formed once per level: one support_operators call
-    per level and outcome."""
-    calls = []
-    support_operators = linalg.support_operators
-
-    def counted(u, *args, **kwargs):
-        calls.append(u.shape)
-        return support_operators(u, *args, **kwargs)
-
-    monkeypatch.setattr(linalg, "support_operators", counted)
-    for g in fallback_population():
-        calls.clear()
-        cert = gqi.is_extremal(g)
-        assert cert.rank < g.signature.total_dim ** 2
-        levels = sum(even > 1 for _, _, even, _ in g.signature.levels)
-        assert len(calls) == levels * len(g.outcomes)
 
 
 SUMMARIES = {
