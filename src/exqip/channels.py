@@ -266,13 +266,16 @@ def _commuting_independent_povm() -> Povm:
 def combination_fixture(k: int) -> Instrument:
     """Concrete instrument realizing row ``k`` of the extremality table.
 
-    Row 5 (non-extremal instrument with extremal channel and POVM) is an open
-    problem and has no fixture.
+    Row 5 (non-extremal instrument with extremal channel and POVM) is empty
+    and has no fixture: when the induced channel is extremal, the instrument
+    is extremal exactly when its environment POVM is, and a non-extremal
+    environment POVM makes the induced POVM non-extremal (README, "The
+    appendix table").
     """
     if k == 5:
         raise ValidationError(
-            "combination 5 is an open problem: no instrument with a non-extremal "
-            "instrument but extremal induced channel and POVM is known"
+            "combination 5 has no instrument: row 5 of the appendix table is empty, "
+            "since an instrument whose induced channel and POVM are extremal is extremal"
         )
     if k == 1:
         return instrument_from_kraus([[np.eye(2, dtype=complex)]], d1=2, d0=2)

@@ -198,7 +198,8 @@ def _validate_stack(gs: list, pol: TolerancePolicy, gate: bool = False) -> list:
     """The verdicts on K GQIs of one signature and one list of outcome
     shapes, from one Hermiticity check, one ``eigh`` of the (K M, D, D)
     stack and one cascade pass of the K sums; with ``gate``, each verdict
-    passes :func:`_require_valid` in the same pass."""
+    passes :func:`_require_valid`, and each tuple of support ranks in the
+    stack :func:`_require_budget`, in the same pass."""
     first = gs[0]
     m = len(first.outcomes)
     if m < 1:
@@ -221,7 +222,12 @@ def _validate_stack(gs: list, pol: TolerancePolicy, gate: bool = False) -> list:
         GqiVerdict(cv.ok, tuple(w[j, :, -1].tolist()), cv, linalg.EigenDecomposition(w[j], v[j]))
         for j, cv in enumerate(comb_verdicts)
     ]
-    return [_require_valid(g, pol, verdict) for g, verdict in zip(gs, verdicts)] if gate else verdicts
+    if gate:
+        for g, verdict in zip(gs, verdicts):
+            _require_valid(g, pol, verdict)
+        for ranks in dict.fromkeys(map(tuple, pol.support_rank(w).tolist())):
+            _require_budget(first.signature, ranks, pol)
+    return verdicts
 
 
 def _grouped(keys: list, member_bytes, run) -> list:
@@ -389,15 +395,16 @@ def rank_stage_bytes(sig: CombSignature, support_ranks) -> int:
     fallback that builds every projected row.  The m = sum r_i^2 rows have
     n = 1 + sum c_l^2 columns, c_l the reduced dimension of each level with a
     nontrivial even space (see :func:`combs.complement_coordinates`), and
-    the head has h = min(m, D^2 - |V| + 1) rows.  With c the largest c_l and
-    r the largest support rank, the estimate sums
+    the head, the rows of the one SVD with U, has h = min(m, D^2 - |V| + 1)
+    rows: every row when m <= D^2 - |V|.  With c the largest c_l and r the
+    largest support rank, the estimate sums
 
     * 64 r^2 c^2: the coordinates of the largest support, four complex
       (r^2, c, c) tensors of :func:`linalg.support_operators` and the
       traceless parts built from it;
     * 24 m n: the row blocks, their stack and the SVD's copy of it;
-    * 8 (h n + h^2 + k n + 4 k^2), k = min(h, n): the head, U, V^T and the
-      SVD workspace.
+    * 8 (h n + h^2 + k n + 4 k^2), k = min(h, n): the head, its U, V^T and
+      the SVD workspace.
     """
     d = sig.total_dim
     reduced = [even * low for _, _, even, low in sig.levels if even > 1]
@@ -410,6 +417,29 @@ def rank_stage_bytes(sig: CombSignature, support_ranks) -> int:
     return 64 * r * r * c * c + 24 * m * n + 8 * (h * n + h * h + k * n + 4 * k * k)
 
 
+def _cutoff(sig: CombSignature, support_ranks: tuple, pol: TolerancePolicy) -> float:
+    """The pooled cutoff taken at sigma_max <= sqrt(M), read by both exits of
+    :func:`is_extremal`."""
+    dim = sig.total_dim
+    family_size = sum(r * r for r in support_ranks) + combs.comb_variable_count(sig)
+    return pol.rank_tol(family_size, dim * dim, math.sqrt(len(support_ranks)))
+
+
+def _require_budget(sig: CombSignature, support_ranks: tuple, pol: TolerancePolicy) -> None:
+    """The size guard: :class:`SizeLimitError` when a GQI with these support
+    ranks reaches the rank stage, having no full-support pair, and the
+    stage's estimated peak (:func:`rank_stage_bytes`) is above
+    ``RANK_STAGE_BUDGET``."""
+    if _full_support_pair(support_ranks, sig.total_dim, _cutoff(sig, support_ranks, pol)) is not None:
+        return
+    need = rank_stage_bytes(sig, support_ranks)
+    if need > RANK_STAGE_BUDGET:
+        raise SizeLimitError(
+            f"the rank test at signature {sig.dims} with support ranks {tuple(support_ranks)} "
+            f"needs about {need:,} bytes, above the budget of {RANK_STAGE_BUDGET:,} bytes"
+        )
+
+
 def _rank_test(sig: CombSignature, supports, n_known: int, bound: float, pol: TolerancePolicy) -> list:
     """The pooled rank decisions on the support bases projected off V of K
     GQIs with the same signature and support ranks, given per outcome the
@@ -419,19 +449,20 @@ def _rank_test(sig: CombSignature, supports, n_known: int, bound: float, pol: To
     Returns one (rank, c, margin) per GQI.  The null vector c, a unit
     coefficient vector over the m = sum r_i^2 rows, is present exactly when
     the rows are dependent; the margin, the smallest singular value of the
-    rows, exactly when they are independent and m > 0.  Each is the same to
-    the bit as from a stack of its own: numpy's stacked SVD and products run
-    one LAPACK or BLAS call per matrix.
+    rows, exactly when they are independent and m > 0.  A family with no
+    rows is (|V|, None, None), with no SVD.  Each is the same to the bit as
+    from a stack of its own: numpy's stacked SVD and products run one LAPACK
+    or BLAS call per matrix.
 
-    Above ``RANK_STAGE_BUDGET`` estimated bytes (:func:`rank_stage_bytes`),
-    :class:`SizeLimitError` is raised before any row is built.  The rows
-    span at most span = D^2 - |V| dimensions.  When m > span, the first
-    span + 1 rows, the head, are built and decomposed first, with U; a GQI
-    whose head has span singular values above ``bound`` has the pooled rank
-    span + |V| (README, "Head-first rank").  Every other GQI falls back to the
+    The rows span at most span = D^2 - |V| dimensions.  Each stack runs one
+    SVD, with U, of its head: every row when m <= span, and the first
+    span + 1 rows otherwise.  Within the span that SVD gives each GQI its
+    rank, its margin and its null vector.  Past the span a GQI whose head has
+    span singular values above ``bound`` has the pooled rank span + |V|
+    (README, "Head-first rank"); every other GQI falls back to the
     values-only SVD of all rows, those past the head built then, each once
-    (the outcome that straddles the head forms its partial traces again), at
-    the pooled cutoff
+    (the outcome that straddles the head forms its partial traces again).
+    The rank is counted at the pooled cutoff
 
         tau = max(m + |V|, D^2) * sigma * eps_rel,
 
@@ -441,54 +472,39 @@ def _rank_test(sig: CombSignature, supports, n_known: int, bound: float, pol: To
     largest entry is positive.  The head's U is full when the head has more
     rows than columns (n = span, as on (1, d)): the thin U would hold only
     vectors of nonzero singular values.
+
+    The caller has kept the stage within ``RANK_STAGE_BUDGET``
+    (:func:`_require_budget`).
     """
     ranks = [u.shape[-1] for u in supports]
-    need = rank_stage_bytes(sig, ranks)
-    if need > RANK_STAGE_BUDGET:
-        raise SizeLimitError(
-            f"the rank test at signature {sig.dims} with support ranks {tuple(ranks)} "
-            f"needs about {need:,} bytes, above the budget of {RANK_STAGE_BUDGET:,} bytes"
-        )
-    ambient = sig.total_dim ** 2
-    span = ambient - n_known
     starts = [0, *itertools.accumulate(r * r for r in ranks)]
     m = starts[-1]
-    head = span + 1 if m > span else m
-    # Head blocks of the outcomes that start in the head, the first always (an
-    # all-empty family's zero-row block); rest: (vectors, first row past it).
-    x = [combs.complement_coordinates(v, sig, 0, head - a) for v, a in zip(supports, starts) if a < max(head, 1)]
+    if m == 0:
+        return [(n_known, None, None)] * len(supports[0])
+    ambient = sig.total_dim ** 2
+    span = ambient - n_known
+    head = min(m, span + 1)
+    # Head blocks of the outcomes that start in the head; rest: (vectors, first row past it).
+    x = [combs.complement_coordinates(v, sig, 0, head - a) for v, a in zip(supports, starts) if a < head]
     rest = [(v, max(0, head - a)) for v, a, b in zip(supports, starts, starts[1:]) if b > head]
     x = x[0] if len(x) == 1 else np.concatenate(x, axis=-2)
-    n = x.shape[-1]
+    u, s = np.linalg.svd(x, full_matrices=head > x.shape[-1])[:2]
     out = [None] * len(x)
-    todo, u = list(range(len(x))), None
+    todo = list(range(len(x)))
     if m > span:
-        u, s = np.linalg.svd(x, full_matrices=head > n)[:2]
         exits = ((s > bound).sum(axis=-1) >= span).tolist()
         for j in todo:
             if exits[j]:
                 out[j] = (span + n_known, _null_vector(u[j], m), None)
         todo = [j for j in todo if not exits[j]]
-    if not todo:
-        return out
-    if len(todo) < len(x):
-        x = x[todo]
-    if rest:
-        x = np.concatenate([x] + [combs.complement_coordinates(v[todo], sig, row) for v, row in rest], axis=-2)
-    dependent = []
-    for j, sj in zip(todo, np.linalg.svd(x, compute_uv=False)):
-        sigma = max(1.0 if n_known else 0.0, float(sj[0]) if sj.size else 0.0)
+        if todo:
+            x = x[todo] if len(todo) < len(x) else x
+            x = np.concatenate([x] + [combs.complement_coordinates(v[todo], sig, row) for v, row in rest], axis=-2)
+            s = np.linalg.svd(x, compute_uv=False)
+    for j, sj in zip(todo, s):
+        sigma = max(1.0 if n_known else 0.0, float(sj[0]))
         rank = int(np.count_nonzero(sj > pol.rank_tol(m + n_known, ambient, sigma)))
-        if rank == m:
-            out[j] = (rank + n_known, None, float(sj[-1]) if sj.size else None)
-        else:
-            dependent.append((j, rank))
-    if dependent and u is None:
-        # With no head every member is left, so member j is row j of x.
-        rows = [j for j, _ in dependent]
-        u = dict(zip(rows, np.linalg.svd(x if len(rows) == len(x) else x[rows], full_matrices=x.shape[-2] > n)[0]))
-    for j, rank in dependent:
-        out[j] = (rank + n_known, _null_vector(u[j], m), None)
+        out[j] = (rank + n_known, None, float(sj[-1])) if rank == m else (rank + n_known, _null_vector(u[j], m), None)
     return out
 
 
@@ -556,8 +572,10 @@ def decide_all(objects, pol: TolerancePolicy = DEFAULT_TOL, validations=None) ->
     the message.
     """
     objects = list(objects)
-    # Gated in the validation pass, an invalid member is weighed against those that raise there.
-    validations = _validate_grouped(objects, pol, True) if validations is None else list(validations)
+    # Gated in the validation pass, an invalid member or one above the budget
+    # is weighed against those that raise there.
+    gated = validations is None
+    validations = _validate_grouped(objects, pol, True) if gated else list(validations)
     if len(validations) != len(objects):
         raise DimensionMismatchError(f"{len(validations)} validations for {len(objects)} objects")
     ranks = [_support_ranks(v, pol) for v in validations]
@@ -565,7 +583,7 @@ def decide_all(objects, pol: TolerancePolicy = DEFAULT_TOL, validations=None) ->
         [(g.signature, r) for g, r in zip(objects, ranks)],
         lambda key: rank_stage_bytes(*key),
         lambda members: _decide_stack(
-            [objects[i] for i in members], [validations[i] for i in members], ranks[members[0]], pol
+            [objects[i] for i in members], [validations[i] for i in members], ranks[members[0]], pol, gated
         ),
     )
 
@@ -620,17 +638,22 @@ def _support_ranks(verdict: GqiVerdict, pol: TolerancePolicy) -> tuple:
     return tuple(verdict.spectra.support_ranks(pol).tolist())
 
 
-def _decide_stack(gs: list, verdicts: list, support_ranks: tuple, pol: TolerancePolicy) -> list:
+def _decide_stack(
+    gs: list, verdicts: list, support_ranks: tuple, pol: TolerancePolicy, gated: bool = False
+) -> list:
     """The certificates of K GQIs with the same signature and support ranks
-    (see :func:`is_extremal`), after the gate of each verdict."""
-    for g, verdict in zip(gs, verdicts):
-        _require_valid(g, pol, verdict)
+    (see :func:`is_extremal`), after the gate of each verdict and the size
+    guard, unless the verdicts are ``gated`` already (see
+    :func:`_validate_stack`)."""
     sig = gs[0].signature
+    if not gated:
+        for g, verdict in zip(gs, verdicts):
+            _require_valid(g, pol, verdict)
+        _require_budget(sig, support_ranks, pol)
     n_known = combs.comb_variable_count(sig)
     dim = sig.total_dim
     family_size = sum(r * r for r in support_ranks) + n_known
-    # The cutoff at sigma_max <= sqrt(M), shared by both exits.
-    bound = pol.rank_tol(family_size, dim * dim, math.sqrt(len(support_ranks)))
+    bound = _cutoff(sig, support_ranks, pol)
     values = np.array([v.spectra.values for v in verdicts])
     steps = None
     pair = _full_support_pair(support_ranks, dim, bound)

@@ -102,6 +102,22 @@ def classify_combination(ins, pol=DEFAULT_TOL):
     )
 
 
+def environment_povm(ins, pol=DEFAULT_TOL):
+    """The environment POVM F of an instrument whose induced channel C is
+    extremal: with L_1..L_k the minimal Kraus operators of C, each Kraus
+    operator K_{x,a} = sum_i c_i L_i of outcome x gives f_{x,a} = conj(c),
+    and F_x = sum_a f_{x,a} f_{x,a}^dagger on C^k.  Then
+    I_x(rho) = Tr_E[(1 (x) F_x) V rho V^dagger] with the Stinespring
+    isometry V = sum_i L_i (x) |i>.  C extremal makes the L_i linearly
+    independent, so c is the unique solution of the least-squares problem."""
+    ls = np.array([channels.vec_op(k) for k in channels.channel_kraus(channels.induced_channel(ins), pol)]).T
+    effects = []
+    for kraus in channels.instrument_kraus(ins, pol):
+        f = np.linalg.lstsq(ls, np.array([channels.vec_op(k) for k in kraus]).T, rcond=None)[0].conj()
+        effects.append(f @ f.conj().T)
+    return gqi.Povm(ls.shape[1], tuple(effects))
+
+
 def recursive_decompose(args) -> int:
     """`exqip decompose` as it was before the frontier loop: the tree is
     descended depth first, one ``gqi.is_extremal`` per node below the root,

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from exqip import channels, fileio, gqi, linalg, suites, testers
 from exqip.channels import APPENDIX_TABLE, Channel, Instrument
@@ -284,13 +285,70 @@ class TestCombinationFixtures:
         triple = channels.classify_combination(channels.combination_fixture(k))
         assert triple.as_signs() == APPENDIX_TABLE[k]
 
-    def test_open_problem_row(self):
-        with pytest.raises(ValidationError):
+    def test_empty_row(self):
+        with pytest.raises(ValidationError, match="row 5 of the appendix table is empty"):
             channels.combination_fixture(5)
 
     def test_unknown_row(self):
         with pytest.raises(ValidationError):
             channels.combination_fixture(9)
+
+
+def environment_instrument(rng, d, k, kind):
+    """An instrument on a random channel of d x d Kraus rank k, Choi-extremal
+    for k <= d almost surely, from an environment POVM F on C^k: rank-one
+    (the columns of a k x n co-isometry), full-rank, or the midpoint of two
+    rank-one POVMs.  Each F_x = sum_a f f^dagger gives the Kraus operators
+    K_{x,a} = sum_i conj(f_i) L_i."""
+    ls = channels.channel_kraus(channels.random_channel(d, d, k, rng))
+    n = int(rng.integers(k, k * k + 1)) if k > 1 else 2
+
+    def rank_one():
+        w = channels.random_unitary(n, rng)[:k]
+        return [np.outer(w[:, x], w[:, x].conj()) for x in range(n)]
+
+    if kind == "rank-one":
+        effects = rank_one()
+    elif kind == "midpoint":
+        effects = [(a + b) / 2 for a, b in zip(rank_one(), rank_one())]
+    else:
+        weights = rng.uniform(0.2, 1.0, (n, k))
+        weights /= weights.sum(axis=0)
+        u = channels.random_unitary(k, rng)
+        effects = [(u * w) @ u.conj().T for w in weights]
+    outcome_kraus = []
+    for f in effects:
+        w, v = np.linalg.eigh(f)
+        vectors = v[:, w > 1e-12] * np.sqrt(w[w > 1e-12])
+        outcome_kraus.append([sum(c.conj() * l for c, l in zip(col, ls)) for col in vectors.T])
+    return channels.instrument_from_kraus(outcome_kraus, d1=d, d0=d), gqi.Povm(k, tuple(effects))
+
+
+class TestEmptyRow:
+    """Row 5 of the appendix table is empty (README, "The appendix table"):
+    when the channel is extremal, the instrument is extremal exactly when its
+    environment POVM is, and the induced POVM is then extremal only if the
+    instrument is."""
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([2, 3]),
+        st.integers(1, 3),
+        st.sampled_from(["rank-one", "full-rank", "midpoint"]),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_instrument_is_its_environment_povm(self, seed, d, k, kind):
+        assume(k <= d)
+        ins, built = environment_instrument(np.random.default_rng(seed), d, k, kind)
+        triple = channels.classify_combination(ins)
+        assume(triple.channel)
+        env = oracles.environment_povm(ins)
+        # The oracle's Kraus operators are the generator's up to a unitary W on
+        # C^k, which maps each F_x to W F_x W^dagger: compare the spectra.
+        for a, b in zip(env.effects, built.effects):
+            assert np.abs(np.linalg.eigvalsh(a) - np.linalg.eigvalsh(b)).max() < 1e-10
+        assert triple.instrument == gqi.is_extremal(env).extremal
+        assert triple.as_signs() != ("-", "+", "+")
 
 
 class TestRandomGenerators:

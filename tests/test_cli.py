@@ -542,10 +542,10 @@ class TestCli:
         assert self.run("extremal", path) == 0
         assert '"verdict": "extremal"' in capsys.readouterr().out
 
-    def test_generate_combination_open_problem(self, tmp_path, capsys):
+    def test_generate_combination_empty_row(self, tmp_path, capsys):
         path = str(tmp_path / "fix.json")
         assert self.run("generate", "combination", "--k", "5", "--out", path) == 1
-        assert "open problem" in capsys.readouterr().err
+        assert "row 5 of the appendix table is empty" in capsys.readouterr().err
 
     def test_generate_random_comb(self, tmp_path):
         path = str(tmp_path / "comb.json")

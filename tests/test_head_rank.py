@@ -135,24 +135,32 @@ def fallback_population():
 @pytest.fixture
 def recorded(monkeypatch):
     """Decisions of the rank stage, one per GQI of each stacked call, each
-    with whether the call stopped at the head (no values-only SVD of the
-    full stack)."""
+    with whether the call stopped at the head: it built fewer rows than the
+    m = sum r_i^2 of the family and ran no values-only SVD."""
     out = []
-    full_svds = [0]
-    rank_test, svd = gqi._rank_test, np.linalg.svd
+    counts = collections.Counter()
+    rank_test, svd, coordinates = gqi._rank_test, np.linalg.svd, combs.complement_coordinates
 
     def counted_svd(a, *args, compute_uv=True, **kwargs):
-        full_svds[0] += not compute_uv
+        counts["values-only"] += not compute_uv
         return svd(a, *args, compute_uv=compute_uv, **kwargs)
 
-    def recording(*args, **kwargs):
-        before = full_svds[0]
-        decided = rank_test(*args, **kwargs)
+    def counted_coordinates(u, sig, *args):
+        x = coordinates(u, sig, *args)
+        counts["rows"] += x.shape[-2]
+        return x
+
+    def recording(sig, supports, *args, **kwargs):
+        before = counts.copy()
+        decided = rank_test(sig, supports, *args, **kwargs)
+        m = sum(u.shape[-1] ** 2 for u in supports)
+        stopped = counts["rows"] - before["rows"] < m and counts["values-only"] == before["values-only"]
         for rank, c, _ in decided:
-            out.append((oracles.Decision(rank, c), full_svds[0] == before))
+            out.append((oracles.Decision(rank, c), stopped))
         return decided
 
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    monkeypatch.setattr(combs, "complement_coordinates", counted_coordinates)
     monkeypatch.setattr(gqi, "_rank_test", recording)
     return out
 
@@ -239,11 +247,11 @@ def test_exit_skips_the_rest_of_the_rows(monkeypatch, svd_calls):
 
 
 def test_svd_calls_per_path(svd_calls):
-    """With m = sum r_i^2 rows of n coordinates and span = D^2 - |V|: an
-    extremal family within the span runs one values-only SVD of all rows; a
-    dependent one adds one SVD with U of the same rows; the head exit runs
-    one SVD with U of the span + 1 rows of the head; the fallback runs that
-    one and then a values-only SVD of all rows."""
+    """With m = sum r_i^2 rows of n coordinates and span = D^2 - |V|: a
+    family within the span, extremal or dependent, runs one SVD with U of
+    all rows; the head exit runs one SVD with U of the span + 1 rows of the
+    head; the fallback runs that one and then a values-only SVD of all
+    rows."""
     rng = np.random.default_rng(4)
     rank_one, midpoint, _ = ladder_inputs((2, 2, 2, 2), rng)
     cases = [
@@ -262,14 +270,75 @@ def test_svd_calls_per_path(svd_calls):
         m = cert.family_size - cert.normalization_basis_size
         rows, head = ((m, n), False), ((span + 1, n), True)
         want = {
-            "extremal": [rows],
-            "dependent": [rows, ((m, n), True)],
+            "extremal": [((m, n), True)],
+            "dependent": [((m, n), True)],
             "head exit": [head],
             "fallback": [head, rows],
         }
         assert cert.extremal == (name == "extremal"), name
         assert (m > span) == (name in ("head exit", "fallback")), name
         assert svd_calls == want[name], name
+
+
+def rank_one_qubit_povm(w):
+    """The POVM of the rank-one effects w_k w_k^dagger, w_k the columns of a
+    2 x 3 co-isometry ``w``."""
+    return gqi.Povm(2, tuple(np.outer(w[:, k], w[:, k].conj()) for k in range(w.shape[1])))
+
+
+def test_one_svd_per_stack(monkeypatch, svd_calls):
+    """Three-outcome rank-one qubit POVMs share one stack.  Generic ones are
+    extremal; those with two effects on one ray, a P and (1 - a) P, are
+    dependent.  Their m = 3 rows lie within the span, and the stack runs
+    one SVD, with U, of all rows.  Each null vector c satisfies
+    |X^T c| <= tau on its member's own rows X, and each margin is the
+    smallest singular value of X."""
+    rng = np.random.default_rng(12)
+    population = []
+    for _ in range(3):
+        population.append(rank_one_qubit_povm(channels.random_unitary(3, rng)[:2]))
+        a = rng.uniform(0.2, 0.8)
+        ray = np.array([[np.sqrt(a), np.sqrt(1 - a), 0.0], [0.0, 0.0, 1.0]])
+        population.append(rank_one_qubit_povm(channels.random_unitary(2, rng) @ ray))
+    decided = []
+    rank_test = gqi._rank_test
+
+    def recording(*args):
+        out = rank_test(*args)
+        decided.extend(out)
+        return out
+
+    monkeypatch.setattr(gqi, "_rank_test", recording)
+    svd_calls.clear()
+    certs = gqi.decide_all(population)
+    sig = population[0].signature
+    n = combs.complement_coordinates(np.eye(2)[:, :1], sig).shape[1]
+    assert svd_calls == [((3, n), True)]
+    assert [cert.extremal for cert in certs] == [True, False] * 3
+    for g, cert, (_, c, _) in zip(population, certs, decided, strict=True):
+        assert cert.support_ranks == (1, 1, 1) and cert.normalization_basis_size == 0
+        spectra = gqi.is_valid_gqi(g).spectra
+        x = np.vstack([combs.complement_coordinates(v[:, :1], sig) for v in spectra.vectors])
+        s = np.linalg.svd(x, compute_uv=False)
+        if cert.extremal:
+            assert c is None and cert.rank == 3
+            assert cert.margin == pytest.approx(s[-1], rel=1e-12)
+        else:
+            assert cert.margin is None and cert.rank == 2
+            assert np.linalg.norm(x.T @ c) <= DEFAULT_TOL.rank_tol(3, 4, s[0])
+
+
+def test_family_with_no_rows_runs_no_svd(monkeypatch):
+    """At a tolerance whose support cutoff lies above every eigenvalue
+    (D eps_rel >= 1, which the CLI refuses), every support rank is 0: the
+    rank is |V|, with no SVD, no null vector and no margin."""
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    loose = TolerancePolicy(eps_rel=0.6)
+    for g in (gqi.Povm(2, (np.eye(2) / 2, np.eye(2) / 2)), channels.combination_fixture(1)):
+        cert = gqi.is_extremal(g, pol=loose)
+        assert set(cert.support_ranks) == {0}
+        assert cert.rank == cert.family_size == cert.normalization_basis_size
+        assert cert.perturbation is None and cert.margin is None
 
 
 @pytest.mark.parametrize("dims", [(1, 3), (1, 4), (1, 1, 1, 3)])

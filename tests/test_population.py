@@ -4,8 +4,9 @@
 stage once per group on a stack with a leading axis; ``is_valid_gqi`` and
 ``is_extremal`` are the same code on a stack of one.  The reference below is
 the former call chain of one object: the cascade of one operator, every
-projected row built at once, the head SVD on the first D^2 - |V| + 1 rows
-and the epsilon* step of one GQI.  Verdicts and certificates must equal it
+projected row built at once, one SVD with U of the head (the first
+D^2 - |V| + 1 rows, or every row within the span) and the epsilon* step of
+one GQI.  Verdicts and certificates must equal it
 to the bit, and every member of a population must equal its own call.
 
 Also here: the summaries of the suites, which now decide their
@@ -77,23 +78,24 @@ def null_vector(u, m):
 
 
 def former_rank(sig, supports, n_known, bound, pol=DEFAULT_TOL):
-    """(rank, c, margin) of one GQI from all its projected rows at once."""
+    """(rank, c, margin) of one GQI from all its projected rows at once:
+    one SVD with U of the head, every row when m <= span."""
     x = np.vstack([combs.complement_coordinates(u, sig) for u in supports])
     m, n = x.shape
     ambient = sig.total_dim ** 2
     span = ambient - n_known
-    u = None
+    if m == 0:
+        return n_known, None, None
+    head = min(m, span + 1)
+    u, s = np.linalg.svd(x[:head], full_matrices=head > n)[:2]
     if m > span:
-        u, s = np.linalg.svd(x[: span + 1], full_matrices=span + 1 > n)[:2]
         if np.count_nonzero(s > bound) >= span:
             return span + n_known, null_vector(u, m), None
-    s = np.linalg.svd(x, compute_uv=False)
-    sigma = max(1.0 if n_known else 0.0, float(s[0]) if s.size else 0.0)
+        s = np.linalg.svd(x, compute_uv=False)
+    sigma = max(1.0 if n_known else 0.0, float(s[0]))
     rank = int(np.count_nonzero(s > pol.rank_tol(m + n_known, ambient, sigma)))
     if rank == m:
-        return rank + n_known, None, float(s[-1]) if s.size else None
-    if u is None:
-        u = np.linalg.svd(x, full_matrices=m > n)[0]
+        return rank + n_known, None, float(s[-1])
     return rank + n_known, null_vector(u, m), None
 
 
@@ -363,14 +365,30 @@ class TestFaults:
             gqi.decide_all([invalid, skewed])
         assert str(stacked.value) == f"member 0: {single.value}"
 
+    def test_size_guard_before_a_later_validation_fault(self, monkeypatch):
+        """A member above the budget before a non-Hermitian one in another
+        stack: the size guard runs in the validation pass, so decide_all
+        names the first, with the error of its own is_extremal."""
+        monkeypatch.setattr(gqi, "RANK_STAGE_BUDGET", 1000)
+        big = suites.random_nonextremal_gqi(np.random.default_rng(0))
+        skew = np.array([[1.0, 1.0], [0.0, 0.0]], dtype=complex)
+        skewed = gqi.Povm(2, (skew, np.eye(2) - skew))
+        with pytest.raises(SizeLimitError) as single:
+            gqi.is_extremal(big)
+        with pytest.raises(SizeLimitError) as stacked:
+            gqi.decide_all([big, skewed])
+        assert str(stacked.value).startswith("member 0: ")
+        assert str(stacked.value) == f"member 0: {single.value}"
+
     def test_size_guard_raises_for_its_group(self, monkeypatch):
         monkeypatch.setattr(gqi, "RANK_STAGE_BUDGET", 1000)
         population = [suites.random_nonextremal_gqi(np.random.default_rng(s)) for s in range(3)]
         with pytest.raises(SizeLimitError) as single:
             gqi.is_extremal(population[0])
-        with pytest.raises(SizeLimitError) as stacked:
-            gqi.decide_all(population)
-        assert str(stacked.value) == f"member 0: {single.value}"
+        for validations in (None, gqi.validate_all(population)):
+            with pytest.raises(SizeLimitError) as stacked:
+                gqi.decide_all(population, validations=validations)
+            assert str(stacked.value) == f"member 0: {single.value}"
 
 
 SUMMARIES = {
