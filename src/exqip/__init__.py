@@ -32,7 +32,7 @@ _EXPORTS = {
     ),
     "errors": (
         "DimensionMismatchError", "ExqipError", "ExtremalInputError", "FileFormatError",
-        "NotHermitianError", "NotPositiveError", "SizeLimitError", "ValidationError",
+        "NotHermitianError", "NotPositiveError", "SizeLimitError", "ToleranceError", "ValidationError",
     ),
     "gqi": (
         "Channel", "ExtremalityCertificate", "Gqi", "GqiVerdict", "Instrument", "Perturbation",

@@ -11,7 +11,8 @@ Subcommands::
 Exit codes: 0 success, 1 mathematical failure (invalid object, failing suite,
 undecomposable input), 2 usage or file-format error.  The working tolerance is
 ``--tol`` or the ``EXQIP_TOL`` environment variable (relative epsilon,
-default 1e-10).
+default 1e-10).  It is only parsed here: the GQI core refuses a vacuous
+tolerance with ``ToleranceError``, a ``ValueError`` and so exit 2.
 
 ``decompose`` grows its tree one depth at a time: the undecided nodes of each
 depth go through one ``gqi.decide_all``, which cuts them into stacks, and
@@ -50,10 +51,9 @@ GENERATE_BYTES_PER_ENTRY = 600
 SUITE_NAMES = ("appendix-c", "bounds", "equivalence", "xi-invariance")
 
 
-def _policy(args, dim: int = 1) -> TolerancePolicy:
-    """The working policy for objects of total dimension up to ``dim``.  A
-    tolerance with dim * eps_rel >= 1 is refused: there the support cutoff
-    lies at or above every eigenvalue, so every support would be empty."""
+def _policy(args) -> TolerancePolicy:
+    """The working policy, from ``--tol`` or ``EXQIP_TOL``.  The core refuses
+    a tolerance outside (0, 1), or one that leaves a verdict vacuous."""
     eps = args.tol
     if eps is None and "EXQIP_TOL" in os.environ:
         text = os.environ["EXQIP_TOL"]
@@ -61,24 +61,7 @@ def _policy(args, dim: int = 1) -> TolerancePolicy:
             eps = float(text)
         except ValueError:
             raise ValueError(f"EXQIP_TOL must be a number, got {text!r}") from None
-    pol = linalg.DEFAULT_TOL if eps is None else TolerancePolicy(eps_rel=eps)
-    if not 0.0 < pol.eps_rel < 1.0:
-        raise ValueError(f"tolerance must lie in (0, 1), got {pol.eps_rel}")
-    if dim * pol.eps_rel >= 1.0:
-        raise ValueError(f"tolerance {pol.eps_rel:g} leaves every support empty at dimension {dim}")
-    return pol
-
-
-def _check_rank_cutoff(pol: TolerancePolicy, dim: int) -> None:
-    """Refuse a tolerance with dim^2 * eps_rel >= 1 for a rank test at total
-    dimension up to ``dim``: the rank cutoff tau = max(m + |V|, D^2) * sigma
-    * eps_rel, with sigma >= sigma_max, then lies at or above every singular
-    value, and every projected rank would be 0."""
-    if dim * dim * pol.eps_rel >= 1.0:
-        raise ValueError(
-            f"tolerance {pol.eps_rel:g} puts the rank cutoff at or above every singular value "
-            f"at dimension {dim}"
-        )
+    return linalg.DEFAULT_TOL if eps is None else TolerancePolicy(eps_rel=eps)
 
 
 def _check_count(value: int, flag: str) -> None:
@@ -89,7 +72,7 @@ def _check_count(value: int, flag: str) -> None:
 def _load(args):
     """The working policy, the object of ``args.file`` and its kind."""
     obj = fileio.load_object(args.file)
-    return _policy(args, obj.signature.total_dim), obj, fileio.kind_of(obj)
+    return _policy(args), obj, fileio.kind_of(obj)
 
 
 def _validate_report(obj, kind: fileio.Kind, pol: TolerancePolicy) -> dict:
@@ -106,13 +89,6 @@ def _validate_report(obj, kind: fileio.Kind, pol: TolerancePolicy) -> dict:
     }
 
 
-def _certificate(obj, pol: TolerancePolicy) -> gqi_mod.ExtremalityCertificate:
-    """Refuse a rank cutoff above every singular value, then validate and
-    decide on the GQI view."""
-    _check_rank_cutoff(pol, obj.signature.total_dim)
-    return gqi_mod.is_extremal(obj, pol=pol)
-
-
 def cmd_validate(args) -> int:
     pol, obj, kind = _load(args)
     report = _validate_report(obj, kind, pol)
@@ -122,7 +98,7 @@ def cmd_validate(args) -> int:
 
 def cmd_extremal(args) -> int:
     pol, obj, kind = _load(args)
-    cert = _certificate(obj, pol)
+    cert = gqi_mod.is_extremal(obj, pol=pol)
     report = {
         "kind": kind.name,
         "verdict": cert.verdict,
@@ -143,7 +119,7 @@ def cmd_decompose(args) -> int:
     if os.path.isdir(args.out) and os.listdir(args.out):
         raise ValueError(f"--out {args.out} is not empty")
     pol, obj, kind = _load(args)
-    cert = _certificate(obj, pol)
+    cert = gqi_mod.is_extremal(obj, pol=pol)
     if cert.extremal:
         print("input is extremal; nothing to decompose", file=sys.stderr)
         return 1
@@ -269,18 +245,7 @@ def cmd_suite(args) -> int:
     from . import suites
 
     _check_count(args.seeds, "--seeds")
-    pol = _policy(args, suites.LARGEST_DIM[args.name])
-    if args.name == "xi-invariance":
-        # xi_transform needs a full-rank state: its eigenvalues must lie
-        # above the support cutoff supp_tol(2, 1).
-        floor = suites.smallest_state_eigenvalue(2)
-        if pol.supp_tol(2, 1.0) >= floor:
-            raise ValueError(
-                f"tolerance {pol.eps_rel:g} puts the support cutoff at or above {floor:.4g}, "
-                "the smallest eigenvalue of the states xi-invariance draws"
-            )
-    _check_rank_cutoff(pol, suites.LARGEST_DIM[args.name])
-    result = suites.run_suite(args.name, seeds=args.seeds, pol=pol)
+    result = suites.run_suite(args.name, seeds=args.seeds, pol=_policy(args))
     sys.stdout.write(fileio.dumps_canonical(result.summary()))
     return 0 if result.ok else 1
 

@@ -192,13 +192,15 @@ def is_deterministic_comb(
     pol: TolerancePolicy = DEFAULT_TOL,
 ) -> CombVerdict:
     """Validate positivity and the normalization cascade, reporting one
-    residual per level."""
+    residual per level; an empty support raises ``ToleranceError``."""
     r = linalg.check_hermitian(r, pol)
     if r.shape[0] != sig.total_dim:
         raise DimensionMismatchError(
             f"operator dimension {r.shape[0]} != signature total {sig.total_dim}"
         )
-    positive = pol.psd(np.linalg.eigvalsh(r))
+    w = np.linalg.eigvalsh(r)
+    pol.require_support(w[None])
+    positive = pol.psd(w)
     return _cascade(r[None], sig, pol.eps_comb if tol is None else tol, [positive])[0]
 
 

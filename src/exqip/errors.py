@@ -31,3 +31,8 @@ class FileFormatError(ExqipError):
 
 class SizeLimitError(ExqipError):
     """The estimated memory of a computation exceeds its budget."""
+
+
+class ToleranceError(ExqipError, ValueError):
+    """The tolerance lies outside (0, 1), or leaves every support empty, or
+    puts the rank cutoff at or above every singular value."""

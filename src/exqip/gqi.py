@@ -49,7 +49,9 @@ import numpy as np
 
 from . import combs, linalg
 from .combs import CombSignature, Gqi, _shape_error
-from .errors import DimensionMismatchError, ExqipError, ExtremalInputError, SizeLimitError, ValidationError
+from .errors import (
+    DimensionMismatchError, ExqipError, ExtremalInputError, SizeLimitError, ToleranceError, ValidationError,
+)
 from .linalg import DEFAULT_TOL, TolerancePolicy
 
 
@@ -143,7 +145,7 @@ class Perturbation:
 class ExtremalityCertificate:
     """The outcome of :func:`is_extremal`.  ``margin`` is, when extremal, the
     smallest singular value of the support family projected off V: how far
-    the family is from dependence.  It is ``None`` when the family is empty."""
+    the family is from dependence, and ``None`` otherwise."""
 
     extremal: bool
     family_size: int
@@ -197,9 +199,10 @@ def is_valid_gqi(g: Gqi, pol: TolerancePolicy = DEFAULT_TOL) -> GqiVerdict:
 def _validate_stack(gs: list, pol: TolerancePolicy, gate: bool = False) -> list:
     """The verdicts on K GQIs of one signature and one list of outcome
     shapes, from one Hermiticity check, one ``eigh`` of the (K M, D, D)
-    stack and one cascade pass of the K sums; with ``gate``, each verdict
-    passes :func:`_require_valid`, and each tuple of support ranks in the
-    stack :func:`_require_budget`, in the same pass."""
+    stack and one cascade pass of the K sums, refusing a GQI whose every
+    support is empty (:meth:`TolerancePolicy.require_support`); with
+    ``gate``, each verdict passes :func:`_require_valid`, and each tuple of
+    support ranks in the stack :func:`_require_budget`, in the same pass."""
     first = gs[0]
     m = len(first.outcomes)
     if m < 1:
@@ -212,6 +215,7 @@ def _validate_stack(gs: list, pol: TolerancePolicy, gate: bool = False) -> list:
         raise _shape_error(first.outcomes[shaped], total)
     spectra = linalg.hermitian_eigs(h)
     w = spectra.values.reshape(len(gs), m, total)
+    pol.require_support(w)
     v = spectra.vectors.reshape(len(gs), m, total, total)
     # Summed in the order of sum(outcomes), so that each sum is its own call's to the bit.
     s = sum(x[:, i] for i in range(m))
@@ -426,11 +430,19 @@ def _cutoff(sig: CombSignature, support_ranks: tuple, pol: TolerancePolicy) -> f
 
 
 def _require_budget(sig: CombSignature, support_ranks: tuple, pol: TolerancePolicy) -> None:
-    """The size guard: :class:`SizeLimitError` when a GQI with these support
-    ranks reaches the rank stage, having no full-support pair, and the
-    stage's estimated peak (:func:`rank_stage_bytes`) is above
+    """:class:`ToleranceError` when the cutoff at sqrt(M) >= sigma_max is at
+    or above sqrt(M), max(m + |V|, D^2) eps_rel >= 1, so that every projected
+    rank would be 0; the size guard, :class:`SizeLimitError`, when a GQI with
+    these support ranks reaches the rank stage, having no full-support pair,
+    and the stage's estimated peak (:func:`rank_stage_bytes`) is above
     ``RANK_STAGE_BUDGET``."""
-    if _full_support_pair(support_ranks, sig.total_dim, _cutoff(sig, support_ranks, pol)) is not None:
+    bound = _cutoff(sig, support_ranks, pol)
+    if bound >= math.sqrt(len(support_ranks)):
+        raise ToleranceError(
+            f"tolerance {pol.eps_rel:g} puts the rank cutoff at or above every singular value "
+            f"at dimension {sig.total_dim}"
+        )
+    if _full_support_pair(support_ranks, sig.total_dim, bound) is not None:
         return
     need = rank_stage_bytes(sig, support_ranks)
     if need > RANK_STAGE_BUDGET:
@@ -447,12 +459,11 @@ def _rank_test(sig: CombSignature, supports, n_known: int, bound: float, pol: To
     taken at sigma_max = sqrt(M) (see :func:`is_extremal`).
 
     Returns one (rank, c, margin) per GQI.  The null vector c, a unit
-    coefficient vector over the m = sum r_i^2 rows, is present exactly when
-    the rows are dependent; the margin, the smallest singular value of the
-    rows, exactly when they are independent and m > 0.  A family with no
-    rows is (|V|, None, None), with no SVD.  Each is the same to the bit as
-    from a stack of its own: numpy's stacked SVD and products run one LAPACK
-    or BLAS call per matrix.
+    coefficient vector over the m = sum r_i^2 > 0 rows, is present exactly
+    when the rows are dependent; the margin, the smallest singular value of
+    the rows, exactly when they are independent.  Each is the same to the
+    bit as from a stack of its own: numpy's stacked SVD and products run one
+    LAPACK or BLAS call per matrix.
 
     The rows span at most span = D^2 - |V| dimensions.  Each stack runs one
     SVD, with U, of its head: every row when m <= span, and the first
@@ -473,14 +484,12 @@ def _rank_test(sig: CombSignature, supports, n_known: int, bound: float, pol: To
     rows than columns (n = span, as on (1, d)): the thin U would hold only
     vectors of nonzero singular values.
 
-    The caller has kept the stage within ``RANK_STAGE_BUDGET``
-    (:func:`_require_budget`).
+    The caller has kept the stage within ``RANK_STAGE_BUDGET``, the cutoff
+    below sigma_max (:func:`_require_budget`) and m > 0 (:func:`_validate_stack`).
     """
     ranks = [u.shape[-1] for u in supports]
     starts = [0, *itertools.accumulate(r * r for r in ranks)]
     m = starts[-1]
-    if m == 0:
-        return [(n_known, None, None)] * len(supports[0])
     ambient = sig.total_dim ** 2
     span = ambient - n_known
     head = min(m, span + 1)
@@ -627,7 +636,8 @@ def is_extremal(g: Gqi, pol: TolerancePolicy = DEFAULT_TOL) -> ExtremalityCertif
 
     Each outcome is decomposed once, in validation, and the rank test and
     epsilon* reuse the eigenpairs; an invalid ``g`` raises the error of
-    :func:`_require_valid`.  This is the stacked pass of :func:`decide_all`
+    :func:`_require_valid`, and a tolerance that makes the verdict vacuous
+    :class:`ToleranceError`.  This is the stacked pass of :func:`decide_all`
     on ``g`` alone.
     """
     validation = is_valid_gqi(g, pol)

@@ -22,14 +22,14 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NotHermitianError
+from .errors import DimensionMismatchError, NotHermitianError, ToleranceError
 
 
 @dataclass(frozen=True)
 class TolerancePolicy:
     """Single-knob tolerance policy.
 
-    ``eps_rel`` scales every threshold coherently:
+    ``eps_rel``, which must lie in (0, 1), scales every threshold coherently:
 
     * Hermiticity:  ``eps_rel * max(1, |A|_max)``
     * rank cutoff:  ``max(m, n) * sigma_max * eps_rel``
@@ -40,6 +40,10 @@ class TolerancePolicy:
 
     eps_rel: float = 1e-10
     comb_factor: ClassVar[float] = 10.0
+
+    def __post_init__(self):
+        if not 0.0 < self.eps_rel < 1.0:
+            raise ToleranceError(f"tolerance must lie in (0, 1), got {self.eps_rel}")
 
     @property
     def eps_comb(self) -> float:
@@ -69,6 +73,17 @@ class TolerancePolicy:
         lambda_max), counted along the last axis of ``w`` as in :meth:`psd`."""
         tau = self.supp_tol(w.shape[-1], w.max(axis=-1, keepdims=True, initial=-np.inf))
         return (w > tau).sum(axis=-1)
+
+    def require_support(self, w: np.ndarray) -> None:
+        """:class:`ToleranceError` when every support is empty, for the
+        operators with d eigenvalues along the last axis of ``w`` (M, d), or
+        any GQI of a stack (K, M, d): when each largest eigenvalue lambda has
+        lambda <= supp_tol(d, lambda), as :meth:`support_rank` counts it."""
+        top = w.max(axis=-1)
+        if (top <= self.supp_tol(w.shape[-1], top)).all(axis=-1).any():
+            raise ToleranceError(
+                f"tolerance {self.eps_rel:g} leaves every support empty at dimension {w.shape[-1]}"
+            )
 
 
 DEFAULT_TOL = TolerancePolicy()

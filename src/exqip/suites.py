@@ -23,6 +23,7 @@ import numpy as np
 
 from . import channels, gqi as gqi_mod, linalg, testers
 from .channels import APPENDIX_TABLE
+from .errors import ToleranceError
 from .linalg import DEFAULT_TOL, TolerancePolicy
 
 
@@ -207,7 +208,12 @@ def run_equivalence(seeds: int = 200, pol: TolerancePolicy = DEFAULT_TOL) -> Sui
 
 def run_xi_invariance(seeds: int = 200, pol: TolerancePolicy = DEFAULT_TOL) -> SuiteResult:
     """Extremality verdicts are invariant under xi_{rho,U}; the transform
-    round-trips to 1e-10."""
+    round-trips to 1e-10.  A support cutoff that reaches the states drawn,
+    which xi_transform needs of full rank, raises :class:`ToleranceError`."""
+    floor = smallest_state_eigenvalue(2)
+    if pol.supp_tol(2, 1.0) >= floor:
+        raise ToleranceError(f"tolerance {pol.eps_rel:g} puts the support cutoff at or above {floor:.4g}, "
+                             "the smallest eigenvalue of the states xi-invariance draws")
     result = SuiteResult(name="xi-invariance")
     for chunk in _passes(seeds):
         drawn = []
@@ -274,11 +280,6 @@ def run_appendix_c(seeds: int = 0, pol: TolerancePolicy = DEFAULT_TOL) -> SuiteR
         result.record(got == expected, f"row {k}: expected {expected}, got {got}")
     return result
 
-
-# The largest total dimension of the objects each suite draws: qubit testers
-# and instruments are on 2 x 2, and appendix row 2 maps a qubit to 4 dimensions.
-LARGEST_DIM = {"equivalence": max(a * b for a, b in EQUIVALENCE_DIMS), "xi-invariance": 4, "bounds": 4,
-               "appendix-c": 8}
 
 SUITES = {
     "equivalence": run_equivalence,

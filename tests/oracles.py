@@ -127,7 +127,7 @@ def recursive_decompose(args) -> int:
     if os.path.isdir(args.out) and os.listdir(args.out):
         raise ValueError(f"--out {args.out} is not empty")
     pol, obj, kind = cli._load(args)
-    cert = cli._certificate(obj, pol)
+    cert = gqi.is_extremal(obj, pol=pol)
     if cert.extremal:
         print("input is extremal; nothing to decompose", file=sys.stderr)
         return 1

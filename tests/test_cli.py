@@ -633,21 +633,41 @@ class TestCli:
     def test_tol_that_empties_every_support_exits_2(self, command, tmp_path, capsys):
         """At total_dim * eps_rel >= 1 the support cutoff supp_tol(D, lambda)
         lies above every eigenvalue, so every support would be empty and
-        the channel would read extremal with support rank 0."""
+        the channel would read extremal with support rank 0.  The core
+        refuses it, for validate too."""
         path = os.path.join(GOLDEN, "channel.json")
         extra = ["--out", str(tmp_path / "tree")] if command == "decompose" else []
         assert self.run("--tol", "0.5", command, path, *extra) == 2
         out = capsys.readouterr()
         assert out.out == ""
-        assert out.err.startswith("error: tolerance 0.5 leaves every support empty at dimension 4")
+        assert out.err == "error: tolerance 0.5 leaves every support empty at dimension 4\n"
         # D * eps_rel = 1 is refused too; just below it the command runs.
         assert self.run("--tol", "0.25", command, path, *extra) == 2
         assert self.run("--tol", "0.2", "validate", path) == 0
+        assert not (tmp_path / "tree").exists()
+
+    @pytest.mark.parametrize("command", ["validate", "extremal"])
+    def test_small_effects_empty_every_support_below_one_over_d(self, command, tmp_path, capsys):
+        """Twenty effects I/20 on a qubit: D eps_rel = 0.2 < 1 at --tol 0.1,
+        but every eigenvalue, 0.05, lies below the support cutoff 0.2.  A
+        guard on D alone let `extremal` print "extremal" with every support
+        rank 0; the core reads the eigenvalues and refuses it."""
+        path = str(tmp_path / "povm20.json")
+        fileio.save_object(path, Povm(d=2, effects=(np.eye(2) / 20,) * 20))
+        assert self.run("--tol", "0.1", command, path) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "error: tolerance 0.1 leaves every support empty at dimension 2\n"
+        # Just below the eigenvalue 0.05 = 2 eps_rel the supports are full;
+        # the 80 rows then need 80 eps_rel < 1 for a rank test.
+        assert self.run("--tol", "0.024", "validate", path) == 0
+        assert self.run("--tol", "0.01", command, path) == 0
 
     def test_tol_that_empties_every_rank_exits_2(self, tmp_path, capsys):
-        """At D^2 eps_rel >= 1 the rank cutoff lies at or above every singular
-        value, so the identity channel would read not_extremal with a witness
-        whose leaves fail validation.  validate runs no rank test."""
+        """At max(m + |V|, D^2) eps_rel >= 1 the rank cutoff lies at or above
+        every singular value, so the identity channel would read
+        not_extremal with a witness whose leaves fail validation.  validate
+        runs no rank test."""
         path = str(tmp_path / "id.json")
         assert self.run("generate", "combination", "--k", "1", "--out", path) == 0
         capsys.readouterr()
@@ -666,30 +686,39 @@ class TestCli:
         # Just below D^2 eps_rel = 1 the command runs.
         assert self.run("--tol", "0.06", "extremal", path) == 0
         assert self.run("--tol", "0.1", "validate", path) == 0
-        assert self.run("--tol", "0.05", "suite", "equivalence", "--seeds", "2") == 2
-        out = capsys.readouterr()
-        assert out.err.endswith("puts the rank cutoff at or above every singular value at dimension 9\n")
 
-    @pytest.mark.parametrize(
-        "name,dim", [("equivalence", 9), ("xi-invariance", 4), ("bounds", 4), ("appendix-c", 8)]
-    )
-    def test_suite_tol_that_empties_every_support_exits_2(self, name, dim, capsys):
-        """A suite is guarded at the largest dimension D it draws."""
-        assert suites.LARGEST_DIM[name] == dim
+    @pytest.mark.parametrize("name", ["equivalence", "bounds", "appendix-c"])
+    def test_suite_tol_that_empties_every_support_exits_2(self, name, capsys):
+        """Each suite's first member is on D = 4, and at --tol 0.5 every
+        support of it is empty: the core refuses it by its index."""
         assert self.run("--tol", "0.5", "suite", name, "--seeds", "1") == 2
         out = capsys.readouterr()
         assert out.out == ""
-        assert out.err == f"error: tolerance 0.5 leaves every support empty at dimension {dim}\n"
-        assert self.run("--tol", repr(1.0 / dim), "suite", name, "--seeds", "1") == 2
-        capsys.readouterr()
-        # Just below D eps_rel = 1 this guard lets the suite pass, but
-        # D^2 eps_rel >= 1 there: the rank-cutoff guard refuses it, after
-        # xi-invariance's own guard below.
-        code = self.run("--tol", repr(0.9 / dim), "suite", name, "--seeds", "1")
-        err = capsys.readouterr().err
-        assert "leaves every support empty" not in err
-        guard = "puts the support cutoff" if name == "xi-invariance" else "puts the rank cutoff"
-        assert code == 2 and guard in err
+        assert out.err == "error: member 0: tolerance 0.5 leaves every support empty at dimension 4\n"
+
+    def test_suite_tol_is_refused_by_the_member_it_empties(self, capsys):
+        """A suite is refused by the first member the core refuses, at that
+        member's dimension, and runs where no member is refused."""
+        assert self.run("--tol", "0.05", "suite", "equivalence", "--seeds", "2") == 2
+        out = capsys.readouterr()
+        assert out.err == (
+            "error: member 1: tolerance 0.05 puts the rank cutoff at or above every singular value "
+            "at dimension 6\n"
+        )
+        # Member 11, seed 2 at (3,3) with 8 Kraus operators, has support rank
+        # 6: m + |V| = 108 > D^2 = 81, and 108 * 0.012 >= 1.
+        assert self.run("--tol", "0.012", "suite", "equivalence", "--seeds", "3") == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == (
+            "error: member 11: tolerance 0.012 puts the rank cutoff at or above every singular value "
+            "at dimension 9\n"
+        )
+        # Only the D = 2 POVMs of the appendix table reach a rank test; the
+        # D = 8 objects of row 2 are decided by the Kraus-product criterion.
+        # At 0.05 no member is refused, and the loose cutoff flips a row.
+        assert self.run("--tol", "0.05", "suite", "appendix-c") == 1
+        assert json.loads(capsys.readouterr().out)["failures"] == 1
 
     def test_xi_suite_tol_that_reaches_the_drawn_states_exits_2(self, capsys):
         """xi-invariance transforms by qubit states whose eigenvalues lie
@@ -700,7 +729,9 @@ class TestCli:
         assert floor == 0.05 / 1.1
         rng = np.random.default_rng(0)
         assert min(np.linalg.eigvalsh(suites.random_full_rank_state(2, rng))[0] for _ in range(200)) > floor
-        for tol in ("0.225", repr(floor / 2)):
+        # At 0.5 every support of the first member is empty too, but the
+        # suite refuses the states first.
+        for tol in ("0.5", "0.225", repr(floor / 2)):
             assert self.run("--tol", tol, "suite", "xi-invariance", "--seeds", "1") == 2
             out = capsys.readouterr()
             assert out.out == ""
@@ -715,24 +746,6 @@ class TestCli:
         fileio.save_object(path, bell_tester())
         monkeypatch.setenv("EXQIP_TOL", "1e-9")
         assert self.run("validate", path) == 0
-
-
-def test_suite_dimensions_are_the_largest_drawn():
-    """``suites.LARGEST_DIM`` against the objects the suites draw: every
-    appendix fixture, and the first seeds of the tester and instrument
-    populations."""
-    fixtures = [channels.combination_fixture(k) for k in channels.APPENDIX_TABLE]
-    assert suites.LARGEST_DIM["appendix-c"] == max(f.signature.total_dim for f in fixtures)
-    assert suites.LARGEST_DIM["equivalence"] == max(d0 * d1 for d0, d1 in suites.EQUIVALENCE_DIMS)
-    rng = np.random.default_rng(0)
-    drawn = [
-        suites.random_extremal_qubit_tester(rng),
-        suites.random_nonextremal_qubit_tester(rng),
-        suites.random_rank22_qubit_tester(rng),
-        channels.random_instrument(2, 2, (2, 2), rng),
-    ]
-    assert {x.signature.total_dim for x in drawn} == {suites.LARGEST_DIM["xi-invariance"]}
-    assert suites.LARGEST_DIM["bounds"] == suites.LARGEST_DIM["xi-invariance"]
 
 
 def test_generate_refuses_a_comb_above_the_budget(tmp_path):

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from exqip import channels, combs, gqi, linalg
 from exqip.combs import CombSignature
-from exqip.errors import DimensionMismatchError, ExtremalInputError, ValidationError
+from exqip.errors import DimensionMismatchError, ExtremalInputError, ToleranceError, ValidationError
 from exqip.gqi import Gqi
 from exqip.linalg import TolerancePolicy
 
@@ -72,9 +72,9 @@ class TestExtremality:
         assert cert.margin is not None and cert.margin > 1e-3
 
     def test_tolerance_above_every_eigenvalue(self):
-        """No support is left: V alone is independent, and there is no margin."""
-        cert = gqi.is_extremal(unitary_channel_gqi(), pol=TolerancePolicy(eps_rel=0.5))
-        assert cert.extremal and cert.support_ranks == (0,) and cert.margin is None
+        """No support is left, so a verdict would be vacuous: it is refused."""
+        with pytest.raises(ToleranceError, match="^tolerance 0.5 leaves every support empty at dimension 4$"):
+            gqi.is_extremal(unitary_channel_gqi(), pol=TolerancePolicy(eps_rel=0.5))
 
     def test_depolarizing_not_extremal(self):
         cert = gqi.is_extremal(depolarizing_gqi())

@@ -28,7 +28,7 @@ import pytest
 
 from exqip import channels, cli, combs, fileio, gqi, suites, testers
 from exqip.combs import CombSignature
-from exqip.errors import SizeLimitError
+from exqip.errors import SizeLimitError, ToleranceError
 from exqip.gqi import Gqi
 from exqip.linalg import DEFAULT_TOL, TolerancePolicy
 
@@ -330,15 +330,13 @@ def test_one_svd_per_stack(monkeypatch, svd_calls):
 
 def test_family_with_no_rows_runs_no_svd(monkeypatch):
     """At a tolerance whose support cutoff lies above every eigenvalue
-    (D eps_rel >= 1, which the CLI refuses), every support rank is 0: the
-    rank is |V|, with no SVD, no null vector and no margin."""
+    (D eps_rel >= 1), every support rank would be 0 and the verdict
+    vacuous: validation refuses it, before any SVD."""
     monkeypatch.setattr(np.linalg, "svd", refuse)
     loose = TolerancePolicy(eps_rel=0.6)
     for g in (gqi.Povm(2, (np.eye(2) / 2, np.eye(2) / 2)), channels.combination_fixture(1)):
-        cert = gqi.is_extremal(g, pol=loose)
-        assert set(cert.support_ranks) == {0}
-        assert cert.rank == cert.family_size == cert.normalization_basis_size
-        assert cert.perturbation is None and cert.margin is None
+        with pytest.raises(ToleranceError, match="leaves every support empty"):
+            gqi.is_extremal(g, pol=loose)
 
 
 @pytest.mark.parametrize("dims", [(1, 3), (1, 4), (1, 1, 1, 3)])

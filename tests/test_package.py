@@ -26,7 +26,7 @@ PUBLIC = {
     ),
     "errors": (
         "DimensionMismatchError", "ExqipError", "ExtremalInputError", "FileFormatError",
-        "NotHermitianError", "NotPositiveError", "SizeLimitError", "ValidationError",
+        "NotHermitianError", "NotPositiveError", "SizeLimitError", "ToleranceError", "ValidationError",
     ),
     "gqi": (
         "ExtremalityCertificate", "Gqi", "GqiVerdict", "Perturbation", "decompose_step",
@@ -44,7 +44,7 @@ NAMES = sorted(name for names in PUBLIC.values() for name in names)
 
 
 def test_all_is_the_public_names():
-    assert len(NAMES) == 70
+    assert len(NAMES) == 71
     assert sorted(exqip.__all__) == NAMES
 
 
