@@ -17,8 +17,9 @@ import exqip
 from exqip import channels, cli, fileio, gqi, linalg, suites, testers
 from exqip.channels import Channel, Instrument
 from exqip.combs import CombSignature, DeterministicComb, central_comb
-from exqip.errors import FileFormatError
+from exqip.errors import FileFormatError, ToleranceError
 from exqip.gqi import Gqi
+from exqip.linalg import TolerancePolicy
 from exqip.testers import Povm, Tester
 
 
@@ -687,14 +688,25 @@ class TestCli:
         assert self.run("--tol", "0.06", "extremal", path) == 0
         assert self.run("--tol", "0.1", "validate", path) == 0
 
-    @pytest.mark.parametrize("name", ["equivalence", "bounds", "appendix-c"])
-    def test_suite_tol_that_empties_every_support_exits_2(self, name, capsys):
+    @pytest.mark.parametrize(
+        "name,dim", [("equivalence", 4), ("xi-invariance", 4), ("bounds", 4), ("appendix-c", 4)]
+    )
+    def test_suite_tol_that_empties_every_support_exits_2(self, name, dim, capsys):
         """Each suite's first member is on D = 4, and at --tol 0.5 every
-        support of it is empty: the core refuses it by its index."""
+        support of it is empty: the core refuses it by its index.
+        xi-invariance refuses its drawn states before any member, so its
+        first member is put to the core directly."""
         assert self.run("--tol", "0.5", "suite", name, "--seeds", "1") == 2
         out = capsys.readouterr()
         assert out.out == ""
-        assert out.err == "error: member 0: tolerance 0.5 leaves every support empty at dimension 4\n"
+        if name == "xi-invariance":
+            assert out.err.startswith("error: tolerance 0.5 puts the support cutoff at or above 0.04545")
+            first = suites.random_extremal_qubit_tester(np.random.default_rng(2000))
+            with pytest.raises(ToleranceError) as caught:
+                gqi.decide_all([first], TolerancePolicy(eps_rel=0.5))
+            assert str(caught.value) == f"member 0: tolerance 0.5 leaves every support empty at dimension {dim}"
+        else:
+            assert out.err == f"error: member 0: tolerance 0.5 leaves every support empty at dimension {dim}\n"
 
     def test_suite_tol_is_refused_by_the_member_it_empties(self, capsys):
         """A suite is refused by the first member the core refuses, at that

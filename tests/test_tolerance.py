@@ -127,14 +127,17 @@ class TestPopulation:
 def drawn_object(seed, kind, d, n_outcomes, n_tiny):
     """A POVM on C^d or an instrument C^d -> C^2 with ``n_outcomes``
     outcomes, the first ``n_tiny`` of them (all but one at most) scaled down
-    by 1e-3 to 1e-12 before normalization.  The last outcome has d Kraus
-    rows or more, so that the sum it normalizes by is well conditioned."""
+    by 1e-3 to 1e-12 before normalization.  The last outcome is an isometry,
+    so the sum it normalizes by is at least the identity and well
+    conditioned, and the object is valid at eps_rel = 1e-12 too."""
     rng = np.random.default_rng(seed)
     d_out = 1 if kind == "povm" else 2
     ops = []
     for x in range(n_outcomes):
         rank = -(-d // d_out) if x == n_outcomes - 1 else int(rng.integers(1, -(-d // d_out) + 1))
         g = rng.standard_normal((d_out * rank, d)) + 1j * rng.standard_normal((d_out * rank, d))
+        if x == n_outcomes - 1:
+            g = np.linalg.qr(g)[0]
         scale = 10.0 ** -rng.uniform(3.0, 12.0) if x < min(n_tiny, n_outcomes - 1) else 1.0
         ops.append(scale * g)
     s = sum(g.conj().T @ g for g in ops)
