@@ -44,12 +44,13 @@ def unvec_op(v: np.ndarray, d1: int, d0: int) -> np.ndarray:
 
 
 def kraus_to_choi(kraus) -> np.ndarray:
-    ks = [np.asarray(k, dtype=complex) for k in kraus]
-    vs = [vec_op(k) for k in ks]
-    dim = vs[0].size
-    out = np.zeros((dim, dim), dtype=complex)
-    for v in vs:
-        out += np.outer(v, v.conj())
+    """sum_m |K_m>><<K_m| of a Kraus family (n, d1, d0), the outer products
+    added in order, or of each family of a stack (..., n, d1, d0)."""
+    v = np.asarray(kraus, dtype=complex)
+    v = v.reshape(v.shape[:-2] + (v.shape[-2] * v.shape[-1],))
+    out = np.zeros(v.shape[:-2] + 2 * v.shape[-1:], dtype=complex)
+    for m in range(v.shape[-2]):
+        out += v[..., m, :, None] * v[..., m, None, :].conj()
     return out
 
 
@@ -317,10 +318,63 @@ def combination_fixture(k: int) -> Instrument:
     raise ValidationError(f"unknown combination {k}; valid rows are 1,2,3,4,6,7,8")
 
 
-def random_unitary(d: int, rng) -> np.ndarray:
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+# The random generators draw in two steps.  The draw consumes the rng: a
+# complex Gaussian matrix, its real part first.  The build turns a stack of
+# such Gaussians into objects with one stacked QR, and, for an instrument,
+# one stacked eigh.  The generators here are the build of their own draw
+# alone; :mod:`exqip.suites` builds the draws of a whole pass at once.
+
+
+def _gaussian(rng, shape: tuple) -> np.ndarray:
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _stinespring_gaussian(d0: int, d1: int, kraus_count: int, rng) -> np.ndarray:
+    """The Gaussian (d1 n, d0) of a channel with n Kraus operators, n the
+    count clamped up to ceil(d0/d1), the minimum for an isometry to exist."""
+    return _gaussian(rng, (d1 * max(kraus_count, -(-d0 // d1)), d0))
+
+
+def _unitaries(g: np.ndarray) -> np.ndarray:
+    """The unitaries of a stack (K, d, d) of complex Gaussians: Q of one
+    stacked QR, each column's phase fixed by the diagonal of R."""
     q, r = np.linalg.qr(g)
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+    phase = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (phase / np.abs(phase))[..., None, :]
+
+
+def _channel_chois(g: np.ndarray, d1: int) -> np.ndarray:
+    """The Choi operators of the channels whose Stinespring isometries are
+    Q of one stacked QR of Gaussians (K, d1 n, d0): Kraus operator m is rows
+    m d1 to (m + 1) d1 of Q."""
+    q = np.linalg.qr(g)[0]
+    return kraus_to_choi(q.reshape(len(q), -1, d1, q.shape[-1]))
+
+
+def _instrument_operators(g: np.ndarray, d1: int, outcome_kraus_counts) -> np.ndarray:
+    """The operators (K, len(counts), d1 d0, d1 d0) of :func:`random_instrument`
+    for a stack of Gaussians (K, d1 n, d0).  Each channel's minimal Kraus
+    family, from one stacked ``eigh`` as :func:`channel_kraus` takes it, is
+    padded with zeros to sum(counts) and cut into consecutive groups of
+    ``counts``.  A Choi operator :func:`choi_to_kraus` refuses raises its
+    error for the first such channel."""
+    chois = _channel_chois(g, d1)
+    k, dim, d0 = len(chois), chois.shape[-1], g.shape[-1]
+    eig = linalg.hermitian_eigs(linalg.check_hermitian_stack(chois, DEFAULT_TOL))
+    negative = ~DEFAULT_TOL.psd(eig.values)
+    if negative.any():
+        raise NotPositiveError(f"Choi operator has negative eigenvalue {eig.values[negative.argmax(), -1]:.3e}")
+    # Channel rank may collapse below the requested count; pad the partition.
+    bounds = np.cumsum((0, *outcome_kraus_counts))
+    kraus = np.zeros((k, max(dim, bounds[-1]), d1, d0), dtype=complex)
+    kept = np.arange(dim) < eig.support_ranks(DEFAULT_TOL)[:, None]
+    vectors = np.swapaxes(eig.vectors, -2, -1).reshape(k, dim, d1, d0)
+    kraus[:, :dim][kept] = np.sqrt(eig.values[kept])[:, None, None] * vectors[kept]
+    return np.stack([kraus_to_choi(kraus[:, a:b]) for a, b in zip(bounds[:-1], bounds[1:])], axis=1)
+
+
+def random_unitary(d: int, rng) -> np.ndarray:
+    return _unitaries(_gaussian(rng, (d, d))[None])[0]
 
 
 def random_channel(d0: int, d1: int, kraus_count: int, rng) -> Channel:
@@ -328,26 +382,11 @@ def random_channel(d0: int, d1: int, kraus_count: int, rng) -> Channel:
 
     ``kraus_count`` is clamped up to ceil(d0/d1), the minimum for an isometry
     to exist."""
-    kraus_count = max(kraus_count, -(-d0 // d1))
-    g = rng.standard_normal((d1 * kraus_count, d0)) + 1j * rng.standard_normal(
-        (d1 * kraus_count, d0)
-    )
-    q, _ = np.linalg.qr(g)
-    ks = [q[m * d1 : (m + 1) * d1, :] for m in range(kraus_count)]
-    return channel_from_kraus(ks, d1=d1, d0=d0)
+    choi = _channel_chois(_stinespring_gaussian(d0, d1, kraus_count, rng)[None], d1)[0]
+    return Channel(d1=d1, d0=d0, choi=choi)
 
 
 def random_instrument(d0: int, d1: int, outcome_kraus_counts, rng) -> Instrument:
     """Random instrument: random channel Kraus family partitioned per outcome."""
-    total = sum(outcome_kraus_counts)
-    chan = random_channel(d0, d1, total, rng)
-    ks = channel_kraus(chan)
-    # Channel rank may collapse below the requested count; pad the partition.
-    while len(ks) < total:
-        ks.append(np.zeros((d1, d0), dtype=complex))
-    groups = []
-    pos = 0
-    for count in outcome_kraus_counts:
-        groups.append(ks[pos : pos + count])
-        pos += count
-    return instrument_from_kraus(groups, d1=d1, d0=d0)
+    g = _stinespring_gaussian(d0, d1, sum(outcome_kraus_counts), rng)
+    return Instrument(d1=d1, d0=d0, operators=tuple(_instrument_operators(g[None], d1, outcome_kraus_counts)[0]))

@@ -652,11 +652,14 @@ def _decide_stack(
     gs: list, verdicts: list, support_ranks: tuple, pol: TolerancePolicy, gated: bool = False
 ) -> list:
     """The certificates of K GQIs with the same signature and support ranks
-    (see :func:`is_extremal`), after the gate of each verdict and the size
-    guard, unless the verdicts are ``gated`` already (see
-    :func:`_validate_stack`)."""
+    (see :func:`is_extremal`), after the empty-support rule on their spectra,
+    the gate of each verdict and the size guard, unless the verdicts are
+    ``gated`` already (see :func:`_validate_stack`)."""
     sig = gs[0].signature
+    values = np.array([v.spectra.values for v in verdicts])
     if not gated:
+        # The caller's verdicts may come from another policy: the empty-support rule runs at this one.
+        pol.require_support(values)
         for g, verdict in zip(gs, verdicts):
             _require_valid(g, pol, verdict)
         _require_budget(sig, support_ranks, pol)
@@ -664,7 +667,6 @@ def _decide_stack(
     dim = sig.total_dim
     family_size = sum(r * r for r in support_ranks) + n_known
     bound = _cutoff(sig, support_ranks, pol)
-    values = np.array([v.spectra.values for v in verdicts])
     steps = None
     pair = _full_support_pair(support_ranks, dim, bound)
     if pair is not None:

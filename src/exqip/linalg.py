@@ -9,8 +9,9 @@ matrix-rank questions.  The pooled rank test of extremality is
 criterion.
 
 Operators are plain complex ``numpy`` arrays.  All functions are pure.
-:func:`kron` takes two matrices and forms their product with one broadcast
-multiplication, the same to the bit as ``np.kron``.
+:func:`kron` takes two matrices, or two stacks of them, and forms their
+products with one broadcast multiplication, each the same to the bit as
+``np.kron``.
 """
 
 from __future__ import annotations
@@ -152,12 +153,18 @@ def check_hermitian_stack(a: np.ndarray, pol: TolerancePolicy = DEFAULT_TOL) -> 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The Kronecker product of two matrices, from one broadcast product.
     These are the multiplications ``np.kron`` makes, on operands of the same
-    layout, so every entry is the same to the bit."""
+    layout, so every entry is the same to the bit.  Stacks (..., m, n) and
+    (..., p, q) whose leading axes broadcast give the stack of the products
+    of their matrices, each the same to the bit as from its own call."""
     a, b = np.asarray(a), np.asarray(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise DimensionMismatchError(f"kron takes two matrices, got shapes {a.shape} and {b.shape}")
-    (m, n), (p, q) = a.shape, b.shape
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * p, n * q)
+    if a.ndim < 2 or b.ndim < 2:
+        raise DimensionMismatchError(f"kron takes two matrices or stacks of them, got shapes {a.shape} and {b.shape}")
+    (m, n), (p, q) = a.shape[-2:], b.shape[-2:]
+    try:
+        x = a[..., :, None, :, None] * b[..., None, :, None, :]
+    except ValueError as err:
+        raise DimensionMismatchError(f"kron stacks of shapes {a.shape} and {b.shape} do not broadcast") from err
+    return x.reshape(*x.shape[:-4], m * p, n * q)
 
 
 def partial_trace(a: np.ndarray, dims, traced) -> np.ndarray:
@@ -204,8 +211,8 @@ def sqrt_psd(a: np.ndarray, pol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
 
 
 def eig_sqrt(eig: EigenDecomposition) -> np.ndarray:
-    """:func:`sqrt_psd` of the operator that ``eig`` decomposes."""
-    return (eig.vectors * np.sqrt(np.clip(eig.values, 0.0, None))) @ eig.vectors.conj().T
+    """:func:`sqrt_psd` of the operator, or of each operator of the stack, that ``eig`` decomposes."""
+    return EigenDecomposition(np.sqrt(np.clip(eig.values, 0.0, None)), eig.vectors).reconstruct()
 
 
 def complex_family_rank(mats, pol: TolerancePolicy = DEFAULT_TOL) -> int:

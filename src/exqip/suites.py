@@ -5,11 +5,19 @@ channel-criteria equivalence check, verdict invariance under the
 normalization-changing xi transform, the counting bounds as necessary
 conditions, and the appendix fixture table regression.
 
-The seeded suites draw a pass of at most ``PASS_SEEDS`` seeds first, each
-seed with its own generator in a fixed draw order, and then decide the whole
-pass with :func:`gqi.validate_all` and :func:`gqi.decide_all`.  No draw
-depends on a verdict, so a suite's population is that of deciding one
-object at a time.  The appendix suite classifies its seven fixtures with one
+The seeded suites work in passes of at most ``PASS_SEEDS`` seeds, in three
+steps.  Draw: each seed's rng is consumed in a fixed order, and only the
+discrete choices (angles, styles, Kraus counts) and the raw complex
+Gaussians are kept; no rng call depends on a computed value.  Build: the
+whole pass is built with one stacked call per shape or style group: QR and
+the phase fix of the unitaries and isometries, the Schmidt vectors and
+their projectors, ``eigh`` of the split outcomes and of the Choi operators
+of the instruments, the full-rank states and the xi maps.  Decide: one
+:func:`gqi.validate_all` and one :func:`gqi.decide_all` of the pass.  Every
+object is the one the former per-object generators drew, to the bit, and a
+fault in a build raises the error of the first draw at fault.  The public
+generators are the build of their own draw alone.  The appendix suite
+classifies its seven fixtures with one
 :func:`channels.classify_combinations`.
 """
 
@@ -23,7 +31,7 @@ import numpy as np
 
 from . import channels, gqi as gqi_mod, linalg, testers
 from .channels import APPENDIX_TABLE
-from .errors import ToleranceError
+from .errors import ExqipError, ToleranceError
 from .linalg import DEFAULT_TOL, TolerancePolicy
 
 
@@ -60,18 +68,71 @@ class SuiteResult:
 # ---------------------------------------------------------------------------
 
 
+# Each generator is a draw and a build (see the module docstring).  A draw
+# is tagged with the build that reads it, (build, draw), so that draws of
+# several generators are built together by :func:`_build`.
+
 # The weights of random_full_rank_state are uniform on [STATE_FLOOR, 1 + STATE_FLOOR)
 # before normalization.
 STATE_FLOOR = 0.05
 
 
+def _positions(keys) -> dict:
+    """The positions of each distinct key, in order of first appearance."""
+    groups = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    return {key: np.array(at) for key, at in groups.items()}
+
+
+def _build(draws) -> list:
+    """The objects of tagged draws (build, draw), in order: each build runs
+    once, on all its draws, in order of first appearance."""
+    out = [None] * len(draws)
+    for build, at in _positions(build for build, _ in draws).items():
+        for i, obj in zip(at, build([draws[i][1] for i in at])):
+            out[i] = obj
+    return out
+
+
+def _midpoint(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The outcomes of ``gqi.mix(a, b, 0.5)`` for two stacks of outcomes."""
+    return 0.5 * a + 0.5 * b
+
+
+def _qubit_testers(outcomes) -> list:
+    return [testers.Tester(d2=2, d1=2, outcomes=tuple(o)) for o in outcomes]
+
+
+def _schmidt(draws) -> np.ndarray:
+    """The outcomes (K, 2, 4, 4) of the Schmidt testers of draws
+    (angle, g2, g1), u2 and u1 from one stacked QR."""
+    angles, g2, g1 = zip(*draws)
+    u = channels._unitaries(np.array(g2 + g1))
+    return testers._schmidt_outcomes(testers._schmidt_vectors(angles, u[: len(angles)], u[len(angles) :]))
+
+
+def _schmidt_testers(draws) -> list:
+    return _qubit_testers(_schmidt(draws))
+
+
+def _draw_state(d: int, rng) -> tuple:
+    return channels._gaussian(rng, (d, d)), rng.random(d)
+
+
+def _states(draws) -> np.ndarray:
+    """The states of draws (Gaussian, weights) of one dimension, (K, d, d)."""
+    g, raw = zip(*draws)
+    u = channels._unitaries(np.array(g))
+    w = np.array(raw) + STATE_FLOOR
+    w /= w.sum(axis=-1, keepdims=True)
+    return (u * w[:, None, :]) @ testers._adjoint(u)
+
+
 def random_full_rank_state(d: int, rng) -> np.ndarray:
     """Random density operator whose eigenvalues all lie above
     :func:`smallest_state_eigenvalue`."""
-    u = channels.random_unitary(d, rng)
-    w = rng.random(d) + STATE_FLOOR
-    w /= w.sum()
-    return (u * w) @ u.conj().T
+    return _states([_draw_state(d, rng)])[0]
 
 
 def smallest_state_eigenvalue(d: int) -> float:
@@ -81,89 +142,162 @@ def smallest_state_eigenvalue(d: int) -> float:
     return STATE_FLOOR / (STATE_FLOOR + (d - 1) * (1.0 + STATE_FLOOR))
 
 
+def _gaussian2(rng) -> np.ndarray:
+    return channels._gaussian(rng, (2, 2))
+
+
+def _draw_extremal_qubit_tester(rng) -> tuple:
+    angle = rng.uniform(0.15, math.pi / 4)
+    return _extremal_qubit_testers, (angle, _gaussian2(rng), _gaussian2(rng), int(rng.integers(0, 3)))
+
+
+def _extremal_qubit_testers(draws) -> list:
+    """Schmidt testers whose outcome 1 is split, by style, into none, its
+    three projective effects (1), or two of them merged and the third (2):
+    one ``eigh`` of the split outcomes, one split per style."""
+    outcomes = _schmidt([draw[:3] for draw in draws])
+    built = [tuple(o) for o in outcomes]
+    styles = np.array([draw[3] for draw in draws])
+    split = np.flatnonzero(styles)
+    if split.size:
+        eig = linalg.hermitian_eigs(linalg.check_hermitian_stack(outcomes[split, 1], DEFAULT_TOL))
+        effects, ranks = testers._projectors(eig), eig.support_ranks(DEFAULT_TOL)
+        for (style, r), at in _positions(zip(styles[split].tolist(), ranks.tolist())).items():
+            subs = effects[at, :r]
+            if style == 2:
+                subs = np.stack([subs[:, 0] + subs[:, 1], subs[:, 2]], axis=1)
+            for k, pieces in zip(split[at], testers._split_pieces(eig[at], subs, DEFAULT_TOL)):
+                built[k] = (built[k][0], *pieces)
+    return [testers.Tester(d2=2, d1=2, outcomes=o) for o in built]
+
+
 def random_extremal_qubit_tester(rng) -> testers.Tester:
     """Entangled two-outcome tester, sometimes split to 3 or 4 outcomes."""
-    angle = rng.uniform(0.15, math.pi / 4)
-    t = testers.schmidt_tester(
-        angle, channels.random_unitary(2, rng), channels.random_unitary(2, rng)
-    )
-    style = rng.integers(0, 3)
-    if style == 1:
-        effects = testers.projective_split_effects(t.outcomes[1])
-        t = testers.split_outcome(t, 1, effects)
-    elif style == 2:
-        effects = testers.projective_split_effects(t.outcomes[1])
-        merged = [effects[0] + effects[1], effects[2]]
-        t = testers.split_outcome(t, 1, merged)
-    return t
+    return _build([_draw_extremal_qubit_tester(rng)])[0]
+
+
+def _draw_nonextremal_qubit_tester(rng) -> tuple:
+    if rng.integers(0, 2) == 0:
+        return _nonextremal_qubit_testers, [(0.0, _gaussian2(rng), _gaussian2(rng))]
+    return _nonextremal_qubit_testers, [
+        (rng.uniform(0.2, math.pi / 4), _gaussian2(rng), _gaussian2(rng)) for _ in range(2)
+    ]
+
+
+def _nonextremal_qubit_testers(draws) -> list:
+    """A product-vector Schmidt tester for a draw of one Schmidt tester, the
+    midpoint of the two for a draw of two: one Schmidt build of them all."""
+    outcomes = _schmidt([schmidt for draw in draws for schmidt in draw])
+    first = np.cumsum([0] + [len(draw) for draw in draws[:-1]])
+    mixed = np.array([len(draw) == 2 for draw in draws])
+    out = outcomes[first]
+    out[mixed] = _midpoint(outcomes[first[mixed]], outcomes[first[mixed] + 1])
+    return _qubit_testers(out)
 
 
 def random_nonextremal_qubit_tester(rng) -> testers.Tester:
     """Product-vector testers and mixtures of distinct extremal testers."""
+    return _build([_draw_nonextremal_qubit_tester(rng)])[0]
+
+
+def _draw_rank22_qubit_tester(rng, nonextremal: bool) -> tuple:
+    if not nonextremal:
+        return _rank22_qubit_testers, (0, channels._gaussian(rng, (4, 4)))
     if rng.integers(0, 2) == 0:
-        return testers.schmidt_tester(
-            0.0, channels.random_unitary(2, rng), channels.random_unitary(2, rng)
-        )
-    a = testers.schmidt_tester(
-        rng.uniform(0.2, math.pi / 4),
-        channels.random_unitary(2, rng),
-        channels.random_unitary(2, rng),
-    )
-    b = testers.schmidt_tester(
-        rng.uniform(0.2, math.pi / 4),
-        channels.random_unitary(2, rng),
-        channels.random_unitary(2, rng),
-    )
-    return gqi_mod.mix(a, b)
+        return _rank22_qubit_testers, (1, _gaussian2(rng))
+    return _rank22_qubit_testers, (2, _gaussian2(rng), _gaussian2(rng), _gaussian2(rng))
+
+
+def _rank22_qubit_testers(draws) -> list:
+    """{P_1 / 2, (I - P_1) / 2} per draw (style, Gaussians...), one build per
+    style: P_1 the projector onto two columns of a 4 x 4 unitary (0),
+    I (x) |v><v| (1), or |f><f| (x) |e><e| + |h><h| (x) |e_perp><e_perp| (2)."""
+
+    def outer(v):
+        return v[..., :, None] * v[..., None, :].conj()
+
+    p1 = np.empty((len(draws), 4, 4), dtype=complex)
+    for style, at in _positions(draw[0] for draw in draws).items():
+        # The unitaries of a style, (n, K, d, d) for its n Gaussians per draw, from one QR.
+        g = np.array([[draws[i][j] for i in at] for j in range(1, len(draws[at[0]]))])
+        u = channels._unitaries(g.reshape(-1, *g.shape[2:])).reshape(g.shape)
+        if style == 0:
+            p1[at] = u[0, :, :, :2] @ testers._adjoint(u[0, :, :, :2])
+        elif style == 1:
+            p1[at] = linalg.kron(np.eye(2, dtype=complex), outer(u[0, :, :, 0]))
+        else:
+            f, h, e = u
+            fe = linalg.kron(outer(f[:, :, 0]), outer(e[:, :, 0]))
+            p1[at] = fe + linalg.kron(outer(h[:, :, 0]), outer(e[:, :, 1]))
+    p2 = np.eye(4, dtype=complex) - p1
+    return [testers.Tester(d2=2, d1=2, outcomes=(a / 2.0, b / 2.0)) for a, b in zip(p1, p2)]
 
 
 def random_rank22_qubit_tester(rng, nonextremal: bool = False) -> testers.Tester:
     """Two-outcome tester with both parts rank two ((2,2) profile)."""
-    if not nonextremal:
-        u = channels.random_unitary(4, rng)
-        p1 = u[:, :2] @ u[:, :2].conj().T
+    return _build([_draw_rank22_qubit_tester(rng, nonextremal)])[0]
+
+
+def _draw_two_outcome_qubit_tester(rng) -> tuple:
+    style = rng.integers(0, 6)
+    u2, u1 = _gaussian2(rng), _gaussian2(rng)
+    if style in (3, 4):
+        return _draw_rank22_qubit_tester(rng, nonextremal=style == 4)
+    if style == 0:
+        angle = rng.uniform(0.1, math.pi / 4)
+    elif style == 2:
+        angle = rng.uniform(1e-6, 1e-5)
     else:
-        if rng.integers(0, 2) == 0:
-            v = channels.random_unitary(2, rng)[:, 0]
-            p1 = linalg.kron(np.eye(2, dtype=complex), np.outer(v, v.conj()))
-        else:
-            f = channels.random_unitary(2, rng)
-            h = channels.random_unitary(2, rng)
-            e = channels.random_unitary(2, rng)
-            p1 = linalg.kron(
-                np.outer(f[:, 0], f[:, 0].conj()), np.outer(e[:, 0], e[:, 0].conj())
-            ) + linalg.kron(
-                np.outer(h[:, 0], h[:, 0].conj()), np.outer(e[:, 1], e[:, 1].conj())
-            )
-    p2 = np.eye(4, dtype=complex) - p1
-    return testers.Tester(d2=2, d1=2, outcomes=(p1 / 2.0, p2 / 2.0))
+        angle = 0.0 if style == 1 else 1e-6
+    return _schmidt_testers, (angle, u2, u1)
 
 
 def random_two_outcome_qubit_tester(rng) -> testers.Tester:
     """Mixed population spanning the (1,3) and (2,2) profiles, including
     near-product Schmidt angles down to 1e-6 and exact product vectors."""
-    style = rng.integers(0, 6)
-    u2 = channels.random_unitary(2, rng)
-    u1 = channels.random_unitary(2, rng)
-    if style == 0:
-        return testers.schmidt_tester(rng.uniform(0.1, math.pi / 4), u2, u1)
-    if style == 1:
-        return testers.schmidt_tester(0.0, u2, u1)
-    if style == 2:
-        return testers.schmidt_tester(rng.uniform(1e-6, 1e-5), u2, u1)
-    if style == 3:
-        return random_rank22_qubit_tester(rng, nonextremal=False)
-    if style == 4:
-        return random_rank22_qubit_tester(rng, nonextremal=True)
-    return testers.schmidt_tester(1e-6, u2, u1)
+    return _build([_draw_two_outcome_qubit_tester(rng)])[0]
+
+
+def _draw_instrument(counts: tuple, rng) -> tuple:
+    """The draw of ``channels.random_instrument(2, 2, counts, rng)``."""
+    return _instruments, (counts, channels._stinespring_gaussian(2, 2, sum(counts), rng))
+
+
+def _instrument_stacks(draws):
+    """(positions, operators (K, len(counts), 4, 4)) per Kraus-count group
+    of draws (counts, Gaussian) of instruments on (2, 2), each group built
+    in one stack."""
+    for counts, at in _positions(draw[0] for draw in draws).items():
+        yield at, channels._instrument_operators(np.array([draws[i][1] for i in at]), 2, counts)
+
+
+def _instruments(draws) -> list:
+    out = [None] * len(draws)
+    for at, ops in _instrument_stacks(draws):
+        for i, o in zip(at, ops):
+            out[i] = channels.Instrument(d1=2, d0=2, operators=tuple(o))
+    return out
+
+
+def _draw_nonextremal_gqi(rng) -> tuple:
+    counts = [(1, 1), (1, 2), (2, 1), (1, 1, 1)][rng.integers(0, 4)]
+    return _nonextremal_gqis, [_draw_instrument(counts, rng)[1] for _ in range(2)]
+
+
+def _nonextremal_gqis(draws) -> list:
+    """The midpoints of the instrument pairs of draws, both halves of a
+    Kraus-count group built in one stack."""
+    out = [None] * len(draws)
+    for at, ops in _instrument_stacks([half for pair in draws for half in pair]):
+        # The two halves of a pair share their counts, so they sit side by side.
+        for i, o in zip(at[::2], _midpoint(ops[::2], ops[1::2])):
+            out[i // 2] = channels.Instrument(d1=2, d0=2, operators=tuple(o))
+    return out
 
 
 def random_nonextremal_gqi(rng) -> channels.Instrument:
     """Midpoint of two distinct random instruments (never extremal)."""
-    counts = [(1, 1), (1, 2), (2, 1), (1, 1, 1)][rng.integers(0, 4)]
-    a = channels.random_instrument(2, 2, counts, rng)
-    b = channels.random_instrument(2, 2, counts, rng)
-    return gqi_mod.mix(a, b, 0.5)
+    return _build([_draw_nonextremal_gqi(rng)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +316,28 @@ def _passes(seeds: int):
         yield range(start, min(seeds, start + PASS_SEEDS))
 
 
+def _with_first_fault(build, draws) -> list:
+    """``build(draws)``.  When it raises, each draw is built alone, in
+    order, and the first that raises raises its own error: the fault that
+    building one draw at a time, as the generators once did, meets first."""
+    try:
+        return build(draws)
+    except ExqipError:
+        for draw in draws:
+            build([draw])
+        raise
+
+
+def _channels(draws) -> list:
+    """The channels of draws (d0, d1, Kraus count, Gaussian), one stacked
+    build per dimensions and count."""
+    out = [None] * len(draws)
+    for (d0, d1, _), at in _positions(draw[:3] for draw in draws).items():
+        for i, choi in zip(at, channels._channel_chois(np.array([draws[i][3] for i in at]), d1)):
+            out[i] = channels.Channel(d1=d1, d0=d0, choi=choi)
+    return out
+
+
 def run_equivalence(seeds: int = 200, pol: TolerancePolicy = DEFAULT_TOL) -> SuiteResult:
     """Choi's criterion and the master-criterion form must agree on random
     channels across small dimension pairs."""
@@ -192,11 +348,11 @@ def run_equivalence(seeds: int = 200, pol: TolerancePolicy = DEFAULT_TOL) -> Sui
             rng = np.random.default_rng(1000 + seed)
             for d0, d1 in EQUIVALENCE_DIMS:
                 count = int(rng.integers(-(-d0 // d1), d0 * d1 + 1))
-                drawn.append((seed, d0, d1, count, channels.random_channel(d0, d1, count, rng)))
-        chans = [chan for *_, chan in drawn]
+                drawn.append((d0, d1, count, channels._stinespring_gaussian(d0, d1, count, rng), seed))
+        chans = _channels(drawn)
         verdicts = gqi_mod.validate_all(chans, pol)
         certs = gqi_mod.decide_all(chans, pol, verdicts)
-        for (seed, d0, d1, count, chan), verdict, cert in zip(drawn, verdicts, certs):
+        for (d0, d1, count, _, seed), chan, verdict, cert in zip(drawn, chans, verdicts, certs):
             a = channels.choi_condition(chan, pol, verdict)
             b = cert.extremal
             result.record(
@@ -204,6 +360,21 @@ def run_equivalence(seeds: int = 200, pol: TolerancePolicy = DEFAULT_TOL) -> Sui
                 f"seed {seed} dims ({d0},{d1}) kraus {count}: choi={a} rank-form={b}",
             )
     return result
+
+
+def _xi_pass(drawn, pol: TolerancePolicy) -> tuple:
+    """The testers of xi-invariance draws (tester, state, U), their xi
+    transforms and the largest entry of each round trip's error, from one
+    xi_transform and one xi_inverse of all their outcomes."""
+    ts = _build([t for t, _, _ in drawn])
+    rho = _states([state for _, state, _ in drawn])
+    u = channels._unitaries(np.array([g for *_, g in drawn]))
+    ops, owner = testers._outcome_stack(ts)
+    moved = testers._xi_outcomes(ops, owner, 2, 2, rho, u, pol)
+    back = testers._xi_inverse_outcomes(moved, owner, 2, 2, rho, u, pol)
+    bounds = np.cumsum([0] + [t.n_outcomes for t in ts])
+    residuals = np.maximum.reduceat(np.abs(back - ops).max(axis=(-2, -1)), bounds[:-1])
+    return ts, _qubit_testers(moved[a:b] for a, b in zip(bounds[:-1], bounds[1:])), residuals
 
 
 def run_xi_invariance(seeds: int = 200, pol: TolerancePolicy = DEFAULT_TOL) -> SuiteResult:
@@ -219,20 +390,11 @@ def run_xi_invariance(seeds: int = 200, pol: TolerancePolicy = DEFAULT_TOL) -> S
         drawn = []
         for seed in chunk:
             rng = np.random.default_rng(2000 + seed)
-            if seed % 2 == 0:
-                t = random_extremal_qubit_tester(rng)
-            else:
-                t = random_nonextremal_qubit_tester(rng)
-            rho = random_full_rank_state(2, rng)
-            u = channels.random_unitary(2, rng)
-            moved = testers.xi_transform(t, rho, u, pol)
-            back = testers.xi_inverse(moved, rho, u, pol)
-            residual = max(
-                linalg.max_abs(x - y) for x, y in zip(back.outcomes, t.outcomes)
-            )
-            drawn.append((seed, t, moved, residual))
-        certs = gqi_mod.decide_all([x for _, t, moved, _ in drawn for x in (t, moved)], pol)
-        for (seed, _, _, residual), first, second in zip(drawn, certs[::2], certs[1::2]):
+            t = _draw_extremal_qubit_tester(rng) if seed % 2 == 0 else _draw_nonextremal_qubit_tester(rng)
+            drawn.append((t, _draw_state(2, rng), _gaussian2(rng)))
+        ts, moved, residuals = _with_first_fault(lambda draws: _xi_pass(draws, pol), drawn)
+        certs = gqi_mod.decide_all([x for pair in zip(ts, moved) for x in pair], pol)
+        for seed, first, second, residual in zip(chunk, certs[::2], certs[1::2], residuals):
             before, after = first.extremal, second.extremal
             result.record(
                 before == after and residual <= 1e-10,
@@ -248,18 +410,20 @@ def run_bounds(seeds: int = 200, pol: TolerancePolicy = DEFAULT_TOL) -> SuiteRes
         drawn = []
         for seed in chunk:
             rng = np.random.default_rng(3000 + seed)
-            pool = [
-                random_extremal_qubit_tester(rng),
-                random_nonextremal_qubit_tester(rng),
-                random_rank22_qubit_tester(rng, nonextremal=bool(rng.integers(0, 2))),
+            drawn += [
+                _draw_extremal_qubit_tester(rng),
+                _draw_nonextremal_qubit_tester(rng),
+                _draw_rank22_qubit_tester(rng, nonextremal=bool(rng.integers(0, 2))),
             ]
             counts = [(1,), (1, 1), (1, 2), (1, 1, 1), (2, 2)][int(rng.integers(0, 5))]
-            drawn.append((seed, pool, channels.random_instrument(2, 2, counts, rng)))
-        pools = [t for _, pool, _ in drawn for t in pool]
-        verdicts = gqi_mod.validate_all(pools + [ins for *_, ins in drawn], pol)
+            drawn.append(_draw_instrument(counts, rng))
+        # Each seed drew three testers and an instrument.
+        built = _with_first_fault(_build, drawn)
+        pools = [t for i, t in enumerate(built) if i % 4 != 3]
+        verdicts = gqi_mod.validate_all(pools + built[3::4], pol)
         tested = iter(zip(pools, verdicts, gqi_mod.decide_all(pools, pol, verdicts[: len(pools)])))
-        for (seed, pool, ins), verdict in zip(drawn, verdicts[len(pools) :]):
-            for t, checks, cert in itertools.islice(tested, len(pool)):
+        for seed, ins, verdict in zip(chunk, built[3::4], verdicts[len(pools) :]):
+            for t, checks, cert in itertools.islice(tested, 3):
                 if cert.extremal:
                     bounds = testers.check_bounds(t, pol, checks)
                     result.record(bounds.ok, f"seed {seed}: tester bound violated {bounds}")

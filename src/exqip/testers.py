@@ -94,16 +94,44 @@ def check_bounds(
     )
 
 
-def _xi_state(t: Tester, rho: np.ndarray, u: np.ndarray, pol: TolerancePolicy) -> linalg.EigenDecomposition:
-    """The eigendecomposition of ``rho``, which the xi maps of ``t`` need
-    full rank; ``rho`` and ``u`` must be d_1 x d_1."""
+def _xi_states(d1: int, rho: np.ndarray, u: np.ndarray, pol: TolerancePolicy) -> linalg.EigenDecomposition:
+    """The eigendecompositions of a stack of states ``rho``, which the xi maps
+    need full rank; ``rho`` and ``u`` must be stacks (K, d_1, d_1).  The
+    first state at fault raises."""
     for name, m in (("rho", rho), ("U", u)):
-        if np.shape(m) != (t.d1, t.d1):
-            raise DimensionMismatchError(f"{name} has shape {np.shape(m)}, but d_1 x d_1 is {(t.d1, t.d1)}")
-    eig = linalg.hermitian_eig(rho, pol)
-    if pol.support_rank(eig.values) < eig.values.size:
+        if m.shape[1:] != (d1, d1):
+            raise DimensionMismatchError(f"{name} has shape {m.shape[1:]}, but d_1 x d_1 is {(d1, d1)}")
+    eig = linalg.hermitian_eigs(linalg.check_hermitian_stack(rho, pol))
+    if (pol.support_rank(eig.values) < d1).any():
         raise ValidationError("xi transform requires a full-rank state")
     return eig
+
+
+def _outcome_stack(ts: list) -> tuple:
+    """The outcomes of testers of one signature as one stack (N, D, D), and
+    the index of each outcome's tester."""
+    dim = ts[0].signature.total_dim
+    ops = np.array([op for t in ts for op in t.outcomes], dtype=complex).reshape(-1, dim, dim)
+    return ops, np.repeat(np.arange(len(ts)), [t.n_outcomes for t in ts])
+
+
+def _adjoint(a: np.ndarray) -> np.ndarray:
+    return np.swapaxes(a.conj(), -2, -1)
+
+
+def _xi_outcomes(ops, owner, d2: int, d1: int, rho, u, pol: TolerancePolicy) -> np.ndarray:
+    """:func:`xi_transform` of each outcome ``ops[i]`` of a stack (N, D, D)
+    with the state and unitary ``owner[i]`` of the stacks ``rho`` and ``u``."""
+    a = linalg.kron(np.eye(d2, dtype=complex), linalg.eig_sqrt(_xi_states(d1, rho, u, pol)) @ u)[owner]
+    return d1 * (a @ ops @ _adjoint(a))
+
+
+def _xi_inverse_outcomes(ops, owner, d2: int, d1: int, rho, u, pol: TolerancePolicy) -> np.ndarray:
+    """:func:`xi_inverse` of each outcome of a stack, as :func:`_xi_outcomes`."""
+    eig = _xi_states(d1, rho, u, pol)
+    inv_sqrt = (eig.vectors / np.sqrt(eig.values)[..., None, :]) @ _adjoint(eig.vectors)
+    b = linalg.kron(np.eye(d2, dtype=complex), _adjoint(u) @ inv_sqrt)[owner]
+    return (b @ ops @ _adjoint(b)) / d1
 
 
 def xi_transform(
@@ -112,28 +140,19 @@ def xi_transform(
     """T_i -> d_1 (I (x) sqrt(rho) U) T_i (I (x) U^dagger sqrt(rho)).
 
     Maps uniform-normalization testers to normalization I (x) rho; invertible
-    for full-rank rho and preserves the extremality verdict.
+    for full-rank rho and preserves the extremality verdict.  ``rho`` and
+    ``u`` must be d_1 x d_1.
     """
-    a = linalg.kron(np.eye(t.d2, dtype=complex), linalg.eig_sqrt(_xi_state(t, rho, u, pol)) @ u)
-    return Tester(
-        d2=t.d2,
-        d1=t.d1,
-        outcomes=tuple(t.d1 * (a @ op @ a.conj().T) for op in t.outcomes),
-    )
+    ops = _xi_outcomes(*_outcome_stack([t]), t.d2, t.d1, np.asarray(rho)[None], np.asarray(u)[None], pol)
+    return Tester(d2=t.d2, d1=t.d1, outcomes=tuple(ops))
 
 
 def xi_inverse(
     t: Tester, rho: np.ndarray, u: np.ndarray, pol: TolerancePolicy = DEFAULT_TOL
 ) -> Tester:
     """Inverse of :func:`xi_transform` for the same (rho, U)."""
-    eig = _xi_state(t, rho, u, pol)
-    inv_sqrt = (eig.vectors / np.sqrt(eig.values)) @ eig.vectors.conj().T
-    b = linalg.kron(np.eye(t.d2, dtype=complex), u.conj().T @ inv_sqrt)
-    return Tester(
-        d2=t.d2,
-        d1=t.d1,
-        outcomes=tuple((b @ op @ b.conj().T) / t.d1 for op in t.outcomes),
-    )
+    ops = _xi_inverse_outcomes(*_outcome_stack([t]), t.d2, t.d1, np.asarray(rho)[None], np.asarray(u)[None], pol)
+    return Tester(d2=t.d2, d1=t.d1, outcomes=tuple(ops))
 
 
 def povm_is_valid(p: Povm, pol: TolerancePolicy = DEFAULT_TOL) -> bool:
@@ -158,18 +177,56 @@ def tester_from_pure_normalization(phi: np.ndarray, p: Povm) -> Tester:
     )
 
 
-def schmidt_tester(angle: float, u2: np.ndarray | None = None, u1: np.ndarray | None = None) -> Tester:
-    """Two-outcome qubit tester {|phi><phi|/2, (I - |phi><phi|)/2} with
-    phi = (u2 (x) u1)(cos(angle)|00> + sin(angle)|11>)."""
-    phi = np.zeros(4, dtype=complex)
-    phi[0] = math.cos(angle)
-    phi[3] = math.sin(angle)
+def _schmidt_vectors(angles, u2: np.ndarray | None = None, u1: np.ndarray | None = None) -> np.ndarray:
+    """phi = (u2 (x) u1)(cos(angle)|00> + sin(angle)|11>) for each angle,
+    (K, 4); ``u2`` and ``u1`` are stacks (K, 2, 2), or None for the identity."""
+    phi = np.zeros((len(angles), 4), dtype=complex)
+    phi[:, 0] = [math.cos(angle) for angle in angles]
+    phi[:, 3] = [math.sin(angle) for angle in angles]
     if u2 is not None or u1 is not None:
         a = u2 if u2 is not None else np.eye(2)
         b = u1 if u1 is not None else np.eye(2)
-        phi = linalg.kron(a, b) @ phi
-    proj = np.outer(phi, phi.conj())
-    return Tester(d2=2, d1=2, outcomes=(proj / 2.0, (np.eye(4, dtype=complex) - proj) / 2.0))
+        phi = (linalg.kron(a, b) @ phi[..., None])[..., 0]
+    return phi
+
+
+def _schmidt_outcomes(phi: np.ndarray) -> np.ndarray:
+    """The outcomes (K, 2, 4, 4) of the Schmidt testers of vectors (K, 4)."""
+    proj = phi[:, :, None] * phi[:, None, :].conj()
+    return np.stack([proj / 2.0, (np.eye(4, dtype=complex) - proj) / 2.0], axis=1)
+
+
+def schmidt_tester(angle: float, u2: np.ndarray | None = None, u1: np.ndarray | None = None) -> Tester:
+    """Two-outcome qubit tester {|phi><phi|/2, (I - |phi><phi|)/2} with
+    phi = (u2 (x) u1)(cos(angle)|00> + sin(angle)|11>)."""
+    u2, u1 = (None if u is None else np.asarray(u)[None] for u in (u2, u1))
+    return Tester(d2=2, d1=2, outcomes=tuple(_schmidt_outcomes(_schmidt_vectors([angle], u2, u1))[0]))
+
+
+def _split_pieces(eig: linalg.EigenDecomposition, subs: np.ndarray, pol: TolerancePolicy) -> np.ndarray:
+    """The pieces sqrt(T) F_k sqrt(T) of :func:`split_outcome`, (K, n, D, D),
+    for the K operators T that the stack ``eig`` decomposes and their
+    sub-POVM effects ``subs`` (K, n, D, D).  The effects are checked as
+    :func:`split_outcome` checks them: the sum of each family, then effect
+    by effect, each over the stack, so that for K = 1 the first fault of
+    the family raises."""
+    ranks = eig.support_ranks(pol)
+    proj = np.empty(eig.vectors.shape, dtype=complex)
+    for r in set(ranks.tolist()):
+        at = ranks == r
+        cols = eig.vectors[at][..., :r]
+        proj[at] = cols @ _adjoint(cols)
+    total = sum(subs[:, j] for j in range(subs.shape[1]))
+    if (np.abs(total - proj).max(axis=(-2, -1)) > pol.eps_comb).any():
+        raise ValidationError("sub-POVM effects must sum to the support projector")
+    for j in range(subs.shape[1]):
+        h = linalg.check_hermitian_stack(subs[:, j], pol)
+        if not pol.psd(np.linalg.eigvalsh(h)).all():
+            raise ValidationError("sub-POVM effect not positive semidefinite")
+        if (np.abs(h - proj @ h @ proj).max(axis=(-2, -1)) > pol.eps_comb).any():
+            raise ValidationError("sub-POVM effect not supported on Supp(T_i)")
+    root = linalg.eig_sqrt(eig)[:, None]
+    return root @ subs @ root
 
 
 def split_outcome(
@@ -186,28 +243,24 @@ def split_outcome(
     for e in sub_effects:
         if e.shape != shape:
             raise DimensionMismatchError(f"sub-POVM effect shape {e.shape} does not match outcome shape {shape}")
-    eig = linalg.hermitian_eig(t.outcomes[index], pol)
-    cols = eig.vectors[:, : eig.support_ranks(pol)]
-    proj = cols @ cols.conj().T
-    total = sum(sub_effects)
-    if linalg.max_abs(total - proj) > pol.eps_comb:
-        raise ValidationError("sub-POVM effects must sum to the support projector")
-    for e in sub_effects:
-        h = linalg.check_hermitian(e, pol)
-        if not pol.psd(np.linalg.eigvalsh(h)):
-            raise ValidationError("sub-POVM effect not positive semidefinite")
-        if linalg.max_abs(h - proj @ h @ proj) > pol.eps_comb:
-            raise ValidationError("sub-POVM effect not supported on Supp(T_i)")
-    root = linalg.eig_sqrt(eig)
-    pieces = tuple(root @ e @ root for e in sub_effects)
+    eig = linalg.hermitian_eigs(linalg.check_hermitian(t.outcomes[index], pol)[None])
+    subs = np.array(sub_effects, dtype=complex).reshape((1, len(sub_effects)) + shape)
+    pieces = tuple(_split_pieces(eig, subs, pol)[0])
     outcomes = t.outcomes[:index] + pieces + t.outcomes[index + 1 :]
     return Tester(d2=t.d2, d1=t.d1, outcomes=outcomes)
 
 
+def _projectors(eig: linalg.EigenDecomposition) -> np.ndarray:
+    """|v><v| for each eigenvector v of each operator of the stack ``eig``
+    decomposes, (K, D, D, D), eigenvalues descending."""
+    v = np.swapaxes(eig.vectors, -2, -1)
+    return v[..., :, None] * v[..., None, :].conj()
+
+
 def projective_split_effects(target: np.ndarray, pol: TolerancePolicy = DEFAULT_TOL) -> list:
     """Rank-one projective sub-POVM on the support of ``target``."""
-    eig = linalg.hermitian_eig(target, pol)
-    return [np.outer(v, v.conj()) for v in eig.vectors[:, : eig.support_ranks(pol)].T]
+    eig = linalg.hermitian_eigs(linalg.check_hermitian(target, pol)[None])
+    return list(_projectors(eig)[0, : eig.support_ranks(pol)[0]])
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,9 @@ whole stack in one call, takes supports from the eigenpairs of validation,
 reads a tester's rho from the cascade of its GQI verdict, never builds the
 comb variable basis V or the dense normalization family of Theorem 1, and
 decomposes a tree one depth at a time and classifies the appendix fixtures
-in one stacked pass.  The tests keep them as oracles and to build inputs.
+in one stacked pass, and draws each pass of a seeded suite in two steps,
+the raw Gaussians first and the objects from stacked calls.  The tests keep
+them as oracles and to build inputs.
 """
 
 import collections
@@ -15,8 +17,8 @@ import sys
 
 import numpy as np
 
-from exqip import channels, cli, combs, fileio, gqi, linalg, testers
-from exqip.errors import NotPositiveError
+from exqip import channels, cli, combs, fileio, gqi, linalg, suites, testers
+from exqip.errors import DimensionMismatchError, NotPositiveError, ValidationError
 from exqip.linalg import DEFAULT_TOL
 
 
@@ -177,3 +179,201 @@ def recursive_decompose(args) -> int:
         fh.write(text)
     sys.stdout.write(text)
     return 0 if residual <= 1e-8 else 1
+
+
+# ---------------------------------------------------------------------------
+# The generators as they were before a pass was drawn in stacked calls: one
+# object at a time, each from numpy calls on that object alone.
+# ---------------------------------------------------------------------------
+
+
+def kraus_to_choi(kraus):
+    vs = [np.asarray(k, dtype=complex).ravel() for k in kraus]
+    out = np.zeros((vs[0].size, vs[0].size), dtype=complex)
+    for v in vs:
+        out += np.outer(v, v.conj())
+    return out
+
+
+def eig_sqrt(eig):
+    return (eig.vectors * np.sqrt(np.clip(eig.values, 0.0, None))) @ eig.vectors.conj().T
+
+
+def random_unitary(d, rng):
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    q, r = np.linalg.qr(g)
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def random_channel(d0, d1, kraus_count, rng):
+    kraus_count = max(kraus_count, -(-d0 // d1))
+    g = rng.standard_normal((d1 * kraus_count, d0)) + 1j * rng.standard_normal((d1 * kraus_count, d0))
+    q, _ = np.linalg.qr(g)
+    ks = [q[m * d1 : (m + 1) * d1, :] for m in range(kraus_count)]
+    return channels.Channel(d1=d1, d0=d0, choi=kraus_to_choi(ks))
+
+
+def random_instrument(d0, d1, outcome_kraus_counts, rng):
+    total = sum(outcome_kraus_counts)
+    chan = random_channel(d0, d1, total, rng)
+    eig = linalg.hermitian_eig(chan.choi)
+    if not DEFAULT_TOL.psd(eig.values):
+        raise NotPositiveError(f"Choi operator has negative eigenvalue {eig.values[-1]:.3e}")
+    r = eig.support_ranks(DEFAULT_TOL)
+    ks = list(np.sqrt(eig.values[:r])[:, None, None] * eig.vectors[:, :r].T.reshape(r, d1, d0))
+    while len(ks) < total:
+        ks.append(np.zeros((d1, d0), dtype=complex))
+    groups, pos = [], 0
+    for count in outcome_kraus_counts:
+        groups.append(kraus_to_choi(ks[pos : pos + count]))
+        pos += count
+    return channels.Instrument(d1=d1, d0=d0, operators=tuple(groups))
+
+
+def schmidt_tester(angle, u2=None, u1=None):
+    phi = np.zeros(4, dtype=complex)
+    phi[0] = math.cos(angle)
+    phi[3] = math.sin(angle)
+    if u2 is not None or u1 is not None:
+        a = u2 if u2 is not None else np.eye(2)
+        b = u1 if u1 is not None else np.eye(2)
+        phi = np.kron(a, b) @ phi
+    proj = np.outer(phi, phi.conj())
+    return testers.Tester(d2=2, d1=2, outcomes=(proj / 2.0, (np.eye(4, dtype=complex) - proj) / 2.0))
+
+
+def projective_split_effects(target, pol=DEFAULT_TOL):
+    eig = linalg.hermitian_eig(target, pol)
+    return [np.outer(v, v.conj()) for v in eig.vectors[:, : eig.support_ranks(pol)].T]
+
+
+def split_outcome(t, index, sub_effects, pol=DEFAULT_TOL):
+    if not 0 <= index < t.n_outcomes:
+        raise DimensionMismatchError(f"outcome index {index} out of range")
+    sub_effects = [np.asarray(e, dtype=complex) for e in sub_effects]
+    shape = t.outcomes[index].shape
+    for e in sub_effects:
+        if e.shape != shape:
+            raise DimensionMismatchError(f"sub-POVM effect shape {e.shape} does not match outcome shape {shape}")
+    eig = linalg.hermitian_eig(t.outcomes[index], pol)
+    cols = eig.vectors[:, : eig.support_ranks(pol)]
+    proj = cols @ cols.conj().T
+    if linalg.max_abs(sum(sub_effects) - proj) > pol.eps_comb:
+        raise ValidationError("sub-POVM effects must sum to the support projector")
+    for e in sub_effects:
+        h = linalg.check_hermitian(e, pol)
+        if not pol.psd(np.linalg.eigvalsh(h)):
+            raise ValidationError("sub-POVM effect not positive semidefinite")
+        if linalg.max_abs(h - proj @ h @ proj) > pol.eps_comb:
+            raise ValidationError("sub-POVM effect not supported on Supp(T_i)")
+    root = eig_sqrt(eig)
+    pieces = tuple(root @ e @ root for e in sub_effects)
+    return testers.Tester(d2=t.d2, d1=t.d1, outcomes=t.outcomes[:index] + pieces + t.outcomes[index + 1 :])
+
+
+def _xi_state(t, rho, u, pol):
+    for name, m in (("rho", rho), ("U", u)):
+        if np.shape(m) != (t.d1, t.d1):
+            raise DimensionMismatchError(f"{name} has shape {np.shape(m)}, but d_1 x d_1 is {(t.d1, t.d1)}")
+    eig = linalg.hermitian_eig(rho, pol)
+    if pol.support_rank(eig.values) < eig.values.size:
+        raise ValidationError("xi transform requires a full-rank state")
+    return eig
+
+
+def xi_transform(t, rho, u, pol=DEFAULT_TOL):
+    a = np.kron(np.eye(t.d2, dtype=complex), eig_sqrt(_xi_state(t, rho, u, pol)) @ u)
+    return testers.Tester(d2=t.d2, d1=t.d1, outcomes=tuple(t.d1 * (a @ op @ a.conj().T) for op in t.outcomes))
+
+
+def xi_inverse(t, rho, u, pol=DEFAULT_TOL):
+    eig = _xi_state(t, rho, u, pol)
+    inv_sqrt = (eig.vectors / np.sqrt(eig.values)) @ eig.vectors.conj().T
+    b = np.kron(np.eye(t.d2, dtype=complex), u.conj().T @ inv_sqrt)
+    return testers.Tester(d2=t.d2, d1=t.d1, outcomes=tuple((b @ op @ b.conj().T) / t.d1 for op in t.outcomes))
+
+
+def random_full_rank_state(d, rng):
+    u = random_unitary(d, rng)
+    w = rng.random(d) + suites.STATE_FLOOR
+    w /= w.sum()
+    return (u * w) @ u.conj().T
+
+
+def random_extremal_qubit_tester(rng):
+    angle = rng.uniform(0.15, math.pi / 4)
+    t = schmidt_tester(angle, random_unitary(2, rng), random_unitary(2, rng))
+    style = rng.integers(0, 3)
+    if style == 1:
+        t = split_outcome(t, 1, projective_split_effects(t.outcomes[1]))
+    elif style == 2:
+        effects = projective_split_effects(t.outcomes[1])
+        t = split_outcome(t, 1, [effects[0] + effects[1], effects[2]])
+    return t
+
+
+def random_nonextremal_qubit_tester(rng):
+    if rng.integers(0, 2) == 0:
+        return schmidt_tester(0.0, random_unitary(2, rng), random_unitary(2, rng))
+    a = schmidt_tester(rng.uniform(0.2, math.pi / 4), random_unitary(2, rng), random_unitary(2, rng))
+    b = schmidt_tester(rng.uniform(0.2, math.pi / 4), random_unitary(2, rng), random_unitary(2, rng))
+    return gqi.mix(a, b)
+
+
+def random_rank22_qubit_tester(rng, nonextremal=False):
+    if not nonextremal:
+        u = random_unitary(4, rng)
+        p1 = u[:, :2] @ u[:, :2].conj().T
+    elif rng.integers(0, 2) == 0:
+        v = random_unitary(2, rng)[:, 0]
+        p1 = np.kron(np.eye(2, dtype=complex), np.outer(v, v.conj()))
+    else:
+        f, h, e = (random_unitary(2, rng) for _ in range(3))
+        p1 = np.kron(np.outer(f[:, 0], f[:, 0].conj()), np.outer(e[:, 0], e[:, 0].conj())) + np.kron(
+            np.outer(h[:, 0], h[:, 0].conj()), np.outer(e[:, 1], e[:, 1].conj())
+        )
+    return testers.Tester(d2=2, d1=2, outcomes=(p1 / 2.0, (np.eye(4, dtype=complex) - p1) / 2.0))
+
+
+def random_two_outcome_qubit_tester(rng):
+    style = rng.integers(0, 6)
+    u2, u1 = random_unitary(2, rng), random_unitary(2, rng)
+    if style == 0:
+        return schmidt_tester(rng.uniform(0.1, math.pi / 4), u2, u1)
+    if style == 1:
+        return schmidt_tester(0.0, u2, u1)
+    if style == 2:
+        return schmidt_tester(rng.uniform(1e-6, 1e-5), u2, u1)
+    if style in (3, 4):
+        return random_rank22_qubit_tester(rng, nonextremal=style == 4)
+    return schmidt_tester(1e-6, u2, u1)
+
+
+def random_nonextremal_gqi(rng):
+    counts = [(1, 1), (1, 2), (2, 1), (1, 1, 1)][rng.integers(0, 4)]
+    return gqi.mix(random_instrument(2, 2, counts, rng), random_instrument(2, 2, counts, rng), 0.5)
+
+
+def suite_population(name, seeds):
+    """The objects a seeded suite decides, drawn one at a time in the draw
+    order of each seed: per seed, equivalence's four channels,
+    xi-invariance's tester and its xi transform, and bounds' three testers
+    and its instrument."""
+    out = []
+    for seed in range(seeds):
+        if name == "equivalence":
+            rng = np.random.default_rng(1000 + seed)
+            for d0, d1 in suites.EQUIVALENCE_DIMS:
+                out.append(random_channel(d0, d1, int(rng.integers(-(-d0 // d1), d0 * d1 + 1)), rng))
+        elif name == "xi-invariance":
+            rng = np.random.default_rng(2000 + seed)
+            t = (random_extremal_qubit_tester if seed % 2 == 0 else random_nonextremal_qubit_tester)(rng)
+            rho = random_full_rank_state(2, rng)
+            out += [t, xi_transform(t, rho, random_unitary(2, rng))]
+        else:
+            rng = np.random.default_rng(3000 + seed)
+            out += [random_extremal_qubit_tester(rng), random_nonextremal_qubit_tester(rng)]
+            out.append(random_rank22_qubit_tester(rng, nonextremal=bool(rng.integers(0, 2))))
+            counts = [(1,), (1, 1), (1, 2), (1, 1, 1), (2, 2)][int(rng.integers(0, 5))]
+            out.append(random_instrument(2, 2, counts, rng))
+    return out

@@ -104,6 +104,22 @@ class TestKron:
         assert got.shape == want.shape and got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
 
+    @settings(max_examples=100, deadline=None)
+    @given(kron_operands(), kron_operands(), st.sampled_from([((3,), (3,)), ((2, 1), (1, 3)), ((), (2,)), ((4,), ())]))
+    def test_stack_is_each_product_to_the_bit(self, a, b, leads):
+        """Stacks whose leading axes broadcast give, matrix by matrix, the
+        product of the two matrices' own call."""
+        lead_a, lead_b = leads
+        with np.errstate(all="ignore"):
+            sa = np.stack([a * (k + 1) for k in range(math.prod(lead_a))]).reshape(lead_a + a.shape)
+            sb = np.stack([b - k for k in range(math.prod(lead_b))]).reshape(lead_b + b.shape)
+            got = linalg.kron(sa, sb)
+            lead = np.broadcast_shapes(lead_a, lead_b)
+            assert got.shape == lead + (a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+            x, y = np.broadcast_to(sa, lead + a.shape), np.broadcast_to(sb, lead + b.shape)
+            for idx in np.ndindex(*lead):
+                assert got[idx].tobytes() == linalg.kron(x[idx], y[idx]).tobytes()
+
     def test_suites_call_no_np_kron(self, monkeypatch):
         """The tester generators and the xi maps take their products from
         ``linalg.kron``: a round of every suite makes no ``np.kron`` call."""
@@ -116,8 +132,9 @@ class TestKron:
         for name in suites.SUITES:
             assert suites.run_suite(name, seeds=4).ok
 
-    @pytest.mark.parametrize("shapes", [((2,), (2, 2)), ((2, 2), (3,)), ((), (2, 2)), ((2, 2, 2), (2, 2))])
+    @pytest.mark.parametrize("shapes", [((2,), (2, 2)), ((2, 2), (3,)), ((), (2, 2)), ((2, 2, 2), (3, 2, 2))])
     def test_only_matrices(self, shapes):
+        """Matrices, or stacks of them whose leading axes broadcast."""
         a, b = (np.ones(shape) for shape in shapes)
         with pytest.raises(DimensionMismatchError):
             linalg.kron(a, b)

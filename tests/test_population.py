@@ -408,20 +408,58 @@ def test_suite_summary_at_40_seeds(name):
 
 
 def test_suites_decide_in_passes(monkeypatch):
-    """A pass holds at most PASS_SEEDS seeds of a suite's population."""
-    sizes = []
+    """A pass holds at most PASS_SEEDS seeds of a suite's population, drawn
+    in stacked calls: with every seed's rng drawing the same objects, each
+    pass of 3 seeds or fewer makes the same number of ``qr`` and ``eigh``
+    calls, building and validating, as a pass of 1 or 2.  (xi-invariance
+    draws its tester kind by the parity of the seed, so its last pass holds
+    2 seeds, one of each kind.)"""
+    log = []
+
+    def counted(fn, event):
+        def wrapper(*args, **kwargs):
+            log.append(event)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
     decide_all = gqi.decide_all
 
-    def counted(objects, *args, **kwargs):
+    def decided(objects, *args, **kwargs):
         objects = list(objects)
-        sizes.append(len(objects))
-        return decide_all(objects, *args, **kwargs)
+        certs = decide_all(objects, *args, **kwargs)
+        log.append(len(objects))
+        return certs
 
-    monkeypatch.setattr(gqi, "decide_all", counted)
+    def passes(run, seeds):
+        """The decide_all size and the qr and eigh calls up to its end, per pass."""
+        log.clear()
+        result = run(seeds=seeds)
+        out, calls = [], []
+        for event in log:
+            if isinstance(event, int):
+                out.append((event, calls.count("qr"), calls.count("eigh")))
+                calls = []
+            else:
+                calls.append(event)
+        return result, out
+
+    monkeypatch.setattr(gqi, "decide_all", decided)
+    monkeypatch.setattr(np.linalg, "qr", counted(np.linalg.qr, "qr"))
+    monkeypatch.setattr(np.linalg, "eigh", counted(np.linalg.eigh, "eigh"))
     monkeypatch.setattr(suites, "PASS_SEEDS", 3)
-    result = suites.run_equivalence(seeds=7)
-    assert result.total == 28 and result.ok
-    assert sizes == [12, 12, 4]
+    cases = [(suites.run_equivalence, 7, [12, 12, 4]), (suites.run_xi_invariance, 8, [6, 6, 4]), (suites.run_bounds, 7, [9, 9, 3])]
+    for run, seeds, sizes in cases:
+        result, drawn = passes(run, seeds)
+        assert result.ok and [size for size, _, _ in drawn] == sizes
+    assert passes(suites.run_equivalence, 7)[0].total == 28
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: default_rng(5))
+    for run, seeds, sizes in cases:
+        result, drawn = passes(run, seeds)
+        assert result.ok and [size for size, _, _ in drawn] == sizes
+        assert len({tuple(calls) for _, *calls in drawn}) == 1, drawn
+        assert drawn[0][1] + drawn[0][2] > 0
 
 
 def test_rank_stages_stay_within_the_budget(monkeypatch):

@@ -204,11 +204,12 @@ class TestCount:
         effects = testers.projective_split_effects(t.outcomes[1])
         calls = eig_calls(monkeypatch)
         testers.xi_transform(t, rho, channels.random_unitary(2, np.random.default_rng(0)))
-        assert len(calls["eigh"]) == 1 and np.array_equal(calls["eigh"][0], rho)
+        # Each is the stacked code on a stack of one.
+        assert len(calls["eigh"]) == 1 and np.array_equal(calls["eigh"][0], rho[None])
         assert calls["eigvalsh"] == []
         calls["eigh"].clear()
         testers.split_outcome(t, 1, effects)
-        assert len(calls["eigh"]) == 1 and np.array_equal(calls["eigh"][0], t.outcomes[1])
+        assert len(calls["eigh"]) == 1 and np.array_equal(calls["eigh"][0], t.outcomes[1][None])
 
     def test_no_per_outcome_eig(self, monkeypatch):
         def refuse(*args, **kwargs):

@@ -379,7 +379,7 @@ class TestClassifyValidatesOnce:
         # One cascade per GQI verdict: the tester's, and the one of the
         # outcomes xi_inverse returns.
         assert calls["cascade"] == 2
-        # The given outcomes, rho (once, in xi_inverse: its rank is read
-        # from eigvalsh) and the outcomes xi_inverse returns.
-        assert calls["eigh"] == [(2, 4, 4), (2, 2), (2, 4, 4)]
+        # The given outcomes, rho (once, in xi_inverse, as a stack of one:
+        # its rank is read from eigvalsh) and the outcomes xi_inverse returns.
+        assert calls["eigh"] == [(2, 4, 4), (1, 2, 2), (2, 4, 4)]
         assert calls["eigvalsh"] == [(2, 2)]

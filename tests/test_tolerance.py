@@ -116,6 +116,16 @@ class TestPopulation:
             with pytest.raises(ToleranceError, match=f"^member 1: {CUTOFF}$"):
                 gqi.decide_all(population, self.pol, **kwargs)
 
+    def test_validations_at_another_policy(self):
+        """Verdicts a caller took at another policy meet the empty-support
+        rule at the deciding one, which names the member it empties."""
+        population = [Povm(2, (np.eye(2) / 20,) * 20)]
+        with pytest.raises(ToleranceError, match=f"^member 0: {EMPTY}$"):
+            gqi.decide_all(population, self.pol, gqi.validate_all(population, DEFAULT_TOL))
+        mixed = [projective_povm(2), small_effects_povm(), projective_povm(2)]
+        with pytest.raises(ToleranceError, match=f"^member 1: {EMPTY}$"):
+            gqi.decide_all(mixed, self.pol, gqi.validate_all(mixed, DEFAULT_TOL))
+
     def test_lowest_index_over_both_rules(self):
         population = [projective_povm(2), Povm(d=2, effects=(np.eye(2) / 4,) * 4), small_effects_povm()]
         with pytest.raises(ToleranceError, match=f"^member 1: {CUTOFF}$"):
