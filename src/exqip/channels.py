@@ -17,7 +17,8 @@ for a channel), decided by :func:`gqi.is_extremal` as for every other kind
 (that the two routes agree is a test oracle); and the square-root / Lueders
 constructions.  The appendix fixtures exercise all seven attainable
 (instrument, channel, POVM) extremality combinations, which
-:func:`classify_combinations` decides in one stacked pass.  The classes
+:func:`classify_combinations` decides in one stacked pass; a fault names the
+first instrument whose own pass raises (:func:`gqi._first_fault`).  The classes
 :class:`Instrument` and :class:`Channel` are defined in :mod:`exqip.gqi`.
 """
 
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gqi as gqi_mod, linalg
-from .errors import ExqipError, NotPositiveError, ValidationError
+from .errors import NotPositiveError, ValidationError
 from .gqi import Channel, Instrument, Povm
 from .linalg import DEFAULT_TOL, TolerancePolicy
 
@@ -200,48 +201,39 @@ class CombinationTriple:
 
 
 def classify_combinations(instruments, pol: TolerancePolicy = DEFAULT_TOL) -> list:
-    """:func:`classify_combination` of every instrument, in one stacked pass:
-    one :func:`gqi.validate_all` of the instruments, their induced channels
-    and their induced POVMs, one :func:`gqi.decide_all` of the POVMs, and the
-    Kraus-product criterion on the verdicts of the instruments and channels.
-
-    The first instrument at fault raises, its index leading the message: its
-    own error or failed gate, then its channel's, then its POVM's."""
+    """:func:`classify_combination` of every instrument, in one stacked pass.
+    A fault is named by :func:`gqi._first_fault` over the instruments: the
+    first instrument whose own :func:`classify_combination` raises, its
+    index leading that error."""
     instruments = list(instruments)
+    return gqi_mod._first_fault(
+        lambda members: _classify([instruments[i] for i in members], pol), range(len(instruments))
+    )
+
+
+def _classify(instruments: list, pol: TolerancePolicy) -> list:
+    """The triples of the instruments from one validation pass of the
+    instruments, their induced channels and their induced POVMs, the
+    Kraus-product criterion on the verdicts of the instruments, then on
+    those of the channels, and one decision pass of the POVMs.  An error
+    of the validation pass comes first, then the instruments' gates, the
+    channels' and the POVMs'."""
     n = len(instruments)
     # An instrument with no outcome has no channel; it raises before its stand-in is read.
     objects = instruments + [induced_channel(x) if x.outcomes else x for x in instruments]
     objects += [induced_povm(x) for x in instruments]
-    try:
-        verdicts = gqi_mod.validate_all(objects, pol)
-    except ExqipError:
-        # Each object is then validated alone, in the order of the gates below.
-        verdicts = [None] * len(objects)
-    for i in range(n):
-        try:
-            for j in range(i, len(objects), n):
-                verdicts[j] = gqi_mod._require_valid(objects[j], pol, verdicts[j])
-        except ExqipError as err:
-            raise type(err)(f"member {i}: {err}") from err
-    povms = gqi_mod.decide_all(objects[2 * n :], pol, verdicts[2 * n :])
-    return [
-        CombinationTriple(
-            instrument=instrument_extremal(instruments[i], pol, verdicts[i]),
-            channel=choi_condition(objects[n + i], pol, verdicts[n + i]),
-            povm=povms[i].extremal,
-        )
-        for i in range(n)
-    ]
+    verdicts = gqi_mod._validate_grouped(objects, pol)
+    instrument = [instrument_extremal(x, pol, v) for x, v in zip(instruments, verdicts)]
+    channel = [choi_condition(c, pol, v) for c, v in zip(objects[n : 2 * n], verdicts[n:])]
+    povms = gqi_mod._decide_grouped(objects[2 * n :], pol, verdicts[2 * n :])
+    return [CombinationTriple(instrument=a, channel=b, povm=p.extremal) for a, b, p in zip(instrument, channel, povms)]
 
 
 def classify_combination(ins: Instrument, pol: TolerancePolicy = DEFAULT_TOL) -> CombinationTriple:
     """Extremality of an instrument, its induced channel, and its induced
-    POVM: :func:`classify_combinations` on ``ins`` alone, which raises the
-    error of the first of the three at fault, with no index."""
-    try:
-        return classify_combinations([ins], pol)[0]
-    except ExqipError as err:
-        raise (err.__cause__ or err) from None
+    POVM: the pass of :func:`classify_combinations` on ``ins`` alone, which
+    raises the first error of the three, with no index."""
+    return _classify([ins], pol)[0]
 
 
 APPENDIX_TABLE = {
@@ -360,7 +352,7 @@ def _instrument_operators(g: np.ndarray, d1: int, outcome_kraus_counts) -> np.nd
     error for the first such channel."""
     chois = _channel_chois(g, d1)
     k, dim, d0 = len(chois), chois.shape[-1], g.shape[-1]
-    eig = linalg.hermitian_eigs(linalg.check_hermitian_stack(chois, DEFAULT_TOL))
+    eig = linalg.hermitian_eig(chois, DEFAULT_TOL)
     negative = ~DEFAULT_TOL.psd(eig.values)
     if negative.any():
         raise NotPositiveError(f"Choi operator has negative eigenvalue {eig.values[negative.argmax(), -1]:.3e}")

@@ -32,11 +32,15 @@ A population is decided in stacked passes (README, "Deciding a
 population"): :func:`validate_all` groups objects by signature and outcome
 shapes and :func:`decide_all` by signature and support ranks, and each
 stage runs once per stack with a leading axis.  This module alone cuts a
-group into stacks within ``RANK_STAGE_BUDGET``, names the faulty member and,
-in :func:`_require_valid`, refuses an invalid object, with one message for
+group into stacks within ``RANK_STAGE_BUDGET`` and, in
+:func:`_require_valid`, refuses an invalid object, with one message for
 every kind and caller.  Each result is the same to the bit as the object's
 own call, because :func:`is_valid_gqi` and :func:`is_extremal` are that
-code on a stack of one.
+code on a stack of one.  Which fault a population raises is decided by one
+rule, :func:`_first_fault`: when the stacked run raises, each member runs
+alone, in order, and the first that raises is named with its own error.
+The appendix table and the seeded suites take the same rule over their
+instruments and their seeds.
 """
 
 from __future__ import annotations
@@ -167,17 +171,35 @@ def validate_all(objects, pol: TolerancePolicy = DEFAULT_TOL) -> list:
     population").  Each verdict is the same to the bit as the object's own
     call.  An invalid object gets a verdict with ``ok`` false.  An object
     that :func:`is_valid_gqi` would raise for (a non-Hermitian or non-finite
-    outcome, a wrong shape, no outcome) raises that error for the first such
-    object, its index in ``objects`` leading the message."""
-    return _validate_grouped(list(objects), pol, False)
+    outcome, a wrong shape, no outcome, every support empty) raises as
+    :func:`_first_fault` names it."""
+    objects = list(objects)
+    return _first_fault(lambda members: _validate_grouped([objects[i] for i in members], pol), range(len(objects)))
 
 
-def _validate_grouped(objects: list, pol: TolerancePolicy, gate: bool) -> list:
-    """The stacked passes of :func:`validate_all`; with ``gate``, an invalid object raises in its pass."""
+def _first_fault(run, members, label: str = "member"):
+    """``run(members)``, the population decided as one.  When it raises an
+    :class:`ExqipError`, each member is run alone, ``run([member])``, in
+    order, and the first that raises raises its own error, led by
+    ``"{label} {member}: "``; when none raises alone, the error of the whole
+    is raised.  This is the one rule that names the fault of a population."""
+    try:
+        return run(members)
+    except ExqipError:
+        for member in members:
+            try:
+                run([member])
+            except ExqipError as alone:
+                raise type(alone)(f"{label} {member}: {alone}") from alone
+        raise
+
+
+def _validate_grouped(objects: list, pol: TolerancePolicy) -> list:
+    """The stacked passes of :func:`validate_all`, with no member named."""
     return _grouped(
         [(g.signature, tuple(t.shape for t in g.outcomes)) for g in objects],
         lambda key: 16 * sum(math.prod(shape) for shape in key[1]),
-        lambda members: _validate_stack([objects[i] for i in members], pol, gate),
+        lambda members: _validate_stack([objects[i] for i in members], pol),
     )
 
 
@@ -196,13 +218,11 @@ def is_valid_gqi(g: Gqi, pol: TolerancePolicy = DEFAULT_TOL) -> GqiVerdict:
     return _validate_stack([g], pol)[0]
 
 
-def _validate_stack(gs: list, pol: TolerancePolicy, gate: bool = False) -> list:
+def _validate_stack(gs: list, pol: TolerancePolicy) -> list:
     """The verdicts on K GQIs of one signature and one list of outcome
     shapes, from one Hermiticity check, one ``eigh`` of the (K M, D, D)
     stack and one cascade pass of the K sums, refusing a GQI whose every
-    support is empty (:meth:`TolerancePolicy.require_support`); with
-    ``gate``, each verdict passes :func:`_require_valid`, and each tuple of
-    support ranks in the stack :func:`_require_budget`, in the same pass."""
+    support is empty (:meth:`TolerancePolicy.require_support`)."""
     first = gs[0]
     m = len(first.outcomes)
     if m < 1:
@@ -222,54 +242,27 @@ def _validate_stack(gs: list, pol: TolerancePolicy, gate: bool = False) -> list:
     comb_verdicts = combs._cascade(
         (s + s.conj().transpose(0, 2, 1)) / 2, first.signature, pol.eps_comb, pol.psd(w).all(axis=1)
     )
-    verdicts = [
+    return [
         GqiVerdict(cv.ok, tuple(w[j, :, -1].tolist()), cv, linalg.EigenDecomposition(w[j], v[j]))
         for j, cv in enumerate(comb_verdicts)
     ]
-    if gate:
-        for g, verdict in zip(gs, verdicts):
-            _require_valid(g, pol, verdict)
-        for ranks in dict.fromkeys(map(tuple, pol.support_rank(w).tolist())):
-            _require_budget(first.signature, ranks, pol)
-    return verdicts
 
 
 def _grouped(keys: list, member_bytes, run) -> list:
     """One result per member: the members that share a key are cut, in
     order, into stacks of at most max(1, RANK_STAGE_BUDGET //
     ``member_bytes(key)``) members, and ``run(indices)`` decides the members
-    at ``indices`` as one stack and returns their results in order.
-
-    When a stack raises an :class:`ExqipError`, its members are decided one
-    at a time, in order, and the first that raises is the stack's fault.
-    The fault of the lowest member index over all stacks is raised again
-    with that index leading its message, so no member is passed over."""
+    at ``indices`` as one stack and returns their results in order."""
     groups = {}
     for i, key in enumerate(keys):
         groups.setdefault(key, []).append(i)
-    stacks = []
+    out = [None] * len(keys)
     for key, group in groups.items():
         size = max(1, RANK_STAGE_BUDGET // max(1, member_bytes(key)))
-        stacks += [group[start : start + size] for start in range(0, len(group), size)]
-    out, faults = [None] * len(keys), []
-    for members in stacks:
-        try:
-            results = run(members)
-        except ExqipError as err:
-            for i in members if len(members) > 1 else ():
-                try:
-                    run([i])
-                except ExqipError as alone:
-                    faults.append((i, alone))
-                    break
-            else:
-                faults.append((members[0], err))
-            continue
-        for i, result in zip(members, results):
-            out[i] = result
-    if faults:
-        i, err = min(faults, key=lambda fault: fault[0])
-        raise type(err)(f"member {i}: {err}") from err
+        for start in range(0, len(group), size):
+            members = group[start : start + size]
+            for i, result in zip(members, run(members)):
+                out[i] = result
     return out
 
 
@@ -485,7 +478,7 @@ def _rank_test(sig: CombSignature, supports, n_known: int, bound: float, pol: To
     vectors of nonzero singular values.
 
     The caller has kept the stage within ``RANK_STAGE_BUDGET``, the cutoff
-    below sigma_max (:func:`_require_budget`) and m > 0 (:func:`_validate_stack`).
+    below sigma_max (:func:`_require_budget`) and m > 0 (:func:`_decide_stack`).
     """
     ranks = [u.shape[-1] for u in supports]
     starts = [0, *itertools.accumulate(r * r for r in ranks)]
@@ -576,23 +569,36 @@ def decide_all(objects, pol: TolerancePolicy = DEFAULT_TOL, validations=None) ->
     (:func:`_rank_test`); the witnesses of the dependent members get their
     epsilon* from one :func:`max_perturbation_step` of the stack.  Each
     certificate is the same to the bit as the object's own call.  An object
-    that :func:`is_extremal` would raise for, an invalid one included, raises
-    that error for the first such object, its index in ``objects`` leading
-    the message.
+    that :func:`is_extremal` would raise for, an invalid one included,
+    raises as :func:`_first_fault` names it: alone, a member is validated
+    and decided as :func:`is_extremal` does, or decided on its verdict in
+    ``validations``.
     """
     objects = list(objects)
-    # Gated in the validation pass, an invalid member or one above the budget
-    # is weighed against those that raise there.
-    gated = validations is None
-    validations = _validate_grouped(objects, pol, True) if gated else list(validations)
-    if len(validations) != len(objects):
-        raise DimensionMismatchError(f"{len(validations)} validations for {len(objects)} objects")
+    if validations is not None:
+        validations = list(validations)
+        if len(validations) != len(objects):
+            raise DimensionMismatchError(f"{len(validations)} validations for {len(objects)} objects")
+
+    def run(members):
+        gs = [objects[i] for i in members]
+        return _decide_grouped(gs, pol, None if validations is None else [validations[i] for i in members])
+
+    return _first_fault(run, range(len(objects)))
+
+
+def _decide_grouped(gs: list, pol: TolerancePolicy, validations: list | None) -> list:
+    """The stacked passes of :func:`decide_all`, after one validation pass
+    (:func:`_validate_grouped`) when ``validations`` is None, with no member
+    named."""
+    if validations is None:
+        validations = _validate_grouped(gs, pol)
     ranks = [_support_ranks(v, pol) for v in validations]
     return _grouped(
-        [(g.signature, r) for g, r in zip(objects, ranks)],
+        [(g.signature, r) for g, r in zip(gs, ranks)],
         lambda key: rank_stage_bytes(*key),
         lambda members: _decide_stack(
-            [objects[i] for i in members], [validations[i] for i in members], ranks[members[0]], pol, gated
+            [gs[i] for i in members], [validations[i] for i in members], ranks[members[0]], pol
         ),
     )
 
@@ -648,21 +654,17 @@ def _support_ranks(verdict: GqiVerdict, pol: TolerancePolicy) -> tuple:
     return tuple(verdict.spectra.support_ranks(pol).tolist())
 
 
-def _decide_stack(
-    gs: list, verdicts: list, support_ranks: tuple, pol: TolerancePolicy, gated: bool = False
-) -> list:
+def _decide_stack(gs: list, verdicts: list, support_ranks: tuple, pol: TolerancePolicy) -> list:
     """The certificates of K GQIs with the same signature and support ranks
-    (see :func:`is_extremal`), after the empty-support rule on their spectra,
-    the gate of each verdict and the size guard, unless the verdicts are
-    ``gated`` already (see :func:`_validate_stack`)."""
+    (see :func:`is_extremal`), after the empty-support rule on their
+    spectra, the gate of each verdict and the size guard."""
     sig = gs[0].signature
     values = np.array([v.spectra.values for v in verdicts])
-    if not gated:
-        # The caller's verdicts may come from another policy: the empty-support rule runs at this one.
-        pol.require_support(values)
-        for g, verdict in zip(gs, verdicts):
-            _require_valid(g, pol, verdict)
-        _require_budget(sig, support_ranks, pol)
+    # The caller's verdicts may come from another policy: the empty-support rule runs at this one.
+    pol.require_support(values)
+    for g, verdict in zip(gs, verdicts):
+        _require_valid(g, pol, verdict)
+    _require_budget(sig, support_ranks, pol)
     n_known = combs.comb_variable_count(sig)
     dim = sig.total_dim
     family_size = sum(r * r for r in support_ranks) + n_known

@@ -201,8 +201,11 @@ def hermitian_eigs(h: np.ndarray) -> EigenDecomposition:
 
 
 def hermitian_eig(a: np.ndarray, pol: TolerancePolicy = DEFAULT_TOL) -> EigenDecomposition:
-    """Eigendecomposition of a Hermitian operator, eigenvalues descending."""
-    return hermitian_eigs(check_hermitian(a, pol))
+    """Eigendecomposition of a Hermitian operator, checked by
+    :func:`check_hermitian`, or of each operator of a stack (k, d, d),
+    checked by :func:`check_hermitian_stack`; eigenvalues descending."""
+    a = np.asarray(a, dtype=complex)
+    return hermitian_eigs(check_hermitian_stack(a, pol) if a.ndim == 3 else check_hermitian(a, pol))
 
 
 def sqrt_psd(a: np.ndarray, pol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:

@@ -14,9 +14,10 @@ the phase fix of the unitaries and isometries, the Schmidt vectors and
 their projectors, ``eigh`` of the split outcomes and of the Choi operators
 of the instruments, the full-rank states and the xi maps.  Decide: one
 :func:`gqi.validate_all` and one :func:`gqi.decide_all` of the pass.  Every
-object is the one the former per-object generators drew, to the bit, and a
-fault in a build raises the error of the first draw at fault.  The public
-generators are the build of their own draw alone.  The appendix suite
+object is the one the former per-object generators drew, to the bit.  A
+pass that raises names the first seed whose own pass raises, ``seed N: ``
+leading its error (:func:`gqi._first_fault`).  The public generators are
+the build of their own draw alone.  The appendix suite
 classifies its seven fixtures with one
 :func:`channels.classify_combinations`.
 """
@@ -31,7 +32,7 @@ import numpy as np
 
 from . import channels, gqi as gqi_mod, linalg, testers
 from .channels import APPENDIX_TABLE
-from .errors import ExqipError, ToleranceError
+from .errors import ToleranceError
 from .linalg import DEFAULT_TOL, TolerancePolicy
 
 
@@ -160,7 +161,7 @@ def _extremal_qubit_testers(draws) -> list:
     styles = np.array([draw[3] for draw in draws])
     split = np.flatnonzero(styles)
     if split.size:
-        eig = linalg.hermitian_eigs(linalg.check_hermitian_stack(outcomes[split, 1], DEFAULT_TOL))
+        eig = linalg.hermitian_eig(outcomes[split, 1], DEFAULT_TOL)
         effects, ranks = testers._projectors(eig), eig.support_ranks(DEFAULT_TOL)
         for (style, r), at in _positions(zip(styles[split].tolist(), ranks.tolist())).items():
             subs = effects[at, :r]
@@ -311,21 +312,18 @@ EQUIVALENCE_DIMS = ((2, 2), (2, 3), (3, 2), (3, 3))
 PASS_SEEDS = 100
 
 
-def _passes(seeds: int):
+def _run_passes(name: str, decide, seeds: int, pol: TolerancePolicy) -> SuiteResult:
+    """The suite ``name`` over seeds 0 to ``seeds`` - 1, in passes of at most
+    ``PASS_SEEDS`` seeds.  ``decide(seeds, pol)`` draws, builds and decides
+    the population of the seeds it is given and yields its records
+    (ok, detail) in order.  A pass that raises names the first seed whose
+    own pass raises, with its error (:func:`gqi._first_fault`)."""
+    result = SuiteResult(name=name)
     for start in range(0, seeds, PASS_SEEDS):
-        yield range(start, min(seeds, start + PASS_SEEDS))
-
-
-def _with_first_fault(build, draws) -> list:
-    """``build(draws)``.  When it raises, each draw is built alone, in
-    order, and the first that raises raises its own error: the fault that
-    building one draw at a time, as the generators once did, meets first."""
-    try:
-        return build(draws)
-    except ExqipError:
-        for draw in draws:
-            build([draw])
-        raise
+        chunk = range(start, min(seeds, start + PASS_SEEDS))
+        for ok, detail in gqi_mod._first_fault(lambda at: list(decide(at, pol)), chunk, "seed"):
+            result.record(ok, detail)
+    return result
 
 
 def _channels(draws) -> list:
@@ -341,40 +339,23 @@ def _channels(draws) -> list:
 def run_equivalence(seeds: int = 200, pol: TolerancePolicy = DEFAULT_TOL) -> SuiteResult:
     """Choi's criterion and the master-criterion form must agree on random
     channels across small dimension pairs."""
-    result = SuiteResult(name="equivalence")
-    for chunk in _passes(seeds):
-        drawn = []
-        for seed in chunk:
-            rng = np.random.default_rng(1000 + seed)
-            for d0, d1 in EQUIVALENCE_DIMS:
-                count = int(rng.integers(-(-d0 // d1), d0 * d1 + 1))
-                drawn.append((d0, d1, count, channels._stinespring_gaussian(d0, d1, count, rng), seed))
-        chans = _channels(drawn)
-        verdicts = gqi_mod.validate_all(chans, pol)
-        certs = gqi_mod.decide_all(chans, pol, verdicts)
-        for (d0, d1, count, _, seed), chan, verdict, cert in zip(drawn, chans, verdicts, certs):
-            a = channels.choi_condition(chan, pol, verdict)
-            b = cert.extremal
-            result.record(
-                a == b,
-                f"seed {seed} dims ({d0},{d1}) kraus {count}: choi={a} rank-form={b}",
-            )
-    return result
+    return _run_passes("equivalence", _equivalence_pass, seeds, pol)
 
 
-def _xi_pass(drawn, pol: TolerancePolicy) -> tuple:
-    """The testers of xi-invariance draws (tester, state, U), their xi
-    transforms and the largest entry of each round trip's error, from one
-    xi_transform and one xi_inverse of all their outcomes."""
-    ts = _build([t for t, _, _ in drawn])
-    rho = _states([state for _, state, _ in drawn])
-    u = channels._unitaries(np.array([g for *_, g in drawn]))
-    ops, owner = testers._outcome_stack(ts)
-    moved = testers._xi_outcomes(ops, owner, 2, 2, rho, u, pol)
-    back = testers._xi_inverse_outcomes(moved, owner, 2, 2, rho, u, pol)
-    bounds = np.cumsum([0] + [t.n_outcomes for t in ts])
-    residuals = np.maximum.reduceat(np.abs(back - ops).max(axis=(-2, -1)), bounds[:-1])
-    return ts, _qubit_testers(moved[a:b] for a, b in zip(bounds[:-1], bounds[1:])), residuals
+def _equivalence_pass(seeds, pol: TolerancePolicy):
+    drawn = []
+    for seed in seeds:
+        rng = np.random.default_rng(1000 + seed)
+        for d0, d1 in EQUIVALENCE_DIMS:
+            count = int(rng.integers(-(-d0 // d1), d0 * d1 + 1))
+            drawn.append((d0, d1, count, channels._stinespring_gaussian(d0, d1, count, rng), seed))
+    chans = _channels(drawn)
+    verdicts = gqi_mod.validate_all(chans, pol)
+    certs = gqi_mod.decide_all(chans, pol, verdicts)
+    for (d0, d1, count, _, seed), chan, verdict, cert in zip(drawn, chans, verdicts, certs):
+        a = channels.choi_condition(chan, pol, verdict)
+        b = cert.extremal
+        yield a == b, f"seed {seed} dims ({d0},{d1}) kraus {count}: choi={a} rank-form={b}"
 
 
 def run_xi_invariance(seeds: int = 200, pol: TolerancePolicy = DEFAULT_TOL) -> SuiteResult:
@@ -385,52 +366,61 @@ def run_xi_invariance(seeds: int = 200, pol: TolerancePolicy = DEFAULT_TOL) -> S
     if pol.supp_tol(2, 1.0) >= floor:
         raise ToleranceError(f"tolerance {pol.eps_rel:g} puts the support cutoff at or above {floor:.4g}, "
                              "the smallest eigenvalue of the states xi-invariance draws")
-    result = SuiteResult(name="xi-invariance")
-    for chunk in _passes(seeds):
-        drawn = []
-        for seed in chunk:
-            rng = np.random.default_rng(2000 + seed)
-            t = _draw_extremal_qubit_tester(rng) if seed % 2 == 0 else _draw_nonextremal_qubit_tester(rng)
-            drawn.append((t, _draw_state(2, rng), _gaussian2(rng)))
-        ts, moved, residuals = _with_first_fault(lambda draws: _xi_pass(draws, pol), drawn)
-        certs = gqi_mod.decide_all([x for pair in zip(ts, moved) for x in pair], pol)
-        for seed, first, second, residual in zip(chunk, certs[::2], certs[1::2], residuals):
-            before, after = first.extremal, second.extremal
-            result.record(
-                before == after and residual <= 1e-10,
-                f"seed {seed}: before={before} after={after} roundtrip={residual:.2e}",
-            )
-    return result
+    return _run_passes("xi-invariance", _xi_invariance_pass, seeds, pol)
+
+
+def _xi_invariance_pass(seeds, pol: TolerancePolicy):
+    drawn = []
+    for seed in seeds:
+        rng = np.random.default_rng(2000 + seed)
+        t = _draw_extremal_qubit_tester(rng) if seed % 2 == 0 else _draw_nonextremal_qubit_tester(rng)
+        drawn.append((t, _draw_state(2, rng), _gaussian2(rng)))
+    # One xi_transform and one xi_inverse of all the testers' outcomes.
+    ts = _build([t for t, _, _ in drawn])
+    rho = _states([state for _, state, _ in drawn])
+    u = channels._unitaries(np.array([g for *_, g in drawn]))
+    ops, owner = testers._outcome_stack(ts)
+    moved = testers._xi_outcomes(ops, owner, 2, 2, rho, u, pol)
+    back = testers._xi_inverse_outcomes(moved, owner, 2, 2, rho, u, pol)
+    bounds = np.cumsum([0] + [t.n_outcomes for t in ts])
+    residuals = np.maximum.reduceat(np.abs(back - ops).max(axis=(-2, -1)), bounds[:-1])
+    moved = _qubit_testers(moved[a:b] for a, b in zip(bounds[:-1], bounds[1:]))
+    certs = gqi_mod.decide_all([x for pair in zip(ts, moved) for x in pair], pol)
+    for seed, first, second, residual in zip(seeds, certs[::2], certs[1::2], residuals):
+        before, after = first.extremal, second.extremal
+        detail = f"seed {seed}: before={before} after={after} roundtrip={residual:.2e}"
+        yield before == after and residual <= 1e-10, detail
 
 
 def run_bounds(seeds: int = 200, pol: TolerancePolicy = DEFAULT_TOL) -> SuiteResult:
     """Counting bounds hold for every object the criteria report extremal."""
-    result = SuiteResult(name="bounds")
-    for chunk in _passes(seeds):
-        drawn = []
-        for seed in chunk:
-            rng = np.random.default_rng(3000 + seed)
-            drawn += [
-                _draw_extremal_qubit_tester(rng),
-                _draw_nonextremal_qubit_tester(rng),
-                _draw_rank22_qubit_tester(rng, nonextremal=bool(rng.integers(0, 2))),
-            ]
-            counts = [(1,), (1, 1), (1, 2), (1, 1, 1), (2, 2)][int(rng.integers(0, 5))]
-            drawn.append(_draw_instrument(counts, rng))
-        # Each seed drew three testers and an instrument.
-        built = _with_first_fault(_build, drawn)
-        pools = [t for i, t in enumerate(built) if i % 4 != 3]
-        verdicts = gqi_mod.validate_all(pools + built[3::4], pol)
-        tested = iter(zip(pools, verdicts, gqi_mod.decide_all(pools, pol, verdicts[: len(pools)])))
-        for seed, ins, verdict in zip(chunk, built[3::4], verdicts[len(pools) :]):
-            for t, checks, cert in itertools.islice(tested, 3):
-                if cert.extremal:
-                    bounds = testers.check_bounds(t, pol, checks)
-                    result.record(bounds.ok, f"seed {seed}: tester bound violated {bounds}")
-            if channels.instrument_extremal(ins, pol, verdict):
-                bound = channels.instrument_rank_bound(ins, pol, verdict)
-                result.record(bound.ok, f"seed {seed}: instrument bound violated {bound}")
-    return result
+    return _run_passes("bounds", _bounds_pass, seeds, pol)
+
+
+def _bounds_pass(seeds, pol: TolerancePolicy):
+    drawn = []
+    for seed in seeds:
+        rng = np.random.default_rng(3000 + seed)
+        drawn += [
+            _draw_extremal_qubit_tester(rng),
+            _draw_nonextremal_qubit_tester(rng),
+            _draw_rank22_qubit_tester(rng, nonextremal=bool(rng.integers(0, 2))),
+        ]
+        counts = [(1,), (1, 1), (1, 2), (1, 1, 1), (2, 2)][int(rng.integers(0, 5))]
+        drawn.append(_draw_instrument(counts, rng))
+    # Each seed drew three testers and an instrument.
+    built = _build(drawn)
+    pools = [t for i, t in enumerate(built) if i % 4 != 3]
+    verdicts = gqi_mod.validate_all(pools + built[3::4], pol)
+    tested = iter(zip(pools, verdicts, gqi_mod.decide_all(pools, pol, verdicts[: len(pools)])))
+    for seed, ins, verdict in zip(seeds, built[3::4], verdicts[len(pools) :]):
+        for t, checks, cert in itertools.islice(tested, 3):
+            if cert.extremal:
+                bounds = testers.check_bounds(t, pol, checks)
+                yield bounds.ok, f"seed {seed}: tester bound violated {bounds}"
+        if channels.instrument_extremal(ins, pol, verdict):
+            bound = channels.instrument_rank_bound(ins, pol, verdict)
+            yield bound.ok, f"seed {seed}: instrument bound violated {bound}"
 
 
 def run_appendix_c(seeds: int = 0, pol: TolerancePolicy = DEFAULT_TOL) -> SuiteResult:

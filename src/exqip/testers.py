@@ -101,7 +101,7 @@ def _xi_states(d1: int, rho: np.ndarray, u: np.ndarray, pol: TolerancePolicy) ->
     for name, m in (("rho", rho), ("U", u)):
         if m.shape[1:] != (d1, d1):
             raise DimensionMismatchError(f"{name} has shape {m.shape[1:]}, but d_1 x d_1 is {(d1, d1)}")
-    eig = linalg.hermitian_eigs(linalg.check_hermitian_stack(rho, pol))
+    eig = linalg.hermitian_eig(rho, pol)
     if (pol.support_rank(eig.values) < d1).any():
         raise ValidationError("xi transform requires a full-rank state")
     return eig
@@ -243,7 +243,7 @@ def split_outcome(
     for e in sub_effects:
         if e.shape != shape:
             raise DimensionMismatchError(f"sub-POVM effect shape {e.shape} does not match outcome shape {shape}")
-    eig = linalg.hermitian_eigs(linalg.check_hermitian(t.outcomes[index], pol)[None])
+    eig = linalg.hermitian_eig(t.outcomes[index][None], pol)
     subs = np.array(sub_effects, dtype=complex).reshape((1, len(sub_effects)) + shape)
     pieces = tuple(_split_pieces(eig, subs, pol)[0])
     outcomes = t.outcomes[:index] + pieces + t.outcomes[index + 1 :]
@@ -251,16 +251,17 @@ def split_outcome(
 
 
 def _projectors(eig: linalg.EigenDecomposition) -> np.ndarray:
-    """|v><v| for each eigenvector v of each operator of the stack ``eig``
-    decomposes, (K, D, D, D), eigenvalues descending."""
+    """|v><v| for each eigenvector v of the operator, or of each operator of
+    the stack, that ``eig`` decomposes: (D, D, D) or (K, D, D, D),
+    eigenvalues descending."""
     v = np.swapaxes(eig.vectors, -2, -1)
     return v[..., :, None] * v[..., None, :].conj()
 
 
 def projective_split_effects(target: np.ndarray, pol: TolerancePolicy = DEFAULT_TOL) -> list:
     """Rank-one projective sub-POVM on the support of ``target``."""
-    eig = linalg.hermitian_eigs(linalg.check_hermitian(target, pol)[None])
-    return list(_projectors(eig)[0, : eig.support_ranks(pol)[0]])
+    eig = linalg.hermitian_eig(target, pol)
+    return list(_projectors(eig)[: eig.support_ranks(pol)])
 
 
 @dataclass(frozen=True)

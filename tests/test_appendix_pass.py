@@ -1,12 +1,13 @@
 """The appendix table in one stacked pass.
 
 ``channels.classify_combinations`` validates the instruments, their induced
-channels and their induced POVMs with one ``gqi.validate_all``, decides the
-POVMs with one ``gqi.decide_all`` and runs the Kraus-product criterion on
-the verdicts it has.  The per-row call chain it replaced is the oracle
+channels and their induced POVMs in one validation pass, runs the
+Kraus-product criterion on the verdicts it has and decides the POVMs in one
+decision pass.  The per-row call chain it replaced is the oracle
 (``oracles.classify_combination``).  ``classify_combination`` is the pass on
-one instrument and raises that chain's errors; the pass itself leads them
-with the index of the instrument at fault.
+one instrument and raises that chain's errors; on a fault the pass reruns
+its instruments alone (``gqi._first_fault``) and leads the error with the
+index of the first instrument at fault.
 """
 
 import numpy as np

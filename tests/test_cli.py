@@ -693,9 +693,10 @@ class TestCli:
     )
     def test_suite_tol_that_empties_every_support_exits_2(self, name, dim, capsys):
         """Each suite's first member is on D = 4, and at --tol 0.5 every
-        support of it is empty: the core refuses it by its index.
-        xi-invariance refuses its drawn states before any member, so its
-        first member is put to the core directly."""
+        support of it is empty: the core refuses it by its index, which a
+        seeded suite leads with the seed.  xi-invariance refuses its drawn
+        states before any member, so its first member is put to the core
+        directly."""
         assert self.run("--tol", "0.5", "suite", name, "--seeds", "1") == 2
         out = capsys.readouterr()
         assert out.out == ""
@@ -706,24 +707,26 @@ class TestCli:
                 gqi.decide_all([first], TolerancePolicy(eps_rel=0.5))
             assert str(caught.value) == f"member 0: tolerance 0.5 leaves every support empty at dimension {dim}"
         else:
-            assert out.err == f"error: member 0: tolerance 0.5 leaves every support empty at dimension {dim}\n"
+            seed = "" if name == "appendix-c" else "seed 0: "
+            assert out.err == f"error: {seed}member 0: tolerance 0.5 leaves every support empty at dimension {dim}\n"
 
     def test_suite_tol_is_refused_by_the_member_it_empties(self, capsys):
-        """A suite is refused by the first member the core refuses, at that
+        """A suite is refused by the first seed whose population the core
+        refuses, named with the member of that seed's population, at that
         member's dimension, and runs where no member is refused."""
         assert self.run("--tol", "0.05", "suite", "equivalence", "--seeds", "2") == 2
         out = capsys.readouterr()
         assert out.err == (
-            "error: member 1: tolerance 0.05 puts the rank cutoff at or above every singular value "
+            "error: seed 0: member 1: tolerance 0.05 puts the rank cutoff at or above every singular value "
             "at dimension 6\n"
         )
-        # Member 11, seed 2 at (3,3) with 8 Kraus operators, has support rank
-        # 6: m + |V| = 108 > D^2 = 81, and 108 * 0.012 >= 1.
+        # Seed 2 at (3,3) with 8 Kraus operators, member 3 of its population,
+        # has support rank 6: m + |V| = 108 > D^2 = 81, and 108 * 0.012 >= 1.
         assert self.run("--tol", "0.012", "suite", "equivalence", "--seeds", "3") == 2
         out = capsys.readouterr()
         assert out.out == ""
         assert out.err == (
-            "error: member 11: tolerance 0.012 puts the rank cutoff at or above every singular value "
+            "error: seed 2: member 3: tolerance 0.012 puts the rank cutoff at or above every singular value "
             "at dimension 9\n"
         )
         # Only the D = 2 POVMs of the appendix table reach a rank test; the

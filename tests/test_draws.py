@@ -224,8 +224,9 @@ def test_xi_faults_are_the_oracles():
 
 def test_a_pass_raises_the_fault_of_the_first_draw(monkeypatch):
     """A fault in a pass's build is the one the first faulty seed meets
-    alone, as when each seed's objects were built one at a time: at eps_rel
-    1e-17 the states of xi-invariance are not Hermitian within tolerance."""
+    alone, as when each seed's objects were built one at a time, led by
+    that seed: at eps_rel 1e-17 the states of xi-invariance are not
+    Hermitian within tolerance."""
     pol = TolerancePolicy(1e-17)
     with pytest.raises(NotHermitianError) as got:
         suites.run_xi_invariance(seeds=6, pol=pol)
@@ -236,24 +237,27 @@ def test_a_pass_raises_the_fault_of_the_first_draw(monkeypatch):
         try:
             oracles.xi_transform(t, rho, oracles.random_unitary(2, rng), pol)
         except NotHermitianError as want:
-            assert str(got.value) == str(want)
+            assert str(got.value) == f"seed {seed}: {want}"
             break
     else:
         raise AssertionError("no seed at fault")
 
 
-def test_a_build_raises_for_the_first_draw_alone():
-    """When a build raises, suites._with_first_fault rebuilds draw by draw and raises
-    the error of the first draw at fault alone, not the stack's."""
-    built = []
+def test_a_build_raises_for_the_first_draw_alone(monkeypatch):
+    """When a pass raises, each of its seeds is drawn, built and decided
+    alone, in order, and the first that raises raises its own error, not
+    the pass's, led by its seed: its number in the suite, not its place in
+    the pass (here seed 5, the second of the second pass of 4)."""
+    monkeypatch.setattr(suites, "PASS_SEEDS", 4)
+    passes = []
 
-    def build(draws):
-        built.append(list(draws))
-        if any(d in (3, 5) for d in draws):
-            raise ValidationError(f"draw {min(d for d in draws if d in (3, 5))}")
-        return draws
+    def decide(seeds, pol):
+        passes.append(list(seeds))
+        if any(s in (5, 6) for s in seeds):
+            raise ValidationError(f"draw {min(s for s in seeds if s in (5, 6))}")
+        yield from ((True, "") for _ in seeds)
 
-    with pytest.raises(ValidationError, match="^draw 5$"):
-        suites._with_first_fault(build, [1, 5, 3])
-    assert built == [[1, 5, 3], [1], [5]]
-    assert suites._with_first_fault(build, [1, 2]) == [1, 2]
+    with pytest.raises(ValidationError, match="^seed 5: draw 5$"):
+        suites._run_passes("toy", decide, 8, DEFAULT_TOL)
+    assert passes == [[0, 1, 2, 3], [4, 5, 6, 7], [4], [5]]
+    assert suites._run_passes("toy", decide, 5, DEFAULT_TOL).total == 5

@@ -367,8 +367,8 @@ class TestFaults:
 
     def test_size_guard_before_a_later_validation_fault(self, monkeypatch):
         """A member above the budget before a non-Hermitian one in another
-        stack: the size guard runs in the validation pass, so decide_all
-        names the first, with the error of its own is_extremal."""
+        stack: decide_all reruns each member alone, so it names the first,
+        with the error of its own is_extremal."""
         monkeypatch.setattr(gqi, "RANK_STAGE_BUDGET", 1000)
         big = suites.random_nonextremal_gqi(np.random.default_rng(0))
         skew = np.array([[1.0, 1.0], [0.0, 0.0]], dtype=complex)

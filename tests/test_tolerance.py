@@ -108,8 +108,8 @@ class TestPopulation:
         assert [c.extremal for c in gqi.decide_all(kept, self.pol)] == [True] * 3
 
     def test_cutoff_member_on_both_routes(self):
-        """The rank-cutoff rule runs in the gated validation pass of
-        ``decide_all`` and, with the caller's validations, per stack."""
+        """The rank-cutoff rule runs per stack, in ``gqi._decide_stack``,
+        with and without the caller's validations."""
         population = [projective_povm(2), Povm(d=2, effects=(np.eye(2) / 4,) * 4), projective_povm(2)]
         validations = gqi.validate_all(population, self.pol)
         for kwargs in ({}, {"validations": validations}):
