@@ -10,16 +10,18 @@ operator, so its validity and its criteria are the instrument's, under the
 channel names.  Every criterion refuses an invalid object through the one
 gate of :mod:`exqip.gqi`, with its message; :func:`instrument_extremal` and
 :func:`instrument_rank_bound` also take the caller's validation verdict,
-which the suites pass on.  Extremality routes: the pooled Kraus-product
-criterion (Choi's criterion, the independence of {K_m^dagger K_n}, for a
-channel), the paper's independent criterion; the master criterion (Theorem 1
-for a channel), decided by :func:`gqi.is_extremal` as for every other kind
-(that the two routes agree is a test oracle); and the square-root / Lueders
+which the suites read off their certificates or :func:`gqi.validate_all`.
+Extremality routes: the pooled Kraus-product criterion (Choi's criterion,
+the independence of {K_m^dagger K_n}, for a channel), the paper's
+independent criterion; the master criterion (Theorem 1 for a channel),
+decided by :func:`gqi.is_extremal` as for every other kind (that the two
+routes agree is a test oracle); and the square-root / Lueders
 constructions.  The appendix fixtures exercise all seven attainable
 (instrument, channel, POVM) extremality combinations, which
-:func:`classify_combinations` decides in one stacked pass; a fault names the
-first instrument whose own pass raises (:func:`gqi._first_fault`).  The classes
-:class:`Instrument` and :class:`Channel` are defined in :mod:`exqip.gqi`.
+:func:`classify_combinations` decides in three stacked passes, one per
+object of the rows; a fault names the first instrument whose own passes
+raise (:func:`gqi._first_fault`).  The classes :class:`Instrument` and
+:class:`Channel` are defined in :mod:`exqip.gqi`.
 """
 
 from __future__ import annotations
@@ -201,7 +203,7 @@ class CombinationTriple:
 
 
 def classify_combinations(instruments, pol: TolerancePolicy = DEFAULT_TOL) -> list:
-    """:func:`classify_combination` of every instrument, in one stacked pass.
+    """:func:`classify_combination` of every instrument, in stacked passes.
     A fault is named by :func:`gqi._first_fault` over the instruments: the
     first instrument whose own :func:`classify_combination` raises, its
     index leading that error."""
@@ -212,27 +214,23 @@ def classify_combinations(instruments, pol: TolerancePolicy = DEFAULT_TOL) -> li
 
 
 def _classify(instruments: list, pol: TolerancePolicy) -> list:
-    """The triples of the instruments from one validation pass of the
-    instruments, their induced channels and their induced POVMs, the
-    Kraus-product criterion on the verdicts of the instruments, then on
-    those of the channels, and one decision pass of the POVMs.  An error
-    of the validation pass comes first, then the instruments' gates, the
-    channels' and the POVMs'."""
-    n = len(instruments)
-    # An instrument with no outcome has no channel; it raises before its stand-in is read.
-    objects = instruments + [induced_channel(x) if x.outcomes else x for x in instruments]
-    objects += [induced_povm(x) for x in instruments]
-    verdicts = gqi_mod._validate_grouped(objects, pol)
+    """The triples of the instruments from three stacked passes, in the
+    order of the per-row chain: one validation pass of the instruments and
+    the Kraus-product criterion on their verdicts, the same for their induced
+    channels, then one decision pass of their induced POVMs."""
+    verdicts = gqi_mod._validate_grouped(instruments, pol)
     instrument = [instrument_extremal(x, pol, v) for x, v in zip(instruments, verdicts)]
-    channel = [choi_condition(c, pol, v) for c, v in zip(objects[n : 2 * n], verdicts[n:])]
-    povms = gqi_mod._decide_grouped(objects[2 * n :], pol, verdicts[2 * n :])
+    chans = [induced_channel(x) for x in instruments]
+    verdicts = gqi_mod._validate_grouped(chans, pol)
+    channel = [choi_condition(c, pol, v) for c, v in zip(chans, verdicts)]
+    povms = gqi_mod._decide_grouped([induced_povm(x) for x in instruments], pol)
     return [CombinationTriple(instrument=a, channel=b, povm=p.extremal) for a, b, p in zip(instrument, channel, povms)]
 
 
 def classify_combination(ins: Instrument, pol: TolerancePolicy = DEFAULT_TOL) -> CombinationTriple:
     """Extremality of an instrument, its induced channel, and its induced
-    POVM: the pass of :func:`classify_combinations` on ``ins`` alone, which
-    raises the first error of the three, with no index."""
+    POVM: the passes of :func:`classify_combinations` on ``ins`` alone,
+    which raise the per-row chain's first error, with no index."""
     return _classify([ins], pol)[0]
 
 

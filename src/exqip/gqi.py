@@ -31,15 +31,18 @@ needs no module of the kind-specific criteria.
 A population is decided in stacked passes (README, "Deciding a
 population"): :func:`validate_all` groups objects by signature and outcome
 shapes and :func:`decide_all` by signature and support ranks, and each
-stage runs once per stack with a leading axis.  This module alone cuts a
-group into stacks within ``RANK_STAGE_BUDGET`` and, in
-:func:`_require_valid`, refuses an invalid object, with one message for
-every kind and caller.  Each result is the same to the bit as the object's
-own call, because :func:`is_valid_gqi` and :func:`is_extremal` are that
-code on a stack of one.  Which fault a population raises is decided by one
-rule, :func:`_first_fault`: when the stacked run raises, each member runs
-alone, in order, and the first that raises is named with its own error.
-The appendix table and the seeded suites take the same rule over their
+stage runs once per stack with a leading axis.  :func:`decide_all` takes no
+verdict from its caller: it validates its objects itself, and each
+certificate carries the verdict it read, ``validation``, for the criteria
+that read the same supports.  This module alone cuts a group into stacks
+within ``RANK_STAGE_BUDGET`` and, in :func:`_require_valid`, refuses an
+invalid object, with one message for every kind and caller.  Each result
+is the same to the bit as the object's own call, because
+:func:`is_valid_gqi` and :func:`is_extremal` are that code on a stack of
+one.  Which fault a population raises is decided by one rule,
+:func:`_first_fault`: when the stacked run raises, each member runs alone,
+in order, and the first that raises is named with its own error.  The
+appendix table and the seeded suites take the same rule over their
 instruments and their seeds.
 """
 
@@ -149,7 +152,10 @@ class Perturbation:
 class ExtremalityCertificate:
     """The outcome of :func:`is_extremal`.  ``margin`` is, when extremal, the
     smallest singular value of the support family projected off V: how far
-    the family is from dependence, and ``None`` otherwise."""
+    the family is from dependence, and ``None`` otherwise.  ``validation``
+    is the :func:`is_valid_gqi` verdict the decision read its supports from,
+    ``None`` on a certificate read from a file; it takes no part in equality
+    or repr."""
 
     extremal: bool
     family_size: int
@@ -158,6 +164,7 @@ class ExtremalityCertificate:
     normalization_basis_size: int
     perturbation: Perturbation | None
     margin: float | None = None
+    validation: GqiVerdict | None = field(default=None, compare=False, repr=False)
 
     @property
     def verdict(self) -> str:
@@ -478,7 +485,8 @@ def _rank_test(sig: CombSignature, supports, n_known: int, bound: float, pol: To
     vectors of nonzero singular values.
 
     The caller has kept the stage within ``RANK_STAGE_BUDGET``, the cutoff
-    below sigma_max (:func:`_require_budget`) and m > 0 (:func:`_decide_stack`).
+    below sigma_max (:func:`_require_budget`) and m > 0 (the empty-support
+    rule of :func:`_validate_stack`).
     """
     ranks = [u.shape[-1] for u in supports]
     starts = [0, *itertools.accumulate(r * r for r in ranks)]
@@ -557,10 +565,10 @@ def identity_exchange_step(values, a: int, b: int, pol: TolerancePolicy = DEFAUL
     return max(0.0, float(w[[a, b]].min() + c - _allowance(w)))
 
 
-def decide_all(objects, pol: TolerancePolicy = DEFAULT_TOL, validations=None) -> list:
+def decide_all(objects, pol: TolerancePolicy = DEFAULT_TOL) -> list:
     """:func:`is_extremal` of every object, decided in stacked passes (README,
-    "Deciding a population").  ``validations`` are the caller's
-    :func:`validate_all` verdicts on ``objects`` at ``pol``, when it has them.
+    "Deciding a population"): the validation pass of :func:`validate_all`,
+    then the decision.
 
     The objects are grouped by signature and support ranks, and a group is
     cut into stacks of K members whose estimated peak, K times
@@ -568,31 +576,19 @@ def decide_all(objects, pol: TolerancePolicy = DEFAULT_TOL, validations=None) ->
     the full-support exit is taken, or one rank stage runs
     (:func:`_rank_test`); the witnesses of the dependent members get their
     epsilon* from one :func:`max_perturbation_step` of the stack.  Each
-    certificate is the same to the bit as the object's own call.  An object
-    that :func:`is_extremal` would raise for, an invalid one included,
-    raises as :func:`_first_fault` names it: alone, a member is validated
-    and decided as :func:`is_extremal` does, or decided on its verdict in
-    ``validations``.
+    certificate is the same to the bit as the object's own call, and carries
+    its verdict in ``validation``.  An object that :func:`is_extremal` would
+    raise for, an invalid one included, raises as :func:`_first_fault` names
+    it.
     """
     objects = list(objects)
-    if validations is not None:
-        validations = list(validations)
-        if len(validations) != len(objects):
-            raise DimensionMismatchError(f"{len(validations)} validations for {len(objects)} objects")
-
-    def run(members):
-        gs = [objects[i] for i in members]
-        return _decide_grouped(gs, pol, None if validations is None else [validations[i] for i in members])
-
-    return _first_fault(run, range(len(objects)))
+    return _first_fault(lambda members: _decide_grouped([objects[i] for i in members], pol), range(len(objects)))
 
 
-def _decide_grouped(gs: list, pol: TolerancePolicy, validations: list | None) -> list:
+def _decide_grouped(gs: list, pol: TolerancePolicy) -> list:
     """The stacked passes of :func:`decide_all`, after one validation pass
-    (:func:`_validate_grouped`) when ``validations`` is None, with no member
-    named."""
-    if validations is None:
-        validations = _validate_grouped(gs, pol)
+    (:func:`_validate_grouped`), with no member named."""
+    validations = _validate_grouped(gs, pol)
     ranks = [_support_ranks(v, pol) for v in validations]
     return _grouped(
         [(g.signature, r) for g, r in zip(gs, ranks)],
@@ -656,12 +652,10 @@ def _support_ranks(verdict: GqiVerdict, pol: TolerancePolicy) -> tuple:
 
 def _decide_stack(gs: list, verdicts: list, support_ranks: tuple, pol: TolerancePolicy) -> list:
     """The certificates of K GQIs with the same signature and support ranks
-    (see :func:`is_extremal`), after the empty-support rule on their
-    spectra, the gate of each verdict and the size guard."""
+    (see :func:`is_extremal`), given their :func:`_validate_stack` verdicts
+    at ``pol``, after the gate of each verdict and the size guard."""
     sig = gs[0].signature
     values = np.array([v.spectra.values for v in verdicts])
-    # The caller's verdicts may come from another policy: the empty-support rule runs at this one.
-    pol.require_support(values)
     for g, verdict in zip(gs, verdicts):
         _require_valid(g, pol, verdict)
     _require_budget(sig, support_ranks, pol)
@@ -717,8 +711,9 @@ def _decide_stack(gs: list, verdicts: list, support_ranks: tuple, pol: Tolerance
             normalization_basis_size=n_known,
             perturbation=perturbation,
             margin=margin,
+            validation=verdict,
         )
-        for (rank, _, margin), perturbation in zip(decided, perturbations)
+        for (rank, _, margin), perturbation, verdict in zip(decided, perturbations, verdicts)
     ]
 
 

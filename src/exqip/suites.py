@@ -13,12 +13,13 @@ whole pass is built with one stacked call per shape or style group: QR and
 the phase fix of the unitaries and isometries, the Schmidt vectors and
 their projectors, ``eigh`` of the split outcomes and of the Choi operators
 of the instruments, the full-rank states and the xi maps.  Decide: one
-:func:`gqi.validate_all` and one :func:`gqi.decide_all` of the pass.  Every
-object is the one the former per-object generators drew, to the bit.  A
-pass that raises names the first seed whose own pass raises, ``seed N: ``
-leading its error (:func:`gqi._first_fault`).  The public generators are
-the build of their own draw alone.  The appendix suite
-classifies its seven fixtures with one
+:func:`gqi.decide_all` of the pass, whose certificates carry the verdicts
+that the suite's criteria read; bounds first validates its instruments with
+one :func:`gqi.validate_all`.  Every object is the one the former
+per-object generators drew, to the bit.  A pass that raises names the first
+seed whose own pass raises, ``seed N: `` leading its error
+(:func:`gqi._first_fault`).  The public generators are the build of their
+own draw alone.  The appendix suite classifies its seven fixtures with one
 :func:`channels.classify_combinations`.
 """
 
@@ -350,10 +351,9 @@ def _equivalence_pass(seeds, pol: TolerancePolicy):
             count = int(rng.integers(-(-d0 // d1), d0 * d1 + 1))
             drawn.append((d0, d1, count, channels._stinespring_gaussian(d0, d1, count, rng), seed))
     chans = _channels(drawn)
-    verdicts = gqi_mod.validate_all(chans, pol)
-    certs = gqi_mod.decide_all(chans, pol, verdicts)
-    for (d0, d1, count, _, seed), chan, verdict, cert in zip(drawn, chans, verdicts, certs):
-        a = channels.choi_condition(chan, pol, verdict)
+    certs = gqi_mod.decide_all(chans, pol)
+    for (d0, d1, count, _, seed), chan, cert in zip(drawn, chans, certs):
+        a = channels.choi_condition(chan, pol, cert.validation)
         b = cert.extremal
         yield a == b, f"seed {seed} dims ({d0},{d1}) kraus {count}: choi={a} rank-form={b}"
 
@@ -411,12 +411,12 @@ def _bounds_pass(seeds, pol: TolerancePolicy):
     # Each seed drew three testers and an instrument.
     built = _build(drawn)
     pools = [t for i, t in enumerate(built) if i % 4 != 3]
-    verdicts = gqi_mod.validate_all(pools + built[3::4], pol)
-    tested = iter(zip(pools, verdicts, gqi_mod.decide_all(pools, pol, verdicts[: len(pools)])))
-    for seed, ins, verdict in zip(seeds, built[3::4], verdicts[len(pools) :]):
-        for t, checks, cert in itertools.islice(tested, 3):
+    verdicts = gqi_mod.validate_all(built[3::4], pol)
+    tested = iter(zip(pools, gqi_mod.decide_all(pools, pol)))
+    for seed, ins, verdict in zip(seeds, built[3::4], verdicts):
+        for t, cert in itertools.islice(tested, 3):
             if cert.extremal:
-                bounds = testers.check_bounds(t, pol, checks)
+                bounds = testers.check_bounds(t, pol, cert.validation)
                 yield bounds.ok, f"seed {seed}: tester bound violated {bounds}"
         if channels.instrument_extremal(ins, pol, verdict):
             bound = channels.instrument_rank_bound(ins, pol, verdict)

@@ -7,7 +7,8 @@ when their GQI view is, and are decided by the GQI rank test; for a tester
 the variable directions are I_2 (x) sigma, sigma traceless on H_1.  Every
 criterion refuses an invalid object through the one gate of
 :mod:`exqip.gqi`, with its message; :func:`check_bounds` also takes the
-caller's validation verdict, which the bounds suite passes on.
+caller's validation verdict, which the bounds suite reads off the tester's
+certificate.
 
 Also here: the rank/outcome-count bounds, the normalization-changing
 xi transform, POVM extremality, pure-normalization testers, the closed-form

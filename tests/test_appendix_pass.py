@@ -1,12 +1,13 @@
-"""The appendix table in one stacked pass.
+"""The appendix table in three stacked passes.
 
-``channels.classify_combinations`` validates the instruments, their induced
-channels and their induced POVMs in one validation pass, runs the
-Kraus-product criterion on the verdicts it has and decides the POVMs in one
-decision pass.  The per-row call chain it replaced is the oracle
-(``oracles.classify_combination``).  ``classify_combination`` is the pass on
-one instrument and raises that chain's errors; on a fault the pass reruns
-its instruments alone (``gqi._first_fault``) and leads the error with the
+``channels.classify_combinations`` takes the objects of the rows in the
+order of the per-row chain: it validates the instruments and runs the
+Kraus-product criterion on their verdicts, does the same for their induced
+channels, and decides their induced POVMs in one decision pass.  The
+per-row call chain it replaced is the oracle
+(``oracles.classify_combination``).  ``classify_combination`` is the passes
+on one instrument and raises that chain's errors; on a fault the passes rerun
+their instruments alone (``gqi._first_fault``) and lead the error with the
 index of the first instrument at fault.
 """
 
@@ -15,7 +16,7 @@ import pytest
 
 from exqip import channels, gqi, suites
 from exqip.channels import APPENDIX_TABLE
-from exqip.gqi import Instrument
+from exqip.gqi import Channel, Instrument, Povm
 
 import oracles
 
@@ -35,7 +36,12 @@ def raised(f, *args):
 
 def faulty_instruments():
     """Instruments that the per-row chain refuses, each for a reason of its own."""
+    # Hermitian within 1e-10, but the sum of three is not: the instrument's
+    # gate must speak before its channel's validation.
+    skew = np.eye(4, dtype=complex) / 6
+    skew[0, 1] += 0.9e-10
     return {
+        "invalid, its channel not Hermitian": Instrument(2, 2, (skew, skew, skew, np.diag([-0.1, 0, 0, 0.5]))),
         "non-Hermitian": Instrument(2, 2, (np.triu(np.ones((4, 4))) / 2,)),
         # Its channel, diag(1, 0, 0, 1), is valid and its POVM is not: the
         # instrument's own gate must speak first.
@@ -61,8 +67,10 @@ def test_matches_the_per_row_chain():
 
 def test_one_validation_stack_per_group(monkeypatch):
     """The suite validates each of its 21 objects (seven instruments, their
-    channels and their POVMs) once, in one stack per (signature, outcome
-    count): six stacks."""
+    channels and their POVMs) once, in three passes, the instruments', the
+    channels' and the POVMs', each with one stack per (signature, outcome
+    count): seven stacks.  The one-outcome instrument of row 1 and the
+    channels share a key, on (2, 2), but not a pass."""
     stacks = []
     validate_stack = gqi._validate_stack
 
@@ -75,9 +83,13 @@ def test_one_validation_stack_per_group(monkeypatch):
     assert result.ok and result.total == 7
     members = [g for stack in stacks for g in stack]
     assert len(members) == len({id(g) for g in members}) == 21
+    kinds = [{type(g) for g in stack} for stack in stacks]
+    assert all(len(kind) == 1 for kind in kinds)
+    assert [kind.pop() for kind in kinds] == [Instrument] * 3 + [Channel] * 2 + [Povm] * 2
     keys = [{(g.signature, g.n_outcomes) for g in stack} for stack in stacks]
     assert all(len(key) == 1 for key in keys)
-    assert len({key.pop() for key in keys}) == len(stacks) == 6
+    keys = [key.pop() for key in keys]
+    assert len(keys) == 7 and len(set(keys)) == 6 and keys[0] == keys[3]
 
 
 def test_appendix_suite_is_one_pass(monkeypatch):

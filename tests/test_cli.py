@@ -208,6 +208,8 @@ class TestFileio:
         loaded = fileio.load_certificate(cert_path)
         fields = ("extremal", "family_size", "rank", "support_ranks", "normalization_basis_size")
         assert [getattr(loaded, f) for f in fields] == [getattr(cert, f) for f in fields]
+        # A file holds no validation spectra.
+        assert loaded.validation is None and cert.validation is not None
         if cert.perturbation is None:
             assert loaded.perturbation is None and printed["epsilon_star"] is None
             return

@@ -34,24 +34,23 @@ def assert_same_object(got, want):
 
 def recorded_population(monkeypatch, name, seeds):
     """The objects the suite decides, in the order of ``oracles.suite_population``."""
-    spied = "decide_all" if name == "xi-invariance" else "validate_all"
-    original, passes = getattr(gqi, spied), []
+    passes = []
+    for spied in ("validate_all", "decide_all"):
 
-    def recorded(objects, *args, **kwargs):
-        objects = list(objects)
-        passes.append(objects)
-        return original(objects, *args, **kwargs)
+        def recorded(objects, *args, original=getattr(gqi, spied), **kwargs):
+            objects = list(objects)
+            passes.append(objects)
+            return original(objects, *args, **kwargs)
 
-    monkeypatch.setattr(gqi, spied, recorded)
+        monkeypatch.setattr(gqi, spied, recorded)
     assert suites.run_suite(name, seeds=seeds).ok
     if name != "bounds":
         return [x for objects in passes for x in objects]
-    # validate_all takes a pass's testers, three per seed, then its instruments.
+    # A bounds pass validates its instruments, one per seed, then decides its testers, three per seed.
     out = []
-    for objects in passes:
-        n = len(objects) // 4
-        for seed in range(n):
-            out += objects[3 * seed : 3 * seed + 3] + [objects[3 * n + seed]]
+    for instruments, pools in zip(passes[::2], passes[1::2], strict=True):
+        for seed, ins in enumerate(instruments):
+            out += pools[3 * seed : 3 * seed + 3] + [ins]
     return out
 
 

@@ -314,7 +314,7 @@ class TestSupportBlocks:
         g = Gqi(CombSignature(dims), ops)
         validation = gqi.is_valid_gqi(g)
         calls = counted_calls(monkeypatch)
-        cert = gqi.decide_all([g], validations=[validation])[0]
+        cert = gqi._decide_stack([g], [validation], gqi._support_ranks(validation, DEFAULT_TOL), DEFAULT_TOL)[0]
         assert cert.support_ranks == (2,) and not cert.extremal
         assert calls == [("eigvalsh", (1, 2, 2))]
 

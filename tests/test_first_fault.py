@@ -103,8 +103,7 @@ def test_a_population_raises_its_first_member_that_raises_alone(seed, size, faul
     """Valid POVMs and instruments, with faults put at random indices:
     validate_all and decide_all raise the error of the lowest member whose
     own is_valid_gqi or is_extremal raises, ``member i: `` leading it, and
-    with no such member give that call's results to the bit.  decide_all on
-    the caller's verdicts does the same."""
+    with no such member give that call's results to the bit."""
     rng = np.random.default_rng(seed)
     population = [
         drawn_object(int(rng.integers(2**32)), kind, 2, int(rng.integers(1, 5)), 0)
@@ -116,13 +115,10 @@ def test_a_population_raises_its_first_member_that_raises_alone(seed, size, faul
     with pytest.MonkeyPatch.context() as patch:
         if budget:
             patch.setattr(gqi, "RANK_STAGE_BUDGET", BUDGET)
-        verdicts, _ = outcome(gqi.validate_all, population, pol)
         cases = [
             (lambda: gqi.validate_all(population, pol), gqi.is_valid_gqi, assert_same_verdict),
             (lambda: gqi.decide_all(population, pol), gqi.is_extremal, assert_same_certificate),
         ]
-        if verdicts is not None:
-            cases.append((lambda: gqi.decide_all(population, pol, verdicts), gqi.is_extremal, assert_same_certificate))
         for stacked, single, same in cases:
             singles = [outcome(single, g, pol) for g in population]
             first = next((i for i, (_, err) in enumerate(singles) if err is not None), None)

@@ -29,6 +29,8 @@ from exqip.linalg import DEFAULT_TOL
 from test_epsilon_star import acceptance_07_population, bench_ladder, identity_exchange_population
 from test_head_rank import fallback_population, split_comb
 
+import oracles
+
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden_cli")
 
 
@@ -232,7 +234,9 @@ def test_single_call_is_former_call_chain(name):
         verdict = gqi.is_valid_gqi(g)
         assert_verdict_is_former(verdict, g)
         if verdict.ok:
-            assert_certificate_is_former(gqi.is_extremal(g), g)
+            cert = gqi.is_extremal(g)
+            assert_certificate_is_former(cert, g)
+            assert_same_verdict(cert.validation, verdict)
             decided += 1
     assert decided > 0
 
@@ -251,6 +255,7 @@ def test_population_is_its_single_calls(name):
     valid = [g for g, v in zip(population, verdicts) if v.ok]
     for g, cert in zip(valid, gqi.decide_all(valid)):
         assert_same_certificate(cert, gqi.is_extremal(g))
+        assert_same_verdict(cert.validation, gqi.is_valid_gqi(g))
 
 
 def mixed_population():
@@ -280,10 +285,11 @@ def mixed_population():
 def test_mixed_population_is_its_single_calls():
     population = mixed_population()
     verdicts = gqi.validate_all(population)
-    certs = gqi.decide_all(population, validations=verdicts)
+    certs = gqi.decide_all(population)
     paths = set()
     for g, verdict, cert in zip(population, verdicts, certs, strict=True):
         assert_same_verdict(verdict, gqi.is_valid_gqi(g))
+        assert_same_verdict(cert.validation, verdict)
         single = gqi.is_extremal(g)
         assert_same_certificate(cert, single)
         assert_certificate_is_former(cert, g)
@@ -308,6 +314,34 @@ def test_decide_all_matches_in_any_order():
     back = gqi.decide_all(population[::-1])[::-1]
     for a, b in zip(certs, back, strict=True):
         assert_same_certificate(a, b)
+
+
+def test_decide_all_runs_one_eigh_per_validation_group(monkeypatch):
+    """decide_all validates its objects itself: one eigh per group of one
+    signature and outcome shapes, each outcome in it once, and no other."""
+    population = mixed_population()
+    groups = {(g.signature, tuple(t.shape for t in g.outcomes)) for g in population}
+    stacks = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        stacks.append(len(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    gqi.decide_all(population)
+    assert len(stacks) == len(groups) > 1
+    assert sum(stacks) == sum(len(g.outcomes) for g in population)
+
+
+def test_choi_condition_on_the_certificates_verdict():
+    """On seeds 0-39 of the equivalence population, Choi's criterion on the
+    verdict a certificate carries is the criterion on its own validation."""
+    chans = oracles.suite_population("equivalence", 40)
+    certs = gqi.decide_all(chans)
+    got = [channels.choi_condition(c, DEFAULT_TOL, cert.validation) for c, cert in zip(chans, certs, strict=True)]
+    assert got == [channels.choi_condition(c) for c in chans]
+    assert set(got) == {True, False}
 
 
 def invalid_povm():
@@ -385,10 +419,9 @@ class TestFaults:
         population = [suites.random_nonextremal_gqi(np.random.default_rng(s)) for s in range(3)]
         with pytest.raises(SizeLimitError) as single:
             gqi.is_extremal(population[0])
-        for validations in (None, gqi.validate_all(population)):
-            with pytest.raises(SizeLimitError) as stacked:
-                gqi.decide_all(population, validations=validations)
-            assert str(stacked.value) == f"member 0: {single.value}"
+        with pytest.raises(SizeLimitError) as stacked:
+            gqi.decide_all(population)
+        assert str(stacked.value) == f"member 0: {single.value}"
 
 
 SUMMARIES = {

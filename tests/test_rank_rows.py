@@ -80,7 +80,7 @@ GUARDED = {
 
 @pytest.mark.parametrize("name", GUARDED)
 def test_size_guard_bounds_the_peak(name):
-    """The tracemalloc peak of one decide_all of a rank-stage input stays
+    """The tracemalloc peak of one decision of a rank-stage input stays
     below rank_stage_bytes.  The estimates are above 1 MB: below it fixed
     overheads dominate the peak."""
     g = GUARDED[name](np.random.default_rng(1))
@@ -90,7 +90,7 @@ def test_size_guard_bounds_the_peak(name):
     assert estimate > 1 << 20
     tracemalloc.start()
     try:
-        cert = gqi.decide_all([g], validations=[verdict])[0]
+        cert = gqi._decide_stack([g], [verdict], ranks, DEFAULT_TOL)[0]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

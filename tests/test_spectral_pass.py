@@ -306,9 +306,11 @@ class TestTracerGuard:
 
     def test_equivalence_suite_validates_each_channel_once(self, monkeypatch):
         # Both criteria read the Kraus operators from one verdict per channel,
-        # and the channels are validated as one population.
+        # the one its certificate carries, and the channels are decided as
+        # one population.
         valid = self.counting(monkeypatch, "is_valid_gqi")
-        members = self.counting(monkeypatch, "validate_all", lambda args: len(args[0]))
+        members = self.counting(monkeypatch, "decide_all", lambda args: len(args[0]))
+        validated = self.counting(monkeypatch, "_validate_stack", lambda args: len(args[0]))
         result = suites.run_equivalence(seeds=5)
         assert result.total == 20 and result.ok
-        assert (valid[0], members[0]) == (0, 20)
+        assert (valid[0], members[0], validated[0]) == (0, 20, 20)

@@ -4,7 +4,7 @@ A verdict answers a question only when its cutoffs leave one: some support
 must be nonempty (``TolerancePolicy.require_support``, run on every
 validation and on a standalone comb), and the rank cutoff taken at sqrt(M)
 must lie below sqrt(M) >= sigma_max (``gqi._require_budget``, run once per
-tuple of support ranks on both deciding routes).  Each refusal is a
+stack of one tuple of support ranks).  Each refusal is a
 ``ToleranceError``: an ``ExqipError``, so a population names the member, and
 a ``ValueError``, so the command line exits 2.
 """
@@ -108,23 +108,14 @@ class TestPopulation:
         assert [c.extremal for c in gqi.decide_all(kept, self.pol)] == [True] * 3
 
     def test_cutoff_member_on_both_routes(self):
-        """The rank-cutoff rule runs per stack, in ``gqi._decide_stack``,
-        with and without the caller's validations."""
+        """The rank-cutoff rule runs per stack, in ``gqi._decide_stack``: a
+        population names the member, and the member alone raises the same
+        error unnamed."""
         population = [projective_povm(2), Povm(d=2, effects=(np.eye(2) / 4,) * 4), projective_povm(2)]
-        validations = gqi.validate_all(population, self.pol)
-        for kwargs in ({}, {"validations": validations}):
-            with pytest.raises(ToleranceError, match=f"^member 1: {CUTOFF}$"):
-                gqi.decide_all(population, self.pol, **kwargs)
-
-    def test_validations_at_another_policy(self):
-        """Verdicts a caller took at another policy meet the empty-support
-        rule at the deciding one, which names the member it empties."""
-        population = [Povm(2, (np.eye(2) / 20,) * 20)]
-        with pytest.raises(ToleranceError, match=f"^member 0: {EMPTY}$"):
-            gqi.decide_all(population, self.pol, gqi.validate_all(population, DEFAULT_TOL))
-        mixed = [projective_povm(2), small_effects_povm(), projective_povm(2)]
-        with pytest.raises(ToleranceError, match=f"^member 1: {EMPTY}$"):
-            gqi.decide_all(mixed, self.pol, gqi.validate_all(mixed, DEFAULT_TOL))
+        with pytest.raises(ToleranceError, match=f"^member 1: {CUTOFF}$"):
+            gqi.decide_all(population, self.pol)
+        with pytest.raises(ToleranceError, match=f"^{CUTOFF}$"):
+            gqi.is_extremal(population[1], self.pol)
 
     def test_lowest_index_over_both_rules(self):
         population = [projective_povm(2), Povm(d=2, effects=(np.eye(2) / 4,) * 4), small_effects_povm()]
