@@ -3,7 +3,10 @@
 Conventions: ``|A>> = (A (x) I)|I>>`` with ``|I>> = sum_i |i>|i>``, so the
 operator-to-vector map is a plain row-major reshape and Choi operators live on
 H_1 (x) H_0 (output factor first).  Minimal Kraus representations come from the
-Choi spectral decomposition.
+Choi spectral decomposition, cut by one kernel, :func:`_kraus_stack`, from
+one decomposition or a stack of them.  It holds the one refusal of a Choi
+operator that is not PSD, and :func:`choi_to_kraus`,
+:func:`instrument_extremal` and the instrument draws all slice its stack.
 
 A channel is the one-outcome instrument whose operator is the Choi
 operator, so its validity and its criteria are the instrument's, under the
@@ -57,19 +60,27 @@ def kraus_to_choi(kraus) -> np.ndarray:
     return out
 
 
-def _kraus_stack(eig: linalg.EigenDecomposition, d1: int, d0: int, pol: TolerancePolicy) -> np.ndarray:
-    """sqrt(lambda_m) unvec(v_m) over the r eigenpairs above the support
-    cutoff, as a stack (r, d1, d0)."""
-    r = eig.support_ranks(pol)
-    return np.sqrt(eig.values[:r])[:, None, None] * eig.vectors[:, :r].T.reshape(r, d1, d0)
+def _kraus_stack(eig: linalg.EigenDecomposition, d1: int, d0: int, pol: TolerancePolicy) -> tuple:
+    """(kraus, r): sqrt(lambda_m) unvec(v_m) over the D eigenpairs of a Choi
+    operator, as a stack (D, d1, d0) that is zero past the support rank r,
+    so that its first r operators are the minimal Kraus family.  A stack of
+    decompositions (..., D) gives (..., D, d1, d0) and the ranks (...), each
+    the same to the bit as its own call.  A Choi operator that fails
+    :meth:`TolerancePolicy.psd` raises :class:`NotPositiveError`, the first
+    of a stack naming its lowest eigenvalue."""
+    negative = ~pol.psd(eig.values)
+    if negative.any():
+        raise NotPositiveError(f"Choi operator has negative eigenvalue {eig.values[..., -1][negative][0]:.3e}")
+    ranks = eig.support_ranks(pol)
+    kept = np.arange(eig.values.shape[-1]) < ranks[..., None]
+    vectors = np.swapaxes(eig.vectors, -2, -1).reshape(*eig.values.shape, d1, d0)
+    return np.sqrt(np.where(kept, eig.values, 0.0))[..., None, None] * vectors, ranks
 
 
 def choi_to_kraus(choi: np.ndarray, d1: int, d0: int, pol: TolerancePolicy = DEFAULT_TOL) -> list:
     """Minimal Kraus list from the Choi spectral form; count = eigen-rank."""
-    eig = linalg.hermitian_eig(choi, pol)
-    if not pol.psd(eig.values):
-        raise NotPositiveError(f"Choi operator has negative eigenvalue {eig.values[-1]:.3e}")
-    return list(_kraus_stack(eig, d1, d0, pol))
+    kraus, r = _kraus_stack(linalg.hermitian_eig(choi, pol), d1, d0, pol)
+    return list(kraus[:r])
 
 
 def instrument_kraus(ins: Instrument, pol: TolerancePolicy = DEFAULT_TOL) -> list:
@@ -121,9 +132,7 @@ def instrument_extremal(
     its eigenpairs.  An invalid instrument raises the error of
     :func:`gqi._require_valid`."""
     spectra = gqi_mod._require_valid(ins, pol, validation).spectra
-    products = np.concatenate(
-        [_kraus_products(_kraus_stack(spectra[i], ins.d1, ins.d0, pol)) for i in range(len(spectra.values))]
-    )
+    products = np.concatenate([_kraus_products(k[:r]) for k, r in zip(*_kraus_stack(spectra, ins.d1, ins.d0, pol))])
     return linalg.complex_family_rank(products, pol) == len(products)
 
 
@@ -343,23 +352,15 @@ def _channel_chois(g: np.ndarray, d1: int) -> np.ndarray:
 
 def _instrument_operators(g: np.ndarray, d1: int, outcome_kraus_counts) -> np.ndarray:
     """The operators (K, len(counts), d1 d0, d1 d0) of :func:`random_instrument`
-    for a stack of Gaussians (K, d1 n, d0).  Each channel's minimal Kraus
-    family, from one stacked ``eigh`` as :func:`channel_kraus` takes it, is
-    padded with zeros to sum(counts) and cut into consecutive groups of
-    ``counts``.  A Choi operator :func:`choi_to_kraus` refuses raises its
-    error for the first such channel."""
+    for a stack of Gaussians (K, d1 n, d0).  Each channel's Kraus stack, from
+    one stacked ``eigh`` as :func:`channel_kraus` takes it, is cut into
+    consecutive groups of ``counts``.  It is zero past the channel's rank,
+    which may fall below sum(counts); a group that reaches past its D
+    operators is cut short, since zero operators add nothing to a Choi
+    operator."""
     chois = _channel_chois(g, d1)
-    k, dim, d0 = len(chois), chois.shape[-1], g.shape[-1]
-    eig = linalg.hermitian_eig(chois, DEFAULT_TOL)
-    negative = ~DEFAULT_TOL.psd(eig.values)
-    if negative.any():
-        raise NotPositiveError(f"Choi operator has negative eigenvalue {eig.values[negative.argmax(), -1]:.3e}")
-    # Channel rank may collapse below the requested count; pad the partition.
+    kraus = _kraus_stack(linalg.hermitian_eig(chois, DEFAULT_TOL), d1, g.shape[-1], DEFAULT_TOL)[0]
     bounds = np.cumsum((0, *outcome_kraus_counts))
-    kraus = np.zeros((k, max(dim, bounds[-1]), d1, d0), dtype=complex)
-    kept = np.arange(dim) < eig.support_ranks(DEFAULT_TOL)[:, None]
-    vectors = np.swapaxes(eig.vectors, -2, -1).reshape(k, dim, d1, d0)
-    kraus[:, :dim][kept] = np.sqrt(eig.values[kept])[:, None, None] * vectors[kept]
     return np.stack([kraus_to_choi(kraus[:, a:b]) for a, b in zip(bounds[:-1], bounds[1:])], axis=1)
 
 

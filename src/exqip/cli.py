@@ -223,6 +223,7 @@ def cmd_generate(args) -> int:
         obj = channels.combination_fixture(args.k)
         meta = {"combination": args.k}
     elif args.kind == "random-comb":
+        _check_count(args.seed, "--seed")
         if not 0.0 <= args.spread <= 1.0:
             raise ValueError(f"--spread must lie in [0, 1], got {args.spread}")
         sig = _parse_signature(args.signature)

@@ -14,7 +14,10 @@ A rank deficiency yields a constructive perturbation {D_i}, Delta and the
 maximal step size epsilon_star, from which a one-step convex decomposition
 follows.  With the constant working margin supp_tol(D, 1) / 2, epsilon_star
 is a closed form: the generalized-eigenvalue form of Choi's positivity
-argument, on each outcome's support.
+argument, on each outcome's support, read from the eigenpairs of validation.
+Validation's batched ``linalg.hermitian_eig`` is the only eigendecomposition
+of the outcomes; the tolerance refusal of the rank cutoff and the size guard
+run once per stack, in :func:`_decide_stack`.
 
 Every object kind is a :class:`Gqi`, which lives in :mod:`exqip.combs`
 beside the comb signature and is re-exported here.  :class:`Tester`,
@@ -227,8 +230,8 @@ def is_valid_gqi(g: Gqi, pol: TolerancePolicy = DEFAULT_TOL) -> GqiVerdict:
 
 def _validate_stack(gs: list, pol: TolerancePolicy) -> list:
     """The verdicts on K GQIs of one signature and one list of outcome
-    shapes, from one Hermiticity check, one ``eigh`` of the (K M, D, D)
-    stack and one cascade pass of the K sums, refusing a GQI whose every
+    shapes, from one :func:`linalg.hermitian_eig`, the Hermiticity check and
+    ``eigh`` of the (K M, D, D) stack, and one cascade pass of the K sums, refusing a GQI whose every
     support is empty (:meth:`TolerancePolicy.require_support`)."""
     first = gs[0]
     m = len(first.outcomes)
@@ -237,10 +240,9 @@ def _validate_stack(gs: list, pol: TolerancePolicy) -> list:
     total = first.signature.total_dim
     shaped = next((i for i, t in enumerate(first.outcomes) if t.shape != (total, total)), m)
     x = np.array([g.outcomes[:shaped] for g in gs])
-    h = linalg.check_hermitian_stack(x.reshape(len(gs) * shaped, total, total), pol)
+    spectra = linalg.hermitian_eig(x.reshape(len(gs) * shaped, total, total), pol)
     if shaped < m:
         raise _shape_error(first.outcomes[shaped], total)
-    spectra = linalg.hermitian_eigs(h)
     w = spectra.values.reshape(len(gs), m, total)
     pol.require_support(w)
     v = spectra.vectors.reshape(len(gs), m, total, total)
@@ -324,51 +326,39 @@ def _allowance(values):
     return 2.0 * w.shape[-1] * np.finfo(float).eps * np.maximum(1.0, np.abs(w).max(axis=(-2, -1)))
 
 
-def max_perturbation_step(
-    outcomes,
-    directions,
-    pol: TolerancePolicy = DEFAULT_TOL,
-    spectra: linalg.EigenDecomposition | None = None,
-):
+def max_perturbation_step(directions, spectra: linalg.EigenDecomposition, pol: TolerancePolicy = DEFAULT_TOL):
     """Largest epsilon with every T_i +/- epsilon D_i PSD within the working
     margin, in closed form (README, "The epsilon* step").
 
-    With the constant margin c = supp_tol(D, 1) / 2 and the rounding
-    allowance a (:func:`_allowance`), write T_i + c - a = V_i (W_i + c - a)
-    V_i^dagger on the columns that D_i may touch, and
-    S_i = V_i (W_i + c - a)^{-1/2} there.  Then T_i +/- epsilon D_i + c - a
-    is PSD exactly while epsilon |S_i^dagger D_i S_i|_2 <= 1, so the step is
+    ``spectra`` are the eigenpairs of the outcomes T_i, eigenvalues
+    descending, as :attr:`GqiVerdict.spectra` holds them, and each D_i lies
+    in the support of T_i, the leading ``pol.support_rank`` eigenvectors
+    U_i, as the witnesses of :func:`is_extremal` do.  With the constant
+    margin c = supp_tol(D, 1) / 2 and the rounding allowance a
+    (:func:`_allowance`), S_i = U_i (W_i + c - a)^{-1/2} on that support.
+    Then T_i +/- epsilon D_i + c - a is PSD exactly while
+    epsilon |S_i^dagger D_i S_i|_2 <= 1, so the step is
     1 / max_i |S_i^dagger D_i S_i|_2, from one batched ``eigvalsh``.  This is
     the generalized-eigenvalue form of Choi's positivity argument.
 
-    ``spectra`` are eigenpairs of the outcomes, eigenvalues descending, such
-    as :attr:`GqiVerdict.spectra`.  With them each D_i must lie in the
-    support of T_i, its leading ``pol.support_rank`` eigenvectors, as the
-    witnesses of :func:`is_extremal` do, and S_i is taken on that support
-    alone.  Without them the outcomes are decomposed here and S_i is taken on
-    all D columns, so the directions may leave the supports.
+    The eigenvalues outside the supports, which D_i does not touch, decide
+    only whether any epsilon is feasible: the step is 0 when one of them has
+    w + c <= 0, or one inside has w + c - a <= 0.
 
-    The eigenvalues outside the columns used, which D_i does not touch,
-    decide only whether any epsilon is feasible: the step is 0 when one of
-    them has w + c <= 0, or one inside has w + c - a <= 0.
-
-    Outcomes and directions (M, D, D) give a float.  A stack (K, M, D, D) of
-    K GQIs, with spectra of the same stack, gives the K steps as an array
-    from one ``eigvalsh`` of all their blocks, each the same to the bit as
-    its own call when the GQIs share the largest support rank k.
+    Directions (M, D, D) give a float.  A stack (K, M, D, D) of K GQIs, with
+    spectra of the same stack, gives the K steps as an array from one
+    ``eigvalsh`` of all their blocks, each the same to the bit as its own
+    call when the GQIs share the largest support rank k.
     """
     d = np.asarray(directions, dtype=complex)
     lead = d.shape[:-3]
     d = d.reshape(-1, *d.shape[-3:])
     if not np.abs(d).max(axis=(1, 2, 3), initial=0.0).min() >= 1e-300:
         raise ValidationError("all perturbation directions vanish")
-    if spectra is None:
-        w, v = np.linalg.eigh(np.asarray(outcomes, dtype=complex))
-    else:
-        w, v = spectra.values, spectra.vectors
+    w, v = spectra.values, spectra.vectors
     dim = w.shape[-1]
     w = w.reshape(len(d), -1, dim)
-    ranks = np.full(w.shape[:-1], dim) if spectra is None else pol.support_rank(w)
+    ranks = pol.support_rank(w)
     k = int(ranks.max())
     used = np.arange(dim) < ranks[..., None]
     # used * a is a where used and 0.0 elsewhere, as a is positive and finite.
@@ -429,29 +419,6 @@ def _cutoff(sig: CombSignature, support_ranks: tuple, pol: TolerancePolicy) -> f
     return pol.rank_tol(family_size, dim * dim, math.sqrt(len(support_ranks)))
 
 
-def _require_budget(sig: CombSignature, support_ranks: tuple, pol: TolerancePolicy) -> None:
-    """:class:`ToleranceError` when the cutoff at sqrt(M) >= sigma_max is at
-    or above sqrt(M), max(m + |V|, D^2) eps_rel >= 1, so that every projected
-    rank would be 0; the size guard, :class:`SizeLimitError`, when a GQI with
-    these support ranks reaches the rank stage, having no full-support pair,
-    and the stage's estimated peak (:func:`rank_stage_bytes`) is above
-    ``RANK_STAGE_BUDGET``."""
-    bound = _cutoff(sig, support_ranks, pol)
-    if bound >= math.sqrt(len(support_ranks)):
-        raise ToleranceError(
-            f"tolerance {pol.eps_rel:g} puts the rank cutoff at or above every singular value "
-            f"at dimension {sig.total_dim}"
-        )
-    if _full_support_pair(support_ranks, sig.total_dim, bound) is not None:
-        return
-    need = rank_stage_bytes(sig, support_ranks)
-    if need > RANK_STAGE_BUDGET:
-        raise SizeLimitError(
-            f"the rank test at signature {sig.dims} with support ranks {tuple(support_ranks)} "
-            f"needs about {need:,} bytes, above the budget of {RANK_STAGE_BUDGET:,} bytes"
-        )
-
-
 def _rank_test(sig: CombSignature, supports, n_known: int, bound: float, pol: TolerancePolicy) -> list:
     """The pooled rank decisions on the support bases projected off V of K
     GQIs with the same signature and support ranks, given per outcome the
@@ -485,7 +452,7 @@ def _rank_test(sig: CombSignature, supports, n_known: int, bound: float, pol: To
     vectors of nonzero singular values.
 
     The caller has kept the stage within ``RANK_STAGE_BUDGET``, the cutoff
-    below sigma_max (:func:`_require_budget`) and m > 0 (the empty-support
+    below sigma_max (:func:`_decide_stack`) and m > 0 (the empty-support
     rule of :func:`_validate_stack`).
     """
     ranks = [u.shape[-1] for u in supports]
@@ -547,10 +514,10 @@ def _full_support_pair(support_ranks, dim: int, bound: float):
     return None if b is None else (a, b)
 
 
-def identity_exchange_step(values, a: int, b: int, pol: TolerancePolicy = DEFAULT_TOL) -> float:
+def identity_exchange_step(values, a: int, b: int, pol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
     """epsilon* of the identity exchange D_b = I, D_a = -I (every other
     D_i = 0), from the eigenvalues ``values`` (M x D, any order) of the
-    outcomes alone.
+    outcomes alone, or for each GQI of a stack (K, M, D) at once.
 
     The special case of :func:`max_perturbation_step` for this witness:
     T_i +/- epsilon I has the eigenvalues w_i +/- epsilon exactly, so the
@@ -560,9 +527,8 @@ def identity_exchange_step(values, a: int, b: int, pol: TolerancePolicy = DEFAUL
     """
     w = np.asarray(values)
     c = _margin(w.shape[-1], pol)
-    if w.min() + c <= 0.0:
-        return 0.0
-    return max(0.0, float(w[[a, b]].min() + c - _allowance(w)))
+    step = np.maximum(0.0, w[..., [a, b], :].min(axis=(-2, -1)) + c - _allowance(w))
+    return np.where(w.min(axis=(-2, -1)) + c <= 0.0, 0.0, step)
 
 
 def decide_all(objects, pol: TolerancePolicy = DEFAULT_TOL) -> list:
@@ -653,18 +619,34 @@ def _support_ranks(verdict: GqiVerdict, pol: TolerancePolicy) -> tuple:
 def _decide_stack(gs: list, verdicts: list, support_ranks: tuple, pol: TolerancePolicy) -> list:
     """The certificates of K GQIs with the same signature and support ranks
     (see :func:`is_extremal`), given their :func:`_validate_stack` verdicts
-    at ``pol``, after the gate of each verdict and the size guard."""
+    at ``pol``.
+
+    After the gate of each verdict come the two refusals of the stack, in
+    this order: :class:`ToleranceError` when the cutoff at sqrt(M) >=
+    sigma_max is at or above sqrt(M), max(m + |V|, D^2) eps_rel >= 1, so
+    that every projected rank would be 0; then the size guard,
+    :class:`SizeLimitError`, when the stack reaches the rank stage, having
+    no full-support pair, and the stage's estimated peak
+    (:func:`rank_stage_bytes`) is above ``RANK_STAGE_BUDGET``."""
     sig = gs[0].signature
-    values = np.array([v.spectra.values for v in verdicts])
     for g, verdict in zip(gs, verdicts):
         _require_valid(g, pol, verdict)
-    _require_budget(sig, support_ranks, pol)
-    n_known = combs.comb_variable_count(sig)
     dim = sig.total_dim
-    family_size = sum(r * r for r in support_ranks) + n_known
     bound = _cutoff(sig, support_ranks, pol)
-    steps = None
+    if bound >= math.sqrt(len(support_ranks)):
+        raise ToleranceError(
+            f"tolerance {pol.eps_rel:g} puts the rank cutoff at or above every singular value at dimension {dim}"
+        )
     pair = _full_support_pair(support_ranks, dim, bound)
+    if pair is None and (need := rank_stage_bytes(sig, support_ranks)) > RANK_STAGE_BUDGET:
+        raise SizeLimitError(
+            f"the rank test at signature {sig.dims} with support ranks {tuple(support_ranks)} "
+            f"needs about {need:,} bytes, above the budget of {RANK_STAGE_BUDGET:,} bytes"
+        )
+    values = np.array([v.spectra.values for v in verdicts])
+    n_known = combs.comb_variable_count(sig)
+    family_size = sum(r * r for r in support_ranks) + n_known
+    steps = None
     if pair is not None:
         a, b = pair
         decided = [(dim * dim, None, None)] * len(gs)
@@ -672,7 +654,7 @@ def _decide_stack(gs: list, verdicts: list, support_ranks: tuple, pol: Tolerance
         directions = [np.zeros((len(gs), dim, dim), dtype=complex) for _ in support_ranks]
         if support_ranks[b] == dim:
             p = np.eye(dim, dtype=complex)[None].repeat(len(gs), axis=0)
-            steps = [identity_exchange_step(w, a, b, pol) for w in values]
+            steps = identity_exchange_step(values, a, b, pol)
         else:
             vectors = np.array([v.spectra.vectors for v in verdicts])
             u = vectors[:, b, :, : support_ranks[b]]
@@ -697,9 +679,7 @@ def _decide_stack(gs: list, verdicts: list, support_ranks: tuple, pol: Tolerance
     if dependent:
         witnesses = [tuple(d[pos] for d in directions) for pos in range(len(dependent))]
         if steps is None:
-            steps = max_perturbation_step(
-                [gs[j].outcomes for j in dependent], witnesses, pol, linalg.EigenDecomposition(values, vectors)
-            )
+            steps = max_perturbation_step(witnesses, linalg.EigenDecomposition(values, vectors), pol)
         for j, d, step in zip(dependent, witnesses, steps):
             perturbations[j] = Perturbation(directions=d, delta=sum(d), epsilon_star=float(step))
     return [

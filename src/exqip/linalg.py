@@ -9,6 +9,9 @@ matrix-rank questions.  The pooled rank test of extremality is
 criterion.
 
 Operators are plain complex ``numpy`` arrays.  All functions are pure.
+:func:`hermitian_eig` is the program's one ``eigh``: it checks the
+Hermiticity of an operator or of a stack of them and decomposes the
+symmetrized operators in one batched call.
 :func:`kron` takes two matrices, or two stacks of them, and forms their
 products with one broadcast multiplication, each the same to the bit as
 ``np.kron``.
@@ -192,20 +195,15 @@ def partial_trace(a: np.ndarray, dims, traced) -> np.ndarray:
     return np.asarray(t).reshape(keep, keep)
 
 
-def hermitian_eigs(h: np.ndarray) -> EigenDecomposition:
-    """Eigendecomposition of a Hermitian operator or a stack of them, from one
-    (batched) ``eigh``; eigenvalues descending.  ``h`` is not checked."""
-    w, v = np.linalg.eigh(h)
-    # eigh returns the eigenvalues ascending.
-    return EigenDecomposition(values=w[..., ::-1], vectors=v[..., ::-1])
-
-
 def hermitian_eig(a: np.ndarray, pol: TolerancePolicy = DEFAULT_TOL) -> EigenDecomposition:
     """Eigendecomposition of a Hermitian operator, checked by
     :func:`check_hermitian`, or of each operator of a stack (k, d, d),
-    checked by :func:`check_hermitian_stack`; eigenvalues descending."""
+    checked by :func:`check_hermitian_stack`, from one (batched) ``eigh`` of
+    the symmetrized operators; eigenvalues descending."""
     a = np.asarray(a, dtype=complex)
-    return hermitian_eigs(check_hermitian_stack(a, pol) if a.ndim == 3 else check_hermitian(a, pol))
+    w, v = np.linalg.eigh(check_hermitian_stack(a, pol) if a.ndim == 3 else check_hermitian(a, pol))
+    # eigh returns the eigenvalues ascending.
+    return EigenDecomposition(values=w[..., ::-1], vectors=v[..., ::-1])
 
 
 def sqrt_psd(a: np.ndarray, pol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:

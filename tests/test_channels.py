@@ -180,6 +180,36 @@ def equivalence_channels(seeds):
     return out
 
 
+class TestKrausStack:
+    """``channels._kraus_stack``, the one Kraus extraction, on a stack of
+    Choi operators of mixed support ranks."""
+
+    def test_stack_is_each_choi_own_call_zero_past_its_rank(self):
+        rng = np.random.default_rng(41)
+        pol = linalg.DEFAULT_TOL
+        ranks_seen = set()
+        for d0, d1 in ((2, 2), (2, 3), (3, 2), (3, 3)):
+            counts = (1, 2, d0 * d1, 1)
+            chois = np.array([channels.random_channel(d0, d1, n, rng).choi for n in counts])
+            eig = linalg.hermitian_eig(chois)
+            kraus, ranks = channels._kraus_stack(eig, d1, d0, pol)
+            assert kraus.shape == (len(counts), d0 * d1, d1, d0)
+            assert ranks.tolist() == eig.support_ranks(pol).tolist()
+            for k, choi, r in zip(kraus, chois, ranks):
+                own, own_rank = channels._kraus_stack(linalg.hermitian_eig(choi), d1, d0, pol)
+                assert k.shape == own.shape and k.tobytes() == own.tobytes() and r == own_rank
+                assert 0 < r and not k[r:].any()
+                assert all(a.tobytes() == b.tobytes() for a, b in zip(k[:r], channels.choi_to_kraus(choi, d1, d0)))
+                ranks_seen.add(int(r))
+        assert len(ranks_seen) > 2
+
+    def test_stack_refuses_its_first_negative_choi(self):
+        chois = np.array([np.eye(4) / 2, np.diag([1.0, -0.5, 1.0, 1.0]), np.diag([1.0, 1.0, -2.0, 1.0])])
+        eig = linalg.hermitian_eig(chois)
+        with pytest.raises(NotPositiveError, match=r"^Choi operator has negative eigenvalue -5\.000e-01$"):
+            channels._kraus_stack(eig, 2, 2, linalg.DEFAULT_TOL)
+
+
 class TestKrausProducts:
     """The Kraus products of the Kraus-product criterion come from one
     broadcast matmul of the (r, d1, d0) Kraus stack."""
@@ -193,8 +223,9 @@ class TestKrausProducts:
     def test_products_are_the_former_products_to_the_bit(self):
         for ins in self.population():
             spectra = gqi.is_valid_gqi(ins).spectra
-            for i in range(len(spectra.values)):
-                got = channels._kraus_products(channels._kraus_stack(spectra[i], ins.d1, ins.d0, linalg.DEFAULT_TOL))
+            kraus, ranks = channels._kraus_stack(spectra, ins.d1, ins.d0, linalg.DEFAULT_TOL)
+            for i, r in enumerate(ranks):
+                got = channels._kraus_products(kraus[i, :r])
                 want = former_kraus_products(spectra[i], ins.d1, ins.d0)
                 assert got.shape == (len(want), ins.d0, ins.d0)
                 assert all(np.array_equal(a, b) and a.tobytes() == b.tobytes() for a, b in zip(got, want))

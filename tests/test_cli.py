@@ -604,6 +604,14 @@ class TestCli:
         assert out.err == "error: --steps must be a non-negative integer, got -2\n"
         assert not out_dir.exists()
 
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        out_file = tmp_path / "x.json"
+        assert self.run("generate", "random-comb", "--seed", "-1", "--out", str(out_file)) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "error: --seed must be a non-negative integer, got -1\n"
+        assert not out_file.exists()
+
     def test_zero_steps_leave_the_root_as_the_one_leaf(self, tmp_path, capsys):
         src = str(tmp_path / "depolarizing.json")
         fileio.save_object(src, Channel(d1=2, d0=2, choi=np.eye(4, dtype=complex) / 2.0))

@@ -4,8 +4,8 @@
 margin c = supp_tol(D, 1) / 2 and the rounding allowance
 a = 2 D eps_machine max(1, |w|_max), T_i +/- eps D_i + c - a is PSD exactly
 while eps |S_i^dagger D_i S_i|_2 <= 1, with S_i = U_i (W_i + c - a)^{-1/2} on
-each outcome's support (on all D columns when no eigenpairs are passed), and
-the step is 1 / max_i |S_i^dagger D_i S_i|_2 from one batched ``eigvalsh``.
+each outcome's support, read from the eigenpairs of validation, and the step
+is 1 / max_i |S_i^dagger D_i S_i|_2 from one batched ``eigvalsh``.
 The oracles are a doubling-and-bisection search on ``perturbation_feasible``
 and the per-matrix feasibility test.
 
@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from exqip import channels, cli, combs, fileio, gqi, suites, testers
+from exqip import channels, cli, combs, fileio, gqi, linalg, suites, testers
 from exqip.combs import CombSignature
 from exqip.errors import ValidationError
 from exqip.gqi import Gqi
@@ -131,32 +131,33 @@ def acceptance_07_population():
 
 
 def witnesses(population):
+    """(outcomes, directions, validation spectra) of each certificate."""
     out = []
     for g in population:
         cert = gqi.is_extremal(g)
         assert not cert.extremal
-        out.append((g.outcomes, cert.perturbation.directions))
+        out.append((g.outcomes, cert.perturbation.directions, cert.validation.spectra))
     return out
 
 
 @pytest.fixture(scope="module")
 def steps():
-    """(outcomes, directions, oracle epsilon) for both populations."""
-    pairs = witnesses(acceptance_07_population()) + witnesses(ladder_population())
-    return [(t, d, bisection_oracle(t, d)) for t, d in pairs]
+    """(outcomes, directions, spectra, oracle epsilon) for both populations."""
+    triples = witnesses(acceptance_07_population()) + witnesses(ladder_population())
+    return [(t, d, spectra, bisection_oracle(t, d)) for t, d, spectra in triples]
 
 
 def test_agrees_with_bisection(steps):
     # One acceptance-07 witness binds on a small eigenvalue, and its step
     # lies 1e-10 relative below the bisection: the allowance a, inside 2a.
-    for t, d, ref in steps:
+    for t, d, spectra, ref in steps:
         assert ref > 0
-        assert_maximal(t, d, gqi.max_perturbation_step(t, d), ref)
+        assert_maximal(t, d, gqi.max_perturbation_step(d, spectra), ref)
 
 
 def test_feasible_at_step_and_infeasible_beyond(steps):
-    for t, d, _ in steps:
-        eps = gqi.max_perturbation_step(t, d)
+    for t, d, spectra, _ in steps:
+        eps = gqi.max_perturbation_step(d, spectra)
         assert gqi.perturbation_feasible(t, d, eps)
         assert not gqi.perturbation_feasible(t, d, eps * (1.0 + 1e-6))
 
@@ -173,17 +174,6 @@ def counted_calls(monkeypatch, names=("eigh", "eigvalsh")) -> list:
 
         monkeypatch.setattr(np.linalg, name, counted)
     return calls
-
-
-def test_probes_per_step(steps, monkeypatch):
-    # Without eigenpairs the step decomposes the outcomes once and runs one
-    # batched eigvalsh of the (M, D, D) stack S_i^dagger D_i S_i: no search.
-    calls = counted_calls(monkeypatch)
-    for t, d, _ in steps:
-        calls.clear()
-        gqi.max_perturbation_step(t, d)
-        shape = np.shape(t)
-        assert calls == [("eigh", shape), ("eigvalsh", shape)]
 
 
 def test_no_search_is_left():
@@ -212,7 +202,7 @@ def test_probes_per_certificate_step(monkeypatch):
 
 
 def test_feasibility_matches_per_matrix_test(steps):
-    for t, d, ref in steps[::5]:
+    for t, d, _, ref in steps[::5]:
         for eps in (0.0, 0.5 * ref, ref, ref * (1.0 + 1e-9), 2.0 * ref):
             assert gqi.perturbation_feasible(t, d, eps) == feasibility_oracle(t, d, eps)
             assert (gqi.perturbation_slack(t, d, eps) >= 0.0) == gqi.perturbation_feasible(t, d, eps)
@@ -325,24 +315,11 @@ class TestEdgeCases:
         u = channels.random_unitary(2, rng)
         t = (0.5 * np.eye(2, dtype=complex), u @ np.diag([1.0, 0.0]) @ u.conj().T)
         d = (np.zeros((2, 2), dtype=complex), u @ np.diag([0.3, 0.0]) @ u.conj().T)
-        eps = gqi.max_perturbation_step(t, d)
+        eps = gqi.max_perturbation_step(d, linalg.hermitian_eig(np.array(t)))
         ref = bisection_oracle(t, d)
         assert abs(eps - ref) <= 1e-12 * ref
         assert gqi.perturbation_feasible(t, d, eps)
         assert not gqi.perturbation_feasible(t, d, eps * (1.0 + 1e-6))
-
-    def test_direction_off_support_is_margin_limited(self):
-        # D couples the support of T = diag(1, 0) to its kernel, so only the
-        # working margin keeps T +/- eps D feasible.  Without eigenpairs the
-        # step takes all columns, and it is exactly the root of
-        # det(T + m +/- eps D) = m (1 + m) - eps^2 with m = c - a: the margin
-        # less the allowance.
-        t = (np.diag([1.0, 0.0]).astype(complex),)
-        d = (np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),)
-        eps = gqi.max_perturbation_step(t, d)
-        m = margin(2) - allowance(t)
-        assert eps == pytest.approx(np.sqrt(m * (1.0 + m)), rel=1e-12)
-        assert_maximal(t, d, eps, bisection_oracle(t, d))
 
     def test_eigenvalue_below_working_margin_gives_zero(self):
         # -1.5e-10 passes validation (supp_tol = 2e-10) but lies below the
@@ -350,12 +327,12 @@ class TestEdgeCases:
         t = (np.diag([1.0, -1.5e-10]).astype(complex),)
         assert -DEFAULT_TOL.supp_tol(2, 1.0) <= -1.5e-10 < -0.5 * DEFAULT_TOL.supp_tol(2, 1.0)
         d = (np.diag([1.0, 0.0]).astype(complex),)
-        assert gqi.max_perturbation_step(t, d) == 0.0
+        assert gqi.max_perturbation_step(d, linalg.hermitian_eig(np.array(t))) == 0.0
         assert bisection_oracle(t, d) == 0.0
 
     def test_all_directions_vanish(self):
         with pytest.raises(ValidationError, match="vanish"):
-            gqi.max_perturbation_step([np.eye(2), np.eye(2)], [np.zeros((2, 2))] * 2)
+            gqi.max_perturbation_step([np.zeros((2, 2))] * 2, linalg.hermitian_eig(np.array([np.eye(2)] * 2)))
 
 
 def random_hermitian_in_support(t, rng):
@@ -379,9 +356,10 @@ def test_property_step_is_maximal_and_matches_oracle(seed, d, counts, mixed):
     if mixed:
         other = channels.random_instrument(d, d, counts, rng)
         g = gqi.mix(g, Gqi(other.signature, other.outcomes), rng.uniform(0.2, 0.8))
-    assert gqi.is_valid_gqi(g).ok
+    validation = gqi.is_valid_gqi(g)
+    assert validation.ok
     directions = tuple(random_hermitian_in_support(t, rng) for t in g.outcomes)
-    eps = gqi.max_perturbation_step(g.outcomes, directions)
+    eps = gqi.max_perturbation_step(directions, validation.spectra)
     assert eps > 0
     assert gqi.perturbation_feasible(g.outcomes, directions, eps)
     assert not gqi.perturbation_feasible(g.outcomes, directions, eps * (1.0 + 1e-6))
@@ -446,6 +424,25 @@ class TestIdentityExchange:
             assert ref - 2.0 * allowance(t) <= eps
             counts.add(g.n_outcomes)
         assert counts == {2, 3}
+
+    def test_stack_is_each_member_own_call(self):
+        # The K steps of a (K, M, D) stack are the K single calls to the bit,
+        # the members with no feasible step included.
+        rng = np.random.default_rng(17)
+        for m, dim, (a, b) in ((2, 2, (0, 1)), (2, 4, (1, 0)), (3, 4, (0, 2)), (3, 9, (2, 1))):
+            w = rng.uniform(0.0, 1.0, (6, m, dim))
+            c = margin(dim)
+            # Below the working margin: an outcome outside the pair when M = 3.
+            w[1, min(set(range(m)) - {b}), 0] = -4.0 * c
+            # w + c = 0, then w + c half the allowance 2 D eps_machine.
+            w[2, a, 0] = -c
+            w[3, b, 0] = -c + dim * np.finfo(float).eps
+            steps = gqi.identity_exchange_step(w, a, b)
+            assert steps.shape == (6,)
+            for step, member in zip(steps, w):
+                assert np.float64(step).tobytes() == np.float64(gqi.identity_exchange_step(member, a, b)).tobytes()
+            assert steps[1] == steps[2] == steps[3] == 0.0
+            assert (steps[[0, 4, 5]] > 0.0).all()
 
     def test_outcome_below_working_margin_gives_zero(self):
         # A third outcome -delta |v><v| passes validation for delta up to

@@ -184,14 +184,13 @@ class TestMixtures:
 class TestPerturbationStep:
     def test_simple_known_value(self):
         # T = diag(1, 1), D = diag(1, -1): positivity breaks exactly at eps = 1
-        eps = gqi.max_perturbation_step(
-            [np.eye(2, dtype=complex)], [np.diag([1.0, -1.0]).astype(complex)]
-        )
+        spectra = linalg.hermitian_eig(np.eye(2, dtype=complex)[None])
+        eps = gqi.max_perturbation_step([np.diag([1.0, -1.0]).astype(complex)], spectra)
         assert eps == pytest.approx(1.0, rel=1e-9)
 
     def test_zero_directions_rejected(self):
         with pytest.raises(ValidationError):
-            gqi.max_perturbation_step([np.eye(2)], [np.zeros((2, 2))])
+            gqi.max_perturbation_step([np.zeros((2, 2))], linalg.hermitian_eig(np.eye(2)[None]))
 
 
 # (d0, d1) and Kraus counts per outcome of the random instruments below.

@@ -4,8 +4,8 @@
 ``gqi.is_extremal`` reuses those eigenpairs for the support bases and for the
 epsilon* step.  The oracle below is the former pipeline: a plain ``eigh``
 of each symmetrized outcome, sorted by ``argsort`` and cut at supp_tol, for
-the supports, and the public ``gqi.max_perturbation_step`` without
-eigenpairs, which decomposes the outcomes itself.  Where one outcome has full
+the supports, and the public ``gqi.max_perturbation_step`` on those
+eigenpairs, as the program reads validation's.  Where one outcome has full
 support beside another nonzero one, the oracle builds the exchange witness
 of the full-support exit from its own supports.
 """
@@ -24,19 +24,24 @@ from test_epsilon_star import acceptance_07_population, ladder_population
 from test_reduced_rank import ladder_inputs, former_tester_basis
 
 
-def former_support_vectors(t, pol=DEFAULT_TOL):
-    """Support basis of one outcome as the per-outcome pipeline computed it."""
-    t = np.asarray(t, dtype=complex)
-    w, v = np.linalg.eigh((t + t.conj().T) / 2)
-    order = np.argsort(w)[::-1]
-    w, v = w[order], v[:, order]
-    return v[:, w > pol.supp_tol(t.shape[0], float(w[0]))]
+def former_spectra(outcomes):
+    """Eigenpairs of the outcomes as the per-outcome pipeline computed them,
+    eigenvalues descending, as one stack."""
+    values, vectors = [], []
+    for t in outcomes:
+        t = np.asarray(t, dtype=complex)
+        w, v = np.linalg.eigh((t + t.conj().T) / 2)
+        order = np.argsort(w)[::-1]
+        values.append(w[order])
+        vectors.append(v[:, order])
+    return linalg.EigenDecomposition(np.array(values), np.array(vectors))
 
 
 def oracle(g, normalization_basis=None, pol=DEFAULT_TOL):
     """(extremal, rank, support_ranks, family_size, epsilon*) of the former pipeline."""
     assert gqi.is_valid_gqi(g, pol=pol).ok
-    supports = [former_support_vectors(t, pol) for t in g.outcomes]
+    spectra = former_spectra(g.outcomes)
+    supports = [v[:, w > pol.supp_tol(len(w), float(w[0]))] for w, v in zip(spectra.values, spectra.vectors)]
     dim = g.signature.total_dim
     if normalization_basis is None:
         n_known = combs.comb_variable_count(g.signature)
@@ -61,7 +66,7 @@ def oracle(g, normalization_basis=None, pol=DEFAULT_TOL):
         p = supports[others[0]] @ supports[others[0]].conj().T
         directions = [np.zeros((dim, dim), dtype=complex) for _ in ranks]
         directions[full[0]], directions[others[0]] = -p, p
-        eps = gqi.max_perturbation_step(g.outcomes, directions, pol)
+        eps = gqi.max_perturbation_step(directions, spectra, pol)
     elif decision.nullvector is not None:
         directions = []
         pos = 0
@@ -69,7 +74,7 @@ def oracle(g, normalization_basis=None, pol=DEFAULT_TOL):
             h = linalg.unvectorize_hermitian(decision.nullvector[pos : pos + r * r], r)
             directions.append(u @ h @ u.conj().T)
             pos += r * r
-        eps = gqi.max_perturbation_step(g.outcomes, directions, pol)
+        eps = gqi.max_perturbation_step(directions, spectra, pol)
     return decision.nullvector is None, decision.rank, ranks, sum(r * r for r in ranks) + n_known, eps
 
 
@@ -212,14 +217,21 @@ class TestCount:
         assert len(calls["eigh"]) == 1 and np.array_equal(calls["eigh"][0], t.outcomes[1][None])
 
     def test_no_per_outcome_eig(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("per-operator eigendecomposition in a verdict")
+        # The one hermitian_eig of a verdict is validation's, of the (M, D, D)
+        # stack of its outcomes: no operator is decomposed on its own.
+        shapes = []
+        eig = linalg.hermitian_eig
+
+        def recorded(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return eig(a, *args, **kwargs)
 
         population = [three_outcome_gqi(), *ladder_inputs((2, 2), np.random.default_rng(4))]
-        monkeypatch.setattr(linalg, "hermitian_eig", refuse)
-        for g in population:
-            gqi.is_extremal(g)
-        testers.is_extremal_tester(testers.schmidt_tester(0.3))
+        monkeypatch.setattr(linalg, "hermitian_eig", recorded)
+        for g in [*population, testers.schmidt_tester(0.3)]:
+            shapes.clear()
+            (testers.is_extremal_tester if isinstance(g, testers.Tester) else gqi.is_extremal)(g)
+            assert shapes == [np.shape(g.outcomes)]
 
 
 class TestErrorPaths:

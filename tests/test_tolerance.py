@@ -3,7 +3,7 @@
 A verdict answers a question only when its cutoffs leave one: some support
 must be nonempty (``TolerancePolicy.require_support``, run on every
 validation and on a standalone comb), and the rank cutoff taken at sqrt(M)
-must lie below sqrt(M) >= sigma_max (``gqi._require_budget``, run once per
+must lie below sqrt(M) >= sigma_max (``gqi._decide_stack``, run once per
 stack of one tuple of support ranks).  Each refusal is a
 ``ToleranceError``: an ``ExqipError``, so a population names the member, and
 a ``ValueError``, so the command line exits 2.
