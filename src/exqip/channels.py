@@ -5,8 +5,9 @@ operator-to-vector map is a plain row-major reshape and Choi operators live on
 H_1 (x) H_0 (output factor first).  Minimal Kraus representations come from the
 Choi spectral decomposition, cut by one kernel, :func:`_kraus_stack`, from
 one decomposition or a stack of them.  It holds the one refusal of a Choi
-operator that is not PSD, and :func:`choi_to_kraus`,
-:func:`instrument_extremal` and the instrument draws all slice its stack.
+operator that is not PSD, for the callers that hold no validation verdict
+(:func:`choi_to_kraus`, the instrument draws); the criteria read the
+support ranks of their verdicts, whose gate has decided positivity.
 
 A channel is the one-outcome instrument whose operator is the Choi
 operator, so its validity and its criteria are the instrument's, under the
@@ -14,6 +15,9 @@ channel names.  Every criterion refuses an invalid object through the one
 gate of :mod:`exqip.gqi`, with its message; :func:`instrument_extremal` and
 :func:`instrument_rank_bound` also take the caller's validation verdict,
 which the suites read off their certificates or :func:`gqi.validate_all`.
+The Kraus-product criterion is one kernel over a population,
+:func:`_kraus_criterion`, and :func:`instrument_extremal` is that kernel
+on a stack of one.
 Extremality routes: the pooled Kraus-product criterion (Choi's criterion,
 the independence of {K_m^dagger K_n}, for a channel), the paper's
 independent criterion; the master criterion (Theorem 1 for a channel),
@@ -22,8 +26,8 @@ routes agree is a test oracle); and the square-root / Lueders
 constructions.  The appendix fixtures exercise all seven attainable
 (instrument, channel, POVM) extremality combinations, which
 :func:`classify_combinations` decides in three stacked passes, one per
-object of the rows; a fault names the first instrument whose own passes
-raise (:func:`gqi._first_fault`).  The classes :class:`Instrument` and
+object of the rows, each criterion called once; a fault names the first
+instrument whose own passes raise (:func:`gqi._first_fault`).  The classes :class:`Instrument` and
 :class:`Channel` are defined in :mod:`exqip.gqi`.
 """
 
@@ -35,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gqi as gqi_mod, linalg
-from .errors import NotPositiveError, ValidationError
+from .errors import DimensionMismatchError, NotPositiveError, ValidationError
 from .gqi import Channel, Instrument, Povm
 from .linalg import DEFAULT_TOL, TolerancePolicy
 
@@ -60,25 +64,34 @@ def kraus_to_choi(kraus) -> np.ndarray:
     return out
 
 
-def _kraus_stack(eig: linalg.EigenDecomposition, d1: int, d0: int, pol: TolerancePolicy) -> tuple:
+def _kraus_stack(eig: linalg.EigenDecomposition, d1: int, d0: int, pol: TolerancePolicy, ranks=None) -> tuple:
     """(kraus, r): sqrt(lambda_m) unvec(v_m) over the D eigenpairs of a Choi
     operator, as a stack (D, d1, d0) that is zero past the support rank r,
     so that its first r operators are the minimal Kraus family.  A stack of
     decompositions (..., D) gives (..., D, d1, d0) and the ranks (...), each
-    the same to the bit as its own call.  A Choi operator that fails
+    the same to the bit as its own call.
+
+    ``ranks`` are the support ranks of a :class:`gqi.GqiVerdict`, whose
+    gate has already decided positivity by the same rule.  Without them,
+    the ranks are counted here, and a Choi operator that fails
     :meth:`TolerancePolicy.psd` raises :class:`NotPositiveError`, the first
     of a stack naming its lowest eigenvalue."""
-    negative = ~pol.psd(eig.values)
-    if negative.any():
-        raise NotPositiveError(f"Choi operator has negative eigenvalue {eig.values[..., -1][negative][0]:.3e}")
-    ranks = eig.support_ranks(pol)
+    if ranks is None:
+        negative = ~pol.psd(eig.values)
+        if negative.any():
+            raise NotPositiveError(f"Choi operator has negative eigenvalue {eig.values[..., -1][negative][0]:.3e}")
+        ranks = eig.support_ranks(pol)
     kept = np.arange(eig.values.shape[-1]) < ranks[..., None]
     vectors = np.swapaxes(eig.vectors, -2, -1).reshape(*eig.values.shape, d1, d0)
     return np.sqrt(np.where(kept, eig.values, 0.0))[..., None, None] * vectors, ranks
 
 
 def choi_to_kraus(choi: np.ndarray, d1: int, d0: int, pol: TolerancePolicy = DEFAULT_TOL) -> list:
-    """Minimal Kraus list from the Choi spectral form; count = eigen-rank."""
+    """Minimal Kraus list from the Choi spectral form; count = eigen-rank.
+    The Choi operator must be (d1 d0) x (d1 d0)."""
+    dim = np.shape(choi)[-1] if np.ndim(choi) else 0
+    if d1 * d0 != dim:
+        raise DimensionMismatchError(f"Choi operator of dimension D = {dim} is not d1 d0 = {d1} x {d0}")
     kraus, r = _kraus_stack(linalg.hermitian_eig(choi, pol), d1, d0, pol)
     return list(kraus[:r])
 
@@ -116,10 +129,12 @@ def is_valid_instrument(ins: Instrument, pol: TolerancePolicy = DEFAULT_TOL) -> 
 
 def _kraus_products(kraus: np.ndarray) -> np.ndarray:
     """The r^2 products K_m^dagger K_n of a Kraus stack (r, d1, d0), m-major,
-    from one broadcast ``matmul``: (r^2, d0, d0)."""
+    from one broadcast ``matmul``: (r^2, d0, d0); a stack of families
+    (K, r, d1, d0) gives (K, r^2, d0, d0)."""
     k = np.asarray(kraus)
-    r, _, d0 = k.shape
-    return (k.conj().transpose(0, 2, 1)[:, None] @ k[None]).reshape(r * r, d0, d0)
+    *lead, r, _, d0 = k.shape
+    kh = np.swapaxes(k.conj(), -2, -1)
+    return (kh[..., :, None, :, :] @ k[..., None, :, :, :]).reshape(*lead, r * r, d0, d0)
 
 
 def instrument_extremal(
@@ -130,10 +145,38 @@ def instrument_extremal(
     the caller's :func:`gqi.is_valid_gqi` verdict on the instrument at
     ``pol``, when it has one; each outcome's minimal Kraus stack comes from
     its eigenpairs.  An invalid instrument raises the error of
-    :func:`gqi._require_valid`."""
-    spectra = gqi_mod._require_valid(ins, pol, validation).spectra
-    products = np.concatenate([_kraus_products(k[:r]) for k, r in zip(*_kraus_stack(spectra, ins.d1, ins.d0, pol))])
-    return linalg.complex_family_rank(products, pol) == len(products)
+    :func:`gqi._require_valid`.  This is :func:`_kraus_criterion` on
+    ``ins`` alone."""
+    return _kraus_criterion([ins], [validation], pol)[0]
+
+
+def _kraus_criterion(instruments: list, verdicts: list, pol: TolerancePolicy) -> list:
+    """:func:`instrument_extremal` of each instrument, given its verdict at
+    ``pol`` or None.  The gate refuses the first invalid instrument, in
+    order.  The instruments are then grouped by (d1, d0, support ranks),
+    and each group runs one :func:`_kraus_stack` on the ranks of its
+    verdicts, one batched product K_m^dagger K_n and one values-only
+    ``svd``; each result is that of the instrument's own call."""
+    verdicts = [gqi_mod._require_valid(x, pol, v) for x, v in zip(instruments, verdicts)]
+
+    def run(members):
+        first, group = instruments[members[0]], [verdicts[i] for i in members]
+        spectra = linalg.EigenDecomposition(
+            np.array([v.spectra.values for v in group]), np.array([v.spectra.vectors for v in group])
+        )
+        ranks = group[0].support_ranks
+        kraus = _kraus_stack(spectra, first.d1, first.d0, pol, np.array(ranks))[0]
+        products = np.concatenate([_kraus_products(kraus[:, i, :r]) for i, r in enumerate(ranks)], axis=1)
+        x = products.reshape(len(group), products.shape[1], -1)
+        s = np.linalg.svd(x, compute_uv=False)
+        # The cutoff of linalg.complex_family_rank, per member.
+        return ((s > max(x.shape[1:]) * s[:, :1] * pol.eps_rel).sum(axis=1) == x.shape[1]).tolist()
+
+    return gqi_mod._grouped(
+        [(x.signature, v.support_ranks) for x, v in zip(instruments, verdicts)],
+        lambda key: 16 * len(key[1]) * key[0].total_dim ** 2,
+        run,
+    )
 
 
 def instrument_extremal_rank_test(ins: Instrument, pol: TolerancePolicy = DEFAULT_TOL) -> bool:
@@ -166,9 +209,9 @@ def instrument_rank_bound(
 ) -> InstrumentRankBound:
     """Necessary condition for extremality: sum of squared ranks <= d_0^2.
 
-    The ranks are the Kraus counts, read from the validation eigenpairs:
-    ``validation`` as in :func:`instrument_extremal`."""
-    ranks = [int(r) for r in gqi_mod._require_valid(ins, pol, validation).spectra.support_ranks(pol)]
+    The ranks are the Kraus counts, the support ranks of the validation
+    verdict: ``validation`` as in :func:`instrument_extremal`."""
+    ranks = gqi_mod._require_valid(ins, pol, validation).support_ranks
     lhs = sum(r * r for r in ranks)
     rhs = ins.d0 ** 2
     return InstrumentRankBound(outcome_ranks=tuple(ranks), lhs=lhs, rhs=rhs, ok=lhs <= rhs)
@@ -227,11 +270,9 @@ def _classify(instruments: list, pol: TolerancePolicy) -> list:
     order of the per-row chain: one validation pass of the instruments and
     the Kraus-product criterion on their verdicts, the same for their induced
     channels, then one decision pass of their induced POVMs."""
-    verdicts = gqi_mod._validate_grouped(instruments, pol)
-    instrument = [instrument_extremal(x, pol, v) for x, v in zip(instruments, verdicts)]
+    instrument = _kraus_criterion(instruments, gqi_mod._validate_grouped(instruments, pol), pol)
     chans = [induced_channel(x) for x in instruments]
-    verdicts = gqi_mod._validate_grouped(chans, pol)
-    channel = [choi_condition(c, pol, v) for c, v in zip(chans, verdicts)]
+    channel = _kraus_criterion(chans, gqi_mod._validate_grouped(chans, pol), pol)
     povms = gqi_mod._decide_grouped([induced_povm(x) for x in instruments], pol)
     return [CombinationTriple(instrument=a, channel=b, povm=p.extremal) for a, b, p in zip(instrument, channel, povms)]
 

@@ -12,12 +12,18 @@ have full support the exchange is +/- the identity, and its epsilon_star is
 a formula in the eigenvalues of validation.
 A rank deficiency yields a constructive perturbation {D_i}, Delta and the
 maximal step size epsilon_star, from which a one-step convex decomposition
-follows.  With the constant working margin supp_tol(D, 1) / 2, epsilon_star
-is a closed form: the generalized-eigenvalue form of Choi's positivity
-argument, on each outcome's support, read from the eigenpairs of validation.
+follows.  The witness is built when it is first read: a certificate
+decides ``extremal``, the rank and the margin at once, and the first read
+of ``perturbation`` on a dependent member builds the witnesses of its whole
+stack, with one epsilon* call.  With the constant working margin
+supp_tol(D, 1) / 2, epsilon_star is a closed form: the generalized-eigenvalue
+form of Choi's positivity argument, on each outcome's support, read from the
+eigenpairs of validation.
 Validation's batched ``linalg.hermitian_eig`` is the only eigendecomposition
-of the outcomes; the tolerance refusal of the rank cutoff and the size guard
-run once per stack, in :func:`_decide_stack`.
+of the outcomes, and one pass of the support rule over its sorted spectra
+gives positivity and the support ranks the verdict carries; the tolerance
+refusal of the rank cutoff and the size guard run once per stack, in
+:func:`_decide_stack`.
 
 Every object kind is a :class:`Gqi`, which lives in :mod:`exqip.combs`
 beside the comb signature and is re-exported here.  :class:`Tester`,
@@ -46,11 +52,13 @@ one.  Which fault a population raises is decided by one rule,
 :func:`_first_fault`: when the stacked run raises, each member runs alone,
 in order, and the first that raises is named with its own error.  The
 appendix table and the seeded suites take the same rule over their
-instruments and their seeds.
+instruments and their seeds.  A witness error is raised on read, by the
+member whose own call raises it, with its own message.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -134,21 +142,61 @@ class GqiVerdict:
     """Validity of a GQI.  ``comb_verdict`` is the cascade of the sum, positive
     when every outcome is.  ``spectra`` holds the eigenpairs of the symmetrized
     outcomes (a stack, eigenvalues descending), which the rank test and the
-    epsilon* step reuse; they take no part in equality or repr."""
+    epsilon* step reuse, and ``support_ranks`` the support rank of each
+    outcome (:meth:`TolerancePolicy.support_rank` of its eigenvalues), which
+    the rank test, the Kraus read-out and the counting bounds read; neither
+    takes part in equality or repr."""
 
     ok: bool
     outcome_min_eigenvalues: tuple
     comb_verdict: combs.CombVerdict
     spectra: linalg.EigenDecomposition = field(compare=False, repr=False)
+    support_ranks: tuple = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class Perturbation:
-    """Witness of non-extremality: T_i +/- epsilon_star * D_i are valid GQIs."""
+    """Witness of non-extremality: T_i +/- epsilon_star * D_i are valid GQIs.
+    Two witnesses are equal when their steps and every entry of their
+    directions and delta are."""
 
     directions: tuple
     delta: np.ndarray
     epsilon_star: float
+
+    def __eq__(self, other):
+        if not isinstance(other, Perturbation):
+            return NotImplemented
+        return (
+            self.epsilon_star == other.epsilon_star
+            and len(self.directions) == len(other.directions)
+            and all(np.array_equal(a, b) for a, b in zip(self.directions, other.directions))
+            and np.array_equal(self.delta, other.delta)
+        )
+
+
+class _Witness:
+    """The ``perturbation`` field of :class:`ExtremalityCertificate`.  It
+    holds a :class:`Perturbation`, None, or a pending witness: a function of
+    no argument that builds it (see :class:`_StackWitnesses`), called on the
+    first read and replaced by what it returns.  A pending witness that
+    raises stays pending, so that every read raises."""
+
+    def __set_name__(self, owner, name):
+        self.slot = f"_{name}"
+
+    def __get__(self, cert, owner=None):
+        if cert is None:
+            # The field has no default.
+            raise AttributeError(self.slot[1:])
+        value = cert.__dict__[self.slot]
+        if callable(value):
+            value = value()
+            cert.__dict__[self.slot] = value
+        return value
+
+    def __set__(self, cert, value):
+        cert.__dict__[self.slot] = value
 
 
 @dataclass(frozen=True)
@@ -158,14 +206,16 @@ class ExtremalityCertificate:
     the family is from dependence, and ``None`` otherwise.  ``validation``
     is the :func:`is_valid_gqi` verdict the decision read its supports from,
     ``None`` on a certificate read from a file; it takes no part in equality
-    or repr."""
+    or repr.  A certificate from :func:`is_extremal` or :func:`decide_all`
+    builds its ``perturbation`` on first read (README, "Deciding a
+    population"); equality and repr read it."""
 
     extremal: bool
     family_size: int
     rank: int
     support_ranks: tuple
     normalization_basis_size: int
-    perturbation: Perturbation | None
+    perturbation: Perturbation | None = _Witness()
     margin: float | None = None
     validation: GqiVerdict | None = field(default=None, compare=False, repr=False)
 
@@ -231,8 +281,11 @@ def is_valid_gqi(g: Gqi, pol: TolerancePolicy = DEFAULT_TOL) -> GqiVerdict:
 def _validate_stack(gs: list, pol: TolerancePolicy) -> list:
     """The verdicts on K GQIs of one signature and one list of outcome
     shapes, from one :func:`linalg.hermitian_eig`, the Hermiticity check and
-    ``eigh`` of the (K M, D, D) stack, and one cascade pass of the K sums, refusing a GQI whose every
-    support is empty (:meth:`TolerancePolicy.require_support`)."""
+    ``eigh`` of the (K M, D, D) stack, and one cascade pass of the K sums.
+    One pass of the support rule over the sorted spectra
+    (:meth:`TolerancePolicy._support_pass`) refuses a GQI whose every
+    support is empty, as :meth:`TolerancePolicy.require_support` does, and
+    gives positivity and the support ranks."""
     first = gs[0]
     m = len(first.outcomes)
     if m < 1:
@@ -244,15 +297,16 @@ def _validate_stack(gs: list, pol: TolerancePolicy) -> list:
     if shaped < m:
         raise _shape_error(first.outcomes[shaped], total)
     w = spectra.values.reshape(len(gs), m, total)
-    pol.require_support(w)
+    positive, ranks = pol._support_pass(w)
     v = spectra.vectors.reshape(len(gs), m, total, total)
     # Summed in the order of sum(outcomes), so that each sum is its own call's to the bit.
     s = sum(x[:, i] for i in range(m))
     comb_verdicts = combs._cascade(
-        (s + s.conj().transpose(0, 2, 1)) / 2, first.signature, pol.eps_comb, pol.psd(w).all(axis=1)
+        (s + s.conj().transpose(0, 2, 1)) / 2, first.signature, pol.eps_comb, positive.all(axis=1)
     )
+    ranks = ranks.tolist()
     return [
-        GqiVerdict(cv.ok, tuple(w[j, :, -1].tolist()), cv, linalg.EigenDecomposition(w[j], v[j]))
+        GqiVerdict(cv.ok, tuple(w[j, :, -1].tolist()), cv, linalg.EigenDecomposition(w[j], v[j]), tuple(ranks[j]))
         for j, cv in enumerate(comb_verdicts)
     ]
 
@@ -540,12 +594,13 @@ def decide_all(objects, pol: TolerancePolicy = DEFAULT_TOL) -> list:
     cut into stacks of K members whose estimated peak, K times
     :func:`rank_stage_bytes`, stays within ``RANK_STAGE_BUDGET``.  Per stack
     the full-support exit is taken, or one rank stage runs
-    (:func:`_rank_test`); the witnesses of the dependent members get their
-    epsilon* from one :func:`max_perturbation_step` of the stack.  Each
-    certificate is the same to the bit as the object's own call, and carries
-    its verdict in ``validation``.  An object that :func:`is_extremal` would
-    raise for, an invalid one included, raises as :func:`_first_fault` names
-    it.
+    (:func:`_rank_test`); the witnesses of the dependent members are built
+    on the first read of any of them, with their epsilon* from one
+    :func:`max_perturbation_step` of the stack.  Each certificate is the
+    same to the bit as the object's own call, and carries its verdict in
+    ``validation``.  An object that :func:`is_extremal` would raise for, an
+    invalid one included, raises as :func:`_first_fault` names it; a
+    witness error is raised when that member's witness is read.
     """
     objects = list(objects)
     return _first_fault(lambda members: _decide_grouped([objects[i] for i in members], pol), range(len(objects)))
@@ -555,12 +610,11 @@ def _decide_grouped(gs: list, pol: TolerancePolicy) -> list:
     """The stacked passes of :func:`decide_all`, after one validation pass
     (:func:`_validate_grouped`), with no member named."""
     validations = _validate_grouped(gs, pol)
-    ranks = [_support_ranks(v, pol) for v in validations]
     return _grouped(
-        [(g.signature, r) for g, r in zip(gs, ranks)],
+        [(g.signature, v.support_ranks) for g, v in zip(gs, validations)],
         lambda key: rank_stage_bytes(*key),
         lambda members: _decide_stack(
-            [gs[i] for i in members], [validations[i] for i in members], ranks[members[0]], pol
+            [gs[i] for i in members], [validations[i] for i in members], validations[members[0]].support_ranks, pol
         ),
     )
 
@@ -602,18 +656,15 @@ def is_extremal(g: Gqi, pol: TolerancePolicy = DEFAULT_TOL) -> ExtremalityCertif
     Otherwise P_b = U_b U_b^dagger.  Every other epsilon* is
     :func:`max_perturbation_step` on the supports.
 
-    Each outcome is decomposed once, in validation, and the rank test and
-    epsilon* reuse the eigenpairs; an invalid ``g`` raises the error of
-    :func:`_require_valid`, and a tolerance that makes the verdict vacuous
-    :class:`ToleranceError`.  This is the stacked pass of :func:`decide_all`
-    on ``g`` alone.
+    The witness and its epsilon* are built on the first read of
+    ``perturbation``.  Each outcome is decomposed once, in validation, and
+    the rank test and epsilon* reuse the eigenpairs; an invalid ``g`` raises
+    the error of :func:`_require_valid`, and a tolerance that makes the
+    verdict vacuous :class:`ToleranceError`.  This is the stacked pass of
+    :func:`decide_all` on ``g`` alone.
     """
     validation = is_valid_gqi(g, pol)
-    return _decide_stack([g], [validation], _support_ranks(validation, pol), pol)[0]
-
-
-def _support_ranks(verdict: GqiVerdict, pol: TolerancePolicy) -> tuple:
-    return tuple(verdict.spectra.support_ranks(pol).tolist())
+    return _decide_stack([g], [validation], validation.support_ranks, pol)[0]
 
 
 def _decide_stack(gs: list, verdicts: list, support_ranks: tuple, pol: TolerancePolicy) -> list:
@@ -643,58 +694,120 @@ def _decide_stack(gs: list, verdicts: list, support_ranks: tuple, pol: Tolerance
             f"the rank test at signature {sig.dims} with support ranks {tuple(support_ranks)} "
             f"needs about {need:,} bytes, above the budget of {RANK_STAGE_BUDGET:,} bytes"
         )
-    values = np.array([v.spectra.values for v in verdicts])
     n_known = combs.comb_variable_count(sig)
     family_size = sum(r * r for r in support_ranks) + n_known
-    steps = None
     if pair is not None:
-        a, b = pair
         decided = [(dim * dim, None, None)] * len(gs)
-        dependent = range(len(gs))
-        directions = [np.zeros((len(gs), dim, dim), dtype=complex) for _ in support_ranks]
-        if support_ranks[b] == dim:
-            p = np.eye(dim, dtype=complex)[None].repeat(len(gs), axis=0)
-            steps = identity_exchange_step(values, a, b, pol)
-        else:
-            vectors = np.array([v.spectra.vectors for v in verdicts])
-            u = vectors[:, b, :, : support_ranks[b]]
-            p = u @ u.conj().transpose(0, 2, 1)
-        directions[a], directions[b] = -p, p
+        dependent = [True] * len(gs)
+        build = functools.partial(_exchange_witnesses, verdicts, support_ranks, pair, pol)
     else:
         vectors = np.array([v.spectra.vectors for v in verdicts])
         supports = [vectors[:, i, :, :r] for i, r in enumerate(support_ranks)]
         decided = _rank_test(sig, supports, n_known, bound, pol)
-        dependent = [j for j, (_, c, _) in enumerate(decided) if c is not None]
-        if dependent:
-            c = np.array([decided[j][1] for j in dependent])
-            if len(dependent) < len(gs):
-                values, vectors = values[dependent], vectors[dependent]
-                supports = [u[dependent] for u in supports]
-            directions, pos = [], 0
-            for u, r in zip(supports, support_ranks):
-                h = linalg.unvectorize_hermitian(c[:, pos : pos + r * r], r)
-                directions.append(u @ h @ u.conj().transpose(0, 2, 1))
-                pos += r * r
-    perturbations = [None] * len(gs)
-    if dependent:
-        witnesses = [tuple(d[pos] for d in directions) for pos in range(len(dependent))]
-        if steps is None:
-            steps = max_perturbation_step(witnesses, linalg.EigenDecomposition(values, vectors), pol)
-        for j, d, step in zip(dependent, witnesses, steps):
-            perturbations[j] = Perturbation(directions=d, delta=sum(d), epsilon_star=float(step))
+        dependent = [c is not None for _, c, _ in decided]
+        build = functools.partial(_rank_witnesses, verdicts, vectors, supports, decided, support_ranks, pol)
+    witnesses = _StackWitnesses(build)
+    positions = itertools.count()
     return [
         ExtremalityCertificate(
-            extremal=perturbation is None,
+            extremal=not depends,
             family_size=family_size,
             rank=rank,
             support_ranks=support_ranks,
             normalization_basis_size=n_known,
-            perturbation=perturbation,
+            perturbation=functools.partial(witnesses.read, next(positions)) if depends else None,
             margin=margin,
             validation=verdict,
         )
-        for (rank, _, margin), perturbation, verdict in zip(decided, perturbations, verdicts)
+        for (rank, _, margin), depends, verdict in zip(decided, dependent, verdicts)
     ]
+
+
+class _StackWitnesses:
+    """The witnesses of the dependent members of one stack, kept pending as
+    ``build``, a function of no argument that returns them in order.  The
+    first :meth:`read` of any member builds them all; each member's
+    witness is then read from the list."""
+
+    def __init__(self, build):
+        self._build, self._built = build, None
+
+    def read(self, pos: int) -> Perturbation:
+        """The witness of dependent member ``pos``, or the error of its own
+        former eager call, raised."""
+        if self._built is None:
+            self._built, self._build = self._build(), None
+        witness = self._built[pos]
+        if isinstance(witness, ExqipError):
+            raise witness
+        return witness
+
+
+def _exchange_witnesses(verdicts: list, support_ranks: tuple, pair: tuple, pol: TolerancePolicy) -> list:
+    """The witnesses of a stack at the full-support exit (see
+    :func:`is_extremal`): D_b = P_b, D_a = -P_b and every other D_i = 0, with
+    epsilon* from :func:`identity_exchange_step` when P_b = I."""
+    a, b = pair
+    values = np.array([v.spectra.values for v in verdicts])
+    k, _, dim = values.shape
+    directions = [np.zeros((k, dim, dim), dtype=complex) for _ in support_ranks]
+    vectors = steps = None
+    if support_ranks[b] == dim:
+        p = np.eye(dim, dtype=complex)[None].repeat(k, axis=0)
+        steps = identity_exchange_step(values, a, b, pol)
+    else:
+        vectors = np.array([v.spectra.vectors for v in verdicts])
+        u = vectors[:, b, :, : support_ranks[b]]
+        p = u @ u.conj().transpose(0, 2, 1)
+    directions[a], directions[b] = -p, p
+    return _perturbations(directions, values, vectors, steps, pol)
+
+
+def _rank_witnesses(
+    verdicts: list, vectors, supports: list, decided: list, support_ranks: tuple, pol: TolerancePolicy
+) -> list:
+    """The witnesses of the dependent members of a stack that took the rank
+    stage, given the stack's support vectors and its :func:`_rank_test`
+    results: D_i = U_i H_i U_i^dagger, H_i from the coordinates the null
+    vector c gives outcome i."""
+    dependent = [j for j, (_, c, _) in enumerate(decided) if c is not None]
+    c = np.array([decided[j][1] for j in dependent])
+    if len(dependent) < len(decided):
+        vectors = vectors[dependent]
+        supports = [u[dependent] for u in supports]
+    directions, pos = [], 0
+    for u, r in zip(supports, support_ranks):
+        h = linalg.unvectorize_hermitian(c[:, pos : pos + r * r], r)
+        directions.append(u @ h @ u.conj().transpose(0, 2, 1))
+        pos += r * r
+    values = np.array([verdicts[j].spectra.values for j in dependent])
+    return _perturbations(directions, values, vectors, None, pol)
+
+
+def _perturbations(directions: list, values, vectors, steps, pol: TolerancePolicy) -> list:
+    """The witnesses of a stack from one stack of directions (K, D, D) per
+    outcome.  Their steps are ``steps``, or else one
+    :func:`max_perturbation_step` of the stack; when that raises, each
+    member's own call decides its step, and a member whose call raises gets
+    its error in place of its witness."""
+    witnesses = [tuple(d[pos] for d in directions) for pos in range(len(values))]
+    if steps is None:
+        try:
+            steps = max_perturbation_step(witnesses, linalg.EigenDecomposition(values, vectors), pol)
+        except ExqipError:
+            steps = [_own_step(d, values[j : j + 1], vectors[j : j + 1], pol) for j, d in enumerate(witnesses)]
+    return [
+        step if isinstance(step, ExqipError) else Perturbation(directions=d, delta=sum(d), epsilon_star=float(step))
+        for d, step in zip(witnesses, steps)
+    ]
+
+
+def _own_step(directions: tuple, values, vectors, pol: TolerancePolicy):
+    """The step of one GQI, from its stack of one, or the error it raises."""
+    try:
+        return max_perturbation_step([directions], linalg.EigenDecomposition(values, vectors), pol)[0]
+    except ExqipError as err:
+        return err
 
 
 def decompose_step(

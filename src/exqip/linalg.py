@@ -85,9 +85,22 @@ class TolerancePolicy:
         lambda <= supp_tol(d, lambda), as :meth:`support_rank` counts it."""
         top = w.max(axis=-1)
         if (top <= self.supp_tol(w.shape[-1], top)).all(axis=-1).any():
-            raise ToleranceError(
-                f"tolerance {self.eps_rel:g} leaves every support empty at dimension {w.shape[-1]}"
-            )
+            self._refuse_empty_support(w.shape[-1])
+
+    def _refuse_empty_support(self, dim: int):
+        raise ToleranceError(f"tolerance {self.eps_rel:g} leaves every support empty at dimension {dim}")
+
+    def _support_pass(self, w: np.ndarray) -> tuple:
+        """:meth:`require_support`, :meth:`psd` and :meth:`support_rank` in
+        one pass over a stack (K, M, d) of spectra sorted descending along
+        the last axis: lambda_max is the first eigenvalue and lambda_min the
+        last, and one supp_tol serves all three.  Returns (psd, support
+        ranks), each (K, M) and the same to the bit as its method's."""
+        top = w[..., 0]
+        tol = self.supp_tol(w.shape[-1], top)
+        if (top <= tol).all(axis=-1).any():
+            self._refuse_empty_support(w.shape[-1])
+        return w[..., -1] >= -tol, (w > tol[..., None]).sum(axis=-1)
 
 
 DEFAULT_TOL = TolerancePolicy()

@@ -14,9 +14,11 @@ the phase fix of the unitaries and isometries, the Schmidt vectors and
 their projectors, ``eigh`` of the split outcomes and of the Choi operators
 of the instruments, the full-rank states and the xi maps.  Decide: one
 :func:`gqi.decide_all` of the pass, whose certificates carry the verdicts
-that the suite's criteria read; bounds first validates its instruments with
-one :func:`gqi.validate_all`.  Every object is the one the former
-per-object generators drew, to the bit.  A pass that raises names the first
+that the suite's criteria read, and whose witnesses no suite reads, so none
+is built; bounds first validates its instruments with one
+:func:`gqi.validate_all`.  Each criterion is then one kernel call per pass
+(:func:`channels._kraus_criterion`, :func:`testers._bounds`).  Every object
+is the one the former per-object generators drew, to the bit.  A pass that raises names the first
 seed whose own pass raises, ``seed N: `` leading its error
 (:func:`gqi._first_fault`).  The public generators are the build of their
 own draw alone.  The appendix suite classifies its seven fixtures with one
@@ -352,8 +354,8 @@ def _equivalence_pass(seeds, pol: TolerancePolicy):
             drawn.append((d0, d1, count, channels._stinespring_gaussian(d0, d1, count, rng), seed))
     chans = _channels(drawn)
     certs = gqi_mod.decide_all(chans, pol)
-    for (d0, d1, count, _, seed), chan, cert in zip(drawn, chans, certs):
-        a = channels.choi_condition(chan, pol, cert.validation)
+    choi = channels._kraus_criterion(chans, [cert.validation for cert in certs], pol)
+    for (d0, d1, count, _, seed), a, cert in zip(drawn, choi, certs):
         b = cert.extremal
         yield a == b, f"seed {seed} dims ({d0},{d1}) kraus {count}: choi={a} rank-form={b}"
 
@@ -411,14 +413,19 @@ def _bounds_pass(seeds, pol: TolerancePolicy):
     # Each seed drew three testers and an instrument.
     built = _build(drawn)
     pools = [t for i, t in enumerate(built) if i % 4 != 3]
-    verdicts = gqi_mod.validate_all(built[3::4], pol)
-    tested = iter(zip(pools, gqi_mod.decide_all(pools, pol)))
-    for seed, ins, verdict in zip(seeds, built[3::4], verdicts):
-        for t, cert in itertools.islice(tested, 3):
+    instruments = built[3::4]
+    verdicts = gqi_mod.validate_all(instruments, pol)
+    certs = gqi_mod.decide_all(pools, pol)
+    extremal = [(t, cert.validation) for t, cert in zip(pools, certs) if cert.extremal]
+    tester_bounds = iter(testers._bounds([t for t, _ in extremal], [v for _, v in extremal], pol))
+    kraus = channels._kraus_criterion(instruments, verdicts, pol)
+    found = iter(certs)
+    for seed, ins, verdict, ins_extremal in zip(seeds, instruments, verdicts, kraus):
+        for cert in itertools.islice(found, 3):
             if cert.extremal:
-                bounds = testers.check_bounds(t, pol, cert.validation)
+                bounds = next(tester_bounds)
                 yield bounds.ok, f"seed {seed}: tester bound violated {bounds}"
-        if channels.instrument_extremal(ins, pol, verdict):
+        if ins_extremal:
             bound = channels.instrument_rank_bound(ins, pol, verdict)
             yield bound.ok, f"seed {seed}: instrument bound violated {bound}"
 

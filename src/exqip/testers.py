@@ -8,7 +8,9 @@ the variable directions are I_2 (x) sigma, sigma traceless on H_1.  Every
 criterion refuses an invalid object through the one gate of
 :mod:`exqip.gqi`, with its message; :func:`check_bounds` also takes the
 caller's validation verdict, which the bounds suite reads off the tester's
-certificate.
+certificate.  The counting bounds are one kernel over a population,
+:func:`_bounds`, with one stacked ``eigvalsh`` of the rho's, and
+:func:`check_bounds` is that kernel on a stack of one.
 
 Also here: the rank/outcome-count bounds, the normalization-changing
 xi transform, POVM extremality, pure-normalization testers, the closed-form
@@ -37,9 +39,15 @@ def is_valid_tester(t: Tester, pol: TolerancePolicy = DEFAULT_TOL) -> bool:
     return gqi_mod.is_valid_gqi(t, pol=pol).ok
 
 
-def _rho_rank(verdict: GqiVerdict, pol: TolerancePolicy) -> int:
-    """The support rank of rho, R^(1) of the verdict's cascade."""
-    return int(pol.support_rank(np.linalg.eigvalsh(verdict.comb_verdict.reduced[0])))
+def _rho_ranks(verdicts: list, pol: TolerancePolicy) -> list:
+    """The support rank of rho, R^(1) of each verdict's cascade, from one
+    stacked ``eigvalsh`` per dimension of rho."""
+    rhos = [v.comb_verdict.reduced[0] for v in verdicts]
+    return gqi_mod._grouped(
+        [rho.shape for rho in rhos],
+        lambda shape: 16 * shape[0] * shape[1],
+        lambda members: pol.support_rank(np.linalg.eigvalsh(np.array([rhos[i] for i in members]))).tolist(),
+    )
 
 
 def is_extremal_tester(t: Tester, pol: TolerancePolicy = DEFAULT_TOL) -> ExtremalityCertificate:
@@ -71,28 +79,39 @@ def check_bounds(
 ) -> TesterBounds:
     """Necessary counting bounds for extremality (never sufficient).
 
-    The outcome ranks come from the eigenpairs of :func:`gqi.is_valid_gqi`,
+    The outcome ranks are the support ranks of :func:`gqi.is_valid_gqi`,
     the caller's ``validation`` on ``t`` at ``pol`` when it has one, and the
-    rank of rho from the eigenvalues of its ``R^(1)``.  An invalid tester
-    raises the error of :func:`gqi._require_valid`."""
-    validation = gqi_mod._require_valid(t, pol, validation)
-    r = _rho_rank(validation, pol)
-    ranks = [int(x) for x in validation.spectra.support_ranks(pol)]
-    lhs = sum(x * x for x in ranks) + r * r - 1
-    rhs = (r * t.d2) ** 2
-    applicable = all(x == 1 for x in ranks) and r == t.d1
-    m_rhs = t.d1 ** 2 * (t.d2 ** 2 - 1) + 1
-    return TesterBounds(
-        outcome_ranks=tuple(ranks),
-        normalization_rank=r,
-        rank_bound_lhs=lhs,
-        rank_bound_rhs=rhs,
-        rank_bound_ok=lhs <= rhs,
-        outcome_bound_applicable=applicable,
-        outcome_bound_lhs=len(ranks),
-        outcome_bound_rhs=m_rhs,
-        outcome_bound_ok=len(ranks) <= m_rhs,
-    )
+    rank of rho comes from the eigenvalues of its ``R^(1)``.  An invalid
+    tester raises the error of :func:`gqi._require_valid`.  This is
+    :func:`_bounds` on ``t`` alone."""
+    return _bounds([t], [validation], pol)[0]
+
+
+def _bounds(ts: list, verdicts: list, pol: TolerancePolicy) -> list:
+    """:func:`check_bounds` of each tester, given its verdict at ``pol`` or
+    None: the gate refuses the first invalid tester, in order, and the ranks
+    of every rho come from one stacked ``eigvalsh`` (:func:`_rho_ranks`)."""
+    verdicts = [gqi_mod._require_valid(t, pol, v) for t, v in zip(ts, verdicts)]
+    out = []
+    for t, v, r in zip(ts, verdicts, _rho_ranks(verdicts, pol)):
+        ranks = v.support_ranks
+        lhs = sum(x * x for x in ranks) + r * r - 1
+        rhs = (r * t.d2) ** 2
+        m_rhs = t.d1 ** 2 * (t.d2 ** 2 - 1) + 1
+        out.append(
+            TesterBounds(
+                outcome_ranks=ranks,
+                normalization_rank=r,
+                rank_bound_lhs=lhs,
+                rank_bound_rhs=rhs,
+                rank_bound_ok=lhs <= rhs,
+                outcome_bound_applicable=all(x == 1 for x in ranks) and r == t.d1,
+                outcome_bound_lhs=len(ranks),
+                outcome_bound_rhs=m_rhs,
+                outcome_bound_ok=len(ranks) <= m_rhs,
+            )
+        )
+    return out
 
 
 def _xi_states(d1: int, rho: np.ndarray, u: np.ndarray, pol: TolerancePolicy) -> linalg.EigenDecomposition:
@@ -303,7 +322,7 @@ def classify_two_outcome_qubit(
     verdict = gqi_mod._require_valid(t, pol)
     rho = verdict.comb_verdict.reduced[0]
     if linalg.max_abs(rho - np.eye(2) / 2.0) > pol.eps_comb:
-        if _rho_rank(verdict, pol) == 2:
+        if _rho_ranks([verdict], pol)[0] == 2:
             t = xi_inverse(t, rho, np.eye(2, dtype=complex), pol)
             verdict = gqi_mod.is_valid_gqi(t, pol=pol)
         else:
@@ -317,9 +336,9 @@ def classify_two_outcome_qubit(
 
     # The outcomes' ranks and eigenvectors, from the one decomposition of
     # their validation; the lower-rank outcome first.
-    outcome_ranks = verdict.spectra.support_ranks(pol)
+    outcome_ranks = verdict.support_ranks
     order = sorted(range(2), key=lambda i: outcome_ranks[i])
-    ranks = [int(outcome_ranks[i]) for i in order]
+    ranks = [outcome_ranks[i] for i in order]
     small = t.outcomes[order[0]]
     vectors = verdict.spectra.vectors[order[0]]
 

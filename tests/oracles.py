@@ -182,6 +182,59 @@ def recursive_decompose(args) -> int:
 
 
 # ---------------------------------------------------------------------------
+# The paper's independent criteria as they were decided before each became
+# one kernel over a population: one object at a time, each validating its
+# own object and reading its own support rule.
+# ---------------------------------------------------------------------------
+
+
+def kraus_criterion(ins, pol=DEFAULT_TOL):
+    """The Kraus-product criterion of one instrument (Choi's criterion for
+    a channel): the gate of its own verdict, each outcome's eigenvalues
+    checked positive and cut at its support rank into its minimal Kraus
+    family, and one ``complex_family_rank`` of the pooled products
+    K_m^dagger K_n."""
+    spectra = gqi._require_valid(ins, pol).spectra
+    products = []
+    for w, v in zip(spectra.values, spectra.vectors):
+        if not pol.psd(w):
+            raise NotPositiveError(f"Choi operator has negative eigenvalue {w[-1]:.3e}")
+        ks = [math.sqrt(w[m]) * v[:, m].reshape(ins.d1, ins.d0) for m in range(int(pol.support_rank(w)))]
+        products += [a.conj().T @ b for a in ks for b in ks]
+    return linalg.complex_family_rank(products, pol) == len(products)
+
+
+def check_bounds(t, pol=DEFAULT_TOL):
+    """The counting bounds of one tester: the outcome ranks from its own
+    verdict's eigenvalues, and rho's rank from an ``eigvalsh`` of rho
+    alone."""
+    verdict = gqi._require_valid(t, pol)
+    r = int(pol.support_rank(np.linalg.eigvalsh(verdict.comb_verdict.reduced[0])))
+    ranks = [int(x) for x in pol.support_rank(verdict.spectra.values)]
+    lhs = sum(x * x for x in ranks) + r * r - 1
+    rhs = (r * t.d2) ** 2
+    m_rhs = t.d1 ** 2 * (t.d2 ** 2 - 1) + 1
+    return testers.TesterBounds(
+        outcome_ranks=tuple(ranks),
+        normalization_rank=r,
+        rank_bound_lhs=lhs,
+        rank_bound_rhs=rhs,
+        rank_bound_ok=lhs <= rhs,
+        outcome_bound_applicable=all(x == 1 for x in ranks) and r == t.d1,
+        outcome_bound_lhs=len(ranks),
+        outcome_bound_rhs=m_rhs,
+        outcome_bound_ok=len(ranks) <= m_rhs,
+    )
+
+
+def instrument_rank_bound(ins, pol=DEFAULT_TOL):
+    """sum r_i^2 <= d_0^2, the ranks from the instrument's own verdict."""
+    ranks = tuple(int(x) for x in pol.support_rank(gqi._require_valid(ins, pol).spectra.values))
+    lhs = sum(r * r for r in ranks)
+    return channels.InstrumentRankBound(outcome_ranks=ranks, lhs=lhs, rhs=ins.d0 ** 2, ok=lhs <= ins.d0 ** 2)
+
+
+# ---------------------------------------------------------------------------
 # The generators as they were before a pass was drawn in stacked calls: one
 # object at a time, each from numpy calls on that object alone.
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from exqip.errors import DimensionMismatchError, NotHermitianError, SizeLimitErr
 from exqip.gqi import Gqi
 from exqip.linalg import DEFAULT_TOL
 
-from test_epsilon_star import acceptance_07_population, bench_ladder, identity_exchange_population
+from test_epsilon_star import acceptance_07_population, bench_ladder, identity_exchange_population, tree_nodes
 from test_head_rank import fallback_population, split_comb
 
 import oracles
@@ -156,6 +156,8 @@ def assert_verdict_is_former(verdict, g):
     assert all(same_bits(a, b) for a, b in zip(verdict.comb_verdict.reduced, reduced, strict=True))
     assert same_bits(verdict.spectra.values, spectra.values)
     assert same_bits(verdict.spectra.vectors, spectra.vectors)
+    assert verdict.support_ranks == tuple(spectra.support_ranks(DEFAULT_TOL).tolist())
+    assert all(type(r) is int for r in verdict.support_ranks)
 
 
 def assert_certificate_is_former(cert, g):
@@ -222,7 +224,12 @@ def gates():
     return out + acceptance_07_population()[:20]
 
 
-POPULATIONS = {"golden": golden, "ladder": ladder, "gates": gates}
+def trees():
+    """The ``trees`` roots of seed 1, their children and grandchildren."""
+    return tree_nodes(1)
+
+
+POPULATIONS = {"golden": golden, "ladder": ladder, "gates": gates, "trees": trees}
 
 
 @pytest.mark.parametrize("name", POPULATIONS)
@@ -239,6 +246,21 @@ def test_single_call_is_former_call_chain(name):
             assert_same_verdict(cert.validation, verdict)
             decided += 1
     assert decided > 0
+
+
+@pytest.mark.parametrize("name", ["golden", "ladder", "trees"])
+def test_witnesses_read_late_are_the_former_eager_ones(name):
+    """A witness is built on first read; read last member first, after
+    every certificate of the population was made, each equals the former
+    eager call chain to the bit."""
+    population = POPULATIONS[name]()
+    population = [g for g, v in zip(population, gqi.validate_all(population)) if v.ok]
+    certs = gqi.decide_all(population)
+    dependent = 0
+    for g, cert in reversed(list(zip(population, certs, strict=True))):
+        assert_certificate_is_former(cert, g)
+        dependent += not cert.extremal
+    assert dependent > 0
 
 
 def keys(population):

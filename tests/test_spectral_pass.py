@@ -307,13 +307,18 @@ class TestTracerGuard:
         extremal, midpoint, _ = ladder_inputs((2, 2), np.random.default_rng(2))
         assert gqi.is_extremal(extremal).extremal
         assert (valid[0], step[0]) == (1, 0)
-        assert not gqi.is_extremal(midpoint).extremal
+        cert = gqi.is_extremal(midpoint)
+        # The witness, and with it epsilon*, is built on its first read.
+        assert not cert.extremal and (valid[0], step[0]) == (2, 0)
+        assert cert.perturbation is not None
         assert (valid[0], step[0]) == (2, 1)
 
     def test_tester_validates_once(self, monkeypatch):
         valid = self.counting(monkeypatch, "is_valid_gqi")
         step = self.counting(monkeypatch, "max_perturbation_step")
-        assert not testers.is_extremal_tester(testers.schmidt_tester(0.0)).extremal
+        cert = testers.is_extremal_tester(testers.schmidt_tester(0.0))
+        assert not cert.extremal and (valid[0], step[0]) == (1, 0)
+        assert cert.perturbation is not None
         assert (valid[0], step[0]) == (1, 1)
 
     def test_equivalence_suite_validates_each_channel_once(self, monkeypatch):

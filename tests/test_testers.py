@@ -382,4 +382,5 @@ class TestClassifyValidatesOnce:
         # The given outcomes, rho (once, in xi_inverse, as a stack of one:
         # its rank is read from eigvalsh) and the outcomes xi_inverse returns.
         assert calls["eigh"] == [(2, 4, 4), (1, 2, 2), (2, 4, 4)]
-        assert calls["eigvalsh"] == [(2, 2)]
+        # rho's rank, from the stacked eigvalsh of the counting bounds on a stack of one.
+        assert calls["eigvalsh"] == [(1, 2, 2)]

@@ -20,6 +20,7 @@ import pytest
 
 from exqip import channels, combs, fileio, gqi, linalg, suites, testers
 from exqip.combs import CombSignature
+from exqip.errors import ToleranceError
 from exqip.gqi import Gqi
 from exqip.linalg import DEFAULT_TOL, TolerancePolicy
 
@@ -259,6 +260,33 @@ def test_support_rule_at_the_cutoff(pol, dim, lam_max):
     assert [(bool(p), int(r)) for p, r in zip(pol.psd(stack), pol.support_rank(stack))] == truths
     eig = linalg.EigenDecomposition(-np.sort(-stack, axis=-1), np.zeros(stack.shape + (dim,)))
     assert eig.support_ranks(pol).tolist() == [r for _, r in truths]
+
+
+@pytest.mark.parametrize("pol", POLICIES)
+@pytest.mark.parametrize("dim", [2, 3, 4, 16, 64])
+def test_one_support_pass_at_the_cutoff(pol, dim):
+    """``TolerancePolicy._support_pass``, the one pass of validation over
+    sorted spectra, gives ``psd`` and ``support_rank`` to the bit, on
+    eigenvalues at and one ulp beyond the cutoffs, and refuses a GQI whose
+    every support is empty as ``require_support`` does."""
+    rng = np.random.default_rng(dim)
+    arrays = [w for lam_max in (0.25, 1.0, 5.5) for w, _, _ in at_cutoff(dim, lam_max, pol, rng)]
+    # One GQI per three outcomes, eigenvalues descending, as validation sorts them.
+    w = -np.sort(-np.array(arrays), axis=-1).reshape(-1, 3, dim)
+    positive, ranks = pol._support_pass(w)
+    assert positive.dtype == pol.psd(w).dtype and positive.tolist() == pol.psd(w).tolist()
+    assert ranks.dtype == pol.support_rank(w).dtype and ranks.tolist() == pol.support_rank(w).tolist()
+    pol.require_support(w)
+    tau = float(pol.supp_tol(dim, 1.0))
+    empty = np.zeros((2, 3, dim))
+    empty[1, :, 0] = tau
+    with pytest.raises(ToleranceError) as want:
+        pol.require_support(empty)
+    with pytest.raises(ToleranceError) as got:
+        pol._support_pass(empty)
+    assert str(got.value) == str(want.value)
+    empty[1, 2, 0] = np.nextafter(tau, np.inf)
+    pol._support_pass(empty[1:])
 
 
 def test_support_rule_on_no_eigenvalues():
