@@ -4,20 +4,20 @@ Conventions: ``|A>> = (A (x) I)|I>>`` with ``|I>> = sum_i |i>|i>``, so the
 operator-to-vector map is a plain row-major reshape and Choi operators live on
 H_1 (x) H_0 (output factor first).  Minimal Kraus representations come from the
 Choi spectral decomposition, cut by one kernel, :func:`_kraus_stack`, from
-one decomposition or a stack of them.  It holds the one refusal of a Choi
-operator that is not PSD, for the callers that hold no validation verdict
-(:func:`choi_to_kraus`, the instrument draws); the criteria read the
-support ranks of their verdicts, whose gate has decided positivity.
+one decomposition or a stack of them and its support ranks.  The ranks are
+those of :meth:`TolerancePolicy.support`: the criteria read them off their
+validation verdicts, whose gate has decided positivity by the same rule,
+and :func:`choi_to_kraus` reads them with the rule's positivity, the one
+refusal of a Choi operator that is not PSD.
 
 A channel is the one-outcome instrument whose operator is the Choi
 operator, so its validity and its criteria are the instrument's, under the
 channel names.  Every criterion refuses an invalid object through the one
-gate of :mod:`exqip.gqi`, with its message; :func:`instrument_extremal` and
-:func:`instrument_rank_bound` also take the caller's validation verdict,
-which the suites read off their certificates or :func:`gqi.validate_all`.
-The Kraus-product criterion is one kernel over a population,
-:func:`_kraus_criterion`, and :func:`instrument_extremal` is that kernel
-on a stack of one.
+gate of :mod:`exqip.gqi`, with its message; :func:`instrument_rank_bound`
+also takes the caller's validation verdict, which the bounds suite reads
+off :func:`gqi.validate_all`.  The Kraus-product criterion is one kernel
+over a population, :func:`_kraus_criterion`, and :func:`instrument_extremal`
+is that kernel on a stack of one.
 Extremality routes: the pooled Kraus-product criterion (Choi's criterion,
 the independence of {K_m^dagger K_n}, for a channel), the paper's
 independent criterion; the master criterion (Theorem 1 for a channel),
@@ -64,36 +64,29 @@ def kraus_to_choi(kraus) -> np.ndarray:
     return out
 
 
-def _kraus_stack(eig: linalg.EigenDecomposition, d1: int, d0: int, pol: TolerancePolicy, ranks=None) -> tuple:
-    """(kraus, r): sqrt(lambda_m) unvec(v_m) over the D eigenpairs of a Choi
-    operator, as a stack (D, d1, d0) that is zero past the support rank r,
-    so that its first r operators are the minimal Kraus family.  A stack of
-    decompositions (..., D) gives (..., D, d1, d0) and the ranks (...), each
-    the same to the bit as its own call.
-
-    ``ranks`` are the support ranks of a :class:`gqi.GqiVerdict`, whose
-    gate has already decided positivity by the same rule.  Without them,
-    the ranks are counted here, and a Choi operator that fails
-    :meth:`TolerancePolicy.psd` raises :class:`NotPositiveError`, the first
-    of a stack naming its lowest eigenvalue."""
-    if ranks is None:
-        negative = ~pol.psd(eig.values)
-        if negative.any():
-            raise NotPositiveError(f"Choi operator has negative eigenvalue {eig.values[..., -1][negative][0]:.3e}")
-        ranks = eig.support_ranks(pol)
-    kept = np.arange(eig.values.shape[-1]) < ranks[..., None]
+def _kraus_stack(eig: linalg.EigenDecomposition, d1: int, d0: int, ranks) -> np.ndarray:
+    """sqrt(lambda_m) unvec(v_m) over the D eigenpairs of a positive Choi
+    operator, as a stack (D, d1, d0) that is zero past its support rank
+    ``ranks``, so that its first r operators are the minimal Kraus family.
+    A stack of decompositions (..., D) with ranks (...) gives
+    (..., D, d1, d0), each the same to the bit as its own call."""
+    kept = np.arange(eig.values.shape[-1]) < np.asarray(ranks)[..., None]
     vectors = np.swapaxes(eig.vectors, -2, -1).reshape(*eig.values.shape, d1, d0)
-    return np.sqrt(np.where(kept, eig.values, 0.0))[..., None, None] * vectors, ranks
+    return np.sqrt(np.where(kept, eig.values, 0.0))[..., None, None] * vectors
 
 
 def choi_to_kraus(choi: np.ndarray, d1: int, d0: int, pol: TolerancePolicy = DEFAULT_TOL) -> list:
     """Minimal Kraus list from the Choi spectral form; count = eigen-rank.
-    The Choi operator must be (d1 d0) x (d1 d0)."""
+    The Choi operator must be (d1 d0) x (d1 d0) and positive by the support
+    rule, or :class:`NotPositiveError` names its lowest eigenvalue."""
     dim = np.shape(choi)[-1] if np.ndim(choi) else 0
     if d1 * d0 != dim:
         raise DimensionMismatchError(f"Choi operator of dimension D = {dim} is not d1 d0 = {d1} x {d0}")
-    kraus, r = _kraus_stack(linalg.hermitian_eig(choi, pol), d1, d0, pol)
-    return list(kraus[:r])
+    eig = linalg.hermitian_eig(choi, pol)
+    positive, r = pol.support(eig.values)
+    if not positive:
+        raise NotPositiveError(f"Choi operator has negative eigenvalue {eig.values[-1]:.3e}")
+    return list(_kraus_stack(eig, d1, d0, r)[:r])
 
 
 def instrument_kraus(ins: Instrument, pol: TolerancePolicy = DEFAULT_TOL) -> list:
@@ -137,17 +130,14 @@ def _kraus_products(kraus: np.ndarray) -> np.ndarray:
     return (kh[..., :, None, :, :] @ k[..., None, :, :, :]).reshape(*lead, r * r, d0, d0)
 
 
-def instrument_extremal(
-    ins: Instrument, pol: TolerancePolicy = DEFAULT_TOL, validation: gqi_mod.GqiVerdict | None = None
-) -> bool:
+def instrument_extremal(ins: Instrument, pol: TolerancePolicy = DEFAULT_TOL) -> bool:
     """Kraus-product criterion: the pooled per-outcome families
-    {K_m^(i)dagger K_n^(i)} must be linearly independent.  ``validation`` is
-    the caller's :func:`gqi.is_valid_gqi` verdict on the instrument at
-    ``pol``, when it has one; each outcome's minimal Kraus stack comes from
-    its eigenpairs.  An invalid instrument raises the error of
-    :func:`gqi._require_valid`.  This is :func:`_kraus_criterion` on
-    ``ins`` alone."""
-    return _kraus_criterion([ins], [validation], pol)[0]
+    {K_m^(i)dagger K_n^(i)} must be linearly independent.  Each outcome's
+    minimal Kraus stack comes from the eigenpairs and support ranks of the
+    instrument's :func:`gqi.is_valid_gqi` verdict.  An invalid instrument
+    raises the error of :func:`gqi._require_valid`.  This is
+    :func:`_kraus_criterion` on ``ins`` alone."""
+    return _kraus_criterion([ins], [None], pol)[0]
 
 
 def _kraus_criterion(instruments: list, verdicts: list, pol: TolerancePolicy) -> list:
@@ -156,7 +146,8 @@ def _kraus_criterion(instruments: list, verdicts: list, pol: TolerancePolicy) ->
     order.  The instruments are then grouped by (d1, d0, support ranks),
     and each group runs one :func:`_kraus_stack` on the ranks of its
     verdicts, one batched product K_m^dagger K_n and one values-only
-    ``svd``; each result is that of the instrument's own call."""
+    ``svd``, whose rank is counted at :meth:`TolerancePolicy.rank_tol` of
+    each member; each result is that of the instrument's own call."""
     verdicts = [gqi_mod._require_valid(x, pol, v) for x, v in zip(instruments, verdicts)]
 
     def run(members):
@@ -165,12 +156,11 @@ def _kraus_criterion(instruments: list, verdicts: list, pol: TolerancePolicy) ->
             np.array([v.spectra.values for v in group]), np.array([v.spectra.vectors for v in group])
         )
         ranks = group[0].support_ranks
-        kraus = _kraus_stack(spectra, first.d1, first.d0, pol, np.array(ranks))[0]
+        kraus = _kraus_stack(spectra, first.d1, first.d0, ranks)
         products = np.concatenate([_kraus_products(kraus[:, i, :r]) for i, r in enumerate(ranks)], axis=1)
         x = products.reshape(len(group), products.shape[1], -1)
         s = np.linalg.svd(x, compute_uv=False)
-        # The cutoff of linalg.complex_family_rank, per member.
-        return ((s > max(x.shape[1:]) * s[:, :1] * pol.eps_rel).sum(axis=1) == x.shape[1]).tolist()
+        return ((s > pol.rank_tol(*x.shape[1:], s[:, :1])).sum(axis=1) == x.shape[1]).tolist()
 
     return gqi_mod._grouped(
         [(x.signature, v.support_ranks) for x, v in zip(instruments, verdicts)],
@@ -209,8 +199,9 @@ def instrument_rank_bound(
 ) -> InstrumentRankBound:
     """Necessary condition for extremality: sum of squared ranks <= d_0^2.
 
-    The ranks are the Kraus counts, the support ranks of the validation
-    verdict: ``validation`` as in :func:`instrument_extremal`."""
+    The ranks are the Kraus counts, the support ranks of the
+    :func:`gqi.is_valid_gqi` verdict: ``validation``, the caller's verdict on
+    ``ins`` at ``pol`` when it has one."""
     ranks = gqi_mod._require_valid(ins, pol, validation).support_ranks
     lhs = sum(r * r for r in ranks)
     rhs = ins.d0 ** 2
@@ -399,8 +390,8 @@ def _instrument_operators(g: np.ndarray, d1: int, outcome_kraus_counts) -> np.nd
     which may fall below sum(counts); a group that reaches past its D
     operators is cut short, since zero operators add nothing to a Choi
     operator."""
-    chois = _channel_chois(g, d1)
-    kraus = _kraus_stack(linalg.hermitian_eig(chois, DEFAULT_TOL), d1, g.shape[-1], DEFAULT_TOL)[0]
+    eig = linalg.hermitian_eig(_channel_chois(g, d1), DEFAULT_TOL)
+    kraus = _kraus_stack(eig, d1, g.shape[-1], DEFAULT_TOL.support(eig.values)[1])
     bounds = np.cumsum((0, *outcome_kraus_counts))
     return np.stack([kraus_to_choi(kraus[:, a:b]) for a, b in zip(bounds[:-1], bounds[1:])], axis=1)
 

@@ -107,9 +107,10 @@ def cmd_extremal(args) -> int:
         "support_ranks": list(cert.support_ranks),
         "epsilon_star": None if cert.perturbation is None else cert.perturbation.epsilon_star,
     }
-    sys.stdout.write(fileio.dumps_canonical(report))
+    # Written first, so that a path that cannot be written prints no report.
     if args.certificate:
         fileio.save_certificate(args.certificate, kind.name, cert, pol)
+    sys.stdout.write(fileio.dumps_canonical(report))
     return 0
 
 

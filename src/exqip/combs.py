@@ -198,10 +198,10 @@ def is_deterministic_comb(
         raise DimensionMismatchError(
             f"operator dimension {r.shape[0]} != signature total {sig.total_dim}"
         )
-    w = np.linalg.eigvalsh(r)
-    pol.require_support(w[None])
-    positive = pol.psd(w)
-    return _cascade(r[None], sig, pol.eps_comb if tol is None else tol, [positive])[0]
+    # eigvalsh returns the eigenvalues ascending; the support rule reads them descending.
+    positive, ranks = pol.support(np.linalg.eigvalsh(r)[None, ::-1])
+    pol.require_support(ranks, sig.total_dim)
+    return _cascade(r[None], sig, pol.eps_comb if tol is None else tol, positive)[0]
 
 
 def reduced_comb(

@@ -20,10 +20,10 @@ supp_tol(D, 1) / 2, epsilon_star is a closed form: the generalized-eigenvalue
 form of Choi's positivity argument, on each outcome's support, read from the
 eigenpairs of validation.
 Validation's batched ``linalg.hermitian_eig`` is the only eigendecomposition
-of the outcomes, and one pass of the support rule over its sorted spectra
-gives positivity and the support ranks the verdict carries; the tolerance
-refusal of the rank cutoff and the size guard run once per stack, in
-:func:`_decide_stack`.
+of the outcomes, and the support rule, :meth:`TolerancePolicy.support`, on
+its sorted spectra gives positivity and the support ranks the verdict
+carries; the tolerance refusal of the rank cutoff and the size guard run
+once per stack, in :func:`_decide_stack`.
 
 Every object kind is a :class:`Gqi`, which lives in :mod:`exqip.combs`
 beside the comb signature and is re-exported here.  :class:`Tester`,
@@ -143,9 +143,9 @@ class GqiVerdict:
     when every outcome is.  ``spectra`` holds the eigenpairs of the symmetrized
     outcomes (a stack, eigenvalues descending), which the rank test and the
     epsilon* step reuse, and ``support_ranks`` the support rank of each
-    outcome (:meth:`TolerancePolicy.support_rank` of its eigenvalues), which
-    the rank test, the Kraus read-out and the counting bounds read; neither
-    takes part in equality or repr."""
+    outcome (:meth:`TolerancePolicy.support` of its eigenvalues), which the
+    rank test, the epsilon* step, the Kraus read-out and the counting bounds
+    read; neither takes part in equality or repr."""
 
     ok: bool
     outcome_min_eigenvalues: tuple
@@ -282,10 +282,10 @@ def _validate_stack(gs: list, pol: TolerancePolicy) -> list:
     """The verdicts on K GQIs of one signature and one list of outcome
     shapes, from one :func:`linalg.hermitian_eig`, the Hermiticity check and
     ``eigh`` of the (K M, D, D) stack, and one cascade pass of the K sums.
-    One pass of the support rule over the sorted spectra
-    (:meth:`TolerancePolicy._support_pass`) refuses a GQI whose every
-    support is empty, as :meth:`TolerancePolicy.require_support` does, and
-    gives positivity and the support ranks."""
+    The support rule on the sorted spectra (:meth:`TolerancePolicy.support`)
+    gives positivity and the support ranks, and
+    :meth:`TolerancePolicy.require_support` refuses a GQI whose every
+    support is empty."""
     first = gs[0]
     m = len(first.outcomes)
     if m < 1:
@@ -297,7 +297,8 @@ def _validate_stack(gs: list, pol: TolerancePolicy) -> list:
     if shaped < m:
         raise _shape_error(first.outcomes[shaped], total)
     w = spectra.values.reshape(len(gs), m, total)
-    positive, ranks = pol._support_pass(w)
+    positive, ranks = pol.support(w)
+    pol.require_support(ranks, total)
     v = spectra.vectors.reshape(len(gs), m, total, total)
     # Summed in the order of sum(outcomes), so that each sum is its own call's to the bit.
     s = sum(x[:, i] for i in range(m))
@@ -386,10 +387,11 @@ def max_perturbation_step(directions, spectra: linalg.EigenDecomposition, pol: T
 
     ``spectra`` are the eigenpairs of the outcomes T_i, eigenvalues
     descending, as :attr:`GqiVerdict.spectra` holds them, and each D_i lies
-    in the support of T_i, the leading ``pol.support_rank`` eigenvectors
-    U_i, as the witnesses of :func:`is_extremal` do.  With the constant
-    margin c = supp_tol(D, 1) / 2 and the rounding allowance a
-    (:func:`_allowance`), S_i = U_i (W_i + c - a)^{-1/2} on that support.
+    in the support of T_i, the leading eigenvectors U_i that
+    :meth:`TolerancePolicy.support` counts, as the witnesses of
+    :func:`is_extremal` do.  With the constant margin c = supp_tol(D, 1) / 2
+    and the rounding allowance a (:func:`_allowance`),
+    S_i = U_i (W_i + c - a)^{-1/2} on that support.
     Then T_i +/- epsilon D_i + c - a is PSD exactly while
     epsilon |S_i^dagger D_i S_i|_2 <= 1, so the step is
     1 / max_i |S_i^dagger D_i S_i|_2, from one batched ``eigvalsh``.  This is
@@ -412,7 +414,7 @@ def max_perturbation_step(directions, spectra: linalg.EigenDecomposition, pol: T
     w, v = spectra.values, spectra.vectors
     dim = w.shape[-1]
     w = w.reshape(len(d), -1, dim)
-    ranks = pol.support_rank(w)
+    ranks = pol.support(w)[1]
     k = int(ranks.max())
     used = np.arange(dim) < ranks[..., None]
     # used * a is a where used and 0.0 elsewhere, as a is positive and finite.

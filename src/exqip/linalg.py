@@ -5,16 +5,19 @@ handful of primitives in this module: Hermitian eigendecompositions, partial
 traces, Hermitian operator bases and the partial traces of support bases, and
 the real vectorization that turns operator-independence questions into
 matrix-rank questions.  The pooled rank test of extremality is
-:mod:`exqip.gqi`'s; :func:`complex_family_rank` serves the Kraus-product
-criterion.
+:mod:`exqip.gqi`'s.  :class:`TolerancePolicy` holds the one support rule,
+:meth:`TolerancePolicy.support`, which gives positivity and the support
+ranks of sorted spectra, beside its refusal of a tolerance that leaves
+every support empty, and the one rank cutoff,
+:meth:`TolerancePolicy.rank_tol`.
 
 Operators are plain complex ``numpy`` arrays.  All functions are pure.
 :func:`hermitian_eig` is the program's one ``eigh``: it checks the
 Hermiticity of an operator or of a stack of them and decomposes the
 symmetrized operators in one batched call.
-:func:`kron` takes two matrices, or two stacks of them, and forms their
-products with one broadcast multiplication, each the same to the bit as
-``np.kron``.
+:func:`kron` takes two matrices, or two stacks of them, and forms each
+product with the broadcast multiplication of ``np.kron``, the same to the
+bit.
 """
 
 from __future__ import annotations
@@ -57,7 +60,8 @@ class TolerancePolicy:
         """Hermiticity tolerance for an array of largest magnitudes |A|_max."""
         return self.eps_rel * np.maximum(1.0, scale)
 
-    def rank_tol(self, n_rows: int, n_cols: int, sigma_max: float) -> float:
+    def rank_tol(self, n_rows: int, n_cols: int, sigma_max: float | np.ndarray) -> float | np.ndarray:
+        """Rank cutoff for a largest singular value, or elementwise for an array of them."""
         return max(n_rows, n_cols) * sigma_max * self.eps_rel
 
     def supp_tol(self, dim: int, lambda_max: float | np.ndarray) -> float | np.ndarray:
@@ -66,41 +70,23 @@ class TolerancePolicy:
         # case) from tripping the negativity check on float dust.
         return dim * np.maximum(lambda_max, 1.0) * self.eps_rel
 
-    def psd(self, w: np.ndarray) -> bool | np.ndarray:
-        """The support rule for positivity, lambda_min >= -supp_tol(d, lambda_max), on
-        the d eigenvalues along the last axis of ``w`` (any order; one per stacked operator)."""
-        low = w.min(axis=-1, initial=np.inf)
-        return low >= -self.supp_tol(w.shape[-1], w.max(axis=-1, initial=-np.inf))
+    def support(self, w: np.ndarray) -> tuple:
+        """The support rule, on the d eigenvalues along the last axis of
+        ``w``, sorted descending (lambda_max first, lambda_min last; one
+        spectrum per stacked operator): positivity is lambda_min >=
+        -supp_tol(d, lambda_max), and the support rank is the count of the
+        eigenvalues above supp_tol(d, lambda_max).  Returns (psd, support
+        ranks), each of the shape of ``w`` without its last axis; with no
+        eigenvalue, positive and of rank 0."""
+        tol = self.supp_tol(w.shape[-1], w[..., :1])
+        return (w[..., -1:] >= -tol).all(axis=-1), (w > tol).sum(axis=-1)
 
-    def support_rank(self, w: np.ndarray) -> int | np.ndarray:
-        """The support rule for rank: the eigenvalues above supp_tol(d,
-        lambda_max), counted along the last axis of ``w`` as in :meth:`psd`."""
-        tau = self.supp_tol(w.shape[-1], w.max(axis=-1, keepdims=True, initial=-np.inf))
-        return (w > tau).sum(axis=-1)
-
-    def require_support(self, w: np.ndarray) -> None:
-        """:class:`ToleranceError` when every support is empty, for the
-        operators with d eigenvalues along the last axis of ``w`` (M, d), or
-        any GQI of a stack (K, M, d): when each largest eigenvalue lambda has
-        lambda <= supp_tol(d, lambda), as :meth:`support_rank` counts it."""
-        top = w.max(axis=-1)
-        if (top <= self.supp_tol(w.shape[-1], top)).all(axis=-1).any():
-            self._refuse_empty_support(w.shape[-1])
-
-    def _refuse_empty_support(self, dim: int):
-        raise ToleranceError(f"tolerance {self.eps_rel:g} leaves every support empty at dimension {dim}")
-
-    def _support_pass(self, w: np.ndarray) -> tuple:
-        """:meth:`require_support`, :meth:`psd` and :meth:`support_rank` in
-        one pass over a stack (K, M, d) of spectra sorted descending along
-        the last axis: lambda_max is the first eigenvalue and lambda_min the
-        last, and one supp_tol serves all three.  Returns (psd, support
-        ranks), each (K, M) and the same to the bit as its method's."""
-        top = w[..., 0]
-        tol = self.supp_tol(w.shape[-1], top)
-        if (top <= tol).all(axis=-1).any():
-            self._refuse_empty_support(w.shape[-1])
-        return w[..., -1] >= -tol, (w > tol[..., None]).sum(axis=-1)
+    def require_support(self, ranks: np.ndarray, dim: int) -> None:
+        """:class:`ToleranceError` when every support of some object is
+        empty: ``ranks`` (..., M) are :meth:`support` ranks of its M
+        operators of dimension ``dim``, along the last axis."""
+        if (ranks == 0).all(axis=-1).any():
+            raise ToleranceError(f"tolerance {self.eps_rel:g} leaves every support empty at dimension {dim}")
 
 
 DEFAULT_TOL = TolerancePolicy()
@@ -122,10 +108,6 @@ class EigenDecomposition:
     def __getitem__(self, k) -> "EigenDecomposition":
         """The decomposition of operator ``k`` of a stack."""
         return EigenDecomposition(self.values[k], self.vectors[k])
-
-    def support_ranks(self, pol: "TolerancePolicy") -> np.ndarray:
-        """The leading columns of ``vectors`` that span each support."""
-        return pol.support_rank(self.values)
 
 
 def max_abs(a: np.ndarray) -> float:
@@ -171,16 +153,24 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     These are the multiplications ``np.kron`` makes, on operands of the same
     layout, so every entry is the same to the bit.  Stacks (..., m, n) and
     (..., p, q) whose leading axes broadcast give the stack of the products
-    of their matrices, each the same to the bit as from its own call."""
+    of their matrices, each from the multiplication of its own call: numpy's
+    complex products give NaNs and underflowed zeros different bits in
+    different loops, and which loop runs depends on the shape of the whole
+    product."""
     a, b = np.asarray(a), np.asarray(b)
     if a.ndim < 2 or b.ndim < 2:
         raise DimensionMismatchError(f"kron takes two matrices or stacks of them, got shapes {a.shape} and {b.shape}")
     (m, n), (p, q) = a.shape[-2:], b.shape[-2:]
+    x, y = a[..., :, None, :, None], b[..., None, :, None, :]
+    if a.ndim == b.ndim == 2:
+        return (x * y).reshape(m * p, n * q)
     try:
-        x = a[..., :, None, :, None] * b[..., None, :, None, :]
+        lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
     except ValueError as err:
         raise DimensionMismatchError(f"kron stacks of shapes {a.shape} and {b.shape} do not broadcast") from err
-    return x.reshape(*x.shape[:-4], m * p, n * q)
+    x, y = np.broadcast_to(x, lead + x.shape[-4:]), np.broadcast_to(y, lead + y.shape[-4:])
+    products = [x[idx] * y[idx] for idx in np.ndindex(lead)]
+    return np.array(products, dtype=np.result_type(a, b)).reshape(*lead, m * p, n * q)
 
 
 def partial_trace(a: np.ndarray, dims, traced) -> np.ndarray:
@@ -227,18 +217,6 @@ def sqrt_psd(a: np.ndarray, pol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
 def eig_sqrt(eig: EigenDecomposition) -> np.ndarray:
     """:func:`sqrt_psd` of the operator, or of each operator of the stack, that ``eig`` decomposes."""
     return EigenDecomposition(np.sqrt(np.clip(eig.values, 0.0, None)), eig.vectors).reconstruct()
-
-
-def complex_family_rank(mats, pol: TolerancePolicy = DEFAULT_TOL) -> int:
-    """Rank over the complex field of a family of matrices of equal shape,
-    given as a sequence or as one stack (k, a, b)."""
-    x = np.asarray(mats, dtype=complex)
-    if len(x) == 0:
-        return 0
-    x = x.reshape(len(x), -1)
-    s = np.linalg.svd(x, compute_uv=False)
-    tau = pol.rank_tol(*x.shape, float(s[0]) if s.size else 0.0)
-    return int(np.count_nonzero(s > tau))
 
 
 @functools.lru_cache(maxsize=None)

@@ -165,7 +165,7 @@ def _extremal_qubit_testers(draws) -> list:
     split = np.flatnonzero(styles)
     if split.size:
         eig = linalg.hermitian_eig(outcomes[split, 1], DEFAULT_TOL)
-        effects, ranks = testers._projectors(eig), eig.support_ranks(DEFAULT_TOL)
+        effects, ranks = testers._projectors(eig), DEFAULT_TOL.support(eig.values)[1]
         for (style, r), at in _positions(zip(styles[split].tolist(), ranks.tolist())).items():
             subs = effects[at, :r]
             if style == 2:

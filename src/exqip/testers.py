@@ -6,11 +6,10 @@ signature (1, d_1, d_2, 1), and a POVM one on (d, 1).  Both are valid exactly
 when their GQI view is, and are decided by the GQI rank test; for a tester
 the variable directions are I_2 (x) sigma, sigma traceless on H_1.  Every
 criterion refuses an invalid object through the one gate of
-:mod:`exqip.gqi`, with its message; :func:`check_bounds` also takes the
-caller's validation verdict, which the bounds suite reads off the tester's
-certificate.  The counting bounds are one kernel over a population,
-:func:`_bounds`, with one stacked ``eigvalsh`` of the rho's, and
-:func:`check_bounds` is that kernel on a stack of one.
+:mod:`exqip.gqi`, with its message.  The counting bounds are one kernel
+over a population, :func:`_bounds`, which the bounds suite calls on the
+verdicts its certificates carry, with one stacked ``eigvalsh`` of the
+rho's, and :func:`check_bounds` is that kernel on a stack of one.
 
 Also here: the rank/outcome-count bounds, the normalization-changing
 xi transform, POVM extremality, pure-normalization testers, the closed-form
@@ -27,7 +26,7 @@ import numpy as np
 
 from . import gqi as gqi_mod, linalg
 from .errors import DimensionMismatchError, ValidationError
-from .gqi import ExtremalityCertificate, GqiVerdict, Povm, Tester
+from .gqi import ExtremalityCertificate, Povm, Tester
 from .linalg import DEFAULT_TOL, TolerancePolicy
 
 
@@ -41,12 +40,12 @@ def is_valid_tester(t: Tester, pol: TolerancePolicy = DEFAULT_TOL) -> bool:
 
 def _rho_ranks(verdicts: list, pol: TolerancePolicy) -> list:
     """The support rank of rho, R^(1) of each verdict's cascade, from one
-    stacked ``eigvalsh`` per dimension of rho."""
+    stacked ``eigvalsh`` per dimension of rho, read descending."""
     rhos = [v.comb_verdict.reduced[0] for v in verdicts]
     return gqi_mod._grouped(
         [rho.shape for rho in rhos],
         lambda shape: 16 * shape[0] * shape[1],
-        lambda members: pol.support_rank(np.linalg.eigvalsh(np.array([rhos[i] for i in members]))).tolist(),
+        lambda members: pol.support(np.linalg.eigvalsh(np.array([rhos[i] for i in members]))[..., ::-1])[1].tolist(),
     )
 
 
@@ -74,17 +73,14 @@ class TesterBounds:
         )
 
 
-def check_bounds(
-    t: Tester, pol: TolerancePolicy = DEFAULT_TOL, validation: GqiVerdict | None = None
-) -> TesterBounds:
+def check_bounds(t: Tester, pol: TolerancePolicy = DEFAULT_TOL) -> TesterBounds:
     """Necessary counting bounds for extremality (never sufficient).
 
-    The outcome ranks are the support ranks of :func:`gqi.is_valid_gqi`,
-    the caller's ``validation`` on ``t`` at ``pol`` when it has one, and the
-    rank of rho comes from the eigenvalues of its ``R^(1)``.  An invalid
+    The outcome ranks are the support ranks of :func:`gqi.is_valid_gqi`, and
+    the rank of rho comes from the eigenvalues of its ``R^(1)``.  An invalid
     tester raises the error of :func:`gqi._require_valid`.  This is
     :func:`_bounds` on ``t`` alone."""
-    return _bounds([t], [validation], pol)[0]
+    return _bounds([t], [None], pol)[0]
 
 
 def _bounds(ts: list, verdicts: list, pol: TolerancePolicy) -> list:
@@ -122,7 +118,7 @@ def _xi_states(d1: int, rho: np.ndarray, u: np.ndarray, pol: TolerancePolicy) ->
         if m.shape[1:] != (d1, d1):
             raise DimensionMismatchError(f"{name} has shape {m.shape[1:]}, but d_1 x d_1 is {(d1, d1)}")
     eig = linalg.hermitian_eig(rho, pol)
-    if (pol.support_rank(eig.values) < d1).any():
+    if (pol.support(eig.values)[1] < d1).any():
         raise ValidationError("xi transform requires a full-rank state")
     return eig
 
@@ -230,7 +226,7 @@ def _split_pieces(eig: linalg.EigenDecomposition, subs: np.ndarray, pol: Toleran
     :func:`split_outcome` checks them: the sum of each family, then effect
     by effect, each over the stack, so that for K = 1 the first fault of
     the family raises."""
-    ranks = eig.support_ranks(pol)
+    ranks = pol.support(eig.values)[1]
     proj = np.empty(eig.vectors.shape, dtype=complex)
     for r in set(ranks.tolist()):
         at = ranks == r
@@ -241,7 +237,7 @@ def _split_pieces(eig: linalg.EigenDecomposition, subs: np.ndarray, pol: Toleran
         raise ValidationError("sub-POVM effects must sum to the support projector")
     for j in range(subs.shape[1]):
         h = linalg.check_hermitian_stack(subs[:, j], pol)
-        if not pol.psd(np.linalg.eigvalsh(h)).all():
+        if not pol.support(np.linalg.eigvalsh(h)[..., ::-1])[0].all():
             raise ValidationError("sub-POVM effect not positive semidefinite")
         if (np.abs(h - proj @ h @ proj).max(axis=(-2, -1)) > pol.eps_comb).any():
             raise ValidationError("sub-POVM effect not supported on Supp(T_i)")
@@ -281,7 +277,7 @@ def _projectors(eig: linalg.EigenDecomposition) -> np.ndarray:
 def projective_split_effects(target: np.ndarray, pol: TolerancePolicy = DEFAULT_TOL) -> list:
     """Rank-one projective sub-POVM on the support of ``target``."""
     eig = linalg.hermitian_eig(target, pol)
-    return list(_projectors(eig)[: eig.support_ranks(pol)])
+    return list(_projectors(eig)[: pol.support(eig.values)[1]])
 
 
 @dataclass(frozen=True)

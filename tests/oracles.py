@@ -22,6 +22,42 @@ from exqip.errors import DimensionMismatchError, NotPositiveError, ValidationErr
 from exqip.linalg import DEFAULT_TOL
 
 
+# ---------------------------------------------------------------------------
+# The support rule and the rank cutoff, written out apart from the program's
+# ``TolerancePolicy.support`` and the Kraus criterion's cutoff, on
+# eigenvalues in any order.
+# ---------------------------------------------------------------------------
+
+
+def psd(w, pol=DEFAULT_TOL):
+    """Positivity by the support rule, lambda_min >= -supp_tol(d,
+    lambda_max), on the d eigenvalues along the last axis of ``w``."""
+    w = np.asarray(w)
+    low = w.min(axis=-1, initial=np.inf)
+    return low >= -pol.supp_tol(w.shape[-1], w.max(axis=-1, initial=-np.inf))
+
+
+def support_rank(w, pol=DEFAULT_TOL):
+    """The support rank by the support rule: the eigenvalues above
+    supp_tol(d, lambda_max), counted along the last axis of ``w``."""
+    w = np.asarray(w)
+    tau = pol.supp_tol(w.shape[-1], w.max(axis=-1, keepdims=True, initial=-np.inf))
+    return (w > tau).sum(axis=-1)
+
+
+def complex_family_rank(mats, pol=DEFAULT_TOL):
+    """Rank over the complex field of a family of matrices of equal shape,
+    given as a sequence or as one stack (k, a, b), at the cutoff
+    max(k, a b) * sigma_max * eps_rel."""
+    x = np.asarray(mats, dtype=complex)
+    if len(x) == 0:
+        return 0
+    x = x.reshape(len(x), -1)
+    s = np.linalg.svd(x, compute_uv=False)
+    tau = pol.rank_tol(*x.shape, float(s[0]) if s.size else 0.0)
+    return int(np.count_nonzero(s > tau))
+
+
 Decision = collections.namedtuple("Decision", "rank nullvector")
 
 
@@ -53,9 +89,9 @@ def support_vectors(t, pol=DEFAULT_TOL):
     """Orthonormal eigenvectors (columns, eigenvalues descending) spanning
     Supp(t); ``t`` must be positive semidefinite within tolerance."""
     eig = linalg.hermitian_eig(t, pol)
-    if not pol.psd(eig.values):
+    if not psd(eig.values, pol):
         raise NotPositiveError(f"negative eigenvalue {eig.values[-1]:.3e}")
-    return eig.vectors[:, : eig.support_ranks(pol)]
+    return eig.vectors[:, : support_rank(eig.values, pol)]
 
 
 def tester_normalization(t, pol=DEFAULT_TOL):
@@ -89,7 +125,7 @@ def theorem1_dense(c, pol=DEFAULT_TOL):
     for sa in linalg.traceless_hermitian_basis(c.d1):
         family.append(linalg.kron(sa, eye0))
         family.extend(linalg.kron(sa, sb) for sb in linalg.traceless_hermitian_basis(c.d0))
-    return linalg.complex_family_rank(family, pol) == len(family)
+    return complex_family_rank(family, pol) == len(family)
 
 
 def classify_combination(ins, pol=DEFAULT_TOL):
@@ -192,16 +228,16 @@ def kraus_criterion(ins, pol=DEFAULT_TOL):
     """The Kraus-product criterion of one instrument (Choi's criterion for
     a channel): the gate of its own verdict, each outcome's eigenvalues
     checked positive and cut at its support rank into its minimal Kraus
-    family, and one ``complex_family_rank`` of the pooled products
+    family, and one :func:`complex_family_rank` of the pooled products
     K_m^dagger K_n."""
     spectra = gqi._require_valid(ins, pol).spectra
     products = []
     for w, v in zip(spectra.values, spectra.vectors):
-        if not pol.psd(w):
+        if not psd(w, pol):
             raise NotPositiveError(f"Choi operator has negative eigenvalue {w[-1]:.3e}")
-        ks = [math.sqrt(w[m]) * v[:, m].reshape(ins.d1, ins.d0) for m in range(int(pol.support_rank(w)))]
+        ks = [math.sqrt(w[m]) * v[:, m].reshape(ins.d1, ins.d0) for m in range(int(support_rank(w, pol)))]
         products += [a.conj().T @ b for a in ks for b in ks]
-    return linalg.complex_family_rank(products, pol) == len(products)
+    return complex_family_rank(products, pol) == len(products)
 
 
 def check_bounds(t, pol=DEFAULT_TOL):
@@ -209,8 +245,8 @@ def check_bounds(t, pol=DEFAULT_TOL):
     verdict's eigenvalues, and rho's rank from an ``eigvalsh`` of rho
     alone."""
     verdict = gqi._require_valid(t, pol)
-    r = int(pol.support_rank(np.linalg.eigvalsh(verdict.comb_verdict.reduced[0])))
-    ranks = [int(x) for x in pol.support_rank(verdict.spectra.values)]
+    r = int(support_rank(np.linalg.eigvalsh(verdict.comb_verdict.reduced[0]), pol))
+    ranks = [int(x) for x in support_rank(verdict.spectra.values, pol)]
     lhs = sum(x * x for x in ranks) + r * r - 1
     rhs = (r * t.d2) ** 2
     m_rhs = t.d1 ** 2 * (t.d2 ** 2 - 1) + 1
@@ -229,7 +265,7 @@ def check_bounds(t, pol=DEFAULT_TOL):
 
 def instrument_rank_bound(ins, pol=DEFAULT_TOL):
     """sum r_i^2 <= d_0^2, the ranks from the instrument's own verdict."""
-    ranks = tuple(int(x) for x in pol.support_rank(gqi._require_valid(ins, pol).spectra.values))
+    ranks = tuple(int(x) for x in support_rank(gqi._require_valid(ins, pol).spectra.values, pol))
     lhs = sum(r * r for r in ranks)
     return channels.InstrumentRankBound(outcome_ranks=ranks, lhs=lhs, rhs=ins.d0 ** 2, ok=lhs <= ins.d0 ** 2)
 
@@ -270,9 +306,9 @@ def random_instrument(d0, d1, outcome_kraus_counts, rng):
     total = sum(outcome_kraus_counts)
     chan = random_channel(d0, d1, total, rng)
     eig = linalg.hermitian_eig(chan.choi)
-    if not DEFAULT_TOL.psd(eig.values):
+    if not psd(eig.values, DEFAULT_TOL):
         raise NotPositiveError(f"Choi operator has negative eigenvalue {eig.values[-1]:.3e}")
-    r = eig.support_ranks(DEFAULT_TOL)
+    r = support_rank(eig.values, DEFAULT_TOL)
     ks = list(np.sqrt(eig.values[:r])[:, None, None] * eig.vectors[:, :r].T.reshape(r, d1, d0))
     while len(ks) < total:
         ks.append(np.zeros((d1, d0), dtype=complex))
@@ -297,7 +333,7 @@ def schmidt_tester(angle, u2=None, u1=None):
 
 def projective_split_effects(target, pol=DEFAULT_TOL):
     eig = linalg.hermitian_eig(target, pol)
-    return [np.outer(v, v.conj()) for v in eig.vectors[:, : eig.support_ranks(pol)].T]
+    return [np.outer(v, v.conj()) for v in eig.vectors[:, : support_rank(eig.values, pol)].T]
 
 
 def split_outcome(t, index, sub_effects, pol=DEFAULT_TOL):
@@ -309,13 +345,13 @@ def split_outcome(t, index, sub_effects, pol=DEFAULT_TOL):
         if e.shape != shape:
             raise DimensionMismatchError(f"sub-POVM effect shape {e.shape} does not match outcome shape {shape}")
     eig = linalg.hermitian_eig(t.outcomes[index], pol)
-    cols = eig.vectors[:, : eig.support_ranks(pol)]
+    cols = eig.vectors[:, : support_rank(eig.values, pol)]
     proj = cols @ cols.conj().T
     if linalg.max_abs(sum(sub_effects) - proj) > pol.eps_comb:
         raise ValidationError("sub-POVM effects must sum to the support projector")
     for e in sub_effects:
         h = linalg.check_hermitian(e, pol)
-        if not pol.psd(np.linalg.eigvalsh(h)):
+        if not psd(np.linalg.eigvalsh(h), pol):
             raise ValidationError("sub-POVM effect not positive semidefinite")
         if linalg.max_abs(h - proj @ h @ proj) > pol.eps_comb:
             raise ValidationError("sub-POVM effect not supported on Supp(T_i)")
@@ -329,7 +365,7 @@ def _xi_state(t, rho, u, pol):
         if np.shape(m) != (t.d1, t.d1):
             raise DimensionMismatchError(f"{name} has shape {np.shape(m)}, but d_1 x d_1 is {(t.d1, t.d1)}")
     eig = linalg.hermitian_eig(rho, pol)
-    if pol.support_rank(eig.values) < eig.values.size:
+    if support_rank(eig.values, pol) < eig.values.size:
         raise ValidationError("xi transform requires a full-rank state")
     return eig
 

@@ -125,8 +125,8 @@ class TestChannelExtremality:
         assert verdicts == {True, False}
 
     def test_theorem1_builds_no_dense_family(self, monkeypatch):
-        """Theorem 1 runs one eigh per channel, its own validation, ranks no
-        complex family and builds no Gell-Mann basis."""
+        """Theorem 1 runs one eigh per channel, its own validation, takes no
+        Kraus-product route and builds no Gell-Mann basis."""
 
         def refuse(*args, **kwargs):
             raise AssertionError("dense Theorem 1 family built")
@@ -144,7 +144,7 @@ class TestChannelExtremality:
             for count in sorted({-(-d0 // d1), d0 * d1}):
                 c = channels.random_channel(d0, d1, count, rng)
                 cases.append(c)
-        monkeypatch.setattr(linalg, "complex_family_rank", refuse)
+        monkeypatch.setattr(channels, "_kraus_criterion", refuse)
         monkeypatch.setattr(linalg, "traceless_hermitian_basis", refuse)
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         verdicts = {channels.channel_extremal_theorem1(c) for c in cases}
@@ -157,7 +157,7 @@ def former_kraus_products(eig, d1, d0, pol=linalg.DEFAULT_TOL):
     the Kraus operators sqrt(lambda_m) unvec(v_m) taken one at a time."""
     ks = [
         math.sqrt(eig.values[m]) * channels.unvec_op(eig.vectors[:, m], d1, d0)
-        for m in range(eig.support_ranks(pol))
+        for m in range(oracles.support_rank(eig.values, pol))
     ]
     return [km.conj().T @ kn for km in ks for kn in ks]
 
@@ -167,7 +167,7 @@ def former_choi_condition(ins, pol=linalg.DEFAULT_TOL):
     products = []
     for i in range(len(spectra.values)):
         products += former_kraus_products(spectra[i], ins.d1, ins.d0, pol)
-    return linalg.complex_family_rank(products, pol) == len(products)
+    return oracles.complex_family_rank(products, pol) == len(products)
 
 
 def equivalence_channels(seeds):
@@ -182,7 +182,8 @@ def equivalence_channels(seeds):
 
 class TestKrausStack:
     """``channels._kraus_stack``, the one Kraus extraction, on a stack of
-    Choi operators of mixed support ranks."""
+    Choi operators of mixed support ranks, and the one refusal of a Choi
+    operator that is not positive, in ``channels.choi_to_kraus``."""
 
     def test_stack_is_each_choi_own_call_zero_past_its_rank(self):
         rng = np.random.default_rng(41)
@@ -192,22 +193,31 @@ class TestKrausStack:
             counts = (1, 2, d0 * d1, 1)
             chois = np.array([channels.random_channel(d0, d1, n, rng).choi for n in counts])
             eig = linalg.hermitian_eig(chois)
-            kraus, ranks = channels._kraus_stack(eig, d1, d0, pol)
+            ranks = pol.support(eig.values)[1]
+            assert ranks.tolist() == oracles.support_rank(eig.values, pol).tolist()
+            kraus = channels._kraus_stack(eig, d1, d0, ranks)
             assert kraus.shape == (len(counts), d0 * d1, d1, d0)
-            assert ranks.tolist() == eig.support_ranks(pol).tolist()
             for k, choi, r in zip(kraus, chois, ranks):
-                own, own_rank = channels._kraus_stack(linalg.hermitian_eig(choi), d1, d0, pol)
-                assert k.shape == own.shape and k.tobytes() == own.tobytes() and r == own_rank
+                own_eig = linalg.hermitian_eig(choi)
+                own = channels._kraus_stack(own_eig, d1, d0, pol.support(own_eig.values)[1])
+                assert k.shape == own.shape and k.tobytes() == own.tobytes()
                 assert 0 < r and not k[r:].any()
                 assert all(a.tobytes() == b.tobytes() for a, b in zip(k[:r], channels.choi_to_kraus(choi, d1, d0)))
                 ranks_seen.add(int(r))
         assert len(ranks_seen) > 2
 
-    def test_stack_refuses_its_first_negative_choi(self):
-        chois = np.array([np.eye(4) / 2, np.diag([1.0, -0.5, 1.0, 1.0]), np.diag([1.0, 1.0, -2.0, 1.0])])
-        eig = linalg.hermitian_eig(chois)
-        with pytest.raises(NotPositiveError, match=r"^Choi operator has negative eigenvalue -5\.000e-01$"):
-            channels._kraus_stack(eig, 2, 2, linalg.DEFAULT_TOL)
+    def test_choi_to_kraus_refuses_a_negative_choi(self):
+        """Past the support cutoff below 0, naming the lowest eigenvalue; at
+        the cutoff, a Choi operator is positive."""
+        pol = linalg.DEFAULT_TOL
+        cases = ((np.diag([1.0, -0.5, 1.0, 1.0]), r"-5\.000e-01"), (np.diag([1.0, 1.0, -2.0, 1.0]), r"-2\.000e\+00"))
+        for choi, lowest in cases:
+            with pytest.raises(NotPositiveError, match=rf"^Choi operator has negative eigenvalue {lowest}$"):
+                channels.choi_to_kraus(choi, 2, 2)
+        tau = float(pol.supp_tol(4, 1.0))
+        assert len(channels.choi_to_kraus(np.diag([1.0, 1.0, 1.0, -tau]), 2, 2)) == 3
+        with pytest.raises(NotPositiveError):
+            channels.choi_to_kraus(np.diag([1.0, 1.0, 1.0, np.nextafter(-tau, -np.inf)]), 2, 2)
 
 
 class TestKrausProducts:
@@ -222,8 +232,9 @@ class TestKrausProducts:
 
     def test_products_are_the_former_products_to_the_bit(self):
         for ins in self.population():
-            spectra = gqi.is_valid_gqi(ins).spectra
-            kraus, ranks = channels._kraus_stack(spectra, ins.d1, ins.d0, linalg.DEFAULT_TOL)
+            verdict = gqi.is_valid_gqi(ins)
+            spectra, ranks = verdict.spectra, verdict.support_ranks
+            kraus = channels._kraus_stack(spectra, ins.d1, ins.d0, ranks)
             for i, r in enumerate(ranks):
                 got = channels._kraus_products(kraus[i, :r])
                 want = former_kraus_products(spectra[i], ins.d1, ins.d0)
@@ -236,7 +247,7 @@ class TestKrausProducts:
                 eig = linalg.hermitian_eig(n)
                 want = [
                     math.sqrt(eig.values[m]) * channels.unvec_op(eig.vectors[:, m], ins.d1, ins.d0)
-                    for m in range(eig.support_ranks(linalg.DEFAULT_TOL))
+                    for m in range(oracles.support_rank(eig.values))
                 ]
                 got = channels.choi_to_kraus(n, ins.d1, ins.d0)
                 assert len(got) == len(want)

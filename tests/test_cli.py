@@ -483,21 +483,26 @@ class TestCli:
             fileio.save_object(path, leaf)
             assert self.run("validate", path) == 0
 
-    @pytest.mark.parametrize("case", ["certificate-to-directory", "out-is-a-file", "validate-directory"])
+    @pytest.mark.parametrize(
+        "case", ["certificate-to-directory", "certificate-in-missing-directory", "out-is-a-file", "validate-directory"]
+    )
     def test_bad_path_exits_2(self, case, tmp_path, capsys):
         """An operating-system error on a path the user gave is a usage
-        error: exit 2 and an ``error:`` line, not a traceback."""
+        error: exit 2 and an ``error:`` line, not a traceback, and nothing
+        on stdout: ``extremal`` writes its certificate before its report."""
         src = os.path.join(GOLDEN, "gqi.json")
         existing = tmp_path / "existing"
         existing.write_text("kept\n")
         argv = {
             "certificate-to-directory": ["extremal", src, "--certificate", str(tmp_path)],
+            "certificate-in-missing-directory": ["extremal", src, "--certificate", str(tmp_path / "no" / "c.json")],
             "out-is-a-file": ["decompose", src, "--out", str(existing)],
             "validate-directory": ["validate", str(tmp_path)],
         }[case]
         assert self.run(*argv) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: ") and out.err.count("\n") == 1
         assert existing.read_text() == "kept\n"
 
     def test_decompose_refuses_a_non_empty_out(self, tmp_path, capsys):

@@ -84,25 +84,24 @@ def test_gates_refuse_the_first_invalid_member_in_order():
 
 def test_verdicts_spare_the_support_rule(monkeypatch):
     """Given verdicts, the kernels read positivity and the support ranks
-    off them: no ``psd`` and no ``support_rank`` of the outcomes runs
-    again, and the bounds rank each rho once."""
+    off them: the support rule does not run again on the outcomes, and the
+    bounds rank each rho once."""
     chans = oracles.suite_population("equivalence", 5)
     verdicts = gqi.validate_all(chans)
     ts, _ = bounds_population(5)
     tester_verdicts = gqi.validate_all(ts)
     calls = []
-    for name in ("psd", "support_rank"):
-        fn = getattr(linalg.TolerancePolicy, name)
+    support = linalg.TolerancePolicy.support
 
-        def counted(pol, w, _fn=fn, _name=name):
-            calls.append((_name, np.shape(w)))
-            return _fn(pol, w)
+    def counted(pol, w):
+        calls.append(np.shape(w))
+        return support(pol, w)
 
-        monkeypatch.setattr(linalg.TolerancePolicy, name, counted)
+    monkeypatch.setattr(linalg.TolerancePolicy, "support", counted)
     channels._kraus_criterion(chans, verdicts, DEFAULT_TOL)
     assert calls == []
     testers._bounds(ts, tester_verdicts, DEFAULT_TOL)
-    assert calls == [("support_rank", (len(ts), 2))]
+    assert calls == [(len(ts), 2)]
 
 
 def test_suites_call_each_kernel_once_per_pass(monkeypatch):

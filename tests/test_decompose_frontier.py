@@ -11,6 +11,7 @@ Also here: the CLI parser, built once per process and reused.
 """
 
 import glob
+import hashlib
 import json
 import os
 import re
@@ -73,6 +74,29 @@ def bench_tree(seed, name, tmp_path):
 
 
 TREE_NAMES = [name for name, *_ in BENCH.tree_inputs(1)]
+
+
+with open(os.path.join(os.path.dirname(__file__), "golden_decompose.json"), encoding="utf-8") as _fh:
+    # `exqip decompose FIXTURE --steps 4` on the not-extremal golden fixtures:
+    # the summary and the SHA-256 of each leaf file.  The mixed tester on a
+    # rank-deficient rho is left out: its null space has dimension 4, so the
+    # LAPACK build picks its witness (tests/test_kinds.py).
+    GOLDEN_TREES = json.load(_fh)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_TREES))
+def test_trees_match_the_golden_trees(name, tmp_path, capsys):
+    """Each tree, its summary, stdout and every leaf, is the recorded one
+    to the byte."""
+    out_dir = tmp_path / "tree"
+    path = os.path.join(os.path.dirname(__file__), "golden_cli", f"{name}.json")
+    code, out, err = run(["decompose", path, "--steps", "4", "--out", str(out_dir)], capsys)
+    assert (code, err) == (0, "")
+    want = GOLDEN_TREES[name]
+    assert json.loads(out) == want["summary"]
+    files = tree_files(out_dir)
+    assert files.pop("summary.json").decode() == out
+    assert {leaf: hashlib.sha256(data).hexdigest() for leaf, data in files.items()} == want["leaf_sha256"]
 
 
 class TestAgainstTheRecursion:

@@ -42,7 +42,7 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "golden_cli")
 def full_stack_decision(g, pol=DEFAULT_TOL):
     """(decision, support ranks, |V|) from every projected row at once."""
     spectra = gqi.is_valid_gqi(g, pol=pol).spectra
-    supports = [v[:, :r] for v, r in zip(spectra.vectors, spectra.support_ranks(pol))]
+    supports = [v[:, :r] for v, r in zip(spectra.vectors, oracles.support_rank(spectra.values, pol))]
     x = np.vstack([combs.complement_coordinates(u, g.signature) for u in supports])
     n_known = combs.comb_variable_count(g.signature)
     decision = oracles.rank_decision(x, pol, known=n_known, ambient=g.signature.total_dim ** 2)

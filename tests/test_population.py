@@ -54,7 +54,7 @@ def former_validation(g, pol=DEFAULT_TOL):
         below = current if n > 1 else np.ones((1, 1))
         residuals.append(linalg.max_abs(lhs - np.eye(even)[:, None, :, None] * below[:, None]))
         reduced.append(current)
-    ok = bool(np.all(pol.psd(spectra.values))) and all(r <= pol.eps_comb for r in residuals)
+    ok = bool(np.all(oracles.psd(spectra.values, pol))) and all(r <= pol.eps_comb for r in residuals)
     return ok, tuple(spectra.values[:, -1].tolist()), tuple(residuals), reduced, spectra
 
 
@@ -62,7 +62,7 @@ def former_step(outcomes, directions, spectra, pol=DEFAULT_TOL):
     """epsilon* of one GQI on its supports, from one eigvalsh of its blocks."""
     d = np.asarray(directions, dtype=complex)
     w, v = spectra.values, spectra.vectors
-    ranks = pol.support_rank(w)
+    ranks = oracles.support_rank(w, pol)
     k = int(ranks.max())
     used = np.arange(w.shape[-1]) < ranks[:, None]
     allowance = 2.0 * w.shape[-1] * np.finfo(float).eps * max(1.0, float(np.abs(w).max()))
@@ -105,7 +105,7 @@ def former_certificate(g, pol=DEFAULT_TOL):
     """(extremal, family size, rank, support ranks, |V|, directions, delta,
     epsilon*, margin) of one valid GQI."""
     spectra = former_validation(g, pol)[4]
-    supports = [v[:, :r] for v, r in zip(spectra.vectors, spectra.support_ranks(pol))]
+    supports = [v[:, :r] for v, r in zip(spectra.vectors, oracles.support_rank(spectra.values, pol))]
     ranks = tuple(u.shape[1] for u in supports)
     sig = g.signature
     n_known = combs.comb_variable_count(sig)
@@ -156,7 +156,7 @@ def assert_verdict_is_former(verdict, g):
     assert all(same_bits(a, b) for a, b in zip(verdict.comb_verdict.reduced, reduced, strict=True))
     assert same_bits(verdict.spectra.values, spectra.values)
     assert same_bits(verdict.spectra.vectors, spectra.vectors)
-    assert verdict.support_ranks == tuple(spectra.support_ranks(DEFAULT_TOL).tolist())
+    assert verdict.support_ranks == tuple(oracles.support_rank(spectra.values).tolist())
     assert all(type(r) is int for r in verdict.support_ranks)
 
 
@@ -358,10 +358,11 @@ def test_decide_all_runs_one_eigh_per_validation_group(monkeypatch):
 
 def test_choi_condition_on_the_certificates_verdict():
     """On seeds 0-39 of the equivalence population, Choi's criterion on the
-    verdict a certificate carries is the criterion on its own validation."""
+    verdicts the certificates carry, the kernel the suite calls, is the
+    criterion on each channel's own validation."""
     chans = oracles.suite_population("equivalence", 40)
     certs = gqi.decide_all(chans)
-    got = [channels.choi_condition(c, DEFAULT_TOL, cert.validation) for c, cert in zip(chans, certs, strict=True)]
+    got = channels._kraus_criterion(chans, [cert.validation for cert in certs], DEFAULT_TOL)
     assert got == [channels.choi_condition(c) for c in chans]
     assert set(got) == {True, False}
 

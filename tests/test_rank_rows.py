@@ -85,7 +85,7 @@ def test_size_guard_bounds_the_peak(name):
     overheads dominate the peak."""
     g = GUARDED[name](np.random.default_rng(1))
     verdict = gqi.is_valid_gqi(g)
-    ranks = tuple(verdict.spectra.support_ranks(DEFAULT_TOL).tolist())
+    ranks = verdict.support_ranks
     estimate = gqi.rank_stage_bytes(g.signature, ranks)
     assert estimate > 1 << 20
     tracemalloc.start()

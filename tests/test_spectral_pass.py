@@ -135,7 +135,7 @@ class TestOracle:
 
         def independent(kraus_lists):
             products = [km.conj().T @ kn for ks in kraus_lists for km in ks for kn in ks]
-            return linalg.complex_family_rank(products) == len(products)
+            return oracles.complex_family_rank(products) == len(products)
 
         rng = np.random.default_rng(11)
         verdicts = set()

@@ -1,9 +1,9 @@
 """The validation kernel against the code it replaced, to the bit.
 
 Validation decides positivity by one support rule
-(:meth:`TolerancePolicy.psd` / :meth:`TolerancePolicy.support_rank`) and
-normalization by one cascade pass (``combs._cascade``), which also yields the
-reduced combs: rho of a 1-tester is R^(1) of that pass.  The oracles below
+(:meth:`TolerancePolicy.support`) and normalization by one cascade pass
+(``combs._cascade``), which also yields the reduced combs: rho of a
+1-tester is R^(1) of that pass.  The oracles below
 are the former implementations: the per-level ``partial_trace`` /
 ``_reduce_once`` / ``kron`` loop of ``is_deterministic_comb``, the separate
 ``tester_normalization``, the cutoff expressions that each module wrote
@@ -213,7 +213,7 @@ def oracle_tester_rank(w, pol):
 
 
 def oracle_support_ranks(w, pol):
-    """``EigenDecomposition.support_ranks`` on descending eigenvalues."""
+    """The support ranks of validation on descending eigenvalues."""
     w = -np.sort(-w, axis=-1)
     return np.count_nonzero(w > pol.supp_tol(w.shape[-1], w[..., :1]), axis=-1)
 
@@ -249,50 +249,55 @@ def test_support_rule_at_the_cutoff(pol, dim, lam_max):
     rng = np.random.default_rng(dim)
     stack, truths = [], []
     for w, psd, rank in at_cutoff(dim, lam_max, pol, rng):
-        assert pol.psd(w) == psd == oracle_comb_psd(w, pol)
-        assert pol.support_rank(w) == rank == oracle_tester_rank(w, pol)
-        assert oracle_full_rank(w, pol) == (pol.support_rank(w) == w.size)
+        got_psd, got_rank = pol.support(np.sort(w)[::-1])
+        assert got_psd == psd == oracle_comb_psd(w, pol) == oracles.psd(w, pol)
+        assert got_rank == rank == oracle_tester_rank(w, pol) == oracles.support_rank(w, pol)
+        assert oracle_full_rank(w, pol) == (got_rank == w.size)
         stack.append(w)
         truths.append((psd, rank))
     stack = np.array(stack)
-    assert pol.psd(stack).tolist() == oracle_stack_psd(stack, pol).tolist()
-    assert pol.support_rank(stack).tolist() == oracle_support_ranks(stack, pol).tolist()
-    assert [(bool(p), int(r)) for p, r in zip(pol.psd(stack), pol.support_rank(stack))] == truths
-    eig = linalg.EigenDecomposition(-np.sort(-stack, axis=-1), np.zeros(stack.shape + (dim,)))
-    assert eig.support_ranks(pol).tolist() == [r for _, r in truths]
+    positive, ranks = pol.support(-np.sort(-stack, axis=-1))
+    assert positive.tolist() == oracle_stack_psd(stack, pol).tolist()
+    assert ranks.tolist() == oracle_support_ranks(stack, pol).tolist()
+    assert [(bool(p), int(r)) for p, r in zip(positive, ranks)] == truths
 
 
 @pytest.mark.parametrize("pol", POLICIES)
 @pytest.mark.parametrize("dim", [2, 3, 4, 16, 64])
 def test_one_support_pass_at_the_cutoff(pol, dim):
-    """``TolerancePolicy._support_pass``, the one pass of validation over
-    sorted spectra, gives ``psd`` and ``support_rank`` to the bit, on
-    eigenvalues at and one ulp beyond the cutoffs, and refuses a GQI whose
-    every support is empty as ``require_support`` does."""
+    """``TolerancePolicy.support``, the one support rule, on a stack of GQIs
+    (K, M, d) with sorted spectra, as validation passes it, gives each
+    spectrum's own call and the written-out rule, on eigenvalues at and one
+    ulp beyond the cutoffs; ``require_support`` refuses a GQI whose every
+    support is empty, and only that."""
     rng = np.random.default_rng(dim)
     arrays = [w for lam_max in (0.25, 1.0, 5.5) for w, _, _ in at_cutoff(dim, lam_max, pol, rng)]
     # One GQI per three outcomes, eigenvalues descending, as validation sorts them.
     w = -np.sort(-np.array(arrays), axis=-1).reshape(-1, 3, dim)
-    positive, ranks = pol._support_pass(w)
-    assert positive.dtype == pol.psd(w).dtype and positive.tolist() == pol.psd(w).tolist()
-    assert ranks.dtype == pol.support_rank(w).dtype and ranks.tolist() == pol.support_rank(w).tolist()
-    pol.require_support(w)
+    positive, ranks = pol.support(w)
+    assert positive.shape == ranks.shape == w.shape[:2]
+    assert positive.tolist() == oracles.psd(w, pol).tolist()
+    assert ranks.tolist() == oracles.support_rank(w, pol).tolist()
+    for j, i in np.ndindex(*w.shape[:2]):
+        own_positive, own_rank = pol.support(w[j, i])
+        assert (own_positive, own_rank) == (positive[j, i], ranks[j, i])
+    pol.require_support(ranks, dim)
     tau = float(pol.supp_tol(dim, 1.0))
     empty = np.zeros((2, 3, dim))
     empty[1, :, 0] = tau
-    with pytest.raises(ToleranceError) as want:
-        pol.require_support(empty)
-    with pytest.raises(ToleranceError) as got:
-        pol._support_pass(empty)
-    assert str(got.value) == str(want.value)
+    message = f"^tolerance {pol.eps_rel:g} leaves every support empty at dimension {dim}$"
+    with pytest.raises(ToleranceError, match=message):
+        pol.require_support(pol.support(empty)[1], dim)
     empty[1, 2, 0] = np.nextafter(tau, np.inf)
-    pol._support_pass(empty[1:])
+    assert pol.support(empty[1:])[1].tolist() == [[0, 0, 1]]
+    pol.require_support(pol.support(empty[1:])[1], dim)
 
 
 def test_support_rule_on_no_eigenvalues():
-    w = np.zeros(0)
-    assert DEFAULT_TOL.psd(w)
-    assert DEFAULT_TOL.support_rank(w) == 0
+    positive, rank = DEFAULT_TOL.support(np.zeros(0))
+    assert positive and rank == 0
+    positive, ranks = DEFAULT_TOL.support(np.zeros((2, 0)))
+    assert positive.tolist() == [True, True] and ranks.tolist() == [0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -304,10 +309,10 @@ def oracle_gqi_ok(g, pol=DEFAULT_TOL):
     a comb of its own, by ``check_hermitian``, ``eigvalsh``, ``psd`` and the
     cascade."""
     h = linalg.check_hermitian_stack(np.array(g.outcomes), pol)
-    outcomes_psd = bool(np.all(pol.psd(np.linalg.eigh(h)[0])))
+    outcomes_psd = bool(np.all(oracles.psd(np.linalg.eigh(h)[0], pol)))
     total = linalg.check_hermitian(g.normalization, pol)
     residuals, _ = oracle_cascade(total, g.signature)
-    comb_ok = bool(pol.psd(np.linalg.eigvalsh(total))) and all(r <= pol.eps_comb for r in residuals)
+    comb_ok = bool(oracles.psd(np.linalg.eigvalsh(total), pol)) and all(r <= pol.eps_comb for r in residuals)
     return outcomes_psd and comb_ok
 
 
