@@ -14,11 +14,10 @@ undecomposable input), 2 usage or file-format error.  The working tolerance is
 default 1e-10).  It is only parsed here: the GQI core refuses a vacuous
 tolerance with ``ToleranceError``, a ``ValueError`` and so exit 2.
 
-``decompose`` grows its tree one depth at a time: the undecided nodes of each
-depth go through one ``gqi.decide_all``, which cuts them into stacks, and
-the leaves are written in depth-first order, sorted by tree path (README,
-"Deciding a population").  An invalid object or node is refused by the one
-gate of ``gqi``, with its message.  The parser is built once per process.
+``decompose`` only writes the tree of ``gqi.decompose``: a file per leaf,
+in depth-first order, and ``summary.json`` (README, "Deciding a
+population").  An invalid object or node is refused by the one gate of
+``gqi``, with its message.  The parser is built once per process.
 """
 
 from __future__ import annotations
@@ -29,13 +28,11 @@ import math
 import os
 import sys
 
-import numpy as np
-
-from . import combs, fileio, gqi as gqi_mod, linalg
+from . import combs, fileio, gqi as gqi_mod
 from .combs import CombSignature
-from .errors import DimensionMismatchError, ExqipError, FileFormatError, SizeLimitError
+from .errors import DimensionMismatchError, ExqipError, ExtremalInputError, FileFormatError, SizeLimitError
 from .gqi import Povm, Tester
-from .linalg import TolerancePolicy
+from .linalg import DEFAULT_TOL, TolerancePolicy
 
 
 # An upper bound on the peak bytes per matrix entry of generating and
@@ -61,7 +58,7 @@ def _policy(args) -> TolerancePolicy:
             eps = float(text)
         except ValueError:
             raise ValueError(f"EXQIP_TOL must be a number, got {text!r}") from None
-    return linalg.DEFAULT_TOL if eps is None else TolerancePolicy(eps_rel=eps)
+    return DEFAULT_TOL if eps is None else TolerancePolicy(eps_rel=eps)
 
 
 def _check_count(value: int, flag: str) -> None:
@@ -120,46 +117,12 @@ def cmd_decompose(args) -> int:
     if os.path.isdir(args.out) and os.listdir(args.out):
         raise ValueError(f"--out {args.out} is not empty")
     pol, obj, kind = _load(args)
-    cert = gqi_mod.is_extremal(obj, pol=pol)
-    if cert.extremal:
+    try:
+        leaves, residual = gqi_mod.decompose(obj, args.steps, pol)
+    except ExtremalInputError:
         print("input is extremal; nothing to decompose", file=sys.stderr)
         return 1
     os.makedirs(args.out, exist_ok=True)
-
-    # A frontier entry is (tree path, node, weight, certificate or None).  A
-    # path lists the sides taken from the root, 0 for plus and 1 for minus,
-    # so sorting the leaves by path gives the depth-first order.
-    frontier, leaves = [((), obj, 1.0, cert)], []
-    for _ in range(args.steps):
-        nodes = [g for _, g, _, c in frontier if c is None]
-        try:
-            decided = iter(gqi_mod.decide_all(nodes, pol) if nodes else ())
-        except ExqipError as err:
-            # The error the node's own is_extremal raises, without the member index.
-            raise (err.__cause__ or err) from None
-        children = []
-        for path, g, weight, c in frontier:
-            if c is None:
-                c = next(decided)
-            if c.extremal:
-                leaves.append((path, g, weight, "extremal"))
-            elif c.perturbation.epsilon_star == 0.0:
-                # No step is feasible: both sides would be the node itself.
-                leaves.append((path, g, weight, None))
-            else:
-                plus, minus = gqi_mod.decompose_step(g, pol=pol, certificate=c)
-                children += [(path + (0,), plus, weight / 2.0, None), (path + (1,), minus, weight / 2.0, None)]
-        frontier = children
-    # Nodes still in the frontier at --steps are leaves without a verdict.
-    leaves += [(path, g, weight, None) for path, g, weight, _ in frontier]
-    leaves.sort(key=lambda leaf: leaf[0])
-
-    recon = [np.zeros_like(t) for t in obj.outcomes]
-    for _, g, w, _ in leaves:
-        for i, t in enumerate(g.outcomes):
-            recon[i] = recon[i] + w * t
-    residual = max(linalg.max_abs(a - b) for a, b in zip(recon, obj.outcomes))
-
     entries = []
     for idx, (path, g, w, status) in enumerate(leaves):
         name, depth = f"leaf_{idx:03d}.json", len(path)
@@ -171,7 +134,7 @@ def cmd_decompose(args) -> int:
         "steps": args.steps,
         "leaves": entries,
         "total_weight": sum(e["weight"] for e in entries),
-        "reconstruction_residual": float(residual),
+        "reconstruction_residual": residual,
     }
     text = fileio.dumps_canonical(summary)
     with open(os.path.join(args.out, "summary.json"), "w", encoding="utf-8") as fh:

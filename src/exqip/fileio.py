@@ -38,6 +38,14 @@ FORMAT_NAME = "exqip-operator-file"
 CERTIFICATE_FORMAT_NAME = "exqip-certificate"
 FORMAT_VERSION = 1
 
+# The largest real or imaginary part of an entry that a file may hold.  An
+# entry of a valid object is at most its dimension D in modulus.  With every
+# part at most 1e100, the symmetrized outcomes, their eigenvalues (at most
+# sqrt(2) D 1e100), the outcome sum of M outcomes (M 1e100), its partial
+# traces, the support cutoffs and the squares of entries all stay finite
+# while D^2 M < 1e200, far beyond any file that fits in memory.
+MAX_ENTRY = 1e100
+
 
 @dataclass(frozen=True)
 class Kind:
@@ -116,6 +124,8 @@ def json_to_matrix(rows) -> np.ndarray:
         raise FileFormatError("matrix must be a list of equal-length rows")
     if not np.all(np.isfinite(out)):
         raise FileFormatError("matrix contains non-finite entries")
+    if np.abs(out.view(float)).max(initial=0.0) > MAX_ENTRY:
+        raise FileFormatError(f"matrix entry above {MAX_ENTRY:g} in its real or imaginary part")
     return out
 
 
@@ -266,13 +276,26 @@ def save_object(path, obj, metadata: dict | None = None) -> None:
     _write(path, object_to_payload(obj, metadata))
 
 
-def load_object(path):
+def _read(path) -> dict:
+    """The top-level JSON object of the file ``path``, which must be of
+    format version ``FORMAT_VERSION``; anything else raises
+    :class:`FileFormatError`."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"invalid JSON: {exc}") from exc
-    return payload_to_object(payload)
+    if not isinstance(payload, dict):
+        raise FileFormatError("top-level JSON value must be an object")
+    version = payload.get("version")
+    # bool is a subclass of int, and JSON true is not a version.
+    if type(version) is not int or version != FORMAT_VERSION:
+        raise FileFormatError(f"unsupported format version {version!r}; expected {FORMAT_VERSION}")
+    return payload
+
+
+def load_object(path):
+    return payload_to_object(_read(path))
 
 
 def certificate_to_payload(kind: str, cert: ExtremalityCertificate, pol: TolerancePolicy) -> dict:
@@ -320,13 +343,7 @@ def _step(value) -> float:
 def load_certificate(path) -> ExtremalityCertificate:
     """The certificate in ``path``; a malformed file raises
     :class:`FileFormatError`, as :func:`payload_to_object` does."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise FileFormatError(f"invalid JSON: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise FileFormatError("top-level JSON value must be an object")
+    payload = _read(path)
     if payload.get("format") != CERTIFICATE_FORMAT_NAME:
         raise FileFormatError("not a certificate file")
     try:

@@ -12,9 +12,12 @@ have full support the exchange is +/- the identity, and its epsilon_star is
 a formula in the eigenvalues of validation.
 A rank deficiency yields a constructive perturbation {D_i}, Delta and the
 maximal step size epsilon_star, from which a one-step convex decomposition
-follows.  The witness is built when it is first read: a certificate
-decides ``extremal``, the rank and the margin at once, and the first read
-of ``perturbation`` on a dependent member builds the witnesses of its whole
+follows, :func:`decompose_step`.  :func:`decompose` grows the tree of such
+steps down to a depth, one :func:`decide_all` per depth; it is the
+library's one decomposition tree, which ``exqip decompose`` only writes.
+The witness is built when it is first read: a certificate decides
+``extremal``, the rank and the margin at once, and the first read of
+``perturbation`` on a dependent member builds the witnesses of its whole
 stack, with one epsilon* call.  With the constant working margin
 supp_tol(D, 1) / 2, epsilon_star is a closed form: the generalized-eigenvalue
 form of Choi's positivity argument, on each outcome's support, read from the
@@ -829,6 +832,52 @@ def decompose_step(
     plus = new(g.signature, tuple(t + eps * d for t, d in zip(g.outcomes, pert.directions)))
     minus = new(g.signature, tuple(t - eps * d for t, d in zip(g.outcomes, pert.directions)))
     return plus, minus
+
+
+def decompose(g: Gqi, steps: int, pol: TolerancePolicy = DEFAULT_TOL):
+    """The binary decomposition tree of a not-extremal GQI, at most ``steps``
+    splits deep (README, "Deciding a population"): ``(leaves, residual)``.
+    Each leaf is ``(path, node, weight, status)``, sorted by ``path``, the
+    sides taken from the root (0 plus, 1 minus): the depth-first order.
+    ``status`` is ``"extremal"``, or ``None`` for a node with epsilon* = 0 or
+    one at depth ``steps``.  Each :func:`decompose_step` child has half its
+    parent's weight, and ``residual`` is the largest entry of the weighted
+    sum of the leaves minus ``g``.  An extremal root, decided by
+    :func:`is_extremal`, raises :class:`ExtremalInputError`.  Each depth's
+    undecided nodes go through one :func:`decide_all`, and a node it refuses
+    raises its own :func:`is_extremal` error, without the member index."""
+    cert = is_extremal(g, pol)
+    if cert.extremal:
+        raise ExtremalInputError("cannot decompose an extremal GQI")
+    # A frontier entry is (path, node, weight, certificate or None).
+    frontier, leaves = [((), g, 1.0, cert)], []
+    for _ in range(steps):
+        nodes = [node for _, node, _, c in frontier if c is None]
+        try:
+            decided = iter(decide_all(nodes, pol) if nodes else ())
+        except ExqipError as err:
+            raise (err.__cause__ or err) from None
+        children = []
+        for path, node, weight, c in frontier:
+            if c is None:
+                c = next(decided)
+            if c.extremal:
+                leaves.append((path, node, weight, "extremal"))
+            elif c.perturbation.epsilon_star == 0.0:
+                # No step is feasible: both sides would be the node itself.
+                leaves.append((path, node, weight, None))
+            else:
+                plus, minus = decompose_step(node, pol, c)
+                children += [(path + (0,), plus, weight / 2.0, None), (path + (1,), minus, weight / 2.0, None)]
+        frontier = children
+    leaves += [(path, node, weight, None) for path, node, weight, _ in frontier]
+    leaves.sort(key=lambda leaf: leaf[0])
+
+    recon = [np.zeros_like(t) for t in g.outcomes]
+    for _, node, w, _ in leaves:
+        for i, t in enumerate(node.outcomes):
+            recon[i] = recon[i] + w * t
+    return leaves, float(max(linalg.max_abs(a - b) for a, b in zip(recon, g.outcomes)))
 
 
 def mix(a: Gqi, b: Gqi, weight: float = 0.5) -> Gqi:

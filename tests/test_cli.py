@@ -73,6 +73,9 @@ MALFORMED_CERTIFICATES = {
     "infinite-epsilon": lambda p: {**p, "perturbation": {**p["perturbation"], "epsilon_star": math.inf}},
     "negative-epsilon": lambda p: {**p, "perturbation": {**p["perturbation"], "epsilon_star": -1.0}},
     "huge-integer-epsilon": lambda p: {**p, "perturbation": {**p["perturbation"], "epsilon_star": 10 ** 400}},
+    "unknown-version": lambda p: {**p, "version": 99},
+    "boolean-version": lambda p: {**p, "version": True},
+    "huge-delta": lambda p: {**p, "perturbation": {**p["perturbation"], "delta": [[[1e101, 0.0]] * 4] * 4}},
 }
 
 # Matrix entries that are not [re, im] with two numbers, neither of them a
@@ -321,6 +324,58 @@ class TestWriter:
                     cert = gqi.ExtremalityCertificate(False, 2, 1, (1,), 1, pert)
                     fileio.save_certificate(path, "gqi", cert, linalg.DEFAULT_TOL)
             assert os.listdir(tmp) == []
+
+
+def run_cli(argv) -> tuple:
+    """(exit code, stdout, stderr) of ``cli.main(argv)``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+# Parts at and past the bound fileio.MAX_ENTRY, up to the largest float,
+# and the NaN and Infinity literals that Python's json reads.
+NEAR_OVERFLOW = [fileio.MAX_ENTRY, float(np.nextafter(fileio.MAX_ENTRY, math.inf)), 1e150, 1e300, 1e307, 1e308,
+                 sys.float_info.max]
+ENTRY_PARTS = st.one_of(st.sampled_from(NEAR_OVERFLOW + [-x for x in NEAR_OVERFLOW] + NON_FINITE), FINITE)
+VERSIONS = st.one_of(st.integers(-2, 100), st.sampled_from([1.0, True, "1", None]))
+GOLDEN_NAMES = sorted(n[: -len(".json")] for n in os.listdir(GOLDEN) if n != "expected.json")
+
+
+class TestReader:
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(GOLDEN_NAMES), st.one_of(
+        st.tuples(st.just("version"), VERSIONS),
+        st.tuples(st.just("entry"), st.integers(0, 10 ** 6), st.integers(0, 1), ENTRY_PARTS),
+    ))
+    def test_mutated_golden_files(self, name, mutation):
+        """A golden file with its version or one part of one entry changed:
+        an unknown version, a non-finite part or one above
+        ``fileio.MAX_ENTRY`` exits 2 under `validate` and `extremal`, with
+        one error line, no output and no warning; anything else exits 0 or
+        1 under both."""
+        with open(os.path.join(GOLDEN, f"{name}.json"), encoding="utf-8") as fh:
+            payload = json.load(fh)
+        if mutation[0] == "version":
+            payload["version"] = mutation[1]
+            refused = type(mutation[1]) is not int or mutation[1] != 1
+        else:
+            _, where, part, value = mutation
+            entries = [pair for m in payload["outcomes"] for row in m for pair in row]
+            entries[where % len(entries)][part] = value
+            refused = not abs(value) <= fileio.MAX_ENTRY
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "mutant.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(payload, fh)
+            for command in ("validate", "extremal"):
+                code, out, err = run_cli([command, path])
+                if refused:
+                    assert (code, out) == (2, ""), (command, err)
+                    assert err.startswith("error: ") and err.count("\n") == 1, err
+                else:
+                    assert code in (0, 1), (command, err)
 
 
 def midpoint_tree(kind, seed_a, seed_b, steps=3):

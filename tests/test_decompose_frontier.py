@@ -1,11 +1,12 @@
-"""`exqip decompose` one depth at a time, against the former recursion.
+"""The decomposition tree one depth at a time, against the former recursion.
 
-``cli.cmd_decompose`` decides each depth's undecided nodes with one
-``gqi.decide_all`` and writes the leaves in depth-first order.
-``oracles.recursive_decompose`` is the former command, which descended the
-tree depth first with one ``gqi.is_extremal`` per node.  Both run through
-``cli.main``; their leaf files, summaries, output and exit codes must match
-byte for byte.
+``gqi.decompose`` decides each depth's undecided nodes with one
+``gqi.decide_all`` and returns the leaves in depth-first order;
+``cli.cmd_decompose`` writes them.  ``oracles.recursive_decompose`` is the
+former command, which descended the tree depth first with one
+``gqi.is_extremal`` per node.  Through ``cli.main`` their leaf files,
+summaries, output and exit codes must match byte for byte, and in-process
+``gqi.decompose`` must return what the recursion writes.
 
 Also here: the CLI parser, built once per process and reused.
 """
@@ -21,7 +22,9 @@ import pytest
 
 import oracles
 from exqip import channels, cli, fileio, gqi
+from exqip.errors import ExqipError, ExtremalInputError
 from exqip.gqi import Povm
+from exqip.linalg import TolerancePolicy
 
 from test_epsilon_star import BENCH
 
@@ -29,6 +32,8 @@ GOLDEN = sorted(
     p for p in glob.glob(os.path.join(os.path.dirname(__file__), "golden_cli", "*.json"))
     if not p.endswith("expected.json")
 )
+# The golden fixture whose root is extremal.
+EXTREMAL_ROOT = "pure-normalization-tester.json"
 
 
 def run(argv, capsys):
@@ -127,6 +132,88 @@ class TestAgainstTheRecursion:
         assert found is not None, err
         assert float(found[1]) == 0.0
         assert float(found[2]) == pytest.approx(1.06, abs=1e-12)
+
+
+def paths_of(depths) -> list:
+    """The tree paths of leaves in depth-first order, from their depths: in
+    a tree where every split has two children, each leaf's path is the one
+    after its predecessor's, extended by plus sides to its depth."""
+    paths = []
+    for depth in depths:
+        path = ()
+        if paths:
+            path = paths[-1]
+            while path[-1] == 1:
+                path = path[:-1]
+            path = path[:-1] + (1,)
+        paths.append(path + (0,) * (depth - len(path)))
+    return paths
+
+
+def test_paths_of():
+    assert paths_of([0]) == [()]
+    assert paths_of([1, 2, 2]) == [(0,), (1, 0), (1, 1)]
+    assert paths_of([3, 3, 2, 1]) == [(0, 0, 0), (0, 0, 1), (0, 1), (1,)]
+
+
+def recursion(path, steps, tmp_path, monkeypatch, capsys) -> tuple:
+    """The summary and the leaves, read back, that
+    ``oracles.recursive_decompose`` writes for ``path``."""
+    monkeypatch.setattr(cli, "cmd_decompose", oracles.recursive_decompose)
+    out_dir = tmp_path / "recursion"
+    code, out, err = run(["decompose", str(path), "--steps", str(steps), "--out", str(out_dir)], capsys)
+    monkeypatch.undo()
+    assert (code, err) == (0, "")
+    summary = json.loads(out)
+    return summary, [fileio.load_object(out_dir / e["file"]) for e in summary["leaves"]]
+
+
+class TestLibraryTree:
+    """``gqi.decompose`` in-process: the leaves and residual the recursion
+    writes, every outcome the same to the bit after its file is read back."""
+
+    def assert_is_the_recursions(self, path, steps, tmp_path, monkeypatch, capsys):
+        summary, written = recursion(path, steps, tmp_path, monkeypatch, capsys)
+        root = fileio.load_object(path)
+        leaves, residual = gqi.decompose(root, steps)
+        entries = summary["leaves"]
+        assert [p for p, *_ in leaves] == paths_of([e["depth"] for e in entries])
+        assert [(w, status) for _, _, w, status in leaves] == [(e["weight"], e["status"]) for e in entries]
+        assert residual == summary["reconstruction_residual"]
+        for (_, node, _, _), want in zip(leaves, written):
+            assert type(node) is type(root) is type(want) and node.signature == want.signature
+            assert [t.tobytes() for t in node.outcomes] == [t.tobytes() for t in want.outcomes]
+
+    @pytest.mark.parametrize("path", [p for p in GOLDEN if not p.endswith(EXTREMAL_ROOT)], ids=os.path.basename)
+    def test_golden_fixtures(self, path, tmp_path, monkeypatch, capsys):
+        self.assert_is_the_recursions(path, 4, tmp_path, monkeypatch, capsys)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("name", TREE_NAMES)
+    def test_bench_trees(self, name, seed, tmp_path, monkeypatch, capsys):
+        path, depth = bench_tree(seed, name, tmp_path)
+        self.assert_is_the_recursions(path, depth, tmp_path, monkeypatch, capsys)
+
+    def test_extremal_root_raises(self):
+        root = fileio.load_object(os.path.join(os.path.dirname(__file__), "golden_cli", EXTREMAL_ROOT))
+        with pytest.raises(ExtremalInputError):
+            gqi.decompose(root, 4)
+
+    def test_zero_steps_leave_the_root(self):
+        root = fileio.load_object(GOLDEN[0])
+        assert gqi.decompose(root, 0) == ([((), root, 1.0, None)], 0.0)
+
+    def test_invalid_node_raises_its_own_error(self, tmp_path, capsys):
+        """The node error of the identity channel at --tol 0.06 is
+        is_extremal's own, with no member index: the one the CLI prints."""
+        identity = channels.combination_fixture(1)
+        with pytest.raises(ExqipError) as info:
+            gqi.decompose(identity, 3, TolerancePolicy(eps_rel=0.06))
+        assert str(info.value).startswith("invalid GQI: ")
+        path = tmp_path / "identity.json"
+        fileio.save_object(path, identity)
+        code, _, err = run(["--tol", "0.06", "decompose", str(path), "--steps", "3", "--out", str(tmp_path / "t")], capsys)
+        assert (code, err) == (1, f"error: {info.value}\n")
 
 
 class TestDecisions:
