@@ -5,6 +5,11 @@ pairs, row-major, with explicit dimensions.  Canonical formatting (sorted
 keys, two-space indent, trailing newline) makes write -> read -> write
 byte-identical and the fixtures diff-able.
 
+:func:`_check_header` is the one header rule of operator and certificate
+files and payloads alike (a JSON object, ``version`` the integer 1, the
+right ``format``).  :func:`json_to_matrix` holds every matrix it reads to
+the entry rule of :mod:`exqip.linalg`, which objects in memory meet too.
+
 Every object kind, ``comb`` included, is a :class:`~exqip.gqi.Gqi`: its
 ``signature``, a comb signature, and its ``outcomes`` are all that
 :mod:`exqip.gqi` reads, and :func:`exqip.gqi.is_valid_gqi` decides its
@@ -32,19 +37,12 @@ from . import __version__
 from .combs import CombSignature, DeterministicComb
 from .errors import DimensionMismatchError, FileFormatError
 from .gqi import Channel, ExtremalityCertificate, Gqi, Instrument, Perturbation, Povm, Tester
-from .linalg import TolerancePolicy
+# fileio.MAX_ENTRY is the bound of linalg's entry rule.
+from .linalg import MAX_ENTRY, TolerancePolicy, _entry_rule
 
 FORMAT_NAME = "exqip-operator-file"
 CERTIFICATE_FORMAT_NAME = "exqip-certificate"
 FORMAT_VERSION = 1
-
-# The largest real or imaginary part of an entry that a file may hold.  An
-# entry of a valid object is at most its dimension D in modulus.  With every
-# part at most 1e100, the symmetrized outcomes, their eigenvalues (at most
-# sqrt(2) D 1e100), the outcome sum of M outcomes (M 1e100), its partial
-# traces, the support cutoffs and the squares of entries all stay finite
-# while D^2 M < 1e200, far beyond any file that fits in memory.
-MAX_ENTRY = 1e100
 
 
 @dataclass(frozen=True)
@@ -122,10 +120,9 @@ def json_to_matrix(rows) -> np.ndarray:
         raise FileFormatError(f"malformed matrix entry: {exc}") from exc
     if out.ndim != 2:
         raise FileFormatError("matrix must be a list of equal-length rows")
-    if not np.all(np.isfinite(out)):
-        raise FileFormatError("matrix contains non-finite entries")
-    if np.abs(out.view(float)).max(initial=0.0) > MAX_ENTRY:
-        raise FileFormatError(f"matrix entry above {MAX_ENTRY:g} in its real or imaginary part")
+    fault = _entry_rule(out[None])[2]
+    if fault:
+        raise FileFormatError(fault)
     return out
 
 
@@ -148,11 +145,23 @@ def object_to_payload(obj, metadata: dict | None = None) -> dict:
     }
 
 
-def payload_to_object(payload: dict):
+def _check_header(payload, format_name: str, what: str) -> None:
+    """The header rule of ``what`` files, operator or certificate:
+    ``payload`` is a JSON object, its ``version`` the integer
+    ``FORMAT_VERSION`` and its ``format`` ``format_name``; anything else
+    raises :class:`FileFormatError`."""
     if not isinstance(payload, dict):
         raise FileFormatError("top-level JSON value must be an object")
-    if payload.get("format") != FORMAT_NAME:
-        raise FileFormatError(f"not an operator file (format={payload.get('format')!r})")
+    version = payload.get("version")
+    # bool is a subclass of int, and JSON true is not a version.
+    if type(version) is not int or version != FORMAT_VERSION:
+        raise FileFormatError(f"unsupported format version {version!r}; expected {FORMAT_VERSION}")
+    if payload.get("format") != format_name:
+        raise FileFormatError(f"not {what} file (format={payload.get('format')!r})")
+
+
+def payload_to_object(payload: dict):
+    _check_header(payload, FORMAT_NAME, "an operator")
     name = payload.get("kind")
     if not isinstance(name, str) or name not in KINDS:
         raise FileFormatError(f"unknown kind {name!r}; expected one of {tuple(KINDS)}")
@@ -276,22 +285,14 @@ def save_object(path, obj, metadata: dict | None = None) -> None:
     _write(path, object_to_payload(obj, metadata))
 
 
-def _read(path) -> dict:
-    """The top-level JSON object of the file ``path``, which must be of
-    format version ``FORMAT_VERSION``; anything else raises
+def _read(path):
+    """The JSON value of the file ``path``; invalid JSON raises
     :class:`FileFormatError`."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
+            return json.load(fh)
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"invalid JSON: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise FileFormatError("top-level JSON value must be an object")
-    version = payload.get("version")
-    # bool is a subclass of int, and JSON true is not a version.
-    if type(version) is not int or version != FORMAT_VERSION:
-        raise FileFormatError(f"unsupported format version {version!r}; expected {FORMAT_VERSION}")
-    return payload
 
 
 def load_object(path):
@@ -344,8 +345,7 @@ def load_certificate(path) -> ExtremalityCertificate:
     """The certificate in ``path``; a malformed file raises
     :class:`FileFormatError`, as :func:`payload_to_object` does."""
     payload = _read(path)
-    if payload.get("format") != CERTIFICATE_FORMAT_NAME:
-        raise FileFormatError("not a certificate file")
+    _check_header(payload, CERTIFICATE_FORMAT_NAME, "a certificate")
     try:
         verdict = payload["verdict"]
         p = payload.get("perturbation")

@@ -14,7 +14,10 @@ every support empty, and the one rank cutoff,
 Operators are plain complex ``numpy`` arrays.  All functions are pure.
 :func:`hermitian_eig` is the program's one ``eigh``: it checks the
 Hermiticity of an operator or of a stack of them and decomposes the
-symmetrized operators in one batched call.
+symmetrized operators in one batched call.  Its check,
+:func:`check_hermitian_stack`, which every operator passes first, also
+holds the entry rule (:func:`_entry_rule`), which :mod:`exqip.fileio`
+applies to every matrix it reads.
 :func:`kron` takes two matrices, or two stacks of them, and forms each
 product with the broadcast multiplication of ``np.kron``, the same to the
 bit.
@@ -91,6 +94,15 @@ class TolerancePolicy:
 
 DEFAULT_TOL = TolerancePolicy()
 
+# The largest modulus of an entry of any operator, read from a file or built
+# in memory.  An entry of a valid object is at most its dimension D in
+# modulus.  With every entry at most 1e100, the symmetrized outcomes, their
+# eigenvalues (at most D 1e100), the outcome sum of M outcomes (M 1e100),
+# its partial traces, the support cutoffs and the squares of entries all
+# stay finite while D^2 M < 1e200, far beyond any object that fits in
+# memory.
+MAX_ENTRY = 1e100
+
 
 @dataclass(frozen=True)
 class EigenDecomposition:
@@ -119,6 +131,22 @@ def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
     return complex(np.trace(a.conj().T @ b))
 
 
+def _entry_rule(a: np.ndarray) -> tuple:
+    """The entry rule on a stack (k, d, d): every entry finite and of
+    modulus at most :data:`MAX_ENTRY`.  Returns the largest entry modulus of
+    each matrix, the index of the first matrix that breaks the rule (k when
+    none does) and why it breaks it (None when none does)."""
+    scale = np.abs(a).max(axis=(-2, -1), initial=0.0)
+    # A NaN modulus compares False, an infinite one is above the bound.
+    kept = scale <= MAX_ENTRY
+    if kept.all():
+        return scale, len(a), None
+    k = int(np.argmin(kept))
+    if np.isfinite(scale[k]):
+        return scale, k, f"matrix entry of modulus above {MAX_ENTRY:g}"
+    return scale, k, "matrix contains non-finite entries"
+
+
 def check_hermitian(a: np.ndarray, pol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
     """Check Hermiticity within tolerance and return the symmetrized operator."""
     a = np.asarray(a, dtype=complex)
@@ -130,21 +158,20 @@ def check_hermitian(a: np.ndarray, pol: TolerancePolicy = DEFAULT_TOL) -> np.nda
 def check_hermitian_stack(a: np.ndarray, pol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
     """:func:`check_hermitian` on each matrix of a stack (k, d, d) at once.
 
-    The first failing matrix raises the error :func:`check_hermitian` raises
-    for it; the symmetrized stack is returned.
+    Every operator the program decomposes passes here, so this is where the
+    entry rule (:func:`_entry_rule`) holds for objects built in memory.  The
+    first failing matrix raises the error :func:`check_hermitian` raises
+    for it, Hermiticity or entry rule; the symmetrized stack is returned.
     """
     a = np.asarray(a, dtype=complex)
-    # |A|_max is finite exactly when every entry is.
-    scale = np.abs(a).max(axis=(-2, -1), initial=0.0)
-    finite = np.isfinite(scale)
-    k = len(a) if finite.all() else int(np.argmin(finite))
+    scale, k, fault = _entry_rule(a)
     adjoint = a.conj().transpose(0, 2, 1)
     dev = np.abs(a[:k] - adjoint[:k]).max(axis=(-2, -1), initial=0.0)
     bad = dev > pol.herm_tols(scale[:k])
     if bad.any():
         raise NotHermitianError(f"not Hermitian: |A - A^dagger|_max = {dev[bad.argmax()]:.3e}")
-    if k < len(a):
-        raise NotHermitianError("matrix contains non-finite entries")
+    if fault:
+        raise NotHermitianError(fault)
     return (a + adjoint) / 2
 
 

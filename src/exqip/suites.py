@@ -18,11 +18,13 @@ that the suite's criteria read, and whose witnesses no suite reads, so none
 is built; bounds first validates its instruments with one
 :func:`gqi.validate_all`.  Each criterion is then one kernel call per pass
 (:func:`channels._kraus_criterion`, :func:`testers._bounds`).  Every object
-is the one the former per-object generators drew, to the bit.  A pass that raises names the first
-seed whose own pass raises, ``seed N: `` leading its error
-(:func:`gqi._first_fault`).  The public generators are the build of their
-own draw alone.  The appendix suite classifies its seven fixtures with one
-:func:`channels.classify_combinations`.
+is the one the former per-object generators drew, to the bit.  A pass that
+raises names the first seed whose own pass raises, ``seed N: `` leading its
+error (:func:`gqi._first_fault`).  The public generators of what a pass
+draws are the build of their own draw alone; the two that no pass draws,
+:func:`random_two_outcome_qubit_tester` and :func:`random_nonextremal_gqi`,
+are plain calls of the per-object generators.  The appendix suite
+classifies its seven fixtures with one :func:`channels.classify_combinations`.
 """
 
 from __future__ import annotations
@@ -72,9 +74,9 @@ class SuiteResult:
 # ---------------------------------------------------------------------------
 
 
-# Each generator is a draw and a build (see the module docstring).  A draw
-# is tagged with the build that reads it, (build, draw), so that draws of
-# several generators are built together by :func:`_build`.
+# A generator that a pass draws is a draw and a build (see the module
+# docstring).  A draw is tagged with the build that reads it, (build, draw),
+# so that draws of several generators are built together by :func:`_build`.
 
 # The weights of random_full_rank_state are uniform on [STATE_FLOOR, 1 + STATE_FLOOR)
 # before normalization.
@@ -99,11 +101,6 @@ def _build(draws) -> list:
     return out
 
 
-def _midpoint(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The outcomes of ``gqi.mix(a, b, 0.5)`` for two stacks of outcomes."""
-    return 0.5 * a + 0.5 * b
-
-
 def _qubit_testers(outcomes) -> list:
     return [testers.Tester(d2=2, d1=2, outcomes=tuple(o)) for o in outcomes]
 
@@ -114,10 +111,6 @@ def _schmidt(draws) -> np.ndarray:
     angles, g2, g1 = zip(*draws)
     u = channels._unitaries(np.array(g2 + g1))
     return testers._schmidt_outcomes(testers._schmidt_vectors(angles, u[: len(angles)], u[len(angles) :]))
-
-
-def _schmidt_testers(draws) -> list:
-    return _qubit_testers(_schmidt(draws))
 
 
 def _draw_state(d: int, rng) -> tuple:
@@ -195,7 +188,8 @@ def _nonextremal_qubit_testers(draws) -> list:
     first = np.cumsum([0] + [len(draw) for draw in draws[:-1]])
     mixed = np.array([len(draw) == 2 for draw in draws])
     out = outcomes[first]
-    out[mixed] = _midpoint(outcomes[first[mixed]], outcomes[first[mixed] + 1])
+    # The outcomes of gqi.mix(a, b, 0.5).
+    out[mixed] = 0.5 * outcomes[first[mixed]] + 0.5 * outcomes[first[mixed] + 1]
     return _qubit_testers(out)
 
 
@@ -242,24 +236,20 @@ def random_rank22_qubit_tester(rng, nonextremal: bool = False) -> testers.Tester
     return _build([_draw_rank22_qubit_tester(rng, nonextremal)])[0]
 
 
-def _draw_two_outcome_qubit_tester(rng) -> tuple:
+def random_two_outcome_qubit_tester(rng) -> testers.Tester:
+    """Mixed population spanning the (1,3) and (2,2) profiles, including
+    near-product Schmidt angles down to 1e-6 and exact product vectors."""
     style = rng.integers(0, 6)
-    u2, u1 = _gaussian2(rng), _gaussian2(rng)
+    g2, g1 = _gaussian2(rng), _gaussian2(rng)
     if style in (3, 4):
-        return _draw_rank22_qubit_tester(rng, nonextremal=style == 4)
+        return random_rank22_qubit_tester(rng, nonextremal=style == 4)
     if style == 0:
         angle = rng.uniform(0.1, math.pi / 4)
     elif style == 2:
         angle = rng.uniform(1e-6, 1e-5)
     else:
         angle = 0.0 if style == 1 else 1e-6
-    return _schmidt_testers, (angle, u2, u1)
-
-
-def random_two_outcome_qubit_tester(rng) -> testers.Tester:
-    """Mixed population spanning the (1,3) and (2,2) profiles, including
-    near-product Schmidt angles down to 1e-6 and exact product vectors."""
-    return _build([_draw_two_outcome_qubit_tester(rng)])[0]
+    return testers.schmidt_tester(angle, *channels._unitaries(np.array([g2, g1])))
 
 
 def _draw_instrument(counts: tuple, rng) -> tuple:
@@ -267,41 +257,20 @@ def _draw_instrument(counts: tuple, rng) -> tuple:
     return _instruments, (counts, channels._stinespring_gaussian(2, 2, sum(counts), rng))
 
 
-def _instrument_stacks(draws):
-    """(positions, operators (K, len(counts), 4, 4)) per Kraus-count group
-    of draws (counts, Gaussian) of instruments on (2, 2), each group built
-    in one stack."""
-    for counts, at in _positions(draw[0] for draw in draws).items():
-        yield at, channels._instrument_operators(np.array([draws[i][1] for i in at]), 2, counts)
-
-
 def _instruments(draws) -> list:
+    """The instruments on (2, 2) of draws (counts, Gaussian), one stacked
+    build per Kraus-count tuple."""
     out = [None] * len(draws)
-    for at, ops in _instrument_stacks(draws):
-        for i, o in zip(at, ops):
+    for counts, at in _positions(draw[0] for draw in draws).items():
+        for i, o in zip(at, channels._instrument_operators(np.array([draws[i][1] for i in at]), 2, counts)):
             out[i] = channels.Instrument(d1=2, d0=2, operators=tuple(o))
-    return out
-
-
-def _draw_nonextremal_gqi(rng) -> tuple:
-    counts = [(1, 1), (1, 2), (2, 1), (1, 1, 1)][rng.integers(0, 4)]
-    return _nonextremal_gqis, [_draw_instrument(counts, rng)[1] for _ in range(2)]
-
-
-def _nonextremal_gqis(draws) -> list:
-    """The midpoints of the instrument pairs of draws, both halves of a
-    Kraus-count group built in one stack."""
-    out = [None] * len(draws)
-    for at, ops in _instrument_stacks([half for pair in draws for half in pair]):
-        # The two halves of a pair share their counts, so they sit side by side.
-        for i, o in zip(at[::2], _midpoint(ops[::2], ops[1::2])):
-            out[i // 2] = channels.Instrument(d1=2, d0=2, operators=tuple(o))
     return out
 
 
 def random_nonextremal_gqi(rng) -> channels.Instrument:
     """Midpoint of two distinct random instruments (never extremal)."""
-    return _build([_draw_nonextremal_gqi(rng)])[0]
+    counts = [(1, 1), (1, 2), (2, 1), (1, 1, 1)][rng.integers(0, 4)]
+    return gqi_mod.mix(channels.random_instrument(2, 2, counts, rng), channels.random_instrument(2, 2, counts, rng))
 
 
 # ---------------------------------------------------------------------------

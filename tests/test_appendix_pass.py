@@ -48,6 +48,7 @@ def faulty_instruments():
         "negative outcome": Instrument(2, 2, (np.diag([1.5, 0, 0, 1]), np.diag([-0.5, 0, 0, 0]))),
         "not trace preserving": Instrument(2, 2, (np.eye(4) / 4,)),
         "non-finite": Instrument(2, 2, (np.full((4, 4), np.nan),)),
+        "entry above the bound": Instrument(2, 2, (np.diag([1e308, 0, 0, 0.5]),)),
         "no outcome": Instrument(2, 2, ()),
     }
 

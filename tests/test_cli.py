@@ -351,7 +351,7 @@ class TestReader:
     ))
     def test_mutated_golden_files(self, name, mutation):
         """A golden file with its version or one part of one entry changed:
-        an unknown version, a non-finite part or one above
+        an unknown version, a non-finite part or an entry of modulus above
         ``fileio.MAX_ENTRY`` exits 2 under `validate` and `extremal`, with
         one error line, no output and no warning; anything else exits 0 or
         1 under both."""
@@ -363,8 +363,10 @@ class TestReader:
         else:
             _, where, part, value = mutation
             entries = [pair for m in payload["outcomes"] for row in m for pair in row]
-            entries[where % len(entries)][part] = value
-            refused = not abs(value) <= fileio.MAX_ENTRY
+            entry = entries[where % len(entries)]
+            entry[part] = value
+            # The bound is on the modulus of the entry; a NaN part fails it.
+            refused = not math.hypot(*entry) <= fileio.MAX_ENTRY
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "mutant.json")
             with open(path, "w", encoding="utf-8") as fh:

@@ -1,0 +1,112 @@
+"""One home per input rule.
+
+The entry rule (every entry finite and of modulus at most
+``linalg.MAX_ENTRY``) is applied by ``linalg.check_hermitian_stack``, which
+every operator passes before any eigensolver, so objects built in memory
+are refused as files are.  The header rule (a JSON object of version 1 and
+the right format) is one check of ``fileio``, for payloads and files alike.
+pytest turns warnings into errors, so none of these refusals may overflow
+on the way.
+"""
+
+import contextlib
+import io
+import json
+import math
+import os
+
+import numpy as np
+import pytest
+
+from exqip import channels, cli, combs, fileio, gqi, linalg
+from exqip.errors import FileFormatError, NotHermitianError, ValidationError
+from exqip.gqi import Povm
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden_cli")
+
+BOUND = r"^matrix entry of modulus above 1e\+100$"
+I2 = np.eye(2, dtype=complex)
+# A real entry near the largest float, and one whose parts are both at the
+# bound, so that only its modulus is above it.
+HUGE = {"1e308": 1e308, "1e100+1e100j": 1e100 + 1e100j}
+
+
+def huge_povm(entry):
+    return Povm(2, (np.diag([entry, 0.5]), I2 / 2))
+
+
+@pytest.mark.parametrize("entry", HUGE.values(), ids=HUGE.keys())
+class TestInMemory:
+    def test_verdicts_refuse(self, entry):
+        g = huge_povm(entry)
+        for decide in (gqi.is_valid_gqi, gqi.is_extremal):
+            with pytest.raises(NotHermitianError, match=BOUND):
+                decide(g)
+
+    def test_populations_name_the_member(self, entry):
+        population = [Povm(2, (I2 / 2, I2 / 2)), huge_povm(entry)]
+        for decide in (gqi.validate_all, gqi.decide_all):
+            with pytest.raises(NotHermitianError, match=r"^member 1: matrix entry of modulus above 1e\+100$"):
+                decide(population)
+
+    def test_comb_and_choi_refuse(self, entry):
+        op = np.diag([entry, 0.5, 0.5, 0.5])
+        with pytest.raises(NotHermitianError, match=BOUND):
+            combs.is_deterministic_comb(op, combs.CombSignature((2, 2)))
+        with pytest.raises(NotHermitianError, match=BOUND):
+            channels.choi_to_kraus(op, 2, 2)
+
+
+def test_the_bound_itself_is_kept():
+    """An entry of modulus MAX_ENTRY passes the rule (the object is merely
+    invalid); one ulp above it does not."""
+    at = linalg.MAX_ENTRY
+    assert not gqi.is_valid_gqi(huge_povm(at)).ok
+    with pytest.raises(ValidationError):
+        gqi.is_extremal(huge_povm(at))
+    with pytest.raises(NotHermitianError, match=BOUND):
+        gqi.is_valid_gqi(huge_povm(np.nextafter(at, math.inf)))
+
+
+def test_fileio_bound_is_linalgs():
+    assert fileio.MAX_ENTRY is linalg.MAX_ENTRY
+
+
+def golden_povm():
+    with open(os.path.join(GOLDEN, "povm.json"), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+MISSING = object()
+
+
+@pytest.mark.parametrize("version", [99, True, "1", 1.0, MISSING], ids=["99", "true", "string", "float", "missing"])
+def test_payload_header(version):
+    payload = golden_povm()
+    if version is MISSING:
+        del payload["version"]
+    else:
+        payload["version"] = version
+    with pytest.raises(FileFormatError, match="^unsupported format version"):
+        fileio.payload_to_object(payload)
+
+
+def test_payload_of_another_format():
+    fileio.payload_to_object(golden_povm())
+    with pytest.raises(FileFormatError, match="^top-level JSON value must be an object$"):
+        fileio.payload_to_object([golden_povm()])
+    with pytest.raises(FileFormatError, match=r"^not an operator file \(format='exqip-certificate'\)$"):
+        fileio.payload_to_object({**golden_povm(), "format": "exqip-certificate"})
+
+
+@pytest.mark.parametrize("command", ["validate", "extremal"])
+def test_file_entry_of_modulus_above_the_bound(command, tmp_path):
+    """[1e100, 1e100] keeps each part at the bound, and its modulus is above it."""
+    payload = golden_povm()
+    payload["outcomes"][0][0][0] = [1e100, 1e100]
+    path = tmp_path / "povm.json"
+    path.write_text(json.dumps(payload))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([command, str(path)])
+    assert (code, out.getvalue(), err.getvalue()) == (2, "", "error: matrix entry of modulus above 1e+100\n")

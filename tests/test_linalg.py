@@ -226,6 +226,14 @@ class TestHermitianEig:
             linalg.check_hermitian_stack(np.array([np.eye(3), skew, nan]))
         with pytest.raises(NotHermitianError, match="non-finite"):
             linalg.check_hermitian_stack(np.array([nan, skew]))
+        # The entry rule: a modulus above MAX_ENTRY, after and before a skew matrix.
+        huge = np.diag([1e308, 0.0, 0.0])
+        with pytest.raises(NotHermitianError, match="5.000e-01"):
+            linalg.check_hermitian_stack(np.array([np.eye(3), skew, huge]))
+        with pytest.raises(NotHermitianError, match=r"^matrix entry of modulus above 1e\+100$"):
+            linalg.check_hermitian_stack(np.array([np.eye(3), huge, skew]))
+        with pytest.raises(NotHermitianError, match="non-finite"):
+            linalg.check_hermitian_stack(np.array([nan, huge]))
 
     def test_sqrt_psd(self):
         rng = np.random.default_rng(12)
