@@ -11,6 +11,7 @@ it.
 """
 
 import importlib
+import sys
 
 __version__ = "0.1.0"
 
@@ -47,7 +48,8 @@ _EXPORTS = {
         "tester_from_pure_normalization", "xi_inverse", "xi_transform",
     ),
 }
-_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
+# Each public name's submodule, by its full name.
+_SOURCE = {name: f"{__name__}.{module}" for module, names in _EXPORTS.items() for name in names}
 _SUBMODULES = ("channels", "cli", "combs", "errors", "fileio", "gqi", "linalg", "suites", "testers")
 
 __all__ = sorted(_SOURCE)
@@ -55,11 +57,14 @@ __all__ = sorted(_SOURCE)
 
 def __getattr__(name):
     # Looked up on every access, not cached here, so the package always
-    # shows what its submodule holds now.
+    # shows what its submodule holds now.  A submodule already imported is
+    # read from sys.modules, which costs a dict lookup; only its first use
+    # goes through the import system.
     if name in _SUBMODULES:
         return importlib.import_module(f"{__name__}.{name}")
     if name in _SOURCE:
-        return getattr(importlib.import_module(f"{__name__}.{_SOURCE[name]}"), name)
+        module = _SOURCE[name]
+        return getattr(sys.modules.get(module) or importlib.import_module(module), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

@@ -98,8 +98,21 @@ def channel_kraus(c: Channel, pol: TolerancePolicy = DEFAULT_TOL) -> list:
     return instrument_kraus(c, pol)[0]
 
 
-def channel_from_kraus(kraus, d1: int | None = None, d0: int | None = None) -> Channel:
+def _checked_kraus(kraus) -> list:
+    """The Kraus operators of one list as complex matrices, each refused with
+    :class:`ValidationError` and the message of the entry rule of
+    :mod:`exqip.linalg` when an entry breaks it, before any Choi operator
+    is formed."""
     ks = [np.asarray(k, dtype=complex) for k in kraus]
+    for k in ks:
+        fault = linalg._entry_rule(k.reshape(1, 1, -1))[2]
+        if fault:
+            raise ValidationError(fault)
+    return ks
+
+
+def channel_from_kraus(kraus, d1: int | None = None, d0: int | None = None) -> Channel:
+    ks = _checked_kraus(kraus)
     if d1 is None or d0 is None:
         d1, d0 = ks[0].shape
     return Channel(d1=d1, d0=d0, choi=kraus_to_choi(ks))
@@ -109,7 +122,7 @@ def instrument_from_kraus(outcome_kraus, d1: int | None = None, d0: int | None =
     """Build an instrument from one Kraus list per outcome."""
     ops = []
     for ks in outcome_kraus:
-        ks = [np.asarray(k, dtype=complex) for k in ks]
+        ks = _checked_kraus(ks)
         if d1 is None or d0 is None:
             d1, d0 = ks[0].shape
         ops.append(kraus_to_choi(ks))

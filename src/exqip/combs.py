@@ -14,6 +14,12 @@ is the LAST Kronecker factor.  A signature lists dimensions in label order
 :class:`CombSignature`, and :mod:`exqip.gqi` re-exports it: every object
 kind is a ``Gqi``, and :class:`DeterministicComb` is the one-outcome ``Gqi``
 whose outcome is the comb operator.
+
+A signature computes what depends on it alone once, as cached properties:
+its total dimension, its :attr:`~CombSignature.levels`, |V|
+(:attr:`~CombSignature.variable_count`) and the levels the projected
+coordinates loop over.  The identity blocks of the cascade are kept per
+dimension, read-only.
 """
 
 from __future__ import annotations
@@ -47,9 +53,9 @@ class CombSignature:
     def n(self) -> int:
         return len(self.dims) // 2
 
-    @property
+    @functools.cached_property
     def total_dim(self) -> int:
-        return math.prod(self.dims) if self.dims else 1
+        return math.prod(self.dims)
 
     @property
     def kron_dims(self) -> tuple:
@@ -69,6 +75,21 @@ class CombSignature:
         return tuple(
             (math.prod(dims[2 * n :]), dims[2 * n - 1], dims[2 * n - 2], math.prod(dims[: 2 * n - 2]))
             for n in range(self.n, 0, -1)
+        )
+
+    @functools.cached_property
+    def variable_count(self) -> int:
+        """|V|, which :func:`comb_variable_count` returns."""
+        return sum((odd * odd - 1) * (even * low) ** 2 for _, odd, even, low in self.levels)
+
+    @functools.cached_property
+    def coordinate_levels(self) -> tuple:
+        """Per level with a nontrivial even space, in the order of
+        :attr:`levels`: (traced, even, low, sqrt(traced)), traced = top * odd
+        the dimension of the spaces from 2n-1 up, which
+        :func:`complement_coordinates` traces out."""
+        return tuple(
+            (top * odd, even, low, math.sqrt(top * odd)) for top, odd, even, low in self.levels if even > 1
         )
 
     def truncated(self, level: int) -> "CombSignature":
@@ -170,7 +191,7 @@ def _cascade(r: np.ndarray, sig: CombSignature, tol: float, positive) -> list:
         t = current.reshape(k, odd, even, low, odd, even, low)
         lhs = t.trace(axis1=1, axis2=4)
         current = t.trace(axis1=2, axis2=5).trace(axis1=1, axis2=3) / even
-        eye = np.eye(even)[:, None, :, None]
+        eye = _identity_blocks(even)[0]
         # R^(0) = 1, and I (x) 1 is I to the bit.
         gap = lhs - (eye * current[:, None, :, None, :] if n > 1 else eye)
         residuals.append(np.abs(gap).reshape(k, -1).max(axis=1).tolist())
@@ -227,8 +248,9 @@ def comb_variable_count(sig: CombSignature) -> int:
     tensored with a Hermitian basis of everything below, padded with the
     identity above.  Adding any combination of them to a comb preserves the
     normalization cascade exactly; only positivity can fail.  V is never
-    built."""
-    return sum((odd * odd - 1) * (even * low) ** 2 for _, odd, even, low in sig.levels)
+    built, and the count is computed once per signature
+    (:attr:`CombSignature.variable_count`)."""
+    return sig.variable_count
 
 
 def comb_forbidden_directions(sig: CombSignature) -> list:
@@ -247,12 +269,25 @@ def comb_forbidden_directions(sig: CombSignature) -> list:
     return out
 
 
+@functools.lru_cache(maxsize=64)
+def _identity_blocks(even: int) -> tuple:
+    """I and I / even on an even space, each (even, 1, even, 1) to broadcast
+    against a (k, even, low, even, low) stack; built once per dimension and
+    read-only."""
+    eye = np.eye(even)[:, None, :, None]
+    return linalg._read_only(eye, eye / even)
+
+
 def _traceless_part(y: np.ndarray, even: int, low: int) -> np.ndarray:
     """y - I/even (x) Tr_even y for a stack (k, even*low, even*low): the part
     of each operator that is traceless on its leading factor."""
-    t = np.trace(y.reshape(-1, even, low, even, low), axis1=1, axis2=3)
-    eye = np.eye(even) / even
-    return y - np.einsum("ef,kij->keifj", eye, t).reshape(y.shape)
+    t = y.reshape(-1, even, low, even, low).trace(axis1=1, axis2=3)
+    product = _identity_blocks(even)[1] * t[:, None, :, None, :]
+    # One multiplication per entry, added to +0 as einsum adds it to its
+    # zeroed output, so that a zero product is +0 and the difference below
+    # keeps the bits of y - einsum("ef,kij->keifj", I/even, t).
+    product += 0.0
+    return y - product.reshape(y.shape)
 
 
 def complement_coordinates(u: np.ndarray, sig: CombSignature, start: int = 0, stop: int | None = None) -> np.ndarray:
@@ -276,10 +311,9 @@ def complement_coordinates(u: np.ndarray, sig: CombSignature, start: int = 0, st
     trace = np.zeros((*lead, r * r, 1))
     trace[..., :r, :] = 1.0 / math.sqrt(sig.total_dim)
     cols = [trace[..., start:stop, :]]
-    for top, odd, even, low in sig.levels:
-        if even > 1:
-            y = linalg.support_operators(u, top * odd)[..., start:stop, :, :] / math.sqrt(top * odd)
-            cols.append(linalg.vectorize_hermitian(_traceless_part(y, even, low)))
+    for traced, even, low, root in sig.coordinate_levels:
+        y = linalg.support_operators(u, traced)[..., start:stop, :, :] / root
+        cols.append(linalg.vectorize_hermitian(_traceless_part(y, even, low)))
     return np.concatenate(cols, axis=-1)
 
 

@@ -57,6 +57,12 @@ in order, and the first that raises is named with its own error.  The
 appendix table and the seeded suites take the same rule over their
 instruments and their seeds.  A witness error is raised on read, by the
 member whose own call raises it, with its own message.
+
+What a verdict computes from its shape alone, |V|, the cutoff, the
+full-support pair and the row layout of the rank stage, is planned once per
+signature, support ranks and policy, :func:`_plan`, a bounded cache of
+arithmetic on that key; the size estimate is memoized apart, and the size
+guard still reads it and ``RANK_STAGE_BUDGET`` per stack.
 """
 
 from __future__ import annotations
@@ -65,6 +71,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -458,12 +465,20 @@ def rank_stage_bytes(sig: CombSignature, support_ranks) -> int:
     * 24 m n: the row blocks, their stack and the SVD's copy of it;
     * 8 (h n + h^2 + k n + 4 k^2), k = min(h, n): the head, its U, V^T and
       the SVD workspace.
+
+    The arithmetic is done once per signature and support ranks.
     """
+    return _stage_bytes(sig, tuple(support_ranks))
+
+
+@functools.lru_cache(maxsize=256)
+def _stage_bytes(sig: CombSignature, support_ranks: tuple) -> int:
+    """The estimate of :func:`rank_stage_bytes`."""
     d = sig.total_dim
-    reduced = [even * low for _, _, even, low in sig.levels if even > 1]
+    reduced = [even * low for _, even, low, _ in sig.coordinate_levels]
     n = 1 + sum(c * c for c in reduced)
     m = sum(r * r for r in support_ranks)
-    h = min(m, d * d - combs.comb_variable_count(sig) + 1)
+    h = min(m, d * d - sig.variable_count + 1)
     c = max(reduced, default=0)
     r = max(support_ranks, default=0)
     k = min(h, n)
@@ -478,11 +493,59 @@ def _cutoff(sig: CombSignature, support_ranks: tuple, pol: TolerancePolicy) -> f
     return pol.rank_tol(family_size, dim * dim, math.sqrt(len(support_ranks)))
 
 
-def _rank_test(sig: CombSignature, supports, n_known: int, bound: float, pol: TolerancePolicy) -> list:
+class _Plan(NamedTuple):
+    """The work of a verdict that depends only on its shape (see
+    :func:`_plan`): |V| (``n_known``), the family size m + |V|, the cutoff
+    taken at sqrt(M) (``bound``), whether it is at or above sqrt(M)
+    (``vacuous``), the full-support pair, and for :func:`_rank_test` the
+    m rows, the span D^2 - |V|, the head of min(m, span + 1) rows, and per
+    outcome (i, rows) in the head and (i, first row past it) beyond it."""
+
+    n_known: int
+    family_size: int
+    bound: float
+    vacuous: bool
+    pair: tuple | None
+    m: int
+    span: int
+    head: int
+    head_rows: tuple
+    rest_rows: tuple
+
+
+@functools.lru_cache(maxsize=256)
+def _plan(sig: CombSignature, support_ranks: tuple, pol: TolerancePolicy) -> _Plan:
+    """The :class:`_Plan` of the verdicts at signature ``sig``, support ranks
+    ``support_ranks`` and ``pol``, computed once per key (README, "Deciding
+    a population").  It is arithmetic on the key alone: the size estimate
+    and ``RANK_STAGE_BUDGET`` are read per stack, by :func:`_decide_stack`."""
+    dim = sig.total_dim
+    n_known = sig.variable_count
+    starts = (0, *itertools.accumulate(r * r for r in support_ranks))
+    m = starts[-1]
+    span = dim * dim - n_known
+    head = min(m, span + 1)
+    bound = _cutoff(sig, support_ranks, pol)
+    return _Plan(
+        n_known=n_known,
+        family_size=m + n_known,
+        bound=bound,
+        vacuous=bound >= math.sqrt(len(support_ranks)),
+        pair=_full_support_pair(support_ranks, dim, bound),
+        m=m,
+        span=span,
+        head=head,
+        head_rows=tuple((i, head - a) for i, a in enumerate(starts[:-1]) if a < head),
+        rest_rows=tuple((i, max(0, head - a)) for i, (a, b) in enumerate(zip(starts, starts[1:])) if b > head),
+    )
+
+
+def _rank_test(sig: CombSignature, supports, plan: _Plan, pol: TolerancePolicy) -> list:
     """The pooled rank decisions on the support bases projected off V of K
     GQIs with the same signature and support ranks, given per outcome the
-    stack (K, D, r_i) of their support vectors, |V| and ``bound``, the cutoff
-    taken at sigma_max = sqrt(M) (see :func:`is_extremal`).
+    stack (K, D, r_i) of their support vectors and the :class:`_Plan` of
+    their shape, which holds |V| and ``bound``, the cutoff taken at
+    sigma_max = sqrt(M) (see :func:`is_extremal`).
 
     Returns one (rank, c, margin) per GQI.  The null vector c, a unit
     coefficient vector over the m = sum r_i^2 > 0 rows, is present exactly
@@ -514,32 +577,25 @@ def _rank_test(sig: CombSignature, supports, n_known: int, bound: float, pol: To
     below sigma_max (:func:`_decide_stack`) and m > 0 (the empty-support
     rule of :func:`_validate_stack`).
     """
-    ranks = [u.shape[-1] for u in supports]
-    starts = [0, *itertools.accumulate(r * r for r in ranks)]
-    m = starts[-1]
-    ambient = sig.total_dim ** 2
-    span = ambient - n_known
-    head = min(m, span + 1)
-    # Head blocks of the outcomes that start in the head; rest: (vectors, first row past it).
-    x = [combs.complement_coordinates(v, sig, 0, head - a) for v, a in zip(supports, starts) if a < head]
-    rest = [(v, max(0, head - a)) for v, a, b in zip(supports, starts, starts[1:]) if b > head]
+    m, span, n_known, head = plan.m, plan.span, plan.n_known, plan.head
+    x = [combs.complement_coordinates(supports[i], sig, 0, rows) for i, rows in plan.head_rows]
     x = x[0] if len(x) == 1 else np.concatenate(x, axis=-2)
     u, s = np.linalg.svd(x, full_matrices=head > x.shape[-1])[:2]
     out = [None] * len(x)
     todo = list(range(len(x)))
     if m > span:
-        exits = ((s > bound).sum(axis=-1) >= span).tolist()
+        exits = ((s > plan.bound).sum(axis=-1) >= span).tolist()
         for j in todo:
             if exits[j]:
                 out[j] = (span + n_known, _null_vector(u[j], m), None)
         todo = [j for j in todo if not exits[j]]
         if todo:
             x = x[todo] if len(todo) < len(x) else x
-            x = np.concatenate([x] + [combs.complement_coordinates(v[todo], sig, row) for v, row in rest], axis=-2)
-            s = np.linalg.svd(x, compute_uv=False)
+            past = [combs.complement_coordinates(supports[i][todo], sig, row) for i, row in plan.rest_rows]
+            s = np.linalg.svd(np.concatenate([x] + past, axis=-2), compute_uv=False)
     for j, sj in zip(todo, s):
         sigma = max(1.0 if n_known else 0.0, float(sj[0]))
-        rank = int(np.count_nonzero(sj > pol.rank_tol(m + n_known, ambient, sigma)))
+        rank = int(np.count_nonzero(sj > pol.rank_tol(m + n_known, span + n_known, sigma)))
         out[j] = (rank + n_known, None, float(sj[-1])) if rank == m else (rank + n_known, _null_vector(u[j], m), None)
     return out
 
@@ -687,28 +743,26 @@ def _decide_stack(gs: list, verdicts: list, support_ranks: tuple, pol: Tolerance
     sig = gs[0].signature
     for g, verdict in zip(gs, verdicts):
         _require_valid(g, pol, verdict)
-    dim = sig.total_dim
-    bound = _cutoff(sig, support_ranks, pol)
-    if bound >= math.sqrt(len(support_ranks)):
+    plan = _plan(sig, support_ranks, pol)
+    if plan.vacuous:
         raise ToleranceError(
-            f"tolerance {pol.eps_rel:g} puts the rank cutoff at or above every singular value at dimension {dim}"
+            f"tolerance {pol.eps_rel:g} puts the rank cutoff at or above every singular value at dimension "
+            f"{sig.total_dim}"
         )
-    pair = _full_support_pair(support_ranks, dim, bound)
+    pair = plan.pair
     if pair is None and (need := rank_stage_bytes(sig, support_ranks)) > RANK_STAGE_BUDGET:
         raise SizeLimitError(
             f"the rank test at signature {sig.dims} with support ranks {tuple(support_ranks)} "
             f"needs about {need:,} bytes, above the budget of {RANK_STAGE_BUDGET:,} bytes"
         )
-    n_known = combs.comb_variable_count(sig)
-    family_size = sum(r * r for r in support_ranks) + n_known
     if pair is not None:
-        decided = [(dim * dim, None, None)] * len(gs)
+        decided = [(sig.total_dim ** 2, None, None)] * len(gs)
         dependent = [True] * len(gs)
         build = functools.partial(_exchange_witnesses, verdicts, support_ranks, pair, pol)
     else:
         vectors = np.array([v.spectra.vectors for v in verdicts])
         supports = [vectors[:, i, :, :r] for i, r in enumerate(support_ranks)]
-        decided = _rank_test(sig, supports, n_known, bound, pol)
+        decided = _rank_test(sig, supports, plan, pol)
         dependent = [c is not None for _, c, _ in decided]
         build = functools.partial(_rank_witnesses, verdicts, vectors, supports, decided, support_ranks, pol)
     witnesses = _StackWitnesses(build)
@@ -716,10 +770,10 @@ def _decide_stack(gs: list, verdicts: list, support_ranks: tuple, pol: Tolerance
     return [
         ExtremalityCertificate(
             extremal=not depends,
-            family_size=family_size,
+            family_size=plan.family_size,
             rank=rank,
             support_ranks=support_ranks,
-            normalization_basis_size=n_known,
+            normalization_basis_size=plan.n_known,
             perturbation=functools.partial(witnesses.read, next(positions)) if depends else None,
             margin=margin,
             validation=verdict,

@@ -46,6 +46,8 @@ class TolerancePolicy:
     * support cutoff: ``dim * max(lambda_max, 1) * eps_rel``
     * normalization residuals: ``comb_factor * eps_rel`` (two partial traces
       of eigendecomposition-accurate operators), ``comb_factor`` a constant
+    * unitarity of a xi map's U: ``d_1 * (eps_rel + 4 eps_machine)`` on
+      |U^dagger U - I|_max
     """
 
     eps_rel: float = 1e-10
@@ -246,13 +248,38 @@ def eig_sqrt(eig: EigenDecomposition) -> np.ndarray:
     return EigenDecomposition(np.sqrt(np.clip(eig.values, 0.0, None)), eig.vectors).reconstruct()
 
 
-@functools.lru_cache(maxsize=None)
+def _read_only(*arrays) -> tuple:
+    """The arrays, each made read-only."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@functools.lru_cache(maxsize=128)
 def _upper_indices(d: int) -> tuple:
     """``np.triu_indices(d, k=1)``, built once per dimension and read-only."""
-    iu = np.triu_indices(d, k=1)
-    for idx in iu:
-        idx.flags.writeable = False
-    return iu
+    return _read_only(*np.triu_indices(d, k=1))
+
+
+@functools.lru_cache(maxsize=128)
+def _support_pairs(r: int) -> tuple:
+    """The (a, b) index pairs of the r^2 support operators
+    :func:`support_operators` forms, as two arrays: (n, n), then (n, k), then
+    (k, n), n < k lexicographic.  Built once per rank and read-only."""
+    diag = np.arange(r)
+    n, k = _upper_indices(r)
+    return _read_only(np.concatenate([diag, n, k]), np.concatenate([diag, k, n]))
+
+
+@functools.lru_cache(maxsize=128)
+def _vector_indices(d: int) -> np.ndarray:
+    """The :func:`vectorize_hermitian` layout as indices into the 2 d^2
+    floats of a complex d x d matrix viewed as real: the real parts of the
+    diagonal, then the real and the imaginary parts of the upper triangle,
+    row-major.  Built once per dimension and read-only."""
+    n, k = _upper_indices(d)
+    upper = 2 * (n * d + k)
+    return _read_only(np.concatenate([2 * (d + 1) * np.arange(d), upper, upper + 1]))[0]
 
 
 def vectorize_hermitian(a: np.ndarray) -> np.ndarray:
@@ -260,19 +287,13 @@ def vectorize_hermitian(a: np.ndarray) -> np.ndarray:
 
     Layout: diagonal (real), then sqrt(2)*Re(upper triangle) row-major, then
     sqrt(2)*Im(upper triangle) row-major.  A stack (..., d, d) maps to
-    (..., d^2).
+    (..., d^2), by one gather from the floats of each matrix.
     """
-    a = np.asarray(a, dtype=complex)
-    iu = _upper_indices(a.shape[-1])
-    upper = a[..., iu[0], iu[1]]
-    return np.concatenate(
-        [
-            np.real(np.diagonal(a, axis1=-2, axis2=-1)),
-            math.sqrt(2.0) * upper.real,
-            math.sqrt(2.0) * upper.imag,
-        ],
-        axis=-1,
-    )
+    a = np.ascontiguousarray(a, dtype=complex)
+    d = a.shape[-1]
+    out = a.reshape(*a.shape[:-2], d * d).view(float)[..., _vector_indices(d)]
+    out[..., d:] *= math.sqrt(2.0)
+    return out
 
 
 def unvectorize_hermitian(v: np.ndarray, d: int) -> np.ndarray:
@@ -314,10 +335,16 @@ def support_operators(u: np.ndarray, traced: int = 1) -> np.ndarray:
     w = u.reshape(stack, traced, m * r)
     # g[:, a, b] = Tr_0 |u_a><u_b|
     g = (w.transpose(0, 2, 1) @ w.conj()).reshape(stack, m, r, m, r).transpose(0, 2, 4, 1, 3)
-    diag, (n, k) = np.arange(r), _upper_indices(r)
-    diag, upper, lower = g[:, diag, diag], g[:, n, k], g[:, k, n]
-    s = 1.0 / math.sqrt(2.0)
-    rows = np.concatenate([diag, s * (upper + lower), 1j * s * (upper - lower)], axis=1)
+    first, second = _support_pairs(r)
+    # One gather: the (n, n), then the (n, k) and then the (k, n) entries, n < k.
+    rows = g[:, first, second]
+    if r > 1:
+        p = r * (r - 1) // 2
+        upper, lower = rows[:, r : r + p], rows[:, r + p :]
+        s = 1.0 / math.sqrt(2.0)
+        symmetric, antisymmetric = upper + lower, upper - lower
+        np.multiply(s, symmetric, out=upper)
+        np.multiply(1j * s, antisymmetric, out=lower)
     return rows.reshape(*lead, r * r, m, m)
 
 

@@ -112,14 +112,28 @@ def _bounds(ts: list, verdicts: list, pol: TolerancePolicy) -> list:
 
 def _xi_states(d1: int, rho: np.ndarray, u: np.ndarray, pol: TolerancePolicy) -> linalg.EigenDecomposition:
     """The eigendecompositions of a stack of states ``rho``, which the xi maps
-    need full rank; ``rho`` and ``u`` must be stacks (K, d_1, d_1).  The
-    first state at fault raises."""
+    need full rank; ``rho`` and ``u`` must be stacks (K, d_1, d_1).  Then
+    each U passes the entry rule of :mod:`exqip.linalg` and
+    |U^dagger U - I|_max <= d_1 (eps_rel + 4 eps_machine), before any
+    product of it is formed.  The first state at fault raises, then the
+    first U."""
     for name, m in (("rho", rho), ("U", u)):
         if m.shape[1:] != (d1, d1):
             raise DimensionMismatchError(f"{name} has shape {m.shape[1:]}, but d_1 x d_1 is {(d1, d1)}")
     eig = linalg.hermitian_eig(rho, pol)
     if (pol.support(eig.values)[1] < d1).any():
         raise ValidationError("xi transform requires a full-rank state")
+    u = np.asarray(u, dtype=complex)
+    fault = linalg._entry_rule(u)[2]
+    if fault:
+        raise ValidationError(f"xi transform requires a unitary U: {fault}")
+    # d_1 eps_rel, and 4 d_1 eps_machine for the rounding of U^dagger U and of
+    # a U computed in floating point, such as a QR factor.
+    tol = d1 * (pol.eps_rel + 4.0 * np.finfo(float).eps)
+    dev = np.abs(_adjoint(u) @ u - np.eye(d1)).max(axis=(-2, -1), initial=0.0)
+    if not (dev <= tol).all():
+        first = dev[np.argmin(dev <= tol)]
+        raise ValidationError(f"xi transform requires a unitary U: |U^dagger U - I|_max = {first:.3e} above {tol:.3g}")
     return eig
 
 

@@ -3,10 +3,12 @@
 The entry rule (every entry finite and of modulus at most
 ``linalg.MAX_ENTRY``) is applied by ``linalg.check_hermitian_stack``, which
 every operator passes before any eigensolver, so objects built in memory
-are refused as files are.  The header rule (a JSON object of version 1 and
-the right format) is one check of ``fileio``, for payloads and files alike.
-pytest turns warnings into errors, so none of these refusals may overflow
-on the way.
+are refused as files are.  The Kraus constructors apply the same rule to
+their Kraus operators, and the xi maps to their U, which must also be
+unitary, before any product is formed.  The header rule (a JSON object of
+version 1 and the right format) is one check of ``fileio``, for payloads
+and files alike.  pytest turns warnings into errors, so none of these
+refusals may overflow on the way.
 """
 
 import contextlib
@@ -14,17 +16,19 @@ import io
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
 
-from exqip import channels, cli, combs, fileio, gqi, linalg
+from exqip import channels, cli, combs, fileio, gqi, linalg, testers
 from exqip.errors import FileFormatError, NotHermitianError, ValidationError
 from exqip.gqi import Povm
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden_cli")
 
 BOUND = r"^matrix entry of modulus above 1e\+100$"
+NOT_UNITARY = r"^xi transform requires a unitary U: "
 I2 = np.eye(2, dtype=complex)
 # A real entry near the largest float, and one whose parts are both at the
 # bound, so that only its modulus is above it.
@@ -55,6 +59,60 @@ class TestInMemory:
             combs.is_deterministic_comb(op, combs.CombSignature((2, 2)))
         with pytest.raises(NotHermitianError, match=BOUND):
             channels.choi_to_kraus(op, 2, 2)
+
+    def test_kraus_constructors_refuse(self, entry):
+        k = np.diag([entry, 1.0])
+        with pytest.raises(ValidationError, match=BOUND):
+            channels.channel_from_kraus([k])
+        with pytest.raises(ValidationError, match=BOUND):
+            channels.instrument_from_kraus([[I2 / 2], [I2 / 2, k]])
+
+    def test_xi_maps_refuse(self, entry):
+        u = np.diag([entry, 1.0])
+        t = testers.schmidt_tester(0.3)
+        for xi in (testers.xi_transform, testers.xi_inverse):
+            with pytest.raises(ValidationError, match=NOT_UNITARY + BOUND[1:]):
+                xi(t, I2 / 2, u)
+
+
+def test_kraus_operator_of_1e200():
+    with pytest.raises(ValidationError, match=BOUND):
+        channels.channel_from_kraus([np.diag([1e200, 1.0])])
+    with pytest.raises(ValidationError, match=r"^matrix contains non-finite entries$"):
+        channels.instrument_from_kraus([[np.diag([math.nan, 1.0])]])
+
+
+def unitary_fault(deviation: str) -> str:
+    return "^" + re.escape(f"xi transform requires a unitary U: |U^dagger U - I|_max = {deviation} above 2e-10") + "$"
+
+
+@pytest.mark.parametrize("xi", [testers.xi_transform, testers.xi_inverse])
+def test_xi_maps_need_a_unitary(xi):
+    """|U^dagger U - I|_max must be at most d_1 (eps_rel + 4 eps_machine),
+    2e-10 on a qubit."""
+    t, rho = testers.schmidt_tester(0.3), np.diag([0.6, 0.4])
+    with pytest.raises(ValidationError, match=unitary_fault("3.000e+00")):
+        xi(t, rho, np.diag([2.0, 1.0]))
+    with pytest.raises(ValidationError, match=NOT_UNITARY + BOUND[1:]):
+        xi(t, rho, np.diag([1e200, 1.0]))
+    # (1 + delta)^2 - 1 is about 2 delta.
+    xi(t, rho, np.diag([1.0 + 4e-11, 1.0]))
+    with pytest.raises(ValidationError, match=unitary_fault("4.000e-10")):
+        xi(t, rho, np.diag([1.0 + 2e-10, 1.0]))
+
+
+def test_stacked_xi_maps_check_every_u():
+    """The stacked maps of the xi-invariance suite check every U of the
+    stack before any product; a QR unitary passes."""
+    t = testers.schmidt_tester(0.3)
+    ops, owner = testers._outcome_stack([t, t])
+    rho = np.array([I2 / 2, I2 / 2])
+    unitary = np.linalg.qr(np.array([[1.0, 2.0], [3.0, 4.0]], dtype=complex))[0]
+    for stacked in (testers._xi_outcomes, testers._xi_inverse_outcomes):
+        stacked(ops, owner, 2, 2, rho, np.array([unitary, unitary]), linalg.DEFAULT_TOL)
+        for bad in (np.diag([1e200, 1.0]), np.diag([2.0, 1.0])):
+            with pytest.raises(ValidationError, match=NOT_UNITARY):
+                stacked(ops, owner, 2, 2, rho, np.array([unitary, bad]), linalg.DEFAULT_TOL)
 
 
 def test_the_bound_itself_is_kept():

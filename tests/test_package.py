@@ -78,3 +78,17 @@ def test_kind_classes_live_in_gqi():
     assert testers.Tester is gqi.Tester and testers.Povm is gqi.Povm
     assert channels.Channel is gqi.Channel and channels.Instrument is gqi.Instrument
     assert issubclass(gqi.Channel, gqi.Instrument)
+
+
+def test_lookup_is_not_cached(monkeypatch):
+    """A name read once is read again from its submodule on the next access,
+    through sys.modules, so a replaced function is what the package shows."""
+    assert exqip.is_extremal is gqi.is_extremal
+
+    def replaced(*args, **kwargs):
+        raise AssertionError("not called")
+
+    monkeypatch.setattr(gqi, "is_extremal", replaced)
+    assert exqip.is_extremal is replaced
+    monkeypatch.undo()
+    assert exqip.is_extremal is gqi.is_extremal

@@ -558,3 +558,33 @@ def test_validation_stacks_stay_within_the_budget(monkeypatch):
     assert stacks == [3 * m, 3 * m, m]
     for a, b in zip(cut, uncut, strict=True):
         assert_same_verdict(a, b)
+
+
+def test_each_plan_is_computed_once_per_shape(monkeypatch):
+    """The per-shape work of a verdict is computed once per (signature,
+    support ranks, policy) and read by every later verdict of that shape;
+    the size estimate is memoized apart, and the budget is read per stack,
+    so that a budget set later still refuses a shape already planned."""
+    population = mixed_population()
+    shapes = set(keys(population))
+    gqi._plan.cache_clear()
+    first = gqi.decide_all(population)
+    assert gqi._plan.cache_info().misses == len(shapes) < len(population)
+    for g, cert in zip(population, first, strict=True):
+        assert_same_certificate(gqi.is_extremal(g), cert)
+    again = gqi.decide_all(population)
+    info = gqi._plan.cache_info()
+    assert (info.misses, info.currsize) == (len(shapes), len(shapes))
+    assert info.hits >= len(population)
+    for a, b in zip(first, again, strict=True):
+        assert_same_certificate(a, b)
+    # The policy is part of the key.
+    certs = gqi.decide_all(population, linalg.TolerancePolicy(1e-9))
+    loose = {(g.signature, cert.support_ranks) for g, cert in zip(population, certs)}
+    assert gqi._plan.cache_info().misses == len(shapes) + len(loose)
+    # A rank-stage shape, planned by its first verdict, then refused by a smaller budget.
+    g = split_comb(CombSignature((2, 2)), np.random.default_rng(0))
+    gqi.is_extremal(g)
+    monkeypatch.setattr(gqi, "RANK_STAGE_BUDGET", 1000)
+    with pytest.raises(SizeLimitError, match="above the budget of 1,000 bytes"):
+        gqi.is_extremal(g)
