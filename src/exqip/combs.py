@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,12 +38,16 @@ from .linalg import DEFAULT_TOL, TolerancePolicy
 
 @dataclass(frozen=True)
 class CombSignature:
-    """Hilbert-space dimensions (d_0, ..., d_{2N-1}) of a comb's teeth."""
+    """Hilbert-space dimensions (d_0, ..., d_{2N-1}) of a comb's teeth:
+    Python or numpy integers, each at least 1."""
 
     dims: tuple
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
+        try:
+            dims = tuple(operator.index(d) for d in self.dims)
+        except TypeError:
+            raise DimensionMismatchError(f"dimensions must be integers, got {self.dims!r}") from None
         object.__setattr__(self, "dims", dims)
         if len(dims) % 2 != 0:
             raise DimensionMismatchError(f"signature length must be even, got {dims}")

@@ -25,8 +25,9 @@ eigenpairs of validation.
 Validation's batched ``linalg.hermitian_eig`` is the only eigendecomposition
 of the outcomes, and the support rule, :meth:`TolerancePolicy.support`, on
 its sorted spectra gives positivity and the support ranks the verdict
-carries; the tolerance refusal of the rank cutoff and the size guard run
-once per stack, in :func:`_decide_stack`.
+carries.  The rule runs once per verdict: the epsilon* step of a stack's
+witnesses reads those ranks.  The tolerance refusal of the rank cutoff and
+the size guard run once per stack, in :func:`_decide_stack`.
 
 Every object kind is a :class:`Gqi`, which lives in :mod:`exqip.combs`
 beside the comb signature and is re-exported here.  :class:`Tester`,
@@ -59,10 +60,12 @@ instruments and their seeds.  A witness error is raised on read, by the
 member whose own call raises it, with its own message.
 
 What a verdict computes from its shape alone, |V|, the cutoff, the
-full-support pair and the row layout of the rank stage, is planned once per
-signature, support ranks and policy, :func:`_plan`, a bounded cache of
-arithmetic on that key; the size estimate is memoized apart, and the size
-guard still reads it and ``RANK_STAGE_BUDGET`` per stack.
+full-support pair, the size estimate of the rank stage and its row layout,
+is planned once per signature, support ranks and policy, :func:`_plan`, a
+bounded cache of arithmetic on that key and the only cache of shape work.
+A shape that takes the full-support exit has no size estimate: its group
+is cut by the members' outcomes, and the size guard, which reads
+``RANK_STAGE_BUDGET`` per stack, refuses only a shape that builds rows.
 """
 
 from __future__ import annotations
@@ -391,6 +394,15 @@ def _allowance(values):
     return 2.0 * w.shape[-1] * np.finfo(float).eps * np.maximum(1.0, np.abs(w).max(axis=(-2, -1)))
 
 
+@dataclass(frozen=True)
+class _Supports(linalg.EigenDecomposition):
+    """The spectra of a stack of verdicts and the support ranks, one per
+    outcome, that they share: :func:`max_perturbation_step` reads ``ranks``
+    rather than apply the support rule again."""
+
+    ranks: tuple
+
+
 def max_perturbation_step(directions, spectra: linalg.EigenDecomposition, pol: TolerancePolicy = DEFAULT_TOL):
     """Largest epsilon with every T_i +/- epsilon D_i PSD within the working
     margin, in closed form (README, "The epsilon* step").
@@ -399,9 +411,12 @@ def max_perturbation_step(directions, spectra: linalg.EigenDecomposition, pol: T
     descending, as :attr:`GqiVerdict.spectra` holds them, and each D_i lies
     in the support of T_i, the leading eigenvectors U_i that
     :meth:`TolerancePolicy.support` counts, as the witnesses of
-    :func:`is_extremal` do.  With the constant margin c = supp_tol(D, 1) / 2
-    and the rounding allowance a (:func:`_allowance`),
-    S_i = U_i (W_i + c - a)^{-1/2} on that support.
+    :func:`is_extremal` do.  The support ranks are counted here only
+    because bare spectra do not hold them; the witnesses of a stack pass
+    the ranks of their verdicts along with the spectra (:class:`_Supports`).
+    With the constant margin c = supp_tol(D, 1) / 2 and the rounding
+    allowance a (:func:`_allowance`), S_i = U_i (W_i + c - a)^{-1/2} on that
+    support.
     Then T_i +/- epsilon D_i + c - a is PSD exactly while
     epsilon |S_i^dagger D_i S_i|_2 <= 1, so the step is
     1 / max_i |S_i^dagger D_i S_i|_2, from one batched ``eigvalsh``.  This is
@@ -424,7 +439,7 @@ def max_perturbation_step(directions, spectra: linalg.EigenDecomposition, pol: T
     w, v = spectra.values, spectra.vectors
     dim = w.shape[-1]
     w = w.reshape(len(d), -1, dim)
-    ranks = pol.support(w)[1]
+    ranks = np.broadcast_to(spectra.ranks, w.shape[:2]) if isinstance(spectra, _Supports) else pol.support(w)[1]
     k = int(ranks.max())
     used = np.arange(dim) < ranks[..., None]
     # used * a is a where used and 0.0 elsewhere, as a is positive and finite.
@@ -466,14 +481,14 @@ def rank_stage_bytes(sig: CombSignature, support_ranks) -> int:
     * 8 (h n + h^2 + k n + 4 k^2), k = min(h, n): the head, its U, V^T and
       the SVD workspace.
 
-    The arithmetic is done once per signature and support ranks.
+    A verdict reads this formula from its :func:`_plan`, which holds it for
+    the shapes that reach the rank stage.
     """
-    return _stage_bytes(sig, tuple(support_ranks))
+    return _stage_estimate(sig, support_ranks)
 
 
-@functools.lru_cache(maxsize=256)
-def _stage_bytes(sig: CombSignature, support_ranks: tuple) -> int:
-    """The estimate of :func:`rank_stage_bytes`."""
+def _stage_estimate(sig: CombSignature, support_ranks) -> int:
+    """The formula of :func:`rank_stage_bytes`."""
     d = sig.total_dim
     reduced = [even * low for _, even, low, _ in sig.coordinate_levels]
     n = 1 + sum(c * c for c in reduced)
@@ -485,27 +500,21 @@ def _stage_bytes(sig: CombSignature, support_ranks: tuple) -> int:
     return 64 * r * r * c * c + 24 * m * n + 8 * (h * n + h * h + k * n + 4 * k * k)
 
 
-def _cutoff(sig: CombSignature, support_ranks: tuple, pol: TolerancePolicy) -> float:
-    """The pooled cutoff taken at sigma_max <= sqrt(M), read by both exits of
-    :func:`is_extremal`."""
-    dim = sig.total_dim
-    family_size = sum(r * r for r in support_ranks) + combs.comb_variable_count(sig)
-    return pol.rank_tol(family_size, dim * dim, math.sqrt(len(support_ranks)))
-
-
 class _Plan(NamedTuple):
     """The work of a verdict that depends only on its shape (see
-    :func:`_plan`): |V| (``n_known``), the family size m + |V|, the cutoff
-    taken at sqrt(M) (``bound``), whether it is at or above sqrt(M)
-    (``vacuous``), the full-support pair, and for :func:`_rank_test` the
-    m rows, the span D^2 - |V|, the head of min(m, span + 1) rows, and per
-    outcome (i, rows) in the head and (i, first row past it) beyond it."""
+    :func:`_plan`): |V| (``n_known``), the cutoff taken at sqrt(M)
+    (``bound``), whether it is at or above sqrt(M) (``vacuous``), the
+    full-support pair, the estimate of :func:`rank_stage_bytes`
+    (``stage_bytes``), None when the pair is present, and for
+    :func:`_rank_test` the m rows, the span D^2 - |V|, the head of
+    min(m, span + 1) rows, and per outcome (i, rows) in the head and
+    (i, first row past it) beyond it.  The family size is m + |V|."""
 
     n_known: int
-    family_size: int
     bound: float
     vacuous: bool
     pair: tuple | None
+    stage_bytes: int | None
     m: int
     span: int
     head: int
@@ -517,21 +526,24 @@ class _Plan(NamedTuple):
 def _plan(sig: CombSignature, support_ranks: tuple, pol: TolerancePolicy) -> _Plan:
     """The :class:`_Plan` of the verdicts at signature ``sig``, support ranks
     ``support_ranks`` and ``pol``, computed once per key (README, "Deciding
-    a population").  It is arithmetic on the key alone: the size estimate
-    and ``RANK_STAGE_BUDGET`` are read per stack, by :func:`_decide_stack`."""
+    a population"): the one cache of a stack's shape work.  It is arithmetic
+    on the key alone; ``RANK_STAGE_BUDGET`` is read per stack, by
+    :func:`_decide_stack`.  The cutoff is the pooled family's, taken at
+    sigma_max <= sqrt(M) and read by both exits of :func:`is_extremal`."""
     dim = sig.total_dim
     n_known = sig.variable_count
     starts = (0, *itertools.accumulate(r * r for r in support_ranks))
     m = starts[-1]
     span = dim * dim - n_known
     head = min(m, span + 1)
-    bound = _cutoff(sig, support_ranks, pol)
+    bound = pol.rank_tol(m + n_known, dim * dim, math.sqrt(len(support_ranks)))
+    pair = _full_support_pair(support_ranks, dim, bound)
     return _Plan(
         n_known=n_known,
-        family_size=m + n_known,
         bound=bound,
         vacuous=bound >= math.sqrt(len(support_ranks)),
-        pair=_full_support_pair(support_ranks, dim, bound),
+        pair=pair,
+        stage_bytes=None if pair else _stage_estimate(sig, support_ranks),
         m=m,
         span=span,
         head=head,
@@ -653,7 +665,9 @@ def decide_all(objects, pol: TolerancePolicy = DEFAULT_TOL) -> list:
 
     The objects are grouped by signature and support ranks, and a group is
     cut into stacks of K members whose estimated peak, K times
-    :func:`rank_stage_bytes`, stays within ``RANK_STAGE_BUDGET``.  Per stack
+    :func:`rank_stage_bytes`, stays within ``RANK_STAGE_BUDGET``; a group at
+    the full-support exit, which builds no row, by its members' outcomes,
+    16 M D^2 bytes each.  Per stack
     the full-support exit is taken, or one rank stage runs
     (:func:`_rank_test`); the witnesses of the dependent members are built
     on the first read of any of them, with their epsilon* from one
@@ -669,11 +683,13 @@ def decide_all(objects, pol: TolerancePolicy = DEFAULT_TOL) -> list:
 
 def _decide_grouped(gs: list, pol: TolerancePolicy) -> list:
     """The stacked passes of :func:`decide_all`, after one validation pass
-    (:func:`_validate_grouped`), with no member named."""
+    (:func:`_validate_grouped`), with no member named.  A group is cut by
+    the ``stage_bytes`` of its :func:`_plan`, or, at the full-support exit,
+    which builds no row, by its members' outcomes, 16 M D^2 bytes each."""
     validations = _validate_grouped(gs, pol)
     return _grouped(
         [(g.signature, v.support_ranks) for g, v in zip(gs, validations)],
-        lambda key: rank_stage_bytes(*key),
+        lambda key: _plan(*key, pol).stage_bytes or 16 * len(key[1]) * key[0].total_dim ** 2,
         lambda members: _decide_stack(
             [gs[i] for i in members], [validations[i] for i in members], validations[members[0]].support_ranks, pol
         ),
@@ -738,8 +754,8 @@ def _decide_stack(gs: list, verdicts: list, support_ranks: tuple, pol: Tolerance
     sigma_max is at or above sqrt(M), max(m + |V|, D^2) eps_rel >= 1, so
     that every projected rank would be 0; then the size guard,
     :class:`SizeLimitError`, when the stack reaches the rank stage, having
-    no full-support pair, and the stage's estimated peak
-    (:func:`rank_stage_bytes`) is above ``RANK_STAGE_BUDGET``."""
+    no full-support pair, and the stage's estimated peak, the
+    ``stage_bytes`` of its :func:`_plan`, is above ``RANK_STAGE_BUDGET``."""
     sig = gs[0].signature
     for g, verdict in zip(gs, verdicts):
         _require_valid(g, pol, verdict)
@@ -749,16 +765,15 @@ def _decide_stack(gs: list, verdicts: list, support_ranks: tuple, pol: Tolerance
             f"tolerance {pol.eps_rel:g} puts the rank cutoff at or above every singular value at dimension "
             f"{sig.total_dim}"
         )
-    pair = plan.pair
-    if pair is None and (need := rank_stage_bytes(sig, support_ranks)) > RANK_STAGE_BUDGET:
+    if plan.stage_bytes is not None and plan.stage_bytes > RANK_STAGE_BUDGET:
         raise SizeLimitError(
             f"the rank test at signature {sig.dims} with support ranks {tuple(support_ranks)} "
-            f"needs about {need:,} bytes, above the budget of {RANK_STAGE_BUDGET:,} bytes"
+            f"needs about {plan.stage_bytes:,} bytes, above the budget of {RANK_STAGE_BUDGET:,} bytes"
         )
-    if pair is not None:
+    if plan.pair is not None:
         decided = [(sig.total_dim ** 2, None, None)] * len(gs)
         dependent = [True] * len(gs)
-        build = functools.partial(_exchange_witnesses, verdicts, support_ranks, pair, pol)
+        build = functools.partial(_exchange_witnesses, verdicts, support_ranks, plan.pair, pol)
     else:
         vectors = np.array([v.spectra.vectors for v in verdicts])
         supports = [vectors[:, i, :, :r] for i, r in enumerate(support_ranks)]
@@ -770,7 +785,7 @@ def _decide_stack(gs: list, verdicts: list, support_ranks: tuple, pol: Tolerance
     return [
         ExtremalityCertificate(
             extremal=not depends,
-            family_size=plan.family_size,
+            family_size=plan.m + plan.n_known,
             rank=rank,
             support_ranks=support_ranks,
             normalization_basis_size=plan.n_known,
@@ -819,7 +834,7 @@ def _exchange_witnesses(verdicts: list, support_ranks: tuple, pair: tuple, pol: 
         u = vectors[:, b, :, : support_ranks[b]]
         p = u @ u.conj().transpose(0, 2, 1)
     directions[a], directions[b] = -p, p
-    return _perturbations(directions, values, vectors, steps, pol)
+    return _perturbations(directions, _Supports(values, vectors, support_ranks), steps, pol)
 
 
 def _rank_witnesses(
@@ -840,31 +855,33 @@ def _rank_witnesses(
         directions.append(u @ h @ u.conj().transpose(0, 2, 1))
         pos += r * r
     values = np.array([verdicts[j].spectra.values for j in dependent])
-    return _perturbations(directions, values, vectors, None, pol)
+    return _perturbations(directions, _Supports(values, vectors, support_ranks), None, pol)
 
 
-def _perturbations(directions: list, values, vectors, steps, pol: TolerancePolicy) -> list:
+def _perturbations(directions: list, spectra: _Supports, steps, pol: TolerancePolicy) -> list:
     """The witnesses of a stack from one stack of directions (K, D, D) per
-    outcome.  Their steps are ``steps``, or else one
-    :func:`max_perturbation_step` of the stack; when that raises, each
-    member's own call decides its step, and a member whose call raises gets
-    its error in place of its witness."""
-    witnesses = [tuple(d[pos] for d in directions) for pos in range(len(values))]
+    outcome and the stack's spectra with their support ranks.  Their steps
+    are ``steps``, or else one :func:`max_perturbation_step` of the stack;
+    when that raises, each member's own call decides its step, and a member
+    whose call raises gets its error in place of its witness."""
+    witnesses = [tuple(d[pos] for d in directions) for pos in range(len(spectra.values))]
     if steps is None:
         try:
-            steps = max_perturbation_step(witnesses, linalg.EigenDecomposition(values, vectors), pol)
+            steps = max_perturbation_step(witnesses, spectra, pol)
         except ExqipError:
-            steps = [_own_step(d, values[j : j + 1], vectors[j : j + 1], pol) for j, d in enumerate(witnesses)]
+            steps = [_own_step(d, spectra, j, pol) for j, d in enumerate(witnesses)]
     return [
         step if isinstance(step, ExqipError) else Perturbation(directions=d, delta=sum(d), epsilon_star=float(step))
         for d, step in zip(witnesses, steps)
     ]
 
 
-def _own_step(directions: tuple, values, vectors, pol: TolerancePolicy):
-    """The step of one GQI, from its stack of one, or the error it raises."""
+def _own_step(directions: tuple, spectra: _Supports, j: int, pol: TolerancePolicy):
+    """The step of member ``j`` of a stack, from its stack of one, or the
+    error it raises."""
+    own = _Supports(spectra.values[j : j + 1], spectra.vectors[j : j + 1], spectra.ranks)
     try:
-        return max_perturbation_step([directions], linalg.EigenDecomposition(values, vectors), pol)[0]
+        return max_perturbation_step([directions], own, pol)[0]
     except ExqipError as err:
         return err
 
@@ -875,12 +892,17 @@ def decompose_step(
     certificate: ExtremalityCertificate | None = None,
 ):
     """Split a non-extremal GQI into two valid GQIs of its kind averaging
-    back to it."""
+    back to it.  A given ``certificate`` whose directions do not match the
+    outcomes of ``g`` in number and in shape raises
+    :class:`DimensionMismatchError`."""
     if certificate is None:
         certificate = is_extremal(g, pol)
     if certificate.extremal or certificate.perturbation is None:
         raise ExtremalInputError("cannot decompose an extremal GQI")
     pert = certificate.perturbation
+    fit, need = [np.shape(d) for d in pert.directions], [np.shape(t) for t in g.outcomes]
+    if fit != need:
+        raise DimensionMismatchError(f"certificate directions of shapes {fit} do not fit outcomes of shapes {need}")
     eps = pert.epsilon_star
     new = type(g).from_view
     plus = new(g.signature, tuple(t + eps * d for t, d in zip(g.outcomes, pert.directions)))
@@ -899,7 +921,10 @@ def decompose(g: Gqi, steps: int, pol: TolerancePolicy = DEFAULT_TOL):
     sum of the leaves minus ``g``.  An extremal root, decided by
     :func:`is_extremal`, raises :class:`ExtremalInputError`.  Each depth's
     undecided nodes go through one :func:`decide_all`, and a node it refuses
-    raises its own :func:`is_extremal` error, without the member index."""
+    raises its own :func:`is_extremal` error, without the member index.
+    A negative ``steps`` raises :class:`ValueError`."""
+    if steps < 0:
+        raise ValueError(f"steps must be a non-negative integer, got {steps}")
     cert = is_extremal(g, pol)
     if cert.extremal:
         raise ExtremalInputError("cannot decompose an extremal GQI")
@@ -936,9 +961,12 @@ def decompose(g: Gqi, steps: int, pol: TolerancePolicy = DEFAULT_TOL):
 
 def mix(a: Gqi, b: Gqi, weight: float = 0.5) -> Gqi:
     """Convex combination weight*a + (1-weight)*b of two same-shaped GQIs,
-    of the kind of ``a``."""
+    of the kind of ``a``.  A weight outside [0, 1], or not finite, raises
+    :class:`ValidationError`."""
     if a.signature != b.signature or len(a.outcomes) != len(b.outcomes):
         raise DimensionMismatchError("mixed GQIs must share signature and outcome count")
+    if not 0.0 <= weight <= 1.0:
+        raise ValidationError(f"mixing weight must lie in [0, 1], got {weight}")
     return type(a).from_view(
         a.signature,
         tuple(weight * ta + (1.0 - weight) * tb for ta, tb in zip(a.outcomes, b.outcomes)),

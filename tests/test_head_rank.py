@@ -404,6 +404,8 @@ class TestFullSupportExit:
             cert = gqi.is_extremal(g)
             assert not cert.extremal and cert.rank == g.signature.total_dim ** 2
             assert cert.margin is None
+            # The plan of an exit shape holds no size estimate.
+            assert gqi._plan(g.signature, cert.support_ranks, DEFAULT_TOL).stage_bytes is None
 
     def test_witness_exchanges_weight(self):
         """D_b = P_b and D_a = -P_b for the first full-support outcome a and

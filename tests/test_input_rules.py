@@ -9,6 +9,11 @@ unitary, before any product is formed.  The header rule (a JSON object of
 version 1 and the right format) is one check of ``fileio``, for payloads
 and files alike.  pytest turns warnings into errors, so none of these
 refusals may overflow on the way.
+
+Also here: the arguments of the library's builders.  A comb signature
+takes integer dimensions only, ``gqi.mix`` a convex weight only, and
+``gqi.decompose_step`` only a certificate whose directions fit the
+outcomes, as ``gqi.decompose`` takes no negative depth.
 """
 
 import contextlib
@@ -22,8 +27,8 @@ import numpy as np
 import pytest
 
 from exqip import channels, cli, combs, fileio, gqi, linalg, testers
-from exqip.errors import FileFormatError, NotHermitianError, ValidationError
-from exqip.gqi import Povm
+from exqip.errors import DimensionMismatchError, FileFormatError, NotHermitianError, ValidationError
+from exqip.gqi import Gqi, Povm
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden_cli")
 
@@ -168,3 +173,46 @@ def test_file_entry_of_modulus_above_the_bound(command, tmp_path):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main([command, str(path)])
     assert (code, out.getvalue(), err.getvalue()) == (2, "", "error: matrix entry of modulus above 1e+100\n")
+
+
+def golden(name):
+    return fileio.load_object(os.path.join(GOLDEN, f"{name}.json"))
+
+
+@pytest.mark.parametrize("dims", [(2.5, 2), (2.0, 2), (np.float64(1.5), 2), ("2", 2)], ids=repr)
+def test_signature_takes_integer_dimensions_only(dims):
+    with pytest.raises(DimensionMismatchError, match=r"^dimensions must be integers, got "):
+        combs.CombSignature(dims)
+
+
+def test_signature_takes_python_and_numpy_integers():
+    sig = combs.CombSignature((np.int64(2), np.int32(3), 1, np.uint8(2)))
+    assert sig == combs.CombSignature((2, 3, 1, 2))
+    assert all(type(d) is int for d in sig.dims)
+
+
+@pytest.mark.parametrize("weight", [2.0, -0.5, math.nan, math.inf, -math.inf], ids=repr)
+def test_mix_takes_a_convex_weight_only(weight):
+    a = golden("gqi")
+    b = Gqi(a.signature, a.outcomes[::-1])
+    with pytest.raises(ValidationError, match=r"^mixing weight must lie in \[0, 1\], got "):
+        gqi.mix(a, b, weight)
+    for weight, end in ((1.0, a), (0.0, b)):
+        assert all(np.array_equal(x, y) for x, y in zip(gqi.mix(a, b, weight).outcomes, end.outcomes, strict=True))
+
+
+@pytest.mark.parametrize("target, source", [("gqi", "channel"), ("povm", "gqi")], ids=["count", "shape"])
+def test_decompose_step_takes_a_certificate_that_fits(target, source):
+    """A certificate of another GQI, whose directions differ from the
+    outcomes in number or in shape, is refused before any child is built."""
+    cert = gqi.is_extremal(golden(source))
+    with pytest.raises(DimensionMismatchError, match=r"^certificate directions of shapes \[.*\] do not fit outcomes"):
+        gqi.decompose_step(golden(target), certificate=cert)
+
+
+def test_decompose_takes_no_negative_depth():
+    g = golden("gqi")
+    with pytest.raises(ValueError, match=r"^steps must be a non-negative integer, got -1$"):
+        gqi.decompose(g, -1)
+    leaves, residual = gqi.decompose(g, 0)
+    assert [path for path, *_ in leaves] == [()] and residual == 0.0

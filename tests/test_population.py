@@ -538,6 +538,43 @@ def test_rank_stages_stay_within_the_budget(monkeypatch):
         assert_same_certificate(cert, gqi.is_extremal(g))
 
 
+def central_splits():
+    """The central comb at (4,4,4,4), D = 256, split 0.3/0.7, 0.5/0.5 and
+    0.7/0.3: two outcomes of full support each."""
+    sig = CombSignature((4, 4, 4, 4))
+    c = combs.central_comb(sig).operator
+    return [Gqi(sig, (w * c, (1.0 - w) * c)) for w in (0.3, 0.5, 0.7)]
+
+
+def test_exit_stacks_are_cut_by_operator_bytes(monkeypatch):
+    """A group at the full-support exit builds no row, so it is cut by its
+    members' outcomes, 16 M D^2 bytes each, and not by the rank stage's
+    estimate, which its plan does not hold: the three (4,4,4,4) splits,
+    each estimated at about 31 GB, are one stack, and two stacks under a
+    budget of two members' outcomes."""
+    population = central_splits()
+    sig, m = population[0].signature, 2
+    assert gqi.rank_stage_bytes(sig, (256, 256)) > gqi.RANK_STAGE_BUDGET
+    assert gqi._plan(sig, (256, 256), DEFAULT_TOL).stage_bytes is None
+    stacks = []
+    decide_stack = gqi._decide_stack
+
+    def recorded(gs, *args):
+        stacks.append(len(gs))
+        return decide_stack(gs, *args)
+
+    monkeypatch.setattr(gqi, "_decide_stack", recorded)
+    certs = gqi.decide_all(population)
+    assert stacks == [3]
+    monkeypatch.setattr(gqi, "RANK_STAGE_BUDGET", 2 * 16 * m * sig.total_dim ** 2)
+    cut = gqi.decide_all(population)
+    assert stacks == [3, 2, 1]
+    for g, a, b in zip(population, certs, cut, strict=True):
+        own = gqi.is_extremal(g)
+        assert_same_certificate(a, own)
+        assert_same_certificate(b, own)
+
+
 def test_validation_stacks_stay_within_the_budget(monkeypatch):
     """validate_all cuts a group into stacks of K members whose stacked
     outcomes, 16 M D^2 bytes each, stay within the budget; every verdict is
@@ -563,8 +600,9 @@ def test_validation_stacks_stay_within_the_budget(monkeypatch):
 def test_each_plan_is_computed_once_per_shape(monkeypatch):
     """The per-shape work of a verdict is computed once per (signature,
     support ranks, policy) and read by every later verdict of that shape;
-    the size estimate is memoized apart, and the budget is read per stack,
-    so that a budget set later still refuses a shape already planned."""
+    the plan holds the size estimate of the shapes that reach the rank
+    stage, and the budget is read per stack, so that a budget set later
+    still refuses a shape already planned."""
     population = mixed_population()
     shapes = set(keys(population))
     gqi._plan.cache_clear()
@@ -572,6 +610,9 @@ def test_each_plan_is_computed_once_per_shape(monkeypatch):
     assert gqi._plan.cache_info().misses == len(shapes) < len(population)
     for g, cert in zip(population, first, strict=True):
         assert_same_certificate(gqi.is_extremal(g), cert)
+    for sig, ranks in shapes:
+        plan = gqi._plan(sig, ranks, DEFAULT_TOL)
+        assert plan.stage_bytes == (None if plan.pair else gqi.rank_stage_bytes(sig, ranks))
     again = gqi.decide_all(population)
     info = gqi._plan.cache_info()
     assert (info.misses, info.currsize) == (len(shapes), len(shapes))

@@ -182,4 +182,4 @@ def test_no_certificate_is_vacuous(seed, kind, d, n_outcomes, n_tiny, log_eps):
         except ToleranceError:
             return
     assert sum(r * r for r in cert.support_ranks) > 0
-    assert gqi._cutoff(g.signature, cert.support_ranks, pol) < math.sqrt(len(cert.support_ranks))
+    assert gqi._plan(g.signature, cert.support_ranks, pol).bound < math.sqrt(len(cert.support_ranks))

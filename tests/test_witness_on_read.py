@@ -18,7 +18,7 @@ import os
 import numpy as np
 import pytest
 
-from exqip import channels, cli, fileio, gqi, suites
+from exqip import channels, cli, fileio, gqi, linalg, suites
 from exqip.errors import ValidationError
 from exqip.gqi import Perturbation
 
@@ -162,6 +162,47 @@ def test_witness_error_is_the_members_own(monkeypatch):
     monkeypatch.setattr(gqi, "max_perturbation_step", step)
     for i in (0, 2):
         assert certs[i].perturbation == gqi.is_extremal(members[i]).perturbation
+
+
+def test_support_rule_runs_once_per_validation_stack(monkeypatch):
+    """The epsilon* step reads the support ranks of the verdicts: over
+    ``decide_all`` and the read of every witness, the support rule runs
+    once per validation stack and never again."""
+    population = mixed_population()
+    calls = spy(monkeypatch)
+    counts = dict.fromkeys(("support", "stacks"), 0)
+    support, validate_stack = linalg.TolerancePolicy.support, gqi._validate_stack
+
+    def counted_support(self, w):
+        counts["support"] += 1
+        return support(self, w)
+
+    def counted_stack(gs, *args):
+        counts["stacks"] += 1
+        return validate_stack(gs, *args)
+
+    monkeypatch.setattr(linalg.TolerancePolicy, "support", counted_support)
+    monkeypatch.setattr(gqi, "_validate_stack", counted_stack)
+    for cert in gqi.decide_all(population):
+        assert (cert.perturbation is None) == cert.extremal
+    assert calls["max_perturbation_step"] > 0
+    assert counts["support"] == counts["stacks"] > 0
+
+
+def test_witness_step_is_the_step_on_bare_spectra():
+    """A witness's epsilon* is, to the bit, that of the public
+    ``max_perturbation_step`` on its directions and the spectra of its
+    verdict, which counts the support ranks itself."""
+    population = mixed_population()
+    certs = gqi.decide_all(population)
+    checked = 0
+    for g, cert in zip(population, certs, strict=True):
+        if cert.extremal or identity_exchange(g, cert):
+            continue
+        pert = cert.perturbation
+        assert gqi.max_perturbation_step(pert.directions, cert.validation.spectra) == pert.epsilon_star
+        checked += 1
+    assert checked > 0
 
 
 def not_extremal_golden():
