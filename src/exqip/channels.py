@@ -157,21 +157,19 @@ def _kraus_criterion(instruments: list, verdicts: list, pol: TolerancePolicy) ->
     """:func:`instrument_extremal` of each instrument, given its verdict at
     ``pol`` or None.  The gate refuses the first invalid instrument, in
     order.  The instruments are then grouped by (d1, d0, support ranks),
-    and each group runs one :func:`_kraus_stack` on the ranks of its
-    verdicts, one batched product K_m^dagger K_n and one values-only
-    ``svd``, whose rank is counted at :meth:`TolerancePolicy.rank_tol` of
-    each member; each result is that of the instrument's own call."""
+    and each group runs one :func:`_kraus_stack` on the spectra record of
+    its verdicts (:meth:`gqi._Supports.of`), one batched product
+    K_m^dagger K_n and one values-only ``svd``, whose rank is counted at
+    :meth:`TolerancePolicy.rank_tol` of each member; each result is that of
+    the instrument's own call."""
     verdicts = [gqi_mod._require_valid(x, pol, v) for x, v in zip(instruments, verdicts)]
 
     def run(members):
-        first, group = instruments[members[0]], [verdicts[i] for i in members]
-        spectra = linalg.EigenDecomposition(
-            np.array([v.spectra.values for v in group]), np.array([v.spectra.vectors for v in group])
-        )
-        ranks = group[0].support_ranks
-        kraus = _kraus_stack(spectra, first.d1, first.d0, ranks)
-        products = np.concatenate([_kraus_products(kraus[:, i, :r]) for i, r in enumerate(ranks)], axis=1)
-        x = products.reshape(len(group), products.shape[1], -1)
+        first = instruments[members[0]]
+        spectra = gqi_mod._Supports.of([verdicts[i] for i in members])
+        kraus = _kraus_stack(spectra, first.d1, first.d0, spectra.ranks)
+        products = np.concatenate([_kraus_products(kraus[:, i, :r]) for i, r in enumerate(spectra.ranks)], axis=1)
+        x = products.reshape(len(members), products.shape[1], -1)
         s = np.linalg.svd(x, compute_uv=False)
         return ((s > pol.rank_tol(*x.shape[1:], s[:, :1])).sum(axis=1) == x.shape[1]).tolist()
 

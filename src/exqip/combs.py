@@ -39,12 +39,14 @@ from .linalg import DEFAULT_TOL, TolerancePolicy
 @dataclass(frozen=True)
 class CombSignature:
     """Hilbert-space dimensions (d_0, ..., d_{2N-1}) of a comb's teeth:
-    Python or numpy integers, each at least 1."""
+    Python or numpy integers, not bools, each at least 1."""
 
     dims: tuple
 
     def __post_init__(self):
         try:
+            if any(isinstance(d, bool) for d in self.dims):
+                raise TypeError
             dims = tuple(operator.index(d) for d in self.dims)
         except TypeError:
             raise DimensionMismatchError(f"dimensions must be integers, got {self.dims!r}") from None

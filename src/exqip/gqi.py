@@ -15,10 +15,14 @@ maximal step size epsilon_star, from which a one-step convex decomposition
 follows, :func:`decompose_step`.  :func:`decompose` grows the tree of such
 steps down to a depth, one :func:`decide_all` per depth; it is the
 library's one decomposition tree, which ``exqip decompose`` only writes.
-The witness is built when it is first read: a certificate decides
+Each decision stack, :func:`_decide_stack`, stacks its verdicts'
+eigenpairs and support ranks once, into one spectra record
+(:class:`_Supports`) that its rank test and its witnesses read.  The
+witness is built when it is first read: a certificate decides
 ``extremal``, the rank and the margin at once, and the first read of
 ``perturbation`` on a dependent member builds the witnesses of its whole
-stack, with one epsilon* call.  With the constant working margin
+stack, with one epsilon* call, once: a build that raises is not kept, so
+the next read builds again.  With the constant working margin
 supp_tol(D, 1) / 2, epsilon_star is a closed form: the generalized-eigenvalue
 form of Choi's positivity argument, on each outcome's support, read from the
 eigenpairs of validation.
@@ -26,8 +30,9 @@ Validation's batched ``linalg.hermitian_eig`` is the only eigendecomposition
 of the outcomes, and the support rule, :meth:`TolerancePolicy.support`, on
 its sorted spectra gives positivity and the support ranks the verdict
 carries.  The rule runs once per verdict: the epsilon* step of a stack's
-witnesses reads those ranks.  The tolerance refusal of the rank cutoff and
-the size guard run once per stack, in :func:`_decide_stack`.
+witnesses reads those ranks from the stack's record.  The tolerance
+refusal of the rank cutoff and the size guard run once per stack, in
+:func:`_decide_stack`.
 
 Every object kind is a :class:`Gqi`, which lives in :mod:`exqip.combs`
 beside the comb signature and is re-exported here.  :class:`Tester`,
@@ -73,6 +78,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -191,7 +197,7 @@ class Perturbation:
 class _Witness:
     """The ``perturbation`` field of :class:`ExtremalityCertificate`.  It
     holds a :class:`Perturbation`, None, or a pending witness: a function of
-    no argument that builds it (see :class:`_StackWitnesses`), called on the
+    no argument that builds it (see :func:`_read_witness`), called on the
     first read and replaced by what it returns.  A pending witness that
     raises stays pending, so that every read raises."""
 
@@ -396,11 +402,25 @@ def _allowance(values):
 
 @dataclass(frozen=True)
 class _Supports(linalg.EigenDecomposition):
-    """The spectra of a stack of verdicts and the support ranks, one per
-    outcome, that they share: :func:`max_perturbation_step` reads ``ranks``
-    rather than apply the support rule again."""
+    """The spectra record of a decision stack: its verdicts' eigenvalues
+    (K, M, D) and eigenvectors (K, M, D, D), stacked once by :meth:`of`, and
+    the support ranks, one per outcome, that they share.  Every later stage
+    of :func:`_decide_stack` reads it: the rank test its support vectors,
+    the witnesses their values and vectors, and :func:`max_perturbation_step`
+    ``ranks`` rather than apply the support rule again."""
 
     ranks: tuple
+
+    @classmethod
+    def of(cls, verdicts: list) -> _Supports:
+        """The record of verdicts that share their support ranks: the one
+        place their ``spectra`` are stacked."""
+        values = np.array([v.spectra.values for v in verdicts])
+        return cls(values, np.array([v.spectra.vectors for v in verdicts]), verdicts[0].support_ranks)
+
+    def __getitem__(self, k) -> _Supports:
+        """The record of the members ``k`` of the stack, a slice or a list."""
+        return _Supports(self.values[k], self.vectors[k], self.ranks)
 
 
 def max_perturbation_step(directions, spectra: linalg.EigenDecomposition, pol: TolerancePolicy = DEFAULT_TOL):
@@ -413,7 +433,8 @@ def max_perturbation_step(directions, spectra: linalg.EigenDecomposition, pol: T
     :meth:`TolerancePolicy.support` counts, as the witnesses of
     :func:`is_extremal` do.  The support ranks are counted here only
     because bare spectra do not hold them; the witnesses of a stack pass
-    the ranks of their verdicts along with the spectra (:class:`_Supports`).
+    its spectra record, :class:`_Supports`, which holds the ranks of its
+    verdicts.
     With the constant margin c = supp_tol(D, 1) / 2 and the rounding
     allowance a (:func:`_allowance`), S_i = U_i (W_i + c - a)^{-1/2} on that
     support.
@@ -481,14 +502,9 @@ def rank_stage_bytes(sig: CombSignature, support_ranks) -> int:
     * 8 (h n + h^2 + k n + 4 k^2), k = min(h, n): the head, its U, V^T and
       the SVD workspace.
 
-    A verdict reads this formula from its :func:`_plan`, which holds it for
+    A verdict reads this estimate from its :func:`_plan`, which holds it for
     the shapes that reach the rank stage.
     """
-    return _stage_estimate(sig, support_ranks)
-
-
-def _stage_estimate(sig: CombSignature, support_ranks) -> int:
-    """The formula of :func:`rank_stage_bytes`."""
     d = sig.total_dim
     reduced = [even * low for _, even, low, _ in sig.coordinate_levels]
     n = 1 + sum(c * c for c in reduced)
@@ -543,7 +559,7 @@ def _plan(sig: CombSignature, support_ranks: tuple, pol: TolerancePolicy) -> _Pl
         bound=bound,
         vacuous=bound >= math.sqrt(len(support_ranks)),
         pair=pair,
-        stage_bytes=None if pair else _stage_estimate(sig, support_ranks),
+        stage_bytes=None if pair else rank_stage_bytes(sig, support_ranks),
         m=m,
         span=span,
         head=head,
@@ -690,9 +706,7 @@ def _decide_grouped(gs: list, pol: TolerancePolicy) -> list:
     return _grouped(
         [(g.signature, v.support_ranks) for g, v in zip(gs, validations)],
         lambda key: _plan(*key, pol).stage_bytes or 16 * len(key[1]) * key[0].total_dim ** 2,
-        lambda members: _decide_stack(
-            [gs[i] for i in members], [validations[i] for i in members], validations[members[0]].support_ranks, pol
-        ),
+        lambda members: _decide_stack([gs[i] for i in members], [validations[i] for i in members], pol),
     )
 
 
@@ -741,13 +755,14 @@ def is_extremal(g: Gqi, pol: TolerancePolicy = DEFAULT_TOL) -> ExtremalityCertif
     :func:`decide_all` on ``g`` alone.
     """
     validation = is_valid_gqi(g, pol)
-    return _decide_stack([g], [validation], validation.support_ranks, pol)[0]
+    return _decide_stack([g], [validation], pol)[0]
 
 
-def _decide_stack(gs: list, verdicts: list, support_ranks: tuple, pol: TolerancePolicy) -> list:
+def _decide_stack(gs: list, verdicts: list, pol: TolerancePolicy) -> list:
     """The certificates of K GQIs with the same signature and support ranks
     (see :func:`is_extremal`), given their :func:`_validate_stack` verdicts
-    at ``pol``.
+    at ``pol``.  Their spectra are stacked once, into the :class:`_Supports`
+    record that the rank test and the witnesses read.
 
     After the gate of each verdict come the two refusals of the stack, in
     this order: :class:`ToleranceError` when the cutoff at sqrt(M) >=
@@ -755,11 +770,16 @@ def _decide_stack(gs: list, verdicts: list, support_ranks: tuple, pol: Tolerance
     that every projected rank would be 0; then the size guard,
     :class:`SizeLimitError`, when the stack reaches the rank stage, having
     no full-support pair, and the stage's estimated peak, the
-    ``stage_bytes`` of its :func:`_plan`, is above ``RANK_STAGE_BUDGET``."""
+    ``stage_bytes`` of its :func:`_plan`, is above ``RANK_STAGE_BUDGET``.
+
+    The witnesses of the dependent members are built once, by the first
+    read of any of them; a build that raises is not kept, so that every
+    read raises until one builds."""
     sig = gs[0].signature
     for g, verdict in zip(gs, verdicts):
         _require_valid(g, pol, verdict)
-    plan = _plan(sig, support_ranks, pol)
+    spectra = _Supports.of(verdicts)
+    plan = _plan(sig, spectra.ranks, pol)
     if plan.vacuous:
         raise ToleranceError(
             f"tolerance {pol.eps_rel:g} puts the rank cutoff at or above every singular value at dimension "
@@ -767,103 +787,90 @@ def _decide_stack(gs: list, verdicts: list, support_ranks: tuple, pol: Tolerance
         )
     if plan.stage_bytes is not None and plan.stage_bytes > RANK_STAGE_BUDGET:
         raise SizeLimitError(
-            f"the rank test at signature {sig.dims} with support ranks {tuple(support_ranks)} "
+            f"the rank test at signature {sig.dims} with support ranks {spectra.ranks} "
             f"needs about {plan.stage_bytes:,} bytes, above the budget of {RANK_STAGE_BUDGET:,} bytes"
         )
     if plan.pair is not None:
         decided = [(sig.total_dim ** 2, None, None)] * len(gs)
-        dependent = [True] * len(gs)
-        build = functools.partial(_exchange_witnesses, verdicts, support_ranks, plan.pair, pol)
+        build = functools.partial(_exchange_witnesses, spectra, plan.pair, pol)
     else:
-        vectors = np.array([v.spectra.vectors for v in verdicts])
-        supports = [vectors[:, i, :, :r] for i, r in enumerate(support_ranks)]
+        supports = [spectra.vectors[:, i, :, :r] for i, r in enumerate(spectra.ranks)]
         decided = _rank_test(sig, supports, plan, pol)
-        dependent = [c is not None for _, c, _ in decided]
-        build = functools.partial(_rank_witnesses, verdicts, vectors, supports, decided, support_ranks, pol)
-    witnesses = _StackWitnesses(build)
-    positions = itertools.count()
+        build = functools.partial(_rank_witnesses, spectra, supports, decided, pol)
+    # At the full-support exit every member depends, and none has a null vector.
+    dependent = [plan.pair is not None or c is not None for _, c, _ in decided]
+    witnesses = [build]
     return [
         ExtremalityCertificate(
             extremal=not depends,
             family_size=plan.m + plan.n_known,
             rank=rank,
-            support_ranks=support_ranks,
+            support_ranks=spectra.ranks,
             normalization_basis_size=plan.n_known,
-            perturbation=functools.partial(witnesses.read, next(positions)) if depends else None,
+            perturbation=functools.partial(_read_witness, witnesses, j) if depends else None,
             margin=margin,
             validation=verdict,
         )
-        for (rank, _, margin), depends, verdict in zip(decided, dependent, verdicts)
+        for j, ((rank, _, margin), depends, verdict) in enumerate(zip(decided, dependent, verdicts))
     ]
 
 
-class _StackWitnesses:
-    """The witnesses of the dependent members of one stack, kept pending as
-    ``build``, a function of no argument that returns them in order.  The
-    first :meth:`read` of any member builds them all; each member's
-    witness is then read from the list."""
-
-    def __init__(self, build):
-        self._build, self._built = build, None
-
-    def read(self, pos: int) -> Perturbation:
-        """The witness of dependent member ``pos``, or the error of its own
-        former eager call, raised."""
-        if self._built is None:
-            self._built, self._build = self._build(), None
-        witness = self._built[pos]
-        if isinstance(witness, ExqipError):
-            raise witness
-        return witness
+def _read_witness(witnesses: list, j: int) -> Perturbation:
+    """The witness of member ``j`` of a stack, or the error of its own
+    former eager call, raised.  ``witnesses`` is the stack's one slot: its
+    build, a function of no argument, until a call returns the witnesses,
+    which then replace it; a build that raises stays in the slot."""
+    if callable(witnesses[0]):
+        witnesses[0] = witnesses[0]()
+    witness = witnesses[0][j]
+    if isinstance(witness, ExqipError):
+        raise witness
+    return witness
 
 
-def _exchange_witnesses(verdicts: list, support_ranks: tuple, pair: tuple, pol: TolerancePolicy) -> list:
+def _exchange_witnesses(spectra: _Supports, pair: tuple, pol: TolerancePolicy) -> list:
     """The witnesses of a stack at the full-support exit (see
-    :func:`is_extremal`): D_b = P_b, D_a = -P_b and every other D_i = 0, with
-    epsilon* from :func:`identity_exchange_step` when P_b = I."""
+    :func:`is_extremal`), one per member: D_b = P_b, D_a = -P_b and every
+    other D_i = 0, with epsilon* from :func:`identity_exchange_step` when
+    P_b = I."""
     a, b = pair
-    values = np.array([v.spectra.values for v in verdicts])
-    k, _, dim = values.shape
-    directions = [np.zeros((k, dim, dim), dtype=complex) for _ in support_ranks]
-    vectors = steps = None
-    if support_ranks[b] == dim:
+    k, m, dim = spectra.values.shape
+    directions = [np.zeros((k, dim, dim), dtype=complex) for _ in range(m)]
+    steps = None
+    if spectra.ranks[b] == dim:
         p = np.eye(dim, dtype=complex)[None].repeat(k, axis=0)
-        steps = identity_exchange_step(values, a, b, pol)
+        steps = identity_exchange_step(spectra.values, a, b, pol)
     else:
-        vectors = np.array([v.spectra.vectors for v in verdicts])
-        u = vectors[:, b, :, : support_ranks[b]]
+        u = spectra.vectors[:, b, :, : spectra.ranks[b]]
         p = u @ u.conj().transpose(0, 2, 1)
     directions[a], directions[b] = -p, p
-    return _perturbations(directions, _Supports(values, vectors, support_ranks), steps, pol)
+    return _perturbations(directions, spectra, steps, pol)
 
 
-def _rank_witnesses(
-    verdicts: list, vectors, supports: list, decided: list, support_ranks: tuple, pol: TolerancePolicy
-) -> list:
+def _rank_witnesses(spectra: _Supports, supports: list, decided: list, pol: TolerancePolicy) -> dict:
     """The witnesses of the dependent members of a stack that took the rank
-    stage, given the stack's support vectors and its :func:`_rank_test`
-    results: D_i = U_i H_i U_i^dagger, H_i from the coordinates the null
-    vector c gives outcome i."""
+    stage, by member, given the stack's support vectors and its
+    :func:`_rank_test` results: D_i = U_i H_i U_i^dagger, H_i from the
+    coordinates the null vector c gives outcome i."""
     dependent = [j for j, (_, c, _) in enumerate(decided) if c is not None]
     c = np.array([decided[j][1] for j in dependent])
     if len(dependent) < len(decided):
-        vectors = vectors[dependent]
+        spectra = spectra[dependent]
         supports = [u[dependent] for u in supports]
     directions, pos = [], 0
-    for u, r in zip(supports, support_ranks):
+    for u, r in zip(supports, spectra.ranks):
         h = linalg.unvectorize_hermitian(c[:, pos : pos + r * r], r)
         directions.append(u @ h @ u.conj().transpose(0, 2, 1))
         pos += r * r
-    values = np.array([verdicts[j].spectra.values for j in dependent])
-    return _perturbations(directions, _Supports(values, vectors, support_ranks), None, pol)
+    return dict(zip(dependent, _perturbations(directions, spectra, None, pol)))
 
 
 def _perturbations(directions: list, spectra: _Supports, steps, pol: TolerancePolicy) -> list:
     """The witnesses of a stack from one stack of directions (K, D, D) per
-    outcome and the stack's spectra with their support ranks.  Their steps
-    are ``steps``, or else one :func:`max_perturbation_step` of the stack;
-    when that raises, each member's own call decides its step, and a member
-    whose call raises gets its error in place of its witness."""
+    outcome and the stack's spectra record.  Their steps are ``steps``, or
+    else one :func:`max_perturbation_step` of the stack; when that raises,
+    each member's own call decides its step, and a member whose call raises
+    gets its error in place of its witness."""
     witnesses = [tuple(d[pos] for d in directions) for pos in range(len(spectra.values))]
     if steps is None:
         try:
@@ -879,9 +886,8 @@ def _perturbations(directions: list, spectra: _Supports, steps, pol: TolerancePo
 def _own_step(directions: tuple, spectra: _Supports, j: int, pol: TolerancePolicy):
     """The step of member ``j`` of a stack, from its stack of one, or the
     error it raises."""
-    own = _Supports(spectra.values[j : j + 1], spectra.vectors[j : j + 1], spectra.ranks)
     try:
-        return max_perturbation_step([directions], own, pol)[0]
+        return max_perturbation_step([directions], spectra[j : j + 1], pol)[0]
     except ExqipError as err:
         return err
 
@@ -922,8 +928,9 @@ def decompose(g: Gqi, steps: int, pol: TolerancePolicy = DEFAULT_TOL):
     :func:`is_extremal`, raises :class:`ExtremalInputError`.  Each depth's
     undecided nodes go through one :func:`decide_all`, and a node it refuses
     raises its own :func:`is_extremal` error, without the member index.
-    A negative ``steps`` raises :class:`ValueError`."""
-    if steps < 0:
+    A ``steps`` that is negative, a bool or not an integer raises
+    :class:`ValueError`; numpy integers are integers."""
+    if isinstance(steps, bool) or not isinstance(steps, numbers.Integral) or steps < 0:
         raise ValueError(f"steps must be a non-negative integer, got {steps}")
     cert = is_extremal(g, pol)
     if cert.extremal:

@@ -304,7 +304,7 @@ class TestSupportBlocks:
         g = Gqi(CombSignature(dims), ops)
         validation = gqi.is_valid_gqi(g)
         calls = counted_calls(monkeypatch)
-        cert = gqi._decide_stack([g], [validation], validation.support_ranks, DEFAULT_TOL)[0]
+        cert = gqi._decide_stack([g], [validation], DEFAULT_TOL)[0]
         assert cert.support_ranks == (2,) and not cert.extremal
         # The witness is built on its first read.
         assert calls == []

@@ -266,7 +266,7 @@ def test_svd_calls_per_path(svd_calls):
         n = combs.complement_coordinates(np.eye(sig.total_dim)[:, :1], sig).shape[1]
         verdict = gqi.is_valid_gqi(g)
         svd_calls.clear()
-        cert = gqi._decide_stack([g], [verdict], verdict.support_ranks, DEFAULT_TOL)[0]
+        cert = gqi._decide_stack([g], [verdict], DEFAULT_TOL)[0]
         m = cert.family_size - cert.normalization_basis_size
         rows, head = ((m, n), False), ((span + 1, n), True)
         want = {

@@ -11,9 +11,9 @@ and files alike.  pytest turns warnings into errors, so none of these
 refusals may overflow on the way.
 
 Also here: the arguments of the library's builders.  A comb signature
-takes integer dimensions only, ``gqi.mix`` a convex weight only, and
-``gqi.decompose_step`` only a certificate whose directions fit the
-outcomes, as ``gqi.decompose`` takes no negative depth.
+takes integer dimensions only, bools excepted, ``gqi.mix`` a convex weight
+only, and ``gqi.decompose_step`` only a certificate whose directions fit
+the outcomes, as ``gqi.decompose`` takes only a non-negative integer depth.
 """
 
 import contextlib
@@ -179,7 +179,10 @@ def golden(name):
     return fileio.load_object(os.path.join(GOLDEN, f"{name}.json"))
 
 
-@pytest.mark.parametrize("dims", [(2.5, 2), (2.0, 2), (np.float64(1.5), 2), ("2", 2)], ids=repr)
+# A bool is an int to ``operator.index``, but not a dimension.
+@pytest.mark.parametrize(
+    "dims", [(2.5, 2), (2.0, 2), (np.float64(1.5), 2), ("2", 2), (True, 2), (2, False), (np.int64(2), True)], ids=repr
+)
 def test_signature_takes_integer_dimensions_only(dims):
     with pytest.raises(DimensionMismatchError, match=r"^dimensions must be integers, got "):
         combs.CombSignature(dims)
@@ -216,3 +219,15 @@ def test_decompose_takes_no_negative_depth():
         gqi.decompose(g, -1)
     leaves, residual = gqi.decompose(g, 0)
     assert [path for path, *_ in leaves] == [()] and residual == 0.0
+
+
+def test_decompose_takes_an_integer_depth_only():
+    """A bool, a float or a string is refused as a negative depth is, and a
+    numpy integer is a depth."""
+    g = golden("gqi")
+    for steps in (True, False, 1.5, 1.0, "1"):
+        with pytest.raises(ValueError, match=rf"^steps must be a non-negative integer, got {re.escape(str(steps))}$"):
+            gqi.decompose(g, steps)
+    leaves, residual = gqi.decompose(g, np.int64(1))
+    want = gqi.decompose(g, 1)
+    assert [path for path, *_ in leaves] == [path for path, *_ in want[0]] and residual == want[1]

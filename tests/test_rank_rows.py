@@ -90,7 +90,7 @@ def test_size_guard_bounds_the_peak(name):
     assert estimate > 1 << 20
     tracemalloc.start()
     try:
-        cert = gqi._decide_stack([g], [verdict], ranks, DEFAULT_TOL)[0]
+        cert = gqi._decide_stack([g], [verdict], DEFAULT_TOL)[0]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

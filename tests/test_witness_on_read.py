@@ -7,8 +7,9 @@ the directions of every dependent member of the stack and runs one
 ``max_perturbation_step`` for them, or one ``identity_exchange_step`` at the
 identity exchange.  A caller that reads only ``.extremal`` runs neither.
 Reading a witness raises exactly when the member's own eager call raised,
-with that call's message.  That each witness read late equals the former
-eager chain to the bit is in ``test_population.py``.
+with that call's message, and a build that raises is not kept.  That each
+witness read late equals the former eager chain to the bit is in
+``test_population.py``.
 
 Also here: certificates and witnesses compare their arrays entry by entry.
 """
@@ -162,6 +163,38 @@ def test_witness_error_is_the_members_own(monkeypatch):
     monkeypatch.setattr(gqi, "max_perturbation_step", step)
     for i in (0, 2):
         assert certs[i].perturbation == gqi.is_extremal(members[i]).perturbation
+
+
+def test_a_build_that_raises_stays_pending(monkeypatch):
+    """A witness build that raises keeps no result: the first read of a
+    dependent member raises, and the next read builds the stack's witnesses
+    again, its own to the bit, after which reading the other members runs
+    no further step."""
+    population = mixed_population()
+    stacks = {}
+    for g, cert in zip(population, gqi.decide_all(population)):
+        if not cert.extremal and g.signature.total_dim not in cert.support_ranks:
+            stacks.setdefault((g.signature, cert.support_ranks), []).append(g)
+    members = max(stacks.values(), key=len)
+    assert len(members) >= 3
+    own = [gqi.is_extremal(g).perturbation for g in members]
+    certs = gqi.decide_all(members)
+    unvectorize = linalg.unvectorize_hermitian
+
+    def once(*args, **kwargs):
+        monkeypatch.setattr(linalg, "unvectorize_hermitian", unvectorize)
+        raise RuntimeError("a build that raises")
+
+    monkeypatch.setattr(linalg, "unvectorize_hermitian", once)
+    with pytest.raises(RuntimeError, match="^a build that raises$"):
+        certs[1].perturbation
+    assert linalg.unvectorize_hermitian is unvectorize
+    calls = spy(monkeypatch)
+    assert certs[1].perturbation == own[1]
+    assert calls["max_perturbation_step"] == 1
+    for cert, pert in zip(certs, own, strict=True):
+        assert cert.perturbation == pert
+    assert calls == {"max_perturbation_step": 1, "identity_exchange_step": 0}
 
 
 def test_support_rule_runs_once_per_validation_stack(monkeypatch):
