@@ -37,8 +37,8 @@ _EXPORTS = {
     ),
     "gqi": (
         "Channel", "ExtremalityCertificate", "Gqi", "GqiVerdict", "Instrument", "Perturbation",
-        "Povm", "Tester", "decompose_step", "is_extremal", "is_valid_gqi", "mix",
-        "perturbation_feasible", "perturbation_slack",
+        "Povm", "Tester", "decide_all", "decompose", "decompose_step", "is_extremal", "is_valid_gqi",
+        "mix", "perturbation_feasible", "perturbation_slack", "validate_all",
     ),
     "linalg": ("DEFAULT_TOL", "TolerancePolicy"),
     "testers": (

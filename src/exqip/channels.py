@@ -69,7 +69,10 @@ def _kraus_stack(eig: linalg.EigenDecomposition, d1: int, d0: int, ranks) -> np.
     operator, as a stack (D, d1, d0) that is zero past its support rank
     ``ranks``, so that its first r operators are the minimal Kraus family.
     A stack of decompositions (..., D) with ranks (...) gives
-    (..., D, d1, d0), each the same to the bit as its own call."""
+    (..., D, d1, d0), each the same to the bit as its own call.  It checks
+    nothing: its callers hand it the ranks of verdicts whose gate decided
+    positivity by the same support rule, or of Choi operators positive by
+    construction."""
     kept = np.arange(eig.values.shape[-1]) < np.asarray(ranks)[..., None]
     vectors = np.swapaxes(eig.vectors, -2, -1).reshape(*eig.values.shape, d1, d0)
     return np.sqrt(np.where(kept, eig.values, 0.0))[..., None, None] * vectors

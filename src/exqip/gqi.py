@@ -425,7 +425,7 @@ class _Supports(linalg.EigenDecomposition):
 
 def max_perturbation_step(directions, spectra: linalg.EigenDecomposition, pol: TolerancePolicy = DEFAULT_TOL):
     """Largest epsilon with every T_i +/- epsilon D_i PSD within the working
-    margin, in closed form (README, "The epsilon* step").
+    margin, in closed form (README, "The ε* step").
 
     ``spectra`` are the eigenpairs of the outcomes T_i, eigenvalues
     descending, as :attr:`GqiVerdict.spectra` holds them, and each D_i lies
@@ -928,10 +928,13 @@ def decompose(g: Gqi, steps: int, pol: TolerancePolicy = DEFAULT_TOL):
     :func:`is_extremal`, raises :class:`ExtremalInputError`.  Each depth's
     undecided nodes go through one :func:`decide_all`, and a node it refuses
     raises its own :func:`is_extremal` error, without the member index.
+    All verdicts of a depth are held until its certificates are built:
+    about as many bytes as the depth's outcomes, since each verdict keeps
+    the eigenvectors of its outcomes.
     A ``steps`` that is negative, a bool or not an integer raises
     :class:`ValueError`; numpy integers are integers."""
     if isinstance(steps, bool) or not isinstance(steps, numbers.Integral) or steps < 0:
-        raise ValueError(f"steps must be a non-negative integer, got {steps}")
+        raise ValueError(f"steps must be a non-negative integer, got {steps!r}")
     cert = is_extremal(g, pol)
     if cert.extremal:
         raise ExtremalInputError("cannot decompose an extremal GQI")

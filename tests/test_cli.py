@@ -5,13 +5,14 @@ import io
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import exqip
 from exqip import channels, cli, fileio, gqi, linalg, suites, testers
@@ -349,12 +350,14 @@ class TestReader:
         st.tuples(st.just("version"), VERSIONS),
         st.tuples(st.just("entry"), st.integers(0, 10 ** 6), st.integers(0, 1), ENTRY_PARTS),
     ))
+    @example("povm", ("version", 99))
+    @example("povm", ("entry", 0, 0, 1e308))
     def test_mutated_golden_files(self, name, mutation):
         """A golden file with its version or one part of one entry changed:
         an unknown version, a non-finite part or an entry of modulus above
-        ``fileio.MAX_ENTRY`` exits 2 under `validate` and `extremal`, with
-        one error line, no output and no warning; anything else exits 0 or
-        1 under both."""
+        ``fileio.MAX_ENTRY`` exits 2 under `validate`, `extremal` and
+        `decompose`, with one error line, no output, no warning and no
+        --out directory; anything else exits 0 or 1 under the first two."""
         with open(os.path.join(GOLDEN, f"{name}.json"), encoding="utf-8") as fh:
             payload = json.load(fh)
         if mutation[0] == "version":
@@ -371,13 +374,16 @@ class TestReader:
             path = os.path.join(tmp, "mutant.json")
             with open(path, "w", encoding="utf-8") as fh:
                 json.dump(payload, fh)
-            for command in ("validate", "extremal"):
-                code, out, err = run_cli([command, path])
+            out_dir = os.path.join(tmp, "tree")
+            commands = [["validate"], ["extremal"]] + ([["decompose", "--out", out_dir]] if refused else [])
+            for command, *extra in commands:
+                code, out, err = run_cli([command, path, *extra])
                 if refused:
                     assert (code, out) == (2, ""), (command, err)
                     assert err.startswith("error: ") and err.count("\n") == 1, err
                 else:
                     assert code in (0, 1), (command, err)
+            assert not os.path.exists(out_dir)
 
 
 def midpoint_tree(kind, seed_a, seed_b, steps=3):
@@ -473,6 +479,10 @@ class TestCli:
             out = capsys.readouterr()
             assert out.out == ""
             assert out.err == f"error: EXQIP_TOL must be a number, got {value!r}\n"
+        # A number outside (0, 1) is refused as --tol is.
+        monkeypatch.setenv("EXQIP_TOL", "nan")
+        assert self.run("validate", os.path.join(GOLDEN, "gqi.json")) == 2
+        assert capsys.readouterr() == ("", "error: tolerance must lie in (0, 1), got nan\n")
 
     @pytest.mark.parametrize(
         "args",
@@ -596,10 +606,14 @@ class TestCli:
         assert self.run("decompose", str(src), "--steps", "1", "--out", str(tmp_path / "t")) == 0
         assert len(decided) == 1  # the root; its two children are depth-limit leaves
 
-    def test_decompose_extremal_exits_1(self, tmp_path):
+    def test_decompose_extremal_exits_1(self, tmp_path, capsys):
+        """An extremal input is not decomposed: one line on stderr, nothing
+        on stdout and no --out directory."""
         src = tmp_path / "bell.json"
         fileio.save_object(src, bell_tester())
         assert self.run("decompose", str(src), "--out", str(tmp_path / "t")) == 1
+        assert capsys.readouterr() == ("", "input is extremal; nothing to decompose\n")
+        assert not (tmp_path / "t").exists()
 
     def test_generate_combination_and_classify(self, tmp_path, capsys):
         path = str(tmp_path / "fix.json")
@@ -788,6 +802,7 @@ class TestCli:
         member's dimension, and runs where no member is refused."""
         assert self.run("--tol", "0.05", "suite", "equivalence", "--seeds", "2") == 2
         out = capsys.readouterr()
+        assert out.out == ""
         assert out.err == (
             "error: seed 0: member 1: tolerance 0.05 puts the rank cutoff at or above every singular value "
             "at dimension 6\n"
@@ -835,14 +850,33 @@ class TestCli:
         assert self.run("validate", path) == 0
 
 
+# The directory that holds the exqip under test: the checkout's src, or
+# site-packages when the tests run against the installed package.
+PACKAGE_PARENT = os.path.dirname(os.path.dirname(os.path.abspath(exqip.__file__)))
+# The console script, when one is on PATH.
+EXQIP = shutil.which("exqip")
+
+
+def package_env(**extra) -> dict:
+    """The environment of a fresh process that imports the exqip under test:
+    ``PACKAGE_PARENT`` leads PYTHONPATH, and ``extra`` is set too."""
+    path = os.pathsep.join(filter(None, [PACKAGE_PARENT, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path, **extra}
+
+
+def run_exqip(*argv, **env) -> subprocess.CompletedProcess:
+    """`exqip ARGV` in a fresh process, with ``package_env(**env)``: the
+    console script on PATH when there is one, as after ``pip install``, and
+    ``python -m exqip.cli`` otherwise.  stdout and stderr are text."""
+    command = [EXQIP] if EXQIP else [sys.executable, "-m", "exqip.cli"]
+    return subprocess.run([*command, *argv], capture_output=True, text=True, env=package_env(**env), timeout=300)
+
+
 def test_generate_refuses_a_comb_above_the_budget(tmp_path):
     """`generate random-comb --signature 200,200` (D = 40 000) exits 2 with
     the estimate before anything is allocated.  It runs under a 1 GiB
     address-space limit, so that without the guard it fails at once rather
     than allocating."""
-    src = os.path.join(os.path.dirname(GOLDEN), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
-               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     code = (
         "import resource, sys\n"
         "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
@@ -852,7 +886,7 @@ def test_generate_refuses_a_comb_above_the_budget(tmp_path):
     out = tmp_path / "comb.json"
     run = subprocess.run(
         [sys.executable, "-c", code, "generate", "random-comb", "--signature", "200,200", "--out", str(out)],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=package_env(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1"), timeout=120,
     )
     assert run.returncode == 2, run.stderr
     need = cli.GENERATE_BYTES_PER_ENTRY * 40000 ** 2
@@ -866,10 +900,9 @@ def test_generate_refuses_a_comb_above_the_budget(tmp_path):
 def _fresh_modules(code, *args) -> set:
     """The exqip and scipy modules loaded after ``code`` runs in a fresh
     ``python -c`` process with arguments ``args``.  The process must exit 0."""
-    src = os.path.join(os.path.dirname(GOLDEN), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     report = "import json, sys\nprint(json.dumps([m for m in sys.modules if m.split('.')[0] in ('exqip', 'scipy')]))"
-    run = subprocess.run([sys.executable, "-c", f"{code}\n{report}", *args], capture_output=True, text=True, env=env)
+    run = subprocess.run([sys.executable, "-c", f"{code}\n{report}", *args], capture_output=True, text=True,
+                         env=package_env())
     assert run.returncode == 0, run.stderr
     return set(json.loads(run.stdout.splitlines()[-1]))
 

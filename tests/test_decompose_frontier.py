@@ -89,19 +89,26 @@ with open(os.path.join(os.path.dirname(__file__), "golden_decompose.json"), enco
     GOLDEN_TREES = json.load(_fh)
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN_TREES))
-def test_trees_match_the_golden_trees(name, tmp_path, capsys):
-    """Each tree, its summary, stdout and every leaf, is the recorded one
-    to the byte."""
-    out_dir = tmp_path / "tree"
+def golden_tree_argv(name, out_dir) -> list:
     path = os.path.join(os.path.dirname(__file__), "golden_cli", f"{name}.json")
-    code, out, err = run(["decompose", path, "--steps", "4", "--out", str(out_dir)], capsys)
+    return ["decompose", path, "--steps", "4", "--out", str(out_dir)]
+
+
+def assert_golden_tree(name, code, out, err, out_dir):
+    """The tree of ``golden_tree_argv(name, out_dir)``, its summary, stdout
+    and every leaf, is the recorded one to the byte."""
     assert (code, err) == (0, "")
     want = GOLDEN_TREES[name]
     assert json.loads(out) == want["summary"]
     files = tree_files(out_dir)
     assert files.pop("summary.json").decode() == out
     assert {leaf: hashlib.sha256(data).hexdigest() for leaf, data in files.items()} == want["leaf_sha256"]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_TREES))
+def test_trees_match_the_golden_trees(name, tmp_path, capsys):
+    out_dir = tmp_path / "tree"
+    assert_golden_tree(name, *run(golden_tree_argv(name, out_dir), capsys), out_dir)
 
 
 class TestAgainstTheRecursion:

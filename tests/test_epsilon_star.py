@@ -208,15 +208,16 @@ def test_feasibility_matches_per_matrix_test(steps):
             assert (gqi.perturbation_slack(t, d, eps) >= 0.0) == gqi.perturbation_feasible(t, d, eps)
 
 
-def bench_inputs():
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "inputs.py")
-    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+def perfbench_module(name):
+    """The benchmark's module ``perfbench/NAME.py``, which imports no exqip."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", f"{name}.py")
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-BENCH = bench_inputs()
+BENCH = perfbench_module("inputs")
 
 
 def bench_ladder(seed):

@@ -89,24 +89,29 @@ def test_malformed_signature_exits_2(name, tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: ")
 
 
+def assert_matches_golden(name, command, code, out):
+    """`exqip COMMAND` on the fixture ``name`` exited with ``code`` and
+    printed ``out`` as recorded, except epsilon*: within 1e-12 relative,
+    and only positive for the mixed tester on a rank-deficient rho.  Its
+    null space has dimension 4, so the LAPACK build decides which null
+    vector the SVD returns, and so which (sound) witness and epsilon*."""
+    want = EXPECTED[name][command]
+    assert code == want["exit"]
+    got, want = json.loads(out), dict(want["stdout"])
+    if command == "extremal":
+        eps, want_eps = got.pop("epsilon_star"), want.pop("epsilon_star")
+        assert (eps is None) == (want_eps is None)
+        if name in RANK_DEFICIENT:
+            assert eps is None or eps > 0.0
+        elif eps is not None:
+            assert abs(eps - want_eps) <= 1e-12 * abs(want_eps)
+    assert got == want
+
+
 @pytest.mark.parametrize("name", sorted(EXPECTED))
 def test_cli_json_matches_golden(name):
-    """Identical to the recorded output, except epsilon*: within 1e-12
-    relative, and only positive for the mixed tester on a rank-deficient rho.
-    Its null space has dimension 4, so the LAPACK build decides which null
-    vector the SVD returns, and so which (sound) witness and epsilon*."""
-    for command, want in EXPECTED[name].items():
-        code, out = run(command, fixture_path(name))
-        assert code == want["exit"]
-        got, want = json.loads(out), dict(want["stdout"])
-        if command == "extremal":
-            eps, want_eps = got.pop("epsilon_star"), want.pop("epsilon_star")
-            assert (eps is None) == (want_eps is None)
-            if name in RANK_DEFICIENT:
-                assert eps is None or eps > 0.0
-            elif eps is not None:
-                assert abs(eps - want_eps) <= 1e-12 * abs(want_eps)
-        assert got == want
+    for command in EXPECTED[name]:
+        assert_matches_golden(name, command, *run(command, fixture_path(name)))
 
 
 @pytest.mark.parametrize("name", sorted(EXPECTED))

@@ -29,8 +29,9 @@ PUBLIC = {
         "NotHermitianError", "NotPositiveError", "SizeLimitError", "ToleranceError", "ValidationError",
     ),
     "gqi": (
-        "ExtremalityCertificate", "Gqi", "GqiVerdict", "Perturbation", "decompose_step",
-        "is_extremal", "is_valid_gqi", "mix", "perturbation_feasible", "perturbation_slack",
+        "ExtremalityCertificate", "Gqi", "GqiVerdict", "Perturbation", "decide_all", "decompose",
+        "decompose_step", "is_extremal", "is_valid_gqi", "mix", "perturbation_feasible",
+        "perturbation_slack", "validate_all",
     ),
     "linalg": ("DEFAULT_TOL", "TolerancePolicy"),
     "testers": (
@@ -44,7 +45,7 @@ NAMES = sorted(name for names in PUBLIC.values() for name in names)
 
 
 def test_all_is_the_public_names():
-    assert len(NAMES) == 71
+    assert len(NAMES) == 74
     assert sorted(exqip.__all__) == NAMES
 
 

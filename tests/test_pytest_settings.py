@@ -52,3 +52,10 @@ def test_each_test_starts_with_the_caches_empty():
     caches = [v for m in (cli, combs, gqi, linalg) for v in vars(m).values() if hasattr(v, "cache_info")]
     assert gqi._plan in caches and len(caches) >= 6
     assert [c.cache_info().currsize for c in caches] == [0] * len(caches)
+
+
+def test_testpaths_hold_the_tests_and_the_benchmark_checker(pytestconfig):
+    """A bare ``pytest`` from the checkout, the tier-1 command, collects the
+    benchmark checker's tests too: no other step runs them."""
+    assert os.path.samefile(pytestconfig.inipath, PYPROJECT)
+    assert {"tests", "perfbench"} <= set(pytestconfig.getini("testpaths"))

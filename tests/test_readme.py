@@ -1,0 +1,60 @@
+"""README's references.  Each ``(README, "<name>")`` citation in the package
+names a heading of README or one of its bold ``**<name>.**`` items, and
+README names no private function or class of the package: a private
+mechanism is described once, in its docstring."""
+
+import ast
+import os
+import re
+
+import exqip
+
+README = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")
+PACKAGE = os.path.dirname(os.path.abspath(exqip.__file__))
+
+
+def package_sources() -> dict:
+    sources = {}
+    for name in sorted(os.listdir(PACKAGE)):
+        if name.endswith(".py"):
+            with open(os.path.join(PACKAGE, name), encoding="utf-8") as fh:
+                sources[name] = fh.read()
+    return sources
+
+
+def readme_prose() -> str:
+    """README without its fenced code blocks, whose comments are no headings."""
+    with open(README, encoding="utf-8") as fh:
+        return re.sub(r"^```.*?^```$", "", fh.read(), flags=re.M | re.S)
+
+
+def readme_parts() -> set:
+    text = readme_prose()
+    parts = set(re.findall(r"^#+ (.+)$", text, flags=re.M)) | set(re.findall(r"\*\*(.+?)\.\*\*", text))
+    # Markdown's escapes, as in "The ε\* step", are not part of the name.
+    return {re.sub(r"\\(.)", r"\1", part) for part in parts}
+
+
+def test_citations_name_parts_of_the_readme():
+    parts = readme_parts()
+    cited = {
+        (module, " ".join(name.split()))
+        for module, text in package_sources().items()
+        for name in re.findall(r'\(README, "([^"]+)"\)', text)
+    }
+    assert len(cited) >= 5
+    assert sorted(c for c in cited if c[1] not in parts) == []
+
+
+def test_readme_names_no_private_function():
+    private = {
+        node.name
+        for text in package_sources().values()
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_") and not node.name.startswith("__")
+    }
+    assert len(private) >= 50
+    with open(README, encoding="utf-8") as fh:
+        text = fh.read()
+    assert sorted(n for n in private if re.search(rf"(?<!\w){re.escape(n)}(?!\w)", text)) == []
