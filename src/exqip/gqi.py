@@ -941,6 +941,8 @@ def decompose(g: Gqi, steps: int, pol: TolerancePolicy = DEFAULT_TOL):
     # A frontier entry is (path, node, weight, certificate or None).
     frontier, leaves = [((), g, 1.0, cert)], []
     for _ in range(steps):
+        if not frontier:
+            break
         nodes = [node for _, node, _, c in frontier if c is None]
         try:
             decided = iter(decide_all(nodes, pol) if nodes else ())
@@ -971,12 +973,12 @@ def decompose(g: Gqi, steps: int, pol: TolerancePolicy = DEFAULT_TOL):
 
 def mix(a: Gqi, b: Gqi, weight: float = 0.5) -> Gqi:
     """Convex combination weight*a + (1-weight)*b of two same-shaped GQIs,
-    of the kind of ``a``.  A weight outside [0, 1], or not finite, raises
-    :class:`ValidationError`."""
+    of the kind of ``a``.  A weight that is a bool, not a real number,
+    outside [0, 1] or not finite raises :class:`ValidationError`."""
     if a.signature != b.signature or len(a.outcomes) != len(b.outcomes):
         raise DimensionMismatchError("mixed GQIs must share signature and outcome count")
-    if not 0.0 <= weight <= 1.0:
-        raise ValidationError(f"mixing weight must lie in [0, 1], got {weight}")
+    if isinstance(weight, bool) or not isinstance(weight, numbers.Real) or not 0.0 <= weight <= 1.0:
+        raise ValidationError(f"mixing weight must lie in [0, 1], got {weight!r}")
     return type(a).from_view(
         a.signature,
         tuple(weight * ta + (1.0 - weight) * tb for ta, tb in zip(a.outcomes, b.outcomes)),

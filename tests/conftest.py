@@ -1,4 +1,5 @@
 import sys
+from typing import NamedTuple
 
 import pytest
 
@@ -21,6 +22,39 @@ def cold_caches():
     clear_exqip_caches()
     yield
     clear_exqip_caches()
+
+
+class Call(NamedTuple):
+    """One call that a :func:`record` wrapper saw return."""
+
+    name: str
+    args: tuple
+    kwargs: dict
+    result: object
+
+
+@pytest.fixture
+def record(monkeypatch):
+    """``record(owner, *names, log=None)`` replaces each ``owner.<name>``,
+    for this test only, by a wrapper that calls it and appends a
+    :class:`Call` to ``log`` as the call returns, and returns ``log``: a new
+    list, or the one given, so that several owners share one call order.
+    A call that raises is not logged, and a nested call is logged before
+    the call that made it."""
+
+    def wrap(owner, *names, log=None):
+        log = [] if log is None else log
+        for name in names:
+
+            def recorded(*args, _fn=getattr(owner, name), _name=name, **kwargs):
+                result = _fn(*args, **kwargs)
+                log.append(Call(_name, args, kwargs, result))
+                return result
+
+            monkeypatch.setattr(owner, name, recorded)
+        return log
+
+    return wrap
 
 
 def pytest_terminal_summary(terminalreporter):

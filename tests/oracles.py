@@ -94,11 +94,31 @@ def support_vectors(t, pol=DEFAULT_TOL):
     return eig.vectors[:, : support_rank(eig.values, pol)]
 
 
+def support_basis(t, pol=DEFAULT_TOL):
+    """HS-orthonormal basis of the Hermitian operators supported on Supp(t),
+    r^2 elements in :func:`linalg.support_operators` order; ``t`` must be PSD
+    within tolerance."""
+    return list(linalg.support_operators(support_vectors(t, pol)))
+
+
 def tester_normalization(t, pol=DEFAULT_TOL):
     """rho = Tr_2(sum T_i) / d_2 and the product-form residual, from the comb
     check of the sum."""
     comb = combs.is_deterministic_comb(sum(t.outcomes), t.signature, pol=pol)
     return comb.reduced[0], comb.level_residuals[0]
+
+
+def former_tester_basis(t, pol=DEFAULT_TOL):
+    """The r^2 - 1 operators I_2 (x) sigma_l, sigma_l traceless Hermitian with
+    support in Supp(rho): the variable directions of the former tester route,
+    which spans the comb variable directions when rho has full rank."""
+    rho, _ = tester_normalization(t, pol)
+    u = support_vectors(rho, pol)
+    eye2 = np.eye(t.d2, dtype=complex)
+    return [
+        linalg.kron(eye2, u @ b @ u.conj().T)
+        for b in linalg.traceless_hermitian_basis(u.shape[1])
+    ]
 
 
 def comb_variable_basis(sig):
@@ -113,6 +133,67 @@ def comb_variable_basis(sig):
             for f in linalg.hermitian_basis(even * low):
                 out.append(linalg.kron(eye_top, linalg.kron(e, f)))
     return out
+
+
+def former_spectra(outcomes):
+    """Eigenpairs of the outcomes as the per-outcome pipeline computed them,
+    eigenvalues descending, as one stack."""
+    values, vectors = [], []
+    for t in outcomes:
+        t = np.asarray(t, dtype=complex)
+        w, v = np.linalg.eigh((t + t.conj().T) / 2)
+        order = np.argsort(w)[::-1]
+        values.append(w[order])
+        vectors.append(v[:, order])
+    return linalg.EigenDecomposition(np.array(values), np.array(vectors))
+
+
+def per_outcome_pipeline(g, normalization_basis=None, pol=DEFAULT_TOL):
+    """(extremal, rank, support_ranks, family_size, epsilon*) of the former
+    per-outcome pipeline: a plain ``eigh`` of each symmetrized outcome,
+    sorted by ``argsort`` and cut at supp_tol, for the supports, the rows
+    projected off V by partial traces or, given ``normalization_basis``, by
+    a QR of it, and the public ``gqi.max_perturbation_step`` on those
+    eigenpairs.  Where one outcome has full support beside another nonzero
+    one, the witness is the exchange of the full-support exit, built from
+    its own supports."""
+    assert gqi.is_valid_gqi(g, pol=pol).ok
+    spectra = former_spectra(g.outcomes)
+    supports = [v[:, w > pol.supp_tol(len(w), float(w[0]))] for w, v in zip(spectra.values, spectra.vectors)]
+    dim = g.signature.total_dim
+    if normalization_basis is None:
+        n_known = combs.comb_variable_count(g.signature)
+        rows = [combs.complement_coordinates(u, g.signature) for u in supports]
+    else:
+        n_known = len(normalization_basis)
+        known = np.array([linalg.vectorize_hermitian(b) for b in normalization_basis])
+        q = np.linalg.qr(known.reshape(n_known, dim * dim).T)[0]
+        rows = []
+        for u in supports:
+            x = linalg.vectorize_hermitian(linalg.support_operators(u))
+            rows.append(x - (x @ q) @ q.T)
+    decision = rank_decision(np.vstack(rows), pol, known=n_known, ambient=dim * dim)
+    ranks = tuple(u.shape[1] for u in supports)
+    eps = None
+    full = [i for i, r in enumerate(ranks) if r == dim]
+    others = [i for i, r in enumerate(ranks) if r > 0 and i not in full[:1]]
+    tau = pol.rank_tol(sum(r * r for r in ranks) + n_known, dim * dim, max(1.0, np.sqrt(len(ranks))))
+    if full and others and tau < 1.0:
+        # Exchange weight between the first full-support outcome and the
+        # first other nonzero one, along the projector onto the latter's support.
+        p = supports[others[0]] @ supports[others[0]].conj().T
+        directions = [np.zeros((dim, dim), dtype=complex) for _ in ranks]
+        directions[full[0]], directions[others[0]] = -p, p
+        eps = gqi.max_perturbation_step(directions, spectra, pol)
+    elif decision.nullvector is not None:
+        directions = []
+        pos = 0
+        for u, r in zip(supports, ranks):
+            h = linalg.unvectorize_hermitian(decision.nullvector[pos : pos + r * r], r)
+            directions.append(u @ h @ u.conj().T)
+            pos += r * r
+        eps = gqi.max_perturbation_step(directions, spectra, pol)
+    return decision.nullvector is None, decision.rank, ranks, sum(r * r for r in ranks) + n_known, eps
 
 
 def theorem1_dense(c, pol=DEFAULT_TOL):

@@ -66,22 +66,16 @@ def test_matches_the_per_row_chain():
         assert [channels.classify_combination(ins) for ins in instruments] == got
 
 
-def test_one_validation_stack_per_group(monkeypatch):
+def test_one_validation_stack_per_group(record):
     """The suite validates each of its 21 objects (seven instruments, their
     channels and their POVMs) once, in three passes, the instruments', the
     channels' and the POVMs', each with one stack per (signature, outcome
     count): seven stacks.  The one-outcome instrument of row 1 and the
     channels share a key, on (2, 2), but not a pass."""
-    stacks = []
-    validate_stack = gqi._validate_stack
-
-    def counted(gs, *args):
-        stacks.append(list(gs))
-        return validate_stack(gs, *args)
-
-    monkeypatch.setattr(gqi, "_validate_stack", counted)
+    calls = record(gqi, "_validate_stack")
     result = suites.run_appendix_c()
     assert result.ok and result.total == 7
+    stacks = [list(call.args[0]) for call in calls]
     members = [g for stack in stacks for g in stack]
     assert len(members) == len({id(g) for g in members}) == 21
     kinds = [{type(g) for g in stack} for stack in stacks]
@@ -93,23 +87,12 @@ def test_one_validation_stack_per_group(monkeypatch):
     assert len(keys) == 7 and len(set(keys)) == 6 and keys[0] == keys[3]
 
 
-def test_appendix_suite_is_one_pass(monkeypatch):
+def test_appendix_suite_is_one_pass(record):
     """``run_appendix_c`` classifies the seven fixtures in one call and
     makes no per-object classify call."""
-    calls = []
-    classify = channels.classify_combinations
-
-    def counted(instruments, pol):
-        calls.append(len(instruments))
-        return classify(instruments, pol)
-
-    def per_object(*args):
-        raise AssertionError("per-object classify call")
-
-    monkeypatch.setattr(channels, "classify_combinations", counted)
-    monkeypatch.setattr(channels, "classify_combination", per_object)
+    calls = record(channels, "classify_combinations", "classify_combination")
     assert suites.run_suite("appendix-c").ok
-    assert calls == [7]
+    assert [(c.name, len(c.args[0])) for c in calls] == [("classify_combinations", 7)]
 
 
 @pytest.mark.parametrize("name", sorted(faulty_instruments()))

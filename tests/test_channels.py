@@ -13,6 +13,7 @@ from exqip.errors import DimensionMismatchError, NotPositiveError, ValidationErr
 from exqip.testers import Povm
 
 import oracles
+from populations import suite_channels
 
 
 def haar_kraus(rng, d0, d1, count):
@@ -124,32 +125,22 @@ class TestChannelExtremality:
                 verdicts.add(want)
         assert verdicts == {True, False}
 
-    def test_theorem1_builds_no_dense_family(self, monkeypatch):
+    def test_theorem1_builds_no_dense_family(self, record):
         """Theorem 1 runs one eigh per channel, its own validation, takes no
         Kraus-product route and builds no Gell-Mann basis."""
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("dense Theorem 1 family built")
-
-        real_eigh = np.linalg.eigh
-        eighs = []
-
-        def counting_eigh(*args, **kwargs):
-            eighs.append(args[0].shape)
-            return real_eigh(*args, **kwargs)
-
         rng = np.random.default_rng(7)
         cases = []
         for d0, d1 in suites.EQUIVALENCE_DIMS:
             for count in sorted({-(-d0 // d1), d0 * d1}):
                 c = channels.random_channel(d0, d1, count, rng)
                 cases.append(c)
-        monkeypatch.setattr(channels, "_kraus_criterion", refuse)
-        monkeypatch.setattr(linalg, "traceless_hermitian_basis", refuse)
-        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        dense = record(channels, "_kraus_criterion")
+        record(linalg, "traceless_hermitian_basis", log=dense)
+        eighs = record(np.linalg, "eigh")
         verdicts = {channels.channel_extremal_theorem1(c) for c in cases}
         assert verdicts == {True, False}
-        assert eighs == [(1, c.d0 * c.d1, c.d0 * c.d1) for c in cases]
+        assert [c.args[0].shape for c in eighs] == [(1, c.d0 * c.d1, c.d0 * c.d1) for c in cases]
+        assert dense == []
 
 
 def former_kraus_products(eig, d1, d0, pol=linalg.DEFAULT_TOL):
@@ -168,16 +159,6 @@ def former_choi_condition(ins, pol=linalg.DEFAULT_TOL):
     for i in range(len(spectra.values)):
         products += former_kraus_products(spectra[i], ins.d1, ins.d0, pol)
     return oracles.complex_family_rank(products, pol) == len(products)
-
-
-def equivalence_channels(seeds):
-    """The ``equivalence`` suite's population."""
-    out = []
-    for seed in range(seeds):
-        rng = np.random.default_rng(1000 + seed)
-        for d0, d1 in suites.EQUIVALENCE_DIMS:
-            out.append(channels.random_channel(d0, d1, int(rng.integers(-(-d0 // d1), d0 * d1 + 1)), rng))
-    return out
 
 
 class TestKrausStack:
@@ -226,7 +207,7 @@ class TestKrausProducts:
 
     def population(self):
         rng = np.random.default_rng(31)
-        out = equivalence_channels(10)
+        out = suite_channels(10)
         out += [channels.random_instrument(2, 2, counts, rng) for counts in ((1, 1), (1, 2), (2, 2), (1, 1, 2))]
         return out + [channels.combination_fixture(k) for k in sorted(APPENDIX_TABLE)]
 
@@ -254,7 +235,7 @@ class TestKrausProducts:
                 assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
 
     def test_choi_verdicts_on_the_equivalence_population(self):
-        population = equivalence_channels(200)
+        population = suite_channels(200)
         got = [channels.choi_condition(c) for c in population]
         assert got == [former_choi_condition(c) for c in population]
         assert set(got) == {True, False}

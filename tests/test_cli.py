@@ -1,11 +1,8 @@
 """Tests for the file formats and the command-line interface."""
 
-import contextlib
-import io
 import json
 import math
 import os
-import shutil
 import subprocess
 import sys
 import tempfile
@@ -22,9 +19,7 @@ from exqip.errors import FileFormatError, ToleranceError
 from exqip.gqi import Gqi
 from exqip.linalg import TolerancePolicy
 from exqip.testers import Povm, Tester
-
-
-GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_cli")
+from populations import GOLDEN_NAMES, fixture_path, golden_payload, package_env, run_cli, shapes, validation_calls
 
 
 def bell_tester():
@@ -49,7 +44,7 @@ SAMPLE_OBJECTS = [
 
 
 # Every golden fixture, and a product tester written here.
-CERTIFICATE_INPUTS = sorted(n[: -len(".json")] for n in os.listdir(GOLDEN) if n != "expected.json") + ["product-tester"]
+CERTIFICATE_INPUTS = sorted(GOLDEN_NAMES) + ["product-tester"]
 
 
 def _without(d, key):
@@ -187,7 +182,7 @@ class TestFileio:
     @pytest.mark.parametrize("edit", MALFORMED_CERTIFICATES.values(), ids=MALFORMED_CERTIFICATES.keys())
     def test_malformed_certificate_rejected(self, edit, tmp_path, capsys):
         path = tmp_path / "cert.json"
-        assert cli.main(["extremal", os.path.join(GOLDEN, "gqi.json"), "--certificate", str(path)]) == 0
+        assert cli.main(["extremal", fixture_path("gqi"), "--certificate", str(path)]) == 0
         capsys.readouterr()
         path.write_text(json.dumps(edit(json.loads(path.read_text()))))
         with pytest.raises(FileFormatError):
@@ -202,7 +197,7 @@ class TestFileio:
             path = tmp_path / "tester.json"
             fileio.save_object(path, testers.schmidt_tester(0.0))
         else:
-            path = os.path.join(GOLDEN, f"{name}.json")
+            path = fixture_path(name)
         cert_path = tmp_path / "cert.json"
         assert cli.main(["extremal", str(path), "--certificate", str(cert_path)]) == 0
         printed = json.loads(capsys.readouterr().out)
@@ -327,26 +322,17 @@ class TestWriter:
             assert os.listdir(tmp) == []
 
 
-def run_cli(argv) -> tuple:
-    """(exit code, stdout, stderr) of ``cli.main(argv)``."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
-    return code, out.getvalue(), err.getvalue()
-
-
 # Parts at and past the bound fileio.MAX_ENTRY, up to the largest float,
 # and the NaN and Infinity literals that Python's json reads.
 NEAR_OVERFLOW = [fileio.MAX_ENTRY, float(np.nextafter(fileio.MAX_ENTRY, math.inf)), 1e150, 1e300, 1e307, 1e308,
                  sys.float_info.max]
 ENTRY_PARTS = st.one_of(st.sampled_from(NEAR_OVERFLOW + [-x for x in NEAR_OVERFLOW] + NON_FINITE), FINITE)
 VERSIONS = st.one_of(st.integers(-2, 100), st.sampled_from([1.0, True, "1", None]))
-GOLDEN_NAMES = sorted(n[: -len(".json")] for n in os.listdir(GOLDEN) if n != "expected.json")
 
 
 class TestReader:
     @settings(max_examples=150, deadline=None)
-    @given(st.sampled_from(GOLDEN_NAMES), st.one_of(
+    @given(st.sampled_from(sorted(GOLDEN_NAMES)), st.one_of(
         st.tuples(st.just("version"), VERSIONS),
         st.tuples(st.just("entry"), st.integers(0, 10 ** 6), st.integers(0, 1), ENTRY_PARTS),
     ))
@@ -358,8 +344,7 @@ class TestReader:
         ``fileio.MAX_ENTRY`` exits 2 under `validate`, `extremal` and
         `decompose`, with one error line, no output, no warning and no
         --out directory; anything else exits 0 or 1 under the first two."""
-        with open(os.path.join(GOLDEN, f"{name}.json"), encoding="utf-8") as fh:
-            payload = json.load(fh)
+        payload = golden_payload(name)
         if mutation[0] == "version":
             payload["version"] = mutation[1]
             refused = type(mutation[1]) is not int or mutation[1] != 1
@@ -407,12 +392,11 @@ def midpoint_tree(kind, seed_a, seed_b, steps=3):
         src, out_dir = os.path.join(tmp, "mid.json"), os.path.join(tmp, "tree")
         fileio.save_object(src, mid)
         root = fileio.load_object(src)
-        stdout = io.StringIO()
-        with contextlib.redirect_stdout(stdout):
-            assert cli.main(["decompose", src, "--steps", str(steps), "--out", out_dir]) == 0
+        code, stdout, _ = run_cli(["decompose", src, "--steps", steps, "--out", out_dir])
+        assert code == 0
         with open(os.path.join(out_dir, "summary.json"), encoding="utf-8") as fh:
             text = fh.read()
-        assert stdout.getvalue() == text
+        assert stdout == text
         leaves = [(fileio.load_object(os.path.join(out_dir, e["file"])), e["weight"]) for e in json.loads(text)["leaves"]]
     assert abs(math.fsum(w for _, w in leaves) - 1.0) <= 1e-12
     for i, t in enumerate(root.outcomes):
@@ -435,23 +419,22 @@ class TestCli:
         assert '"verdict": "extremal"' in out
         assert fileio.load_certificate(cert_path).extremal
 
-    def test_validate_decides_once(self, tmp_path, monkeypatch, capsys):
+    def test_validate_decides_once(self, tmp_path, record, capsys):
         """One GQI verdict per report: the outcomes decomposed once as a
         stack, rho extracted once, by the one cascade pass of the comb
         check, and not decomposed; the product-form residual is the
         cascade's first residual."""
-        from test_testers import count_calls
-
         path = tmp_path / "tester.json"
         fileio.save_object(path, testers.schmidt_tester(0.3))
-        calls = count_calls(monkeypatch)
+        calls = validation_calls(record)
         assert self.run("validate", str(path)) == 0
         report = json.loads(capsys.readouterr().out)
-        assert calls["cascade"] == 1
-        assert calls["partial_trace"] == 0
-        assert calls["check_hermitian_stack"] == 1
-        assert calls["eigh"] == [(2, 4, 4)]
-        assert calls["eigvalsh"] == []
+        names = [c.name for c in calls]
+        assert names.count("_cascade") == 1
+        assert names.count("partial_trace") == 0
+        assert names.count("check_hermitian_stack") == 1
+        assert shapes(calls, "eigh") == [(2, 4, 4)]
+        assert shapes(calls, "eigvalsh") == []
         assert report["product_form_residual"] == report["cascade_residuals"][0]
 
     def test_validate_invalid_exits_1(self, tmp_path):
@@ -475,13 +458,13 @@ class TestCli:
         capsys.readouterr()
         for value in ("abc", ""):
             monkeypatch.setenv("EXQIP_TOL", value)
-            assert self.run("validate", os.path.join(GOLDEN, "gqi.json")) == 2
+            assert self.run("validate", fixture_path("gqi")) == 2
             out = capsys.readouterr()
             assert out.out == ""
             assert out.err == f"error: EXQIP_TOL must be a number, got {value!r}\n"
         # A number outside (0, 1) is refused as --tol is.
         monkeypatch.setenv("EXQIP_TOL", "nan")
-        assert self.run("validate", os.path.join(GOLDEN, "gqi.json")) == 2
+        assert self.run("validate", fixture_path("gqi")) == 2
         assert capsys.readouterr() == ("", "error: tolerance must lie in (0, 1), got nan\n")
 
     @pytest.mark.parametrize(
@@ -557,7 +540,7 @@ class TestCli:
         """An operating-system error on a path the user gave is a usage
         error: exit 2 and an ``error:`` line, not a traceback, and nothing
         on stdout: ``extremal`` writes its certificate before its report."""
-        src = os.path.join(GOLDEN, "gqi.json")
+        src = fixture_path("gqi")
         existing = tmp_path / "existing"
         existing.write_text("kept\n")
         argv = {
@@ -592,15 +575,8 @@ class TestCli:
         assert self.run("decompose", src, "--steps", "1", "--out", str(empty)) == 0
         assert (empty / "summary.json").exists()
 
-    def test_decompose_decides_root_once(self, tmp_path, monkeypatch):
-        decided = []
-        real = gqi.is_extremal
-
-        def counting(g, *args, **kwargs):
-            decided.append(g)
-            return real(g, *args, **kwargs)
-
-        monkeypatch.setattr(gqi, "is_extremal", counting)
+    def test_decompose_decides_root_once(self, tmp_path, record):
+        decided = record(gqi, "is_extremal")
         src = tmp_path / "depolarizing.json"
         fileio.save_object(src, Channel(d1=2, d0=2, choi=np.eye(4, dtype=complex) / 2.0))
         assert self.run("decompose", str(src), "--steps", "1", "--out", str(tmp_path / "t")) == 0
@@ -722,7 +698,7 @@ class TestCli:
         lies above every eigenvalue, so every support would be empty and
         the channel would read extremal with support rank 0.  The core
         refuses it, for validate too."""
-        path = os.path.join(GOLDEN, "channel.json")
+        path = fixture_path("channel")
         extra = ["--out", str(tmp_path / "tree")] if command == "decompose" else []
         assert self.run("--tol", "0.5", command, path, *extra) == 2
         out = capsys.readouterr()
@@ -850,28 +826,6 @@ class TestCli:
         assert self.run("validate", path) == 0
 
 
-# The directory that holds the exqip under test: the checkout's src, or
-# site-packages when the tests run against the installed package.
-PACKAGE_PARENT = os.path.dirname(os.path.dirname(os.path.abspath(exqip.__file__)))
-# The console script, when one is on PATH.
-EXQIP = shutil.which("exqip")
-
-
-def package_env(**extra) -> dict:
-    """The environment of a fresh process that imports the exqip under test:
-    ``PACKAGE_PARENT`` leads PYTHONPATH, and ``extra`` is set too."""
-    path = os.pathsep.join(filter(None, [PACKAGE_PARENT, os.environ.get("PYTHONPATH")]))
-    return {**os.environ, "PYTHONPATH": path, **extra}
-
-
-def run_exqip(*argv, **env) -> subprocess.CompletedProcess:
-    """`exqip ARGV` in a fresh process, with ``package_env(**env)``: the
-    console script on PATH when there is one, as after ``pip install``, and
-    ``python -m exqip.cli`` otherwise.  stdout and stderr are text."""
-    command = [EXQIP] if EXQIP else [sys.executable, "-m", "exqip.cli"]
-    return subprocess.run([*command, *argv], capture_output=True, text=True, env=package_env(**env), timeout=300)
-
-
 def test_generate_refuses_a_comb_above_the_budget(tmp_path):
     """`generate random-comb --signature 200,200` (D = 40 000) exits 2 with
     the estimate before anything is allocated.  It runs under a 1 GiB
@@ -928,13 +882,13 @@ def test_runtime_imports_no_scipy(tmp_path):
     validate` or `exqip extremal --certificate` on a file of any kind loads
     neither the suites nor the channel and tester criteria, and no scipy
     module."""
-    gqi_file = os.path.join(GOLDEN, "gqi.json")
+    gqi_file = fixture_path("gqi")
     assert _fresh_modules("import exqip") == {"exqip"}
     assert _fresh_modules(RUN_CLI, "validate", gqi_file) == CORE_MODULES
     cert = str(tmp_path / "cert.json")
     assert _fresh_modules(RUN_CLI, "extremal", gqi_file, "--certificate", cert) == CORE_MODULES
     assert fileio.load_certificate(cert).family_size > 0
-    tester_file = os.path.join(GOLDEN, "tester.json")
+    tester_file = fixture_path("tester")
     assert _fresh_modules(RUN_CLI, "validate", tester_file) == CORE_MODULES
     assert _fresh_modules(RUN_CLI, "extremal", tester_file) == CORE_MODULES
 

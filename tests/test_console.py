@@ -1,6 +1,6 @@
 """The ``exqip`` console script, each command in a fresh process.
 
-``test_cli.run_exqip`` runs the console script on PATH when there is one, as
+``populations.run_exqip`` runs the console script on PATH when there is one, as
 after ``pip install .``, and ``python -m exqip.cli`` otherwise, on the exqip
 these tests import.  Against the golden fixtures it prints what
 ``cli.main`` prints in-process (``tests/test_kinds.py``,
@@ -13,10 +13,17 @@ import json
 
 import pytest
 
-from test_cli import run_exqip
-from test_decompose_frontier import GOLDEN_TREES, assert_golden_tree, golden_tree_argv
-from test_epsilon_star import BENCH, perfbench_module
-from test_kinds import EXPECTED, assert_matches_golden, fixture_path
+from populations import (
+    BENCH,
+    EXPECTED,
+    GOLDEN_TREES,
+    assert_golden_tree,
+    assert_matches_golden,
+    fixture_path,
+    golden_tree_argv,
+    perfbench_module,
+    run_exqip,
+)
 
 CHECKER = perfbench_module("checker")
 

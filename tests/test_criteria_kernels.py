@@ -82,7 +82,7 @@ def test_gates_refuse_the_first_invalid_member_in_order():
     assert str(got.value) == str(own.value)
 
 
-def test_verdicts_spare_the_support_rule(monkeypatch):
+def test_verdicts_spare_the_support_rule(record):
     """Given verdicts, the kernels read positivity and the support ranks
     off them: the support rule does not run again on the outcomes, and the
     bounds rank each rho once."""
@@ -90,49 +90,33 @@ def test_verdicts_spare_the_support_rule(monkeypatch):
     verdicts = gqi.validate_all(chans)
     ts, _ = bounds_population(5)
     tester_verdicts = gqi.validate_all(ts)
-    calls = []
-    support = linalg.TolerancePolicy.support
-
-    def counted(pol, w):
-        calls.append(np.shape(w))
-        return support(pol, w)
-
-    monkeypatch.setattr(linalg.TolerancePolicy, "support", counted)
+    calls = record(linalg.TolerancePolicy, "support")
     channels._kraus_criterion(chans, verdicts, DEFAULT_TOL)
     assert calls == []
     testers._bounds(ts, tester_verdicts, DEFAULT_TOL)
-    assert calls == [(len(ts), 2)]
+    assert [np.shape(c.args[1]) for c in calls] == [(len(ts), 2)]
 
 
-def test_suites_call_each_kernel_once_per_pass(monkeypatch):
-    calls = {"kraus": [], "bounds": []}
-    kraus, bounds = channels._kraus_criterion, testers._bounds
-
-    def counted_kraus(population, *args):
-        calls["kraus"].append(len(population))
-        return kraus(population, *args)
-
-    def counted_bounds(population, *args):
-        calls["bounds"].append(len(population))
-        return bounds(population, *args)
-
-    def per_object(*args, **kwargs):
-        raise AssertionError("per-object criterion")
-
-    monkeypatch.setattr(channels, "_kraus_criterion", counted_kraus)
-    monkeypatch.setattr(testers, "_bounds", counted_bounds)
-    for name in ("instrument_extremal", "choi_condition"):
-        monkeypatch.setattr(channels, name, per_object)
-    monkeypatch.setattr(testers, "check_bounds", per_object)
+def test_suites_call_each_kernel_once_per_pass(monkeypatch, record):
+    calls = record(channels, "_kraus_criterion", "instrument_extremal", "choi_condition")
+    record(testers, "_bounds", "check_bounds", log=calls)
     monkeypatch.setattr(suites, "PASS_SEEDS", 3)
+
+    def sizes(name):
+        return [len(c.args[0]) for c in calls if c.name == name]
+
+    def names():
+        return {c.name for c in calls}
+
     assert suites.run_suite("equivalence", seeds=7).ok
-    assert calls == {"kraus": [12, 12, 4], "bounds": []}
-    calls["kraus"].clear()
+    assert (sizes("_kraus_criterion"), sizes("_bounds"), names()) == ([12, 12, 4], [], {"_kraus_criterion"})
+    calls.clear()
     assert suites.run_suite("bounds", seeds=7).ok
-    assert calls["kraus"] == [3, 3, 1] and len(calls["bounds"]) == 3 and sum(calls["bounds"]) > 0
-    calls["kraus"].clear()
+    assert sizes("_kraus_criterion") == [3, 3, 1] and len(sizes("_bounds")) == 3 and sum(sizes("_bounds")) > 0
+    assert names() == {"_kraus_criterion", "_bounds"}
+    calls.clear()
     assert suites.run_suite("appendix-c").ok
-    assert calls["kraus"] == [7, 7]
+    assert (sizes("_kraus_criterion"), names()) == ([7, 7], {"_kraus_criterion"})
 
 
 def test_choi_to_kraus_checks_its_dimensions():

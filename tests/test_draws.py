@@ -16,13 +16,9 @@ import oracles
 from exqip import channels, gqi, suites, testers
 from exqip.errors import DimensionMismatchError, NotHermitianError, ValidationError
 from exqip.linalg import DEFAULT_TOL, TolerancePolicy
+from populations import same_bits
 
 SEEDS = range(200)
-
-
-def same_bits(a, b):
-    a, b = np.asarray(a), np.asarray(b)
-    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def assert_same_object(got, want):
@@ -32,18 +28,11 @@ def assert_same_object(got, want):
         assert same_bits(x, y)
 
 
-def recorded_population(monkeypatch, name, seeds):
+def recorded_population(record, name, seeds):
     """The objects the suite decides, in the order of ``oracles.suite_population``."""
-    passes = []
-    for spied in ("validate_all", "decide_all"):
-
-        def recorded(objects, *args, original=getattr(gqi, spied), **kwargs):
-            objects = list(objects)
-            passes.append(objects)
-            return original(objects, *args, **kwargs)
-
-        monkeypatch.setattr(gqi, spied, recorded)
+    calls = record(gqi, "validate_all", "decide_all")
     assert suites.run_suite(name, seeds=seeds).ok
+    passes = [list(call.args[0]) for call in calls]
     if name != "bounds":
         return [x for objects in passes for x in objects]
     # A bounds pass validates its instruments, one per seed, then decides its testers, three per seed.
@@ -55,9 +44,9 @@ def recorded_population(monkeypatch, name, seeds):
 
 
 @pytest.mark.parametrize("name", ["equivalence", "xi-invariance", "bounds"])
-def test_suite_population_is_the_oracles(monkeypatch, name):
+def test_suite_population_is_the_oracles(record, name):
     """Seeds 0-199, two passes of PASS_SEEDS, each object to the bit."""
-    got = recorded_population(monkeypatch, name, len(SEEDS))
+    got = recorded_population(record, name, len(SEEDS))
     want = oracles.suite_population(name, len(SEEDS))
     assert len(got) == len(want)
     for g, w in zip(got, want):

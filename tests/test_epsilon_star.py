@@ -16,20 +16,31 @@ small, and the slack that ``perturbation_slack`` reads carries up to
 D eps_machine max(1, |w|_max) of rounding, less than a.
 """
 
-import importlib.util
-import os
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from exqip import channels, cli, combs, fileio, gqi, linalg, suites, testers
+from exqip import channels, cli, combs, gqi, linalg, testers
 from exqip.combs import CombSignature
 from exqip.errors import ValidationError
 from exqip.gqi import Gqi
 from exqip.linalg import DEFAULT_TOL
 
 import oracles
+from populations import (
+    BENCH,
+    TREE_NAMES,
+    acceptance_07_population,
+    bench_ladder,
+    bench_tree,
+    bench_tree_roots,
+    identity_exchange_population,
+    ladder_population,
+    shapes,
+    suite_channels,
+    suite_testers,
+    tree_nodes,
+)
 
 
 def bisection_oracle(outcomes, directions, pol=DEFAULT_TOL):
@@ -92,44 +103,6 @@ def feasibility_oracle(outcomes, directions, eps, pol=DEFAULT_TOL):
     return True
 
 
-def unitary_choi(u):
-    v = u.ravel()
-    return np.outer(v, v.conj())
-
-
-def product_comb(sig, rng):
-    """Rank-one comb of independent unitary teeth (every tooth square)."""
-    op = np.eye(1, dtype=complex)
-    for n in range(sig.n):
-        op = np.kron(unitary_choi(channels.random_unitary(sig.dims[2 * n], rng)), op)
-    return op
-
-
-def ladder_population():
-    """Non-extremal GQIs of the signature ladder: midpoints of two comb
-    draws, and two-outcome GQIs whose outcomes are halves of two combs."""
-    out = []
-    for dims, draws in (((2, 2), 12), ((2, 2, 2, 2), 3), ((2, 3, 3, 2), 1)):
-        sig = CombSignature(dims)
-        square = all(dims[2 * n] == dims[2 * n + 1] for n in range(sig.n))
-        rng = np.random.default_rng([sig.total_dim, 4])
-        for _ in range(draws):
-            if square:
-                a, b = product_comb(sig, rng), product_comb(sig, rng)
-            else:
-                a = combs.random_deterministic_comb(sig, rng, spread=1.0).operator
-                b = combs.random_deterministic_comb(sig, rng, spread=1.0).operator
-            out.append(Gqi(signature=sig, outcomes=(0.5 * (a + b),)))
-            c = combs.random_deterministic_comb(sig, rng, spread=0.9).operator
-            e = combs.random_deterministic_comb(sig, rng, spread=0.9).operator
-            out.append(Gqi(signature=sig, outcomes=(0.5 * c, 0.5 * e)))
-    return out
-
-
-def acceptance_07_population():
-    return [suites.random_nonextremal_gqi(np.random.default_rng(70_000 + s)) for s in range(50)]
-
-
 def witnesses(population):
     """(outcomes, directions, validation spectra) of each certificate."""
     out = []
@@ -162,31 +135,17 @@ def test_feasible_at_step_and_infeasible_beyond(steps):
         assert not gqi.perturbation_feasible(t, d, eps * (1.0 + 1e-6))
 
 
-def counted_calls(monkeypatch, names=("eigh", "eigvalsh")) -> list:
-    """Record the shape of every ``np.linalg`` decomposition in ``names``."""
-    calls = []
-    for name in names:
-        fn = getattr(np.linalg, name)
-
-        def counted(a, *args, _fn=fn, _name=name, **kwargs):
-            calls.append((_name, np.shape(a)))
-            return _fn(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counted)
-    return calls
-
-
 def test_no_search_is_left():
     for name in ("block_slack", "_BRACKET", "_WIDEN", "_STOP"):
         assert not hasattr(gqi, name)
 
 
-def test_probes_per_certificate_step(monkeypatch):
+def test_probes_per_certificate_step(record):
     # After validation a certificate's step is one batched eigvalsh of the
     # (M, k, k) blocks, k the largest support rank; the identity exchange
     # makes none.
     population = acceptance_07_population() + ladder_population()
-    calls = counted_calls(monkeypatch, ("eigvalsh",))
+    calls = record(np.linalg, "eigvalsh")
     exchanges = 0
     for g in population:
         calls.clear()
@@ -197,7 +156,7 @@ def test_probes_per_certificate_step(monkeypatch):
             assert calls == []
         else:
             k = max(cert.support_ranks)
-            assert calls == [("eigvalsh", (g.n_outcomes, k, k))]
+            assert shapes(calls, "eigvalsh") == [(g.n_outcomes, k, k)]
     assert 0 < exchanges < len(population)
 
 
@@ -206,44 +165,6 @@ def test_feasibility_matches_per_matrix_test(steps):
         for eps in (0.0, 0.5 * ref, ref, ref * (1.0 + 1e-9), 2.0 * ref):
             assert gqi.perturbation_feasible(t, d, eps) == feasibility_oracle(t, d, eps)
             assert (gqi.perturbation_slack(t, d, eps) >= 0.0) == gqi.perturbation_feasible(t, d, eps)
-
-
-def perfbench_module(name):
-    """The benchmark's module ``perfbench/NAME.py``, which imports no exqip."""
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", f"{name}.py")
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-BENCH = perfbench_module("inputs")
-
-
-def bench_ladder(seed):
-    """Every object of every rung of the benchmark's ladder at ``seed``."""
-    return [
-        Gqi(CombSignature(dims), ops)
-        for dims in BENCH.LADDER.values()
-        for _, ops, _, _ in BENCH.ladder_objects(dims, seed)
-    ]
-
-
-def bench_tree_roots(seed):
-    """The roots of the benchmark's ``trees`` workload, read as the CLI reads them."""
-    out = []
-    for _, kind, signature, ops, _ in BENCH.tree_inputs(seed):
-        obj = fileio.payload_to_object(
-            {
-                "format": "exqip-operator-file",
-                "version": 1,
-                "kind": kind,
-                "signature": signature,
-                "outcomes": [BENCH.matrix_to_json(t) for t in ops],
-            }
-        )
-        out.append(Gqi(obj.signature, obj.outcomes))
-    return out
 
 
 def summary(cert):
@@ -296,7 +217,7 @@ class TestSupportBlocks:
                 if child_ref is not None:
                     assert_same_step(child, child_cert, child_ref)
 
-    def test_d64_midpoint_probes_2x2_blocks(self, monkeypatch):
+    def test_d64_midpoint_probes_2x2_blocks(self, record):
         # The midpoint of two rank-one combs at (2,2,2,2,2,2) has support
         # rank 2 of D = 64: the step is one eigvalsh of the one 2 x 2 block
         # S^dagger D S.
@@ -304,13 +225,13 @@ class TestSupportBlocks:
         ((_, ops, _, _),) = BENCH.ladder_objects(dims, 1)
         g = Gqi(CombSignature(dims), ops)
         validation = gqi.is_valid_gqi(g)
-        calls = counted_calls(monkeypatch)
+        calls = record(np.linalg, "eigh", "eigvalsh")
         cert = gqi._decide_stack([g], [validation], DEFAULT_TOL)[0]
         assert cert.support_ranks == (2,) and not cert.extremal
         # The witness is built on its first read.
         assert calls == []
         assert cert.perturbation is not None
-        assert calls == [("eigvalsh", (1, 2, 2))]
+        assert len(calls) == 1 and shapes(calls, "eigvalsh") == [(1, 2, 2)]
 
 
 class TestEdgeCases:
@@ -368,40 +289,6 @@ def test_property_step_is_maximal_and_matches_oracle(seed, d, counts, mixed):
     assert gqi.perturbation_feasible(g.outcomes, directions, eps)
     assert not gqi.perturbation_feasible(g.outcomes, directions, eps * (1.0 + 1e-6))
     assert_maximal(g.outcomes, directions, eps, bisection_oracle(g.outcomes, directions))
-
-
-def full_rank_split(sig, weights, rng, spread):
-    """Outcomes w_i C_i of random full-rank combs C_i.  With three weights
-    the third outcome is only a rank-deficient part b P C_3 P of w_3 C_3,
-    whose rest joins the second, so that exactly two outcomes have full
-    support."""
-    c = [combs.random_deterministic_comb(sig, seed=rng, spread=spread).operator for _ in weights]
-    ops = [w * x for w, x in zip(weights, c)]
-    if len(ops) == 3:
-        u = channels.random_unitary(sig.total_dim, rng)[:, : sig.total_dim // 2]
-        part = u @ u.conj().T @ c[2] @ u @ u.conj().T
-        lam = np.linalg.eigvalsh(c[2])
-        cut = 0.5 * weights[2] * lam[0] / lam[-1]
-        ops[1], ops[2] = ops[1] + ops[2] - cut * part, cut * part
-    return Gqi(sig, tuple(ops))
-
-
-def identity_exchange_population():
-    """GQIs with M = 2 and 3 and two full-support outcomes, from (3,1) to
-    (2,3,3,2), and two written out: a binding outcome whose lambda_max stays
-    above 1 after the step, and POVM halves, whose lambda_max is below 1."""
-    out = []
-    for dims in ((3, 1), (2, 2), (2, 2, 2, 2), (2, 3, 3, 2)):
-        sig = CombSignature(dims)
-        rng = np.random.default_rng([sig.total_dim, 13])
-        for m in (2, 3):
-            for spread in (0.3, 0.7):
-                out.append(full_rank_split(sig, rng.dirichlet(np.ones(m)), rng, spread))
-    phi = np.eye(2).ravel()
-    near_identity = 0.95 * np.outer(phi, phi) + 0.05 * np.eye(4) / 2
-    out.append(Gqi(CombSignature((2, 2)), (0.8 * near_identity, 0.2 * np.eye(4) / 2)))
-    out.append(Gqi(CombSignature((2, 1)), (np.eye(2) / 2, np.eye(2) / 2)))
-    return out
 
 
 class TestIdentityExchange:
@@ -465,70 +352,19 @@ class TestIdentityExchange:
         assert cert.perturbation.epsilon_star == 0.0
         assert bisection_oracle(g.outcomes, d) == 0.0
 
-    def test_full_rank_d16_runs_validation_alone(self, monkeypatch):
+    def test_full_rank_d16_runs_validation_alone(self, record):
         """The full-rank two-outcome GQI at (2,2,2,2) takes one batched
         ``eigh`` of its outcomes and no other decomposition: no ``eigvalsh``,
         no ``svd`` and no search."""
         sig = CombSignature((2, 2, 2, 2))
         rng = np.random.default_rng(1)
         g = Gqi(sig, tuple(0.5 * combs.random_deterministic_comb(sig, seed=rng, spread=0.5).operator for _ in range(2)))
-        calls = []
-        for name in ("eigh", "eigvalsh", "svd"):
-            fn = getattr(np.linalg, name)
-
-            def counted(a, *args, _fn=fn, _name=name, **kwargs):
-                calls.append((_name, np.shape(a)))
-                return _fn(a, *args, **kwargs)
-
-            monkeypatch.setattr(np.linalg, name, counted)
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("epsilon* searched")
-
-        monkeypatch.setattr(gqi, "max_perturbation_step", refuse)
+        calls = record(np.linalg, "eigh", "eigvalsh", "svd")
+        steps = record(gqi, "max_perturbation_step")
         cert = gqi.is_extremal(g)
-        assert calls == [("eigh", (2, 16, 16))]
+        assert len(calls) == 1 and shapes(calls, "eigh") == [(2, 16, 16)]
         assert cert.support_ranks == (16, 16) and cert.perturbation.epsilon_star > 0.0
-
-
-def tree_nodes(seed):
-    """The ``trees`` roots of ``seed``, their children and grandchildren."""
-    out, level = [], bench_tree_roots(seed)
-    for _ in range(3):
-        out += level
-        level = [
-            child
-            for g in level
-            if not (cert := gqi.is_extremal(g)).extremal
-            for child in gqi.decompose_step(g, certificate=cert)
-        ]
-    return out
-
-
-def suite_testers():
-    """The testers the xi-invariance and bounds suites draw, seeds 0-199."""
-    out = []
-    for seed in range(200):
-        rng = np.random.default_rng(2000 + seed)
-        out.append((suites.random_extremal_qubit_tester if seed % 2 == 0 else suites.random_nonextremal_qubit_tester)(rng))
-        rng = np.random.default_rng(3000 + seed)
-        out += [
-            suites.random_extremal_qubit_tester(rng),
-            suites.random_nonextremal_qubit_tester(rng),
-            suites.random_rank22_qubit_tester(rng, nonextremal=bool(rng.integers(0, 2))),
-        ]
-    return out
-
-
-def suite_channels():
-    """The channels the equivalence suite draws, seeds 0-199."""
-    out = []
-    for seed in range(200):
-        rng = np.random.default_rng(1000 + seed)
-        for d0, d1 in suites.EQUIVALENCE_DIMS:
-            count = int(rng.integers(-(-d0 // d1), d0 * d1 + 1))
-            out.append(channels.random_channel(d0, d1, count, rng))
-    return out
+        assert steps == []
 
 
 CERTIFICATE_POPULATIONS = {
@@ -571,22 +407,15 @@ class TestCertificates:
         assert children > 0
 
     @pytest.mark.parametrize("seed", [1, 2])
-    def test_trees_take_no_zero_step(self, seed, tmp_path, monkeypatch, capsys):
+    def test_trees_take_no_zero_step(self, seed, tmp_path, record, capsys):
         # Children of a maximal step sit a inside the margin, outside their
         # supports, so their own steps are not 0.
         # The root is decided by is_extremal, every later depth by decide_all.
-        steps = []
-        decide, decide_all = gqi.is_extremal, gqi.decide_all
-
-        def recorded(certs):
-            steps.extend(c.perturbation.epsilon_star for c in certs if c.perturbation is not None)
-            return certs
-
-        monkeypatch.setattr(gqi, "is_extremal", lambda *args, **kwargs: recorded([decide(*args, **kwargs)])[0])
-        monkeypatch.setattr(gqi, "decide_all", lambda *args, **kwargs: recorded(decide_all(*args, **kwargs)))
-        for name, kind, signature, ops, depth in BENCH.tree_inputs(seed):
-            path = str(tmp_path / f"{name}.json")
-            BENCH.write_operator_file(path, kind, signature, ops)
+        calls = record(gqi, "is_extremal", "decide_all")
+        for name in TREE_NAMES:
+            path, depth = bench_tree(seed, name, tmp_path)
             assert cli.main(["decompose", path, "--steps", str(depth), "--out", str(tmp_path / name)]) == 0
         capsys.readouterr()
+        certs = [c for call in calls for c in ([call.result] if call.name == "is_extremal" else call.result)]
+        steps = [c.perturbation.epsilon_star for c in certs if c.perturbation is not None]
         assert len(steps) > 100 and min(steps) > 0.0

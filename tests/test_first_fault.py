@@ -18,8 +18,7 @@ from exqip.errors import ExqipError, ValidationError
 from exqip.gqi import Gqi, Povm
 from exqip.linalg import DEFAULT_TOL, TolerancePolicy
 
-from test_population import assert_same_certificate, assert_same_verdict
-from test_tolerance import drawn_object
+from populations import assert_same_certificate, assert_same_verdict, drawn_object
 
 
 def test_first_member_that_raises_alone():

@@ -14,10 +14,11 @@ import json
 import numpy as np
 import pytest
 
-from exqip import channels, cli, combs, fileio, gqi, testers
+from exqip import channels, combs, fileio, gqi, testers
 from exqip.combs import CombSignature, DeterministicComb
 from exqip.errors import ValidationError
 from exqip.gqi import Channel, Gqi, Instrument, Povm, Tester
+from populations import run_cli
 
 
 def invalid_tester():
@@ -64,12 +65,6 @@ def gate_message(g):
     )
 
 
-def run(argv, capsys):
-    code = cli.main([str(a) for a in argv])
-    out, err = capsys.readouterr()
-    return code, out, err
-
-
 @pytest.mark.parametrize("kind", list(invalid_objects()))
 class TestOneMessage:
     def test_every_function(self, kind):
@@ -84,14 +79,14 @@ class TestOneMessage:
             gqi.decide_all([good, g])
         assert str(err.value) == f"member 1: {message}"
 
-    def test_cli(self, kind, tmp_path, capsys):
+    def test_cli(self, kind, tmp_path):
         g = invalid_objects()[kind]
         path = tmp_path / f"{kind}.json"
         fileio.save_object(path, g)
         assert fileio.kind_of(fileio.load_object(path)).name == kind
         line = f"error: {gate_message(g)}\n"
-        assert run(["extremal", path], capsys) == (1, "", line)
-        assert run(["decompose", path, "--steps", 2, "--out", tmp_path / "tree"], capsys) == (1, "", line)
+        assert run_cli(["extremal", path]) == (1, "", line)
+        assert run_cli(["decompose", path, "--steps", 2, "--out", tmp_path / "tree"]) == (1, "", line)
         assert not (tmp_path / "tree").exists()
 
 
@@ -103,27 +98,27 @@ class TestEmptySignature:
         fileio.save_object(path, Gqi(CombSignature(()), tuple(np.array([[x]]) for x in values)))
         return path
 
-    def test_sum_below_one_is_invalid(self, tmp_path, capsys):
+    def test_sum_below_one_is_invalid(self, tmp_path):
         path = self.save(tmp_path, (0.3, 0.3))
-        code, out, _ = run(["validate", path], capsys)
+        code, out, _ = run_cli(["validate", path])
         report = json.loads(out)
         assert code == 1 and report["valid"] is False
         assert report["cascade_residuals"] == [pytest.approx(0.4, abs=1e-15)]
         message = gate_message(fileio.load_object(path))
         assert message.endswith("cascade residuals (0.4,)")
-        assert run(["extremal", path], capsys) == (1, "", f"error: {message}\n")
-        assert run(["decompose", path, "--steps", 2, "--out", tmp_path / "tree"], capsys)[0] == 1
+        assert run_cli(["extremal", path]) == (1, "", f"error: {message}\n")
+        assert run_cli(["decompose", path, "--steps", 2, "--out", tmp_path / "tree"])[0] == 1
 
-    def test_halves_are_not_extremal(self, tmp_path, capsys):
+    def test_halves_are_not_extremal(self, tmp_path):
         path = self.save(tmp_path, (0.5, 0.5))
-        code, out, _ = run(["validate", path], capsys)
+        code, out, _ = run_cli(["validate", path])
         assert code == 0 and json.loads(out)["cascade_residuals"] == [0.0]
-        code, out, _ = run(["extremal", path], capsys)
+        code, out, _ = run_cli(["extremal", path])
         assert code == 0 and json.loads(out)["verdict"] == "not_extremal"
 
-    def test_one_outcome_is_extremal(self, tmp_path, capsys):
+    def test_one_outcome_is_extremal(self, tmp_path):
         path = self.save(tmp_path, (1.0,))
-        code, out, _ = run(["extremal", path], capsys)
+        code, out, _ = run_cli(["extremal", path])
         assert code == 0 and json.loads(out)["verdict"] == "extremal"
 
     def test_comb(self):

@@ -12,7 +12,7 @@ from exqip.gqi import Gqi
 from exqip.linalg import TolerancePolicy
 
 import oracles
-from test_head_rank import measure_and_prepare, split_comb
+from populations import measure_and_prepare, split_comb
 
 CHANNEL_SIG = CombSignature((2, 2))
 
@@ -287,20 +287,13 @@ class TestProperties:
         assume(max(linalg.max_abs(x - y) for x, y in zip(a.outcomes, b.outcomes)) > 1e-6)
         assert not gqi.is_extremal(gqi.mix(a, b)).extremal
 
-    def test_kinds_run_both_rank_paths(self, monkeypatch):
+    def test_kinds_run_both_rank_paths(self, record):
         """Split combs are decided on the head alone (one SVD); measure and
         prepare draws fall back to the values-only SVD of the full stack;
         full-rank draws run no SVD."""
-        calls = []
-        svd = np.linalg.svd
-
-        def counted(a, *args, compute_uv=True, **kwargs):
-            calls.append(compute_uv)
-            return svd(a, *args, compute_uv=compute_uv, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", counted)
+        calls = record(np.linalg, "svd")
         for kind, want in (("split-comb", [True]), ("measure-and-prepare", [True, False]), ("full-rank", [])):
             for seed in range(5):
                 calls.clear()
                 gqi.is_extremal(draw_gqi(kind, seed))
-                assert sorted(calls, reverse=True) == want
+                assert sorted((c.kwargs.get("compute_uv", True) for c in calls), reverse=True) == want

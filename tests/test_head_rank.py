@@ -18,10 +18,7 @@ Also here: the size guard of the rank stage.
 """
 
 import collections
-import contextlib
-import io
 import json
-import os
 
 import numpy as np
 import pytest
@@ -33,10 +30,19 @@ from exqip.gqi import Gqi
 from exqip.linalg import DEFAULT_TOL, TolerancePolicy
 
 import oracles
-from test_epsilon_star import acceptance_07_population, bench_ladder, ladder_population
-from test_reduced_rank import ladder_inputs
-
-GOLDEN = os.path.join(os.path.dirname(__file__), "golden_cli")
+from populations import (
+    GOLDEN_NAMES,
+    acceptance_07_population,
+    bench_ladder,
+    fallback_population,
+    fixture_path,
+    golden,
+    ladder_inputs,
+    ladder_population,
+    measure_and_prepare,
+    run_cli,
+    split_comb,
+)
 
 
 def full_stack_decision(g, pol=DEFAULT_TOL):
@@ -47,35 +53,6 @@ def full_stack_decision(g, pol=DEFAULT_TOL):
     n_known = combs.comb_variable_count(g.signature)
     decision = oracles.rank_decision(x, pol, known=n_known, ambient=g.signature.total_dim ** 2)
     return decision, tuple(u.shape[1] for u in supports), n_known
-
-
-def measure_and_prepare(rng, d0, d1):
-    """N_i = rho_i (x) |u_i><u_i|^T over an orthonormal basis u_i of the
-    input, with full-rank output states rho_i.
-
-    The projected rows of each outcome have rank 1, so the head is deficient
-    and the rank comes from the full stack."""
-    u = channels.random_unitary(d0, rng)
-    return Gqi(
-        CombSignature((d0, d1)),
-        tuple(
-            np.kron(suites.random_full_rank_state(d1, rng), np.outer(u[:, i], u[:, i].conj()).T)
-            for i in range(d0)
-        ),
-    )
-
-
-def split_comb(sig, rng):
-    """Two outcomes sum_k a_k P_k and sum_k (lambda_k - a_k) P_k of a full-rank
-    comb C = sum_k lambda_k P_k, with a_0 = 0 and a_1 = lambda_1.
-
-    Each outcome misses one eigenvector of C, so neither has full support,
-    while their 2 (D - 1)^2 rows outnumber the span D^2 - |V|: the rank is
-    decided on the head."""
-    w, v = np.linalg.eigh(combs.random_deterministic_comb(sig, seed=rng, spread=0.5).operator)
-    a = w * rng.uniform(0.2, 0.8, w.size)
-    a[0], a[1] = 0.0, w[1]
-    return Gqi(sig, tuple((v * x) @ v.conj().T for x in (a, w - a)))
 
 
 def has_full_support(ranks, dim):
@@ -127,41 +104,30 @@ def qubit_testers():
     return out
 
 
-def fallback_population():
-    rng = np.random.default_rng(11)
-    return [measure_and_prepare(rng, d0, d1) for d0, d1 in ((2, 2), (2, 3), (3, 2))]
-
-
 @pytest.fixture
-def recorded(monkeypatch):
-    """Decisions of the rank stage, one per GQI of each stacked call, each
-    with whether the call stopped at the head: it built fewer rows than the
-    m = sum r_i^2 of the family and ran no values-only SVD."""
-    out = []
-    counts = collections.Counter()
-    rank_test, svd, coordinates = gqi._rank_test, np.linalg.svd, combs.complement_coordinates
+def rank_calls(record):
+    """Every ``np.linalg.svd``, ``combs.complement_coordinates`` and
+    ``gqi._rank_test`` call, in one order."""
+    calls = record(np.linalg, "svd")
+    record(combs, "complement_coordinates", log=calls)
+    return record(gqi, "_rank_test", log=calls)
 
-    def counted_svd(a, *args, compute_uv=True, **kwargs):
-        counts["values-only"] += not compute_uv
-        return svd(a, *args, compute_uv=compute_uv, **kwargs)
 
-    def counted_coordinates(u, sig, *args):
-        x = coordinates(u, sig, *args)
-        counts["rows"] += x.shape[-2]
-        return x
-
-    def recording(sig, supports, *args, **kwargs):
-        before = counts.copy()
-        decided = rank_test(sig, supports, *args, **kwargs)
-        m = sum(u.shape[-1] ** 2 for u in supports)
-        stopped = counts["rows"] - before["rows"] < m and counts["values-only"] == before["values-only"]
-        for rank, c, _ in decided:
-            out.append((oracles.Decision(rank, c), stopped))
-        return decided
-
-    monkeypatch.setattr(np.linalg, "svd", counted_svd)
-    monkeypatch.setattr(combs, "complement_coordinates", counted_coordinates)
-    monkeypatch.setattr(gqi, "_rank_test", recording)
+def rank_stage(calls):
+    """The decisions of the rank stage in ``calls``, one per GQI of each
+    stacked call, each with whether the call stopped at the head: it built
+    fewer rows than the m = sum r_i^2 of the family and ran no values-only
+    SVD."""
+    out, rows, values_only = [], 0, 0
+    for call in calls:
+        if call.name == "svd":
+            values_only += call.kwargs.get("compute_uv", True) is False
+        elif call.name == "complement_coordinates":
+            rows += call.result.shape[-2]
+        else:
+            m = sum(u.shape[-1] ** 2 for u in call.args[1])
+            out += [(oracles.Decision(rank, c), rows < m and not values_only) for rank, c, _ in call.result]
+            rows = values_only = 0
     return out
 
 
@@ -175,28 +141,28 @@ POPULATIONS = {
 
 
 @pytest.mark.parametrize("name", POPULATIONS)
-def test_matches_full_stack(name, recorded):
+def test_matches_full_stack(name, rank_calls):
     """Verdict, rank, support ranks and family size on every input; the
     decision and its null vector wherever the rank stage ran."""
     population = POPULATIONS[name]()
     wants = [full_stack_decision(g) for g in population]
-    recorded.clear()
     paths = collections.Counter()
     for g, (want, ranks, n_known) in zip(population, wants):
-        before = len(recorded)
+        rank_calls.clear()
         cert = gqi.is_extremal(g)
+        recorded = rank_stage(rank_calls)
         assert cert.extremal == (want.nullvector is None)
         assert cert.rank == want.rank
         assert cert.support_ranks == ranks
         assert cert.family_size == sum(r * r for r in ranks) + n_known
         dim = g.signature.total_dim
         counting = sum(r * r for r in ranks) > dim * dim - n_known
-        if len(recorded) == before:
+        if not recorded:
             assert has_full_support(ranks, dim) and counting
             paths["full-support"] += 1
             continue
-        assert len(recorded) == before + 1 and not has_full_support(ranks, dim)
-        got, stopped = recorded[-1]
+        assert len(recorded) == 1 and not has_full_support(ranks, dim)
+        ((got, stopped),) = recorded
         assert got.rank == want.rank
         if want.nullvector is None:
             assert got.nullvector is None
@@ -212,41 +178,23 @@ def test_matches_full_stack(name, recorded):
         assert paths["fallback"] == len(population)
 
 
-@pytest.fixture
-def svd_calls(monkeypatch):
-    """(matrix shape, compute_uv) of every ``np.linalg.svd`` call."""
-    out = []
-    svd = np.linalg.svd
-
-    def counted_svd(a, *args, compute_uv=True, **kwargs):
-        out.append((a.shape[-2:], compute_uv))
-        return svd(a, *args, compute_uv=compute_uv, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counted_svd)
-    return out
+def svd_shapes(calls):
+    """(matrix shape, compute_uv) of every ``np.linalg.svd`` call in ``calls``."""
+    return [(c.args[0].shape[-2:], c.kwargs.get("compute_uv", True)) for c in calls if c.name == "svd"]
 
 
-def test_exit_skips_the_rest_of_the_rows(monkeypatch, svd_calls):
+def test_exit_skips_the_rest_of_the_rows(rank_calls):
     """A split comb at (2,2,2,2): one SVD per verdict, and only the head of
     the rows is built."""
     g = split_comb(CombSignature((2, 2, 2, 2)), np.random.default_rng(3))
-    rows = []
-    coordinates = combs.complement_coordinates
-
-    def counted_coordinates(u, sig, *args):
-        x = coordinates(u, sig, *args)
-        rows.append(x.shape[-2])
-        return x
-
-    monkeypatch.setattr(combs, "complement_coordinates", counted_coordinates)
     cert = gqi.is_extremal(g)
     span = 256 - combs.comb_variable_count(g.signature)
     assert cert.support_ranks == (15, 15) and not cert.extremal
-    assert [shape[0] for shape, _ in svd_calls] == [span + 1]
-    assert rows == [span + 1]
+    assert [shape[0] for shape, _ in svd_shapes(rank_calls)] == [span + 1]
+    assert [c.result.shape[-2] for c in rank_calls if c.name == "complement_coordinates"] == [span + 1]
 
 
-def test_svd_calls_per_path(svd_calls):
+def test_svd_calls_per_path(record):
     """With m = sum r_i^2 rows of n coordinates and span = D^2 - |V|: a
     family within the span, extremal or dependent, runs one SVD with U of
     all rows; the head exit runs one SVD with U of the span + 1 rows of the
@@ -260,6 +208,7 @@ def test_svd_calls_per_path(svd_calls):
         ("head exit", split_comb(CombSignature((2, 2, 2, 2)), rng)),
         ("fallback", measure_and_prepare(rng, 3, 2)),
     ]
+    svd_calls = record(np.linalg, "svd")
     for name, g in cases:
         sig = g.signature
         span = sig.total_dim ** 2 - combs.comb_variable_count(sig)
@@ -277,7 +226,7 @@ def test_svd_calls_per_path(svd_calls):
         }
         assert cert.extremal == (name == "extremal"), name
         assert (m > span) == (name in ("head exit", "fallback")), name
-        assert svd_calls == want[name], name
+        assert svd_shapes(svd_calls) == want[name], name
 
 
 def rank_one_qubit_povm(w):
@@ -286,7 +235,7 @@ def rank_one_qubit_povm(w):
     return gqi.Povm(2, tuple(np.outer(w[:, k], w[:, k].conj()) for k in range(w.shape[1])))
 
 
-def test_one_svd_per_stack(monkeypatch, svd_calls):
+def test_one_svd_per_stack(rank_calls):
     """Three-outcome rank-one qubit POVMs share one stack.  Generic ones are
     extremal; those with two effects on one ray, a P and (1 - a) P, are
     dependent.  Their m = 3 rows lie within the span, and the stack runs
@@ -300,20 +249,11 @@ def test_one_svd_per_stack(monkeypatch, svd_calls):
         a = rng.uniform(0.2, 0.8)
         ray = np.array([[np.sqrt(a), np.sqrt(1 - a), 0.0], [0.0, 0.0, 1.0]])
         population.append(rank_one_qubit_povm(channels.random_unitary(2, rng) @ ray))
-    decided = []
-    rank_test = gqi._rank_test
-
-    def recording(*args):
-        out = rank_test(*args)
-        decided.extend(out)
-        return out
-
-    monkeypatch.setattr(gqi, "_rank_test", recording)
-    svd_calls.clear()
     certs = gqi.decide_all(population)
+    decided = [d for c in rank_calls if c.name == "_rank_test" for d in c.result]
     sig = population[0].signature
     n = combs.complement_coordinates(np.eye(2)[:, :1], sig).shape[1]
-    assert svd_calls == [((3, n), True)]
+    assert svd_shapes(rank_calls) == [((3, n), True)]
     assert [cert.extremal for cert in certs] == [True, False] * 3
     for g, cert, (_, c, _) in zip(population, certs, decided, strict=True):
         assert cert.support_ranks == (1, 1, 1) and cert.normalization_basis_size == 0
@@ -328,15 +268,16 @@ def test_one_svd_per_stack(monkeypatch, svd_calls):
             assert np.linalg.norm(x.T @ c) <= DEFAULT_TOL.rank_tol(3, 4, s[0])
 
 
-def test_family_with_no_rows_runs_no_svd(monkeypatch):
+def test_family_with_no_rows_runs_no_svd(record):
     """At a tolerance whose support cutoff lies above every eigenvalue
     (D eps_rel >= 1), every support rank would be 0 and the verdict
     vacuous: validation refuses it, before any SVD."""
-    monkeypatch.setattr(np.linalg, "svd", refuse)
+    calls = record(np.linalg, "svd")
     loose = TolerancePolicy(eps_rel=0.6)
     for g in (gqi.Povm(2, (np.eye(2) / 2, np.eye(2) / 2)), channels.combination_fixture(1)):
         with pytest.raises(ToleranceError, match="leaves every support empty"):
             gqi.is_extremal(g, pol=loose)
+    assert calls == []
 
 
 @pytest.mark.parametrize("dims", [(1, 3), (1, 4), (1, 1, 1, 3)])
@@ -364,48 +305,42 @@ def test_witness_stays_in_v_where_n_is_span(dims):
             assert gqi.is_valid_gqi(child).ok
 
 
-def refuse(*args, **kwargs):
-    raise AssertionError("rank stage entered")
-
-
 class TestFullSupportExit:
     @pytest.mark.parametrize("seed", range(1, 11))
-    def test_bench_ladder_matches_full_stack(self, seed, recorded):
+    def test_bench_ladder_matches_full_stack(self, seed, rank_calls):
         """Every object of the benchmark's ladder at seeds 1-10: verdict,
         rank, support ranks and family size as on the full stack, and the
         exit taken exactly where it applies."""
         exits = 0
         for g in bench_ladder(seed):
             want, ranks, n_known = full_stack_decision(g)
-            recorded.clear()
+            rank_calls.clear()
             cert = gqi.is_extremal(g)
             assert (cert.extremal, cert.rank, cert.support_ranks) == (want.nullvector is None, want.rank, ranks)
             assert cert.family_size == sum(r * r for r in ranks) + n_known
             exit = has_full_support(ranks, g.signature.total_dim)
-            assert len(recorded) == (not exit)
+            assert len(rank_stage(rank_calls)) == (not exit)
             exits += exit
         assert exits > 0
 
     def full_support_inputs(self):
         out = [ladder_inputs(dims, np.random.default_rng(5))[2] for dims in ((2, 2), (2, 2, 2, 2), (2, 3, 3, 2))]
         for name in ("gqi", "povm"):
-            obj = fileio.load_object(os.path.join(GOLDEN, f"{name}.json"))
+            obj = golden(name)
             out.append(Gqi(obj.signature, obj.outcomes))
         t = uniform_tester()
         out.append(Gqi(t.signature, t.outcomes))
         return out
 
-    def test_builds_no_row_and_runs_no_svd(self, monkeypatch):
-        monkeypatch.setattr(np.linalg, "svd", refuse)
-        monkeypatch.setattr(combs, "complement_coordinates", refuse)
-        monkeypatch.setattr(gqi, "rank_stage_bytes", refuse)
-        monkeypatch.setattr(gqi, "_rank_test", refuse)
+    def test_builds_no_row_and_runs_no_svd(self, rank_calls, record):
+        record(gqi, "rank_stage_bytes", log=rank_calls)
         for g in self.full_support_inputs():
             cert = gqi.is_extremal(g)
             assert not cert.extremal and cert.rank == g.signature.total_dim ** 2
             assert cert.margin is None
             # The plan of an exit shape holds no size estimate.
             assert gqi._plan(g.signature, cert.support_ranks, DEFAULT_TOL).stage_bytes is None
+        assert rank_calls == []
 
     def test_witness_exchanges_weight(self):
         """D_b = P_b and D_a = -P_b for the first full-support outcome a and
@@ -446,7 +381,7 @@ class TestFullSupportExit:
         root's kind after a JSON round trip; a tester's rho moves only by
         the rounding of the sum, since Delta = 0."""
         rng = np.random.default_rng(17)
-        roots = [fileio.load_object(os.path.join(GOLDEN, f"{name}.json")) for name in ("gqi", "povm")]
+        roots = [golden(name) for name in ("gqi", "povm")]
         choi = channels.random_channel(2, 3, 6, rng).choi
         roots.append(channels.Instrument(d1=3, d0=2, operators=(0.3 * choi, 0.7 * choi)))
         roots.append(uniform_tester())
@@ -469,7 +404,7 @@ class TestFullSupportExit:
                     got, want = (gqi.is_valid_gqi(x).comb_verdict.reduced[0] for x in (back, obj))
                     assert np.abs(got - want).max() <= 4 * np.finfo(float).eps
 
-    def test_exit_needs_two_nonzero_outcomes_and_a_small_cutoff(self, recorded):
+    def test_exit_needs_two_nonzero_outcomes_and_a_small_cutoff(self, rank_calls):
         """One outcome, a zero second outcome, and a tolerance whose cutoff
         at sqrt(M) reaches 1 (while D eps < 1) all go to the rank stage."""
         comb = ladder_inputs((2, 2), np.random.default_rng(9))[2].normalization
@@ -483,15 +418,15 @@ class TestFullSupportExit:
             (Gqi(sig, (comb / 2, comb / 2)), loose),
         ]
         for g, pol in cases:
-            recorded.clear()
+            rank_calls.clear()
             cert = gqi.is_extremal(g, pol=pol)
-            assert len(recorded) == 1
+            assert len(rank_stage(rank_calls)) == 1
             want, ranks, n_known = full_stack_decision(g, pol)
             assert (cert.extremal, cert.rank, cert.support_ranks) == (want.nullvector is None, want.rank, ranks)
             assert max(ranks) == 4
-        recorded.clear()
+        rank_calls.clear()
         assert not gqi.is_extremal(Gqi(sig, (comb / 2, comb / 2))).extremal
-        assert recorded == []
+        assert rank_stage(rank_calls) == []
 
     def test_cli_decides_full_rank_4444(self, tmp_path):
         """A full-rank two-outcome GQI at (4,4,4,4), whose rank stage would
@@ -502,10 +437,9 @@ class TestFullSupportExit:
         ops = tuple(0.5 * combs.random_deterministic_comb(sig, seed=rng, spread=0.5).operator for _ in range(2))
         path = tmp_path / "full.json"
         fileio.save_object(path, Gqi(sig, ops))
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            assert cli.main(["extremal", str(path)]) == 0
-        got = json.loads(out.getvalue())
+        code, out, _ = run_cli(["extremal", path])
+        assert code == 0
+        got = json.loads(out)
         assert (got["verdict"], got["rank"], got["support_ranks"]) == ("not_extremal", 65536, [256, 256])
         assert got["epsilon_star"] > 0.0
 
@@ -521,14 +455,12 @@ class TestSizeGuard:
         need = gqi.rank_stage_bytes(sig, (3, 3))
         assert f"needs about {need:,} bytes, above the budget of 1,000 bytes" in err
 
-    def test_raises_before_any_row_is_built(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("rows built")
-
+    def test_raises_before_any_row_is_built(self, monkeypatch, record):
         monkeypatch.setattr(gqi, "RANK_STAGE_BUDGET", 1000)
-        monkeypatch.setattr(combs, "complement_coordinates", refuse)
+        rows = record(combs, "complement_coordinates")
         with pytest.raises(SizeLimitError):
             gqi.is_extremal(split_comb(CombSignature((2, 2)), np.random.default_rng(1)))
+        assert rows == []
 
     @pytest.mark.parametrize(
         "dims, full, mixed",
@@ -555,7 +487,5 @@ class TestSizeGuard:
         budget = gqi.RANK_STAGE_BUDGET
         assert gqi.rank_stage_bytes(CombSignature((2,) * 6), (64, 64)) < budget
         assert gqi.rank_stage_bytes(CombSignature((4,) * 4), (256, 256)) > budget
-        for name in sorted(os.listdir(GOLDEN)):
-            if name != "expected.json":
-                with contextlib.redirect_stdout(io.StringIO()):
-                    assert cli.main(["extremal", os.path.join(GOLDEN, name)]) == 0
+        for name in GOLDEN_NAMES:
+            assert run_cli(["extremal", fixture_path(name)])[0] == 0

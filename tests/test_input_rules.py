@@ -16,21 +16,17 @@ only, and ``gqi.decompose_step`` only a certificate whose directions fit
 the outcomes, as ``gqi.decompose`` takes only a non-negative integer depth.
 """
 
-import contextlib
-import io
 import json
 import math
-import os
 import re
 
 import numpy as np
 import pytest
 
-from exqip import channels, cli, combs, fileio, gqi, linalg, testers
+from exqip import channels, combs, fileio, gqi, linalg, testers
 from exqip.errors import DimensionMismatchError, FileFormatError, NotHermitianError, ValidationError
 from exqip.gqi import Gqi, Povm
-
-GOLDEN = os.path.join(os.path.dirname(__file__), "golden_cli")
+from populations import golden, golden_payload, run_cli
 
 BOUND = r"^matrix entry of modulus above 1e\+100$"
 NOT_UNITARY = r"^xi transform requires a unitary U: "
@@ -137,17 +133,12 @@ def test_fileio_bound_is_linalgs():
     assert fileio.MAX_ENTRY is linalg.MAX_ENTRY
 
 
-def golden_povm():
-    with open(os.path.join(GOLDEN, "povm.json"), encoding="utf-8") as fh:
-        return json.load(fh)
-
-
 MISSING = object()
 
 
 @pytest.mark.parametrize("version", [99, True, "1", 1.0, MISSING], ids=["99", "true", "string", "float", "missing"])
 def test_payload_header(version):
-    payload = golden_povm()
+    payload = golden_payload("povm")
     if version is MISSING:
         del payload["version"]
     else:
@@ -158,32 +149,25 @@ def test_payload_header(version):
 
 
 def test_payload_of_another_format():
-    fileio.payload_to_object(golden_povm())
+    fileio.payload_to_object(golden_payload("povm"))
     with pytest.raises(FileFormatError, match="^top-level JSON value must be an object$"):
-        fileio.payload_to_object([golden_povm()])
+        fileio.payload_to_object([golden_payload("povm")])
     with pytest.raises(FileFormatError, match=r"^not an operator file \(format='exqip-certificate'\)$"):
-        fileio.payload_to_object({**golden_povm(), "format": "exqip-certificate"})
+        fileio.payload_to_object({**golden_payload("povm"), "format": "exqip-certificate"})
 
 
 @pytest.mark.parametrize("command", ["validate", "extremal", "decompose"])
 def test_file_entry_of_modulus_above_the_bound(command, tmp_path):
     """[1e100, 1e100] keeps each part at the bound, and its modulus is above
     it.  `decompose` makes no --out directory."""
-    payload = golden_povm()
+    payload = golden_payload("povm")
     payload["outcomes"][0][0][0] = [1e100, 1e100]
     path = tmp_path / "povm.json"
     path.write_text(json.dumps(payload))
     out_dir = tmp_path / "tree"
     extra = ["--out", str(out_dir)] if command == "decompose" else []
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main([command, str(path), *extra])
-    assert (code, out.getvalue(), err.getvalue()) == (2, "", "error: matrix entry of modulus above 1e+100\n")
+    assert run_cli([command, path, *extra]) == (2, "", "error: matrix entry of modulus above 1e+100\n")
     assert not out_dir.exists()
-
-
-def golden(name):
-    return fileio.load_object(os.path.join(GOLDEN, f"{name}.json"))
 
 
 # A bool is an int to ``operator.index``, but not a dimension.
@@ -201,11 +185,12 @@ def test_signature_takes_python_and_numpy_integers():
     assert all(type(d) is int for d in sig.dims)
 
 
-@pytest.mark.parametrize("weight", [2.0, -0.5, math.nan, math.inf, -math.inf], ids=repr)
+# A bool is an int, and so a number, but not a weight.
+@pytest.mark.parametrize("weight", [2.0, -0.5, math.nan, math.inf, -math.inf, True, "0.5", None, 1 + 0j], ids=repr)
 def test_mix_takes_a_convex_weight_only(weight):
     a = golden("gqi")
     b = Gqi(a.signature, a.outcomes[::-1])
-    with pytest.raises(ValidationError, match="^" + re.escape(f"mixing weight must lie in [0, 1], got {weight}") + "$"):
+    with pytest.raises(ValidationError, match="^" + re.escape(f"mixing weight must lie in [0, 1], got {weight!r}") + "$"):
         gqi.mix(a, b, weight)
     for weight, end in ((1.0, a), (0.0, b)):
         assert all(np.array_equal(x, y) for x, y in zip(gqi.mix(a, b, weight).outcomes, end.outcomes, strict=True))

@@ -11,10 +11,7 @@ testers' ``family_size`` and ``rank`` count the d1^2 - r^2 = 3 that are not
 supported under rho.
 """
 
-import contextlib
-import io
 import json
-import os
 
 import numpy as np
 import pytest
@@ -23,25 +20,9 @@ from exqip import cli, fileio, gqi
 from exqip.combs import CombSignature, DeterministicComb
 from exqip.errors import DimensionMismatchError
 from exqip.gqi import Channel, Gqi, Instrument, Povm, Tester
+from populations import EXPECTED, assert_matches_golden, fixture_path, golden, golden_payload, run_cli
 
-GOLDEN = os.path.join(os.path.dirname(__file__), "golden_cli")
 KIND_FIXTURES = ["comb", "gqi", "tester", "channel", "instrument", "povm"]
-# Testers on a pure normalization rho = |phi><phi| (d1 = 2, r = 1).
-RANK_DEFICIENT = {"pure-normalization-tester", "pure-normalization-tester-mixed"}
-
-with open(os.path.join(GOLDEN, "expected.json"), encoding="utf-8") as _fh:
-    EXPECTED = json.load(_fh)
-
-
-def fixture_path(name):
-    return os.path.join(GOLDEN, f"{name}.json")
-
-
-def run(*argv):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = cli.main(list(argv))
-    return code, out.getvalue()
 
 
 def test_table_covers_the_six_kinds():
@@ -51,7 +32,7 @@ def test_table_covers_the_six_kinds():
 @pytest.mark.parametrize("name", KIND_FIXTURES)
 def test_round_trip_through_gqi_view(name, tmp_path):
     """object -> file -> object -> GQI view -> object -> file, byte-identical."""
-    obj = fileio.load_object(fixture_path(name))
+    obj = golden(name)
     kind = fileio.kind_of(obj)
     assert kind.name == name
     view = Gqi(obj.signature, obj.outcomes)
@@ -75,8 +56,7 @@ MALFORMED = {
 
 @pytest.mark.parametrize("name", KIND_FIXTURES)
 def test_malformed_signature_exits_2(name, tmp_path, capsys):
-    with open(fixture_path(name), encoding="utf-8") as fh:
-        payload = json.load(fh)
+    payload = golden_payload(name)
     first, *rest = payload["signature"]
     # Entries that are not JSON integers, though int() would take them.
     not_integers = [[float(first), *rest], [first + 0.5, *rest], [str(first), *rest], [True, *rest]]
@@ -89,35 +69,17 @@ def test_malformed_signature_exits_2(name, tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: ")
 
 
-def assert_matches_golden(name, command, code, out):
-    """`exqip COMMAND` on the fixture ``name`` exited with ``code`` and
-    printed ``out`` as recorded, except epsilon*: within 1e-12 relative,
-    and only positive for the mixed tester on a rank-deficient rho.  Its
-    null space has dimension 4, so the LAPACK build decides which null
-    vector the SVD returns, and so which (sound) witness and epsilon*."""
-    want = EXPECTED[name][command]
-    assert code == want["exit"]
-    got, want = json.loads(out), dict(want["stdout"])
-    if command == "extremal":
-        eps, want_eps = got.pop("epsilon_star"), want.pop("epsilon_star")
-        assert (eps is None) == (want_eps is None)
-        if name in RANK_DEFICIENT:
-            assert eps is None or eps > 0.0
-        elif eps is not None:
-            assert abs(eps - want_eps) <= 1e-12 * abs(want_eps)
-    assert got == want
-
-
 @pytest.mark.parametrize("name", sorted(EXPECTED))
 def test_cli_json_matches_golden(name):
     for command in EXPECTED[name]:
-        assert_matches_golden(name, command, *run(command, fixture_path(name)))
+        code, out, _ = run_cli([command, fixture_path(name)])
+        assert_matches_golden(name, command, code, out)
 
 
 @pytest.mark.parametrize("name", sorted(EXPECTED))
 def test_every_kind_but_the_comb_is_a_gqi(name):
     """Every kind is a Gqi, the comb too."""
-    obj = fileio.load_object(fixture_path(name))
+    obj = golden(name)
     assert isinstance(obj, Gqi)
 
 
@@ -125,7 +87,7 @@ def test_kinds_compare_and_hash_by_identity():
     """Equal outcomes in distinct arrays make distinct objects, and neither
     ``==`` nor ``hash`` looks into the arrays."""
     for name in KIND_FIXTURES:
-        t, twin = (fileio.load_object(fixture_path(name)) for _ in range(2))
+        t, twin = (golden(name) for _ in range(2))
         assert t == t
         assert (t == twin) is False
         assert len({t, twin}) == 2
@@ -135,7 +97,7 @@ def test_kinds_compare_and_hash_by_identity():
 def test_mix_and_decompose_step_keep_the_kind(name, tmp_path):
     """The results are of the input's class and are written and read back
     as its kind."""
-    obj = fileio.load_object(fixture_path(name))
+    obj = golden(name)
     results = [gqi.mix(obj, obj, 0.25)]
     cert = gqi.is_extremal(obj)
     if not cert.extremal:
@@ -151,8 +113,7 @@ def test_mix_and_decompose_step_keep_the_kind(name, tmp_path):
 
 
 def test_kind_of_matches_the_exact_class():
-    t = fileio.load_object(fixture_path("tester"))
-    c = fileio.load_object(fixture_path("channel"))
+    t, c = golden("tester"), golden("channel")
     assert isinstance(t, Gqi) and fileio.kind_of(t).name == "tester"
     assert isinstance(c, Instrument) and fileio.kind_of(c).name == "channel"
     assert fileio.kind_of(Gqi.from_view(t.signature, t.outcomes)).name == "gqi"

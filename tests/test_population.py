@@ -13,25 +13,29 @@ Also here: the summaries of the suites, which now decide their
 populations in stacked passes.
 """
 
-import glob
 import math
-import os
 
 import numpy as np
 import pytest
 
-from exqip import channels, combs, fileio, gqi, linalg, suites
+from exqip import channels, combs, gqi, linalg, suites
 from exqip.combs import CombSignature
 from exqip.errors import DimensionMismatchError, NotHermitianError, SizeLimitError, ValidationError
 from exqip.gqi import Gqi
 from exqip.linalg import DEFAULT_TOL
 
-from test_epsilon_star import acceptance_07_population, bench_ladder, identity_exchange_population, tree_nodes
-from test_head_rank import fallback_population, split_comb
-
 import oracles
-
-GOLDEN = os.path.join(os.path.dirname(__file__), "golden_cli")
+from populations import (
+    acceptance_07_population,
+    assert_same_certificate,
+    assert_same_verdict,
+    bench_ladder,
+    golden_objects,
+    mixed_population,
+    same_bits,
+    split_comb,
+    tree_nodes,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -143,11 +147,6 @@ def former_certificate(g, pol=DEFAULT_TOL):
 # ---------------------------------------------------------------------------
 
 
-def same_bits(a, b):
-    a, b = np.asarray(a), np.asarray(b)
-    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
-
-
 def assert_verdict_is_former(verdict, g):
     ok, lows, residuals, reduced, spectra = former_validation(g)
     assert verdict.ok is ok
@@ -173,30 +172,9 @@ def assert_certificate_is_former(cert, g):
     assert type(pert.epsilon_star) is float and pert.epsilon_star == step
 
 
-def assert_same_certificate(a, b):
-    assert (a.extremal, a.family_size, a.rank, a.support_ranks) == (b.extremal, b.family_size, b.rank, b.support_ranks)
-    assert (a.normalization_basis_size, a.margin) == (b.normalization_basis_size, b.margin)
-    assert (a.perturbation is None) == (b.perturbation is None)
-    if a.perturbation is not None:
-        assert all(same_bits(x, y) for x, y in zip(a.perturbation.directions, b.perturbation.directions, strict=True))
-        assert same_bits(a.perturbation.delta, b.perturbation.delta)
-        assert a.perturbation.epsilon_star == b.perturbation.epsilon_star
-
-
-def assert_same_verdict(a, b):
-    assert a == b
-    assert all(same_bits(x, y) for x, y in zip(a.comb_verdict.reduced, b.comb_verdict.reduced, strict=True))
-    assert same_bits(a.spectra.values, b.spectra.values) and same_bits(a.spectra.vectors, b.spectra.vectors)
-
-
 # ---------------------------------------------------------------------------
 # Populations
 # ---------------------------------------------------------------------------
-
-
-def golden():
-    paths = sorted(p for p in glob.glob(os.path.join(GOLDEN, "*.json")) if not p.endswith("expected.json"))
-    return [fileio.load_object(p) for p in paths]
 
 
 def ladder():
@@ -229,7 +207,7 @@ def trees():
     return tree_nodes(1)
 
 
-POPULATIONS = {"golden": golden, "ladder": ladder, "gates": gates, "trees": trees}
+POPULATIONS = {"golden": golden_objects, "ladder": ladder, "gates": gates, "trees": trees}
 
 
 @pytest.mark.parametrize("name", POPULATIONS)
@@ -280,30 +258,6 @@ def test_population_is_its_single_calls(name):
         assert_same_verdict(cert.validation, gqi.is_valid_gqi(g))
 
 
-def mixed_population():
-    """Several signatures and support-rank tuples, each group of several
-    members: full-support and identity-exchange exits, head-first exits, the
-    fallback, extremal and dependent members."""
-    rng = np.random.default_rng(21)
-    out = []
-    out += [split_comb(CombSignature((2, 2)), rng) for _ in range(3)]
-    out += fallback_population() + fallback_population()
-    out += identity_exchange_population()[:4]
-    for seed in range(4):
-        out += [g for g in bench_ladder(seed + 1) if g.signature.total_dim <= 16]
-    for seed in range(6):
-        r = np.random.default_rng(4000 + seed)
-        out.append(suites.random_rank22_qubit_tester(r, nonextremal=bool(seed % 2)))
-        out.append(channels.random_instrument(2, 2, (1, 1), r))
-    # A full-support outcome beside one of rank 2: the projector exchange.
-    for seed in range(3):
-        u = channels.random_unitary(4, np.random.default_rng(50 + seed))[:, :2]
-        x = 0.5 * u @ u.conj().T
-        out.append(Gqi(CombSignature((1, 2, 2, 1)), (np.eye(4) / 2 - x / 2, x / 2)))
-    order = np.random.default_rng(5).permutation(len(out))
-    return [out[i] for i in order]
-
-
 def test_mixed_population_is_its_single_calls():
     population = mixed_population()
     verdicts = gqi.validate_all(population)
@@ -338,20 +292,14 @@ def test_decide_all_matches_in_any_order():
         assert_same_certificate(a, b)
 
 
-def test_decide_all_runs_one_eigh_per_validation_group(monkeypatch):
+def test_decide_all_runs_one_eigh_per_validation_group(record):
     """decide_all validates its objects itself: one eigh per group of one
     signature and outcome shapes, each outcome in it once, and no other."""
     population = mixed_population()
     groups = {(g.signature, tuple(t.shape for t in g.outcomes)) for g in population}
-    stacks = []
-    eigh = np.linalg.eigh
-
-    def counted(a, *args, **kwargs):
-        stacks.append(len(a))
-        return eigh(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", counted)
+    calls = record(np.linalg, "eigh")
     gqi.decide_all(population)
+    stacks = [len(c.args[0]) for c in calls]
     assert len(stacks) == len(groups) > 1
     assert sum(stacks) == sum(len(g.outcomes) for g in population)
 
@@ -463,46 +411,29 @@ def test_suite_summary_at_40_seeds(name):
     assert {key: summary[key] for key in ("total", "failures", "details")} == SUMMARIES[name]
 
 
-def test_suites_decide_in_passes(monkeypatch):
+def test_suites_decide_in_passes(monkeypatch, record):
     """A pass holds at most PASS_SEEDS seeds of a suite's population, drawn
     in stacked calls: with every seed's rng drawing the same objects, each
     pass of 3 seeds or fewer makes the same number of ``qr`` and ``eigh``
     calls, building and validating, as a pass of 1 or 2.  (xi-invariance
     draws its tester kind by the parity of the seed, so its last pass holds
     2 seeds, one of each kind.)"""
-    log = []
-
-    def counted(fn, event):
-        def wrapper(*args, **kwargs):
-            log.append(event)
-            return fn(*args, **kwargs)
-
-        return wrapper
-
-    decide_all = gqi.decide_all
-
-    def decided(objects, *args, **kwargs):
-        objects = list(objects)
-        certs = decide_all(objects, *args, **kwargs)
-        log.append(len(objects))
-        return certs
+    log = record(np.linalg, "qr", "eigh")
+    record(gqi, "decide_all", log=log)
 
     def passes(run, seeds):
         """The decide_all size and the qr and eigh calls up to its end, per pass."""
         log.clear()
         result = run(seeds=seeds)
         out, calls = [], []
-        for event in log:
-            if isinstance(event, int):
-                out.append((event, calls.count("qr"), calls.count("eigh")))
+        for call in log:
+            if call.name == "decide_all":
+                out.append((len(call.result), calls.count("qr"), calls.count("eigh")))
                 calls = []
             else:
-                calls.append(event)
+                calls.append(call.name)
         return result, out
 
-    monkeypatch.setattr(gqi, "decide_all", decided)
-    monkeypatch.setattr(np.linalg, "qr", counted(np.linalg.qr, "qr"))
-    monkeypatch.setattr(np.linalg, "eigh", counted(np.linalg.eigh, "eigh"))
     monkeypatch.setattr(suites, "PASS_SEEDS", 3)
     cases = [(suites.run_equivalence, 7, [12, 12, 4]), (suites.run_xi_invariance, 8, [6, 6, 4]), (suites.run_bounds, 7, [9, 9, 3])]
     for run, seeds, sizes in cases:
@@ -518,22 +449,15 @@ def test_suites_decide_in_passes(monkeypatch):
         assert drawn[0][1] + drawn[0][2] > 0
 
 
-def test_rank_stages_stay_within_the_budget(monkeypatch):
+def test_rank_stages_stay_within_the_budget(monkeypatch, record):
     """A group is cut into stacks whose estimated peak, K times that of one
     member, stays within the budget."""
     population = [split_comb(CombSignature((2, 2)), np.random.default_rng(s)) for s in range(7)]
     need = gqi.rank_stage_bytes(CombSignature((2, 2)), gqi.is_extremal(population[0]).support_ranks)
-    stacks = []
-    rank_test = gqi._rank_test
-
-    def recorded(sig, supports, *args):
-        stacks.append(len(supports[0]))
-        return rank_test(sig, supports, *args)
-
-    monkeypatch.setattr(gqi, "_rank_test", recorded)
+    calls = record(gqi, "_rank_test")
     monkeypatch.setattr(gqi, "RANK_STAGE_BUDGET", 3 * need)
     certs = gqi.decide_all(population)
-    assert stacks == [3, 3, 1]
+    assert [len(c.args[1][0]) for c in calls] == [3, 3, 1]
     for g, cert in zip(population, certs):
         assert_same_certificate(cert, gqi.is_extremal(g))
 
@@ -546,7 +470,7 @@ def central_splits():
     return [Gqi(sig, (w * c, (1.0 - w) * c)) for w in (0.3, 0.5, 0.7)]
 
 
-def test_exit_stacks_are_cut_by_operator_bytes(monkeypatch):
+def test_exit_stacks_are_cut_by_operator_bytes(monkeypatch, record):
     """A group at the full-support exit builds no row, so it is cut by its
     members' outcomes, 16 M D^2 bytes each, and not by the rank stage's
     estimate, which its plan does not hold: the three (4,4,4,4) splits,
@@ -556,43 +480,29 @@ def test_exit_stacks_are_cut_by_operator_bytes(monkeypatch):
     sig, m = population[0].signature, 2
     assert gqi.rank_stage_bytes(sig, (256, 256)) > gqi.RANK_STAGE_BUDGET
     assert gqi._plan(sig, (256, 256), DEFAULT_TOL).stage_bytes is None
-    stacks = []
-    decide_stack = gqi._decide_stack
-
-    def recorded(gs, *args):
-        stacks.append(len(gs))
-        return decide_stack(gs, *args)
-
-    monkeypatch.setattr(gqi, "_decide_stack", recorded)
+    calls = record(gqi, "_decide_stack")
     certs = gqi.decide_all(population)
-    assert stacks == [3]
+    assert [len(c.args[0]) for c in calls] == [3]
     monkeypatch.setattr(gqi, "RANK_STAGE_BUDGET", 2 * 16 * m * sig.total_dim ** 2)
     cut = gqi.decide_all(population)
-    assert stacks == [3, 2, 1]
+    assert [len(c.args[0]) for c in calls] == [3, 2, 1]
     for g, a, b in zip(population, certs, cut, strict=True):
         own = gqi.is_extremal(g)
         assert_same_certificate(a, own)
         assert_same_certificate(b, own)
 
 
-def test_validation_stacks_stay_within_the_budget(monkeypatch):
+def test_validation_stacks_stay_within_the_budget(monkeypatch, record):
     """validate_all cuts a group into stacks of K members whose stacked
     outcomes, 16 M D^2 bytes each, stay within the budget; every verdict is
     the uncut one to the bit."""
     population = [split_comb(CombSignature((2, 2)), np.random.default_rng(s)) for s in range(7)]
     m = len(population[0].outcomes)
     uncut = gqi.validate_all(population)
-    stacks = []
-    eig = linalg.hermitian_eig
-
-    def recorded(a, *args, **kwargs):
-        stacks.append(len(a))
-        return eig(a, *args, **kwargs)
-
-    monkeypatch.setattr(linalg, "hermitian_eig", recorded)
+    calls = record(linalg, "hermitian_eig")
     monkeypatch.setattr(gqi, "RANK_STAGE_BUDGET", 3 * 16 * m * 16)
     cut = gqi.validate_all(population)
-    assert stacks == [3 * m, 3 * m, m]
+    assert [len(c.args[0]) for c in calls] == [3 * m, 3 * m, m]
     for a, b in zip(cut, uncut, strict=True):
         assert_same_verdict(a, b)
 

@@ -1,8 +1,10 @@
 """The pytest settings of ``pyproject.toml``: warnings are errors, yet a
 failing Hypothesis test is reported as a failure and the run goes on.  And
 the fixture of ``tests/conftest.py``: every test starts with exqip's caches
-empty."""
+empty.  And the layout of the test modules: what several share lives in
+``populations.py`` or ``oracles.py``, never in another test module."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -15,7 +17,8 @@ from exqip import cli, combs, gqi, linalg
 # them empty only because the fixture emptied them.
 WARM = gqi.is_extremal(gqi.Povm(2, (np.eye(2) / 2,) * 2))
 
-PYPROJECT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "pyproject.toml")
+TESTS = os.path.dirname(os.path.abspath(__file__))
+PYPROJECT = os.path.join(TESTS, os.pardir, "pyproject.toml")
 
 FAILING_AND_PASSING = '''
 from hypothesis import given, settings, strategies as st
@@ -59,3 +62,35 @@ def test_testpaths_hold_the_tests_and_the_benchmark_checker(pytestconfig):
     benchmark checker's tests too: no other step runs them."""
     assert os.path.samefile(pytestconfig.inipath, PYPROJECT)
     assert {"tests", "perfbench"} <= set(pytestconfig.getini("testpaths"))
+
+
+def test_no_test_module_imports_another():
+    """A test module that imports another runs that module's top level a
+    second time and ties its tests to the other's helpers."""
+    found = []
+    for name in sorted(os.listdir(TESTS)):
+        if name.startswith("test_") and name.endswith(".py"):
+            with open(os.path.join(TESTS, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read())
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    modules = [node.module or ""] + [alias.name for alias in node.names]
+                else:
+                    continue
+                found += [(name, m) for m in modules if any(p.startswith("test_") for p in m.split("."))]
+    assert found == []
+
+
+def test_no_test_module_shadows_a_benchmark_module():
+    """Tier-1 puts ``tests`` and ``perfbench`` on ``sys.path`` in one run, so
+    a module of one named as a module of the other would shadow it, as a
+    ``tests/inputs.py`` would the benchmark's own ``import inputs``."""
+
+    def stems(directory):
+        return {name[: -len(".py")] for name in os.listdir(directory) if name.endswith(".py")}
+
+    benchmark = stems(os.path.join(TESTS, os.pardir, "perfbench"))
+    assert "inputs" in benchmark and "populations" in stems(TESTS)
+    assert stems(TESTS) & benchmark == set()

@@ -19,7 +19,7 @@ from exqip.combs import CombSignature
 from exqip.gqi import Gqi
 from exqip.linalg import DEFAULT_TOL
 
-from test_head_rank import fallback_population, split_comb
+from populations import fallback_population, split_comb
 
 
 def mp_comb(rng):
@@ -40,25 +40,12 @@ def mp_comb(rng):
     )
 
 
-def test_fallback_builds_every_row_once(monkeypatch):
+def test_fallback_builds_every_row_once(record):
     """On the fallback the rows of all complement_coordinates calls of one
     verdict sum to m, and support_operators runs once per level for each
     outcome and once more for the outcome whose rows straddle the head,
     which every one of these inputs has."""
-    rows, calls = [], []
-    coordinates, support_operators = combs.complement_coordinates, linalg.support_operators
-
-    def counted_coordinates(*args):
-        x = coordinates(*args)
-        rows.append(x.shape[-2])
-        return x
-
-    def counted_operators(*args):
-        calls.append(args[0].shape)
-        return support_operators(*args)
-
-    monkeypatch.setattr(combs, "complement_coordinates", counted_coordinates)
-    monkeypatch.setattr(linalg, "support_operators", counted_operators)
+    rows, calls = record(combs, "complement_coordinates"), record(linalg, "support_operators")
     for g in fallback_population() + [mp_comb(np.random.default_rng(1))]:
         rows.clear()
         calls.clear()
@@ -66,7 +53,7 @@ def test_fallback_builds_every_row_once(monkeypatch):
         dim = g.signature.total_dim
         m = cert.family_size - cert.normalization_basis_size
         assert m > dim * dim - cert.normalization_basis_size + 1 and cert.rank < dim * dim
-        assert sum(rows) == m
+        assert sum(c.result.shape[-2] for c in rows) == m
         levels = sum(even > 1 for _, _, even, _ in g.signature.levels)
         assert len(calls) == levels * (len(g.outcomes) + 1)
 

@@ -1,7 +1,9 @@
 """README's references.  Each ``(README, "<name>")`` citation in the package
 names a heading of README or one of its bold ``**<name>.**`` items, and
 README names no private function or class of the package: a private
-mechanism is described once, in its docstring."""
+mechanism is described once, in its docstring.  Each ``tests/<file>.py``
+that README cites exists, and each ``tests/<file>.py::<name>`` is defined
+there."""
 
 import ast
 import os
@@ -9,7 +11,8 @@ import re
 
 import exqip
 
-README = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")
+TESTS = os.path.dirname(os.path.abspath(__file__))
+README = os.path.join(TESTS, os.pardir, "README.md")
 PACKAGE = os.path.dirname(os.path.abspath(exqip.__file__))
 
 
@@ -58,3 +61,21 @@ def test_readme_names_no_private_function():
     with open(README, encoding="utf-8") as fh:
         text = fh.read()
     assert sorted(n for n in private if re.search(rf"(?<!\w){re.escape(n)}(?!\w)", text)) == []
+
+
+def test_cited_tests_are_defined():
+    with open(README, encoding="utf-8") as fh:
+        cited = set(re.findall(r"tests/(\w+\.py)(?:::\s*(\w+))?", fh.read()))
+    assert len({file for file, _ in cited}) >= 11
+    missing = []
+    for file, name in sorted(cited):
+        path = os.path.join(TESTS, file)
+        if not os.path.isfile(path):
+            missing.append(file)
+        elif name:
+            with open(path, encoding="utf-8") as fh:
+                tree = ast.parse(fh.read())
+            defined = {node.name for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+            if name not in defined:
+                missing.append(f"{file}::{name}")
+    assert missing == []

@@ -18,6 +18,7 @@ from exqip.gqi import Gqi
 from exqip.linalg import DEFAULT_TOL
 
 import oracles
+from populations import ladder_inputs, product_comb, random_povm
 
 SIGNATURES = [
     (2, 2),
@@ -31,29 +32,9 @@ SIGNATURES = [
 ]
 
 
-def support_basis(t, pol=DEFAULT_TOL):
-    """HS-orthonormal basis of the Hermitian operators supported on Supp(t),
-    r^2 elements in :func:`linalg.support_operators` order; ``t`` must be PSD
-    within tolerance."""
-    return list(linalg.support_operators(oracles.support_vectors(t, pol)))
-
-
-def former_tester_basis(t, pol=DEFAULT_TOL):
-    """The r^2 - 1 operators I_2 (x) sigma_l, sigma_l traceless Hermitian with
-    support in Supp(rho): the variable directions of the former tester route,
-    which spans the comb variable directions when rho has full rank."""
-    rho, _ = oracles.tester_normalization(t, pol)
-    u = oracles.support_vectors(rho, pol)
-    eye2 = np.eye(t.d2, dtype=complex)
-    return [
-        linalg.kron(eye2, u @ b @ u.conj().T)
-        for b in linalg.traceless_hermitian_basis(u.shape[1])
-    ]
-
-
 def pooled_oracle(g, normalization_basis=None, pol=DEFAULT_TOL):
     """(extremal, rank) from the explicit pooled family."""
-    family = [q for t in g.outcomes for q in support_basis(t, pol)]
+    family = [q for t in g.outcomes for q in oracles.support_basis(t, pol)]
     if normalization_basis is None:
         normalization_basis = oracles.comb_variable_basis(g.signature)
     family += list(normalization_basis)
@@ -66,16 +47,6 @@ def pooled_oracle(g, normalization_basis=None, pol=DEFAULT_TOL):
 def isometry(rng, d, r):
     g = rng.standard_normal((d, r)) + 1j * rng.standard_normal((d, r))
     return np.linalg.qr(g)[0]
-
-
-def product_comb(sig, rng):
-    """Rank-one comb of independent unitary teeth (every tooth square)."""
-    op = np.eye(1, dtype=complex)
-    for n in range(sig.n):
-        d = sig.dims[2 * n]
-        v = channels.random_unitary(d, rng).ravel()
-        op = np.kron(np.outer(v, v.conj()), op)
-    return op
 
 
 def split(comb, effects):
@@ -91,20 +62,6 @@ def split(comb, effects):
     return tuple(root @ e @ root for e in effects)
 
 
-def random_povm(rng, d, m):
-    """m effects: a random projective measurement coarse-grained or mixed."""
-    u = channels.random_unitary(d, rng)
-    labels = rng.integers(0, m, size=d)
-    effects = []
-    for i in range(m):
-        cols = u[:, labels == i]
-        effects.append(cols @ cols.conj().T)
-    if rng.random() < 0.5:
-        mix = rng.random()
-        effects = [mix * e + (1.0 - mix) * np.eye(d) / m for e in effects]
-    return effects
-
-
 def mixed_gqi(rng):
     sig = CombSignature([(2, 2), (2, 2, 2, 2), (3, 3)][rng.integers(0, 3)])
     k = int(rng.integers(1, 4))
@@ -113,19 +70,6 @@ def mixed_gqi(rng):
     comb = sum(w * product_comb(sig, rng) for w in weights)
     m = int(rng.integers(1, 4))
     return Gqi(signature=sig, outcomes=split(comb, random_povm(rng, sig.total_dim, m)))
-
-
-def ladder_inputs(dims, rng):
-    """A rank-one comb, the midpoint of two, and a full-rank two-outcome GQI."""
-    sig = CombSignature(dims)
-    a, b = product_comb(sig, rng), product_comb(sig, rng)
-    full = combs.random_deterministic_comb(sig, seed=rng.integers(1 << 30), spread=0.5)
-    other = combs.random_deterministic_comb(sig, seed=rng.integers(1 << 30), spread=0.5)
-    return [
-        Gqi(signature=sig, outcomes=(a,)),
-        Gqi(signature=sig, outcomes=((a + b) / 2.0,)),
-        Gqi(signature=sig, outcomes=(full.operator / 2.0, other.operator / 2.0)),
-    ]
 
 
 class TestComplementCoordinates:
@@ -208,7 +152,7 @@ class TestVerdictsAgreeWithOracle:
             )
             view = Gqi(t.signature, t.outcomes)
             cert = testers.is_extremal_tester(t)
-            assert (cert.extremal, cert.rank) == pooled_oracle(view, former_tester_basis(t))
+            assert (cert.extremal, cert.rank) == pooled_oracle(view, oracles.former_tester_basis(t))
             assert cert.extremal == (angle > 0.0)
             assert (cert.extremal, cert.rank) == pooled_oracle(view)
 
@@ -254,19 +198,15 @@ class TestRankBookkeeping:
         assert cert.margin == pytest.approx(np.linalg.svd(x, compute_uv=False)[-1], rel=1e-12)
 
 
-def test_no_variable_basis_is_built(monkeypatch):
+def test_no_variable_basis_is_built(record):
     """Deciding and sampling never enumerate the D^2-long V basis: the
-    program has no function that builds it, and the Hermitian bases such a
-    function would use are refused."""
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("explicit normalization basis built")
-
+    program has no function that builds it, and never calls the Hermitian
+    bases such a function would use."""
     assert not hasattr(combs, "comb_variable_basis")
-    monkeypatch.setattr(combs, "comb_forbidden_directions", refuse)
-    monkeypatch.setattr(linalg, "hermitian_basis", refuse)
-    monkeypatch.setattr(linalg, "traceless_hermitian_basis", refuse)
+    calls = record(combs, "comb_forbidden_directions")
+    record(linalg, "hermitian_basis", "traceless_hermitian_basis", log=calls)
     sig = CombSignature((2, 2, 2, 2))
     for g in ladder_inputs(sig.dims, np.random.default_rng(1)):
         gqi.is_extremal(g)
     combs.random_deterministic_comb(sig, seed=1)
+    assert calls == []

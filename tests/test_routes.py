@@ -3,8 +3,8 @@ to take are the oracles here.
 
 * Tester-basis route: the supports pooled with the r^2 - 1 operators
   I_2 (x) sigma, sigma traceless and supported under rho
-  (``test_reduced_rank.former_tester_basis``), orthonormalized and projected
-  out by QR (``test_spectral_pass.oracle``).
+  (``oracles.former_tester_basis``), orthonormalized and projected
+  out by QR (``oracles.per_outcome_pipeline``).
 * Explicit POVM route: every support basis element of every effect,
   vectorized into one family and ranked at the pooled cutoff.
 
@@ -20,14 +20,14 @@ import math
 import numpy as np
 import pytest
 
-from exqip import channels, gqi, linalg, suites, testers
+from exqip import channels, gqi, linalg, testers
 from exqip.gqi import Gqi
 from exqip.linalg import DEFAULT_TOL
 from exqip.testers import Povm
 
 import oracles
-from test_reduced_rank import former_tester_basis, random_povm, support_basis
-from test_spectral_pass import oracle
+from oracles import former_tester_basis, per_outcome_pipeline as oracle
+from populations import random_povm, suite_testers
 
 
 def former_tester_route(t):
@@ -38,30 +38,9 @@ def former_tester_route(t):
 
 def explicit_povm_route(p, pol=DEFAULT_TOL):
     """(extremal, rank) of the former POVM route."""
-    family = [q for e in p.effects for q in support_basis(e, pol)]
+    family = [q for e in p.effects for q in oracles.support_basis(e, pol)]
     decision = oracles.rank_decision(linalg.vectorize_hermitian(np.array(family)), pol)
     return decision.nullvector is None, decision.rank
-
-
-def suite_testers(seeds=40):
-    """The xi-invariance and bounds populations, with the xi-transformed
-    testers of the former."""
-    out = []
-    for seed in range(seeds):
-        rng = np.random.default_rng(2000 + seed)
-        if seed % 2 == 0:
-            t = suites.random_extremal_qubit_tester(rng)
-        else:
-            t = suites.random_nonextremal_qubit_tester(rng)
-        rho = suites.random_full_rank_state(2, rng)
-        out += [t, testers.xi_transform(t, rho, channels.random_unitary(2, rng))]
-        rng = np.random.default_rng(3000 + seed)
-        out += [
-            suites.random_extremal_qubit_tester(rng),
-            suites.random_nonextremal_qubit_tester(rng),
-            suites.random_rank22_qubit_tester(rng, nonextremal=bool(rng.integers(0, 2))),
-        ]
-    return out
 
 
 def pure_normalization_testers(count=30):
@@ -105,7 +84,7 @@ def test_suite_testers_agree_with_former_tester_route():
     the SVD may pick another null vector from it, so only soundness is
     asserted."""
     verdicts = set()
-    for t in suite_testers():
+    for t in suite_testers(40, xi=True):
         cert = testers.is_extremal_tester(t)
         assert (cert.extremal, cert.rank, cert.family_size) == former_tester_route(t)
         assert cert.normalization_basis_size == 3
@@ -204,7 +183,7 @@ def test_validity_unchanged_on_perturbed_objects():
         q = Povm(d=p.d, effects=tuple(perturbed(p.effects, rng)))
         assert testers.povm_is_valid(q) == former_povm_is_valid(q)
         seen.add(("povm", former_povm_is_valid(q)))
-    for t in suite_testers(20) + pure_normalization_testers(20):
+    for t in suite_testers(20, xi=True) + pure_normalization_testers(20):
         u = testers.Tester(d2=t.d2, d1=t.d1, outcomes=tuple(perturbed(t.outcomes, rng)))
         assert testers.is_valid_tester(u) == former_is_valid_tester(u)
         seen.add(("tester", former_is_valid_tester(u)))

@@ -2,12 +2,11 @@
 
 ``gqi.is_valid_gqi`` checks and decomposes a GQI's outcomes as one stack, and
 ``gqi.is_extremal`` reuses those eigenpairs for the support bases and for the
-epsilon* step.  The oracle below is the former pipeline: a plain ``eigh``
-of each symmetrized outcome, sorted by ``argsort`` and cut at supp_tol, for
-the supports, and the public ``gqi.max_perturbation_step`` on those
-eigenpairs, as the program reads validation's.  Where one outcome has full
-support beside another nonzero one, the oracle builds the exchange witness
-of the full-support exit from its own supports.
+epsilon* step.  The oracle is the former pipeline,
+``oracles.per_outcome_pipeline``: a plain ``eigh`` of each symmetrized
+outcome, sorted by ``argsort`` and cut at supp_tol, for the supports, and
+the public ``gqi.max_perturbation_step`` on those eigenpairs, as the program
+reads validation's.
 """
 
 import numpy as np
@@ -17,65 +16,10 @@ from exqip import channels, combs, gqi, linalg, suites, testers
 from exqip.combs import CombSignature
 from exqip.errors import DimensionMismatchError, NotHermitianError, ValidationError
 from exqip.gqi import Gqi
-from exqip.linalg import DEFAULT_TOL
 
 import oracles
-from test_epsilon_star import acceptance_07_population, ladder_population
-from test_reduced_rank import ladder_inputs, former_tester_basis
-
-
-def former_spectra(outcomes):
-    """Eigenpairs of the outcomes as the per-outcome pipeline computed them,
-    eigenvalues descending, as one stack."""
-    values, vectors = [], []
-    for t in outcomes:
-        t = np.asarray(t, dtype=complex)
-        w, v = np.linalg.eigh((t + t.conj().T) / 2)
-        order = np.argsort(w)[::-1]
-        values.append(w[order])
-        vectors.append(v[:, order])
-    return linalg.EigenDecomposition(np.array(values), np.array(vectors))
-
-
-def oracle(g, normalization_basis=None, pol=DEFAULT_TOL):
-    """(extremal, rank, support_ranks, family_size, epsilon*) of the former pipeline."""
-    assert gqi.is_valid_gqi(g, pol=pol).ok
-    spectra = former_spectra(g.outcomes)
-    supports = [v[:, w > pol.supp_tol(len(w), float(w[0]))] for w, v in zip(spectra.values, spectra.vectors)]
-    dim = g.signature.total_dim
-    if normalization_basis is None:
-        n_known = combs.comb_variable_count(g.signature)
-        rows = [combs.complement_coordinates(u, g.signature) for u in supports]
-    else:
-        n_known = len(normalization_basis)
-        known = np.array([linalg.vectorize_hermitian(b) for b in normalization_basis])
-        q = np.linalg.qr(known.reshape(n_known, dim * dim).T)[0]
-        rows = []
-        for u in supports:
-            x = linalg.vectorize_hermitian(linalg.support_operators(u))
-            rows.append(x - (x @ q) @ q.T)
-    decision = oracles.rank_decision(np.vstack(rows), pol, known=n_known, ambient=dim * dim)
-    ranks = tuple(u.shape[1] for u in supports)
-    eps = None
-    full = [i for i, r in enumerate(ranks) if r == dim]
-    others = [i for i, r in enumerate(ranks) if r > 0 and i not in full[:1]]
-    tau = pol.rank_tol(sum(r * r for r in ranks) + n_known, dim * dim, max(1.0, np.sqrt(len(ranks))))
-    if full and others and tau < 1.0:
-        # Exchange weight between the first full-support outcome and the
-        # first other nonzero one, along the projector onto the latter's support.
-        p = supports[others[0]] @ supports[others[0]].conj().T
-        directions = [np.zeros((dim, dim), dtype=complex) for _ in ranks]
-        directions[full[0]], directions[others[0]] = -p, p
-        eps = gqi.max_perturbation_step(directions, spectra, pol)
-    elif decision.nullvector is not None:
-        directions = []
-        pos = 0
-        for u, r in zip(supports, ranks):
-            h = linalg.unvectorize_hermitian(decision.nullvector[pos : pos + r * r], r)
-            directions.append(u @ h @ u.conj().T)
-            pos += r * r
-        eps = gqi.max_perturbation_step(directions, spectra, pol)
-    return decision.nullvector is None, decision.rank, ranks, sum(r * r for r in ranks) + n_known, eps
+from oracles import per_outcome_pipeline as oracle
+from populations import acceptance_07_population, ladder_inputs, ladder_population
 
 
 def summary(cert):
@@ -126,7 +70,7 @@ class TestOracle:
         t = testers.schmidt_tester(angle)
         split = testers.split_outcome(t, 1, testers.projective_split_effects(t.outcomes[1]))
         for x in (t, split):
-            want = oracle(Gqi(x.signature, x.outcomes), former_tester_basis(x))
+            want = oracle(Gqi(x.signature, x.outcomes), oracles.former_tester_basis(x))
             assert_matches_oracle(summary(testers.is_extremal_tester(x)), want)
 
     def test_kraus_criteria(self):
@@ -169,69 +113,42 @@ def test_verdicts_of_one_gqi_compare_equal():
     assert "spectra" not in repr(first)
 
 
-def eig_calls(monkeypatch) -> dict:
-    """The arguments of every later ``np.linalg.eigh`` and ``eigvalsh`` call."""
-    calls = {"eigh": [], "eigvalsh": []}
-    for name in calls:
-        fn = getattr(np.linalg, name)
-
-        def counted(a, *args, _fn=fn, _name=name, **kwargs):
-            calls[_name].append(np.array(a))
-            return _fn(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counted)
-    return calls
-
-
 class TestCount:
-    def test_one_batched_outcome_decomposition(self, monkeypatch):
+    def test_one_batched_outcome_decomposition(self, record):
         g = three_outcome_gqi()
-        calls = eig_calls(monkeypatch)
-        checked = []
-
-        def check(a, *rest, _fn=linalg.check_hermitian_stack):
-            checked.append(a.shape)
-            return _fn(a, *rest)
-
-        monkeypatch.setattr(linalg, "check_hermitian_stack", check)
+        eighs, eigvalshs = record(np.linalg, "eigh"), record(np.linalg, "eigvalsh")
+        checked = record(linalg, "check_hermitian_stack")
         cert = gqi.is_extremal(g)
         assert not cert.extremal and cert.perturbation.epsilon_star > 0.0
-        assert checked == [(3, 4, 4)]
-        assert [a.shape for a in calls["eigh"]] == [(3, 4, 4)]
+        assert [c.args[0].shape for c in checked] == [(3, 4, 4)]
+        assert [c.args[0].shape for c in eighs] == [(3, 4, 4)]
         # The sum is neither checked nor decomposed: every eigvalsh call is a
         # stack of the epsilon* step.
-        assert calls["eigvalsh"] and all(a.ndim == 3 for a in calls["eigvalsh"])
+        assert eigvalshs and all(np.ndim(c.args[0]) == 3 for c in eigvalshs)
 
-    def test_xi_and_split_decompose_once(self, monkeypatch):
+    def test_xi_and_split_decompose_once(self, record):
         """sqrt(rho) and sqrt(T_i) come from the eigh that checks them."""
         t = testers.schmidt_tester(0.3)
         rho = np.diag([0.3, 0.7]).astype(complex)
         effects = testers.projective_split_effects(t.outcomes[1])
-        calls = eig_calls(monkeypatch)
+        eighs, eigvalshs = record(np.linalg, "eigh"), record(np.linalg, "eigvalsh")
         testers.xi_transform(t, rho, channels.random_unitary(2, np.random.default_rng(0)))
         # Each is the stacked code on a stack of one.
-        assert len(calls["eigh"]) == 1 and np.array_equal(calls["eigh"][0], rho[None])
-        assert calls["eigvalsh"] == []
-        calls["eigh"].clear()
+        assert len(eighs) == 1 and np.array_equal(eighs[0].args[0], rho[None])
+        assert eigvalshs == []
+        eighs.clear()
         testers.split_outcome(t, 1, effects)
-        assert len(calls["eigh"]) == 1 and np.array_equal(calls["eigh"][0], t.outcomes[1][None])
+        assert len(eighs) == 1 and np.array_equal(eighs[0].args[0], t.outcomes[1][None])
 
-    def test_no_per_outcome_eig(self, monkeypatch):
+    def test_no_per_outcome_eig(self, record):
         # The one hermitian_eig of a verdict is validation's, of the (M, D, D)
         # stack of its outcomes: no operator is decomposed on its own.
-        shapes = []
-        eig = linalg.hermitian_eig
-
-        def recorded(a, *args, **kwargs):
-            shapes.append(np.shape(a))
-            return eig(a, *args, **kwargs)
-
         population = [three_outcome_gqi(), *ladder_inputs((2, 2), np.random.default_rng(4))]
-        monkeypatch.setattr(linalg, "hermitian_eig", recorded)
+        calls = record(linalg, "hermitian_eig")
         for g in [*population, testers.schmidt_tester(0.3)]:
-            shapes.clear()
+            calls.clear()
             (testers.is_extremal_tester if isinstance(g, testers.Tester) else gqi.is_extremal)(g)
-            assert shapes == [np.shape(g.outcomes)]
+            assert [np.shape(c.args[0]) for c in calls] == [np.shape(g.outcomes)]
 
 
 class TestErrorPaths:
@@ -289,45 +206,29 @@ class TestTracerGuard:
     """The verdict reaches validation and epsilon* through the module
     attributes, where a wrapper installed on the module sees them."""
 
-    def counting(self, monkeypatch, name, size=lambda args: 1):
-        """Calls of ``gqi.<name>``, or the sum of ``size(args)`` over them."""
-        fn = getattr(gqi, name)
-        count = [0]
-
-        def counted(*args, **kwargs):
-            count[0] += size(args)
-            return fn(*args, **kwargs)
-
-        monkeypatch.setattr(gqi, name, counted)
-        return count
-
-    def test_is_extremal(self, monkeypatch):
-        valid = self.counting(monkeypatch, "is_valid_gqi")
-        step = self.counting(monkeypatch, "max_perturbation_step")
+    def test_is_extremal(self, record):
+        valid, step = record(gqi, "is_valid_gqi"), record(gqi, "max_perturbation_step")
         extremal, midpoint, _ = ladder_inputs((2, 2), np.random.default_rng(2))
         assert gqi.is_extremal(extremal).extremal
-        assert (valid[0], step[0]) == (1, 0)
+        assert (len(valid), len(step)) == (1, 0)
         cert = gqi.is_extremal(midpoint)
         # The witness, and with it epsilon*, is built on its first read.
-        assert not cert.extremal and (valid[0], step[0]) == (2, 0)
+        assert not cert.extremal and (len(valid), len(step)) == (2, 0)
         assert cert.perturbation is not None
-        assert (valid[0], step[0]) == (2, 1)
+        assert (len(valid), len(step)) == (2, 1)
 
-    def test_tester_validates_once(self, monkeypatch):
-        valid = self.counting(monkeypatch, "is_valid_gqi")
-        step = self.counting(monkeypatch, "max_perturbation_step")
+    def test_tester_validates_once(self, record):
+        valid, step = record(gqi, "is_valid_gqi"), record(gqi, "max_perturbation_step")
         cert = testers.is_extremal_tester(testers.schmidt_tester(0.0))
-        assert not cert.extremal and (valid[0], step[0]) == (1, 0)
+        assert not cert.extremal and (len(valid), len(step)) == (1, 0)
         assert cert.perturbation is not None
-        assert (valid[0], step[0]) == (1, 1)
+        assert (len(valid), len(step)) == (1, 1)
 
-    def test_equivalence_suite_validates_each_channel_once(self, monkeypatch):
+    def test_equivalence_suite_validates_each_channel_once(self, record):
         # Both criteria read the Kraus operators from one verdict per channel,
         # the one its certificate carries, and the channels are decided as
         # one population.
-        valid = self.counting(monkeypatch, "is_valid_gqi")
-        members = self.counting(monkeypatch, "decide_all", lambda args: len(args[0]))
-        validated = self.counting(monkeypatch, "_validate_stack", lambda args: len(args[0]))
+        valid, members, validated = (record(gqi, name) for name in ("is_valid_gqi", "decide_all", "_validate_stack"))
         result = suites.run_equivalence(seeds=5)
         assert result.total == 20 and result.ok
-        assert (valid[0], members[0], validated[0]) == (0, 20, 20)
+        assert (len(valid), sum(len(c.args[0]) for c in members), sum(len(c.args[0]) for c in validated)) == (0, 20, 20)

@@ -6,11 +6,12 @@ import math
 import numpy as np
 import pytest
 
-from exqip import channels, combs, linalg, testers
+from exqip import channels, linalg, testers
 from exqip.errors import DimensionMismatchError, ValidationError
 from exqip.testers import Povm, Tester
 
 import oracles
+from populations import shapes, validation_calls
 
 
 def bell_tester():
@@ -332,55 +333,32 @@ class TestSchmidtTester:
         assert testers.is_extremal_tester(t).extremal
 
 
-def count_calls(monkeypatch):
-    """Record comb cascade, ``partial_trace`` and ``check_hermitian_stack``
-    calls and the shapes handed to ``np.linalg.eigh`` and
-    ``np.linalg.eigvalsh``."""
-    calls = {"cascade": 0, "partial_trace": 0, "check_hermitian_stack": 0, "eigh": [], "eigvalsh": []}
-    for module, name in ((combs, "_cascade"), (linalg, "partial_trace"), (linalg, "check_hermitian_stack")):
-        key = name.lstrip("_")
-
-        def counted_call(*args, _fn=getattr(module, name), _key=key, **kwargs):
-            calls[_key] += 1
-            return _fn(*args, **kwargs)
-
-        monkeypatch.setattr(module, name, counted_call)
-    for name in ("eigh", "eigvalsh"):
-        fn = getattr(np.linalg, name)
-
-        def counted(a, *args, _fn=fn, _name=name, **kwargs):
-            calls[_name].append(np.shape(a))
-            return _fn(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counted)
-    return calls
-
-
 class TestClassifyValidatesOnce:
     """One tester validation per classification: the outcomes are decomposed
     once, as one stack, and rho is extracted once, by the comb cascade of
     the GQI verdict."""
 
-    def test_uniform_normalization(self, monkeypatch):
+    def test_uniform_normalization(self, record):
         t = testers.schmidt_tester(0.3)
-        calls = count_calls(monkeypatch)
+        calls = validation_calls(record)
         assert testers.classify_two_outcome_qubit(t).extremal
-        assert calls["cascade"] == 1
-        assert calls["partial_trace"] == 0
-        assert calls["check_hermitian_stack"] == 1
-        assert calls["eigh"] == [(2, 4, 4)]
+        names = [c.name for c in calls]
+        assert names.count("_cascade") == 1
+        assert names.count("partial_trace") == 0
+        assert names.count("check_hermitian_stack") == 1
+        assert shapes(calls, "eigh") == [(2, 4, 4)]
         # Neither rho, whose rank is not read here, nor the sum is decomposed.
-        assert calls["eigvalsh"] == []
+        assert shapes(calls, "eigvalsh") == []
 
-    def test_xi_branch_redoes_the_verdict(self, monkeypatch):
+    def test_xi_branch_redoes_the_verdict(self, record):
         t = testers.xi_transform(bell_tester(), np.diag([0.7, 0.3]).astype(complex), np.eye(2))
-        calls = count_calls(monkeypatch)
+        calls = validation_calls(record)
         assert testers.classify_two_outcome_qubit(t).extremal
         # One cascade per GQI verdict: the tester's, and the one of the
         # outcomes xi_inverse returns.
-        assert calls["cascade"] == 2
+        assert [c.name for c in calls].count("_cascade") == 2
         # The given outcomes, rho (once, in xi_inverse, as a stack of one:
         # its rank is read from eigvalsh) and the outcomes xi_inverse returns.
-        assert calls["eigh"] == [(2, 4, 4), (1, 2, 2), (2, 4, 4)]
+        assert shapes(calls, "eigh") == [(2, 4, 4), (1, 2, 2), (2, 4, 4)]
         # rho's rank, from the stacked eigvalsh of the counting bounds on a stack of one.
-        assert calls["eigvalsh"] == [(1, 2, 2)]
+        assert shapes(calls, "eigvalsh") == [(1, 2, 2)]

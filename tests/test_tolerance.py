@@ -13,15 +13,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from exqip import channels, combs, gqi
+from exqip import combs, gqi
 from exqip.combs import CombSignature, DeterministicComb, central_comb
 from exqip.errors import ToleranceError
 from exqip.gqi import Povm
 from exqip.linalg import DEFAULT_TOL, TolerancePolicy
 
 import oracles
+from populations import drawn_object
 
 EMPTY = "tolerance 0.1 leaves every support empty at dimension 2"
 CUTOFF = "tolerance 0.1 puts the rank cutoff at or above every singular value at dimension 2"
@@ -127,30 +128,9 @@ class TestPopulation:
             gqi.validate_all(population, self.pol)
 
 
-def drawn_object(seed, kind, d, n_outcomes, n_tiny):
-    """A POVM on C^d or an instrument C^d -> C^2 with ``n_outcomes``
-    outcomes, the first ``n_tiny`` of them (all but one at most) scaled down
-    by 1e-3 to 1e-12 before normalization.  The last outcome is an isometry,
-    so the sum it normalizes by is at least the identity and well
-    conditioned, and the object is valid at eps_rel = 1e-12 too."""
-    rng = np.random.default_rng(seed)
-    d_out = 1 if kind == "povm" else 2
-    ops = []
-    for x in range(n_outcomes):
-        rank = -(-d // d_out) if x == n_outcomes - 1 else int(rng.integers(1, -(-d // d_out) + 1))
-        g = rng.standard_normal((d_out * rank, d)) + 1j * rng.standard_normal((d_out * rank, d))
-        if x == n_outcomes - 1:
-            g = np.linalg.qr(g)[0]
-        scale = 10.0 ** -rng.uniform(3.0, 12.0) if x < min(n_tiny, n_outcomes - 1) else 1.0
-        ops.append(scale * g)
-    s = sum(g.conj().T @ g for g in ops)
-    w, v = np.linalg.eigh(s)
-    root = (v / np.sqrt(w)) @ v.conj().T
-    if kind == "povm":
-        effects = [root @ (g.conj().T @ g) @ root for g in ops]
-        return Povm(d=d, effects=tuple((e + e.conj().T) / 2 for e in effects))
-    kraus = [[g[r : r + 2] @ root for r in range(0, len(g), 2)] for g in ops]
-    return channels.instrument_from_kraus(kraus, d1=2, d0=d)
+@pytest.fixture
+def rank_tests(record):
+    return record(gqi, "_rank_test")
 
 
 @given(
@@ -161,25 +141,21 @@ def drawn_object(seed, kind, d, n_outcomes, n_tiny):
     st.integers(0, 20),
     st.floats(math.log(1e-12), math.log(0.9), exclude_max=True),
 )
-@settings(max_examples=50, deadline=None)
-def test_no_certificate_is_vacuous(seed, kind, d, n_outcomes, n_tiny, log_eps):
+# The one recorder of the test serves every example, which clears its log.
+@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_no_certificate_is_vacuous(rank_tests, seed, kind, d, n_outcomes, n_tiny, log_eps):
     """Either the core refuses the tolerance, or the certificate rests on a
     nonempty family and a rank cutoff below sqrt(M) >= sigma_max; no rank
     test ever runs on a family with no rows."""
     g = drawn_object(seed, kind, d, n_outcomes, n_tiny)
     assert gqi.is_valid_gqi(g, DEFAULT_TOL).ok
     pol = TolerancePolicy(eps_rel=math.exp(log_eps))
-    rank_test = gqi._rank_test
-
-    def checked(sig, supports, *args):
-        assert sum(u.shape[-1] ** 2 for u in supports) > 0
-        return rank_test(sig, supports, *args)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(gqi, "_rank_test", checked)
-        try:
-            cert = gqi.is_extremal(g, pol)
-        except ToleranceError:
-            return
+    rank_tests.clear()
+    try:
+        cert = gqi.is_extremal(g, pol)
+    except ToleranceError:
+        return
+    finally:
+        assert all(sum(u.shape[-1] ** 2 for u in call.args[1]) > 0 for call in rank_tests)
     assert sum(r * r for r in cert.support_ranks) > 0
     assert gqi._plan(g.signature, cert.support_ranks, pol).bound < math.sqrt(len(cert.support_ranks))

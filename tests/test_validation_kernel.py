@@ -11,22 +11,27 @@ out by hand, and the GQI verdict that checked the sum of the outcomes as a
 comb of its own.
 """
 
-import glob
 import math
-import os
 
 import numpy as np
 import pytest
 
-from exqip import channels, combs, fileio, gqi, linalg, suites, testers
+from exqip import channels, combs, gqi, linalg, suites
 from exqip.combs import CombSignature
 from exqip.errors import ToleranceError
 from exqip.gqi import Gqi
 from exqip.linalg import DEFAULT_TOL, TolerancePolicy
 
 import oracles
-from test_epsilon_star import acceptance_07_population, ladder_population
-from test_reduced_rank import ladder_inputs
+from populations import (
+    acceptance_07_population,
+    golden_objects,
+    ladder_inputs,
+    ladder_population,
+    same_bits,
+    suite_channels,
+    suite_testers,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -75,11 +80,6 @@ def oracle_tester_normalization(t, pol=DEFAULT_TOL):
     rho = oracle_partial_trace(total, (t.d2, t.d1), {0}) / t.d2
     residual = linalg.max_abs(total - linalg.kron(np.eye(t.d2, dtype=complex), rho))
     return rho, residual
-
-
-def same_bits(a, b):
-    a, b = np.asarray(a), np.asarray(b)
-    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -153,29 +153,9 @@ def test_reduced_combs_take_no_part_in_equality():
 # rho of a 1-tester
 
 
-def suite_testers(seeds=200):
-    """The testers of the xi-invariance suite, before and after the
-    transform, and those of the bounds suite."""
-    for seed in range(seeds):
-        rng = np.random.default_rng(2000 + seed)
-        if seed % 2 == 0:
-            t = suites.random_extremal_qubit_tester(rng)
-        else:
-            t = suites.random_nonextremal_qubit_tester(rng)
-        rho = suites.random_full_rank_state(2, rng)
-        u = channels.random_unitary(2, rng)
-        yield t
-        yield testers.xi_transform(t, rho, u)
-    for seed in range(seeds):
-        rng = np.random.default_rng(3000 + seed)
-        yield suites.random_extremal_qubit_tester(rng)
-        yield suites.random_nonextremal_qubit_tester(rng)
-        yield suites.random_rank22_qubit_tester(rng, nonextremal=bool(rng.integers(0, 2)))
-
-
 def test_rho_is_the_former_normalization():
     count = 0
-    for t in suite_testers():
+    for t in suite_testers(xi=True, interleaved=False):
         rho, residual = oracle_tester_normalization(t)
         checks = gqi.is_valid_gqi(t).comb_verdict
         assert same_bits(checks.reduced[0], rho)
@@ -316,27 +296,15 @@ def oracle_gqi_ok(g, pol=DEFAULT_TOL):
     return outcomes_psd and comb_ok
 
 
-def golden_gqis():
-    paths = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "golden_cli", "*.json")))
-    for path in paths:
-        if not path.endswith("expected.json"):
-            obj = fileio.load_object(path)
-            yield Gqi(obj.signature, obj.outcomes)
-
-
-def suite_tester_gqis():
-    for t in suite_testers():
-        yield Gqi(t.signature, t.outcomes)
+def gqi_views(population):
+    for x in population:
+        yield Gqi(x.signature, x.outcomes)
 
 
 def suite_channels_and_instruments(seeds=200):
     """The channels of the equivalence suite and the instruments of the
     bounds suite, drawn as the suites draw them at their default seeds."""
-    for seed in range(seeds):
-        rng = np.random.default_rng(1000 + seed)
-        for d0, d1 in suites.EQUIVALENCE_DIMS:
-            chan = channels.random_channel(d0, d1, int(rng.integers(-(-d0 // d1), d0 * d1 + 1)), rng)
-            yield Gqi(chan.signature, chan.outcomes)
+    yield from gqi_views(suite_channels(seeds))
     for seed in range(seeds):
         rng = np.random.default_rng(3000 + seed)
         suites.random_extremal_qubit_tester(rng)
@@ -362,8 +330,8 @@ def ladder_gqis(seeds=10):
 
 
 POPULATIONS = {
-    "golden": (golden_gqis, 8),
-    "suite-testers": (suite_tester_gqis, 1000),
+    "golden": (lambda: gqi_views(golden_objects()), 8),
+    "suite-testers": (lambda: gqi_views(suite_testers(xi=True, interleaved=False)), 1000),
     "suite-channels-and-instruments": (suite_channels_and_instruments, 1000),
     "acceptance-07": (lambda: with_children(acceptance_07_population()), 150),
     "ladder-splits": (lambda: with_children(ladder_population()), 96),

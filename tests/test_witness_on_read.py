@@ -14,8 +14,6 @@ witness read late equals the former eager chain to the bit is in
 Also here: certificates and witnesses compare their arrays entry by entry.
 """
 
-import os
-
 import numpy as np
 import pytest
 
@@ -24,32 +22,14 @@ from exqip.errors import ValidationError
 from exqip.gqi import Perturbation
 
 import oracles
-from test_epsilon_star import BENCH
-from test_population import GOLDEN, golden, mixed_population
+from populations import TREE_NAMES, bench_tree, fixture_path, golden, golden_objects, mixed_population
 
 STEPS = ("max_perturbation_step", "identity_exchange_step")
 
 
-def spy(monkeypatch) -> dict:
-    """The calls of each epsilon* step, counted as they happen."""
-    calls = dict.fromkeys(STEPS, 0)
-    for name in STEPS:
-        fn = getattr(gqi, name)
-
-        def counted(*args, _fn=fn, _name=name, **kwargs):
-            calls[_name] += 1
-            return _fn(*args, **kwargs)
-
-        monkeypatch.setattr(gqi, name, counted)
-    return calls
-
-
-def refuse(monkeypatch) -> None:
-    def refused(*args, **kwargs):
-        raise AssertionError("a witness was built")
-
-    for name in STEPS:
-        monkeypatch.setattr(gqi, name, refused)
+def count(calls) -> dict:
+    """The number of calls of each epsilon* step in ``calls``."""
+    return {name: sum(c.name == name for c in calls) for name in STEPS}
 
 
 def identity_exchange(g, cert) -> bool:
@@ -57,22 +37,22 @@ def identity_exchange(g, cert) -> bool:
     return not cert.extremal and cert.support_ranks.count(g.signature.total_dim) > 1
 
 
-def test_reading_extremal_builds_no_witness(monkeypatch):
-    calls = spy(monkeypatch)
+def test_reading_extremal_builds_no_witness(record):
+    calls = record(gqi, *STEPS)
     population = mixed_population()
     certs = gqi.decide_all(population)
     assert {c.extremal for c in certs} == {True, False}
     assert any(identity_exchange(g, c) for g, c in zip(population, certs))
     assert [gqi.is_extremal(g).extremal for g in population] == [c.extremal for c in certs]
-    assert calls == dict.fromkeys(STEPS, 0)
+    assert calls == []
 
 
-def test_first_read_runs_one_call_per_stack(monkeypatch):
+def test_first_read_runs_one_call_per_stack(record):
     """Reading one dependent member of each stack runs one step per stack;
     reading the rest runs none."""
     population = mixed_population()
     certs = gqi.decide_all(population)
-    calls = spy(monkeypatch)
+    calls = record(gqi, *STEPS)
     stacks = {}
     for g, cert in zip(population, certs):
         if not cert.extremal:
@@ -82,47 +62,42 @@ def test_first_read_runs_one_call_per_stack(monkeypatch):
         assert members[-1].perturbation is not None
     exchanges = sum(ranks.count(sig.total_dim) > 1 for sig, ranks in stacks)
     want = {"max_perturbation_step": len(stacks) - exchanges, "identity_exchange_step": exchanges}
-    assert calls == want and exchanges > 0
+    assert count(calls) == want and exchanges > 0
     for cert in certs:
         assert (cert.perturbation is None) == cert.extremal
-    assert calls == want
+    assert count(calls) == want
 
 
-def test_decompose_runs_one_step_per_stack_per_depth(monkeypatch, tmp_path, capsys):
+def test_decompose_runs_one_step_per_stack_per_depth(record, tmp_path, capsys):
     """``exqip decompose`` reads every witness of a depth at once: each
     stack of dependent nodes, at each depth, runs one step."""
-    calls = spy(monkeypatch)
-    stacks = []
-    decide_all = gqi.decide_all
-
-    def recorded(objects, *args, **kwargs):
-        objects = list(objects)
-        certs = decide_all(objects, *args, **kwargs)
-        stacks.append(len({(g.signature, c.support_ranks) for g, c in zip(objects, certs) if not c.extremal}))
-        return certs
-
-    monkeypatch.setattr(gqi, "decide_all", recorded)
-    name, kind, signature, ops, depth = BENCH.tree_inputs(1)[-1]
-    path = str(tmp_path / "in.json")
-    BENCH.write_operator_file(path, kind, signature, ops)
+    calls = record(gqi, *STEPS)
+    decided = record(gqi, "decide_all")
+    path, depth = bench_tree(1, TREE_NAMES[-1], tmp_path)
     assert cli.main(["decompose", path, "--steps", str(depth), "--out", str(tmp_path / "tree")]) == 0
     capsys.readouterr()
+    stacks = [
+        len({(g.signature, c.support_ranks) for g, c in zip(call.args[0], call.result) if not c.extremal})
+        for call in decided
+    ]
     # The root is decided by is_extremal, a stack of one.
-    assert len(stacks) == depth - 1 and sum(calls.values()) == 1 + sum(stacks) > len(stacks)
+    assert len(stacks) == depth - 1 and len(calls) == 1 + sum(stacks) > len(stacks)
 
 
 @pytest.mark.parametrize("name", sorted(suites.SUITES))
-def test_suites_build_no_witness(monkeypatch, capsys, name):
-    refuse(monkeypatch)
+def test_suites_build_no_witness(record, capsys, name):
+    calls = record(gqi, *STEPS)
     assert cli.main(["suite", name, "--seeds", "10"]) == 0
     capsys.readouterr()
+    assert calls == []
 
 
-def test_theorem1_builds_no_witness(monkeypatch):
-    refuse(monkeypatch)
+def test_theorem1_builds_no_witness(record):
+    calls = record(gqi, *STEPS)
     chans = oracles.suite_population("equivalence", 10)
     got = [channels.channel_extremal_theorem1(c) for c in chans]
     assert got == [channels.choi_condition(c) for c in chans] and set(got) == {True, False}
+    assert calls == []
 
 
 def test_witness_error_is_the_members_own(monkeypatch):
@@ -165,7 +140,7 @@ def test_witness_error_is_the_members_own(monkeypatch):
         assert certs[i].perturbation == gqi.is_extremal(members[i]).perturbation
 
 
-def test_a_build_that_raises_stays_pending(monkeypatch):
+def test_a_build_that_raises_stays_pending(monkeypatch, record):
     """A witness build that raises keeps no result: the first read of a
     dependent member raises, and the next read builds the stack's witnesses
     again, its own to the bit, after which reading the other members runs
@@ -189,37 +164,25 @@ def test_a_build_that_raises_stays_pending(monkeypatch):
     with pytest.raises(RuntimeError, match="^a build that raises$"):
         certs[1].perturbation
     assert linalg.unvectorize_hermitian is unvectorize
-    calls = spy(monkeypatch)
+    calls = record(gqi, *STEPS)
     assert certs[1].perturbation == own[1]
-    assert calls["max_perturbation_step"] == 1
+    assert count(calls)["max_perturbation_step"] == 1
     for cert, pert in zip(certs, own, strict=True):
         assert cert.perturbation == pert
-    assert calls == {"max_perturbation_step": 1, "identity_exchange_step": 0}
+    assert count(calls) == {"max_perturbation_step": 1, "identity_exchange_step": 0}
 
 
-def test_support_rule_runs_once_per_validation_stack(monkeypatch):
+def test_support_rule_runs_once_per_validation_stack(record):
     """The epsilon* step reads the support ranks of the verdicts: over
     ``decide_all`` and the read of every witness, the support rule runs
     once per validation stack and never again."""
     population = mixed_population()
-    calls = spy(monkeypatch)
-    counts = dict.fromkeys(("support", "stacks"), 0)
-    support, validate_stack = linalg.TolerancePolicy.support, gqi._validate_stack
-
-    def counted_support(self, w):
-        counts["support"] += 1
-        return support(self, w)
-
-    def counted_stack(gs, *args):
-        counts["stacks"] += 1
-        return validate_stack(gs, *args)
-
-    monkeypatch.setattr(linalg.TolerancePolicy, "support", counted_support)
-    monkeypatch.setattr(gqi, "_validate_stack", counted_stack)
+    calls = record(gqi, *STEPS)
+    support, stacks = record(linalg.TolerancePolicy, "support"), record(gqi, "_validate_stack")
     for cert in gqi.decide_all(population):
         assert (cert.perturbation is None) == cert.extremal
-    assert calls["max_perturbation_step"] > 0
-    assert counts["support"] == counts["stacks"] > 0
+    assert count(calls)["max_perturbation_step"] > 0
+    assert len(support) == len(stacks) > 0
 
 
 def test_witness_step_is_the_step_on_bare_spectra():
@@ -239,12 +202,12 @@ def test_witness_step_is_the_step_on_bare_spectra():
 
 
 def not_extremal_golden():
-    out = [(g, gqi.is_extremal(g)) for g in golden()]
+    out = [(g, gqi.is_extremal(g)) for g in golden_objects()]
     return [(g, cert) for g, cert in out if not cert.extremal]
 
 
 def test_certificates_of_one_object_are_equal():
-    for g in golden():
+    for g in golden_objects():
         a, b = gqi.is_extremal(g), gqi.is_extremal(g)
         assert a == b and not a != b
     assert len(not_extremal_golden()) == 7
@@ -268,11 +231,11 @@ def test_witnesses_compare_entry_by_entry():
 
 def test_loaded_certificate_equals_the_computed_one(tmp_path):
     for i, (_, cert) in enumerate(not_extremal_golden()):
-        path = os.path.join(tmp_path, f"cert-{i}.json")
+        path = str(tmp_path / f"cert-{i}.json")
         fileio.save_certificate(path, "gqi", cert, gqi.DEFAULT_TOL)
         loaded = fileio.load_certificate(path)
         assert loaded.validation is None and loaded == cert
     # The golden fixtures themselves, as the CLI writes their certificates.
-    path = os.path.join(tmp_path, "gqi-cert.json")
-    assert cli.main(["extremal", os.path.join(GOLDEN, "gqi.json"), "--certificate", path]) == 0
-    assert fileio.load_certificate(path) == gqi.is_extremal(fileio.load_object(os.path.join(GOLDEN, "gqi.json")))
+    path = str(tmp_path / "gqi-cert.json")
+    assert cli.main(["extremal", fixture_path("gqi"), "--certificate", path]) == 0
+    assert fileio.load_certificate(path) == gqi.is_extremal(golden("gqi"))
