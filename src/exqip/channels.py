@@ -34,7 +34,7 @@ instrument whose own passes raise (:func:`gqi._first_fault`).  The classes :clas
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -200,8 +200,7 @@ choi_condition = instrument_extremal
 channel_extremal_theorem1 = instrument_extremal_rank_test
 
 
-@dataclass(frozen=True)
-class InstrumentRankBound:
+class InstrumentRankBound(NamedTuple):
     outcome_ranks: tuple
     lhs: int
     rhs: int
@@ -249,8 +248,7 @@ def induced_povm(ins: Instrument) -> Povm:
     return Povm(d=ins.d0, effects=tuple(effects))
 
 
-@dataclass(frozen=True)
-class CombinationTriple:
+class CombinationTriple(NamedTuple):
     instrument: bool
     channel: bool
     povm: bool

@@ -27,7 +27,6 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,25 +35,34 @@ from .errors import DimensionMismatchError, ValidationError
 from .linalg import DEFAULT_TOL, TolerancePolicy
 
 
-@dataclass(frozen=True)
-class CombSignature:
+class CombSignature(linalg.Record):
     """Hilbert-space dimensions (d_0, ..., d_{2N-1}) of a comb's teeth:
-    Python or numpy integers, not bools, each at least 1."""
+    Python or numpy integers, not bools, each at least 1.  Signatures
+    compare and hash by their dimensions."""
 
-    dims: tuple
-
-    def __post_init__(self):
+    def __init__(self, dims: tuple):
         try:
-            if any(isinstance(d, bool) for d in self.dims):
+            if any(isinstance(d, bool) for d in dims):
                 raise TypeError
-            dims = tuple(operator.index(d) for d in self.dims)
+            checked = tuple(operator.index(d) for d in dims)
         except TypeError:
-            raise DimensionMismatchError(f"dimensions must be integers, got {self.dims!r}") from None
-        object.__setattr__(self, "dims", dims)
-        if len(dims) % 2 != 0:
-            raise DimensionMismatchError(f"signature length must be even, got {dims}")
-        if any(d < 1 for d in dims):
-            raise DimensionMismatchError(f"dimensions must be >= 1, got {dims}")
+            raise DimensionMismatchError(f"dimensions must be integers, got {dims!r}") from None
+        object.__setattr__(self, "dims", checked)
+        if len(checked) % 2 != 0:
+            raise DimensionMismatchError(f"signature length must be even, got {checked}")
+        if any(d < 1 for d in checked):
+            raise DimensionMismatchError(f"dimensions must be >= 1, got {checked}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.dims == other.dims
+
+    def __hash__(self):
+        return hash((self.dims,))
+
+    def __repr__(self):
+        return f"CombSignature(dims={self.dims!r})"
 
     @property
     def n(self) -> int:
@@ -104,23 +112,19 @@ class CombSignature:
         return CombSignature(self.dims[: 2 * level])
 
 
-@dataclass(frozen=True, eq=False)
-class Gqi:
+class Gqi(linalg.Record):
     """Outcomes on a comb signature, the view every object kind is.  A kind,
     a subclass, checks the outcome shapes when it is built; a plain Gqi
     leaves that to :func:`exqip.gqi.is_valid_gqi`, which reports it in order
     among the outcomes' other faults.  Objects compare and hash by identity."""
 
-    signature: CombSignature
-    outcomes: tuple
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "outcomes", tuple(np.asarray(t, dtype=complex) for t in self.outcomes)
-        )
+    def __init__(self, signature: CombSignature, outcomes):
+        outcomes = tuple(np.asarray(t, dtype=complex) for t in outcomes)
+        object.__setattr__(self, "signature", signature)
+        object.__setattr__(self, "outcomes", outcomes)
         if type(self) is not Gqi:
-            total = self.signature.total_dim
-            for t in self.outcomes:
+            total = signature.total_dim
+            for t in outcomes:
                 if t.shape != (total, total):
                     raise _shape_error(t, total)
 
@@ -157,15 +161,26 @@ class DeterministicComb(Gqi):
         return self.outcomes[0]
 
 
-@dataclass(frozen=True)
-class CombVerdict:
+class CombVerdict(linalg.Record):
     """A comb check: ``ok`` when positive with every cascade residual within
     the bound; one residual per level (one at N = 0) and the reduced combs
-    R^(N-1), ..., R^(0), which take no part in equality or repr."""
+    R^(N-1), ..., R^(0), which take no part in equality, hash or repr."""
 
-    ok: bool
-    level_residuals: tuple
-    reduced: tuple = field(default=(), compare=False, repr=False)
+    def __init__(self, ok: bool, level_residuals: tuple, reduced: tuple = ()):
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "level_residuals", level_residuals)
+        object.__setattr__(self, "reduced", reduced)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.ok, self.level_residuals) == (other.ok, other.level_residuals)
+
+    def __hash__(self):
+        return hash((self.ok, self.level_residuals))
+
+    def __repr__(self):
+        return f"CombVerdict(ok={self.ok!r}, level_residuals={self.level_residuals!r})"
 
     @property
     def max_residual(self) -> float:

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,15 +37,14 @@ from .combs import CombSignature, DeterministicComb
 from .errors import DimensionMismatchError, FileFormatError
 from .gqi import Channel, ExtremalityCertificate, Gqi, Instrument, Perturbation, Povm, Tester
 # fileio.MAX_ENTRY is the bound of linalg's entry rule.
-from .linalg import MAX_ENTRY, TolerancePolicy, _entry_rule
+from .linalg import MAX_ENTRY, Record, TolerancePolicy, _entry_rule
 
 FORMAT_NAME = "exqip-operator-file"
 CERTIFICATE_FORMAT_NAME = "exqip-certificate"
 FORMAT_VERSION = 1
 
 
-@dataclass(frozen=True)
-class Kind:
+class Kind(Record):
     """One object kind: its name in files, its class and its file signature.
 
     ``layout`` is the comb signature of the kind's GQI view with the names of
@@ -57,11 +55,14 @@ class Kind:
     kind's own: every kind is valid exactly when its GQI view is.
     """
 
-    name: str
-    cls: type
-    layout: tuple | None
-    single: str | None = None
-    residual_names: tuple = ()
+    def __init__(
+        self, name: str, cls: type, layout: tuple | None, single: str | None = None, residual_names: tuple = ()
+    ):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "cls", cls)
+        object.__setattr__(self, "layout", layout)
+        object.__setattr__(self, "single", single)
+        object.__setattr__(self, "residual_names", residual_names)
 
     def build(self, sig: CombSignature, outcomes):
         """The object of this kind with the comb signature and outcomes."""

@@ -79,8 +79,6 @@ import functools
 import itertools
 import math
 import numbers
-from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -156,32 +154,59 @@ class Channel(Instrument):
         return self.operators[0]
 
 
-@dataclass(frozen=True)
-class GqiVerdict:
+class GqiVerdict(linalg.Record):
     """Validity of a GQI.  ``comb_verdict`` is the cascade of the sum, positive
     when every outcome is.  ``spectra`` holds the eigenpairs of the symmetrized
     outcomes (a stack, eigenvalues descending), which the rank test and the
     epsilon* step reuse, and ``support_ranks`` the support rank of each
     outcome (:meth:`TolerancePolicy.support` of its eigenvalues), which the
     rank test, the epsilon* step, the Kraus read-out and the counting bounds
-    read; neither takes part in equality or repr."""
+    read; neither takes part in equality, hash or repr."""
 
-    ok: bool
-    outcome_min_eigenvalues: tuple
-    comb_verdict: combs.CombVerdict
-    spectra: linalg.EigenDecomposition = field(compare=False, repr=False)
-    support_ranks: tuple = field(compare=False, repr=False)
+    def __init__(
+        self,
+        ok: bool,
+        outcome_min_eigenvalues: tuple,
+        comb_verdict: combs.CombVerdict,
+        spectra: linalg.EigenDecomposition,
+        support_ranks: tuple,
+    ):
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "outcome_min_eigenvalues", outcome_min_eigenvalues)
+        object.__setattr__(self, "comb_verdict", comb_verdict)
+        object.__setattr__(self, "spectra", spectra)
+        object.__setattr__(self, "support_ranks", support_ranks)
+
+    def _compared(self) -> tuple:
+        return self.ok, self.outcome_min_eigenvalues, self.comb_verdict
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._compared() == other._compared()
+
+    def __hash__(self):
+        return hash(self._compared())
+
+    def __repr__(self):
+        return (
+            f"GqiVerdict(ok={self.ok!r}, outcome_min_eigenvalues={self.outcome_min_eigenvalues!r}, "
+            f"comb_verdict={self.comb_verdict!r})"
+        )
 
 
-@dataclass(frozen=True)
-class Perturbation:
+class Perturbation(linalg.Record):
     """Witness of non-extremality: T_i +/- epsilon_star * D_i are valid GQIs.
     Two witnesses are equal when their steps and every entry of their
-    directions and delta are."""
+    directions and delta are; a witness has no hash."""
 
-    directions: tuple
-    delta: np.ndarray
-    epsilon_star: float
+    def __init__(self, directions: tuple, delta: np.ndarray, epsilon_star: float):
+        object.__setattr__(self, "directions", directions)
+        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "epsilon_star", epsilon_star)
+
+    def __repr__(self):
+        return f"Perturbation(directions={self.directions!r}, delta={self.delta!r}, epsilon_star={self.epsilon_star!r})"
 
     def __eq__(self, other):
         if not isinstance(other, Perturbation):
@@ -194,32 +219,7 @@ class Perturbation:
         )
 
 
-class _Witness:
-    """The ``perturbation`` field of :class:`ExtremalityCertificate`.  It
-    holds a :class:`Perturbation`, None, or a pending witness: a function of
-    no argument that builds it (see :func:`_read_witness`), called on the
-    first read and replaced by what it returns.  A pending witness that
-    raises stays pending, so that every read raises."""
-
-    def __set_name__(self, owner, name):
-        self.slot = f"_{name}"
-
-    def __get__(self, cert, owner=None):
-        if cert is None:
-            # The field has no default.
-            raise AttributeError(self.slot[1:])
-        value = cert.__dict__[self.slot]
-        if callable(value):
-            value = value()
-            cert.__dict__[self.slot] = value
-        return value
-
-    def __set__(self, cert, value):
-        cert.__dict__[self.slot] = value
-
-
-@dataclass(frozen=True)
-class ExtremalityCertificate:
+class ExtremalityCertificate(linalg.Record):
     """The outcome of :func:`is_extremal`.  ``margin`` is, when extremal, the
     smallest singular value of the support family projected off V: how far
     the family is from dependence, and ``None`` otherwise.  ``validation``
@@ -227,16 +227,62 @@ class ExtremalityCertificate:
     ``None`` on a certificate read from a file; it takes no part in equality
     or repr.  A certificate from :func:`is_extremal` or :func:`decide_all`
     builds its ``perturbation`` on first read (README, "Deciding a
-    population"); equality and repr read it."""
+    population"); equality, hash and repr read it."""
 
-    extremal: bool
-    family_size: int
-    rank: int
-    support_ranks: tuple
-    normalization_basis_size: int
-    perturbation: Perturbation | None = _Witness()
-    margin: float | None = None
-    validation: GqiVerdict | None = field(default=None, compare=False, repr=False)
+    def __init__(
+        self,
+        extremal: bool,
+        family_size: int,
+        rank: int,
+        support_ranks: tuple,
+        normalization_basis_size: int,
+        perturbation,
+        margin: float | None = None,
+        validation: GqiVerdict | None = None,
+    ):
+        object.__setattr__(self, "extremal", extremal)
+        object.__setattr__(self, "family_size", family_size)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "support_ranks", support_ranks)
+        object.__setattr__(self, "normalization_basis_size", normalization_basis_size)
+        object.__setattr__(self, "_perturbation", perturbation)
+        object.__setattr__(self, "margin", margin)
+        object.__setattr__(self, "validation", validation)
+
+    @property
+    def perturbation(self) -> Perturbation | None:
+        """A :class:`Perturbation`, None, or, held until the first read, a
+        pending witness: a function of no argument that builds it (see
+        :func:`_read_witness`), called on the read and replaced by what it
+        returns.  A pending witness that raises stays pending, so that
+        every read raises."""
+        value = self._perturbation
+        if callable(value):
+            value = value()
+            object.__setattr__(self, "_perturbation", value)
+        return value
+
+    def _compared(self) -> tuple:
+        return (
+            self.extremal, self.family_size, self.rank, self.support_ranks, self.normalization_basis_size,
+            self.perturbation, self.margin,
+        )
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._compared() == other._compared()
+
+    def __hash__(self):
+        return hash(self._compared())
+
+    def __repr__(self):
+        return (
+            f"ExtremalityCertificate(extremal={self.extremal!r}, family_size={self.family_size!r}, "
+            f"rank={self.rank!r}, support_ranks={self.support_ranks!r}, "
+            f"normalization_basis_size={self.normalization_basis_size!r}, "
+            f"perturbation={self.perturbation!r}, margin={self.margin!r})"
+        )
 
     @property
     def verdict(self) -> str:
@@ -400,7 +446,6 @@ def _allowance(values):
     return 2.0 * w.shape[-1] * np.finfo(float).eps * np.maximum(1.0, np.abs(w).max(axis=(-2, -1)))
 
 
-@dataclass(frozen=True)
 class _Supports(linalg.EigenDecomposition):
     """The spectra record of a decision stack: its verdicts' eigenvalues
     (K, M, D) and eigenvectors (K, M, D, D), stacked once by :meth:`of`, and
@@ -409,7 +454,10 @@ class _Supports(linalg.EigenDecomposition):
     the witnesses their values and vectors, and :func:`max_perturbation_step`
     ``ranks`` rather than apply the support rule again."""
 
-    ranks: tuple
+    def __init__(self, values: np.ndarray, vectors: np.ndarray, ranks: tuple):
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "vectors", vectors)
+        object.__setattr__(self, "ranks", ranks)
 
     @classmethod
     def of(cls, verdicts: list) -> _Supports:
@@ -482,7 +530,8 @@ def max_perturbation_step(directions, spectra: linalg.EigenDecomposition, pol: T
 
 
 # Largest estimated peak of the rank stage, in bytes, that is attempted
-# (see rank_stage_bytes); larger inputs raise SizeLimitError.
+# (see rank_stage_bytes), and of the nodes a decomposition tree holds (see
+# decompose); larger inputs raise SizeLimitError.
 RANK_STAGE_BUDGET = 2 << 30
 
 
@@ -516,7 +565,7 @@ def rank_stage_bytes(sig: CombSignature, support_ranks) -> int:
     return 64 * r * r * c * c + 24 * m * n + 8 * (h * n + h * h + k * n + 4 * k * k)
 
 
-class _Plan(NamedTuple):
+class _Plan(linalg.Record):
     """The work of a verdict that depends only on its shape (see
     :func:`_plan`): |V| (``n_known``), the cutoff taken at sqrt(M)
     (``bound``), whether it is at or above sqrt(M) (``vacuous``), the
@@ -524,18 +573,12 @@ class _Plan(NamedTuple):
     (``stage_bytes``), None when the pair is present, and for
     :func:`_rank_test` the m rows, the span D^2 - |V|, the head of
     min(m, span + 1) rows, and per outcome (i, rows) in the head and
-    (i, first row past it) beyond it.  The family size is m + |V|."""
+    (i, first row past it) beyond it.  The family size is m + |V|.  Built
+    only by :func:`_plan`, by keyword."""
 
-    n_known: int
-    bound: float
-    vacuous: bool
-    pair: tuple | None
-    stage_bytes: int | None
-    m: int
-    span: int
-    head: int
-    head_rows: tuple
-    rest_rows: tuple
+    def __init__(self, **fields):
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
 
 
 @functools.lru_cache(maxsize=256)
@@ -930,7 +973,11 @@ def decompose(g: Gqi, steps: int, pol: TolerancePolicy = DEFAULT_TOL):
     raises its own :func:`is_extremal` error, without the member index.
     All verdicts of a depth are held until its certificates are built:
     about as many bytes as the depth's outcomes, since each verdict keeps
-    the eigenvectors of its outcomes.
+    the eigenvectors of its outcomes.  Before a depth is decided, the nodes
+    the tree then holds, the leaves so far, the frontier and its children,
+    are estimated at 32 M D^2 bytes each, their outcomes and as much again
+    of eigenvectors; a tree whose estimate exceeds ``RANK_STAGE_BUDGET``
+    raises :class:`SizeLimitError`.
     A ``steps`` that is negative, a bool or not an integer raises
     :class:`ValueError`; numpy integers are integers."""
     if isinstance(steps, bool) or not isinstance(steps, numbers.Integral) or steps < 0:
@@ -940,9 +987,16 @@ def decompose(g: Gqi, steps: int, pol: TolerancePolicy = DEFAULT_TOL):
         raise ExtremalInputError("cannot decompose an extremal GQI")
     # A frontier entry is (path, node, weight, certificate or None).
     frontier, leaves = [((), g, 1.0, cert)], []
-    for _ in range(steps):
+    node_bytes = 32 * len(g.outcomes) * g.signature.total_dim ** 2
+    for depth in range(steps):
         if not frontier:
             break
+        held = (len(leaves) + 3 * len(frontier)) * node_bytes
+        if held > RANK_STAGE_BUDGET:
+            raise SizeLimitError(
+                f"the decomposition tree at depth {depth} holds about {held:,} bytes, "
+                f"above the budget of {RANK_STAGE_BUDGET:,} bytes"
+            )
         nodes = [node for _, node, _, c in frontier if c is None]
         try:
             decided = iter(decide_all(nodes, pol) if nodes else ())

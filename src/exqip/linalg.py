@@ -5,7 +5,8 @@ handful of primitives in this module: Hermitian eigendecompositions, partial
 traces, Hermitian operator bases and the partial traces of support bases, and
 the real vectorization that turns operator-independence questions into
 matrix-rank questions.  The pooled rank test of extremality is
-:mod:`exqip.gqi`'s.  :class:`TolerancePolicy` holds the one support rule,
+:mod:`exqip.gqi`'s.  :class:`Record` is the base of every immutable record
+of the package.  :class:`TolerancePolicy` holds the one support rule,
 :meth:`TolerancePolicy.support`, which gives positivity and the support
 ranks of sorted spectra, beside its refusal of a tolerance that leaves
 every support empty, and the one rank cutoff,
@@ -27,16 +28,29 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import ClassVar
 
 import numpy as np
 
 from .errors import DimensionMismatchError, NotHermitianError, ToleranceError
 
 
-@dataclass(frozen=True)
-class TolerancePolicy:
+class Record:
+    """Base of the package's immutable records.  A record's own
+    ``__init__`` sets its fields with ``object.__setattr__``, and assigning
+    or deleting an attribute raises :class:`AttributeError`.  Writing to
+    ``__dict__`` instead would give each instance a dict of its own, whose
+    attributes read about twice as slowly.  The records are plain classes
+    rather than frozen dataclasses, whose generated methods cost a fresh
+    process more to create than it spends deciding."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class TolerancePolicy(Record):
     """Single-knob tolerance policy.
 
     ``eps_rel``, which must lie in (0, 1), scales every threshold coherently:
@@ -50,12 +64,23 @@ class TolerancePolicy:
       |U^dagger U - I|_max
     """
 
-    eps_rel: float = 1e-10
-    comb_factor: ClassVar[float] = 10.0
+    comb_factor = 10.0
 
-    def __post_init__(self):
-        if not 0.0 < self.eps_rel < 1.0:
-            raise ToleranceError(f"tolerance must lie in (0, 1), got {self.eps_rel}")
+    def __init__(self, eps_rel: float = 1e-10):
+        if not 0.0 < eps_rel < 1.0:
+            raise ToleranceError(f"tolerance must lie in (0, 1), got {eps_rel}")
+        object.__setattr__(self, "eps_rel", eps_rel)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.eps_rel == other.eps_rel
+
+    def __hash__(self):
+        return hash((self.eps_rel,))
+
+    def __repr__(self):
+        return f"TolerancePolicy(eps_rel={self.eps_rel!r})"
 
     @property
     def eps_comb(self) -> float:
@@ -106,15 +131,15 @@ DEFAULT_TOL = TolerancePolicy()
 MAX_ENTRY = 1e100
 
 
-@dataclass(frozen=True)
-class EigenDecomposition:
+class EigenDecomposition(Record):
     """Eigenvalues sorted descending; eigenvectors as matching columns.
 
     A stack of k operators carries values (k, d) and vectors (k, d, d).
     """
 
-    values: np.ndarray
-    vectors: np.ndarray
+    def __init__(self, values: np.ndarray, vectors: np.ndarray):
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "vectors", vectors)
 
     def reconstruct(self) -> np.ndarray:
         return (self.vectors * self.values[..., None, :]) @ np.swapaxes(self.vectors.conj(), -2, -1)

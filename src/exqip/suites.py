@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,12 +40,12 @@ from .errors import ToleranceError
 from .linalg import DEFAULT_TOL, TolerancePolicy
 
 
-@dataclass
 class SuiteResult:
-    name: str
-    total: int = 0
-    failures: int = 0
-    details: list = field(default_factory=list)
+    def __init__(self, name: str, total: int = 0, failures: int = 0, details: list | None = None):
+        self.name = name
+        self.total = total
+        self.failures = failures
+        self.details = [] if details is None else details
 
     @property
     def ok(self) -> bool:

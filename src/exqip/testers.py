@@ -20,7 +20,7 @@ classes :class:`Tester` and :class:`Povm` are defined in :mod:`exqip.gqi`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,8 +54,7 @@ def is_extremal_tester(t: Tester, pol: TolerancePolicy = DEFAULT_TOL) -> Extrema
     return gqi_mod.is_extremal(t, pol=pol)
 
 
-@dataclass(frozen=True)
-class TesterBounds:
+class TesterBounds(NamedTuple):
     outcome_ranks: tuple
     normalization_rank: int
     rank_bound_lhs: int
@@ -294,8 +293,7 @@ def projective_split_effects(target: np.ndarray, pol: TolerancePolicy = DEFAULT_
     return list(_projectors(eig)[: pol.support(eig.values)[1]])
 
 
-@dataclass(frozen=True)
-class TwoOutcomeQubitVerdict:
+class TwoOutcomeQubitVerdict(NamedTuple):
     case: str
     extremal: bool
     witness: np.ndarray | None

@@ -852,11 +852,15 @@ def test_generate_refuses_a_comb_above_the_budget(tmp_path):
 
 
 def _fresh_modules(code, *args) -> set:
-    """The exqip and scipy modules loaded after ``code`` runs in a fresh
-    ``python -c`` process with arguments ``args``.  The process must exit 0."""
-    report = "import json, sys\nprint(json.dumps([m for m in sys.modules if m.split('.')[0] in ('exqip', 'scipy')]))"
+    """The exqip, scipy and dataclasses modules loaded after ``code`` runs in
+    a fresh ``python -c`` process with arguments ``args``.  The process must
+    exit 0."""
+    report = (
+        "import json, sys\n"
+        "print(json.dumps([m for m in sys.modules if m.split('.')[0] in ('exqip', 'scipy', 'dataclasses')]))"
+    )
     run = subprocess.run([sys.executable, "-c", f"{code}\n{report}", *args], capture_output=True, text=True,
-                         env=package_env())
+                         env=package_env(), timeout=120)
     assert run.returncode == 0, run.stderr
     return set(json.loads(run.stdout.splitlines()[-1]))
 
@@ -881,7 +885,8 @@ def test_runtime_imports_no_scipy(tmp_path):
     is numpy alone.  `import exqip` loads no submodule; a fresh `exqip
     validate` or `exqip extremal --certificate` on a file of any kind loads
     neither the suites nor the channel and tester criteria, and no scipy
-    module."""
+    module.  No command loads ``dataclasses``, whose generated methods
+    would cost a fresh process more than its verdict."""
     gqi_file = fixture_path("gqi")
     assert _fresh_modules("import exqip") == {"exqip"}
     assert _fresh_modules(RUN_CLI, "validate", gqi_file) == CORE_MODULES
@@ -891,6 +896,10 @@ def test_runtime_imports_no_scipy(tmp_path):
     tester_file = fixture_path("tester")
     assert _fresh_modules(RUN_CLI, "validate", tester_file) == CORE_MODULES
     assert _fresh_modules(RUN_CLI, "extremal", tester_file) == CORE_MODULES
+    criteria = CORE_MODULES | {"exqip.channels", "exqip.testers"}
+    assert _fresh_modules(RUN_CLI, "suite", "appendix-c") == criteria | {"exqip.suites"}
+    comb = str(tmp_path / "comb.json")
+    assert _fresh_modules(RUN_CLI, "generate", "random-comb", "--signature", "2,2", "--out", comb) == criteria
 
 
 def test_suite_names_are_the_suites(capsys):

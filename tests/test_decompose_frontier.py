@@ -20,7 +20,7 @@ import pytest
 
 import oracles
 from exqip import channels, cli, fileio, gqi
-from exqip.errors import ExqipError, ExtremalInputError
+from exqip.errors import ExqipError, ExtremalInputError, SizeLimitError
 from exqip.gqi import Povm
 from exqip.linalg import TolerancePolicy
 from populations import (
@@ -205,23 +205,53 @@ class TestDecisions:
         assert population == nodes[: len(population)]
 
     def test_small_budget_decides_in_passes(self, tmp_path, monkeypatch, record):
-        """A frontier whose stacked outcomes exceed RANK_STAGE_BUDGET is
-        validated in several stacks, and the tree does not change."""
-        path, steps = bench_tree(1, "midpoint-instrument-d2", tmp_path)
-        node_bytes = sum(t.nbytes for t in fileio.load_object(path).outcomes)
-        calls = record(gqi, "_validate_stack")
+        """A depth whose stacked rank stages exceed RANK_STAGE_BUDGET is
+        decided in several stacks, and the tree does not change.  The budget
+        is the tree's largest rank stage, which also holds its nodes; a
+        budget that cut the validation stacks would refuse the tree (see
+        test_tree_above_the_budget_is_refused)."""
+        path, steps = bench_tree(1, "midpoint-tester", tmp_path)
+        calls = record(gqi, "_decide_stack")
         passes, results = {}, {}
         for side in ("whole", "cut"):
             if side == "cut":
-                # 16 nodes a stack; the rank stages of this tree need 7 896 bytes.
-                monkeypatch.setattr(gqi, "RANK_STAGE_BUDGET", 16 * node_bytes)
+                # A call's arguments are the stack, its verdicts and the policy.
+                plans = [gqi._plan(c.args[0][0].signature, c.args[1][0].support_ranks, c.args[2]) for c in calls]
+                monkeypatch.setattr(gqi, "RANK_STAGE_BUDGET", max(p.stage_bytes or 0 for p in plans))
             calls.clear()
             out_dir = str(tmp_path / side)
             results[side] = (*run_cli(["decompose", path, "--steps", str(steps), "--out", out_dir]), tree_files(out_dir))
             passes[side] = [len(c.args[0]) for c in calls]
-        assert max(passes["whole"]) > 16 and max(passes["cut"]) == 16
+        assert max(passes["whole"]) > 1
         assert len(passes["cut"]) > len(passes["whole"]) and sum(passes["cut"]) == sum(passes["whole"])
         assert results["cut"] == results["whole"]
+
+    def test_tree_above_the_budget_is_refused(self, tmp_path, monkeypatch, record):
+        """Before a depth is decided, the nodes the tree then holds (the
+        leaves so far, the frontier and its children) are estimated at twice
+        their outcome bytes each; above RANK_STAGE_BUDGET the library call
+        raises SizeLimitError, and `exqip decompose` exits 2 and writes no
+        leaf.  At the estimate itself the tree is built."""
+        path, steps = bench_tree(1, "midpoint-instrument-d2", tmp_path)
+        root = fileio.load_object(path)
+        decided = record(gqi, "decide_all")
+        leaves, _ = gqi.decompose(root, steps)
+        # The last depth decided holds the most: its leaves above it, its
+        # frontier and the frontier's children.
+        depth, node_bytes = len(decided), 2 * sum(t.nbytes for t in root.outcomes)
+        held = (sum(len(p) < depth for p, *_ in leaves) + 3 * len(decided[-1].args[0])) * node_bytes
+        monkeypatch.setattr(gqi, "RANK_STAGE_BUDGET", held)
+        assert [p for p, *_ in gqi.decompose(root, steps)[0]] == [p for p, *_ in leaves]
+        monkeypatch.setattr(gqi, "RANK_STAGE_BUDGET", held - 1)
+        message = (
+            f"the decomposition tree at depth {depth} holds about {held:,} bytes, "
+            f"above the budget of {held - 1:,} bytes"
+        )
+        with pytest.raises(SizeLimitError, match=f"^{re.escape(message)}$"):
+            gqi.decompose(root, steps)
+        out_dir = tmp_path / "tree"
+        assert run_cli(["decompose", path, "--steps", str(steps), "--out", out_dir]) == (2, "", f"error: {message}\n")
+        assert not out_dir.exists()
 
 
 def test_parser_is_built_once(tmp_path):

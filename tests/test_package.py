@@ -2,10 +2,11 @@
 
 import importlib
 
+import numpy as np
 import pytest
 
 import exqip
-from exqip import channels, gqi, testers
+from exqip import channels, combs, fileio, gqi, linalg, testers
 
 # Every public name of the package, by the module it was first exported
 # from.  The classes of the object kinds now live in ``gqi``, and
@@ -93,3 +94,66 @@ def test_lookup_is_not_cached(monkeypatch):
     assert exqip.is_extremal is replaced
     monkeypatch.undo()
     assert exqip.is_extremal is gqi.is_extremal
+
+
+def _not_extremal():
+    return gqi.is_extremal(channels.combination_fixture(6))
+
+
+# One instance of each public record, built when its test runs, and one of
+# its fields.
+RECORDS = {
+    "TolerancePolicy": (lambda: linalg.TolerancePolicy(1e-6), "eps_rel"),
+    "EigenDecomposition": (lambda: linalg.hermitian_eig(np.eye(2)), "values"),
+    "CombSignature": (lambda: combs.CombSignature((2, 2)), "dims"),
+    "Gqi": (lambda: gqi.Gqi(combs.CombSignature((2, 1)), (np.eye(2) / 2,) * 2), "outcomes"),
+    "Povm": (lambda: gqi.Povm(2, (np.eye(2) / 2,) * 2), "signature"),
+    "CombVerdict": (lambda: combs.CombVerdict(True, (0.0,)), "reduced"),
+    "GqiVerdict": (lambda: gqi.is_valid_gqi(channels.combination_fixture(6)), "spectra"),
+    "Perturbation": (lambda: _not_extremal().perturbation, "epsilon_star"),
+    "ExtremalityCertificate": (_not_extremal, "perturbation"),
+    "Kind": (lambda: fileio.KINDS["povm"], "cls"),
+    "InstrumentRankBound": (lambda: channels.instrument_rank_bound(channels.combination_fixture(1)), "ok"),
+    "CombinationTriple": (lambda: channels.CombinationTriple(True, False, True), "povm"),
+    "TesterBounds": (lambda: testers.check_bounds(testers.schmidt_tester(0.3)), "rank_bound_ok"),
+    "TwoOutcomeQubitVerdict": (lambda: testers.classify_two_outcome_qubit(testers.schmidt_tester(0.3)), "case"),
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_records_are_immutable(name):
+    """Assigning or deleting a field of a public record, or adding an
+    attribute, raises AttributeError and leaves the record as it was."""
+    build, field = RECORDS[name]
+    record = build()
+    assert type(record).__name__ == name
+    before = getattr(record, field)
+    for change in (lambda: setattr(record, field, None), lambda: delattr(record, field),
+                   lambda: setattr(record, "added", None)):
+        with pytest.raises(AttributeError):
+            change()
+    assert getattr(record, field) is before and not hasattr(record, "added")
+
+
+@pytest.mark.parametrize(
+    "build, same, other, shown",
+    [
+        (linalg.TolerancePolicy, (1e-6, 1e-6), (1e-6, 1e-7), "TolerancePolicy(eps_rel=1e-06)"),
+        (combs.CombSignature, ((2, 2), (np.int64(2), 2)), ((2, 2), (2, 3)), "CombSignature(dims=(2, 2))"),
+    ],
+    ids=["TolerancePolicy", "CombSignature"],
+)
+def test_cache_keys_compare_and_hash_by_value(build, same, other, shown):
+    """The records that key the shape caches are equal, with equal hashes,
+    exactly when their fields are; neither equals its field's value."""
+    a, b = (build(x) for x in same)
+    assert a == b and hash(a) == hash(b) and a is not b
+    c, d = (build(x) for x in other)
+    assert c != d
+    assert a != same[0] and a != (same[0],)
+    assert repr(a) == repr(b) == shown
+
+
+def test_signature_properties_are_cached_per_instance():
+    a, b = combs.CombSignature((2, 3)), combs.CombSignature((2, 3))
+    assert a.total_dim == 6 and "total_dim" in vars(a) and "total_dim" not in vars(b)

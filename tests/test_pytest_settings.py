@@ -43,7 +43,7 @@ def test_failing_hypothesis_test_does_not_stop_the_run(tmp_path):
     path.write_text(FAILING_AND_PASSING)
     run = subprocess.run(
         [sys.executable, "-m", "pytest", "-c", PYPROJECT, "-p", "no:cacheprovider", "-q", str(path)],
-        capture_output=True, text=True, cwd=tmp_path,
+        capture_output=True, text=True, cwd=tmp_path, timeout=300,
     )
     out = run.stdout + run.stderr
     assert run.returncode == 1, out

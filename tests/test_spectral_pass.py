@@ -107,10 +107,25 @@ def three_outcome_gqi():
 
 
 def test_verdicts_of_one_gqi_compare_equal():
+    """Verdicts and certificates compare, hash and show every field but the
+    spectra, the support ranks and the validation they carry."""
     g = three_outcome_gqi()
     first, second = gqi.is_valid_gqi(g), gqi.is_valid_gqi(g)
     assert first == second and hash(first) == hash(second)
-    assert "spectra" not in repr(first)
+    bare = gqi.GqiVerdict(first.ok, first.outcome_min_eigenvalues, first.comb_verdict, None, ())
+    assert bare == first and hash(bare) == hash(first)
+    assert repr(first) == repr(bare) == (
+        f"GqiVerdict(ok=True, outcome_min_eigenvalues={first.outcome_min_eigenvalues!r}, "
+        f"comb_verdict={first.comb_verdict!r})"
+    )
+    cert = gqi.is_extremal(g)
+    read = gqi.ExtremalityCertificate(
+        cert.extremal, cert.family_size, cert.rank, cert.support_ranks, cert.normalization_basis_size,
+        cert.perturbation, cert.margin,
+    )
+    assert cert.validation == first and read.validation is None
+    assert read == cert and repr(read) == repr(cert)
+    assert repr(cert).startswith("ExtremalityCertificate(extremal=False, family_size=") and "validation" not in repr(cert)
 
 
 class TestCount:

@@ -145,8 +145,8 @@ def test_reduced_combs_take_no_part_in_equality():
     sig = CombSignature((2, 2, 2, 2))
     a = combs.is_deterministic_comb(combs.central_comb(sig).operator, sig)
     b = combs.CombVerdict(a.ok, a.level_residuals)
-    assert a == b
-    assert "reduced" not in repr(a)
+    assert a == b and hash(a) == hash(b) and len(a.reduced) == 2 and b.reduced == ()
+    assert repr(a) == repr(b) == f"CombVerdict(ok=True, level_residuals={a.level_residuals!r})"
 
 
 # ---------------------------------------------------------------------------
