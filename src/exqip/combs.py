@@ -37,8 +37,9 @@ from .linalg import DEFAULT_TOL, TolerancePolicy
 
 class CombSignature(linalg.Record):
     """Hilbert-space dimensions (d_0, ..., d_{2N-1}) of a comb's teeth:
-    Python or numpy integers, not bools, each at least 1.  Signatures
-    compare and hash by their dimensions."""
+    Python or numpy integers, not bools, each at least 1."""
+
+    _compared = ("dims",)
 
     def __init__(self, dims: tuple):
         try:
@@ -52,17 +53,6 @@ class CombSignature(linalg.Record):
             raise DimensionMismatchError(f"signature length must be even, got {checked}")
         if any(d < 1 for d in checked):
             raise DimensionMismatchError(f"dimensions must be >= 1, got {checked}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.dims == other.dims
-
-    def __hash__(self):
-        return hash((self.dims,))
-
-    def __repr__(self):
-        return f"CombSignature(dims={self.dims!r})"
 
     @property
     def n(self) -> int:
@@ -164,23 +154,14 @@ class DeterministicComb(Gqi):
 class CombVerdict(linalg.Record):
     """A comb check: ``ok`` when positive with every cascade residual within
     the bound; one residual per level (one at N = 0) and the reduced combs
-    R^(N-1), ..., R^(0), which take no part in equality, hash or repr."""
+    R^(N-1), ..., R^(0)."""
+
+    _compared = ("ok", "level_residuals")
 
     def __init__(self, ok: bool, level_residuals: tuple, reduced: tuple = ()):
         object.__setattr__(self, "ok", ok)
         object.__setattr__(self, "level_residuals", level_residuals)
         object.__setattr__(self, "reduced", reduced)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.ok, self.level_residuals) == (other.ok, other.level_residuals)
-
-    def __hash__(self):
-        return hash((self.ok, self.level_residuals))
-
-    def __repr__(self):
-        return f"CombVerdict(ok={self.ok!r}, level_residuals={self.level_residuals!r})"
 
     @property
     def max_residual(self) -> float:

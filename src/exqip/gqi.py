@@ -161,7 +161,9 @@ class GqiVerdict(linalg.Record):
     epsilon* step reuse, and ``support_ranks`` the support rank of each
     outcome (:meth:`TolerancePolicy.support` of its eigenvalues), which the
     rank test, the epsilon* step, the Kraus read-out and the counting bounds
-    read; neither takes part in equality, hash or repr."""
+    read."""
+
+    _compared = ("ok", "outcome_min_eigenvalues", "comb_verdict")
 
     def __init__(
         self,
@@ -177,36 +179,18 @@ class GqiVerdict(linalg.Record):
         object.__setattr__(self, "spectra", spectra)
         object.__setattr__(self, "support_ranks", support_ranks)
 
-    def _compared(self) -> tuple:
-        return self.ok, self.outcome_min_eigenvalues, self.comb_verdict
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._compared() == other._compared()
-
-    def __hash__(self):
-        return hash(self._compared())
-
-    def __repr__(self):
-        return (
-            f"GqiVerdict(ok={self.ok!r}, outcome_min_eigenvalues={self.outcome_min_eigenvalues!r}, "
-            f"comb_verdict={self.comb_verdict!r})"
-        )
-
 
 class Perturbation(linalg.Record):
     """Witness of non-extremality: T_i +/- epsilon_star * D_i are valid GQIs.
     Two witnesses are equal when their steps and every entry of their
-    directions and delta are; a witness has no hash."""
+    directions and delta are, and a witness hashes its step."""
+
+    _compared = ("directions", "delta", "epsilon_star")
 
     def __init__(self, directions: tuple, delta: np.ndarray, epsilon_star: float):
         object.__setattr__(self, "directions", directions)
         object.__setattr__(self, "delta", delta)
         object.__setattr__(self, "epsilon_star", epsilon_star)
-
-    def __repr__(self):
-        return f"Perturbation(directions={self.directions!r}, delta={self.delta!r}, epsilon_star={self.epsilon_star!r})"
 
     def __eq__(self, other):
         if not isinstance(other, Perturbation):
@@ -218,16 +202,23 @@ class Perturbation(linalg.Record):
             and np.array_equal(self.delta, other.delta)
         )
 
+    def __hash__(self):
+        return hash(self.epsilon_star)
+
 
 class ExtremalityCertificate(linalg.Record):
     """The outcome of :func:`is_extremal`.  ``margin`` is, when extremal, the
     smallest singular value of the support family projected off V: how far
     the family is from dependence, and ``None`` otherwise.  ``validation``
     is the :func:`is_valid_gqi` verdict the decision read its supports from,
-    ``None`` on a certificate read from a file; it takes no part in equality
-    or repr.  A certificate from :func:`is_extremal` or :func:`decide_all`
-    builds its ``perturbation`` on first read (README, "Deciding a
-    population"); equality, hash and repr read it."""
+    ``None`` on a certificate read from a file.  A certificate from
+    :func:`is_extremal` or :func:`decide_all` builds its ``perturbation`` on
+    first read (README, "Deciding a population"); equality, hash and repr
+    read it."""
+
+    _compared = (
+        "extremal", "family_size", "rank", "support_ranks", "normalization_basis_size", "perturbation", "margin",
+    )
 
     def __init__(
         self,
@@ -261,28 +252,6 @@ class ExtremalityCertificate(linalg.Record):
             value = value()
             object.__setattr__(self, "_perturbation", value)
         return value
-
-    def _compared(self) -> tuple:
-        return (
-            self.extremal, self.family_size, self.rank, self.support_ranks, self.normalization_basis_size,
-            self.perturbation, self.margin,
-        )
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._compared() == other._compared()
-
-    def __hash__(self):
-        return hash(self._compared())
-
-    def __repr__(self):
-        return (
-            f"ExtremalityCertificate(extremal={self.extremal!r}, family_size={self.family_size!r}, "
-            f"rank={self.rank!r}, support_ranks={self.support_ranks!r}, "
-            f"normalization_basis_size={self.normalization_basis_size!r}, "
-            f"perturbation={self.perturbation!r}, margin={self.margin!r})"
-        )
 
     @property
     def verdict(self) -> str:

@@ -6,7 +6,8 @@ traces, Hermitian operator bases and the partial traces of support bases, and
 the real vectorization that turns operator-independence questions into
 matrix-rank questions.  The pooled rank test of extremality is
 :mod:`exqip.gqi`'s.  :class:`Record` is the base of every immutable record
-of the package.  :class:`TolerancePolicy` holds the one support rule,
+of the package and holds their one rule of equality, hash and repr.
+:class:`TolerancePolicy` holds the one support rule,
 :meth:`TolerancePolicy.support`, which gives positivity and the support
 ranks of sorted spectra, beside its refusal of a tolerance that leaves
 every support empty, and the one rank cutoff,
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 
 import numpy as np
 
@@ -41,13 +43,42 @@ class Record:
     ``__dict__`` instead would give each instance a dict of its own, whose
     attributes read about twice as slowly.  The records are plain classes
     rather than frozen dataclasses, whose generated methods cost a fresh
-    process more to create than it spends deciding."""
+    process more to create than it spends deciding.
+
+    One rule gives every record its equality, hash and repr.  A record
+    class that names fields in ``_compared``, in repr order, is equal to a
+    record of its own class with equal values of those fields, hashes
+    them and shows them as ``Name(field=value, ...)``; its other fields
+    take no part.  A record class that names none compares and hashes by
+    identity, with the default repr."""
+
+    _compared = ()
+
+    def __init_subclass__(cls):
+        if cls._compared:
+            # Built once per class: the shape caches hash their keys per
+            # stack and per member.
+            cls._values = operator.attrgetter(*cls._compared)
+        else:
+            cls.__eq__, cls.__hash__, cls.__repr__ = object.__eq__, object.__hash__, object.__repr__
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == self._values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._compared)
+        return f"{type(self).__name__}({shown})"
 
 
 class TolerancePolicy(Record):
@@ -65,22 +96,16 @@ class TolerancePolicy(Record):
     """
 
     comb_factor = 10.0
+    _compared = ("eps_rel",)
 
     def __init__(self, eps_rel: float = 1e-10):
-        if not 0.0 < eps_rel < 1.0:
+        try:
+            inside = 0.0 < eps_rel < 1.0
+        except TypeError:
+            raise ToleranceError(f"tolerance must lie in (0, 1), got {eps_rel!r}") from None
+        if not inside:
             raise ToleranceError(f"tolerance must lie in (0, 1), got {eps_rel}")
         object.__setattr__(self, "eps_rel", eps_rel)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.eps_rel == other.eps_rel
-
-    def __hash__(self):
-        return hash((self.eps_rel,))
-
-    def __repr__(self):
-        return f"TolerancePolicy(eps_rel={self.eps_rel!r})"
 
     @property
     def eps_comb(self) -> float:

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 
 import numpy as np
 
@@ -288,7 +289,11 @@ def _run_passes(name: str, decide, seeds: int, pol: TolerancePolicy) -> SuiteRes
     ``PASS_SEEDS`` seeds.  ``decide(seeds, pol)`` draws, builds and decides
     the population of the seeds it is given and yields its records
     (ok, detail) in order.  A pass that raises names the first seed whose
-    own pass raises, with its error (:func:`gqi._first_fault`)."""
+    own pass raises, with its error (:func:`gqi._first_fault`).  A
+    ``seeds`` that is negative, a bool or not an integer raises
+    ValueError."""
+    if isinstance(seeds, bool) or not isinstance(seeds, numbers.Integral) or seeds < 0:
+        raise ValueError(f"seeds must be a non-negative integer, got {seeds!r}")
     result = SuiteResult(name=name)
     for start in range(0, seeds, PASS_SEEDS):
         chunk = range(start, min(seeds, start + PASS_SEEDS))

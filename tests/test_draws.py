@@ -8,6 +8,7 @@ must equal its oracle to the bit, the sign of every zero included.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -249,3 +250,17 @@ def test_a_build_raises_for_the_first_draw_alone(monkeypatch):
         suites._run_passes("toy", decide, 8, DEFAULT_TOL)
     assert passes == [[0, 1, 2, 3], [4, 5, 6, 7], [4], [5]]
     assert suites._run_passes("toy", decide, 5, DEFAULT_TOL).total == 5
+
+
+@pytest.mark.parametrize("name", ["equivalence", "xi-invariance", "bounds"])
+@pytest.mark.parametrize("seeds", [-1, True, 2.5, "2"])
+def test_seeded_suites_refuse_a_bad_seed_count(name, seeds):
+    """A seed count that is negative, a bool or not an integer is refused
+    before any seed is drawn, as ``gqi.decompose`` refuses such a depth."""
+    with pytest.raises(ValueError, match=rf"^seeds must be a non-negative integer, got {re.escape(repr(seeds))}$"):
+        suites.run_suite(name, seeds=seeds)
+
+
+def test_seed_count_may_be_a_numpy_integer():
+    assert suites.run_suite("equivalence", seeds=np.int64(2)).total == suites.run_suite("equivalence", seeds=2).total
+    assert suites.run_suite("bounds", seeds=np.int64(0)).total == 0

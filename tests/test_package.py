@@ -1,12 +1,16 @@
 """The package's public names, which load on first use."""
 
+import ast
+import copy
 import importlib
+import pathlib
 
 import numpy as np
 import pytest
 
 import exqip
 from exqip import channels, combs, fileio, gqi, linalg, testers
+from populations import golden_objects
 
 # Every public name of the package, by the module it was first exported
 # from.  The classes of the object kinds now live in ``gqi``, and
@@ -152,6 +156,100 @@ def test_cache_keys_compare_and_hash_by_value(build, same, other, shown):
     assert c != d
     assert a != same[0] and a != (same[0],)
     assert repr(a) == repr(b) == shown
+
+
+def _witness(direction=1.0):
+    return gqi.Perturbation((np.array([[direction]]), np.array([[-1.0]])), np.zeros((1, 1)), 0.5)
+
+
+WITNESS = "Perturbation(directions=(array([[1.]]), array([[-1.]])), delta=array([[0.]]), epsilon_star=0.5)"
+
+
+@pytest.mark.parametrize(
+    "build, changed, shown",
+    [
+        (
+            lambda k: combs.CombVerdict(True, (0.0,), (np.eye(k + 1),)),
+            lambda: combs.CombVerdict(True, (1e-9,)),
+            "CombVerdict(ok=True, level_residuals=(0.0,))",
+        ),
+        (
+            lambda k: gqi.GqiVerdict(True, (0.0, 0.5), combs.CombVerdict(True, (0.0,)), None, (k,)),
+            lambda: gqi.GqiVerdict(False, (0.0, 0.5), combs.CombVerdict(True, (0.0,)), None, ()),
+            "GqiVerdict(ok=True, outcome_min_eigenvalues=(0.0, 0.5), "
+            "comb_verdict=CombVerdict(ok=True, level_residuals=(0.0,)))",
+        ),
+        (lambda k: _witness(), lambda: _witness(2.0), WITNESS),
+        (
+            lambda k: gqi.ExtremalityCertificate(True, 13, 13, (1,), 12, None, 0.5, k or None),
+            lambda: gqi.ExtremalityCertificate(True, 13, 13, (1,), 12, None, 0.25),
+            "ExtremalityCertificate(extremal=True, family_size=13, rank=13, support_ranks=(1,), "
+            "normalization_basis_size=12, perturbation=None, margin=0.5)",
+        ),
+        (
+            # One twin's witness is pending until equality, hash or repr reads it.
+            lambda k: gqi.ExtremalityCertificate(False, 20, 16, (2, 2), 12, _witness if k else _witness()),
+            lambda: gqi.ExtremalityCertificate(False, 20, 16, (2, 2), 12, _witness(2.0)),
+            "ExtremalityCertificate(extremal=False, family_size=20, rank=16, support_ranks=(2, 2), "
+            f"normalization_basis_size=12, perturbation={WITNESS}, margin=None)",
+        ),
+    ],
+    ids=["CombVerdict", "GqiVerdict", "Perturbation", "ExtremalityCertificate-extremal",
+         "ExtremalityCertificate-not-extremal"],
+)
+def test_verdicts_compare_hash_and_show_by_value(build, changed, shown):
+    """Twins that differ only in fields left out of the comparison are
+    equal, with equal hashes; a changed compared field makes a record
+    unequal, and the repr shows the compared fields alone."""
+    a, b = build(0), build(1)
+    assert a == b and hash(a) == hash(b) and a is not b
+    assert a != changed() and changed() != a
+    assert repr(a) == repr(b) == shown
+
+
+@pytest.mark.parametrize("name", ["EigenDecomposition", "Gqi", "Povm", "Kind"])
+def test_records_without_compared_fields_compare_by_identity(name):
+    """A copy with the very same fields is not equal, and hash and repr are
+    object's own."""
+    record = RECORDS[name][0]()
+    twin = copy.copy(record)
+    assert vars(twin).keys() == vars(record).keys() and twin is not record
+    assert record == record and record != twin
+    assert hash(record) == object.__hash__(record) and repr(record) == object.__repr__(record)
+
+
+def test_certificates_of_both_verdicts_key_a_dict():
+    objects = golden_objects() + [channels.combination_fixture(6)]
+    first, second = gqi.decide_all(objects), gqi.decide_all(objects)
+    assert {cert.extremal for cert in first} == {True, False}
+    keyed = dict.fromkeys(first)
+    assert all(twin in keyed for twin in second)
+    assert [hash(cert) for cert in first] == [hash(cert) for cert in second]
+
+
+# The methods that give a record its equality, hash and repr, and the one
+# class allowed each: linalg.Record holds the rule for every record, and a
+# witness compares its arrays entry by entry and hashes its step.
+VALUE_METHODS = {"__eq__", "__hash__", "__repr__"}
+DEFINED_BY = {("linalg", "Record"): VALUE_METHODS, ("gqi", "Perturbation"): {"__eq__", "__hash__"}}
+
+
+def test_only_record_defines_equality_hash_and_repr():
+    found = {}
+    for path in sorted(pathlib.Path(exqip.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            names = set()
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    names.add(item.name)
+                elif isinstance(item, (ast.Assign, ast.AnnAssign)):
+                    targets = item.targets if isinstance(item, ast.Assign) else [item.target]
+                    names.update(t.id for t in targets if isinstance(t, ast.Name))
+            if names & VALUE_METHODS:
+                found[(path.stem, node.name)] = names & VALUE_METHODS
+    assert found == DEFINED_BY
 
 
 def test_signature_properties_are_cached_per_instance():

@@ -10,6 +10,7 @@ a ``ValueError``, so the command line exits 2.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -40,9 +41,11 @@ def projective_povm(n_outcomes):
     return Povm(d=2, effects=(np.diag([1.0, 0.0]), np.diag([0.0, 1.0])) + (zero,) * (n_outcomes - 2))
 
 
-@pytest.mark.parametrize("eps", [0.0, 1.0, math.nan, -1.0])
+@pytest.mark.parametrize("eps", [0.0, 1.0, math.nan, -1.0, "0.1", None, 1e-10 + 0j])
 def test_policy_outside_the_open_unit_interval_is_refused(eps):
-    with pytest.raises(ToleranceError, match=r"^tolerance must lie in \(0, 1\), got "):
+    """A number outside (0, 1), or a value that is not a real number, is
+    refused with its repr, which for a float is its str."""
+    with pytest.raises(ToleranceError, match=rf"^tolerance must lie in \(0, 1\), got {re.escape(repr(eps))}$"):
         TolerancePolicy(eps_rel=eps)
 
 
