@@ -27,18 +27,18 @@ _EXPORTS = {
         "random_channel", "random_instrument", "random_unitary", "sqrt_instrument",
     ),
     "combs": (
-        "CombSignature", "CombVerdict", "DeterministicComb", "central_comb",
-        "comb_variable_count", "is_deterministic_comb", "random_deterministic_comb",
-        "reduced_comb",
+        "Channel", "CombSignature", "CombVerdict", "DeterministicComb", "Gqi", "GqiVerdict",
+        "Instrument", "Povm", "Tester", "central_comb", "comb_variable_count",
+        "is_deterministic_comb", "is_valid_gqi", "random_deterministic_comb", "reduced_comb",
+        "validate_all",
     ),
     "errors": (
         "DimensionMismatchError", "ExqipError", "ExtremalInputError", "FileFormatError",
         "NotHermitianError", "NotPositiveError", "SizeLimitError", "ToleranceError", "ValidationError",
     ),
     "gqi": (
-        "Channel", "ExtremalityCertificate", "Gqi", "GqiVerdict", "Instrument", "Perturbation",
-        "Povm", "Tester", "decide_all", "decompose", "decompose_step", "is_extremal", "is_valid_gqi",
-        "mix", "perturbation_feasible", "perturbation_slack", "validate_all",
+        "ExtremalityCertificate", "Perturbation", "decide_all", "decompose", "decompose_step",
+        "is_extremal", "mix", "perturbation_feasible", "perturbation_slack",
     ),
     "linalg": ("DEFAULT_TOL", "TolerancePolicy"),
     "testers": (
@@ -50,7 +50,7 @@ _EXPORTS = {
 }
 # Each public name's submodule, by its full name.
 _SOURCE = {name: f"{__name__}.{module}" for module, names in _EXPORTS.items() for name in names}
-_SUBMODULES = ("channels", "cli", "combs", "errors", "fileio", "gqi", "linalg", "suites", "testers")
+_SUBMODULES = ("channels", "cli", "combs", "commands", "errors", "fileio", "gqi", "linalg", "suites", "testers")
 
 __all__ = sorted(_SOURCE)
 

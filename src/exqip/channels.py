@@ -13,9 +13,9 @@ refusal of a Choi operator that is not PSD.
 A channel is the one-outcome instrument whose operator is the Choi
 operator, so its validity and its criteria are the instrument's, under the
 channel names.  Every criterion refuses an invalid object through the one
-gate of :mod:`exqip.gqi`, with its message; :func:`instrument_rank_bound`
+gate of :mod:`exqip.combs`, with its message; :func:`instrument_rank_bound`
 also takes the caller's validation verdict, which the bounds suite reads
-off :func:`gqi.validate_all`.  The Kraus-product criterion is one kernel
+off :func:`combs.validate_all`.  The Kraus-product criterion is one kernel
 over a population, :func:`_kraus_criterion`, and :func:`instrument_extremal`
 is that kernel on a stack of one.
 Extremality routes: the pooled Kraus-product criterion (Choi's criterion,
@@ -27,8 +27,9 @@ constructions.  The appendix fixtures exercise all seven attainable
 (instrument, channel, POVM) extremality combinations, which
 :func:`classify_combinations` decides in three stacked passes, one per
 object of the rows, each criterion called once; a fault names the first
-instrument whose own passes raise (:func:`gqi._first_fault`).  The classes :class:`Instrument` and
-:class:`Channel` are defined in :mod:`exqip.gqi`.
+instrument whose own passes raise (:func:`combs._first_fault`).  The
+classes :class:`Instrument` and :class:`Channel` are defined in
+:mod:`exqip.combs`.
 """
 
 from __future__ import annotations
@@ -38,9 +39,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import gqi as gqi_mod, linalg
+from . import combs, gqi as gqi_mod, linalg
+from .combs import Channel, Instrument, Povm
 from .errors import DimensionMismatchError, NotPositiveError, ValidationError
-from .gqi import Channel, Instrument, Povm
 from .linalg import DEFAULT_TOL, TolerancePolicy
 
 
@@ -133,7 +134,7 @@ def instrument_from_kraus(outcome_kraus, d1: int | None = None, d0: int | None =
 
 
 def is_valid_instrument(ins: Instrument, pol: TolerancePolicy = DEFAULT_TOL) -> bool:
-    return gqi_mod.is_valid_gqi(ins, pol=pol).ok
+    return combs.is_valid_gqi(ins, pol=pol).ok
 
 
 def _kraus_products(kraus: np.ndarray) -> np.ndarray:
@@ -150,8 +151,8 @@ def instrument_extremal(ins: Instrument, pol: TolerancePolicy = DEFAULT_TOL) -> 
     """Kraus-product criterion: the pooled per-outcome families
     {K_m^(i)dagger K_n^(i)} must be linearly independent.  Each outcome's
     minimal Kraus stack comes from the eigenpairs and support ranks of the
-    instrument's :func:`gqi.is_valid_gqi` verdict.  An invalid instrument
-    raises the error of :func:`gqi._require_valid`.  This is
+    instrument's :func:`combs.is_valid_gqi` verdict.  An invalid instrument
+    raises the error of :func:`combs._require_valid`.  This is
     :func:`_kraus_criterion` on ``ins`` alone."""
     return _kraus_criterion([ins], [None], pol)[0]
 
@@ -165,7 +166,7 @@ def _kraus_criterion(instruments: list, verdicts: list, pol: TolerancePolicy) ->
     K_m^dagger K_n and one values-only ``svd``, whose rank is counted at
     :meth:`TolerancePolicy.rank_tol` of each member; each result is that of
     the instrument's own call."""
-    verdicts = [gqi_mod._require_valid(x, pol, v) for x, v in zip(instruments, verdicts)]
+    verdicts = [combs._require_valid(x, pol, v) for x, v in zip(instruments, verdicts)]
 
     def run(members):
         first = instruments[members[0]]
@@ -176,7 +177,7 @@ def _kraus_criterion(instruments: list, verdicts: list, pol: TolerancePolicy) ->
         s = np.linalg.svd(x, compute_uv=False)
         return ((s > pol.rank_tol(*x.shape[1:], s[:, :1])).sum(axis=1) == x.shape[1]).tolist()
 
-    return gqi_mod._grouped(
+    return combs._grouped(
         [(x.signature, v.support_ranks) for x, v in zip(instruments, verdicts)],
         lambda key: 16 * len(key[1]) * key[0].total_dim ** 2,
         run,
@@ -208,14 +209,14 @@ class InstrumentRankBound(NamedTuple):
 
 
 def instrument_rank_bound(
-    ins: Instrument, pol: TolerancePolicy = DEFAULT_TOL, validation: gqi_mod.GqiVerdict | None = None
+    ins: Instrument, pol: TolerancePolicy = DEFAULT_TOL, validation: combs.GqiVerdict | None = None
 ) -> InstrumentRankBound:
     """Necessary condition for extremality: sum of squared ranks <= d_0^2.
 
     The ranks are the Kraus counts, the support ranks of the
-    :func:`gqi.is_valid_gqi` verdict: ``validation``, the caller's verdict on
+    :func:`combs.is_valid_gqi` verdict: ``validation``, the caller's verdict on
     ``ins`` at ``pol`` when it has one."""
-    ranks = gqi_mod._require_valid(ins, pol, validation).support_ranks
+    ranks = combs._require_valid(ins, pol, validation).support_ranks
     lhs = sum(r * r for r in ranks)
     rhs = ins.d0 ** 2
     return InstrumentRankBound(outcome_ranks=tuple(ranks), lhs=lhs, rhs=rhs, ok=lhs <= rhs)
@@ -259,11 +260,11 @@ class CombinationTriple(NamedTuple):
 
 def classify_combinations(instruments, pol: TolerancePolicy = DEFAULT_TOL) -> list:
     """:func:`classify_combination` of every instrument, in stacked passes.
-    A fault is named by :func:`gqi._first_fault` over the instruments: the
+    A fault is named by :func:`combs._first_fault` over the instruments: the
     first instrument whose own :func:`classify_combination` raises, its
     index leading that error."""
     instruments = list(instruments)
-    return gqi_mod._first_fault(
+    return combs._first_fault(
         lambda members: _classify([instruments[i] for i in members], pol), range(len(instruments))
     )
 
@@ -273,9 +274,9 @@ def _classify(instruments: list, pol: TolerancePolicy) -> list:
     order of the per-row chain: one validation pass of the instruments and
     the Kraus-product criterion on their verdicts, the same for their induced
     channels, then one decision pass of their induced POVMs."""
-    instrument = _kraus_criterion(instruments, gqi_mod._validate_grouped(instruments, pol), pol)
+    instrument = _kraus_criterion(instruments, combs._validate_grouped(instruments, pol), pol)
     chans = [induced_channel(x) for x in instruments]
-    channel = _kraus_criterion(chans, gqi_mod._validate_grouped(chans, pol), pol)
+    channel = _kraus_criterion(chans, combs._validate_grouped(chans, pol), pol)
     povms = gqi_mod._decide_grouped([induced_povm(x) for x in instruments], pol)
     return [CombinationTriple(instrument=a, channel=b, povm=p.extremal) for a, b, p in zip(instrument, channel, povms)]
 

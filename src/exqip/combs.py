@@ -1,4 +1,4 @@
-"""Deterministic quantum N-combs.
+"""Deterministic quantum N-combs, the object kinds and their validity.
 
 A deterministic N-comb is a positive operator on the 2N alternating
 input/output spaces H_0 .. H_{2N-1} whose partial traces obey the recursive
@@ -11,9 +11,23 @@ is the LAST Kronecker factor.  A signature lists dimensions in label order
 (d_0, ..., d_{2N-1}).
 
 :class:`Gqi`, outcomes on a signature, lives here beside
-:class:`CombSignature`, and :mod:`exqip.gqi` re-exports it: every object
-kind is a ``Gqi``, and :class:`DeterministicComb` is the one-outcome ``Gqi``
-whose outcome is the comb operator.
+:class:`CombSignature`: every object kind is a ``Gqi``.
+:class:`DeterministicComb` is the one-outcome ``Gqi`` whose outcome is the
+comb operator, and :class:`Tester`, :class:`Povm`, :class:`Instrument` and
+:class:`Channel` are subclasses that store only ``signature`` and
+``outcomes`` and read their dimensions from the signature.
+
+Validity is decided here too, the first of the paper's two questions:
+:func:`is_valid_gqi` accepts a GQI of any kind, a tester's included, when
+its outcomes are positive and sum to a deterministic comb, and
+:func:`validate_all` decides a population in stacked passes (README,
+"Deciding a population"), one per stack of objects with the same signature
+and outcome shapes.  :func:`_grouped` cuts a group into stacks within
+``RANK_STAGE_BUDGET``, :func:`_require_valid` refuses an invalid object
+with one message for every kind and caller, and :func:`_first_fault` is the
+one rule that names the fault of a population.  Extremality, which reads
+the verdicts of validation, is :mod:`exqip.gqi`'s; ``exqip validate`` loads
+none of it.
 
 A signature computes what depends on it alone once, as cached properties:
 its total dimension, its :attr:`~CombSignature.levels`, |V|
@@ -31,7 +45,7 @@ import operator
 import numpy as np
 
 from . import linalg
-from .errors import DimensionMismatchError, ValidationError
+from .errors import DimensionMismatchError, ExqipError, ValidationError
 from .linalg import DEFAULT_TOL, TolerancePolicy
 
 
@@ -105,7 +119,7 @@ class CombSignature(linalg.Record):
 class Gqi(linalg.Record):
     """Outcomes on a comb signature, the view every object kind is.  A kind,
     a subclass, checks the outcome shapes when it is built; a plain Gqi
-    leaves that to :func:`exqip.gqi.is_valid_gqi`, which reports it in order
+    leaves that to :func:`is_valid_gqi`, which reports it in order
     among the outcomes' other faults.  Objects compare and hash by identity."""
 
     def __init__(self, signature: CombSignature, outcomes):
@@ -151,6 +165,70 @@ class DeterministicComb(Gqi):
         return self.outcomes[0]
 
 
+class Tester(Gqi):
+    """A 1-tester: PSD outcomes on H_2 (x) H_1 (output factor first) summing
+    to I_2 (x) rho, the GQI view on the signature (1, d_1, d_2, 1)."""
+
+    __test__ = False  # "Test" prefix: keep pytest from collecting this class
+
+    def __init__(self, d2: int, d1: int, outcomes):
+        super().__init__(CombSignature((1, d1, d2, 1)), outcomes)
+
+    @property
+    def d1(self) -> int:
+        return self.signature.dims[1]
+
+    @property
+    def d2(self) -> int:
+        return self.signature.dims[2]
+
+
+class Povm(Gqi):
+    """A POVM by its effects on H_d, the GQI view on the signature (d, 1)."""
+
+    def __init__(self, d: int, effects):
+        super().__init__(CombSignature((d, 1)), effects)
+
+    @property
+    def d(self) -> int:
+        return self.signature.dims[0]
+
+    @property
+    def effects(self) -> tuple:
+        return self.outcomes
+
+
+class Instrument(Gqi):
+    """An instrument by its Choi operators on H_1 (x) H_0 (output factor
+    first), the GQI view on the signature (d_0, d_1)."""
+
+    def __init__(self, d1: int, d0: int, operators):
+        super().__init__(CombSignature((d0, d1)), operators)
+
+    @property
+    def d0(self) -> int:
+        return self.signature.dims[0]
+
+    @property
+    def d1(self) -> int:
+        return self.signature.dims[1]
+
+    @property
+    def operators(self) -> tuple:
+        return self.outcomes
+
+
+class Channel(Instrument):
+    """A channel: the one-outcome instrument whose operator is the Choi operator."""
+
+    def __init__(self, d1: int, d0: int, choi):
+        super().__init__(d1, d0, (choi,))
+
+    @property
+    def choi(self) -> np.ndarray:
+        return self.operators[0]
+
+
 class CombVerdict(linalg.Record):
     """A comb check: ``ok`` when positive with every cascade residual within
     the bound; one residual per level (one at N = 0) and the reduced combs
@@ -166,6 +244,32 @@ class CombVerdict(linalg.Record):
     @property
     def max_residual(self) -> float:
         return max(self.level_residuals) if self.level_residuals else 0.0
+
+
+class GqiVerdict(linalg.Record):
+    """Validity of a GQI.  ``comb_verdict`` is the cascade of the sum, positive
+    when every outcome is.  ``spectra`` holds the eigenpairs of the symmetrized
+    outcomes (a stack, eigenvalues descending), which the rank test and the
+    epsilon* step reuse, and ``support_ranks`` the support rank of each
+    outcome (:meth:`TolerancePolicy.support` of its eigenvalues), which the
+    rank test, the epsilon* step, the Kraus read-out and the counting bounds
+    read."""
+
+    _compared = ("ok", "outcome_min_eigenvalues", "comb_verdict")
+
+    def __init__(
+        self,
+        ok: bool,
+        outcome_min_eigenvalues: tuple,
+        comb_verdict: CombVerdict,
+        spectra: linalg.EigenDecomposition,
+        support_ranks: tuple,
+    ):
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "outcome_min_eigenvalues", outcome_min_eigenvalues)
+        object.__setattr__(self, "comb_verdict", comb_verdict)
+        object.__setattr__(self, "spectra", spectra)
+        object.__setattr__(self, "support_ranks", support_ranks)
 
 
 def central_comb(sig: CombSignature) -> DeterministicComb:
@@ -226,6 +330,134 @@ def is_deterministic_comb(
     positive, ranks = pol.support(np.linalg.eigvalsh(r)[None, ::-1])
     pol.require_support(ranks, sig.total_dim)
     return _cascade(r[None], sig, pol.eps_comb if tol is None else tol, positive)[0]
+
+
+# Largest estimated peak, in bytes, that is attempted: of a stack of
+# validation or of the rank stage (see gqi.rank_stage_bytes), of the nodes a
+# decomposition tree holds (see gqi.decompose) and of a generated operator;
+# larger inputs raise SizeLimitError.  Every reader reads it here, when it
+# is called.
+RANK_STAGE_BUDGET = 2 << 30
+
+
+def validate_all(objects, pol: TolerancePolicy = DEFAULT_TOL) -> list:
+    """:func:`is_valid_gqi` of every object, decided in stacked passes: one
+    per stack of objects with the same signature and outcome shapes, their
+    outcomes within ``RANK_STAGE_BUDGET`` bytes (README, "Deciding a
+    population").  Each verdict is the same to the bit as the object's own
+    call.  An invalid object gets a verdict with ``ok`` false.  An object
+    that :func:`is_valid_gqi` would raise for (a non-Hermitian or non-finite
+    outcome, a wrong shape, no outcome, every support empty) raises as
+    :func:`_first_fault` names it."""
+    objects = list(objects)
+    return _first_fault(lambda members: _validate_grouped([objects[i] for i in members], pol), range(len(objects)))
+
+
+def _first_fault(run, members, label: str = "member"):
+    """``run(members)``, the population decided as one.  When it raises an
+    :class:`ExqipError`, each member is run alone, ``run([member])``, in
+    order, and the first that raises raises its own error, led by
+    ``"{label} {member}: "``; when none raises alone, the error of the whole
+    is raised.  This is the one rule that names the fault of a population."""
+    try:
+        return run(members)
+    except ExqipError:
+        for member in members:
+            try:
+                run([member])
+            except ExqipError as alone:
+                raise type(alone)(f"{label} {member}: {alone}") from alone
+        raise
+
+
+def _validate_grouped(objects: list, pol: TolerancePolicy) -> list:
+    """The stacked passes of :func:`validate_all`, with no member named."""
+    return _grouped(
+        [(g.signature, tuple(t.shape for t in g.outcomes)) for g in objects],
+        lambda key: 16 * sum(math.prod(shape) for shape in key[1]),
+        lambda members: _validate_stack([objects[i] for i in members], pol),
+    )
+
+
+def is_valid_gqi(g: Gqi, pol: TolerancePolicy = DEFAULT_TOL) -> GqiVerdict:
+    """Accept iff every outcome is PSD and the sum is a deterministic comb.
+    ``g`` is a :class:`Gqi` or any object kind; only its ``signature`` and
+    ``outcomes`` are read.
+
+    The outcomes are checked and decomposed as one stack: one batched
+    Hermiticity check, one batched ``eigh``.  An outcome of the wrong shape
+    raises after the Hermiticity check of the outcomes before it.  The sum,
+    positive because the outcomes are, is symmetrized and goes through the
+    cascade alone (README, "Conventions").  This is the stacked pass of
+    :func:`validate_all` on ``g`` alone.
+    """
+    return _validate_stack([g], pol)[0]
+
+
+def _validate_stack(gs: list, pol: TolerancePolicy) -> list:
+    """The verdicts on K GQIs of one signature and one list of outcome
+    shapes, from one :func:`linalg.hermitian_eig`, the Hermiticity check and
+    ``eigh`` of the (K M, D, D) stack, and one cascade pass of the K sums.
+    The support rule on the sorted spectra (:meth:`TolerancePolicy.support`)
+    gives positivity and the support ranks, and
+    :meth:`TolerancePolicy.require_support` refuses a GQI whose every
+    support is empty."""
+    first = gs[0]
+    m = len(first.outcomes)
+    if m < 1:
+        raise ValidationError("a GQI needs at least one outcome")
+    total = first.signature.total_dim
+    shaped = next((i for i, t in enumerate(first.outcomes) if t.shape != (total, total)), m)
+    x = np.array([g.outcomes[:shaped] for g in gs])
+    spectra = linalg.hermitian_eig(x.reshape(len(gs) * shaped, total, total), pol)
+    if shaped < m:
+        raise _shape_error(first.outcomes[shaped], total)
+    w = spectra.values.reshape(len(gs), m, total)
+    positive, ranks = pol.support(w)
+    pol.require_support(ranks, total)
+    v = spectra.vectors.reshape(len(gs), m, total, total)
+    # Summed in the order of sum(outcomes), so that each sum is its own call's to the bit.
+    s = sum(x[:, i] for i in range(m))
+    comb_verdicts = _cascade(
+        (s + s.conj().transpose(0, 2, 1)) / 2, first.signature, pol.eps_comb, positive.all(axis=1)
+    )
+    ranks = ranks.tolist()
+    return [
+        GqiVerdict(cv.ok, tuple(w[j, :, -1].tolist()), cv, linalg.EigenDecomposition(w[j], v[j]), tuple(ranks[j]))
+        for j, cv in enumerate(comb_verdicts)
+    ]
+
+
+def _grouped(keys: list, member_bytes, run) -> list:
+    """One result per member: the members that share a key are cut, in
+    order, into stacks of at most max(1, RANK_STAGE_BUDGET //
+    ``member_bytes(key)``) members, and ``run(indices)`` decides the members
+    at ``indices`` as one stack and returns their results in order."""
+    groups = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    out = [None] * len(keys)
+    for key, group in groups.items():
+        size = max(1, RANK_STAGE_BUDGET // max(1, member_bytes(key)))
+        for start in range(0, len(group), size):
+            members = group[start : start + size]
+            for i, result in zip(members, run(members)):
+                out[i] = result
+    return out
+
+
+def _require_valid(g: Gqi, pol: TolerancePolicy, verdict: GqiVerdict | None = None) -> GqiVerdict:
+    """The one validity gate of every kind: ``verdict``, or ``g``'s own when
+    it is None, unless it fails, when :class:`ValidationError` is raised."""
+    if verdict is None:
+        verdict = is_valid_gqi(g, pol=pol)
+    if not verdict.ok:
+        raise ValidationError(
+            "invalid GQI: outcome min eigenvalues "
+            f"{verdict.outcome_min_eigenvalues}, cascade residuals "
+            f"{verdict.comb_verdict.level_residuals}"
+        )
+    return verdict
 
 
 def reduced_comb(

@@ -10,13 +10,15 @@ files and payloads alike (a JSON object, ``version`` the integer 1, the
 right ``format``).  :func:`json_to_matrix` holds every matrix it reads to
 the entry rule of :mod:`exqip.linalg`, which objects in memory meet too.
 
-Every object kind, ``comb`` included, is a :class:`~exqip.gqi.Gqi`: its
+Every object kind, ``comb`` included, is a :class:`~exqip.combs.Gqi`: its
 ``signature``, a comb signature, and its ``outcomes`` are all that
-:mod:`exqip.gqi` reads, and :func:`exqip.gqi.is_valid_gqi` decides its
-validity.  :data:`KINDS` holds no validity rule of its own.  Each kind's
-class builds an object from those two with ``from_view``, and
-:func:`kind_of` matches an object's exact class, since a tester is also a
-``Gqi``.  The file signature by kind, and the comb signature it stands for:
+:mod:`exqip.combs` and :mod:`exqip.gqi` read, and
+:func:`exqip.combs.is_valid_gqi` decides its validity.  :data:`KINDS`
+holds no validity rule of its own.  Each kind's class builds an object from
+those two with ``from_view``, and :func:`kind_of` matches an object's exact
+class, since a tester is also a ``Gqi``.  Reading and writing objects
+imports :mod:`exqip.combs` alone, and only :func:`load_certificate` imports
+:mod:`exqip.gqi`.  The file signature by kind, and the comb signature it stands for:
 
 * ``comb`` / ``gqi``:   ``[d_0, ..., d_{2N-1}]`` (label order), itself
 * ``channel`` / ``instrument``: ``[d_0, d_1]`` (input, output), itself
@@ -33,9 +35,8 @@ import math
 import numpy as np
 
 from . import __version__
-from .combs import CombSignature, DeterministicComb
+from .combs import Channel, CombSignature, DeterministicComb, Gqi, Instrument, Povm, Tester
 from .errors import DimensionMismatchError, FileFormatError
-from .gqi import Channel, ExtremalityCertificate, Gqi, Instrument, Perturbation, Povm, Tester
 # fileio.MAX_ENTRY is the bound of linalg's entry rule.
 from .linalg import MAX_ENTRY, Record, TolerancePolicy, _entry_rule
 
@@ -300,7 +301,9 @@ def load_object(path):
     return payload_to_object(_read(path))
 
 
-def certificate_to_payload(kind: str, cert: ExtremalityCertificate, pol: TolerancePolicy) -> dict:
+def certificate_to_payload(kind: str, cert, pol: TolerancePolicy) -> dict:
+    """The payload of ``cert``, a :class:`~exqip.gqi.ExtremalityCertificate`
+    of an object of kind ``kind``, decided at ``pol``."""
     payload = {
         "format": CERTIFICATE_FORMAT_NAME,
         "version": FORMAT_VERSION,
@@ -342,9 +345,13 @@ def _step(value) -> float:
     return float(value)
 
 
-def load_certificate(path) -> ExtremalityCertificate:
-    """The certificate in ``path``; a malformed file raises
-    :class:`FileFormatError`, as :func:`payload_to_object` does."""
+def load_certificate(path):
+    """The :class:`~exqip.gqi.ExtremalityCertificate` in ``path``; a
+    malformed file raises :class:`FileFormatError`, as
+    :func:`payload_to_object` does.  It alone of this module imports
+    :mod:`exqip.gqi`, whose records it builds."""
+    from .gqi import ExtremalityCertificate, Perturbation
+
     payload = _read(path)
     _check_header(payload, CERTIFICATE_FORMAT_NAME, "a certificate")
     try:

@@ -34,34 +34,25 @@ witnesses reads those ranks from the stack's record.  The tolerance
 refusal of the rank cutoff and the size guard run once per stack, in
 :func:`_decide_stack`.
 
-Every object kind is a :class:`Gqi`, which lives in :mod:`exqip.combs`
-beside the comb signature and is re-exported here.  :class:`Tester`,
-:class:`Povm`, :class:`Instrument` and :class:`Channel` are subclasses that
-store only ``signature`` and ``outcomes`` and read their dimensions from the
-signature, and so is :class:`~exqip.combs.DeterministicComb`, the one-outcome
-GQI.  :func:`is_valid_gqi` decides the validity of every kind, a tester's
-included.  It, :func:`is_extremal`, :func:`decompose_step` and :func:`mix`
-read only those two fields, and the last two build their results with
-:meth:`Gqi.from_view` of the input's class, so that they keep its kind.  The
-kinds live here beside the GQI core, so that reading and deciding any kind
-needs no module of the kind-specific criteria.
+Every object kind is a :class:`Gqi`, and the kinds, :class:`GqiVerdict`,
+:func:`is_valid_gqi` and :func:`validate_all` live in :mod:`exqip.combs`,
+which decides validity, and are re-exported here.  :func:`is_extremal`,
+:func:`decompose_step` and :func:`mix` read only a GQI's ``signature`` and
+``outcomes``, and the last two build their results with
+:meth:`Gqi.from_view` of the input's class, so that they keep its kind.
 
 A population is decided in stacked passes (README, "Deciding a
-population"): :func:`validate_all` groups objects by signature and outcome
-shapes and :func:`decide_all` by signature and support ranks, and each
-stage runs once per stack with a leading axis.  :func:`decide_all` takes no
-verdict from its caller: it validates its objects itself, and each
-certificate carries the verdict it read, ``validation``, for the criteria
-that read the same supports.  This module alone cuts a group into stacks
-within ``RANK_STAGE_BUDGET`` and, in :func:`_require_valid`, refuses an
-invalid object, with one message for every kind and caller.  Each result
-is the same to the bit as the object's own call, because
-:func:`is_valid_gqi` and :func:`is_extremal` are that code on a stack of
-one.  Which fault a population raises is decided by one rule,
-:func:`_first_fault`: when the stacked run raises, each member runs alone,
-in order, and the first that raises is named with its own error.  The
-appendix table and the seeded suites take the same rule over their
-instruments and their seeds.  A witness error is raised on read, by the
+population"): :func:`decide_all` validates its objects with the stacked
+passes of :func:`validate_all`, then groups them by signature and support
+ranks, and each stage runs once per stack with a leading axis.
+:func:`decide_all` takes no verdict from its caller, and each certificate
+carries the verdict it read, ``validation``, for the criteria that read the
+same supports.  Its groups are cut into stacks within
+``combs.RANK_STAGE_BUDGET`` by ``combs._grouped``, an invalid object is
+refused by ``combs._require_valid``, and which fault a population raises is
+decided by ``combs._first_fault``, as for validation.  Each result is the
+same to the bit as the object's own call, because :func:`is_extremal` is
+that code on a stack of one.  A witness error is raised on read, by the
 member whose own call raises it, with its own message.
 
 What a verdict computes from its shape alone, |V|, the cutoff, the
@@ -70,7 +61,7 @@ is planned once per signature, support ranks and policy, :func:`_plan`, a
 bounded cache of arithmetic on that key and the only cache of shape work.
 A shape that takes the full-support exit has no size estimate: its group
 is cut by the members' outcomes, and the size guard, which reads
-``RANK_STAGE_BUDGET`` per stack, refuses only a shape that builds rows.
+``combs.RANK_STAGE_BUDGET`` per stack, refuses only a shape that builds rows.
 """
 
 from __future__ import annotations
@@ -83,101 +74,14 @@ import numbers
 import numpy as np
 
 from . import combs, linalg
-from .combs import CombSignature, Gqi, _shape_error
+# The kinds and validity are defined in combs; they are re-exported here.
+from .combs import (  # noqa: F401
+    Channel, CombSignature, Gqi, GqiVerdict, Instrument, Povm, Tester, is_valid_gqi, validate_all,
+)
 from .errors import (
     DimensionMismatchError, ExqipError, ExtremalInputError, SizeLimitError, ToleranceError, ValidationError,
 )
 from .linalg import DEFAULT_TOL, TolerancePolicy
-
-
-class Tester(Gqi):
-    """A 1-tester: PSD outcomes on H_2 (x) H_1 (output factor first) summing
-    to I_2 (x) rho, the GQI view on the signature (1, d_1, d_2, 1)."""
-
-    __test__ = False  # "Test" prefix: keep pytest from collecting this class
-
-    def __init__(self, d2: int, d1: int, outcomes):
-        super().__init__(CombSignature((1, d1, d2, 1)), outcomes)
-
-    @property
-    def d1(self) -> int:
-        return self.signature.dims[1]
-
-    @property
-    def d2(self) -> int:
-        return self.signature.dims[2]
-
-
-class Povm(Gqi):
-    """A POVM by its effects on H_d, the GQI view on the signature (d, 1)."""
-
-    def __init__(self, d: int, effects):
-        super().__init__(CombSignature((d, 1)), effects)
-
-    @property
-    def d(self) -> int:
-        return self.signature.dims[0]
-
-    @property
-    def effects(self) -> tuple:
-        return self.outcomes
-
-
-class Instrument(Gqi):
-    """An instrument by its Choi operators on H_1 (x) H_0 (output factor
-    first), the GQI view on the signature (d_0, d_1)."""
-
-    def __init__(self, d1: int, d0: int, operators):
-        super().__init__(CombSignature((d0, d1)), operators)
-
-    @property
-    def d0(self) -> int:
-        return self.signature.dims[0]
-
-    @property
-    def d1(self) -> int:
-        return self.signature.dims[1]
-
-    @property
-    def operators(self) -> tuple:
-        return self.outcomes
-
-
-class Channel(Instrument):
-    """A channel: the one-outcome instrument whose operator is the Choi operator."""
-
-    def __init__(self, d1: int, d0: int, choi):
-        super().__init__(d1, d0, (choi,))
-
-    @property
-    def choi(self) -> np.ndarray:
-        return self.operators[0]
-
-
-class GqiVerdict(linalg.Record):
-    """Validity of a GQI.  ``comb_verdict`` is the cascade of the sum, positive
-    when every outcome is.  ``spectra`` holds the eigenpairs of the symmetrized
-    outcomes (a stack, eigenvalues descending), which the rank test and the
-    epsilon* step reuse, and ``support_ranks`` the support rank of each
-    outcome (:meth:`TolerancePolicy.support` of its eigenvalues), which the
-    rank test, the epsilon* step, the Kraus read-out and the counting bounds
-    read."""
-
-    _compared = ("ok", "outcome_min_eigenvalues", "comb_verdict")
-
-    def __init__(
-        self,
-        ok: bool,
-        outcome_min_eigenvalues: tuple,
-        comb_verdict: combs.CombVerdict,
-        spectra: linalg.EigenDecomposition,
-        support_ranks: tuple,
-    ):
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "outcome_min_eigenvalues", outcome_min_eigenvalues)
-        object.__setattr__(self, "comb_verdict", comb_verdict)
-        object.__setattr__(self, "spectra", spectra)
-        object.__setattr__(self, "support_ranks", support_ranks)
 
 
 class Perturbation(linalg.Record):
@@ -258,134 +162,22 @@ class ExtremalityCertificate(linalg.Record):
         return "extremal" if self.extremal else "not_extremal"
 
 
-def validate_all(objects, pol: TolerancePolicy = DEFAULT_TOL) -> list:
-    """:func:`is_valid_gqi` of every object, decided in stacked passes: one
-    per stack of objects with the same signature and outcome shapes, their
-    outcomes within ``RANK_STAGE_BUDGET`` bytes (README, "Deciding a
-    population").  Each verdict is the same to the bit as the object's own
-    call.  An invalid object gets a verdict with ``ok`` false.  An object
-    that :func:`is_valid_gqi` would raise for (a non-Hermitian or non-finite
-    outcome, a wrong shape, no outcome, every support empty) raises as
-    :func:`_first_fault` names it."""
-    objects = list(objects)
-    return _first_fault(lambda members: _validate_grouped([objects[i] for i in members], pol), range(len(objects)))
-
-
-def _first_fault(run, members, label: str = "member"):
-    """``run(members)``, the population decided as one.  When it raises an
-    :class:`ExqipError`, each member is run alone, ``run([member])``, in
-    order, and the first that raises raises its own error, led by
-    ``"{label} {member}: "``; when none raises alone, the error of the whole
-    is raised.  This is the one rule that names the fault of a population."""
-    try:
-        return run(members)
-    except ExqipError:
-        for member in members:
-            try:
-                run([member])
-            except ExqipError as alone:
-                raise type(alone)(f"{label} {member}: {alone}") from alone
-        raise
-
-
-def _validate_grouped(objects: list, pol: TolerancePolicy) -> list:
-    """The stacked passes of :func:`validate_all`, with no member named."""
-    return _grouped(
-        [(g.signature, tuple(t.shape for t in g.outcomes)) for g in objects],
-        lambda key: 16 * sum(math.prod(shape) for shape in key[1]),
-        lambda members: _validate_stack([objects[i] for i in members], pol),
-    )
-
-
-def is_valid_gqi(g: Gqi, pol: TolerancePolicy = DEFAULT_TOL) -> GqiVerdict:
-    """Accept iff every outcome is PSD and the sum is a deterministic comb.
-    ``g`` is a :class:`Gqi` or any object kind; only its ``signature`` and
-    ``outcomes`` are read.
-
-    The outcomes are checked and decomposed as one stack: one batched
-    Hermiticity check, one batched ``eigh``.  An outcome of the wrong shape
-    raises after the Hermiticity check of the outcomes before it.  The sum,
-    positive because the outcomes are, is symmetrized and goes through the
-    cascade alone (README, "Conventions").  This is the stacked pass of
-    :func:`validate_all` on ``g`` alone.
-    """
-    return _validate_stack([g], pol)[0]
-
-
-def _validate_stack(gs: list, pol: TolerancePolicy) -> list:
-    """The verdicts on K GQIs of one signature and one list of outcome
-    shapes, from one :func:`linalg.hermitian_eig`, the Hermiticity check and
-    ``eigh`` of the (K M, D, D) stack, and one cascade pass of the K sums.
-    The support rule on the sorted spectra (:meth:`TolerancePolicy.support`)
-    gives positivity and the support ranks, and
-    :meth:`TolerancePolicy.require_support` refuses a GQI whose every
-    support is empty."""
-    first = gs[0]
-    m = len(first.outcomes)
-    if m < 1:
-        raise ValidationError("a GQI needs at least one outcome")
-    total = first.signature.total_dim
-    shaped = next((i for i, t in enumerate(first.outcomes) if t.shape != (total, total)), m)
-    x = np.array([g.outcomes[:shaped] for g in gs])
-    spectra = linalg.hermitian_eig(x.reshape(len(gs) * shaped, total, total), pol)
-    if shaped < m:
-        raise _shape_error(first.outcomes[shaped], total)
-    w = spectra.values.reshape(len(gs), m, total)
-    positive, ranks = pol.support(w)
-    pol.require_support(ranks, total)
-    v = spectra.vectors.reshape(len(gs), m, total, total)
-    # Summed in the order of sum(outcomes), so that each sum is its own call's to the bit.
-    s = sum(x[:, i] for i in range(m))
-    comb_verdicts = combs._cascade(
-        (s + s.conj().transpose(0, 2, 1)) / 2, first.signature, pol.eps_comb, positive.all(axis=1)
-    )
-    ranks = ranks.tolist()
-    return [
-        GqiVerdict(cv.ok, tuple(w[j, :, -1].tolist()), cv, linalg.EigenDecomposition(w[j], v[j]), tuple(ranks[j]))
-        for j, cv in enumerate(comb_verdicts)
-    ]
-
-
-def _grouped(keys: list, member_bytes, run) -> list:
-    """One result per member: the members that share a key are cut, in
-    order, into stacks of at most max(1, RANK_STAGE_BUDGET //
-    ``member_bytes(key)``) members, and ``run(indices)`` decides the members
-    at ``indices`` as one stack and returns their results in order."""
-    groups = {}
-    for i, key in enumerate(keys):
-        groups.setdefault(key, []).append(i)
-    out = [None] * len(keys)
-    for key, group in groups.items():
-        size = max(1, RANK_STAGE_BUDGET // max(1, member_bytes(key)))
-        for start in range(0, len(group), size):
-            members = group[start : start + size]
-            for i, result in zip(members, run(members)):
-                out[i] = result
-    return out
-
-
-def _require_valid(g: Gqi, pol: TolerancePolicy, verdict: GqiVerdict | None = None) -> GqiVerdict:
-    """The one validity gate of every kind: ``verdict``, or ``g``'s own when
-    it is None, unless it fails, when :class:`ValidationError` is raised."""
-    if verdict is None:
-        verdict = is_valid_gqi(g, pol=pol)
-    if not verdict.ok:
-        raise ValidationError(
-            "invalid GQI: outcome min eigenvalues "
-            f"{verdict.outcome_min_eigenvalues}, cascade residuals "
-            f"{verdict.comb_verdict.level_residuals}"
-        )
-    return verdict
-
-
 def perturbation_slack(outcomes, directions, eps: float, pol: TolerancePolicy = DEFAULT_TOL) -> float:
     """Smallest lambda_min + c over the 2M matrices T_i +/- eps D_i, from one
     batched ``eigvalsh``, with the working margin c = supp_tol(D, 1) / 2.
 
-    Non-negative exactly when :func:`perturbation_feasible` holds.
+    The outcomes are M matrices (D, D), and the directions must be M
+    matrices of the same shape: any other shape raises
+    :class:`DimensionMismatchError`.  Non-negative exactly when
+    :func:`perturbation_feasible` holds.
     """
     t = np.asarray(outcomes)
     d = np.asarray(directions)
+    if t.ndim != 3 or t.shape[1] != t.shape[2] or d.shape != t.shape:
+        fit, need = [np.shape(x) for x in np.atleast_1d(d)], [np.shape(x) for x in np.atleast_1d(t)]
+        raise DimensionMismatchError(
+            f"directions of shapes {fit} do not fit outcomes of shapes {need}: both must be M matrices (D, D)"
+        )
     w = np.linalg.eigvalsh(np.concatenate([t + eps * d, t - eps * d]))
     return float(w[:, 0].min() + _margin(t.shape[-1], pol))
 
@@ -417,23 +209,34 @@ def _allowance(values):
 
 class _Supports(linalg.EigenDecomposition):
     """The spectra record of a decision stack: its verdicts' eigenvalues
-    (K, M, D) and eigenvectors (K, M, D, D), stacked once by :meth:`of`, and
-    the support ranks, one per outcome, that they share.  Every later stage
-    of :func:`_decide_stack` reads it: the rank test its support vectors,
-    the witnesses their values and vectors, and :func:`max_perturbation_step`
-    ``ranks`` rather than apply the support rule again."""
+    (K, M, D), stacked once by :meth:`of`, their eigenvectors (K, M, D, D),
+    stacked on first read, and the support ranks, one per outcome, that they
+    share.  Every later stage of :func:`_decide_stack` reads it: the rank
+    test its support vectors, the witnesses their values and vectors, and
+    :func:`max_perturbation_step` ``ranks`` rather than apply the support
+    rule again.  The identity exchange reads only the values, so its stacks
+    never copy the vectors."""
 
-    def __init__(self, values: np.ndarray, vectors: np.ndarray, ranks: tuple):
+    def __init__(self, values: np.ndarray, vectors, ranks: tuple):
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "vectors", vectors)
+        object.__setattr__(self, "_vectors", vectors)
         object.__setattr__(self, "ranks", ranks)
+
+    @property
+    def vectors(self) -> np.ndarray:
+        """The stacked eigenvectors; until the first read ``_vectors`` holds
+        the verdicts they are stacked from."""
+        vectors = self._vectors
+        if isinstance(vectors, list):
+            vectors = np.array([v.spectra.vectors for v in vectors])
+            object.__setattr__(self, "_vectors", vectors)
+        return vectors
 
     @classmethod
     def of(cls, verdicts: list) -> _Supports:
         """The record of verdicts that share their support ranks: the one
         place their ``spectra`` are stacked."""
-        values = np.array([v.spectra.values for v in verdicts])
-        return cls(values, np.array([v.spectra.vectors for v in verdicts]), verdicts[0].support_ranks)
+        return cls(np.array([v.spectra.values for v in verdicts]), list(verdicts), verdicts[0].support_ranks)
 
     def __getitem__(self, k) -> _Supports:
         """The record of the members ``k`` of the stack, a slice or a list."""
@@ -498,12 +301,6 @@ def max_perturbation_step(directions, spectra: linalg.EigenDecomposition, pol: T
     return step[0] if lead == () else np.reshape(step, lead)
 
 
-# Largest estimated peak of the rank stage, in bytes, that is attempted
-# (see rank_stage_bytes), and of the nodes a decomposition tree holds (see
-# decompose); larger inputs raise SizeLimitError.
-RANK_STAGE_BUDGET = 2 << 30
-
-
 def rank_stage_bytes(sig: CombSignature, support_ranks) -> int:
     """Estimated peak bytes of the rank stage, sized for its worst case: the
     fallback that builds every projected row.  The m = sum r_i^2 rows have
@@ -555,7 +352,7 @@ def _plan(sig: CombSignature, support_ranks: tuple, pol: TolerancePolicy) -> _Pl
     """The :class:`_Plan` of the verdicts at signature ``sig``, support ranks
     ``support_ranks`` and ``pol``, computed once per key (README, "Deciding
     a population"): the one cache of a stack's shape work.  It is arithmetic
-    on the key alone; ``RANK_STAGE_BUDGET`` is read per stack, by
+    on the key alone; ``combs.RANK_STAGE_BUDGET`` is read per stack, by
     :func:`_decide_stack`.  The cutoff is the pooled family's, taken at
     sigma_max <= sqrt(M) and read by both exits of :func:`is_extremal`."""
     dim = sig.total_dim
@@ -613,9 +410,9 @@ def _rank_test(sig: CombSignature, supports, plan: _Plan, pol: TolerancePolicy) 
     rows than columns (n = span, as on (1, d)): the thin U would hold only
     vectors of nonzero singular values.
 
-    The caller has kept the stage within ``RANK_STAGE_BUDGET``, the cutoff
+    The caller has kept the stage within ``combs.RANK_STAGE_BUDGET``, the cutoff
     below sigma_max (:func:`_decide_stack`) and m > 0 (the empty-support
-    rule of :func:`_validate_stack`).
+    rule of :func:`combs._validate_stack`).
     """
     m, span, n_known, head = plan.m, plan.span, plan.n_known, plan.head
     x = [combs.complement_coordinates(supports[i], sig, 0, rows) for i, rows in plan.head_rows]
@@ -693,7 +490,7 @@ def decide_all(objects, pol: TolerancePolicy = DEFAULT_TOL) -> list:
 
     The objects are grouped by signature and support ranks, and a group is
     cut into stacks of K members whose estimated peak, K times
-    :func:`rank_stage_bytes`, stays within ``RANK_STAGE_BUDGET``; a group at
+    :func:`rank_stage_bytes`, stays within ``combs.RANK_STAGE_BUDGET``; a group at
     the full-support exit, which builds no row, by its members' outcomes,
     16 M D^2 bytes each.  Per stack
     the full-support exit is taken, or one rank stage runs
@@ -702,20 +499,20 @@ def decide_all(objects, pol: TolerancePolicy = DEFAULT_TOL) -> list:
     :func:`max_perturbation_step` of the stack.  Each certificate is the
     same to the bit as the object's own call, and carries its verdict in
     ``validation``.  An object that :func:`is_extremal` would raise for, an
-    invalid one included, raises as :func:`_first_fault` names it; a
+    invalid one included, raises as :func:`combs._first_fault` names it; a
     witness error is raised when that member's witness is read.
     """
     objects = list(objects)
-    return _first_fault(lambda members: _decide_grouped([objects[i] for i in members], pol), range(len(objects)))
+    return combs._first_fault(lambda members: _decide_grouped([objects[i] for i in members], pol), range(len(objects)))
 
 
 def _decide_grouped(gs: list, pol: TolerancePolicy) -> list:
     """The stacked passes of :func:`decide_all`, after one validation pass
-    (:func:`_validate_grouped`), with no member named.  A group is cut by
+    (:func:`combs._validate_grouped`), with no member named.  A group is cut by
     the ``stage_bytes`` of its :func:`_plan`, or, at the full-support exit,
     which builds no row, by its members' outcomes, 16 M D^2 bytes each."""
-    validations = _validate_grouped(gs, pol)
-    return _grouped(
+    validations = combs._validate_grouped(gs, pol)
+    return combs._grouped(
         [(g.signature, v.support_ranks) for g, v in zip(gs, validations)],
         lambda key: _plan(*key, pol).stage_bytes or 16 * len(key[1]) * key[0].total_dim ** 2,
         lambda members: _decide_stack([gs[i] for i in members], [validations[i] for i in members], pol),
@@ -762,17 +559,17 @@ def is_extremal(g: Gqi, pol: TolerancePolicy = DEFAULT_TOL) -> ExtremalityCertif
     The witness and its epsilon* are built on the first read of
     ``perturbation``.  Each outcome is decomposed once, in validation, and
     the rank test and epsilon* reuse the eigenpairs; an invalid ``g`` raises
-    the error of :func:`_require_valid`, and a tolerance that makes the
+    the error of :func:`combs._require_valid`, and a tolerance that makes the
     verdict vacuous :class:`ToleranceError`.  This is the stacked pass of
     :func:`decide_all` on ``g`` alone.
     """
-    validation = is_valid_gqi(g, pol)
+    validation = combs.is_valid_gqi(g, pol)
     return _decide_stack([g], [validation], pol)[0]
 
 
 def _decide_stack(gs: list, verdicts: list, pol: TolerancePolicy) -> list:
     """The certificates of K GQIs with the same signature and support ranks
-    (see :func:`is_extremal`), given their :func:`_validate_stack` verdicts
+    (see :func:`is_extremal`), given their :func:`combs._validate_stack` verdicts
     at ``pol``.  Their spectra are stacked once, into the :class:`_Supports`
     record that the rank test and the witnesses read.
 
@@ -782,14 +579,14 @@ def _decide_stack(gs: list, verdicts: list, pol: TolerancePolicy) -> list:
     that every projected rank would be 0; then the size guard,
     :class:`SizeLimitError`, when the stack reaches the rank stage, having
     no full-support pair, and the stage's estimated peak, the
-    ``stage_bytes`` of its :func:`_plan`, is above ``RANK_STAGE_BUDGET``.
+    ``stage_bytes`` of its :func:`_plan`, is above ``combs.RANK_STAGE_BUDGET``.
 
     The witnesses of the dependent members are built once, by the first
     read of any of them; a build that raises is not kept, so that every
     read raises until one builds."""
     sig = gs[0].signature
     for g, verdict in zip(gs, verdicts):
-        _require_valid(g, pol, verdict)
+        combs._require_valid(g, pol, verdict)
     spectra = _Supports.of(verdicts)
     plan = _plan(sig, spectra.ranks, pol)
     if plan.vacuous:
@@ -797,10 +594,10 @@ def _decide_stack(gs: list, verdicts: list, pol: TolerancePolicy) -> list:
             f"tolerance {pol.eps_rel:g} puts the rank cutoff at or above every singular value at dimension "
             f"{sig.total_dim}"
         )
-    if plan.stage_bytes is not None and plan.stage_bytes > RANK_STAGE_BUDGET:
+    if plan.stage_bytes is not None and plan.stage_bytes > combs.RANK_STAGE_BUDGET:
         raise SizeLimitError(
             f"the rank test at signature {sig.dims} with support ranks {spectra.ranks} "
-            f"needs about {plan.stage_bytes:,} bytes, above the budget of {RANK_STAGE_BUDGET:,} bytes"
+            f"needs about {plan.stage_bytes:,} bytes, above the budget of {combs.RANK_STAGE_BUDGET:,} bytes"
         )
     if plan.pair is not None:
         decided = [(sig.total_dim ** 2, None, None)] * len(gs)
@@ -945,7 +742,7 @@ def decompose(g: Gqi, steps: int, pol: TolerancePolicy = DEFAULT_TOL):
     the eigenvectors of its outcomes.  Before a depth is decided, the nodes
     the tree then holds, the leaves so far, the frontier and its children,
     are estimated at 32 M D^2 bytes each, their outcomes and as much again
-    of eigenvectors; a tree whose estimate exceeds ``RANK_STAGE_BUDGET``
+    of eigenvectors; a tree whose estimate exceeds ``combs.RANK_STAGE_BUDGET``
     raises :class:`SizeLimitError`.
     A ``steps`` that is negative, a bool or not an integer raises
     :class:`ValueError`; numpy integers are integers."""
@@ -961,10 +758,10 @@ def decompose(g: Gqi, steps: int, pol: TolerancePolicy = DEFAULT_TOL):
         if not frontier:
             break
         held = (len(leaves) + 3 * len(frontier)) * node_bytes
-        if held > RANK_STAGE_BUDGET:
+        if held > combs.RANK_STAGE_BUDGET:
             raise SizeLimitError(
                 f"the decomposition tree at depth {depth} holds about {held:,} bytes, "
-                f"above the budget of {RANK_STAGE_BUDGET:,} bytes"
+                f"above the budget of {combs.RANK_STAGE_BUDGET:,} bytes"
             )
         nodes = [node for _, node, _, c in frontier if c is None]
         try:

@@ -16,11 +16,11 @@ of the instruments, the full-rank states and the xi maps.  Decide: one
 :func:`gqi.decide_all` of the pass, whose certificates carry the verdicts
 that the suite's criteria read, and whose witnesses no suite reads, so none
 is built; bounds first validates its instruments with one
-:func:`gqi.validate_all`.  Each criterion is then one kernel call per pass
+:func:`combs.validate_all`.  Each criterion is then one kernel call per pass
 (:func:`channels._kraus_criterion`, :func:`testers._bounds`).  Every object
 is the one the former per-object generators drew, to the bit.  A pass that
 raises names the first seed whose own pass raises, ``seed N: `` leading its
-error (:func:`gqi._first_fault`).  The public generators of what a pass
+error (:func:`combs._first_fault`).  The public generators of what a pass
 draws are the build of their own draw alone; the two that no pass draws,
 :func:`random_two_outcome_qubit_tester` and :func:`random_nonextremal_gqi`,
 are plain calls of the per-object generators.  The appendix suite
@@ -35,7 +35,7 @@ import numbers
 
 import numpy as np
 
-from . import channels, gqi as gqi_mod, linalg, testers
+from . import channels, combs, gqi as gqi_mod, linalg, testers
 from .channels import APPENDIX_TABLE
 from .errors import ToleranceError
 from .linalg import DEFAULT_TOL, TolerancePolicy
@@ -289,7 +289,7 @@ def _run_passes(name: str, decide, seeds: int, pol: TolerancePolicy) -> SuiteRes
     ``PASS_SEEDS`` seeds.  ``decide(seeds, pol)`` draws, builds and decides
     the population of the seeds it is given and yields its records
     (ok, detail) in order.  A pass that raises names the first seed whose
-    own pass raises, with its error (:func:`gqi._first_fault`).  A
+    own pass raises, with its error (:func:`combs._first_fault`).  A
     ``seeds`` that is negative, a bool or not an integer raises
     ValueError."""
     if isinstance(seeds, bool) or not isinstance(seeds, numbers.Integral) or seeds < 0:
@@ -297,7 +297,7 @@ def _run_passes(name: str, decide, seeds: int, pol: TolerancePolicy) -> SuiteRes
     result = SuiteResult(name=name)
     for start in range(0, seeds, PASS_SEEDS):
         chunk = range(start, min(seeds, start + PASS_SEEDS))
-        for ok, detail in gqi_mod._first_fault(lambda at: list(decide(at, pol)), chunk, "seed"):
+        for ok, detail in combs._first_fault(lambda at: list(decide(at, pol)), chunk, "seed"):
             result.record(ok, detail)
     return result
 
@@ -387,7 +387,7 @@ def _bounds_pass(seeds, pol: TolerancePolicy):
     built = _build(drawn)
     pools = [t for i, t in enumerate(built) if i % 4 != 3]
     instruments = built[3::4]
-    verdicts = gqi_mod.validate_all(instruments, pol)
+    verdicts = combs.validate_all(instruments, pol)
     certs = gqi_mod.decide_all(pools, pol)
     extremal = [(t, cert.validation) for t, cert in zip(pools, certs) if cert.extremal]
     tester_bounds = iter(testers._bounds([t for t, _ in extremal], [v for _, v in extremal], pol))

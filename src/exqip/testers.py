@@ -6,7 +6,7 @@ signature (1, d_1, d_2, 1), and a POVM one on (d, 1).  Both are valid exactly
 when their GQI view is, and are decided by the GQI rank test; for a tester
 the variable directions are I_2 (x) sigma, sigma traceless on H_1.  Every
 criterion refuses an invalid object through the one gate of
-:mod:`exqip.gqi`, with its message.  The counting bounds are one kernel
+:mod:`exqip.combs`, with its message.  The counting bounds are one kernel
 over a population, :func:`_bounds`, which the bounds suite calls on the
 verdicts its certificates carry, with one stacked ``eigvalsh`` of the
 rho's, and :func:`check_bounds` is that kernel on a stack of one.
@@ -14,7 +14,7 @@ rho's, and :func:`check_bounds` is that kernel on a stack of one.
 Also here: the rank/outcome-count bounds, the normalization-changing
 xi transform, POVM extremality, pure-normalization testers, the closed-form
 classification of two-outcome qubit testers, and outcome splitting.  The
-classes :class:`Tester` and :class:`Povm` are defined in :mod:`exqip.gqi`.
+classes :class:`Tester` and :class:`Povm` are defined in :mod:`exqip.combs`.
 """
 
 from __future__ import annotations
@@ -24,9 +24,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import gqi as gqi_mod, linalg
+from . import combs, gqi as gqi_mod, linalg
+from .combs import Povm, Tester
 from .errors import DimensionMismatchError, ValidationError
-from .gqi import ExtremalityCertificate, Povm, Tester
+from .gqi import ExtremalityCertificate
 from .linalg import DEFAULT_TOL, TolerancePolicy
 
 
@@ -35,14 +36,14 @@ def is_valid_tester(t: Tester, pol: TolerancePolicy = DEFAULT_TOL) -> bool:
     the cascade reduces the sum to rho = R^(1), with residuals
     |sum T_i - I (x) rho|_max and |Tr rho - 1|; rho is positive within the
     band of the sum (README, "Conventions")."""
-    return gqi_mod.is_valid_gqi(t, pol=pol).ok
+    return combs.is_valid_gqi(t, pol=pol).ok
 
 
 def _rho_ranks(verdicts: list, pol: TolerancePolicy) -> list:
     """The support rank of rho, R^(1) of each verdict's cascade, from one
     stacked ``eigvalsh`` per dimension of rho, read descending."""
     rhos = [v.comb_verdict.reduced[0] for v in verdicts]
-    return gqi_mod._grouped(
+    return combs._grouped(
         [rho.shape for rho in rhos],
         lambda shape: 16 * shape[0] * shape[1],
         lambda members: pol.support(np.linalg.eigvalsh(np.array([rhos[i] for i in members]))[..., ::-1])[1].tolist(),
@@ -75,9 +76,9 @@ class TesterBounds(NamedTuple):
 def check_bounds(t: Tester, pol: TolerancePolicy = DEFAULT_TOL) -> TesterBounds:
     """Necessary counting bounds for extremality (never sufficient).
 
-    The outcome ranks are the support ranks of :func:`gqi.is_valid_gqi`, and
+    The outcome ranks are the support ranks of :func:`combs.is_valid_gqi`, and
     the rank of rho comes from the eigenvalues of its ``R^(1)``.  An invalid
-    tester raises the error of :func:`gqi._require_valid`.  This is
+    tester raises the error of :func:`combs._require_valid`.  This is
     :func:`_bounds` on ``t`` alone."""
     return _bounds([t], [None], pol)[0]
 
@@ -86,7 +87,7 @@ def _bounds(ts: list, verdicts: list, pol: TolerancePolicy) -> list:
     """:func:`check_bounds` of each tester, given its verdict at ``pol`` or
     None: the gate refuses the first invalid tester, in order, and the ranks
     of every rho come from one stacked ``eigvalsh`` (:func:`_rho_ranks`)."""
-    verdicts = [gqi_mod._require_valid(t, pol, v) for t, v in zip(ts, verdicts)]
+    verdicts = [combs._require_valid(t, pol, v) for t, v in zip(ts, verdicts)]
     out = []
     for t, v, r in zip(ts, verdicts, _rho_ranks(verdicts, pol)):
         ranks = v.support_ranks
@@ -185,7 +186,7 @@ def xi_inverse(
 
 
 def povm_is_valid(p: Povm, pol: TolerancePolicy = DEFAULT_TOL) -> bool:
-    return gqi_mod.is_valid_gqi(p, pol=pol).ok
+    return combs.is_valid_gqi(p, pol=pol).ok
 
 
 def povm_is_extremal(p: Povm, pol: TolerancePolicy = DEFAULT_TOL) -> bool:
@@ -327,12 +328,12 @@ def classify_two_outcome_qubit(
     """
     if t.d1 != 2 or t.d2 != 2 or t.n_outcomes != 2:
         raise DimensionMismatchError("closed form requires a two-outcome qubit tester")
-    verdict = gqi_mod._require_valid(t, pol)
+    verdict = combs._require_valid(t, pol)
     rho = verdict.comb_verdict.reduced[0]
     if linalg.max_abs(rho - np.eye(2) / 2.0) > pol.eps_comb:
         if _rho_ranks([verdict], pol)[0] == 2:
             t = xi_inverse(t, rho, np.eye(2, dtype=complex), pol)
-            verdict = gqi_mod.is_valid_gqi(t, pol=pol)
+            verdict = combs.is_valid_gqi(t, pol=pol)
         else:
             # Pure normalization: T_i = E_i (x) |phi><phi|; POVM criterion,
             # with E_i = (I (x) <phi|) T_i (I (x) |phi>).

@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from exqip import channels, cli, combs, fileio, gqi, linalg, suites, testers
+from exqip import channels, combs, commands, fileio, gqi, linalg, suites, testers
 from exqip.errors import DimensionMismatchError, NotPositiveError, ValidationError
 from exqip.linalg import DEFAULT_TOL
 
@@ -237,15 +237,17 @@ def environment_povm(ins, pol=DEFAULT_TOL):
     return gqi.Povm(ls.shape[1], tuple(effects))
 
 
-def recursive_decompose(args) -> int:
+def recursive_decompose(args, pol) -> int:
     """`exqip decompose` as it was before the frontier loop: the tree is
     descended depth first, one ``gqi.is_extremal`` per node below the root,
     and the first invalid node in that order raises.  Run in place of
-    ``cli.cmd_decompose``, it writes the same leaves, summary and output."""
-    cli._check_count(args.steps, "--steps")
+    ``commands.cmd_decompose``, it writes the same leaves, summary and
+    output."""
+    commands._check_count(args.steps, "--steps")
     if os.path.isdir(args.out) and os.listdir(args.out):
         raise ValueError(f"--out {args.out} is not empty")
-    pol, obj, kind = cli._load(args)
+    obj = fileio.load_object(args.file)
+    kind = fileio.kind_of(obj)
     cert = gqi.is_extremal(obj, pol=pol)
     if cert.extremal:
         print("input is extremal; nothing to decompose", file=sys.stderr)
@@ -311,7 +313,7 @@ def kraus_criterion(ins, pol=DEFAULT_TOL):
     checked positive and cut at its support rank into its minimal Kraus
     family, and one :func:`complex_family_rank` of the pooled products
     K_m^dagger K_n."""
-    spectra = gqi._require_valid(ins, pol).spectra
+    spectra = combs._require_valid(ins, pol).spectra
     products = []
     for w, v in zip(spectra.values, spectra.vectors):
         if not psd(w, pol):
@@ -325,7 +327,7 @@ def check_bounds(t, pol=DEFAULT_TOL):
     """The counting bounds of one tester: the outcome ranks from its own
     verdict's eigenvalues, and rho's rank from an ``eigvalsh`` of rho
     alone."""
-    verdict = gqi._require_valid(t, pol)
+    verdict = combs._require_valid(t, pol)
     r = int(support_rank(np.linalg.eigvalsh(verdict.comb_verdict.reduced[0]), pol))
     ranks = [int(x) for x in support_rank(verdict.spectra.values, pol)]
     lhs = sum(x * x for x in ranks) + r * r - 1
@@ -346,7 +348,7 @@ def check_bounds(t, pol=DEFAULT_TOL):
 
 def instrument_rank_bound(ins, pol=DEFAULT_TOL):
     """sum r_i^2 <= d_0^2, the ranks from the instrument's own verdict."""
-    ranks = tuple(int(x) for x in support_rank(gqi._require_valid(ins, pol).spectra.values, pol))
+    ranks = tuple(int(x) for x in support_rank(combs._require_valid(ins, pol).spectra.values, pol))
     lhs = sum(r * r for r in ranks)
     return channels.InstrumentRankBound(outcome_ranks=ranks, lhs=lhs, rhs=ins.d0 ** 2, ok=lhs <= ins.d0 ** 2)
 

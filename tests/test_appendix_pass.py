@@ -7,14 +7,14 @@ channels, and decides their induced POVMs in one decision pass.  The
 per-row call chain it replaced is the oracle
 (``oracles.classify_combination``).  ``classify_combination`` is the passes
 on one instrument and raises that chain's errors; on a fault the passes rerun
-their instruments alone (``gqi._first_fault``) and lead the error with the
+their instruments alone (``combs._first_fault``) and lead the error with the
 index of the first instrument at fault.
 """
 
 import numpy as np
 import pytest
 
-from exqip import channels, gqi, suites
+from exqip import channels, combs, suites
 from exqip.channels import APPENDIX_TABLE
 from exqip.gqi import Channel, Instrument, Povm
 
@@ -72,7 +72,7 @@ def test_one_validation_stack_per_group(record):
     channels' and the POVMs', each with one stack per (signature, outcome
     count): seven stacks.  The one-outcome instrument of row 1 and the
     channels share a key, on (2, 2), but not a pass."""
-    calls = record(gqi, "_validate_stack")
+    calls = record(combs, "_validate_stack")
     result = suites.run_appendix_c()
     assert result.ok and result.total == 7
     stacks = [list(call.args[0]) for call in calls]

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 import tempfile
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import exqip
-from exqip import channels, cli, fileio, gqi, linalg, suites, testers
+from exqip import channels, cli, combs, commands, fileio, gqi, linalg, suites, testers
 from exqip.channels import Channel, Instrument
 from exqip.combs import CombSignature, DeterministicComb, central_comb
 from exqip.errors import FileFormatError, ToleranceError
@@ -843,10 +844,10 @@ def test_generate_refuses_a_comb_above_the_budget(tmp_path):
         capture_output=True, text=True, env=package_env(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1"), timeout=120,
     )
     assert run.returncode == 2, run.stderr
-    need = cli.GENERATE_BYTES_PER_ENTRY * 40000 ** 2
+    need = commands.GENERATE_BYTES_PER_ENTRY * 40000 ** 2
     assert run.stderr == (
         f"error: a random comb at signature (200, 200) needs about {need:,} bytes, "
-        f"above the budget of {gqi.RANK_STAGE_BUDGET:,} bytes\n"
+        f"above the budget of {combs.RANK_STAGE_BUDGET:,} bytes\n"
     )
     assert not out.exists()
 
@@ -875,31 +876,61 @@ RUN_CLI = (
 )
 
 
-# What `exqip validate` and `exqip extremal` load for a file of any kind;
-# the command's own module runs as __main__.
-CORE_MODULES = {"exqip", "exqip.errors", "exqip.linalg", "exqip.combs", "exqip.gqi", "exqip.fileio"}
+# What each command loads in a fresh process, for a file of any kind; the
+# command's own module, `exqip.cli`, runs as __main__.  `validate` loads no
+# extremality code, `extremal` adds `gqi`, and the other commands add
+# `commands`, the module of their handlers, and what their handler imports.
+_VALIDATE = {"exqip", "exqip.errors", "exqip.linalg", "exqip.combs", "exqip.fileio"}
+_HANDLERS = _VALIDATE | {"exqip.gqi", "exqip.commands"}
+_CRITERIA = _HANDLERS | {"exqip.channels", "exqip.testers"}
+COMMAND_MODULES = {
+    "validate": _VALIDATE,
+    "extremal": _VALIDATE | {"exqip.gqi"},
+    "decompose": _HANDLERS,
+    "generate": _CRITERIA,
+    "suite": _CRITERIA | {"exqip.suites"},
+}
+# One golden fixture of each kind, named after it.
+GOLDEN_KINDS = ("channel", "comb", "gqi", "instrument", "povm", "tester")
 
 
 def test_runtime_imports_no_scipy(tmp_path):
     """A command loads only the modules it runs, and the runtime dependency
-    is numpy alone.  `import exqip` loads no submodule; a fresh `exqip
-    validate` or `exqip extremal --certificate` on a file of any kind loads
-    neither the suites nor the channel and tester criteria, and no scipy
-    module.  No command loads ``dataclasses``, whose generated methods
-    would cost a fresh process more than its verdict."""
-    gqi_file = fixture_path("gqi")
+    is numpy alone.  `import exqip` loads no submodule; `exqip suite` and
+    `exqip generate` load the criteria they run, and no scipy module.  No
+    command loads ``dataclasses``, whose generated methods would cost a
+    fresh process more than its verdict."""
     assert _fresh_modules("import exqip") == {"exqip"}
-    assert _fresh_modules(RUN_CLI, "validate", gqi_file) == CORE_MODULES
-    cert = str(tmp_path / "cert.json")
-    assert _fresh_modules(RUN_CLI, "extremal", gqi_file, "--certificate", cert) == CORE_MODULES
-    assert fileio.load_certificate(cert).family_size > 0
-    tester_file = fixture_path("tester")
-    assert _fresh_modules(RUN_CLI, "validate", tester_file) == CORE_MODULES
-    assert _fresh_modules(RUN_CLI, "extremal", tester_file) == CORE_MODULES
-    criteria = CORE_MODULES | {"exqip.channels", "exqip.testers"}
-    assert _fresh_modules(RUN_CLI, "suite", "appendix-c") == criteria | {"exqip.suites"}
+    assert _fresh_modules(RUN_CLI, "suite", "appendix-c") == COMMAND_MODULES["suite"]
     comb = str(tmp_path / "comb.json")
-    assert _fresh_modules(RUN_CLI, "generate", "random-comb", "--signature", "2,2", "--out", comb) == criteria
+    argv = ("generate", "random-comb", "--signature", "2,2", "--out", comb)
+    assert _fresh_modules(RUN_CLI, *argv) == COMMAND_MODULES["generate"]
+
+
+@pytest.mark.parametrize("kind", GOLDEN_KINDS)
+def test_file_commands_load_their_modules(kind, tmp_path):
+    """A fresh `exqip validate` on a file of any kind loads no ``gqi``, a
+    fresh `exqip extremal --certificate` no handler module, and a fresh
+    `exqip decompose` neither the suites nor the channel and tester
+    criteria."""
+    path = fixture_path(kind)
+    assert _fresh_modules(RUN_CLI, "validate", path) == COMMAND_MODULES["validate"]
+    cert = str(tmp_path / "cert.json")
+    assert _fresh_modules(RUN_CLI, "extremal", path, "--certificate", cert) == COMMAND_MODULES["extremal"]
+    assert fileio.load_certificate(cert).family_size > 0
+    argv = ("decompose", path, "--steps", "1", "--out", str(tmp_path / "tree"))
+    assert _fresh_modules(RUN_CLI, *argv) == COMMAND_MODULES["decompose"]
+
+
+def test_no_submodule_shadows_a_public_name():
+    """Importing a submodule binds it as an attribute of the package, which
+    would hide the public name of the same name that loads on first use
+    (a module called ``decompose`` would replace ``exqip.decompose``).  So
+    no submodule is named after a public name, and the package lists every
+    submodule."""
+    names = {info.name for info in pkgutil.iter_modules(exqip.__path__)}
+    assert names == set(exqip._SUBMODULES)
+    assert not names & set(exqip.__all__)
 
 
 def test_suite_names_are_the_suites(capsys):

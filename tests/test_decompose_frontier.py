@@ -2,7 +2,7 @@
 
 ``gqi.decompose`` decides each depth's undecided nodes with one
 ``gqi.decide_all`` and returns the leaves in depth-first order;
-``cli.cmd_decompose`` writes them.  ``oracles.recursive_decompose`` is the
+``commands.cmd_decompose`` writes them.  ``oracles.recursive_decompose`` is the
 former command, which descended the tree depth first with one
 ``gqi.is_extremal`` per node.  Through ``cli.main`` their leaf files,
 summaries, output and exit codes must match byte for byte, and in-process
@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 import oracles
-from exqip import channels, cli, fileio, gqi
+from exqip import channels, cli, combs, commands, fileio, gqi
 from exqip.errors import ExqipError, ExtremalInputError, SizeLimitError
 from exqip.gqi import Povm
 from exqip.linalg import TolerancePolicy
@@ -48,7 +48,7 @@ def both(path, steps, tmp_path, monkeypatch, tol=None):
     results = []
     for side in ("frontier", "recursion"):
         if side == "recursion":
-            monkeypatch.setattr(cli, "cmd_decompose", oracles.recursive_decompose)
+            monkeypatch.setattr(commands, "cmd_decompose", oracles.recursive_decompose)
         out_dir = str(tmp_path / side)
         result = run_cli(head + ["decompose", str(path), "--steps", str(steps), "--out", out_dir])
         results.append((*result, tree_files(out_dir)))
@@ -117,7 +117,7 @@ def test_paths_of():
 def recursion(path, steps, tmp_path, monkeypatch) -> tuple:
     """The summary and the leaves, read back, that
     ``oracles.recursive_decompose`` writes for ``path``."""
-    monkeypatch.setattr(cli, "cmd_decompose", oracles.recursive_decompose)
+    monkeypatch.setattr(commands, "cmd_decompose", oracles.recursive_decompose)
     out_dir = tmp_path / "recursion"
     code, out, err = run_cli(["decompose", str(path), "--steps", str(steps), "--out", str(out_dir)])
     monkeypatch.undo()
@@ -217,7 +217,7 @@ class TestDecisions:
             if side == "cut":
                 # A call's arguments are the stack, its verdicts and the policy.
                 plans = [gqi._plan(c.args[0][0].signature, c.args[1][0].support_ranks, c.args[2]) for c in calls]
-                monkeypatch.setattr(gqi, "RANK_STAGE_BUDGET", max(p.stage_bytes or 0 for p in plans))
+                monkeypatch.setattr(combs, "RANK_STAGE_BUDGET", max(p.stage_bytes or 0 for p in plans))
             calls.clear()
             out_dir = str(tmp_path / side)
             results[side] = (*run_cli(["decompose", path, "--steps", str(steps), "--out", out_dir]), tree_files(out_dir))
@@ -240,9 +240,9 @@ class TestDecisions:
         # frontier and the frontier's children.
         depth, node_bytes = len(decided), 2 * sum(t.nbytes for t in root.outcomes)
         held = (sum(len(p) < depth for p, *_ in leaves) + 3 * len(decided[-1].args[0])) * node_bytes
-        monkeypatch.setattr(gqi, "RANK_STAGE_BUDGET", held)
+        monkeypatch.setattr(combs, "RANK_STAGE_BUDGET", held)
         assert [p for p, *_ in gqi.decompose(root, steps)[0]] == [p for p, *_ in leaves]
-        monkeypatch.setattr(gqi, "RANK_STAGE_BUDGET", held - 1)
+        monkeypatch.setattr(combs, "RANK_STAGE_BUDGET", held - 1)
         message = (
             f"the decomposition tree at depth {depth} holds about {held:,} bytes, "
             f"above the budget of {held - 1:,} bytes"

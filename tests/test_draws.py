@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import oracles
-from exqip import channels, gqi, suites, testers
+from exqip import channels, combs, gqi, suites, testers
 from exqip.errors import DimensionMismatchError, NotHermitianError, ValidationError
 from exqip.linalg import DEFAULT_TOL, TolerancePolicy
 from populations import same_bits
@@ -31,7 +31,7 @@ def assert_same_object(got, want):
 
 def recorded_population(record, name, seeds):
     """The objects the suite decides, in the order of ``oracles.suite_population``."""
-    calls = record(gqi, "validate_all", "decide_all")
+    calls = record(gqi, "decide_all", log=record(combs, "validate_all"))
     assert suites.run_suite(name, seeds=seeds).ok
     passes = [list(call.args[0]) for call in calls]
     if name != "bounds":

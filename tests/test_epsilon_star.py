@@ -22,7 +22,7 @@ from hypothesis import given, settings, strategies as st
 
 from exqip import channels, cli, combs, gqi, linalg, testers
 from exqip.combs import CombSignature
-from exqip.errors import ValidationError
+from exqip.errors import DimensionMismatchError, ValidationError
 from exqip.gqi import Gqi
 from exqip.linalg import DEFAULT_TOL
 
@@ -92,6 +92,33 @@ def assert_maximal(outcomes, directions, eps, ref):
     assert eps <= ref * (1.0 + 1e-12)
     if eps < ref * (1.0 - 1e-12):
         assert gqi.perturbation_slack(outcomes, directions, eps) <= 2.0 * allowance(outcomes)
+
+
+_I2 = np.eye(2, dtype=complex)
+
+
+@pytest.mark.parametrize("check", [gqi.perturbation_feasible, gqi.perturbation_slack], ids=lambda f: f.__name__)
+@pytest.mark.parametrize(
+    ("outcomes", "directions", "fit", "need"),
+    [
+        ([_I2 / 2], [_I2, _I2], "[(2, 2), (2, 2)]", "[(2, 2)]"),
+        ([_I2 / 2, _I2 / 2], [_I2], "[(2, 2)]", "[(2, 2), (2, 2)]"),
+        ([_I2 / 2, _I2 / 2], 0.5, "[()]", "[(2, 2), (2, 2)]"),
+        ([_I2 / 2, _I2 / 2], [np.eye(3), np.eye(3)], "[(3, 3), (3, 3)]", "[(2, 2), (2, 2)]"),
+        (_I2 / 2, _I2, "[(2,), (2,)]", "[(2,), (2,)]"),
+    ],
+    ids=["more-directions", "fewer-directions", "scalar", "other-dimension", "bare-pair"],
+)
+def test_directions_of_another_shape_are_refused(check, outcomes, directions, fit, need):
+    """Directions whose shape is not the outcomes' (M, D, D), or outcomes
+    that are not M matrices (D, D), raise DimensionMismatchError rather than
+    broadcast: at the parent, more directions than outcomes read feasible,
+    fewer read a slack of 0.4, a scalar read feasible, and another dimension
+    or a bare pair raised numpy's own errors."""
+    message = f"directions of shapes {fit} do not fit outcomes of shapes {need}: both must be M matrices (D, D)"
+    with pytest.raises(DimensionMismatchError) as raised:
+        check(outcomes, directions, 0.1)
+    assert str(raised.value) == message
 
 
 def feasibility_oracle(outcomes, directions, eps, pol=DEFAULT_TOL):

@@ -1,6 +1,6 @@
 """The one rule that names the fault of a population.
 
-``gqi._first_fault`` runs a population as one.  When that raises, it runs
+``combs._first_fault`` runs a population as one.  When that raises, it runs
 each member alone, in order, and the first member that raises is named, its
 label leading its own error; when none raises alone, the error of the whole
 is raised.  ``validate_all`` and ``decide_all`` take the rule over their
@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from exqip import channels, gqi, suites
+from exqip import channels, combs, gqi, suites
 from exqip.combs import CombSignature
 from exqip.errors import ExqipError, ValidationError
 from exqip.gqi import Gqi, Povm
@@ -34,11 +34,11 @@ def test_first_member_that_raises_alone():
         return list(members)
 
     with pytest.raises(ValidationError, match="^member 5: draw 5$"):
-        gqi._first_fault(run, [1, 5, 3])
+        combs._first_fault(run, [1, 5, 3])
     assert runs == [[1, 5, 3], [1], [5]]
     with pytest.raises(ValidationError, match="^seed 3: draw 3$"):
-        gqi._first_fault(run, range(2, 6), "seed")
-    assert gqi._first_fault(run, [1, 2]) == [1, 2]
+        combs._first_fault(run, range(2, 6), "seed")
+    assert combs._first_fault(run, [1, 2]) == [1, 2]
 
 
 def test_a_fault_of_the_whole_alone_is_raised_as_it_is():
@@ -48,7 +48,7 @@ def test_a_fault_of_the_whole_alone_is_raised_as_it_is():
         return list(members)
 
     with pytest.raises(ValidationError, match="^only together$"):
-        gqi._first_fault(run, [0, 1])
+        combs._first_fault(run, [0, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +113,7 @@ def test_a_population_raises_its_first_member_that_raises_alone(seed, size, faul
     pol = LOOSE if loose else DEFAULT_TOL
     with pytest.MonkeyPatch.context() as patch:
         if budget:
-            patch.setattr(gqi, "RANK_STAGE_BUDGET", BUDGET)
+            patch.setattr(combs, "RANK_STAGE_BUDGET", BUDGET)
         cases = [
             (lambda: gqi.validate_all(population, pol), gqi.is_valid_gqi, assert_same_verdict),
             (lambda: gqi.decide_all(population, pol), gqi.is_extremal, assert_same_certificate),

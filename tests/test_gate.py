@@ -1,6 +1,6 @@
 """One validity gate for every kind and entry point.
 
-``gqi._require_valid`` is the only code that refuses an object whose
+``combs._require_valid`` is the only code that refuses an object whose
 validity verdict failed.  Every criterion of every kind, and the CLI, raise
 its one message, ``invalid GQI: outcome min eigenvalues (...), cascade
 residuals (...)``; ``decide_all`` leads it with the member index.

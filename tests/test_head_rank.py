@@ -432,7 +432,7 @@ class TestFullSupportExit:
         """A full-rank two-outcome GQI at (4,4,4,4), whose rank stage would
         need about 29 GiB, is decided: exit 0, not 2."""
         sig = CombSignature((4, 4, 4, 4))
-        assert gqi.rank_stage_bytes(sig, (256, 256)) > gqi.RANK_STAGE_BUDGET
+        assert gqi.rank_stage_bytes(sig, (256, 256)) > combs.RANK_STAGE_BUDGET
         rng = np.random.default_rng(4)
         ops = tuple(0.5 * combs.random_deterministic_comb(sig, seed=rng, spread=0.5).operator for _ in range(2))
         path = tmp_path / "full.json"
@@ -449,14 +449,14 @@ class TestSizeGuard:
         sig = CombSignature((2, 2))
         path = tmp_path / "split.json"
         fileio.save_object(path, split_comb(sig, np.random.default_rng(1)))
-        monkeypatch.setattr(gqi, "RANK_STAGE_BUDGET", 1000)
+        monkeypatch.setattr(combs, "RANK_STAGE_BUDGET", 1000)
         assert cli.main(["extremal", str(path)]) == 2
         err = capsys.readouterr().err
         need = gqi.rank_stage_bytes(sig, (3, 3))
         assert f"needs about {need:,} bytes, above the budget of 1,000 bytes" in err
 
     def test_raises_before_any_row_is_built(self, monkeypatch, record):
-        monkeypatch.setattr(gqi, "RANK_STAGE_BUDGET", 1000)
+        monkeypatch.setattr(combs, "RANK_STAGE_BUDGET", 1000)
         rows = record(combs, "complement_coordinates")
         with pytest.raises(SizeLimitError):
             gqi.is_extremal(split_comb(CombSignature((2, 2)), np.random.default_rng(1)))
@@ -484,7 +484,7 @@ class TestSizeGuard:
         """The estimate for a full-rank two-outcome GQI fits at (2,2,2,2,2,2)
         and not at (4,4,4,4), though both are decided by the full-support exit
         without it, and every CLI fixture runs."""
-        budget = gqi.RANK_STAGE_BUDGET
+        budget = combs.RANK_STAGE_BUDGET
         assert gqi.rank_stage_bytes(CombSignature((2,) * 6), (64, 64)) < budget
         assert gqi.rank_stage_bytes(CombSignature((4,) * 4), (256, 256)) > budget
         for name in GOLDEN_NAMES:

@@ -80,6 +80,22 @@ def test_submodules_and_dir():
     assert set(NAMES) | {"channels", "suites", "__version__"} <= set(dir(exqip))
 
 
+def test_exports_name_the_defining_module():
+    """``_EXPORTS`` files each public name under the module that defines it,
+    and the package resolves it to that module's object.  Moved names stay
+    importable from their former module, as ``gqi`` keeps the kinds and
+    validity of ``combs``."""
+    for module, names in exqip._EXPORTS.items():
+        mod = importlib.import_module(f"exqip.{module}")
+        for name in names:
+            value = getattr(exqip, name)
+            assert value is getattr(mod, name), name
+            assert getattr(value, "__module__", mod.__name__) == mod.__name__, name
+    moved = ("Channel", "Gqi", "GqiVerdict", "Instrument", "Povm", "Tester", "is_valid_gqi", "validate_all")
+    assert all(getattr(gqi, name) is getattr(combs, name) for name in moved)
+    assert not hasattr(gqi, "RANK_STAGE_BUDGET")
+
+
 def test_kind_classes_live_in_gqi():
     assert testers.Tester is gqi.Tester and testers.Povm is gqi.Povm
     assert channels.Channel is gqi.Channel and channels.Instrument is gqi.Instrument

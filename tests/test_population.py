@@ -32,6 +32,7 @@ from populations import (
     bench_ladder,
     golden_objects,
     mixed_population,
+    run_cli,
     same_bits,
     split_comb,
     tree_nodes,
@@ -374,7 +375,7 @@ class TestFaults:
         """A member above the budget before a non-Hermitian one in another
         stack: decide_all reruns each member alone, so it names the first,
         with the error of its own is_extremal."""
-        monkeypatch.setattr(gqi, "RANK_STAGE_BUDGET", 1000)
+        monkeypatch.setattr(combs, "RANK_STAGE_BUDGET", 1000)
         big = suites.random_nonextremal_gqi(np.random.default_rng(0))
         skew = np.array([[1.0, 1.0], [0.0, 0.0]], dtype=complex)
         skewed = gqi.Povm(2, (skew, np.eye(2) - skew))
@@ -386,7 +387,7 @@ class TestFaults:
         assert str(stacked.value) == f"member 0: {single.value}"
 
     def test_size_guard_raises_for_its_group(self, monkeypatch):
-        monkeypatch.setattr(gqi, "RANK_STAGE_BUDGET", 1000)
+        monkeypatch.setattr(combs, "RANK_STAGE_BUDGET", 1000)
         population = [suites.random_nonextremal_gqi(np.random.default_rng(s)) for s in range(3)]
         with pytest.raises(SizeLimitError) as single:
             gqi.is_extremal(population[0])
@@ -455,7 +456,7 @@ def test_rank_stages_stay_within_the_budget(monkeypatch, record):
     population = [split_comb(CombSignature((2, 2)), np.random.default_rng(s)) for s in range(7)]
     need = gqi.rank_stage_bytes(CombSignature((2, 2)), gqi.is_extremal(population[0]).support_ranks)
     calls = record(gqi, "_rank_test")
-    monkeypatch.setattr(gqi, "RANK_STAGE_BUDGET", 3 * need)
+    monkeypatch.setattr(combs, "RANK_STAGE_BUDGET", 3 * need)
     certs = gqi.decide_all(population)
     assert [len(c.args[1][0]) for c in calls] == [3, 3, 1]
     for g, cert in zip(population, certs):
@@ -478,12 +479,12 @@ def test_exit_stacks_are_cut_by_operator_bytes(monkeypatch, record):
     budget of two members' outcomes."""
     population = central_splits()
     sig, m = population[0].signature, 2
-    assert gqi.rank_stage_bytes(sig, (256, 256)) > gqi.RANK_STAGE_BUDGET
+    assert gqi.rank_stage_bytes(sig, (256, 256)) > combs.RANK_STAGE_BUDGET
     assert gqi._plan(sig, (256, 256), DEFAULT_TOL).stage_bytes is None
     calls = record(gqi, "_decide_stack")
     certs = gqi.decide_all(population)
     assert [len(c.args[0]) for c in calls] == [3]
-    monkeypatch.setattr(gqi, "RANK_STAGE_BUDGET", 2 * 16 * m * sig.total_dim ** 2)
+    monkeypatch.setattr(combs, "RANK_STAGE_BUDGET", 2 * 16 * m * sig.total_dim ** 2)
     cut = gqi.decide_all(population)
     assert [len(c.args[0]) for c in calls] == [3, 2, 1]
     for g, a, b in zip(population, certs, cut, strict=True):
@@ -500,11 +501,32 @@ def test_validation_stacks_stay_within_the_budget(monkeypatch, record):
     m = len(population[0].outcomes)
     uncut = gqi.validate_all(population)
     calls = record(linalg, "hermitian_eig")
-    monkeypatch.setattr(gqi, "RANK_STAGE_BUDGET", 3 * 16 * m * 16)
+    monkeypatch.setattr(combs, "RANK_STAGE_BUDGET", 3 * 16 * m * 16)
     cut = gqi.validate_all(population)
     assert [len(c.args[0]) for c in calls] == [3 * m, 3 * m, m]
     for a, b in zip(cut, uncut, strict=True):
         assert_same_verdict(a, b)
+
+
+def test_one_budget_patch_reaches_every_reader(monkeypatch, record, tmp_path):
+    """``combs.RANK_STAGE_BUDGET`` has one home, read when it is used: one
+    patch of it cuts the validation stacks to one member each, and makes
+    the rank stage's size guard, the decomposition tree's held bytes and
+    `exqip generate` refuse."""
+    monkeypatch.setattr(combs, "RANK_STAGE_BUDGET", 100)
+    stacks = record(combs, "_validate_stack")
+    population = [split_comb(CombSignature((2, 2)), np.random.default_rng(s)) for s in range(3)]
+    gqi.validate_all(population)
+    assert [len(c.args[0]) for c in stacks] == [1, 1, 1]
+    with pytest.raises(SizeLimitError, match=r"^the rank test at signature \(2, 2\) .*above the budget of 100 bytes$"):
+        gqi.is_extremal(channels.combination_fixture(1))
+    # Both outcomes have full support: the root takes the exit, which builds no row.
+    root = Gqi(CombSignature((2, 1)), (np.eye(2) / 2, np.eye(2) / 2))
+    with pytest.raises(SizeLimitError, match=r"^the decomposition tree at depth 0 .*above the budget of 100 bytes$"):
+        gqi.decompose(root, 1)
+    out = tmp_path / "comb.json"
+    code, _, err = run_cli(["generate", "random-comb", "--out", out])
+    assert code == 2 and err.endswith("above the budget of 100 bytes\n") and not out.exists()
 
 
 def test_each_plan_is_computed_once_per_shape(monkeypatch):
@@ -536,6 +558,6 @@ def test_each_plan_is_computed_once_per_shape(monkeypatch):
     # A rank-stage shape, planned by its first verdict, then refused by a smaller budget.
     g = split_comb(CombSignature((2, 2)), np.random.default_rng(0))
     gqi.is_extremal(g)
-    monkeypatch.setattr(gqi, "RANK_STAGE_BUDGET", 1000)
+    monkeypatch.setattr(combs, "RANK_STAGE_BUDGET", 1000)
     with pytest.raises(SizeLimitError, match="above the budget of 1,000 bytes"):
         gqi.is_extremal(g)

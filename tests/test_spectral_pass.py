@@ -222,7 +222,7 @@ class TestTracerGuard:
     attributes, where a wrapper installed on the module sees them."""
 
     def test_is_extremal(self, record):
-        valid, step = record(gqi, "is_valid_gqi"), record(gqi, "max_perturbation_step")
+        valid, step = record(combs, "is_valid_gqi"), record(gqi, "max_perturbation_step")
         extremal, midpoint, _ = ladder_inputs((2, 2), np.random.default_rng(2))
         assert gqi.is_extremal(extremal).extremal
         assert (len(valid), len(step)) == (1, 0)
@@ -233,7 +233,7 @@ class TestTracerGuard:
         assert (len(valid), len(step)) == (2, 1)
 
     def test_tester_validates_once(self, record):
-        valid, step = record(gqi, "is_valid_gqi"), record(gqi, "max_perturbation_step")
+        valid, step = record(combs, "is_valid_gqi"), record(gqi, "max_perturbation_step")
         cert = testers.is_extremal_tester(testers.schmidt_tester(0.0))
         assert not cert.extremal and (len(valid), len(step)) == (1, 0)
         assert cert.perturbation is not None
@@ -243,7 +243,8 @@ class TestTracerGuard:
         # Both criteria read the Kraus operators from one verdict per channel,
         # the one its certificate carries, and the channels are decided as
         # one population.
-        valid, members, validated = (record(gqi, name) for name in ("is_valid_gqi", "decide_all", "_validate_stack"))
+        valid, validated = (record(combs, name) for name in ("is_valid_gqi", "_validate_stack"))
+        members = record(gqi, "decide_all")
         result = suites.run_equivalence(seeds=5)
         assert result.total == 20 and result.ok
         assert (len(valid), sum(len(c.args[0]) for c in members), sum(len(c.args[0]) for c in validated)) == (0, 20, 20)

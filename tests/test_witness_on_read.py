@@ -17,7 +17,7 @@ Also here: certificates and witnesses compare their arrays entry by entry.
 import numpy as np
 import pytest
 
-from exqip import channels, cli, fileio, gqi, linalg, suites
+from exqip import channels, cli, combs, fileio, gqi, linalg, suites
 from exqip.errors import ValidationError
 from exqip.gqi import Perturbation
 
@@ -178,7 +178,7 @@ def test_support_rule_runs_once_per_validation_stack(record):
     once per validation stack and never again."""
     population = mixed_population()
     calls = record(gqi, *STEPS)
-    support, stacks = record(linalg.TolerancePolicy, "support"), record(gqi, "_validate_stack")
+    support, stacks = record(linalg.TolerancePolicy, "support"), record(combs, "_validate_stack")
     for cert in gqi.decide_all(population):
         assert (cert.perturbation is None) == cert.extremal
     assert count(calls)["max_perturbation_step"] > 0
