@@ -58,23 +58,23 @@ def _policy(args) -> TolerancePolicy:
     return DEFAULT_TOL if eps is None else TolerancePolicy(eps_rel=eps)
 
 
-def _validate_report(obj, kind: fileio.Kind, pol: TolerancePolicy) -> dict:
+def _validate_report(obj, pol: TolerancePolicy) -> dict:
     verdict = combs.is_valid_gqi(obj, pol=pol)
     residuals = [float(r) for r in verdict.comb_verdict.level_residuals]
     return {
-        "kind": kind.name,
+        "kind": obj.kind,
         "valid": bool(verdict.ok),
         "outcomes": len(obj.outcomes),
         "signature": list(obj.signature.dims),
         "min_eigenvalues": [float(x) for x in verdict.outcome_min_eigenvalues],
         "cascade_residuals": residuals,
-        **dict(zip(kind.residual_names, residuals)),
+        **dict(zip(obj.residual_names, residuals)),
     }
 
 
 def cmd_validate(args, pol: TolerancePolicy) -> int:
     obj = fileio.load_object(args.file)
-    report = _validate_report(obj, fileio.kind_of(obj), pol)
+    report = _validate_report(obj, pol)
     sys.stdout.write(fileio.dumps_canonical(report))
     return 0 if report["valid"] else 1
 
@@ -83,10 +83,9 @@ def cmd_extremal(args, pol: TolerancePolicy) -> int:
     from . import gqi
 
     obj = fileio.load_object(args.file)
-    kind = fileio.kind_of(obj)
     cert = gqi.is_extremal(obj, pol=pol)
     report = {
-        "kind": kind.name,
+        "kind": obj.kind,
         "verdict": cert.verdict,
         "family_size": cert.family_size,
         "rank": cert.rank,
@@ -95,7 +94,7 @@ def cmd_extremal(args, pol: TolerancePolicy) -> int:
     }
     # Written first, so that a path that cannot be written prints no report.
     if args.certificate:
-        fileio.save_certificate(args.certificate, kind.name, cert, pol)
+        fileio.save_certificate(args.certificate, obj.kind, cert, pol)
     sys.stdout.write(fileio.dumps_canonical(report))
     return 0
 

@@ -42,7 +42,6 @@ def cmd_decompose(args, pol: TolerancePolicy) -> int:
     if os.path.isdir(args.out) and os.listdir(args.out):
         raise ValueError(f"--out {args.out} is not empty")
     obj = fileio.load_object(args.file)
-    kind = fileio.kind_of(obj)
     try:
         leaves, residual = gqi.decompose(obj, args.steps, pol)
     except ExtremalInputError:
@@ -56,7 +55,7 @@ def cmd_decompose(args, pol: TolerancePolicy) -> int:
         entries.append({"file": name, "weight": w, "depth": depth, "status": status})
 
     summary = {
-        "kind": kind.name,
+        "kind": obj.kind,
         "steps": args.steps,
         "leaves": entries,
         "total_weight": sum(e["weight"] for e in entries),
@@ -127,7 +126,7 @@ def cmd_generate(args, pol: TolerancePolicy) -> int:
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(f"unknown kind {args.kind}")
     fileio.save_object(args.out, obj, metadata=meta)
-    print(f"wrote {fileio.kind_of(obj).name} to {args.out}")
+    print(f"wrote {obj.kind} to {args.out}")
     return 0
 
 

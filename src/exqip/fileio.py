@@ -13,11 +13,14 @@ the entry rule of :mod:`exqip.linalg`, which objects in memory meet too.
 Every object kind, ``comb`` included, is a :class:`~exqip.combs.Gqi`: its
 ``signature``, a comb signature, and its ``outcomes`` are all that
 :mod:`exqip.combs` and :mod:`exqip.gqi` read, and
-:func:`exqip.combs.is_valid_gqi` decides its validity.  :data:`KINDS`
-holds no validity rule of its own.  Each kind's class builds an object from
-those two with ``from_view``, and :func:`kind_of` matches an object's exact
-class, since a tester is also a ``Gqi``.  Reading and writing objects
-imports :mod:`exqip.combs` alone, and only :func:`load_certificate` imports
+:func:`exqip.combs.is_valid_gqi` decides its validity.  The kind classes
+are the kind table: each carries its row, its name in files, its layout,
+its single operator and its residual names (:class:`~exqip.combs.Gqi`), and
+:data:`KINDS` maps the names to the classes.  :func:`file_signature` and
+:func:`comb_signature` read a class's layout, the class builds an object
+with ``from_view``, and :func:`kind_of` matches an object's exact class,
+since a tester is also a ``Gqi``.  Reading and writing objects imports
+:mod:`exqip.combs` alone, and only :func:`load_certificate` imports
 :mod:`exqip.gqi`.  The file signature by kind, and the comb signature it stands for:
 
 * ``comb`` / ``gqi``:   ``[d_0, ..., d_{2N-1}]`` (label order), itself
@@ -38,66 +41,36 @@ from . import __version__
 from .combs import Channel, CombSignature, DeterministicComb, Gqi, Instrument, Povm, Tester
 from .errors import DimensionMismatchError, FileFormatError
 # fileio.MAX_ENTRY is the bound of linalg's entry rule.
-from .linalg import MAX_ENTRY, Record, TolerancePolicy, _entry_rule
+from .linalg import MAX_ENTRY, TolerancePolicy, _entry_rule
 
 FORMAT_NAME = "exqip-operator-file"
 CERTIFICATE_FORMAT_NAME = "exqip-certificate"
 FORMAT_VERSION = 1
 
 
-class Kind(Record):
-    """One object kind: its name in files, its class and its file signature.
-
-    ``layout`` is the comb signature of the kind's GQI view with the names of
-    the file's dimensions in their places, or ``None`` when the file holds
-    the comb signature itself.  ``single`` names the one operator a file of
-    the kind must hold, if it holds one, and ``residual_names`` are the
-    kind's own names for the leading cascade residuals.  Validity is not a
-    kind's own: every kind is valid exactly when its GQI view is.
-    """
-
-    def __init__(
-        self, name: str, cls: type, layout: tuple | None, single: str | None = None, residual_names: tuple = ()
-    ):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "cls", cls)
-        object.__setattr__(self, "layout", layout)
-        object.__setattr__(self, "single", single)
-        object.__setattr__(self, "residual_names", residual_names)
-
-    def build(self, sig: CombSignature, outcomes):
-        """The object of this kind with the comb signature and outcomes."""
-        return self.cls.from_view(sig, outcomes)
-
-    def file_signature(self, sig: CombSignature) -> list:
-        if self.layout is None:
-            return list(sig.dims)
-        return [d for d, slot in zip(sig.dims, self.layout) if isinstance(slot, str)]
-
-    def comb_signature(self, dims: list) -> CombSignature:
-        if self.layout is not None:
-            names = [slot for slot in self.layout if isinstance(slot, str)]
-            if len(dims) != len(names):
-                raise FileFormatError(f"{self.name} signature must be [{', '.join(names)}]")
-            given = iter(dims)
-            dims = [next(given) if isinstance(slot, str) else slot for slot in self.layout]
-        try:
-            return CombSignature(tuple(dims))
-        except DimensionMismatchError as exc:
-            raise FileFormatError(f"malformed {self.name} signature: {exc}") from exc
+KINDS = {cls.kind: cls for cls in (DeterministicComb, Gqi, Tester, Channel, Instrument, Povm)}
 
 
-KINDS = {
-    k.name: k
-    for k in (
-        Kind("comb", DeterministicComb, None, "operator"),
-        Kind("gqi", Gqi, None),
-        Kind("tester", Tester, (1, "d1", "d2", 1), residual_names=("product_form_residual",)),
-        Kind("channel", Channel, ("d0", "d1"), "Choi operator"),
-        Kind("instrument", Instrument, ("d0", "d1")),
-        Kind("povm", Povm, ("d", 1)),
-    )
-}
+def file_signature(cls: type, sig: CombSignature) -> list:
+    """The file signature of an object of the kind ``cls`` on ``sig``."""
+    if cls.layout is None:
+        return list(sig.dims)
+    return [d for d, slot in zip(sig.dims, cls.layout) if isinstance(slot, str)]
+
+
+def comb_signature(cls: type, dims: list) -> CombSignature:
+    """The comb signature that the file signature ``dims`` of the kind
+    ``cls`` stands for; a malformed one raises :class:`FileFormatError`."""
+    if cls.layout is not None:
+        names = [slot for slot in cls.layout if isinstance(slot, str)]
+        if len(dims) != len(names):
+            raise FileFormatError(f"{cls.kind} signature must be [{', '.join(names)}]")
+        given = iter(dims)
+        dims = [next(given) if isinstance(slot, str) else slot for slot in cls.layout]
+    try:
+        return CombSignature(tuple(dims))
+    except DimensionMismatchError as exc:
+        raise FileFormatError(f"malformed {cls.kind} signature: {exc}") from exc
 
 
 # The types of a JSON number.  bool is a subclass of int, and JSON true is
@@ -128,20 +101,23 @@ def json_to_matrix(rows) -> np.ndarray:
     return out
 
 
-def kind_of(obj) -> Kind:
-    for kind in KINDS.values():
-        if type(obj) is kind.cls:
-            return kind
-    raise FileFormatError(f"unsupported object type {type(obj).__name__}")
+def kind_of(obj) -> type:
+    """The kind class of ``obj``: its exact class, which must be in
+    :data:`KINDS`.  A subclass of a kind inherits the kind's name but is not
+    that kind, and raises :class:`FileFormatError`."""
+    cls = type(obj)
+    if KINDS.get(getattr(cls, "kind", None)) is not cls:
+        raise FileFormatError(f"unsupported object type {cls.__name__}")
+    return cls
 
 
 def object_to_payload(obj, metadata: dict | None = None) -> dict:
-    kind = kind_of(obj)
+    cls = kind_of(obj)
     return {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
-        "kind": kind.name,
-        "signature": kind.file_signature(obj.signature),
+        "kind": cls.kind,
+        "signature": file_signature(cls, obj.signature),
         "outcomes": [np.asarray(m, dtype=complex) for m in obj.outcomes],
         "metadata": dict(metadata or {}),
     }
@@ -167,7 +143,7 @@ def payload_to_object(payload: dict):
     name = payload.get("kind")
     if not isinstance(name, str) or name not in KINDS:
         raise FileFormatError(f"unknown kind {name!r}; expected one of {tuple(KINDS)}")
-    kind = KINDS[name]
+    cls = KINDS[name]
     try:
         signature = payload["signature"]
         matrices = [json_to_matrix(m) for m in payload["outcomes"]]
@@ -178,15 +154,15 @@ def payload_to_object(payload: dict):
         raise FileFormatError(f"signature must be a list of integers, got {signature!r}")
     if not matrices:
         raise FileFormatError("operator file lists no outcomes")
-    sig = kind.comb_signature(signature)
+    sig = comb_signature(cls, signature)
     for m in matrices:
         if m.shape != (sig.total_dim, sig.total_dim):
             raise FileFormatError(
                 f"matrix shape {m.shape} inconsistent with signature {signature}"
             )
-    if kind.single is not None and len(matrices) != 1:
-        raise FileFormatError(f"a {kind.name} file must contain exactly one {kind.single}")
-    return kind.build(sig, tuple(matrices))
+    if cls.single is not None and len(matrices) != 1:
+        raise FileFormatError(f"a {cls.kind} file must contain exactly one {cls.single}")
+    return cls.from_view(sig, tuple(matrices))
 
 
 # ``json``'s own writers: the escaped text of a string, and the text of any

@@ -20,6 +20,7 @@ classes :class:`Tester` and :class:`Povm` are defined in :mod:`exqip.combs`.
 from __future__ import annotations
 
 import math
+import numbers
 from typing import NamedTuple
 
 import numpy as np
@@ -263,7 +264,10 @@ def split_outcome(
     t: Tester, index: int, sub_effects, pol: TolerancePolicy = DEFAULT_TOL
 ) -> Tester:
     """Replace outcome ``index`` by sqrt(T_i) F_k sqrt(T_i) for sub-POVM
-    effects {F_k} summing to the support projector of T_i."""
+    effects {F_k} summing to the support projector of T_i.  ``index`` is a
+    Python or numpy integer, not a bool."""
+    if isinstance(index, bool) or not isinstance(index, numbers.Integral):
+        raise DimensionMismatchError(f"outcome index must be an integer, got {index!r}")
     if not 0 <= index < t.n_outcomes:
         raise DimensionMismatchError(f"outcome index {index} out of range")
     if isinstance(sub_effects, Povm):

@@ -247,7 +247,7 @@ def recursive_decompose(args, pol) -> int:
     if os.path.isdir(args.out) and os.listdir(args.out):
         raise ValueError(f"--out {args.out} is not empty")
     obj = fileio.load_object(args.file)
-    kind = fileio.kind_of(obj)
+    cls = fileio.kind_of(obj)
     cert = gqi.is_extremal(obj, pol=pol)
     if cert.extremal:
         print("input is extremal; nothing to decompose", file=sys.stderr)
@@ -287,7 +287,7 @@ def recursive_decompose(args, pol) -> int:
         entries.append({"file": name, "weight": w, "depth": depth, "status": status})
 
     summary = {
-        "kind": kind.name,
+        "kind": cls.kind,
         "steps": args.steps,
         "leaves": entries,
         "total_weight": sum(e["weight"] for e in entries),

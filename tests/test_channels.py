@@ -103,7 +103,7 @@ class TestChannelExtremality:
     def test_channel_is_the_one_outcome_instrument(self):
         c = channels.random_channel(2, 3, 2, np.random.default_rng(5))
         assert isinstance(c, Instrument) and c.operators == (c.choi,) and c.n_outcomes == 1
-        assert fileio.kind_of(c).name == "channel"
+        assert fileio.kind_of(c).kind == "channel"
         assert channels.is_valid_channel is channels.is_valid_instrument
         assert channels.choi_condition is channels.instrument_extremal
         assert channels.channel_extremal_theorem1 is channels.instrument_extremal_rank_test

@@ -105,7 +105,7 @@ def assert_same_payload(a, b):
 
 
 class TestFileio:
-    @pytest.mark.parametrize("obj", SAMPLE_OBJECTS, ids=lambda o: fileio.kind_of(o).name)
+    @pytest.mark.parametrize("obj", SAMPLE_OBJECTS, ids=lambda o: fileio.kind_of(o).kind)
     def test_round_trip_byte_identical(self, obj, tmp_path):
         path = tmp_path / "obj.json"
         fileio.save_object(path, obj, metadata={"note": "sample"})
@@ -115,7 +115,7 @@ class TestFileio:
         fileio.save_object(path, loaded, metadata={"note": "sample"})
         assert path.read_bytes() == first
 
-    @pytest.mark.parametrize("obj", SAMPLE_OBJECTS, ids=lambda o: fileio.kind_of(o).name)
+    @pytest.mark.parametrize("obj", SAMPLE_OBJECTS, ids=lambda o: fileio.kind_of(o).kind)
     def test_round_trip_exact_values(self, obj, tmp_path):
         path = tmp_path / "obj.json"
         fileio.save_object(path, obj)
@@ -388,7 +388,7 @@ def midpoint_tree(kind, seed_a, seed_b, steps=3):
         return channels.random_instrument(d, d, (1, d), rng)
 
     a, b = draw(seed_a), draw(seed_b)
-    mid = fileio.kind_of(a).build(a.signature, tuple(0.5 * x + 0.5 * y for x, y in zip(a.outcomes, b.outcomes)))
+    mid = fileio.kind_of(a).from_view(a.signature, tuple(0.5 * x + 0.5 * y for x, y in zip(a.outcomes, b.outcomes)))
     with tempfile.TemporaryDirectory() as tmp:
         src, out_dir = os.path.join(tmp, "mid.json"), os.path.join(tmp, "tree")
         fileio.save_object(src, mid)

@@ -83,7 +83,7 @@ class TestOneMessage:
         g = invalid_objects()[kind]
         path = tmp_path / f"{kind}.json"
         fileio.save_object(path, g)
-        assert fileio.kind_of(fileio.load_object(path)).name == kind
+        assert fileio.kind_of(fileio.load_object(path)).kind == kind
         line = f"error: {gate_message(g)}\n"
         assert run_cli(["extremal", path]) == (1, "", line)
         assert run_cli(["decompose", path, "--steps", 2, "--out", tmp_path / "tree"]) == (1, "", line)

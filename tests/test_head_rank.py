@@ -391,16 +391,16 @@ class TestFullSupportExit:
                 roots.append(t)
         assert sum(isinstance(x, testers.Tester) for x in roots) > 1
         for obj in roots:
-            kind = fileio.kind_of(obj)
+            cls = fileio.kind_of(obj)
             root = Gqi(obj.signature, obj.outcomes)
             cert = gqi.is_extremal(root)
             assert has_full_support(cert.support_ranks, root.signature.total_dim)
             for child in gqi.decompose_step(root, certificate=cert):
                 path = tmp_path / "child.json"
-                fileio.save_object(path, kind.build(child.signature, child.outcomes))
+                fileio.save_object(path, cls.from_view(child.signature, child.outcomes))
                 back = fileio.load_object(path)
-                assert gqi.is_valid_gqi(back).ok, kind.name
-                if kind.name == "tester":
+                assert gqi.is_valid_gqi(back).ok, cls.kind
+                if cls.kind == "tester":
                     got, want = (gqi.is_valid_gqi(x).comb_verdict.reduced[0] for x in (back, obj))
                     assert np.abs(got - want).max() <= 4 * np.finfo(float).eps
 

@@ -14,6 +14,10 @@ Also here: the arguments of the library's builders.  A comb signature
 takes integer dimensions only, bools excepted, ``gqi.mix`` a convex weight
 only, and ``gqi.decompose_step`` only a certificate whose directions fit
 the outcomes, as ``gqi.decompose`` takes only a non-negative integer depth.
+The Kraus constructors take one or more operators and outcomes,
+``channels.random_instrument`` one or more non-negative integer counts,
+``channels.choi_to_kraus`` a matrix, and ``combs.reduced_comb`` and
+``testers.split_outcome`` an integer level and index.
 """
 
 import json
@@ -225,3 +229,56 @@ def test_decompose_takes_an_integer_depth_only():
     leaves, residual = gqi.decompose(g, np.int64(1))
     want = gqi.decompose(g, 1)
     assert [path for path, *_ in leaves] == [path for path, *_ in want[0]] and residual == want[1]
+
+
+def comb22():
+    return combs.central_comb(combs.CombSignature((2, 2)))
+
+
+# Each malformed argument, the builder's call on it, and the refusal it
+# meets: ValidationError for a Kraus family or count, DimensionMismatchError
+# for a shape, a level or an index.  A bool is an int, but no level or index.
+MALFORMED_ARGUMENTS = {
+    "channel-no-kraus": (lambda: channels.channel_from_kraus([]), ValidationError,
+                         "a Kraus family needs at least one operator"),
+    "instrument-empty-outcome": (lambda: channels.instrument_from_kraus([[]]), ValidationError,
+                                 "a Kraus family needs at least one operator"),
+    "instrument-no-outcome": (lambda: channels.instrument_from_kraus([]), ValidationError,
+                              "an instrument needs at least one outcome"),
+    "luders-no-projector": (lambda: channels.luders_instrument([]), ValidationError,
+                            "a Lueders instrument needs at least one projector"),
+    "random-no-count": (lambda: channels.random_instrument(2, 2, (), np.random.default_rng(0)), ValidationError,
+                        "Kraus counts must be one or more non-negative integers, got ()"),
+    "random-negative-count": (lambda: channels.random_instrument(2, 2, (-1, 2), np.random.default_rng(0)),
+                              ValidationError, "Kraus counts must be one or more non-negative integers, got (-1, 2)"),
+    "choi-stack": (lambda: channels.choi_to_kraus(np.zeros((2, 4, 4)), 2, 2), DimensionMismatchError,
+                   "a Choi operator must be a matrix, got shape (2, 4, 4)"),
+    "level-float": (lambda: combs.reduced_comb(comb22(), 1.0), DimensionMismatchError,
+                    "level must be an integer, got 1.0"),
+    "level-bool": (lambda: combs.reduced_comb(comb22(), True), DimensionMismatchError,
+                   "level must be an integer, got True"),
+    "index-float": (lambda: testers.split_outcome(testers.schmidt_tester(0.3), 1.0, [np.eye(4)]),
+                    DimensionMismatchError, "outcome index must be an integer, got 1.0"),
+    "index-bool": (lambda: testers.split_outcome(testers.schmidt_tester(0.3), True, [np.eye(4)]),
+                   DimensionMismatchError, "outcome index must be an integer, got True"),
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED_ARGUMENTS)
+def test_builders_refuse_malformed_arguments(name):
+    build, error, message = MALFORMED_ARGUMENTS[name]
+    with pytest.raises(error, match="^" + re.escape(message) + "$"):
+        build()
+
+
+def test_builders_take_numpy_integers():
+    """A numpy integer is a level, an index and a Kraus count, with the
+    result of the Python integer."""
+    comb = comb22()
+    assert np.array_equal(combs.reduced_comb(comb, np.int64(1)).operator, combs.reduced_comb(comb, 1).operator)
+    t = testers.schmidt_tester(0.3)
+    effects = testers.projective_split_effects(t.outcomes[1])
+    got, want = (testers.split_outcome(t, index, effects) for index in (np.int64(1), 1))
+    assert all(np.array_equal(a, b) for a, b in zip(got.outcomes, want.outcomes, strict=True))
+    got, want = (channels.random_instrument(2, 2, counts, np.random.default_rng(3)) for counts in ((np.int64(1), 2), (1, 2)))
+    assert all(np.array_equal(a, b) for a, b in zip(got.outcomes, want.outcomes, strict=True))

@@ -12,6 +12,7 @@ supported under rho.
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -29,14 +30,36 @@ def test_table_covers_the_six_kinds():
     assert list(fileio.KINDS) == KIND_FIXTURES
 
 
+# Distinct sizes of the named dimensions of a layout, and the keyword by
+# which each kind with a layout takes its outcomes.
+SIZES = {"d": 3, "d0": 2, "d1": 3, "d2": 5}
+OUTCOMES_KEYWORD = {Tester: "outcomes", Channel: "choi", Instrument: "operators", Povm: "effects"}
+
+
+@pytest.mark.parametrize("cls", OUTCOMES_KEYWORD, ids=lambda cls: cls.__name__)
+def test_layout_is_the_signature_its_constructor_builds(cls):
+    """A layout names its file dimensions as the kind's constructor does:
+    the constructor, given those dimensions, builds the comb signature that
+    ``comb_signature`` makes of them, ``file_signature`` gives them back,
+    and the object's properties of those names read them."""
+    assert [c for c in fileio.KINDS.values() if c.layout is not None] == list(OUTCOMES_KEYWORD)
+    names = [slot for slot in cls.layout if isinstance(slot, str)]
+    dims = [SIZES[name] for name in names]
+    eye = np.eye(math.prod(dims))
+    obj = cls(**dict(zip(names, dims)), **{OUTCOMES_KEYWORD[cls]: eye if cls is Channel else (eye,)})
+    assert fileio.comb_signature(cls, dims) == obj.signature
+    assert fileio.file_signature(cls, obj.signature) == dims
+    assert [getattr(obj, name) for name in names] == dims
+
+
 @pytest.mark.parametrize("name", KIND_FIXTURES)
 def test_round_trip_through_gqi_view(name, tmp_path):
     """object -> file -> object -> GQI view -> object -> file, byte-identical."""
     obj = golden(name)
-    kind = fileio.kind_of(obj)
-    assert kind.name == name
+    cls = fileio.kind_of(obj)
+    assert cls.kind == name
     view = Gqi(obj.signature, obj.outcomes)
-    back = kind.build(view.signature, view.outcomes)
+    back = cls.from_view(view.signature, view.outcomes)
     assert type(back) is type(obj)
     path = tmp_path / "back.json"
     fileio.save_object(path, back)
@@ -114,10 +137,10 @@ def test_mix_and_decompose_step_keep_the_kind(name, tmp_path):
 
 def test_kind_of_matches_the_exact_class():
     t, c = golden("tester"), golden("channel")
-    assert isinstance(t, Gqi) and fileio.kind_of(t).name == "tester"
-    assert isinstance(c, Instrument) and fileio.kind_of(c).name == "channel"
-    assert fileio.kind_of(Gqi.from_view(t.signature, t.outcomes)).name == "gqi"
-    assert fileio.kind_of(Instrument.from_view(c.signature, c.outcomes)).name == "instrument"
+    assert isinstance(t, Gqi) and fileio.kind_of(t).kind == "tester"
+    assert isinstance(c, Instrument) and fileio.kind_of(c).kind == "channel"
+    assert fileio.kind_of(Gqi.from_view(t.signature, t.outcomes)).kind == "gqi"
+    assert fileio.kind_of(Instrument.from_view(c.signature, c.outcomes)).kind == "instrument"
 
 
 SHAPE_MESSAGE = r"^outcome shape \(3, 3\) does not match signature dimension 4$"

@@ -9,12 +9,12 @@ import numpy as np
 import pytest
 
 import exqip
-from exqip import channels, combs, fileio, gqi, linalg, testers
+from exqip import channels, combs, gqi, linalg, testers
 from populations import golden_objects
 
 # Every public name of the package, by the module it was first exported
-# from.  The classes of the object kinds now live in ``gqi``, and
-# ``channels`` and ``testers`` still export them.
+# from.  The classes of the object kinds now live in ``combs``, and
+# ``channels``, ``testers`` and ``gqi`` still export them.
 PUBLIC = {
     "channels": (
         "APPENDIX_TABLE", "Channel", "CombinationTriple", "Instrument", "InstrumentRankBound",
@@ -132,7 +132,6 @@ RECORDS = {
     "GqiVerdict": (lambda: gqi.is_valid_gqi(channels.combination_fixture(6)), "spectra"),
     "Perturbation": (lambda: _not_extremal().perturbation, "epsilon_star"),
     "ExtremalityCertificate": (_not_extremal, "perturbation"),
-    "Kind": (lambda: fileio.KINDS["povm"], "cls"),
     "InstrumentRankBound": (lambda: channels.instrument_rank_bound(channels.combination_fixture(1)), "ok"),
     "CombinationTriple": (lambda: channels.CombinationTriple(True, False, True), "povm"),
     "TesterBounds": (lambda: testers.check_bounds(testers.schmidt_tester(0.3)), "rank_bound_ok"),
@@ -223,7 +222,7 @@ def test_verdicts_compare_hash_and_show_by_value(build, changed, shown):
     assert repr(a) == repr(b) == shown
 
 
-@pytest.mark.parametrize("name", ["EigenDecomposition", "Gqi", "Povm", "Kind"])
+@pytest.mark.parametrize("name", ["EigenDecomposition", "Gqi", "Povm"])
 def test_records_without_compared_fields_compare_by_identity(name):
     """A copy with the very same fields is not equal, and hash and repr are
     object's own."""

@@ -14,6 +14,7 @@ populations in stacked passes.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -494,18 +495,55 @@ def test_exit_stacks_are_cut_by_operator_bytes(monkeypatch, record):
 
 
 def test_validation_stacks_stay_within_the_budget(monkeypatch, record):
-    """validate_all cuts a group into stacks of K members whose stacked
-    outcomes, 16 M D^2 bytes each, stay within the budget; every verdict is
-    the uncut one to the bit."""
+    """validate_all cuts a group into stacks of K members whose estimated
+    peaks stay within the budget; every verdict is the uncut one to the
+    bit."""
     population = [split_comb(CombSignature((2, 2)), np.random.default_rng(s)) for s in range(7)]
-    m = len(population[0].outcomes)
+    g = population[0]
+    m = len(g.outcomes)
     uncut = gqi.validate_all(population)
     calls = record(linalg, "hermitian_eig")
-    monkeypatch.setattr(combs, "RANK_STAGE_BUDGET", 3 * 16 * m * 16)
+    member = combs._validation_member_bytes((g.signature, tuple(t.shape for t in g.outcomes)))
+    monkeypatch.setattr(combs, "RANK_STAGE_BUDGET", 3 * member)
     cut = gqi.validate_all(population)
     assert [len(c.args[0]) for c in calls] == [3 * m, 3 * m, m]
     for a, b in zip(cut, uncut, strict=True):
         assert_same_verdict(a, b)
+
+
+def transient_peak(run) -> int:
+    """The tracemalloc peak of ``run()`` above what its result holds."""
+    tracemalloc.start()
+    try:
+        result = run()  # held while the memory is read
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - held
+
+
+def test_stack_peaks_stay_within_the_budget(monkeypatch):
+    """Under a budget of 1 MiB, the stacks of validate_all over GQIs at
+    D = 64 with two outcomes and of the Kraus-product criterion over
+    channels at (4, 4) with 16 Kraus operators peak within the budget, each
+    population cut into several stacks, and each result is the member's
+    own call."""
+    budget = 1 << 20
+    rng = np.random.default_rng(0)
+    sig = CombSignature((8, 8))
+    gqis = [Gqi(sig, (choi / 2, choi / 2)) for choi in (channels.random_channel(8, 8, 2, rng).choi for _ in range(6))]
+    chans = [channels.random_channel(4, 4, 16, rng) for _ in range(24)]
+    verdicts = gqi.validate_all(chans)
+    assert len({v.support_ranks for v in verdicts}) == 1
+    per_gqi = combs._validation_member_bytes((sig, ((64, 64),) * 2))
+    per_channel = channels._kraus_member_bytes((chans[0].signature, verdicts[0].support_ranks))
+    assert len(gqis) > budget // per_gqi > 0 and len(chans) > budget // per_channel > 0
+    monkeypatch.setattr(combs, "RANK_STAGE_BUDGET", budget)
+    assert transient_peak(lambda: gqi.validate_all(gqis)) <= budget
+    assert transient_peak(lambda: channels._kraus_criterion(chans, verdicts, DEFAULT_TOL)) <= budget
+    for g, verdict in zip(gqis, gqi.validate_all(gqis)):
+        assert_same_verdict(verdict, gqi.is_valid_gqi(g))
+    assert channels._kraus_criterion(chans, verdicts, DEFAULT_TOL) == [channels.choi_condition(c) for c in chans]
 
 
 def test_one_budget_patch_reaches_every_reader(monkeypatch, record, tmp_path):

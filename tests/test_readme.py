@@ -10,6 +10,7 @@ import os
 import re
 
 import exqip
+from exqip import fileio
 
 TESTS = os.path.dirname(os.path.abspath(__file__))
 README = os.path.join(TESTS, os.pardir, "README.md")
@@ -79,3 +80,22 @@ def test_cited_tests_are_defined():
             if name not in defined:
                 missing.append(f"{file}::{name}")
     assert missing == []
+
+
+def test_object_kinds_table_is_the_kind_classes():
+    """README's "Object kinds" table lists the kinds of ``fileio.KINDS`` in
+    order, and each row's file and comb signatures are its class's layout,
+    with ``d1`` written ``d_1``."""
+    section = readme_prose().split("### Object kinds", 1)[1].split("\n#", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` \| `([^`]+)` \| (`[^`]+`|the same) \|", section, flags=re.M)
+    assert [kind for kind, _, _ in rows] == list(fileio.KINDS)
+    for kind, file_sig, comb_sig in rows:
+        cls = fileio.KINDS[kind]
+        assert cls.kind == kind
+        if cls.layout is None:
+            assert (file_sig, comb_sig) == ("[d_0, ..., d_{2N-1}]", "the same"), kind
+        else:
+            slots = [re.sub(r"^d(\d)$", r"d_\1", str(slot)) for slot in cls.layout]
+            names = [slot for slot, given in zip(slots, cls.layout) if isinstance(given, str)]
+            assert file_sig == f"[{', '.join(names)}]", kind
+            assert comb_sig == f"`({', '.join(slots)})`", kind
